@@ -23,8 +23,9 @@ default to 2k + 8 to keep ample headroom.
 
 Roots of delta_k that correspond to true terminating solutions stay put
 as the depth changes; spurious roots drift.  ``aim_eigen_scan``
-therefore re-runs the scan one level shallower and reports a per-root
-stability gap, flagging drifting roots as not converged.
+therefore also locates the roots one level shallower, from the same
+recurrence pass over its scan grid, and reports a per-root stability
+gap, flagging drifting roots as not converged.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+import numpy as np
+
 from .errors import DomainError, JetMismatchError
-from .jets import SeriesJet, jet_add, jet_differentiate, jet_mul
-from .rootfind import bisect, sign_change_brackets
+from .jets import SeriesJet
+from .rootfind import bisect, sign_change_brackets, uniform_grid
 
 __all__ = [
     "AimProblem",
@@ -46,6 +49,10 @@ __all__ = [
 ]
 
 JetBuilder = Callable[[float], SeriesJet]
+
+# Cells of the finer delta_(k-1) grid laid over the two scan cells around
+# a root that the scan grid leaves unconverged.
+RESCAN_CELLS = 64
 
 
 @dataclass(frozen=True)
@@ -103,17 +110,38 @@ class AimScanReport:
         return [r.value for r in self.roots if r.converged]
 
 
-def _recurrence(problem: AimProblem, e: float, k: int):
-    """((lambda_{k-1}, s_{k-1}), (lambda_k, s_k)) after k iterations."""
-    lam0, s0 = problem.coefficient_jets(e)
-    lam_prev, s_prev = lam0, s0
-    lam_cur = jet_add(jet_add(jet_differentiate(lam_prev), s_prev), jet_mul(lam0, lam_prev))
-    s_cur = jet_add(jet_differentiate(s_prev), jet_mul(s0, lam_prev))
-    for _ in range(k - 1):
-        lam_prev, s_prev = lam_cur, s_cur
-        lam_cur = jet_add(jet_add(jet_differentiate(lam_prev), s_prev), jet_mul(lam0, lam_prev))
-        s_cur = jet_add(jet_differentiate(s_prev), jet_mul(s0, lam_prev))
-    return (lam_prev, s_prev), (lam_cur, s_cur)
+def _columns_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Column-wise Cauchy product of two (n, columns) coefficient arrays,
+    truncated to n coefficients."""
+    n = a.shape[0]
+    out = a[:1] * b
+    for j in range(1, n):
+        out[j:] += a[j : j + 1] * b[: n - j]
+    return out
+
+
+def _recurrence(lam0: np.ndarray, s0: np.ndarray, k: int, mul):
+    """[(lambda_j, s_j) for j = 0..k] as coefficient arrays whose first axis
+    is the Taylor order; mul is the Cauchy product along that axis, cut
+    here to the n orders carried."""
+    shape = lam0.shape
+    n = shape[0]
+    ramp = np.arange(1, n, dtype=float).reshape((n - 1,) + (1,) * (lam0.ndim - 1))
+    states = [(lam0, s0)]
+    for _ in range(k):
+        lam, s = states[-1]
+        dlam = np.zeros(shape)
+        dlam[:-1] = ramp * lam[1:]
+        ds = np.zeros(shape)
+        ds[:-1] = ramp * s[1:]
+        states.append((dlam + s + mul(lam0, lam)[:n], ds + mul(s0, lam)[:n]))
+    return states
+
+
+def _delta(prev, cur):
+    """lambda_k s_{k-1} - lambda_{k-1} s_k at the expansion point, from the
+    states (lambda_{k-1}, s_{k-1}) and (lambda_k, s_k)."""
+    return cur[0][0] * prev[1][0] - prev[0][0] * cur[1][0]
 
 
 def _check_depth(problem: AimProblem, k: int) -> None:
@@ -129,34 +157,62 @@ def _check_depth(problem: AimProblem, k: int) -> None:
 def aim_iterate(problem: AimProblem, e: float, k: int):
     """Run k recurrence steps; return (lambda_k, s_k, delta_k at x0)."""
     _check_depth(problem, k)
-    (lam_prev, s_prev), (lam_cur, s_cur) = _recurrence(problem, e, k)
-    delta = lam_cur.value * s_prev.value - lam_prev.value * s_cur.value
-    return lam_cur, s_cur, delta
+    lam0, s0 = problem.coefficient_jets(e)
+    # np.convolve is jets.jet_mul's product: the values are the jet route's.
+    prev, cur = _recurrence(lam0.coeffs, s0.coeffs, k, np.convolve)[-2:]
+    return SeriesJet(cur[0], problem.x0), SeriesJet(cur[1], problem.x0), float(_delta(prev, cur))
 
 
 def aim_delta(problem: AimProblem, e: float, k: int) -> float:
     """Termination indicator delta_k evaluated at the expansion point."""
-    _check_depth(problem, k)
-    (lam_prev, s_prev), (lam_cur, s_cur) = _recurrence(problem, e, k)
-    return lam_cur.value * s_prev.value - lam_prev.value * s_cur.value
+    return aim_iterate(problem, e, k)[2]
 
 
-def _scan_roots(problem, lo, hi, k, grid, xtol):
+def _delta_grid(problem: AimProblem, es: np.ndarray, k: int):
+    """(delta_{k-1}, delta_k) at every E in es, from one recurrence pass.
+
+    Column i of the coefficient arrays holds the jets at es[i], cut to the
+    k + 1 orders delta_k depends on: a step's coefficient m reads orders
+    up to m + 1 of the step before, so k steps leave order 0 exact.
+    """
+    n = k + 1
+    jets = [problem.coefficient_jets(e) for e in es.tolist()]
+    lam0 = np.stack([lam.coeffs[:n] for lam, _ in jets], axis=1)
+    s0 = np.stack([s.coeffs[:n] for _, s in jets], axis=1)
+    older, prev, cur = _recurrence(lam0, s0, k, _columns_mul)[-3:]
+    return _delta(older, prev), _delta(prev, cur)
+
+
+def _scan_roots(problem, k, fx, lo, hi, grid, xtol):
+    """Bisected roots of delta_k from its values fx on the scan grid, and
+    the indices of cells that follow another sign-changing cell."""
     f = lambda e: aim_delta(problem, e, k)
     roots = []
     crowded = []
-    cells = sign_change_brackets(f, lo, hi, grid)
+    cells = sign_change_brackets(fx, lo, hi, grid)
     h = (hi - lo) / grid
     prev_cell_index = None
-    for a, b in cells:
+    for a, b, fa, fb in cells:
         cell_index = int((a - lo) / h) if h > 0 else 0
         if prev_cell_index is not None and cell_index == prev_cell_index + 1:
             crowded.append(cell_index)
         prev_cell_index = cell_index
-        r = a if a == b else bisect(f, a, b, xtol=xtol)
+        r = a if a == b else bisect(f, a, b, xtol=xtol, fab=(fa, fb))
         if not roots or abs(r - roots[-1]) > 4.0 * xtol:
             roots.append(r)
     return roots, crowded
+
+
+def _rescan_shallow(problem, r, h, lo, hi, k, xtol):
+    """Roots of delta_(k-1) on a RESCAN_CELLS-cell grid over the scan cells
+    on either side of r, clipped to the bracket [lo, hi]."""
+    a, b = max(lo, r - h), min(hi, r + h)
+    shallow, _ = _delta_grid(problem, uniform_grid(a, b, RESCAN_CELLS + 1), k)
+    return _scan_roots(problem, k - 1, shallow, a, b, RESCAN_CELLS + 1, xtol)[0]
+
+
+def _nearest_gap(r: float, roots) -> float:
+    return min((abs(r - s) for s in roots), default=float("inf"))
 
 
 def aim_eigen_scan(
@@ -171,14 +227,18 @@ def aim_eigen_scan(
 ) -> AimScanReport:
     """Locate roots of delta_k over a bracket and grade their stability.
 
-    Roots are found by a uniform sign-change scan refined with bisection,
-    then compared against the roots of delta_(k-1): the stability gap is
-    the distance to the nearest shallower root, and a root is marked
-    converged when that gap is small relative to the root's magnitude.
-    Exact terminating eigenvalues sit at the same position at both
-    depths; spurious roots do not.  A bracket with no sign change yields
-    an empty report rather than an error; adjacent sign-changing grid
-    cells produce a too-coarse warning.
+    One recurrence pass gives delta_k and delta_(k-1) on a uniform grid
+    of ``grid`` nodes; the sign changes of each are refined with
+    bisection.  Each delta_k root is then compared against the roots of
+    delta_(k-1): the stability gap is the distance to the nearest
+    shallower root, and a root is marked converged when that gap is small
+    relative to the root's magnitude.  Exact terminating eigenvalues sit
+    at the same position at both depths; spurious roots do not.  Two
+    delta_(k-1) roots in one grid cell give no sign change, so a root
+    the grid leaves unconverged has delta_(k-1) re-scanned on a finer
+    grid around it before it is graded.  A bracket with no sign change
+    yields an empty report rather than an error; adjacent sign-changing
+    grid cells produce a too-coarse warning.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
@@ -188,22 +248,29 @@ def aim_eigen_scan(
     _check_depth(problem, k)
     scale = max(abs(lo), abs(hi), 1.0)
     xtol = tol * scale
-    deep, crowded = _scan_roots(problem, lo, hi, k, grid, xtol)
-    shallow, _ = _scan_roots(problem, lo, hi, k - 1, grid, xtol)
+    shallow_fx, deep_fx = _delta_grid(problem, uniform_grid(lo, hi, grid), k)
+    deep, crowded = _scan_roots(problem, k, deep_fx, lo, hi, grid, xtol)
+    shallow, _ = _scan_roots(problem, k - 1, shallow_fx, lo, hi, grid, xtol)
     if n_roots is not None:
         deep = deep[:n_roots]
-    graded = []
+
+    def converged(r):
+        return _nearest_gap(r, shallow) <= stability_tol * max(1.0, abs(r))
+
+    h = (hi - lo) / (grid - 1)
     for r in deep:
-        gap = min((abs(r - s) for s in shallow), default=float("inf"))
-        converged = gap <= stability_tol * max(1.0, abs(r))
-        graded.append(
-            AimRoot(
-                value=r,
-                residual=aim_delta(problem, r, k),
-                stability_gap=gap,
-                converged=converged,
-            )
+        if not converged(r):
+            found = _rescan_shallow(problem, r, h, lo, hi, k, xtol)
+            shallow = sorted(shallow + [s for s in found if _nearest_gap(s, shallow) > 4.0 * xtol])
+    graded = tuple(
+        AimRoot(
+            value=r,
+            residual=aim_delta(problem, r, k),
+            stability_gap=_nearest_gap(r, shallow),
+            converged=converged(r),
         )
+        for r in deep
+    )
     warnings = tuple(
         f"adjacent sign changes in scan cells {i - 1} and {i}; grid may be too coarse"
         for i in crowded
@@ -212,7 +279,7 @@ def aim_eigen_scan(
         k_used=k,
         bracket=(lo, hi),
         grid=grid,
-        roots=tuple(graded),
+        roots=graded,
         shallow_roots=tuple(shallow),
         warnings=warnings,
     )

@@ -570,3 +570,7 @@ def oracle_check_cmd(fmt, out):
     config = RunConfig(out=Path(out), fmt=fmt)
     path = cli_oracle_check(config)
     click.echo(f"wrote {path}")
+
+
+if __name__ == "__main__":
+    main(prog_name="ptbound")

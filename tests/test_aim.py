@@ -6,12 +6,14 @@ eigenvalues are the nonnegative integers.
 """
 
 import math
+import random
 
 import pytest
 
 from ptbound.aim import AimProblem, aim_delta, aim_eigen_scan, aim_iterate
 from ptbound.errors import DomainError, JetMismatchError
 from ptbound.jets import SeriesJet, jet_scale
+from ptbound.rootfind import bisect, sign_change_brackets, uniform_grid
 from ptbound.schrodinger import NRContext, PTPotential, pt_aim_problem, spectral_params
 
 POT = PTPotential(A=-30.0, B=2.3, alpha=1.0)
@@ -142,6 +144,83 @@ class TestClosedFormEigenvalues:
             assert len(stable) == 1
             roots.append(stable[0])
         assert roots[0] == pytest.approx(roots[1], abs=1e-9)
+
+
+def reference_roots(problem, bracket, k, grid=512, tol=1e-12):
+    """Roots of delta_k from a scan that evaluates the scalar aim_delta at
+    every grid node and bisects without handing over endpoint values."""
+    lo, hi = bracket
+    xtol = tol * max(abs(lo), abs(hi), 1.0)
+    f = lambda e: aim_delta(problem, e, k)
+    fx = [f(x) for x in uniform_grid(lo, hi, grid).tolist()]
+    roots = []
+    for a, b, _, _ in sign_change_brackets(fx, lo, hi, grid):
+        r = a if a == b else bisect(f, a, b, xtol=xtol)
+        if not roots or abs(r - roots[-1]) > 4.0 * xtol:
+            roots.append(r)
+    return roots
+
+
+def criterion1_level(rng, n):
+    """A well from the acceptance criterion-1 ranges and the bracket of its
+    level n, halfway to the neighboring levels."""
+    pot = PTPotential(A=rng.uniform(-80.0, -5.0), B=rng.uniform(0.1, 5.0),
+                      alpha=rng.uniform(0.5, 2.0))
+    par = spectral_params(pot, CTX, 0)
+    above = par.k1(n - 1) if n else 0.0
+    return pot, (0.5 * (par.k1(n) + par.k1(n + 1)), 0.5 * (par.k1(n) + above))
+
+
+class TestBatchedScan:
+    """The scan evaluates delta_(k-1) and delta_k on its grid in one batched
+    recurrence pass; its roots must be the scalar route's, bit for bit."""
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_matches_scalar_scan(self, k):
+        rng = random.Random(7919 * k)
+        for _ in range(2):
+            pot, bracket = criterion1_level(rng, (k - 2) // 2)
+            prob = pt_aim_problem(pot, CTX, 0, k)
+            rep = aim_eigen_scan(prob, bracket, k)
+            assert [r.value for r in rep.roots] == reference_roots(prob, bracket, k)
+            assert [r.residual for r in rep.roots] == [aim_delta(prob, r.value, k) for r in rep.roots]
+            assert set(reference_roots(prob, bracket, k - 1)) <= set(rep.shallow_roots)
+
+    def test_matches_scalar_scan_hermite(self):
+        prob = hermite_problem(3)
+        rep = aim_eigen_scan(prob, (-0.5, 4.5), 3, grid=2001)
+        assert [r.value for r in rep.roots] == reference_roots(prob, (-0.5, 4.5), 3, grid=2001)
+        assert [r.residual for r in rep.roots] == [aim_delta(prob, r.value, 3) for r in rep.roots]
+
+    def test_node_on_root(self):
+        # Nodes within a few ulps of the n = 1 root, where delta_6 is
+        # rounding noise.  At some of them (measured: -5 and -4 ulps) the
+        # batched pass and the scalar aim_delta give opposite signs, so
+        # bisection must judge the bracket on the scan's own values.
+        k, c = 6, PAR.k1(1)
+        prob = pt_problem(k)
+        for i in range(-6, 7):
+            x = c + i * math.ulp(c)
+            assert uniform_grid(x - 1.0, x + 1.0, 3)[1] == x
+            rep = aim_eigen_scan(prob, (x - 1.0, x + 1.0), k, grid=3)
+            assert any(abs(r.value - c) <= 1e-12 * abs(c) for r in rep.roots), i
+
+
+class TestFineRescan:
+    """Two delta_(k-1) roots in one scan cell make no sign change; the
+    grid around an unconverged root is then re-scanned finer."""
+
+    # Depth 5 has a root pair (-64.5076, -64.4726) inside one 0.05-wide
+    # cell of the 512-node grid.
+    POT = PTPotential(A=-34.60422904704596, B=3.3898324336221726, alpha=0.8039863706786297)
+
+    def test_level_hidden_by_root_pair_converges(self):
+        par = spectral_params(self.POT, CTX, 0)
+        bracket = (0.5 * (par.k1(2) + par.k1(3)), 0.5 * (par.k1(2) + par.k1(1)))
+        rep = aim_eigen_scan(pt_aim_problem(self.POT, CTX, 0, 6), bracket, 6)
+        stable = rep.converged_roots()
+        assert len(stable) == 1
+        assert abs(stable[0] - par.k1(2)) <= 1e-8 * abs(par.k1(2))
 
 
 class TestDepthThresholds:

@@ -4,6 +4,9 @@ with no partial files left behind."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -246,6 +249,18 @@ class TestGroup:
         res = runner.invoke(main, ["--version"])
         assert res.exit_code == 0, res.output
         assert res.output == f"ptbound, version {ptbound.__version__}\n"
+
+    @pytest.mark.parametrize("module", ["ptbound", "ptbound.cli"])
+    def test_version_as_module(self, module, tmp_path):
+        # Started as a module from a source checkout, with nothing installed.
+        src = Path(ptbound.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        res = subprocess.run(
+            [sys.executable, "-m", module, "--version"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert res.returncode == 0, res.stderr
+        assert res.stdout == f"ptbound, version {ptbound.__version__}\n"
 
     def test_help_lists_subcommands(self, runner):
         res = runner.invoke(main, ["--help"])
