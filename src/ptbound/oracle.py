@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError, NodeCountError
@@ -152,6 +153,7 @@ class ShootResult:
     npts: int
     refinements: int
     mesh_gap: float
+    passes: int  # Numerov passes over all meshes
 
 
 def _numerov_outward(wvals, h, q, s_exp, r_min, kappa):
@@ -166,13 +168,16 @@ def _numerov_outward(wvals, h, q, s_exp, r_min, kappa):
     c = h * h / 12.0
     f_prev = 1.0 - c * (wvals[0] - q)
     f_cur = 1.0 - c * (wvals[1] - q)
+    negative = u_cur < 0.0
     nodes = 0
-    for i in range(2, len(wvals)):
-        f_next = 1.0 - c * (wvals[i] - q)
+    for w in islice(wvals, 2, None):
+        f_next = 1.0 - c * (w - q)
         u_next = ((12.0 - 10.0 * f_cur) * u_cur - f_prev * u_prev) / f_next
-        if u_next == 0.0 or (u_next < 0.0) != (u_cur < 0.0):
+        next_negative = u_next < 0.0
+        if u_next == 0.0 or next_negative != negative:
             nodes += 1
-        if abs(u_next) > 1e250:
+        negative = next_negative
+        if u_next > 1e250 or u_next < -1e250:
             u_prev, u_cur, u_next = u_prev / 1e250, u_cur / 1e250, u_next / 1e250
         u_prev, u_cur = u_cur, u_next
         f_prev, f_cur = f_cur, f_next
@@ -180,12 +185,54 @@ def _numerov_outward(wvals, h, q, s_exp, r_min, kappa):
     return nodes, du + kappa * u_cur
 
 
-def _solve_on_mesh(problem, n, lo, hi, npts, xtol):
+def _halvings(a, b, width, above):
+    """The brackets a bisection of [a, b] passes through: each step keeps
+    the half that above(mid) picks, until the bracket is at most width
+    wide or its midpoint rounds onto an end."""
+    while b - a > width:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            return
+        if above(mid):
+            b = mid
+        else:
+            a = mid
+        yield a, b
+
+
+# The first warm search, with no mesh gap yet, stops this many bisection
+# tolerances wide.
+_FIRST_WARM_XTOLS = 16.0
+# A warm search that misses the root widens its bracket by this many
+# bisection levels at a time.
+_WIDEN_LEVELS = 3
+
+
+def _solve_on_mesh(problem, n, lo, hi, npts, xtol, guess=None, width=0.0):
+    """Bisect the level's predicate over [lo, hi] on an npts mesh; return
+    (value, Numerov passes).
+
+    Given a guess, the bisection is first replayed toward it without
+    shooting, down to the first bracket at most width wide; that bracket
+    is shot at both ends and widened up its own bisection path until it
+    holds the level.  For a monotone predicate every bracket it lands on
+    is one the bisection from [lo, hi] visits, so the value is the same.
+    """
     h = (problem.r_cut - problem.r_min) / (npts - 1)
     wvals = [problem.w(problem.r_min + i * h) for i in range(npts)]
     w_end = wvals[-1]
+    # Every q <= known_below is below the level, every q >= known_above
+    # above it: the shots so far decide those without a pass.
+    known_below, known_above = -math.inf, math.inf
+    passes = 0
 
     def above(q: float) -> bool:
+        nonlocal known_below, known_above, passes
+        if q <= known_below:
+            return False
+        if q >= known_above:
+            return True
+        passes += 1
         # Too-high trial energies show up either as an extra node or, at
         # the right node count, as a tail already bent through zero: the
         # log-derivative combination u' + kappa*u flips sign relative to
@@ -193,28 +240,34 @@ def _solve_on_mesh(problem, n, lo, hi, npts, xtol):
         kappa = math.sqrt(max(w_end - q, 1e-12))
         nodes, g = _numerov_outward(wvals, h, q, problem.origin_exponent, problem.r_min, kappa)
         if nodes != n:
-            return nodes > n
-        parity = 1.0 if n % 2 == 0 else -1.0
-        return g * parity < 0.0
-
-    if above(lo):
-        raise NodeCountError(
-            f"lower bracket edge {lo!r} already lies above level n={n}"
-        )
-    if not above(hi):
-        raise NodeCountError(
-            f"upper bracket edge {hi!r} still lies below level n={n}"
-        )
-    a, b = lo, hi
-    while b - a > xtol:
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        if above(mid):
-            b = mid
+            result = nodes > n
         else:
-            a = mid
-    return 0.5 * (a + b)
+            parity = 1.0 if n % 2 == 0 else -1.0
+            result = g * parity < 0.0
+        if result:
+            known_above = q
+        else:
+            known_below = q
+        return result
+
+    path = [(lo, hi)]
+    if guess is not None:
+        path += _halvings(lo, hi, max(width, xtol), lambda mid: mid > guess)
+    level = len(path) - 1
+    while True:
+        a, b = path[level]
+        if above(a):
+            if level == 0:
+                raise NodeCountError(f"lower bracket edge {lo!r} already lies above level n={n}")
+        elif not above(b):
+            if level == 0:
+                raise NodeCountError(f"upper bracket edge {hi!r} still lies below level n={n}")
+        else:
+            break
+        level = max(level - _WIDEN_LEVELS, 0)
+    for a, b in _halvings(a, b, xtol, above):
+        pass
+    return 0.5 * (a + b), passes
 
 
 def shoot_eigenvalue(
@@ -229,21 +282,30 @@ def shoot_eigenvalue(
 
     Bisects the node-count/tail-sign predicate on each mesh, then halves
     the step until two successive meshes agree to tol (scaled by the
-    eigenvalue magnitude).  Raises NodeCountError when the bracket does
-    not straddle the requested level and ConvergenceError when mesh
+    eigenvalue magnitude).  Each refined mesh is warm-started: its search
+    starts from the previous mesh's value, in a bracket twice the last
+    mesh gap wide, and lands on the value a bisection of the whole
+    bracket would.  Raises NodeCountError when the bracket does not
+    straddle the requested level and ConvergenceError when mesh
     refinement stalls.
     """
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"shooting tolerance must be finite and > 0, got {tol!r}")
+    if not (isinstance(max_refinements, int) and max_refinements >= 1):
+        raise DomainError(f"max_refinements must be an int >= 1, got {max_refinements!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise DomainError(f"empty shooting bracket ({lo!r}, {hi!r})")
     xtol = tol * max(1.0, abs(lo), abs(hi)) * 1e-2
     npts = problem.npts
-    value = _solve_on_mesh(problem, n, lo, hi, npts, xtol)
+    value, passes = _solve_on_mesh(problem, n, lo, hi, npts, xtol)
+    width = _FIRST_WARM_XTOLS * xtol
     for refinement in range(1, max_refinements + 1):
         npts = 2 * npts - 1
-        new_value = _solve_on_mesh(problem, n, lo, hi, npts, xtol)
+        new_value, mesh_passes = _solve_on_mesh(problem, n, lo, hi, npts, xtol, value, width)
+        passes += mesh_passes
         gap = abs(new_value - value)
         value = new_value
         if gap <= tol * max(1.0, abs(new_value)):
@@ -253,7 +315,9 @@ def shoot_eigenvalue(
                 npts=npts,
                 refinements=refinement,
                 mesh_gap=gap,
+                passes=passes,
             )
+        width = 2.0 * gap
     raise ConvergenceError(
         f"mesh refinement stalled after {max_refinements} doublings (gap {gap:.3e})",
         estimate=value,

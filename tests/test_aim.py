@@ -223,6 +223,33 @@ class TestFineRescan:
         assert abs(stable[0] - par.k1(2)) <= 1e-8 * abs(par.k1(2))
 
 
+class TestRootPairInDeepCell:
+    """Known misses: when delta_k itself has a root pair inside one scan
+    cell, the deep scan sees no sign change, so there is no deep root to
+    grade or re-scan and the level goes unanswered."""
+
+    # Two n = 1 levels at depth 4 with the benchmark's brackets (midpoints
+    # to the neighbouring levels).  delta_4 roots: -141.2433 and -141.1913
+    # in a 0.183-wide cell; -103.1345 and -103.0590 in a 0.084-wide cell.
+    LEVELS = [
+        (-57.782334629394924, 1.9166354813246282, 1.9723251639883461,
+         (-195.84337064109445, -102.09957450191192)),
+        (-63.07457070817321, 0.6613989252571173, 1.0551542904822453,
+         (-126.792496582679, -83.92994814349902)),
+    ]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a delta_k root pair inside one scan cell hides the level from the deep scan",
+    )
+    @pytest.mark.parametrize("a, b, alpha, bracket", LEVELS)
+    def test_level_answered(self, a, b, alpha, bracket):
+        pot = PTPotential(A=a, B=b, alpha=alpha)
+        closed = spectral_params(pot, CTX, 0).k1(1)
+        rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, 4), bracket, 4)
+        assert any(abs(v - closed) <= 1e-8 * abs(closed) for v in rep.converged_roots())
+
+
 class TestDepthThresholds:
     """Level n first appears at depth 2n and is graded converged at 2n + 1."""
 

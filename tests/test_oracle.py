@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from ptbound import oracle
 from ptbound.errors import ConvergenceError, DomainError, NodeCountError
 from ptbound.oracle import (
     RadialProblem,
@@ -14,6 +15,7 @@ from ptbound.oracle import (
     integrate_adaptive,
     shoot_eigenvalue,
 )
+from ptbound.schrodinger import NRContext, PTPotential, pt_radial_problem, spectral_params
 from ptbound.specfun import erfi
 
 SQRT_PI = math.sqrt(math.pi)
@@ -133,3 +135,103 @@ class TestShooting:
             RadialProblem(w=lambda r: 0.0, r_min=0.0, r_cut=1.0, origin_exponent=1.0)
         with pytest.raises(DomainError):
             harmonic_problem(omega=-1.0)
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
+    def test_tolerance_validation(self, tol):
+        with pytest.raises(DomainError, match="tolerance"):
+            shoot_eigenvalue(harmonic_problem(), 0, (1.0, 5.0), tol=tol)
+
+    @pytest.mark.parametrize("max_refinements", [0, -1, 2.5])
+    def test_refinement_count_validation(self, max_refinements):
+        with pytest.raises(DomainError, match="max_refinements"):
+            shoot_eigenvalue(harmonic_problem(), 0, (1.0, 5.0), max_refinements=max_refinements)
+
+
+def _cold_mesh_value(problem, n, lo, hi, npts, xtol):
+    """Reference mesh search: bisect the whole bracket, shooting every midpoint."""
+    h = (problem.r_cut - problem.r_min) / (npts - 1)
+    wvals = [problem.w(problem.r_min + i * h) for i in range(npts)]
+    parity = 1.0 if n % 2 == 0 else -1.0
+
+    def above(q):
+        kappa = math.sqrt(max(wvals[-1] - q, 1e-12))
+        nodes, g = oracle._numerov_outward(
+            wvals, h, q, problem.origin_exponent, problem.r_min, kappa
+        )
+        return nodes > n if nodes != n else g * parity < 0.0
+
+    assert not above(lo) and above(hi)
+    a, b = lo, hi
+    while b - a > xtol:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        if above(mid):
+            b = mid
+        else:
+            a = mid
+    return 0.5 * (a + b)
+
+
+def _cold_shoot(problem, n, bracket, tol=1e-9, max_refinements=6):
+    """Reference refinement loop over the cold mesh search."""
+    lo, hi = bracket
+    xtol = tol * max(1.0, abs(lo), abs(hi)) * 1e-2
+    npts = problem.npts
+    value = _cold_mesh_value(problem, n, lo, hi, npts, xtol)
+    for refinement in range(1, max_refinements + 1):
+        npts = 2 * npts - 1
+        new_value = _cold_mesh_value(problem, n, lo, hi, npts, xtol)
+        gap = abs(new_value - value)
+        value = new_value
+        if gap <= tol * max(1.0, abs(new_value)):
+            return value, npts, refinement, gap
+    raise AssertionError("reference search did not converge")
+
+
+def _pt_level(a, b, alpha, n):
+    """Criterion 2's problem and bracket for level n of one well."""
+    pot = PTPotential(A=a, B=b, alpha=alpha)
+    ctx = NRContext.natural(mu=0.5)
+    reg = spectral_params(pot, ctx, 0, "regular")
+    closed = reg.k1(n)
+    deeper = reg.k1(n - 1) if n else 1.44 * closed
+    bracket = (0.5 * (closed + deeper), 0.5 * (closed + reg.k1(n + 1)))
+    return pt_radial_problem(pot, ctx, 0, k1_estimate=reg.k1(0)), bracket
+
+
+class TestWarmStart:
+    """Each refined mesh starts from the previous mesh's value and shoots
+    only the bisection cells near it; the results must be the cold
+    search's, bit for bit."""
+
+    STRONG_WELL = (-150.0, 3.0, 1.3)  # criterion 2's: two meshes, 38 passes each when cold
+    REFINING_WELL = (-60.0, 0.5, 1.0)  # n = 0 refines four times, to 64k points
+
+    @staticmethod
+    def _check(problem, n, bracket):
+        res = shoot_eigenvalue(problem, n, bracket)
+        assert (res.value, res.npts, res.refinements, res.mesh_gap) == _cold_shoot(
+            problem, n, bracket
+        )
+        return res
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_oscillator(self, n):
+        self._check(harmonic_problem(), n, (4 * n + 1, 4 * n + 5))
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_strong_well(self, n):
+        problem, bracket = _pt_level(*self.STRONG_WELL, n)
+        assert self._check(problem, n, bracket).passes <= 52
+
+    def test_refining_well(self):
+        problem, bracket = _pt_level(*self.REFINING_WELL, 0)
+        assert self._check(problem, 0, bracket).refinements == 4
+
+    def test_far_guess_widens_to_bracket(self):
+        problem, (lo, hi) = _pt_level(*self.STRONG_WELL, 1)
+        xtol = 1e-9 * max(1.0, abs(lo), abs(hi)) * 1e-2
+        npts = 2 * problem.npts - 1
+        value, _ = oracle._solve_on_mesh(problem, 1, lo, hi, npts, xtol, lo, 2 * xtol)
+        assert value == _cold_mesh_value(problem, 1, lo, hi, npts, xtol)
