@@ -206,6 +206,55 @@ _FIRST_WARM_XTOLS = 16.0
 # A warm search that misses the root widens its bracket by this many
 # bisection levels at a time.
 _WIDEN_LEVELS = 3
+# The squeeze stops once the shot record's window is at most this many
+# bisection tolerances wide.
+_SQUEEZE_XTOLS = 0.25
+
+
+def _zeroin(f, a, fa, b, fb, tol):
+    """Brent's zeroin (Algorithms for Minimization without Derivatives,
+    1973, ch. 4) from a bracket [a, b] whose values lie on opposite sides
+    (negative on one side only): evaluate f at trial points until the
+    bracket is at most 2*tol wide, or until f returns None.
+
+    Each trial is an inverse quadratic or secant step, or a halving when
+    those would not shrink the bracket fast enough; it lies strictly
+    inside the bracket.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol:
+            return
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, xm)
+        fb = f(b)
+        if fb is None:
+            return
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc = a, fa
+            d = e = b - a
 
 
 def _solve_on_mesh(problem, n, lo, hi, npts, xtol, guess=None, width=0.0):
@@ -215,19 +264,26 @@ def _solve_on_mesh(problem, n, lo, hi, npts, xtol, guess=None, width=0.0):
     Given a guess, the bisection is first replayed toward it without
     shooting, down to the first bracket at most width wide; that bracket
     is shot at both ends and widened up its own bisection path until it
-    holds the level.  For a monotone predicate every bracket it lands on
-    is one the bisection from [lo, hi] visits, so the value is the same.
+    holds the level.  Brent's method on the tail mismatch then shrinks
+    the window the shots leave around the level to a fraction of xtol,
+    so the final bisection answers nearly every midpoint from the shots.
+    For a monotone predicate every bracket the bisection lands on is one
+    the bisection from [lo, hi] visits, so the value is the same.
     """
     h = (problem.r_cut - problem.r_min) / (npts - 1)
     wvals = [problem.w(problem.r_min + i * h) for i in range(npts)]
     w_end = wvals[-1]
+    parity = 1.0 if n % 2 == 0 else -1.0
     # Every q <= known_below is below the level, every q >= known_above
-    # above it: the shots so far decide those without a pass.
+    # above it: the shots so far decide those without a pass.  Each end
+    # keeps its shot's mismatch where that is continuous through the
+    # level (None elsewhere).
     known_below, known_above = -math.inf, math.inf
+    mismatch_below = mismatch_above = None
     passes = 0
 
     def above(q: float) -> bool:
-        nonlocal known_below, known_above, passes
+        nonlocal known_below, known_above, mismatch_below, mismatch_above, passes
         if q <= known_below:
             return False
         if q >= known_above:
@@ -236,19 +292,30 @@ def _solve_on_mesh(problem, n, lo, hi, npts, xtol, guess=None, width=0.0):
         # Too-high trial energies show up either as an extra node or, at
         # the right node count, as a tail already bent through zero: the
         # log-derivative combination u' + kappa*u flips sign relative to
-        # the parity of the level.
+        # the parity of the level.  That combination is proportional to
+        # the growing exponential's coefficient, so it stays continuous
+        # through the tail node that enters r_cut just above the level.
         kappa = math.sqrt(max(w_end - q, 1e-12))
         nodes, g = _numerov_outward(wvals, h, q, problem.origin_exponent, problem.r_min, kappa)
+        m = g * parity
         if nodes != n:
             result = nodes > n
+            if not (nodes == n + 1 and m < 0.0):
+                m = None
         else:
-            parity = 1.0 if n % 2 == 0 else -1.0
-            result = g * parity < 0.0
+            result = m < 0.0
         if result:
-            known_above = q
+            known_above, mismatch_above = q, m
         else:
-            known_below = q
+            known_below, mismatch_below = q, m
         return result
+
+    def mismatch(q):
+        """The mismatch of a shot at q, or None when it has none or q is
+        not strictly inside the window."""
+        if not known_below < q < known_above:
+            return None
+        return mismatch_above if above(q) else mismatch_below
 
     path = [(lo, hi)]
     if guess is not None:
@@ -265,6 +332,19 @@ def _solve_on_mesh(problem, n, lo, hi, npts, xtol, guess=None, width=0.0):
         else:
             break
         level = max(level - _WIDEN_LEVELS, 0)
+    # Squeeze the window: zeroin on the ends' mismatches, halving while
+    # one of them has none.
+    squeezed = _SQUEEZE_XTOLS * xtol
+    while known_above - known_below > squeezed:
+        if mismatch_below is not None and mismatch_above is not None:
+            _zeroin(mismatch, known_below, mismatch_below, known_above, mismatch_above,
+                    0.5 * squeezed)
+            if known_above - known_below <= squeezed:
+                break
+        mid = 0.5 * (known_below + known_above)
+        if not known_below < mid < known_above:
+            break
+        above(mid)
     for a, b in _halvings(a, b, xtol, above):
         pass
     return 0.5 * (a + b), passes
@@ -284,8 +364,10 @@ def shoot_eigenvalue(
     the step until two successive meshes agree to tol (scaled by the
     eigenvalue magnitude).  Each refined mesh is warm-started: its search
     starts from the previous mesh's value, in a bracket twice the last
-    mesh gap wide, and lands on the value a bisection of the whole
-    bracket would.  Raises NodeCountError when the bracket does not
+    mesh gap wide.  On every mesh Brent's method on the tail mismatch
+    narrows the level down before the bisection, which then takes its
+    midpoints from those shots and lands on the value a bisection of the
+    whole bracket would.  Raises NodeCountError when the bracket does not
     straddle the requested level and ConvergenceError when mesh
     refinement stalls.
     """

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .aim import AimProblem
-from .errors import DomainError
+from .errors import DomainError, OverflowRangeError
 from .jets import SeriesJet, jet_div, jet_reciprocal, jet_scale
 from .oracle import RadialProblem
 from .specfun import hyp2f1_terminating, pochhammer
@@ -86,6 +86,8 @@ class PTPotential:
     def __post_init__(self):
         if not abs(self.alpha) > 0.0 or not math.isfinite(self.alpha):
             raise DomainError(f"alpha must be nonzero and finite, got {self.alpha!r}")
+        if not (math.isfinite(self.A) and math.isfinite(self.B)):
+            raise DomainError(f"A and B must be finite, got A={self.A!r}, B={self.B!r}")
 
     def shape_notes(self) -> tuple[str, ...]:
         notes = []
@@ -111,10 +113,10 @@ class NRContext:
     d0: float = D0
 
     def __post_init__(self):
-        if not self.mu > 0.0:
-            raise DomainError(f"reduced mass must be positive, got {self.mu!r}")
-        if not self.hbar_c > 0.0:
-            raise DomainError(f"hbar_c must be positive, got {self.hbar_c!r}")
+        if not 0.0 < self.mu < math.inf:
+            raise DomainError(f"reduced mass must be positive and finite, got {self.mu!r}")
+        if not 0.0 < self.hbar_c < math.inf:
+            raise DomainError(f"hbar_c must be positive and finite, got {self.hbar_c!r}")
 
     @classmethod
     def natural(cls, mu: float) -> "NRContext":
@@ -275,8 +277,8 @@ def energy_nr(
     """
     if branch not in _BRANCHES:
         raise DomainError(f"branch must be one of {_BRANCHES}, got {branch!r}")
-    if n < 0:
-        raise DomainError(f"level index must be >= 0, got {n}")
+    if n != int(n) or n < 0:
+        raise DomainError(f"level index must be a nonnegative integer, got {n!r}")
     if l < 0:
         raise DomainError(f"angular momentum must be >= 0, got {l}")
     ah = (pot.alpha * ctx.hbar_c) ** 2
@@ -349,7 +351,8 @@ def wavefunction_nr(
     equation (the companion relativistic expressions use the squared
     argument): see the residual diagnostics in the test suite.  The
     branch switch selects the exponent pair as in spectral_params; node
-    counts and square-integrability hold on the regular pair.
+    counts and square-integrability hold on the regular pair.  An
+    amplitude or factor past the double range raises OverflowRangeError.
     """
     if argument not in _ARGUMENTS:
         raise DomainError(f"argument must be one of {_ARGUMENTS}, got {argument!r}")
@@ -363,7 +366,14 @@ def wavefunction_nr(
             "divergent-exponent branch evaluated inside the origin cutoff"
         )
     x = abs(pot.alpha) * r
-    sh = math.sinh(x)
+    try:
+        sh = math.sinh(x)
+        cosh_gamma = math.cosh(x) ** params.gamma
+        sinh_beta = sh**params.beta
+    except OverflowError:
+        raise OverflowRangeError(
+            f"wavefunction factors at r={r!r} exceed the double range"
+        ) from None
     if argument == "linear":
         c = params.beta + 1.0
         z = -sh
@@ -372,7 +382,10 @@ def wavefunction_nr(
         z = -sh * sh
     poly = hyp2f1_terminating(n, params.beta + params.gamma + n, c, z)
     prefactor = 2.0**n * (-1.0) ** n * pochhammer(c, n)
-    return prefactor * math.cosh(x) ** params.gamma * sh**params.beta * poly
+    u = prefactor * cosh_gamma * sinh_beta * poly
+    if not math.isfinite(u):
+        raise OverflowRangeError(f"wavefunction amplitude at r={r!r} exceeds the double range")
+    return u
 
 
 def _potential_minimum_z(a1: float, b1: float) -> float:

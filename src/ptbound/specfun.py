@@ -164,7 +164,8 @@ def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
     Terms follow the ratio recurrence and are accumulated with compensated
     summation.  Raises DomainError when c is a nonpositive integer with
     -c < n, because a zero denominator factor (c)_k would then occur
-    inside the sum range.
+    inside the sum range, and OverflowRangeError when the terms or the sum
+    leave the double range.
     """
     if n != int(n) or n < 0:
         raise DomainError(f"series order must be a nonnegative integer, got {n!r}")
@@ -186,4 +187,6 @@ def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
         t = total + y
         comp = (t - total) - y
         total = t
+    if not math.isfinite(total):
+        raise OverflowRangeError(f"2F1 terms exceed the double range (n={n}, z={z!r})")
     return total

@@ -201,9 +201,10 @@ def _pt_level(a, b, alpha, n):
 
 
 class TestWarmStart:
-    """Each refined mesh starts from the previous mesh's value and shoots
-    only the bisection cells near it; the results must be the cold
-    search's, bit for bit."""
+    """Each refined mesh starts from the previous mesh's value, and every
+    mesh squeezes the level with Brent's method on the tail mismatch
+    before its bisection; the results must be the cold search's, bit for
+    bit, in a fraction of its Numerov passes."""
 
     STRONG_WELL = (-150.0, 3.0, 1.3)  # criterion 2's: two meshes, 38 passes each when cold
     REFINING_WELL = (-60.0, 0.5, 1.0)  # n = 0 refines four times, to 64k points
@@ -218,16 +219,58 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_oscillator(self, n):
-        self._check(harmonic_problem(), n, (4 * n + 1, 4 * n + 5))
+        assert self._check(harmonic_problem(), n, (4 * n + 1, 4 * n + 5)).passes <= 20
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_strong_well(self, n):
         problem, bracket = _pt_level(*self.STRONG_WELL, n)
-        assert self._check(problem, n, bracket).passes <= 52
+        assert self._check(problem, n, bracket).passes <= 24
 
     def test_refining_well(self):
         problem, bracket = _pt_level(*self.REFINING_WELL, 0)
-        assert self._check(problem, 0, bracket).refinements == 4
+        res = self._check(problem, 0, bracket)
+        assert res.refinements == 4
+        assert res.passes <= 50
+
+    def test_edge_without_mismatch(self):
+        # The upper edge lies above level n = 2, with more nodes than the
+        # mismatch is continuous through, so the squeeze halves the
+        # window before Brent's method can start.
+        problem = harmonic_problem()
+        h = 9.0 / (problem.npts - 1)
+        wvals = [problem.w(problem.r_min + i * h) for i in range(problem.npts)]
+        nodes, _ = oracle._numerov_outward(
+            wvals, h, 13.0, problem.origin_exponent, problem.r_min, 1.0
+        )
+        assert nodes > 1
+        res = self._check(problem, 0, (1.0, 13.0))
+        assert res.value == pytest.approx(3.0, rel=1e-8)
+        assert res.passes <= 20
+
+    def test_zeroin(self):
+        # A mismatch that grows exponentially away from its root, as the
+        # tail mismatch does: every trial stays strictly inside the
+        # bracket, and the bracket reaches 2*tol in far fewer trials than
+        # the 40 halvings bisection needs.
+        root, tol = math.pi, 1e-12
+        g = lambda x: math.exp(8.0 * (root - x)) - 1.0
+        bracket = [1.0, 5.0]
+        trials = []
+
+        def f(x):
+            assert bracket[0] < x < bracket[1]
+            trials.append(x)
+            bracket[x > root] = x
+            return g(x)
+
+        oracle._zeroin(f, 1.0, g(1.0), 5.0, g(5.0), tol)
+        assert bracket[1] - bracket[0] <= 2.0 * tol
+        assert len(trials) <= 20
+
+    def test_zeroin_stops_without_value(self):
+        trials = []
+        oracle._zeroin(lambda x: trials.append(x), 1.0, 1.0, 5.0, -1.0, 1e-12)
+        assert len(trials) == 1 and 1.0 < trials[0] < 5.0
 
     def test_far_guess_widens_to_bracket(self):
         problem, (lo, hi) = _pt_level(*self.STRONG_WELL, 1)

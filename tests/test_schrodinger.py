@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ptbound.errors import DomainError
+from ptbound.errors import DomainError, OverflowRangeError
 from ptbound.oracle import finite_difference, integrate_adaptive, shoot_eigenvalue
 from ptbound.schrodinger import (
     FLAG_BEYOND_NMAX,
@@ -54,6 +54,14 @@ class TestPotential:
             PTPotential(A=-1.0, B=0.0, alpha=float("inf"))
         PTPotential(A=-1.0, B=0.0, alpha=-2.0)  # sign is immaterial
 
+    @pytest.mark.parametrize(
+        "a,b", [(math.nan, 1.0), (-math.inf, 1.0), (-1.0, math.inf), (-1.0, math.nan)]
+    )
+    def test_strength_validation(self, a, b):
+        # rejected where they enter, before level_count's math.floor
+        with pytest.raises(DomainError, match="finite"):
+            PTPotential(A=a, B=b, alpha=1.0)
+
     def test_shape_notes(self):
         assert POT.shape_notes() == ()
         assert any("no attractive well" in s for s in PTPotential(1.0, 0.0, 1.0).shape_notes())
@@ -64,6 +72,15 @@ class TestPotential:
             NRContext(mu=0.0)
         with pytest.raises(DomainError):
             NRContext(mu=1.0, hbar_c=-1.0)
+
+    def test_context_finiteness(self):
+        # rejected where they enter, before level_count's math.floor
+        with pytest.raises(DomainError, match="finite"):
+            NRContext.natural(mu=math.inf)
+        with pytest.raises(DomainError, match="finite"):
+            NRContext(mu=1.0, hbar_c=math.inf)
+        with pytest.raises(DomainError):
+            NRContext(mu=1.0, hbar_c=math.nan)
 
 
 class TestEnergyRoutes:
@@ -122,6 +139,8 @@ class TestEnergyRoutes:
             energy_nr(POT, CTX, 0, -1)
         with pytest.raises(DomainError):
             energy_nr(POT, CTX, 0, 0, "bogus")
+        with pytest.raises(DomainError, match="integer"):
+            energy_nr(POT, CTX, 2.5, 0)
         with pytest.raises(DomainError):
             # deep repulsive A flips the first discriminant negative
             energy_nr(PTPotential(5.0, 0.0, 1.0), CTX, 0, 0)
@@ -256,6 +275,11 @@ class TestWavefunction:
             wavefunction_nr(POT, CTX, 0, 0, 0.0)
         with pytest.raises(DomainError):
             wavefunction_nr(POT, CTX, 0, 0, 1.0, argument="cubed")
+
+    def test_overflow_raises(self):
+        # cosh(alpha r) is past the double range
+        with pytest.raises(OverflowRangeError):
+            wavefunction_nr(POT, CTX, 0, 0, 800.0)
 
 
 class TestShootingCrossCheck:

@@ -204,3 +204,8 @@ class TestHyp2F1Terminating:
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
             hyp2f1_terminating(-2, 1.0, 1.0, 0.5)
+
+    def test_overflow_raises(self):
+        # the terms pass the double range: raise, never return NaN
+        with pytest.raises(OverflowRangeError):
+            hyp2f1_terminating(400, 1.5, 0.5, -1e6)
