@@ -126,9 +126,11 @@ def finite_difference(
 class RadialProblem:
     """Radial eigenproblem u'' = (w(r) - q) u on (r_min, r_cut).
 
-    origin_exponent is the power s in the near-origin behavior
-    u ~ r**s used to seed the outward integration; npts is the initial
-    mesh size (refinement doubles it).
+    Near the origin w(r) = s(s-1)/r**2 + origin_w0 + O(r**2), where s is
+    origin_exponent; the outward integration is seeded with the two-term
+    Frobenius series u = r**s (1 + c r**2), c = (origin_w0 - q)/(4s + 2),
+    that this expansion gives.  npts is the initial mesh size
+    (refinement doubles it).
     """
 
     w: Callable[[float], float]
@@ -136,6 +138,7 @@ class RadialProblem:
     r_cut: float
     origin_exponent: float
     npts: int = 4001
+    origin_w0: float = 0.0
 
     def __post_init__(self):
         if not (self.r_cut > self.r_min > 0.0):
@@ -154,33 +157,50 @@ class ShootResult:
     refinements: int
     mesh_gap: float
     passes: int  # Numerov passes over all meshes
+    gaps: tuple[float, ...]  # gap to the previous mesh, per refinement
 
 
-def _numerov_outward(wvals, h, q, s_exp, r_min, kappa):
-    """March the Numerov recurrence; return (node count, u' + kappa*u at the end)."""
-    # Seed from the power-law behavior, rescaled so both values are
-    # representable even when s*log(step ratio) is large.
-    t = s_exp * math.log((r_min + h) / r_min)
+def _numerov_outward(wvals, h, q, s_exp, r_min, kappa, w0=0.0):
+    """March the Numerov recurrence; return (node count, u' + kappa*u at the end).
+
+    The recurrence is carried in Blatt's summed form (J. Comput. Phys. 1,
+    382 (1967)): with f = 1 - h^2 (w - q)/12 and y = f u, the second
+    difference of y is h^2 (w - q) u, and its running sum D is carried
+    instead of forming (12 - 10 f) u, whose cancellation would leave a
+    round-off floor near 1e-10 in the level.
+    """
+    # Seed from the two-term Frobenius series u = r^s (1 + c r^2), with the
+    # power law rescaled so both values are representable even when
+    # s*log(step ratio) is large.
+    r_next = r_min + h
+    t = s_exp * math.log(r_next / r_min)
     if t > 300.0:
         u_prev, u_cur = math.exp(-t), 1.0
     else:
         u_prev, u_cur = 1.0, math.exp(t)
-    c = h * h / 12.0
-    f_prev = 1.0 - c * (wvals[0] - q)
-    f_cur = 1.0 - c * (wvals[1] - q)
+    c_origin = (w0 - q) / (4.0 * s_exp + 2.0)
+    u_prev *= 1.0 + c_origin * r_min * r_min
+    u_cur *= 1.0 + c_origin * r_next * r_next
+    h2 = h * h
+    c = h2 / 12.0
+    g_cur = wvals[1] - q
+    y = (1.0 - c * g_cur) * u_cur
+    d = y - (1.0 - c * (wvals[0] - q)) * u_prev
     negative = u_cur < 0.0
     nodes = 0
     for w in islice(wvals, 2, None):
-        f_next = 1.0 - c * (w - q)
-        u_next = ((12.0 - 10.0 * f_cur) * u_cur - f_prev * u_prev) / f_next
+        g_next = w - q
+        d += h2 * g_cur * u_cur
+        y += d
+        u_next = y / (1.0 - c * g_next)
         next_negative = u_next < 0.0
         if u_next == 0.0 or next_negative != negative:
             nodes += 1
         negative = next_negative
         if u_next > 1e250 or u_next < -1e250:
-            u_prev, u_cur, u_next = u_prev / 1e250, u_cur / 1e250, u_next / 1e250
+            u_cur, u_next, y, d = u_cur / 1e250, u_next / 1e250, y / 1e250, d / 1e250
         u_prev, u_cur = u_cur, u_next
-        f_prev, f_cur = f_cur, f_next
+        g_cur = g_next
     du = (u_cur - u_prev) / h
     return nodes, du + kappa * u_cur
 
@@ -257,9 +277,28 @@ def _zeroin(f, a, fa, b, fb, tol):
             d = e = b - a
 
 
-def _solve_on_mesh(problem, n, lo, hi, npts, xtol, guess=None, width=0.0):
-    """Bisect the level's predicate over [lo, hi] on an npts mesh; return
-    (value, Numerov passes).
+def _mesh_w(problem, npts):
+    """w at the npts points of the even mesh over [r_min, r_cut]."""
+    h = (problem.r_cut - problem.r_min) / (npts - 1)
+    return [problem.w(problem.r_min + i * h) for i in range(npts)]
+
+
+def _refined_w(problem, wvals):
+    """_mesh_w on the mesh with twice the intervals of wvals' mesh, taking
+    its even points from wvals.  Those are the coarse points bit for bit:
+    with x = r_cut - r_min and m intervals, fl(x/2m) = fl(x/m)/2 exactly,
+    so fl(2i*fl(x/2m)) = fl(i*fl(x/m)) and both meshes add it to r_min."""
+    npts = 2 * len(wvals) - 1
+    h = (problem.r_cut - problem.r_min) / (npts - 1)
+    fine = [0.0] * npts
+    fine[::2] = wvals
+    fine[1::2] = [problem.w(problem.r_min + i * h) for i in range(1, npts, 2)]
+    return fine
+
+
+def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, width=0.0):
+    """Bisect the level's predicate over [lo, hi] on the mesh that wvals
+    (w at each point, from _mesh_w) spans; return (value, Numerov passes).
 
     Given a guess, the bisection is first replayed toward it without
     shooting, down to the first bracket at most width wide; that bracket
@@ -270,8 +309,7 @@ def _solve_on_mesh(problem, n, lo, hi, npts, xtol, guess=None, width=0.0):
     For a monotone predicate every bracket the bisection lands on is one
     the bisection from [lo, hi] visits, so the value is the same.
     """
-    h = (problem.r_cut - problem.r_min) / (npts - 1)
-    wvals = [problem.w(problem.r_min + i * h) for i in range(npts)]
+    h = (problem.r_cut - problem.r_min) / (len(wvals) - 1)
     w_end = wvals[-1]
     parity = 1.0 if n % 2 == 0 else -1.0
     # Every q <= known_below is below the level, every q >= known_above
@@ -296,7 +334,9 @@ def _solve_on_mesh(problem, n, lo, hi, npts, xtol, guess=None, width=0.0):
         # the growing exponential's coefficient, so it stays continuous
         # through the tail node that enters r_cut just above the level.
         kappa = math.sqrt(max(w_end - q, 1e-12))
-        nodes, g = _numerov_outward(wvals, h, q, problem.origin_exponent, problem.r_min, kappa)
+        nodes, g = _numerov_outward(
+            wvals, h, q, problem.origin_exponent, problem.r_min, kappa, problem.origin_w0
+        )
         m = g * parity
         if nodes != n:
             result = nodes > n
@@ -367,9 +407,10 @@ def shoot_eigenvalue(
     mesh gap wide.  On every mesh Brent's method on the tail mismatch
     narrows the level down before the bisection, which then takes its
     midpoints from those shots and lands on the value a bisection of the
-    whole bracket would.  Raises NodeCountError when the bracket does not
-    straddle the requested level and ConvergenceError when mesh
-    refinement stalls.
+    whole bracket would.  A refined mesh evaluates w only at its new
+    points, and the result's gaps lists each refinement's mesh gap.
+    Raises NodeCountError when the bracket does not straddle the
+    requested level and ConvergenceError when mesh refinement stalls.
     """
     if n < 0:
         raise DomainError(f"level index must be >= 0, got {n}")
@@ -381,23 +422,26 @@ def shoot_eigenvalue(
     if not hi > lo:
         raise DomainError(f"empty shooting bracket ({lo!r}, {hi!r})")
     xtol = tol * max(1.0, abs(lo), abs(hi)) * 1e-2
-    npts = problem.npts
-    value, passes = _solve_on_mesh(problem, n, lo, hi, npts, xtol)
+    wvals = _mesh_w(problem, problem.npts)
+    value, passes = _solve_on_mesh(problem, n, lo, hi, wvals, xtol)
     width = _FIRST_WARM_XTOLS * xtol
+    gaps = []
     for refinement in range(1, max_refinements + 1):
-        npts = 2 * npts - 1
-        new_value, mesh_passes = _solve_on_mesh(problem, n, lo, hi, npts, xtol, value, width)
+        wvals = _refined_w(problem, wvals)
+        new_value, mesh_passes = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, value, width)
         passes += mesh_passes
         gap = abs(new_value - value)
+        gaps.append(gap)
         value = new_value
         if gap <= tol * max(1.0, abs(new_value)):
             return ShootResult(
                 value=value,
                 nodes=n,
-                npts=npts,
+                npts=len(wvals),
                 refinements=refinement,
                 mesh_gap=gap,
                 passes=passes,
+                gaps=tuple(gaps),
             )
         width = 2.0 * gap
     raise ConvergenceError(
@@ -410,7 +454,8 @@ def harmonic_problem(omega: float = 1.0, *, npts: int = 2001) -> RadialProblem:
     """Radial oscillator w(r) = omega^2 r^2; exact q_n = omega*(4n + 3).
 
     The exact levels make this the standard self-test for the shooting
-    machinery (unit mass, p-wave-free ell=0 sector, u ~ r at the origin).
+    machinery (unit mass, p-wave-free ell=0 sector, u ~ r at the origin;
+    w has no constant term there, so origin_w0 keeps its default 0).
     """
     if omega <= 0.0:
         raise DomainError("frequency must be positive")

@@ -468,7 +468,9 @@ def pt_radial_problem(
     energy K1 and w = A1/cosh^2 + B1/sinh^2 (centrifugal="approx", the
     reduced form) or w = 2 mu V/hbar^2 + l(l+1)/r^2 with q = 2 mu E/hbar^2
     (centrifugal="exact", the raw form; no d0 offset applies).  Both
-    share the origin exponent s = (1 + sqrt(1 + 4 B1/alpha^2))/2.
+    share the origin exponent s = (1 + sqrt(1 + 4 B1/alpha^2))/2.  Each
+    mode's origin_w0 is the constant term of its own w at the origin,
+    from 1/cosh^2 x = 1 - x^2 + ... and 1/sinh^2 x = 1/x^2 - 1/3 + ...
 
     k1_estimate (the deepest level of interest) shortens the default
     integration window so the exponential tail neither dominates the
@@ -492,23 +494,30 @@ def pt_radial_problem(
         # Start inside the forbidden core, but not so deep that the stiff
         # b1/sinh^2 wall breaks the marching stencil: near the origin
         # w ~ (b1/alpha^2)/r^2, so keeping h^2 w(r_min)/12 below ~0.1 on
-        # the coarsest mesh needs r_min >= h sqrt(b1/1.2)/alpha.  u ~ r^s
-        # below the wall, so a larger start abscissa loses nothing.
+        # the coarsest mesh needs r_min >= h sqrt(b1/1.2)/alpha.  Keep it
+        # no larger: the shooting seed is a truncated series in r, so its
+        # origin error grows with r_min.
         r_min = max(
             1e-4 / alpha,
             (r_cut / npts) * math.sqrt(max(b1, 0.0) / 1.2) / alpha,
         )
     if centrifugal == "approx":
+        w0 = a1 - b1 / 3.0
+
         def w(r: float) -> float:
             x = alpha * r
             return a1 / math.cosh(x) ** 2 + b1 / math.sinh(x) ** 2
     else:
         two_mu = 2.0 * ctx.mu / ctx.hbar_c**2
         ll1 = float(l * (l + 1))
+        w0 = two_mu * (pot.A - pot.B / 3.0)
+
         def w(r: float) -> float:
             x = alpha * r
             return (
                 two_mu * (pot.A / math.cosh(x) ** 2 + pot.B / math.sinh(x) ** 2)
                 + ll1 / (r * r)
             )
-    return RadialProblem(w=w, r_min=r_min, r_cut=r_cut, origin_exponent=s_exp, npts=npts)
+    return RadialProblem(
+        w=w, r_min=r_min, r_cut=r_cut, origin_exponent=s_exp, npts=npts, origin_w0=w0
+    )

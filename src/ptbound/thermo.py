@@ -108,10 +108,12 @@ def partition_sum(
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
     gamma = ctx.tau / math.sqrt(beta)
-    worst = ((0.0 - ctx.zeta) / gamma) ** 2
+    # The exponent is a parabola in n, so its largest value on the ladder
+    # sits at one of the two ends.
+    worst = max(ctx.zeta**2, (n_max - ctx.zeta) ** 2) / gamma**2
     if worst > _EXP_MAX:
         raise OverflowRangeError(
-            f"leading term exponent {worst:.1f} exceeds the floating range"
+            f"largest term exponent {worst:.1f} exceeds the floating range"
         )
     total = math.fsum(
         math.exp(((n - ctx.zeta) / gamma) ** 2) for n in range(n_max + 1)

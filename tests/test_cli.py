@@ -2,6 +2,7 @@
 deterministic, and failures produce a machine-readable error record
 with no partial files left behind."""
 
+import hashlib
 import json
 import math
 import os
@@ -242,6 +243,42 @@ class TestSelfChecks:
         _, rows = read_rows(out)
         assert len(rows) >= 5
         assert all(row["pass"] == "1" for row in rows)
+
+
+class TestGoldenOutput:
+    """Every command's default output, pinned byte for byte: a change that
+    moves any of these files must say why and recompute its digest."""
+
+    DIGESTS = {
+        "spectrum.csv": "072e15491b3547b670f3fc1205ca06826a2d2516f28a2bdf6ed6f73ee3acf120",
+        "table2.csv": "16abfc75d30816eb64273c987da33b11e62542b07bc9be50d9ba62e7322cac6d",
+        "table2.report.txt": "6f9a93f52879cd3f8ea85bcb1824bfe78d8f778949cf92e683851cc88f804a3c",
+        "thermo.csv": "a07c0215c4447db553ab0f5d79e363c4c19b837496e476059bf693d4f4dffb2d",
+        "dirac.csv": "db2e0b6a025e738cf1c9e322791562ada4cd12f4fbe170ac140422a272f7aab1",
+        "fig/fig_energy_vs_alpha.csv": "f9ca1ad665768c4cd8917547bff3a9f3bffb76ce6757e794e2e2842c2e1346e6",
+        "fig/fig_thermo_vs_beta.csv": "56df553e6100ef415a9198f8490d88d2a8a148eb8aa658036cf484c6122a301e",
+        "fig/fig_thermo_vs_zeta.csv": "08574cf29eb3ed53528b8212bca6dbfcc603cbf399b8fe944e58d4bd29bb1b3c",
+        "oracle_check.csv": "6edf3c8a9142c63baccd5b357abbe1687f0cf4e498328189e791cdb7dd513476",
+        "aim_verify.csv": "e1d1c7852469a7d6a6156868cb5f06b65dc663ea6b459a88b9ff276df13c0b07",
+    }
+
+    def test_default_output_digests(self, runner, tmp_path):
+        for command, out in (
+            ("spectrum", "spectrum.csv"),
+            ("table2", "table2.csv"),
+            ("thermo", "thermo.csv"),
+            ("dirac", "dirac.csv"),
+            ("figure-data", "fig"),
+            ("oracle-check", "oracle_check.csv"),
+            ("aim-verify", "aim_verify.csv"),
+        ):
+            res = runner.invoke(main, [command, "--out", str(tmp_path / out)])
+            assert res.exit_code == 0, (command, res.output)
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in self.DIGESTS
+        }
+        assert digests == self.DIGESTS
 
 
 class TestGroup:

@@ -156,7 +156,7 @@ def _cold_mesh_value(problem, n, lo, hi, npts, xtol):
     def above(q):
         kappa = math.sqrt(max(wvals[-1] - q, 1e-12))
         nodes, g = oracle._numerov_outward(
-            wvals, h, q, problem.origin_exponent, problem.r_min, kappa
+            wvals, h, q, problem.origin_exponent, problem.r_min, kappa, problem.origin_w0
         )
         return nodes > n if nodes != n else g * parity < 0.0
 
@@ -276,5 +276,59 @@ class TestWarmStart:
         problem, (lo, hi) = _pt_level(*self.STRONG_WELL, 1)
         xtol = 1e-9 * max(1.0, abs(lo), abs(hi)) * 1e-2
         npts = 2 * problem.npts - 1
-        value, _ = oracle._solve_on_mesh(problem, 1, lo, hi, npts, xtol, lo, 2 * xtol)
+        wvals = oracle._mesh_w(problem, npts)
+        value, _ = oracle._solve_on_mesh(problem, 1, lo, hi, wvals, xtol, lo, 2 * xtol)
         assert value == _cold_mesh_value(problem, 1, lo, hi, npts, xtol)
+
+
+class TestMeshReuse:
+    """A refined mesh takes w at its even points from the coarse mesh;
+    the values must be those of a fresh evaluation, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "problem",
+        [harmonic_problem(), _pt_level(-45.0, 0.1, 0.8, 0)[0]],
+        ids=["harmonic", "weak_core"],
+    )
+    def test_interleaved_equals_fresh(self, problem):
+        wvals = oracle._mesh_w(problem, problem.npts)
+        for _ in range(6):
+            wvals = oracle._refined_w(problem, wvals)
+            assert wvals == oracle._mesh_w(problem, len(wvals))
+
+
+class TestFourthOrder:
+    """Blatt's summed Numerov form and the two-term Frobenius seed leave
+    no round-off floor or origin error above the tolerances the solver
+    is run at, so the gaps shrink at the method's h^4 order."""
+
+    WEAK_CORE_WELL = (-45.0, 0.1, 0.8)  # criterion 2's; n = 2 refines to 128k points
+    STALLED_WELL = (-108.38468982155987, 0.26891787363534336, 1.2422303788240925)
+
+    def test_gap_history(self):
+        problem, bracket = _pt_level(*TestWarmStart.STRONG_WELL, 0)
+        res = shoot_eigenvalue(problem, 0, bracket)
+        assert len(res.gaps) == res.refinements
+        assert res.mesh_gap == res.gaps[-1]
+
+    def test_weak_core_gap_ratios_rise_to_fourth_order(self):
+        problem, bracket = _pt_level(*self.WEAK_CORE_WELL, 2)
+        gaps = shoot_eigenvalue(problem, 2, bracket).gaps
+        ratios = [coarse / fine for coarse, fine in zip(gaps, gaps[1:])]
+        assert all(a < b for a, b in zip(ratios, ratios[1:])), ratios
+        assert ratios[-1] >= 12.0, ratios
+
+    def test_stalled_well_converges(self):
+        # Refinement stalled on this level once the gap met the round-off
+        # floor (gap 1.58e-8 at 256k points, tolerance 1.17e-8).
+        problem, bracket = _pt_level(*self.STALLED_WELL, 2)
+        res = shoot_eigenvalue(problem, 2, bracket)
+        pot = PTPotential(*self.STALLED_WELL)
+        closed = spectral_params(pot, NRContext.natural(mu=0.5), 0, "regular").k1(2)
+        assert res.npts <= 128_001
+        assert res.value == pytest.approx(closed, rel=1e-8)
+
+    def test_strong_well_tight_tolerance(self):
+        problem, bracket = _pt_level(*TestWarmStart.STRONG_WELL, 2)
+        res = shoot_eigenvalue(problem, 2, bracket, tol=1e-12)
+        assert res.mesh_gap <= 1e-12 * abs(res.value)

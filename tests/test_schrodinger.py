@@ -343,6 +343,22 @@ class TestShootingCrossCheck:
         decade = math.log(gaps[0][1] / gaps[-1][1]) / math.log(gaps[0][0] / gaps[-1][0])
         assert decade >= 1.8
 
+    @pytest.mark.parametrize("centrifugal", ["approx", "exact"])
+    def test_origin_w0_is_constant_term(self, centrifugal):
+        # Near the origin w = s(s-1)/r^2 + origin_w0 + O(r^2): what is
+        # left at alpha r = 1e-3 must be the r^2 term, so it quadruples
+        # when r doubles (a wrong origin_w0 would leave it flat).
+        pot = PTPotential(A=-30.0, B=2.3, alpha=1.3)
+        prob = pt_radial_problem(pot, NRContext.natural(mu=0.8), 2, centrifugal=centrifugal)
+        s = prob.origin_exponent
+
+        def rest(r):
+            return prob.w(r) - s * (s - 1.0) / r**2 - prob.origin_w0
+
+        r = 1e-3 / pot.alpha
+        assert abs(rest(r)) < 1e-4
+        assert rest(2.0 * r) / rest(r) == pytest.approx(4.0, rel=1e-2)
+
     def test_centrifugal_mode_validation(self):
         with pytest.raises(DomainError):
             pt_radial_problem(POT, CTX, 0, centrifugal="other")

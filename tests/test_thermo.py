@@ -73,6 +73,12 @@ class TestPartitionSum:
         with pytest.raises(OverflowRangeError):
             partition_sum(ctx, 1.0, 30)  # leading exponent 900
 
+    def test_overflow_guard_top_of_ladder(self):
+        # Past n = 2 zeta the largest term is the last one: exponent
+        # (40 - 2)^2 * 4 = 5776, while the n = 0 term's is only 16.
+        with pytest.raises(OverflowRangeError):
+            partition_sum(ThermoContext(zeta=2.0, tau=1.0), 4.0, n_max=40)
+
     def test_rotational_prefactor_flag(self):
         ctx = ThermoContext(zeta=8.0, tau=1.0, rot_offset=2.0)
         beta = 0.1
