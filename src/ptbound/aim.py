@@ -21,6 +21,13 @@ truncated Taylor jets; each iteration differentiates once, so a depth-k
 run needs jets of order at least k, and factories in this package
 default to 2k + 8 to keep ample headroom.
 
+The scan parameter E enters s0 only, as a scalar factor: a problem holds
+two fixed jets and two numbers, and
+
+    s0(E) = s0 * ((E + e_shift) / e_scale),
+
+so the coefficients at a whole grid of E values are one broadcast.
+
 Roots of delta_k that correspond to true terminating solutions stay put
 as the depth changes; spurious roots drift.  ``aim_eigen_scan``
 therefore also locates the roots one level shallower, from the same
@@ -30,8 +37,9 @@ gap, flagging drifting roots as not converged.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -48,8 +56,6 @@ __all__ = [
     "aim_iterate",
 ]
 
-JetBuilder = Callable[[float], SeriesJet]
-
 # Cells of the finer delta_(k-1) grid laid over the two scan cells around
 # a root that the scan grid leaves unconverged.
 RESCAN_CELLS = 64
@@ -57,36 +63,40 @@ RESCAN_CELLS = 64
 
 @dataclass(frozen=True)
 class AimProblem:
-    """Jet builders for the canonical coefficients.
+    """Canonical coefficient jets of order max_order about x0.
 
-    ``lambda0`` and ``s0`` map the spectral parameter E to coefficient
-    jets of order max_order expanded about x0.  E is whatever quantity
-    the quantization condition is scanned over; it usually enters only
-    s0.
+    ``lambda0`` does not depend on the scan parameter E; E enters s0 as
+    the scalar factor of ``s0(E) = s0 * ((E + e_shift) / e_scale)``.
+    Both jets share the expansion point x0 and the order max_order.
     """
 
-    lambda0: JetBuilder
-    s0: JetBuilder
-    x0: float
-    max_order: int
+    lambda0: SeriesJet
+    s0: SeriesJet
+    e_shift: float = 0.0
+    e_scale: float = 1.0
 
     def __post_init__(self):
+        for jet in (self.lambda0, self.s0):
+            if not isinstance(jet, SeriesJet):
+                raise DomainError(f"coefficients must be SeriesJet, got {type(jet).__name__}")
+        if self.s0.x0 != self.x0:
+            raise JetMismatchError(f"s0 is expanded at x0={self.s0.x0!r}, lambda0 at {self.x0!r}")
+        if self.s0.order != self.max_order:
+            raise JetMismatchError(f"s0 has order {self.s0.order}, lambda0 has {self.max_order}")
         if self.max_order < 1:
             raise DomainError(f"max_order must be >= 1, got {self.max_order}")
+        if not math.isfinite(self.e_shift):
+            raise DomainError(f"e_shift must be finite, got {self.e_shift!r}")
+        if not (math.isfinite(self.e_scale) and self.e_scale != 0.0):
+            raise DomainError(f"e_scale must be finite and nonzero, got {self.e_scale!r}")
 
-    def coefficient_jets(self, e: float) -> tuple[SeriesJet, SeriesJet]:
-        lam0 = self.lambda0(e)
-        s0 = self.s0(e)
-        for jet in (lam0, s0):
-            if jet.x0 != self.x0:
-                raise JetMismatchError(
-                    f"builder produced jet at x0={jet.x0!r}, problem has {self.x0!r}"
-                )
-            if jet.order != self.max_order:
-                raise JetMismatchError(
-                    f"builder produced order {jet.order}, problem has {self.max_order}"
-                )
-        return lam0, s0
+    @property
+    def x0(self) -> float:
+        return self.lambda0.x0
+
+    @property
+    def max_order(self) -> int:
+        return self.lambda0.order
 
 
 @dataclass(frozen=True)
@@ -157,9 +167,9 @@ def _check_depth(problem: AimProblem, k: int) -> None:
 def aim_iterate(problem: AimProblem, e: float, k: int):
     """Run k recurrence steps; return (lambda_k, s_k, delta_k at x0)."""
     _check_depth(problem, k)
-    lam0, s0 = problem.coefficient_jets(e)
+    s0 = problem.s0.coeffs * ((e + problem.e_shift) / problem.e_scale)
     # np.convolve is jets.jet_mul's product: the values are the jet route's.
-    prev, cur = _recurrence(lam0.coeffs, s0.coeffs, k, np.convolve)[-2:]
+    prev, cur = _recurrence(problem.lambda0.coeffs, s0, k, np.convolve)[-2:]
     return SeriesJet(cur[0], problem.x0), SeriesJet(cur[1], problem.x0), float(_delta(prev, cur))
 
 
@@ -176,9 +186,8 @@ def _delta_grid(problem: AimProblem, es: np.ndarray, k: int):
     up to m + 1 of the step before, so k steps leave order 0 exact.
     """
     n = k + 1
-    jets = [problem.coefficient_jets(e) for e in es.tolist()]
-    lam0 = np.stack([lam.coeffs[:n] for lam, _ in jets], axis=1)
-    s0 = np.stack([s.coeffs[:n] for _, s in jets], axis=1)
+    s0 = problem.s0.coeffs[:n, None] * ((es + problem.e_shift) / problem.e_scale)
+    lam0 = np.broadcast_to(problem.lambda0.coeffs[:n, None], s0.shape)
     older, prev, cur = _recurrence(lam0, s0, k, _columns_mul)[-3:]
     return _delta(older, prev), _delta(prev, cur)
 

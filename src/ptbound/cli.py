@@ -40,7 +40,7 @@ from .schrodinger import (
     spectral_params,
 )
 from .specfun import erfi
-from .tableio import write_csv
+from .tableio import write_csv, write_text
 from .thermo import ThermoContext, thermo_point
 
 __all__ = [
@@ -71,7 +71,6 @@ class RunConfig:
     l: tuple[int, ...] = (0, 5, 10)
     out: Path = Path(".")
     molecules_path: Path | None = None
-    fmt: str = "csv"
 
     def molecules(self) -> list[MoleculeParams]:
         if self.molecules_path is None:
@@ -123,9 +122,7 @@ def cli_table2(config: RunConfig, report_path: Path | None = None) -> tuple[Path
         pot = config.potential(mol.alpha_invA)
         for n, l in REFERENCE_GRID:
             level = energy_nr(pot, ctx, n, l)
-            calibrated = reference_energy(
-                mol, n, l, a=config.a, b=config.b, amu_to_ev=config.amu_to_ev
-            )
+            calibrated = reference_energy(mol, n, l, a=config.a, amu_to_ev=config.amu_to_ev)
             ref_text = REFERENCE_ENERGY_STRINGS.get((mol.name, n, l))
             if ref_text is None:
                 ref_text, ref = "", math.nan
@@ -174,13 +171,7 @@ def cli_table2(config: RunConfig, report_path: Path | None = None) -> tuple[Path
         )
         lines.append(f"entries compared: {len(devs)}")
     lines.append("")
-    tmp = report_path.with_name(report_path.name + ".partial")
-    try:
-        tmp.write_text("\n".join(lines), encoding="utf-8", newline="\n")
-        tmp.replace(report_path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+    write_text(report_path, "\n".join(lines))
     return config.out, report_path
 
 
@@ -430,7 +421,6 @@ _shared = [
     click.option("--B", "b", type=float, default=3.0, show_default=True, help="Well strength B (eV)."),
     click.option("--hbar-c", type=float, default=HBARC_EV_ANG, show_default=True, help="hbar*c (eV*Angstrom)."),
     click.option("--amu-ev", "amu_to_ev", type=float, default=AMU_TO_EV, show_default=True, help="amu -> eV conversion."),
-    click.option("--format", "fmt", type=click.Choice(["csv"]), default="csv", show_default=True),
 ]
 
 
@@ -440,11 +430,11 @@ def _with_shared(fn):
     return fn
 
 
-def _config(out, molecules_path, a, b, hbar_c, amu_to_ev, fmt, n=(0, 5, 7), l=(0, 5, 10)):
+def _config(out, molecules_path, a, b, hbar_c, amu_to_ev, n=(0, 5, 7), l=(0, 5, 10)):
     return RunConfig(
         a=a, b=b, hbar_c=hbar_c, amu_to_ev=amu_to_ev,
         n=tuple(n), l=tuple(l), out=Path(out),
-        molecules_path=molecules_path, fmt=fmt,
+        molecules_path=molecules_path,
     )
 
 
@@ -460,9 +450,9 @@ def main():
 @click.option("--l", "l_values", type=int, multiple=True, default=(0,), show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=Path("ptbound_spectrum.csv"), show_default=True)
 @_guarded
-def spectrum_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, fmt, n_values, l_values):
+def spectrum_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, n_values, l_values):
     """Closed-form energy levels per molecule."""
-    path = cli_spectrum(_config(out, molecules_path, a, b, hbar_c, amu_to_ev, fmt, n_values, l_values))
+    path = cli_spectrum(_config(out, molecules_path, a, b, hbar_c, amu_to_ev, n_values, l_values))
     click.echo(f"wrote {path}")
 
 
@@ -471,10 +461,10 @@ def spectrum_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, fmt, n_values, l_
 @click.option("--out", type=click.Path(path_type=Path), default=Path("ptbound_table2.csv"), show_default=True)
 @click.option("--report", type=click.Path(path_type=Path), default=None, help="Calibration report path (default: <out>.report.txt).")
 @_guarded
-def table2_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, fmt, report):
+def table2_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, report):
     """Regenerate the published energy table with reference columns."""
     csv_path, report_path = cli_table2(
-        _config(out, molecules_path, a, b, hbar_c, amu_to_ev, fmt), report_path=report
+        _config(out, molecules_path, a, b, hbar_c, amu_to_ev), report_path=report
     )
     click.echo(f"wrote {csv_path}")
     click.echo(f"wrote {report_path}")
@@ -489,10 +479,10 @@ def table2_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, fmt, report):
 @click.option("--tau", type=float, default=None, help="Override the physical tau (e.g. 1.0 for reduced units).")
 @click.option("--out", type=click.Path(path_type=Path), default=Path("ptbound_thermo.csv"), show_default=True)
 @_guarded
-def thermo_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, fmt, l, beta_min, beta_max, points, tau):
+def thermo_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, l, beta_min, beta_max, points, tau):
     """Thermodynamic functions over a beta grid per molecule."""
     path = cli_thermo(
-        _config(out, molecules_path, a, b, hbar_c, amu_to_ev, fmt),
+        _config(out, molecules_path, a, b, hbar_c, amu_to_ev),
         l=l, beta_min=beta_min, beta_max=beta_max, points=points, tau=tau,
     )
     click.echo(f"wrote {path}")
@@ -508,12 +498,11 @@ def thermo_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, fmt, l, beta_min, b
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--c-shift", type=float, default=0.0, show_default=True, help="Constant Sigma (pspin) or Delta (spin) value.")
 @click.option("--hbar-c", type=float, default=1.0, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=Path("ptbound_dirac.csv"), show_default=True)
 @_guarded
-def dirac_cmd(m, kappa, n_values, symmetry, a, b, alpha, c_shift, hbar_c, fmt, out):
+def dirac_cmd(m, kappa, n_values, symmetry, a, b, alpha, c_shift, hbar_c, out):
     """Relativistic levels under spin or pseudospin symmetry."""
-    config = RunConfig(a=a, b=b, out=Path(out), fmt=fmt)
+    config = RunConfig(a=a, b=b, out=Path(out))
     path = cli_dirac(
         config, m=m, kappa=kappa, alpha=alpha, symmetry=symmetry,
         c_shift=c_shift, hbar_c=hbar_c, n_values=tuple(n_values),
@@ -532,11 +521,11 @@ def dirac_cmd(m, kappa, n_values, symmetry, a, b, alpha, c_shift, hbar_c, fmt, o
 @click.option("--points", type=int, default=64, show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=Path("."), show_default=True, help="Output directory.")
 @_guarded
-def figure_data_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, fmt,
+def figure_data_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev,
                     alpha_min, alpha_max, beta_min, beta_max, zeta_min, zeta_max, points):
     """Data series behind the energy and thermodynamics figures."""
     paths = cli_figure_data(
-        _config(out, molecules_path, a, b, hbar_c, amu_to_ev, fmt),
+        _config(out, molecules_path, a, b, hbar_c, amu_to_ev),
         alpha_min=alpha_min, alpha_max=alpha_max,
         beta_min=beta_min, beta_max=beta_max,
         zeta_min=zeta_min, zeta_max=zeta_max, points=points,
@@ -551,23 +540,21 @@ def figure_data_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, fmt,
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--n-max", type=int, default=3, show_default=True)
 @click.option("--depth", type=int, default=None, help="Iteration depth (default: 2n+2 per level).")
-@click.option("--format", "fmt", type=click.Choice(["csv"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=Path("ptbound_aim_verify.csv"), show_default=True)
 @_guarded
-def aim_verify_cmd(a1, b1, alpha, n_max, depth, fmt, out):
+def aim_verify_cmd(a1, b1, alpha, n_max, depth, out):
     """Check iterative-scheme eigenvalues against the closed form."""
-    config = RunConfig(out=Path(out), fmt=fmt)
+    config = RunConfig(out=Path(out))
     path = cli_aim_verify(config, a1=a1, b1=b1, alpha=alpha, n_max=n_max, depth=depth)
     click.echo(f"wrote {path}")
 
 
 @main.command("oracle-check")
-@click.option("--format", "fmt", type=click.Choice(["csv"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(path_type=Path), default=Path("ptbound_oracle_check.csv"), show_default=True)
 @_guarded
-def oracle_check_cmd(fmt, out):
+def oracle_check_cmd(out):
     """Exercise the shooting/quadrature/derivative layer on exact cases."""
-    config = RunConfig(out=Path(out), fmt=fmt)
+    config = RunConfig(out=Path(out))
     path = cli_oracle_check(config)
     click.echo(f"wrote {path}")
 

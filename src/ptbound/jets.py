@@ -2,9 +2,9 @@
 
 A SeriesJet holds the coefficients of a function's Taylor expansion about
 a fixed point x0, truncated at a given order.  The iteration engine in
-``aim`` differentiates jets repeatedly; each differentiation loses the top
-coefficient, so jets must be built with enough headroom (the engine uses
-order 2k + 8 for k iterations).
+``aim`` differentiates its coefficient jets once per step; each
+differentiation loses the top coefficient, so jets must be built with
+enough headroom (the engine uses order 2k + 8 for k iterations).
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .errors import DomainError, JetMismatchError
 __all__ = [
     "SeriesJet",
     "jet_add",
-    "jet_differentiate",
     "jet_div",
     "jet_mul",
     "jet_reciprocal",
@@ -70,30 +69,10 @@ class SeriesJet:
         c[0] += float(other)
         return SeriesJet(c, self.x0)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, SeriesJet):
-            return jet_add(self, jet_scale(other, -1.0))
-        return self + (-float(other))
-
-    def __rsub__(self, other):
-        return jet_scale(self, -1.0) + float(other)
-
     def __mul__(self, other):
         if isinstance(other, SeriesJet):
             return jet_mul(self, other)
         return jet_scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, SeriesJet):
-            return jet_div(self, other)
-        return jet_scale(self, 1.0 / float(other))
-
-    def __neg__(self):
-        return jet_scale(self, -1.0)
 
 
 def _check_pair(a: SeriesJet, b: SeriesJet):
@@ -116,15 +95,6 @@ def jet_mul(a: SeriesJet, b: SeriesJet) -> SeriesJet:
     """Cauchy product truncated to the common order."""
     _check_pair(a, b)
     return SeriesJet(np.convolve(a.coeffs, b.coeffs)[: a.order + 1], a.x0)
-
-
-def jet_differentiate(a: SeriesJet) -> SeriesJet:
-    """Derivative jet.  The top coefficient of the result is unknown and set
-    to zero: one order of validity is consumed per differentiation."""
-    k = np.arange(1, a.order + 1, dtype=float)
-    c = np.zeros(a.order + 1)
-    c[: a.order] = k * a.coeffs[1:]
-    return SeriesJet(c, a.x0)
 
 
 def jet_reciprocal(a: SeriesJet) -> SeriesJet:

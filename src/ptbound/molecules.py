@@ -15,6 +15,7 @@ from pathlib import Path
 from .errors import DomainError, TableFormatError
 from .refdata import MOLECULE_CONSTANTS
 from .schrodinger import D0, HBARC_EV_ANG, NRContext, PTPotential, level_count
+from .tableio import write_csv
 from .thermo import ThermoContext
 
 __all__ = [
@@ -103,15 +104,13 @@ def load_molecules(path: str | Path) -> list[MoleculeParams]:
 
 
 def save_molecules(path: str | Path, molecules: list[MoleculeParams]) -> None:
-    """Write a dataset in the load_molecules format (atomic, LF endings)."""
-    lines = [",".join(_HEADER)]
-    for m in molecules:
-        lines.append(f"{m.name},{m.mu_amu!r},{m.alpha_invA!r}")
-    payload = "\n".join(lines) + "\n"
-    target = Path(path)
-    tmp = target.with_name(target.name + ".tmp")
-    tmp.write_text(payload, encoding="utf-8", newline="\n")
-    tmp.replace(target)
+    """Write a dataset in the load_molecules format (atomic, LF endings).
+
+    Floats are written as their repr, so a reload gives the same values;
+    a name that would break the format raises TableFormatError.
+    """
+    rows = [(m.name, repr(m.mu_amu), repr(m.alpha_invA)) for m in molecules]
+    write_csv(path, _HEADER, rows)
 
 
 def nr_context_for(
@@ -154,7 +153,6 @@ def reference_energy(
     l: int,
     *,
     a: float = -2.0,
-    b: float = 3.0,
     amu_to_ev: float = AMU_TO_EV,
 ) -> float:
     """Best-found convention reproducing the bundled reference energies.
@@ -167,11 +165,7 @@ def reference_energy(
       - the B well strength does not enter the second square root,
         which collapses to (2l+1),
       - hbar*c = 1973.0 eV*Angstrom rather than the stated 1973.29.
-
-    The b parameter is accepted for signature symmetry but does not
-    influence the value, by construction of the convention.
     """
-    del b
     mu = mol.mu_amu * amu_to_ev
     alpha = mol.alpha_invA
     hbarc2 = HBARC_CALIBRATED * HBARC_CALIBRATED

@@ -432,23 +432,15 @@ def pt_aim_problem(
     two_gamma_1 = 2.0 * params.gamma + 1.0
     two_beta = 2.0 * params.beta
 
-    # Only the constant K2 in s0 depends on the scan parameter, so the
-    # lambda0 jet and the 1 / (1 + z^2) jet are built once per problem.
+    # K1 enters s0 = -K2 / (alpha^2 (1 + z^2)) only, through
+    # K2 = K1 + gb_shift: the jet -1 / (1 + z^2) times (K1 + gb_shift) / alpha^2.
     z = SeriesJet.variable(z0, order)
     z2 = z * z
     one_p_z2 = z2 + 1.0
     num = jet_scale(z2, two_gamma_1) + jet_scale(one_p_z2, two_beta)
     lam0 = jet_scale(jet_div(num, z * one_p_z2), -1.0)
-    inv_one_p_z2 = jet_reciprocal(one_p_z2)
-
-    def lambda0(_k1: float) -> SeriesJet:
-        return lam0
-
-    def s0(k1: float) -> SeriesJet:
-        k2 = k1 + gb_shift
-        return jet_scale(inv_one_p_z2, -k2 / alpha2)
-
-    return AimProblem(lambda0=lambda0, s0=s0, x0=z0, max_order=order)
+    s0 = jet_scale(jet_reciprocal(one_p_z2), -1.0)
+    return AimProblem(lambda0=lam0, s0=s0, e_shift=gb_shift, e_scale=alpha2)
 
 
 def pt_radial_problem(

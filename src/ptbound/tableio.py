@@ -15,7 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import TableFormatError
 
-__all__ = ["format_cell", "render_csv", "write_csv"]
+__all__ = ["format_cell", "render_csv", "write_csv", "write_text"]
 
 Cell = str | int | float
 
@@ -56,21 +56,30 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence[Cell]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Cell]]) -> None:
-    """Atomically write a CSV file.
+def write_text(path: str | Path, text: str) -> None:
+    """Atomically write text as UTF-8, line endings as given.
 
-    The payload is fully rendered before anything touches the
-    filesystem; the temp file is removed on any failure.
+    The text is encoded before anything touches the filesystem, so an
+    unencodable character creates no file; the temp file is removed on
+    any later failure.
     """
-    payload = render_csv(header, rows)
+    try:
+        data = text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise TableFormatError(f"{path}: text cannot be encoded as UTF-8: {exc}") from exc
     target = Path(path)
     tmp = target.with_name(target.name + ".partial")
     try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(payload)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
             fh.flush()
             os.fsync(fh.fileno())
         tmp.replace(target)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[Cell]]) -> None:
+    """Atomically write a CSV file, fully rendered before it is written."""
+    write_text(path, render_csv(header, rows))

@@ -29,10 +29,8 @@ def hermite_problem(depth):
     # y'' = 2x y' - 2E y: eigenvalues E = 0, 1, 2, ...
     order = 2 * depth + 8
     return AimProblem(
-        lambda0=lambda e: jet_scale(SeriesJet.variable(0.0, order), 2.0),
-        s0=lambda e: SeriesJet.constant(-2.0 * e, 0.0, order),
-        x0=0.0,
-        max_order=order,
+        lambda0=jet_scale(SeriesJet.variable(0.0, order), 2.0),
+        s0=SeriesJet.constant(-2.0, 0.0, order),
     )
 
 
@@ -53,10 +51,8 @@ class TestRecurrenceAlgebra:
     @staticmethod
     def _const_problem(c, order=12):
         return AimProblem(
-            lambda0=lambda e: SeriesJet.constant(c, 0.0, order),
-            s0=lambda e: SeriesJet.constant(e, 0.0, order),
-            x0=0.0,
-            max_order=order,
+            lambda0=SeriesJet.constant(c, 0.0, order),
+            s0=SeriesJet.constant(1.0, 0.0, order),
         )
 
     @pytest.mark.parametrize("c", [0.0, 1.0, -2.5])
@@ -90,10 +86,8 @@ class TestVanishingS0:
     def test_zero_s0_generic_lambda0(self):
         order = 10
         prob = AimProblem(
-            lambda0=lambda e: jet_scale(SeriesJet.variable(0.3, order), 2.0),
-            s0=lambda e: SeriesJet.constant(0.0, 0.3, order),
-            x0=0.3,
-            max_order=order,
+            lambda0=jet_scale(SeriesJet.variable(0.3, order), 2.0),
+            s0=SeriesJet.constant(0.0, 0.3, order),
         )
         for k in (1, 2, 3):
             assert aim_delta(prob, 1.7, k) == 0.0
@@ -303,10 +297,10 @@ class TestTerminationPattern:
 
 def _scaled(problem, c):
     return AimProblem(
-        lambda0=lambda e: jet_scale(problem.lambda0(e), c),
-        s0=lambda e: jet_scale(problem.s0(e), c),
-        x0=problem.x0,
-        max_order=problem.max_order,
+        lambda0=jet_scale(problem.lambda0, c),
+        s0=jet_scale(problem.s0, c),
+        e_shift=problem.e_shift,
+        e_scale=problem.e_scale,
     )
 
 
@@ -410,30 +404,38 @@ class TestValidation:
             aim_eigen_scan(pt_problem(2), (-20.0, -30.0), 2)
 
     def test_builder_order_mismatch(self):
-        prob = AimProblem(
-            lambda0=lambda e: SeriesJet.constant(1.0, 0.0, 5),
-            s0=lambda e: SeriesJet.constant(e, 0.0, 4),
-            x0=0.0,
-            max_order=5,
-        )
         with pytest.raises(JetMismatchError):
-            prob.coefficient_jets(1.0)
+            AimProblem(
+                lambda0=SeriesJet.constant(1.0, 0.0, 5),
+                s0=SeriesJet.constant(1.0, 0.0, 4),
+            )
 
     def test_builder_x0_mismatch(self):
-        prob = AimProblem(
-            lambda0=lambda e: SeriesJet.constant(1.0, 1.0, 5),
-            s0=lambda e: SeriesJet.constant(e, 1.0, 5),
-            x0=0.0,
-            max_order=5,
-        )
         with pytest.raises(JetMismatchError):
-            prob.coefficient_jets(1.0)
+            AimProblem(
+                lambda0=SeriesJet.constant(1.0, 1.0, 5),
+                s0=SeriesJet.constant(1.0, 0.0, 5),
+            )
 
     def test_problem_rejects_bad_order(self):
         with pytest.raises(DomainError):
             AimProblem(
-                lambda0=lambda e: SeriesJet.constant(1.0, 0.0, 0),
-                s0=lambda e: SeriesJet.constant(e, 0.0, 0),
-                x0=0.0,
-                max_order=0,
+                lambda0=SeriesJet.constant(1.0, 0.0, 0),
+                s0=SeriesJet.constant(1.0, 0.0, 0),
+            )
+
+    @pytest.mark.parametrize("e_scale", [0.0, math.inf, math.nan])
+    def test_problem_rejects_bad_e_scale(self, e_scale):
+        with pytest.raises(DomainError):
+            AimProblem(
+                lambda0=SeriesJet.constant(1.0, 0.0, 5),
+                s0=SeriesJet.constant(1.0, 0.0, 5),
+                e_scale=e_scale,
+            )
+
+    def test_problem_rejects_builder_callables(self):
+        with pytest.raises(DomainError):
+            AimProblem(
+                lambda0=lambda e: SeriesJet.constant(1.0, 0.0, 5),
+                s0=lambda e: SeriesJet.constant(e, 0.0, 5),
             )

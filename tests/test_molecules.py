@@ -82,7 +82,18 @@ class TestDatasetIO:
         data = path.read_bytes()
         assert b"\r" not in data
         assert data.startswith(b"name,mu_amu,alpha_invA\n")
-        assert not (tmp_path / "mols.csv.tmp").exists()
+        assert [p.name for p in tmp_path.iterdir()] == ["mols.csv"]
+
+    def test_save_rejects_name_with_comma(self, tmp_path):
+        # Such a file would load as four fields per row.
+        with pytest.raises(TableFormatError):
+            save_molecules(tmp_path / "m.csv", [MoleculeParams("a,b", 1.0, 1.0)])
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_unencodable_name_leaves_no_file(self, tmp_path):
+        with pytest.raises(TableFormatError):
+            save_molecules(tmp_path / "m.csv", [MoleculeParams("X\udc80", 1.0, 1.0)])
+        assert list(tmp_path.iterdir()) == []
 
     def test_empty_and_header_only_files(self, tmp_path):
         empty = tmp_path / "empty.csv"
@@ -198,10 +209,6 @@ class TestReferenceEnergies:
                 REFERENCE_ENERGY_STRINGS[(name, 5, 10)]
                 == REFERENCE_ENERGY_STRINGS[(name, 0, 0)]
             )
-
-    def test_b_parameter_is_inert(self):
-        i2 = by_name()["I2"]
-        assert reference_energy(i2, 7, 5, b=99.0) == reference_energy(i2, 7, 5)
 
     def test_calibrated_hbar_c_differs_from_standard(self):
         assert HBARC_CALIBRATED == 1973.0

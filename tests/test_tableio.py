@@ -5,7 +5,7 @@ import math
 import pytest
 
 from ptbound.errors import TableFormatError
-from ptbound.tableio import format_cell, render_csv, write_csv
+from ptbound.tableio import format_cell, render_csv, write_csv, write_text
 
 
 class TestFormatCell:
@@ -107,3 +107,16 @@ class TestWriteCsv:
         write_csv(path, ["a"], [[1]])
         write_csv(path, ["a"], [[2]])
         assert path.read_bytes() == b"a\n2\n"
+
+
+class TestWriteText:
+    def test_writes_utf8_bytes_as_given(self, tmp_path):
+        path = tmp_path / "r.txt"
+        write_text(path, "\u00c5ngstr\u00f6m\nline")
+        assert path.read_bytes() == "\u00c5ngstr\u00f6m\nline".encode("utf-8")
+        assert [p.name for p in tmp_path.iterdir()] == ["r.txt"]
+
+    def test_unencodable_text_creates_no_file(self, tmp_path):
+        with pytest.raises(TableFormatError):
+            write_text(tmp_path / "r.txt", "X\udc80")
+        assert list(tmp_path.iterdir()) == []
