@@ -43,7 +43,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, JetMismatchError
+from .errors import DomainError, JetMismatchError, OverflowRangeError
 from .jets import SeriesJet
 from .rootfind import bisect, sign_change_brackets, uniform_grid
 
@@ -165,12 +165,21 @@ def _check_depth(problem: AimProblem, k: int) -> None:
 
 
 def aim_iterate(problem: AimProblem, e: float, k: int):
-    """Run k recurrence steps; return (lambda_k, s_k, delta_k at x0)."""
+    """Run k recurrence steps; return (lambda_k, s_k, delta_k at x0).
+
+    E must be finite, and a delta_k beyond the double range raises
+    OverflowRangeError rather than coming back as inf or NaN.
+    """
     _check_depth(problem, k)
+    if not math.isfinite(e):
+        raise DomainError(f"energy must be finite, got {e!r}")
     s0 = problem.s0.coeffs * ((e + problem.e_shift) / problem.e_scale)
     # np.convolve is jets.jet_mul's product: the values are the jet route's.
     prev, cur = _recurrence(problem.lambda0.coeffs, s0, k, np.convolve)[-2:]
-    return SeriesJet(cur[0], problem.x0), SeriesJet(cur[1], problem.x0), float(_delta(prev, cur))
+    delta = float(_delta(prev, cur))
+    if not math.isfinite(delta):
+        raise OverflowRangeError(f"delta_{k} at E={e!r} is {delta!r}")
+    return SeriesJet(cur[0], problem.x0), SeriesJet(cur[1], problem.x0), delta
 
 
 def aim_delta(problem: AimProblem, e: float, k: int) -> float:
@@ -250,8 +259,8 @@ def aim_eigen_scan(
     grid cells produce a too-coarse warning.
     """
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not hi > lo:
-        raise DomainError(f"empty scan bracket ({lo!r}, {hi!r})")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise DomainError(f"scan bracket must be finite and nonempty, got ({lo!r}, {hi!r})")
     if k < 2:
         raise DomainError("stability grading needs depth k >= 2")
     _check_depth(problem, k)

@@ -2,24 +2,28 @@
 
 Every subcommand writes deterministic CSV (see tableio) and exits
 nonzero with a single-line JSON error record on stderr when anything
-fails; partial outputs are removed by the atomic writer.
+fails; partial outputs are removed by the atomic writer.  The commands
+are one table at the end of this module: each option sets a RunConfig
+field or a keyword of the command's cli_* function, and takes its
+default from there.
 """
 
 from __future__ import annotations
 
-import functools
+import inspect
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import click
 
 from . import __version__, oracle
 from .aim import aim_eigen_scan
 from .dirac import DiracContext, solve_levels
-from .errors import PtboundError
+from .errors import ConvergenceError, DomainError
 from .molecules import (
     AMU_TO_EV,
     MoleculeParams,
@@ -60,15 +64,19 @@ FIGURE_MOLECULES = ("N2", "TiH", "NiC", "I2")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Shared knobs for the molecule-based commands (defaults match the
-    published table settings)."""
+    """Shared knobs of the commands; each default is also the CLI's.
+
+    a, b: well strengths at the published table settings (eV; natural
+    units for dirac).  n, l: the spectrum grid.  out: the output file
+    (figure-data: directory).  molecules_path: a molecule CSV in place
+    of the bundled dataset."""
 
     a: float = -2.0
     b: float = 3.0
     hbar_c: float = HBARC_EV_ANG
     amu_to_ev: float = AMU_TO_EV
-    n: tuple[int, ...] = (0, 5, 7)
-    l: tuple[int, ...] = (0, 5, 10)
+    n: tuple[int, ...] = (0, 1, 2)
+    l: tuple[int, ...] = (0,)
     out: Path = Path(".")
     molecules_path: Path | None = None
 
@@ -186,7 +194,7 @@ def cli_thermo(
 ) -> Path:
     """Closed-form thermodynamics over a log-spaced beta grid per molecule."""
     header = ["molecule", "beta", "chi", "Z", "U", "C", "F", "S"]
-    betas = _log_grid(beta_min, beta_max, points)
+    betas = _grid(beta_min, beta_max, points, log=True)
     rows = []
     for mol in config.molecules():
         pot = config.potential(mol.alpha_invA)
@@ -213,20 +221,14 @@ def cli_dirac(
 ) -> Path:
     """Relativistic levels from the transcendental residual, natural units."""
     header = ["symmetry", "n", "kappa", "M", "c_shift", "E", "residual", "flags"]
-    pot = PTPotential(A=config.a, B=config.b, alpha=alpha)
+    pot = config.potential(alpha)
+    shift = {"cps" if symmetry == "pspin" else "cs": c_shift}
+    dctx = DiracContext(M=m, kappa=kappa, n=0, hbar_c=hbar_c, **shift)
     rows = []
     for n in n_values:
-        if symmetry == "pspin":
-            dctx = DiracContext(M=m, kappa=kappa, n=n, cps=c_shift, hbar_c=hbar_c)
-        else:
-            dctx = DiracContext(M=m, kappa=kappa, n=n, cs=c_shift, hbar_c=hbar_c)
-        for root in solve_levels(dctx, pot, symmetry):
-            rows.append(
-                [
-                    symmetry, n, kappa, m, c_shift,
-                    root.E, root.residual, "|".join(sorted(root.flags)),
-                ]
-            )
+        for root in solve_levels(dctx, pot, symmetry, n=n):
+            flags = "|".join(sorted(root.flags))
+            rows.append([symmetry, n, kappa, m, c_shift, root.E, root.residual, flags])
     write_csv(config.out, header, rows)
     return config.out
 
@@ -254,19 +256,23 @@ def cli_figure_data(
     tau = 1 keeps chi = zeta*sqrt(beta) inside the erfi range on the
     default grids while preserving every qualitative feature.
     """
+    mols = {mol.name: mol for mol in config.molecules()}
+    if not mols:
+        raise DomainError("figure-data needs at least one molecule")
+    alphas = _grid(alpha_min, alpha_max, points)
+    betas = _grid(beta_min, beta_max, points, log=True)
+    zetas = _grid(zeta_min, zeta_max, points)
     out_dir = config.out
     out_dir.mkdir(parents=True, exist_ok=True)
-    mols = {mol.name: mol for mol in config.molecules()}
     wanted = [name for name in FIGURE_MOLECULES if name in mols]
 
-    # E vs alpha, n = 1..4, N2 reduced mass.
+    # E vs alpha, n = 1..4, N2 reduced mass (else the first molecule's).
     path_alpha = out_dir / "fig_energy_vs_alpha.csv"
     ns = (1, 2, 3, 4)
     header = ["alpha"] + [f"E_n{n}" for n in ns]
-    mol = mols.get("N2", next(iter(mols.values())))
-    ctx = nr_context_for(mol, hbar_c=config.hbar_c, amu_to_ev=config.amu_to_ev)
+    ctx = config.context(mols.get("N2") or next(iter(mols.values())))
     rows = []
-    for alpha in _lin_grid(alpha_min, alpha_max, points):
+    for alpha in alphas:
         pot = config.potential(alpha)
         rows.append([alpha] + [energy_nr(pot, ctx, n, 0).E for n in ns])
     write_csv(path_alpha, header, rows)
@@ -284,7 +290,7 @@ def cli_figure_data(
             )
         )
     rows = []
-    for beta in _log_grid(beta_min, beta_max, points):
+    for beta in betas:
         row: list[float] = [beta]
         for tctx in contexts:
             p = thermo_point(tctx, beta)
@@ -294,14 +300,14 @@ def cli_figure_data(
 
     # Thermo vs zeta at tau = 1 for three betas (chi stays < 10).
     path_zeta = out_dir / "fig_thermo_vs_zeta.csv"
-    betas = (1e-4, 1e-3, 1e-2)
+    fixed_betas = (1e-4, 1e-3, 1e-2)
     header = ["zeta"]
-    for i, _ in enumerate(betas, start=1):
+    for i, _ in enumerate(fixed_betas, start=1):
         header += [f"{q}_beta{i}" for q in ("Z", "U", "C", "F", "S")]
     rows = []
-    for zeta in _lin_grid(zeta_min, zeta_max, points):
+    for zeta in zetas:
         row = [zeta]
-        for beta in betas:
+        for beta in fixed_betas:
             p = thermo_point(ThermoContext(zeta=zeta, tau=1.0), beta)
             row += [p.Z, p.U, p.C, p.F, p.S]
         rows.append(row)
@@ -341,9 +347,7 @@ def cli_aim_verify(
         # depth increment; the converged flag separates them.
         stable = [r for r in report.roots if r.converged]
         if not stable:
-            raise PtboundError(
-                f"eigen-scan found no stable root for n={n} in bracket {bracket}"
-            )
+            raise ConvergenceError(f"eigen-scan found no stable root for n={n} in bracket {bracket}")
         root = min(stable, key=lambda r: r.stability_gap / max(1.0, abs(r.value)))
         rows.append(
             [n, k, closed, root.value, abs(root.value - closed) / abs(closed),
@@ -386,56 +390,16 @@ def cli_oracle_check(config: RunConfig) -> Path:
     return config.out
 
 
-def _lin_grid(lo: float, hi: float, count: int) -> list[float]:
-    if count < 2 or not hi > lo:
-        raise PtboundError(f"grid needs count >= 2 and hi > lo, got {count}, [{lo}, {hi}]")
+def _grid(lo: float, hi: float, count: int, *, log: bool = False) -> list[float]:
+    """count points from lo to hi, evenly spaced or (log) geometric."""
+    if not (count >= 2 and (0.0 if log else -math.inf) < lo < hi < math.inf):
+        floor = "0 < " if log else ""
+        raise DomainError(f"grid needs count >= 2 and {floor}lo < hi < inf: {count}, [{lo}, {hi}]")
+    if log:
+        ratio = math.log(hi / lo) / (count - 1)
+        return [lo * math.exp(i * ratio) for i in range(count)]
     step = (hi - lo) / (count - 1)
     return [lo + i * step for i in range(count)]
-
-
-def _log_grid(lo: float, hi: float, count: int) -> list[float]:
-    if not 0.0 < lo < hi:
-        raise PtboundError(f"log grid needs 0 < lo < hi, got [{lo}, {hi}]")
-    ratio = math.log(hi / lo) / (count - 1)
-    return [lo * math.exp(i * ratio) for i in range(count)]
-
-
-def _guarded(fn):
-    """Convert failures into a JSON error record on stderr + exit 1."""
-
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except Exception as exc:
-            record = {"error": type(exc).__name__, "message": str(exc)}
-            print(json.dumps(record), file=sys.stderr)
-            raise SystemExit(1) from exc
-
-    return wrapper
-
-
-_shared = [
-    click.option("--molecules", "molecules_path", type=click.Path(exists=True, path_type=Path), default=None, help="Molecule CSV (default: bundled dataset)."),
-    click.option("--A", "a", type=float, default=-2.0, show_default=True, help="Well strength A (eV)."),
-    click.option("--B", "b", type=float, default=3.0, show_default=True, help="Well strength B (eV)."),
-    click.option("--hbar-c", type=float, default=HBARC_EV_ANG, show_default=True, help="hbar*c (eV*Angstrom)."),
-    click.option("--amu-ev", "amu_to_ev", type=float, default=AMU_TO_EV, show_default=True, help="amu -> eV conversion."),
-]
-
-
-def _with_shared(fn):
-    for opt in reversed(_shared):
-        fn = opt(fn)
-    return fn
-
-
-def _config(out, molecules_path, a, b, hbar_c, amu_to_ev, n=(0, 5, 7), l=(0, 5, 10)):
-    return RunConfig(
-        a=a, b=b, hbar_c=hbar_c, amu_to_ev=amu_to_ev,
-        n=tuple(n), l=tuple(l), out=Path(out),
-        molecules_path=molecules_path,
-    )
 
 
 @click.group()
@@ -444,119 +408,92 @@ def main():
     """Bound states and thermodynamics of the hyperbolic Poschl-Teller well."""
 
 
-@main.command("spectrum")
-@_with_shared
-@click.option("--n", "n_values", type=int, multiple=True, default=(0, 1, 2), show_default=True)
-@click.option("--l", "l_values", type=int, multiple=True, default=(0,), show_default=True)
-@click.option("--out", type=click.Path(path_type=Path), default=Path("ptbound_spectrum.csv"), show_default=True)
-@_guarded
-def spectrum_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, n_values, l_values):
-    """Closed-form energy levels per molecule."""
-    path = cli_spectrum(_config(out, molecules_path, a, b, hbar_c, amu_to_ev, n_values, l_values))
-    click.echo(f"wrote {path}")
+class _Opt(NamedTuple):
+    """An option's flag, the RunConfig field or keyword it sets (by default
+    the flag's name), help, and the click type where the default's won't do."""
+
+    flag: str
+    dest: str | None = None
+    help: str | None = None
+    kind: object = None
+
+    def option(self, defaults: dict) -> click.Option:
+        name = self.dest or self.flag.lstrip("-").replace("-", "_").lower()
+        default = defaults[name]
+        multiple = isinstance(default, tuple)
+        kind = self.kind or type(default[0] if multiple else default)
+        return click.Option([self.flag, name], type=kind, default=default, multiple=multiple,
+                            show_default=True, help=self.help)
 
 
-@main.command("table2")
-@_with_shared
-@click.option("--out", type=click.Path(path_type=Path), default=Path("ptbound_table2.csv"), show_default=True)
-@click.option("--report", type=click.Path(path_type=Path), default=None, help="Calibration report path (default: <out>.report.txt).")
-@_guarded
-def table2_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, report):
-    """Regenerate the published energy table with reference columns."""
-    csv_path, report_path = cli_table2(
-        _config(out, molecules_path, a, b, hbar_c, amu_to_ev), report_path=report
-    )
-    click.echo(f"wrote {csv_path}")
-    click.echo(f"wrote {report_path}")
+_CONFIG_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_PATH = click.Path(path_type=Path)
 
 
-@main.command("thermo")
-@_with_shared
-@click.option("--l", type=int, default=0, show_default=True)
-@click.option("--beta-min", type=float, default=1e-4, show_default=True)
-@click.option("--beta-max", type=float, default=1.0, show_default=True)
-@click.option("--points", type=int, default=64, show_default=True)
-@click.option("--tau", type=float, default=None, help="Override the physical tau (e.g. 1.0 for reduced units).")
-@click.option("--out", type=click.Path(path_type=Path), default=Path("ptbound_thermo.csv"), show_default=True)
-@_guarded
-def thermo_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev, l, beta_min, beta_max, points, tau):
-    """Thermodynamic functions over a beta grid per molecule."""
-    path = cli_thermo(
-        _config(out, molecules_path, a, b, hbar_c, amu_to_ev),
-        l=l, beta_min=beta_min, beta_max=beta_max, points=points, tau=tau,
-    )
-    click.echo(f"wrote {path}")
+def _command(name, fn, help, out, config_options=(), keyword_options=()):
+    """Register ``ptbound <name>``: config_options set RunConfig fields and
+    keyword_options fn's keywords, each with its default from there; out
+    is the default of --out.  fn's paths are echoed, a failure is one JSON
+    error record on stderr and exit status 1."""
+    keywords = {k: p.default for k, p in inspect.signature(fn).parameters.items()}
+    config_params = [opt.option(_CONFIG_DEFAULTS) for opt in config_options]
+    params = config_params + [opt.option(keywords) for opt in keyword_options]
+    out_help = "Output directory." if out == "." else "Output CSV file."
+    params.append(_Opt("--out", help=out_help, kind=_PATH).option({"out": Path(out)}))
+
+    def run(out, **values):
+        try:
+            config = RunConfig(out=out, **{p.name: values.pop(p.name) for p in config_params})
+            paths = fn(config, **values)
+        except Exception as exc:
+            record = {"error": type(exc).__name__, "message": str(exc)}
+            print(json.dumps(record), file=sys.stderr)
+            raise SystemExit(1) from exc
+        for path in paths if isinstance(paths, tuple) else (paths,):
+            click.echo(f"wrote {path}")
+
+    main.add_command(click.Command(name, params=params, callback=run, help=help))
 
 
-@main.command("dirac")
-@click.option("--M", "m", type=float, default=20.0, show_default=True, help="Fermion mass (natural units).")
-@click.option("--kappa", type=int, default=1, show_default=True)
-@click.option("--n", "n_values", type=int, multiple=True, default=(0,), show_default=True)
-@click.option("--symmetry", type=click.Choice(["pspin", "spin"]), default="pspin", show_default=True)
-@click.option("--A", "a", type=float, default=-2.0, show_default=True)
-@click.option("--B", "b", type=float, default=3.0, show_default=True)
-@click.option("--alpha", type=float, default=1.0, show_default=True)
-@click.option("--c-shift", type=float, default=0.0, show_default=True, help="Constant Sigma (pspin) or Delta (spin) value.")
-@click.option("--hbar-c", type=float, default=1.0, show_default=True)
-@click.option("--out", type=click.Path(path_type=Path), default=Path("ptbound_dirac.csv"), show_default=True)
-@_guarded
-def dirac_cmd(m, kappa, n_values, symmetry, a, b, alpha, c_shift, hbar_c, out):
-    """Relativistic levels under spin or pseudospin symmetry."""
-    config = RunConfig(a=a, b=b, out=Path(out))
-    path = cli_dirac(
-        config, m=m, kappa=kappa, alpha=alpha, symmetry=symmetry,
-        c_shift=c_shift, hbar_c=hbar_c, n_values=tuple(n_values),
-    )
-    click.echo(f"wrote {path}")
+_MOLECULE_OPTIONS = (
+    _Opt("--molecules", "molecules_path", "Molecule CSV (default: bundled dataset).",
+         click.Path(exists=True, path_type=Path)),
+    _Opt("--A", help="Well strength A (eV)."),
+    _Opt("--B", help="Well strength B (eV)."),
+    _Opt("--hbar-c", help="hbar*c (eV*Angstrom)."),
+    _Opt("--amu-ev", "amu_to_ev", "amu -> eV conversion."),
+)
+_BETA_RANGE = (_Opt("--beta-min"), _Opt("--beta-max"))
 
-
-@main.command("figure-data")
-@_with_shared
-@click.option("--alpha-min", type=float, default=0.05, show_default=True)
-@click.option("--alpha-max", type=float, default=0.5, show_default=True)
-@click.option("--beta-min", type=float, default=1e-4, show_default=True)
-@click.option("--beta-max", type=float, default=1.0, show_default=True)
-@click.option("--zeta-min", type=float, default=1.0, show_default=True)
-@click.option("--zeta-max", type=float, default=100.0, show_default=True)
-@click.option("--points", type=int, default=64, show_default=True)
-@click.option("--out", type=click.Path(path_type=Path), default=Path("."), show_default=True, help="Output directory.")
-@_guarded
-def figure_data_cmd(out, molecules_path, a, b, hbar_c, amu_to_ev,
-                    alpha_min, alpha_max, beta_min, beta_max, zeta_min, zeta_max, points):
-    """Data series behind the energy and thermodynamics figures."""
-    paths = cli_figure_data(
-        _config(out, molecules_path, a, b, hbar_c, amu_to_ev),
-        alpha_min=alpha_min, alpha_max=alpha_max,
-        beta_min=beta_min, beta_max=beta_max,
-        zeta_min=zeta_min, zeta_max=zeta_max, points=points,
-    )
-    for path in paths:
-        click.echo(f"wrote {path}")
-
-
-@main.command("aim-verify")
-@click.option("--a1", type=float, default=-30.0, show_default=True, help="Dimensionless well strength A1.")
-@click.option("--b1", type=float, default=2.3, show_default=True, help="Dimensionless core strength B1.")
-@click.option("--alpha", type=float, default=1.0, show_default=True)
-@click.option("--n-max", type=int, default=3, show_default=True)
-@click.option("--depth", type=int, default=None, help="Iteration depth (default: 2n+2 per level).")
-@click.option("--out", type=click.Path(path_type=Path), default=Path("ptbound_aim_verify.csv"), show_default=True)
-@_guarded
-def aim_verify_cmd(a1, b1, alpha, n_max, depth, out):
-    """Check iterative-scheme eigenvalues against the closed form."""
-    config = RunConfig(out=Path(out))
-    path = cli_aim_verify(config, a1=a1, b1=b1, alpha=alpha, n_max=n_max, depth=depth)
-    click.echo(f"wrote {path}")
-
-
-@main.command("oracle-check")
-@click.option("--out", type=click.Path(path_type=Path), default=Path("ptbound_oracle_check.csv"), show_default=True)
-@_guarded
-def oracle_check_cmd(out):
-    """Exercise the shooting/quadrature/derivative layer on exact cases."""
-    config = RunConfig(out=Path(out))
-    path = cli_oracle_check(config)
-    click.echo(f"wrote {path}")
+_command("spectrum", cli_spectrum, "Closed-form energy levels per molecule.",
+         "ptbound_spectrum.csv", _MOLECULE_OPTIONS + (_Opt("--n"), _Opt("--l")))
+_command("table2", cli_table2, "Regenerate the published energy table with reference columns.",
+         "ptbound_table2.csv", _MOLECULE_OPTIONS,
+         [_Opt("--report", "report_path",
+               "Calibration report path (default: <out>.report.txt).", _PATH)])
+_command("thermo", cli_thermo, "Thermodynamic functions over a beta grid per molecule.",
+         "ptbound_thermo.csv", _MOLECULE_OPTIONS,
+         [_Opt("--l"), *_BETA_RANGE, _Opt("--points"),
+          _Opt("--tau", None, "Override the physical tau (e.g. 1.0 for reduced units).", float)])
+_command("dirac", cli_dirac, "Relativistic levels under spin or pseudospin symmetry.",
+         "ptbound_dirac.csv", [_Opt("--A"), _Opt("--B")],
+         [_Opt("--M", help="Fermion mass (natural units)."), _Opt("--kappa"),
+          _Opt("--n", "n_values"), _Opt("--symmetry", kind=click.Choice(["pspin", "spin"])),
+          _Opt("--alpha"), _Opt("--c-shift", help="Constant Sigma (pspin) or Delta (spin) value."),
+          _Opt("--hbar-c")])
+_command("figure-data", cli_figure_data,
+         "Data series behind the energy and thermodynamics figures.", ".", _MOLECULE_OPTIONS,
+         [_Opt("--alpha-min"), _Opt("--alpha-max"), *_BETA_RANGE,
+          _Opt("--zeta-min"), _Opt("--zeta-max"), _Opt("--points")])
+_command("aim-verify", cli_aim_verify,
+         "Check iterative-scheme eigenvalues against the closed form.", "ptbound_aim_verify.csv",
+         keyword_options=[
+             _Opt("--a1", help="Dimensionless well strength A1."),
+             _Opt("--b1", help="Dimensionless core strength B1."), _Opt("--alpha"), _Opt("--n-max"),
+             _Opt("--depth", help="Iteration depth (default: 2n+2 per level).", kind=int)])
+_command("oracle-check", cli_oracle_check,
+         "Exercise the shooting/quadrature/derivative layer on exact cases.",
+         "ptbound_oracle_check.csv")
 
 
 if __name__ == "__main__":

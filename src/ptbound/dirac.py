@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import BracketError, DomainError
-from .rootfind import bisect
+from .rootfind import bisect, sign_change_brackets, uniform_grid
 from .schrodinger import D0, PTPotential
 from .specfun import hyp2f1_terminating, pochhammer
 
@@ -254,23 +254,14 @@ def solve_levels(
     lo, hi = float(bracket[0]), float(bracket[1])
     if not hi > lo:
         raise DomainError(f"empty energy bracket ({lo!r}, {hi!r})")
-    xs = [lo + (hi - lo) * i / grid for i in range(grid + 1)]
-    vals = [residual(x, ctx, pot) for x in xs]
+    f = lambda x: residual(x, ctx, pot)
+    vals = [f(x) for x in uniform_grid(lo, hi, grid + 1).tolist()]
     if all(math.isnan(v) for v in vals):
         raise DomainError("residual is complex on the entire bracket")
     xtol = tol * max(1.0, abs(lo), abs(hi))
     roots: list[RelativisticRoot] = []
-    for i in range(grid):
-        a, b = vals[i], vals[i + 1]
-        if math.isnan(a) or math.isnan(b):
-            continue
-        hit = None
-        if a == 0.0:
-            hit = xs[i]
-        elif (a < 0.0) != (b < 0.0):
-            hit = bisect(lambda x: residual(x, ctx, pot), xs[i], xs[i + 1], xtol=xtol)
-        if hit is None:
-            continue
+    for a, b, fa, fb in sign_change_brackets(vals, lo, hi, grid + 1):
+        hit = a if a == b else bisect(f, a, b, xtol=xtol, fab=(fa, fb))
         if roots and abs(hit - roots[-1].E) <= 4.0 * xtol:
             continue
         flags = set()
@@ -286,7 +277,7 @@ def solve_levels(
                 E=hit,
                 symmetry=symmetry,
                 bracket_used=(lo, hi),
-                residual=residual(hit, ctx, pot),
+                residual=f(hit),
                 flags=frozenset(flags),
             )
         )

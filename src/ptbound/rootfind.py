@@ -62,22 +62,21 @@ def sign_change_brackets(fx, a: float, b: float, n: int):
     sign of fx, the values of f at its nodes, flips.
 
     Returns ``(x_left, x_right, f_left, f_right)`` per bracket, in grid
-    order.  A node where f is exactly zero gives the degenerate bracket
-    (x, x).  Nodes where f is NaN are skipped, so a NaN region simply
+    order.  Each node where f is exactly zero, the first and last
+    included, gives one degenerate bracket (x, x) whatever its
+    neighbours.  Nodes where f is NaN are skipped, so a NaN region simply
     contributes no brackets.
     """
     xs = uniform_grid(a, b, n)
     fx = np.asarray(fx, dtype=float)
     if fx.shape != (n,):
         raise BracketError(f"{fx.shape} values for a {n}-point scan")
-    left, right = fx[:-1], fx[1:]
-    finite = ~(np.isnan(left) | np.isnan(right))
-    hits = np.flatnonzero(finite & ((right == 0.0) | ((left < 0.0) != (right < 0.0)))) + 1
+    sign = np.sign(fx)
+    flips = np.append(sign[:-1] * sign[1:] < 0.0, False)
     out = []
-    for i in hits.tolist():
-        x, f = float(xs[i]), float(fx[i])
-        if f == 0.0:
-            out.append((x, x, f, f))
+    for i in np.flatnonzero((fx == 0.0) | flips).tolist():
+        if fx[i] == 0.0:
+            out.append((float(xs[i]), float(xs[i]), 0.0, 0.0))
         else:
-            out.append((float(xs[i - 1]), x, float(fx[i - 1]), f))
+            out.append((float(xs[i]), float(xs[i + 1]), float(fx[i]), float(fx[i + 1])))
     return out

@@ -11,7 +11,7 @@ import random
 import pytest
 
 from ptbound.aim import AimProblem, aim_delta, aim_eigen_scan, aim_iterate
-from ptbound.errors import DomainError, JetMismatchError
+from ptbound.errors import DomainError, JetMismatchError, OverflowRangeError
 from ptbound.jets import SeriesJet, jet_scale
 from ptbound.rootfind import bisect, sign_change_brackets, uniform_grid
 from ptbound.schrodinger import NRContext, PTPotential, pt_aim_problem, spectral_params
@@ -439,3 +439,49 @@ class TestValidation:
                 lambda0=lambda e: SeriesJet.constant(1.0, 0.0, 5),
                 s0=lambda e: SeriesJet.constant(e, 0.0, 5),
             )
+
+    @pytest.mark.parametrize("e", [math.nan, math.inf, -math.inf])
+    def test_delta_rejects_nonfinite_energy(self, e):
+        with pytest.raises(DomainError):
+            aim_delta(pt_problem(3), e, 2)
+        with pytest.raises(DomainError):
+            aim_iterate(pt_problem(3), e, 2)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_delta_overflow_raises(self):
+        with pytest.raises(OverflowRangeError):
+            aim_delta(pt_problem(3), 1e300, 3)
+
+    @pytest.mark.parametrize(
+        "bracket", [(-math.inf, -1.0), (-30.0, math.inf), (math.nan, -1.0), (-30.0, math.nan)]
+    )
+    def test_scan_rejects_nonfinite_bracket(self, bracket):
+        with pytest.raises(DomainError):
+            aim_eigen_scan(pt_problem(3), bracket, 3)
+
+
+class TestZeroOnNode:
+    """A value exactly zero on a scan node is one degenerate bracket (x, x),
+    whatever its neighbours, the first node included."""
+
+    @pytest.mark.parametrize(
+        "fx, expected",
+        [
+            ([0.0, 1.0, 2.0], [(0.0, 0.0, 0.0, 0.0)]),
+            ([0.0, -1.0, -2.0], [(0.0, 0.0, 0.0, 0.0)]),
+            ([1.0, 0.0, -1.0], [(1.0, 1.0, 0.0, 0.0)]),
+            ([math.nan, 0.0, 1.0], [(1.0, 1.0, 0.0, 0.0)]),
+            ([-1.0, 1.0, 0.0], [(0.0, 1.0, -1.0, 1.0), (2.0, 2.0, 0.0, 0.0)]),
+        ],
+    )
+    def test_sign_change_brackets(self, fx, expected):
+        assert sign_change_brackets(fx, 0.0, 2.0, 3) == expected
+
+    def test_scan_keeps_root_on_either_end(self):
+        # s0(E) vanishes at E = -e_shift, and with it every delta_k.
+        prob = pt_problem(3)
+        z = -prob.e_shift
+        assert aim_delta(prob, z, 3) == 0.0
+        for bracket in ((z, z + 5.0), (z - 5.0, z)):
+            rep = aim_eigen_scan(prob, bracket, 3)
+            assert [r.value for r in rep.roots] == [z], bracket

@@ -14,7 +14,8 @@ import pytest
 from click.testing import CliRunner
 
 import ptbound
-from ptbound.cli import main
+from ptbound.cli import RunConfig, cli_aim_verify, cli_figure_data, cli_thermo, main
+from ptbound.errors import ConvergenceError, DomainError
 from ptbound.molecules import AMU_TO_EV, builtin_molecules
 from ptbound.schrodinger import HBARC_EV_ANG
 
@@ -225,6 +226,56 @@ class TestFigureData:
             assert all(b > a for a, b in zip(z, z[1:]))
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("points", [1, 0, -3])
+    def test_thermo_point_count(self, tmp_path, points):
+        out = tmp_path / "th.csv"
+        with pytest.raises(DomainError):
+            cli_thermo(RunConfig(out=out), points=points)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("beta_min", [0.0, -1.0, 2.0, math.nan])
+    def test_thermo_beta_range(self, tmp_path, beta_min):
+        with pytest.raises(DomainError):
+            cli_thermo(RunConfig(out=tmp_path / "th.csv"), beta_min=beta_min)
+
+    def test_thermo_point_count_error_record(self, runner, tmp_path):
+        out = tmp_path / "th.csv"
+        res = runner.invoke(main, ["thermo", "--points", "1", "--out", str(out)])
+        assert res.exit_code == 1
+        assert json.loads(res.stderr.strip())["error"] == "DomainError"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"points": 1}, {"points": 0}, {"alpha_min": 0.5, "alpha_max": 0.5}]
+    )
+    def test_figure_data_grid_leaves_no_directory(self, tmp_path, kwargs):
+        out = tmp_path / "fig"
+        with pytest.raises(DomainError):
+            cli_figure_data(RunConfig(out=out), **kwargs)
+        assert not out.exists()
+
+    def test_figure_data_empty_dataset(self, runner, tmp_path):
+        data = tmp_path / "none.csv"
+        data.write_text("name,mu_amu,alpha_invA\n", encoding="utf-8")
+        out = tmp_path / "fig"
+        res = runner.invoke(
+            main, ["figure-data", "--molecules", str(data), "--out", str(out)]
+        )
+        assert res.exit_code == 1
+        record = json.loads(res.stderr.strip())
+        assert record["error"] == "DomainError"
+        assert record["message"]
+        assert not out.exists()
+
+    def test_aim_verify_without_stable_root(self, tmp_path):
+        # Depth 2 grades no n = 1 root converged.
+        out = tmp_path / "av.csv"
+        with pytest.raises(ConvergenceError, match="n=1"):
+            cli_aim_verify(RunConfig(out=out), depth=2)
+        assert not out.exists()
+
+
 class TestSelfChecks:
     def test_aim_verify(self, runner, tmp_path):
         out = tmp_path / "av.csv"
@@ -305,3 +356,95 @@ class TestGroup:
         for cmd in ("spectrum", "table2", "thermo", "dirac",
                     "figure-data", "aim-verify", "oracle-check"):
             assert cmd in res.output
+
+
+class TestOptionSurface:
+    """Every command's options, pinned: flags -> (type, default, multiple,
+    choices).  Option order and help text are free to change."""
+
+    MOLECULE_OPTIONS = {
+        ("--molecules",): ("path", None, False, None),
+        ("--A",): ("float", -2.0, False, None),
+        ("--B",): ("float", 3.0, False, None),
+        ("--hbar-c",): ("float", 1973.29, False, None),
+        ("--amu-ev",): ("float", 931494061.0, False, None),
+    }
+    SURFACE = {
+        "spectrum": {
+            **MOLECULE_OPTIONS,
+            ("--n",): ("integer", (0, 1, 2), True, None),
+            ("--l",): ("integer", (0,), True, None),
+            ("--out",): ("path", Path("ptbound_spectrum.csv"), False, None),
+        },
+        "table2": {
+            **MOLECULE_OPTIONS,
+            ("--report",): ("path", None, False, None),
+            ("--out",): ("path", Path("ptbound_table2.csv"), False, None),
+        },
+        "thermo": {
+            **MOLECULE_OPTIONS,
+            ("--l",): ("integer", 0, False, None),
+            ("--beta-min",): ("float", 1e-4, False, None),
+            ("--beta-max",): ("float", 1.0, False, None),
+            ("--points",): ("integer", 64, False, None),
+            ("--tau",): ("float", None, False, None),
+            ("--out",): ("path", Path("ptbound_thermo.csv"), False, None),
+        },
+        "dirac": {
+            ("--M",): ("float", 20.0, False, None),
+            ("--kappa",): ("integer", 1, False, None),
+            ("--n",): ("integer", (0,), True, None),
+            ("--symmetry",): ("choice", "pspin", False, ("pspin", "spin")),
+            ("--A",): ("float", -2.0, False, None),
+            ("--B",): ("float", 3.0, False, None),
+            ("--alpha",): ("float", 1.0, False, None),
+            ("--c-shift",): ("float", 0.0, False, None),
+            ("--hbar-c",): ("float", 1.0, False, None),
+            ("--out",): ("path", Path("ptbound_dirac.csv"), False, None),
+        },
+        "figure-data": {
+            **MOLECULE_OPTIONS,
+            ("--alpha-min",): ("float", 0.05, False, None),
+            ("--alpha-max",): ("float", 0.5, False, None),
+            ("--beta-min",): ("float", 1e-4, False, None),
+            ("--beta-max",): ("float", 1.0, False, None),
+            ("--zeta-min",): ("float", 1.0, False, None),
+            ("--zeta-max",): ("float", 100.0, False, None),
+            ("--points",): ("integer", 64, False, None),
+            ("--out",): ("path", Path("."), False, None),
+        },
+        "aim-verify": {
+            ("--a1",): ("float", -30.0, False, None),
+            ("--b1",): ("float", 2.3, False, None),
+            ("--alpha",): ("float", 1.0, False, None),
+            ("--n-max",): ("integer", 3, False, None),
+            ("--depth",): ("integer", None, False, None),
+            ("--out",): ("path", Path("ptbound_aim_verify.csv"), False, None),
+        },
+        "oracle-check": {
+            ("--out",): ("path", Path("ptbound_oracle_check.csv"), False, None),
+        },
+    }
+
+    @staticmethod
+    def surface(command):
+        out = {}
+        for param in command.params:
+            choices = getattr(param.type, "choices", None)
+            out[tuple(param.opts)] = (
+                param.type.name,
+                param.default,
+                param.multiple,
+                None if choices is None else tuple(choices),
+            )
+        return out
+
+    def test_every_command_option(self):
+        assert set(main.commands) == set(self.SURFACE)
+        for name, expected in self.SURFACE.items():
+            assert self.surface(main.commands[name]) == expected, name
+
+    def test_dirac_strengths_are_not_in_ev(self):
+        params = {tuple(p.opts): p for p in main.commands["dirac"].params}
+        for flag in ("--A", "--B"):
+            assert "(eV)" not in (params[(flag,)].help or "")

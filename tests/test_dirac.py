@@ -221,6 +221,14 @@ class TestSolveLevels:
         with pytest.raises(BracketError):
             solve_levels(DiracContext(M=20.0, kappa=1, n=0), POT, "pspin", (25.0, 40.0))
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_zero_on_first_node(self, monkeypatch, sign):
+        import ptbound.dirac as dirac
+
+        monkeypatch.setattr(dirac, "pspin_residual", lambda e, ctx, pot: sign * (e - 1.0))
+        roots = solve_levels(DiracContext(M=20.0, kappa=1, n=0), POT, "pspin", (1.0, 3.0))
+        assert [r.E for r in roots] == [1.0]
+
     def test_validation(self):
         ctx = DiracContext(M=20.0, kappa=1, n=0)
         with pytest.raises(DomainError):
