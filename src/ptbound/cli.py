@@ -262,12 +262,10 @@ def cli_figure_data(
     alphas = _grid(alpha_min, alpha_max, points)
     betas = _grid(beta_min, beta_max, points, log=True)
     zetas = _grid(zeta_min, zeta_max, points)
-    out_dir = config.out
-    out_dir.mkdir(parents=True, exist_ok=True)
     wanted = [name for name in FIGURE_MOLECULES if name in mols]
+    tables = []  # (file name, header, rows), all built before the first write
 
     # E vs alpha, n = 1..4, N2 reduced mass (else the first molecule's).
-    path_alpha = out_dir / "fig_energy_vs_alpha.csv"
     ns = (1, 2, 3, 4)
     header = ["alpha"] + [f"E_n{n}" for n in ns]
     ctx = config.context(mols.get("N2") or next(iter(mols.values())))
@@ -275,10 +273,9 @@ def cli_figure_data(
     for alpha in alphas:
         pot = config.potential(alpha)
         rows.append([alpha] + [energy_nr(pot, ctx, n, 0).E for n in ns])
-    write_csv(path_alpha, header, rows)
+    tables.append(("fig_energy_vs_alpha.csv", header, rows))
 
     # Thermo vs beta at tau = 1, one column block per molecule.
-    path_beta = out_dir / "fig_thermo_vs_beta.csv"
     header = ["beta"]
     contexts: list[ThermoContext] = []
     for name in wanted:
@@ -296,10 +293,9 @@ def cli_figure_data(
             p = thermo_point(tctx, beta)
             row += [p.Z, p.U, p.C, p.F, p.S]
         rows.append(row)
-    write_csv(path_beta, header, rows)
+    tables.append(("fig_thermo_vs_beta.csv", header, rows))
 
     # Thermo vs zeta at tau = 1 for three betas (chi stays < 10).
-    path_zeta = out_dir / "fig_thermo_vs_zeta.csv"
     fixed_betas = (1e-4, 1e-3, 1e-2)
     header = ["zeta"]
     for i, _ in enumerate(fixed_betas, start=1):
@@ -311,8 +307,13 @@ def cli_figure_data(
             p = thermo_point(ThermoContext(zeta=zeta, tau=1.0), beta)
             row += [p.Z, p.U, p.C, p.F, p.S]
         rows.append(row)
-    write_csv(path_zeta, header, rows)
-    return path_alpha, path_beta, path_zeta
+    tables.append(("fig_thermo_vs_zeta.csv", header, rows))
+
+    config.out.mkdir(parents=True, exist_ok=True)
+    paths = tuple(config.out / name for name, _, _ in tables)
+    for path, (_, header, rows) in zip(paths, tables):
+        write_csv(path, header, rows)
+    return paths
 
 
 def cli_aim_verify(

@@ -235,11 +235,11 @@ def solve_levels(
     """All residual roots in the bracket, refined by bisection.
 
     NaN (complex-domain) segments subdivide the scan; sign changes
-    between finite neighbors are refined.  A bracket whose every sample
-    is off-domain raises DomainError; a fully real bracket with no sign
-    change raises BracketError (empty result).  Roots sitting on either
-    mass shell E = +/-M are flagged, since the published validity
-    remarks prune one shell per symmetry.
+    between finite neighbors are refined.  A non-finite or empty
+    bracket, or one whose every sample is off-domain, raises DomainError;
+    a fully real bracket with no sign change raises BracketError (empty
+    result).  Roots sitting on either mass shell E = +/-M are flagged,
+    since the published validity remarks prune one shell per symmetry.
     """
     if symmetry not in _SYMMETRIES:
         raise DomainError(f"symmetry must be one of {_SYMMETRIES}, got {symmetry!r}")
@@ -252,6 +252,8 @@ def solve_levels(
         span = abs(ctx.M)
         bracket = (-ctx.M - span, ctx.M + span)
     lo, hi = float(bracket[0]), float(bracket[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise DomainError(f"energy bracket must be finite, got ({lo!r}, {hi!r})")
     if not hi > lo:
         raise DomainError(f"empty energy bracket ({lo!r}, {hi!r})")
     f = lambda x: residual(x, ctx, pot)

@@ -10,6 +10,9 @@ the Dawson function are not in the stdlib, so they are implemented here:
 * large |x|: Dawson uses its asymptotic series, erfi the identity
   ``erfi(x) = 2/sqrt(pi) * exp(x^2) * dawson(x)``.
 
+The branch between the two is taken in one place, and ``erfi_family``
+returns Dawson, erfi and log-erfi at one x from a single summation.
+
 Accuracy is a few ulp over the supported range (checked against
 quadrature and high-precision references in the test suite).
 """
@@ -25,6 +28,7 @@ __all__ = [
     "dawson",
     "erf",
     "erfi",
+    "erfi_family",
     "hyp2f1_terminating",
     "ln_erfi",
     "ln_gamma",
@@ -86,6 +90,41 @@ def _dawson_asymptotic(x: float) -> float:
     return total
 
 
+def _integral(ax: float) -> tuple[float, float]:
+    """``int_0^ax exp(t^2) dt`` for finite ax >= 0, as (p, v) with value exp(p) * v.
+
+    Up to _SERIES_CUT, p = 0 and v is the positive power series; above it
+    p = ax^2 and v = dawson(ax) from its asymptotic series, so the
+    exp(ax^2) factor stays out of the double range until a caller needs it.
+    """
+    if ax <= _SERIES_CUT:
+        return 0.0, _exp_series(ax)
+    return ax * ax, _dawson_asymptotic(ax)
+
+
+# The erfi family from one (p, v) pair of _integral(ax).
+def _dawson_of(ax: float, p: float, v: float) -> float:
+    return math.exp(p - ax * ax) * v
+
+
+def _erfi_of(p: float, v: float) -> float:
+    return _TWO_OVER_SQRT_PI * math.exp(p) * v
+
+
+def _ln_erfi_of(p: float, v: float) -> float:
+    return p + math.log(_TWO_OVER_SQRT_PI * v)
+
+
+def _erfi_arg(x: float) -> float:
+    x = _require_finite(x, "x")
+    if abs(x) > ERFI_MAX_ARG:
+        raise OverflowRangeError(
+            f"erfi({x!r}) exceeds the supported range |x| <= {ERFI_MAX_ARG}; "
+            "use ln_erfi for log-scaled values"
+        )
+    return x
+
+
 def erf(x: float) -> float:
     """Gauss error function, odd, bounded by 1 in magnitude."""
     return math.erf(_require_finite(x, "x"))
@@ -97,11 +136,7 @@ def dawson(x: float) -> float:
     ax = abs(x)
     if ax == 0.0:
         return 0.0
-    if ax <= _SERIES_CUT:
-        val = math.exp(-ax * ax) * _exp_series(ax)
-    else:
-        val = _dawson_asymptotic(ax)
-    return math.copysign(val, x)
+    return math.copysign(_dawson_of(ax, *_integral(ax)), x)
 
 
 def erfi(x: float) -> float:
@@ -111,18 +146,8 @@ def erfi(x: float) -> float:
     the double range and OverflowRangeError is raised.  Use ln_erfi for
     the log-scaled value instead.
     """
-    x = _require_finite(x, "x")
-    ax = abs(x)
-    if ax > ERFI_MAX_ARG:
-        raise OverflowRangeError(
-            f"erfi({x!r}) exceeds the supported range |x| <= {ERFI_MAX_ARG}; "
-            "use ln_erfi for log-scaled values"
-        )
-    if ax <= _SERIES_CUT:
-        val = _TWO_OVER_SQRT_PI * _exp_series(ax)
-    else:
-        val = _TWO_OVER_SQRT_PI * math.exp(ax * ax) * _dawson_asymptotic(ax)
-    return math.copysign(val, x)
+    x = _erfi_arg(x)
+    return math.copysign(_erfi_of(*_integral(abs(x))), x)
 
 
 def ln_erfi(x: float) -> float:
@@ -130,9 +155,21 @@ def ln_erfi(x: float) -> float:
     x = _require_finite(x, "x")
     if x <= 0.0:
         raise DomainError(f"ln_erfi requires x > 0, got {x!r}")
-    if x <= _SERIES_CUT:
-        return math.log(_TWO_OVER_SQRT_PI * _exp_series(x))
-    return x * x + math.log(_TWO_OVER_SQRT_PI * _dawson_asymptotic(x))
+    return _ln_erfi_of(*_integral(x))
+
+
+def erfi_family(x: float) -> tuple[float, float, float]:
+    """``(dawson(x), erfi(x), ln_erfi(x))`` for 0 < x <= ERFI_MAX_ARG.
+
+    The three share one summation of their series, and each value is
+    the one its own function returns, bit for bit.  Past the range,
+    erfi's OverflowRangeError is raised.
+    """
+    x = _erfi_arg(x)
+    if x <= 0.0:
+        raise DomainError(f"erfi_family requires x > 0, got {x!r}")
+    p, v = _integral(x)
+    return _dawson_of(x, p, v), _erfi_of(p, v), _ln_erfi_of(p, v)
 
 
 def ln_gamma(x: float) -> float:

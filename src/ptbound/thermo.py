@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, OverflowRangeError
-from .specfun import dawson, erfi, ln_erfi
+from .specfun import ERFI_MAX_ARG, dawson, erfi, erfi_family, ln_erfi
 
 __all__ = [
     "ThermoContext",
@@ -123,6 +123,40 @@ def partition_sum(
     return total
 
 
+def _partition(ctx: ThermoContext, beta: float, erfi_x: float) -> float:
+    return 0.5 * math.sqrt(math.pi) * ctx.tau * erfi_x / math.sqrt(beta)
+
+
+def _log_partition(ctx: ThermoContext, beta: float, ln_erfi_x: float) -> float:
+    return _LN_SQRTPI_HALF + math.log(ctx.tau) - 0.5 * math.log(beta) + ln_erfi_x
+
+
+def _one_minus_chi_over_dawson(x: float, d: float | None = None) -> float:
+    # 1 - x/dawson(x), d being dawson(x) where the caller has it; both
+    # branches agree to ~1e-12 at the cutover.
+    if x < _SERIES_CHI:
+        x2 = x * x
+        return -x2 * (2.0 / 3.0 + x2 * (8.0 / 45.0 + x2 * (16.0 / 945.0)))
+    return 1.0 - x / (dawson(x) if d is None else d)
+
+
+def _specific_heat(k: float, x: float, d: float) -> float:
+    if x < _SERIES_CHI:
+        x2 = x * x
+        return 0.5 * k * x2 * x2 * (8.0 / 45.0 + x2 * (32.0 / 945.0))
+    return 0.5 * k * (1.0 - x * (x + (1.0 - 2.0 * x * x) * d) / (2.0 * d * d))
+
+
+def _entropy(ctx: ThermoContext, beta: float, omd: float, ln_erfi_x: float) -> float:
+    # omd is 1 - chi/dawson(chi).
+    return 0.5 * ctx.k * (
+        omd
+        + 2.0 * (math.log(ctx.tau) + ln_erfi_x)
+        - math.log(beta)
+        + math.log(math.pi / 4.0)
+    )
+
+
 def partition_closed(
     ctx: ThermoContext,
     beta: float,
@@ -130,8 +164,7 @@ def partition_closed(
     include_rotational_prefactor: bool = False,
 ) -> float:
     """Classical-limit partition function sqrt(pi) tau erfi(chi)/(2 sqrt(beta))."""
-    x = chi(ctx, beta)
-    z = 0.5 * math.sqrt(math.pi) * ctx.tau * erfi(x) / math.sqrt(beta)
+    z = _partition(ctx, beta, erfi(chi(ctx, beta)))
     if include_rotational_prefactor:
         z *= math.exp(-beta * ctx.rot_offset)
     return z
@@ -147,18 +180,10 @@ def log_partition_closed(
     x = chi(ctx, beta)
     if x <= 0.0:
         raise DomainError("log of the closed form needs zeta > 0")
-    val = _LN_SQRTPI_HALF + math.log(ctx.tau) - 0.5 * math.log(beta) + ln_erfi(x)
+    val = _log_partition(ctx, beta, ln_erfi(x))
     if include_rotational_prefactor:
         val -= beta * ctx.rot_offset
     return val
-
-
-def _one_minus_chi_over_dawson(x: float) -> float:
-    # 1 - x/dawson(x); both branches agree to ~1e-12 at the cutover.
-    if x < _SERIES_CHI:
-        x2 = x * x
-        return -x2 * (2.0 / 3.0 + x2 * (8.0 / 45.0 + x2 * (16.0 / 945.0)))
-    return 1.0 - x / dawson(x)
 
 
 def mean_energy(ctx: ThermoContext, beta: float) -> float:
@@ -180,11 +205,7 @@ def specific_heat(ctx: ThermoContext, beta: float) -> float:
     x = chi(ctx, beta)
     if x <= 0.0:
         raise DomainError("specific heat needs chi > 0")
-    if x < _SERIES_CHI:
-        x2 = x * x
-        return 0.5 * ctx.k * x2 * x2 * (8.0 / 45.0 + x2 * (32.0 / 945.0))
-    d = dawson(x)
-    return 0.5 * ctx.k * (1.0 - x * (x + (1.0 - 2.0 * x * x) * d) / (2.0 * d * d))
+    return _specific_heat(ctx.k, x, dawson(x))
 
 
 def free_energy(ctx: ThermoContext, beta: float) -> float:
@@ -203,22 +224,30 @@ def entropy(ctx: ThermoContext, beta: float) -> float:
     x = chi(ctx, beta)
     if x <= 0.0:
         raise DomainError("entropy needs chi > 0")
-    return 0.5 * ctx.k * (
-        _one_minus_chi_over_dawson(x)
-        + 2.0 * (math.log(ctx.tau) + ln_erfi(x))
-        - math.log(beta)
-        + math.log(math.pi / 4.0)
-    )
+    return _entropy(ctx, beta, _one_minus_chi_over_dawson(x), ln_erfi(x))
 
 
 def thermo_point(ctx: ThermoContext, beta: float) -> ThermoPoint:
-    """All closed-form quantities at one temperature."""
+    """All closed-form quantities at one temperature.
+
+    chi and the erfi series are evaluated once; every field equals what
+    the standalone function returns, bit for bit, and an argument they
+    reject raises what partition_closed, then mean_energy, would.
+    """
+    x = chi(ctx, beta)
+    if not 0.0 < x <= ERFI_MAX_ARG:
+        # A non-finite chi or one past erfi's range fails in
+        # partition_closed; any other fails in mean_energy.
+        partition_closed(ctx, beta)
+        mean_energy(ctx, beta)
+    d, erfi_x, ln_erfi_x = erfi_family(x)
+    omd = _one_minus_chi_over_dawson(x, d)
     return ThermoPoint(
         beta=beta,
-        chi=chi(ctx, beta),
-        Z=partition_closed(ctx, beta),
-        U=mean_energy(ctx, beta),
-        C=specific_heat(ctx, beta),
-        F=free_energy(ctx, beta),
-        S=entropy(ctx, beta),
+        chi=x,
+        Z=_partition(ctx, beta, erfi_x),
+        U=omd / (2.0 * beta),
+        C=_specific_heat(ctx.k, x, d),
+        F=-_log_partition(ctx, beta, ln_erfi_x) / beta,
+        S=_entropy(ctx, beta, omd, ln_erfi_x),
     )

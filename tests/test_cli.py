@@ -255,6 +255,14 @@ class TestBadInput:
             cli_figure_data(RunConfig(out=out), **kwargs)
         assert not out.exists()
 
+    def test_figure_data_series_error_leaves_no_file(self, tmp_path):
+        # zeta_min = 0 puts chi = 0 on the last series: it fails after the
+        # first two series were computed.
+        out = tmp_path / "fig"
+        with pytest.raises(DomainError, match="chi > 0"):
+            cli_figure_data(RunConfig(out=out), zeta_min=0.0, points=4)
+        assert not out.exists()
+
     def test_figure_data_empty_dataset(self, runner, tmp_path):
         data = tmp_path / "none.csv"
         data.write_text("name,mu_amu,alpha_invA\n", encoding="utf-8")

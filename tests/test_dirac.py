@@ -2,6 +2,7 @@
 special-case reductions, and the nonrelativistic limit."""
 
 import math
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -228,6 +229,17 @@ class TestSolveLevels:
         monkeypatch.setattr(dirac, "pspin_residual", lambda e, ctx, pot: sign * (e - 1.0))
         roots = solve_levels(DiracContext(M=20.0, kappa=1, n=0), POT, "pspin", (1.0, 3.0))
         assert [r.E for r in roots] == [1.0]
+
+    @pytest.mark.parametrize(
+        "bracket", [(-math.inf, 40.0), (-40.0, math.inf), (math.nan, 40.0), (-40.0, math.nan)]
+    )
+    def test_rejects_nonfinite_bracket(self, bracket):
+        # Checked before any grid is built: no numpy warning, and the
+        # message names the bracket, not the residual.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="bracket must be finite"):
+                solve_levels(DiracContext(M=20.0, kappa=1, n=0), POT, "pspin", bracket)
 
     def test_validation(self):
         ctx = DiracContext(M=20.0, kappa=1, n=0)

@@ -1,5 +1,6 @@
 """Special-function layer: identities, reference values, error handling."""
 
+import hashlib
 import math
 
 import pytest
@@ -13,6 +14,7 @@ from ptbound.specfun import (
     dawson,
     erf,
     erfi,
+    erfi_family,
     hyp2f1_terminating,
     ln_erfi,
     ln_gamma,
@@ -20,6 +22,14 @@ from ptbound.specfun import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+
+# Both sides of the series/asymptotic cut at 7 and of zero, signed zero included.
+_NEAR_CUT = [math.nextafter(7.0, 0.0), 7.0, math.nextafter(7.0, 8.0)]
+SYMMETRIC_GRID = (
+    [-0.0, 0.0] + [-26.0 + i / 100.0 for i in range(1, 5200)]
+    + _NEAR_CUT + [-x for x in _NEAR_CUT]
+)
+POSITIVE_GRID = [i / 100.0 for i in range(1, 4001)] + _NEAR_CUT
 
 
 class TestErf:
@@ -112,6 +122,47 @@ class TestLnErfi:
             ln_erfi(0.0)
         with pytest.raises(DomainError):
             ln_erfi(-1.0)
+
+
+class TestBitPattern:
+    """sha256 of ``float.hex`` of every value on a fixed grid: any change to
+    the order of the arithmetic behind the erfi family shows here."""
+
+    @pytest.mark.parametrize(
+        "fn, grid, digest",
+        [
+            (dawson, SYMMETRIC_GRID,
+             "03d05b43216c524687c996b221a0c5235050d394e47f1e682d21ed869c66921c"),
+            (erfi, SYMMETRIC_GRID,
+             "1045f2a171fb41181c1b06e2d89d572e4f8348d683145f2f4ac8fb2e54a21eac"),
+            (ln_erfi, POSITIVE_GRID,
+             "c0c91e97fb16e1eb266919b9a3c9dd40f9ce816bac4bf0fbef8138ecf736fbbd"),
+        ],
+        ids=["dawson", "erfi", "ln_erfi"],
+    )
+    def test_digest(self, fn, grid, digest):
+        text = "\n".join(float.hex(fn(x)) for x in grid)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestErfiFamily:
+    def test_equals_single_functions(self):
+        for x in [x for x in POSITIVE_GRID if x <= ERFI_MAX_ARG] + [ERFI_MAX_ARG]:
+            assert erfi_family(x) == (dawson(x), erfi(x), ln_erfi(x)), x
+
+    @pytest.mark.parametrize(
+        "x, error",
+        [
+            (0.0, DomainError),
+            (-1.0, DomainError),
+            (math.nan, DomainError),
+            (math.inf, DomainError),
+            (ERFI_MAX_ARG + 0.5, OverflowRangeError),
+        ],
+    )
+    def test_domain(self, x, error):
+        with pytest.raises(error):
+            erfi_family(x)
 
 
 class TestLnGamma:

@@ -12,8 +12,10 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from ptbound.errors import DomainError, OverflowRangeError
+from ptbound.errors import DomainError, OverflowRangeError, PtboundError
 from ptbound.oracle import finite_difference, integrate_adaptive
 from ptbound.thermo import (
     ThermoContext,
@@ -410,6 +412,87 @@ class TestThermoPoint:
         assert pt.F == free_energy(ctx, beta)
         assert pt.S == entropy(ctx, beta)
         assert pt.Z > 0.0
+
+
+def _outcome(fn, ctx, beta):
+    """fn's value, or the type and message of the package error it raises."""
+    try:
+        return fn(ctx, beta)
+    except PtboundError as exc:
+        return type(exc), str(exc)
+
+
+class TestThermoPointRoutes:
+    """thermo_point against the standalone functions, field by field and
+    bit for bit, across both branch points (chi = 0.02 for the small-chi
+    series, chi = 7 for Dawson's asymptotic series) and past erfi's range."""
+
+    STANDALONE = (chi, partition_closed, mean_energy, specific_heat, free_energy, entropy)
+
+    @given(
+        x=st.one_of(
+            st.floats(1e-4, 0.05),
+            st.floats(0.05, 6.5),
+            st.floats(6.5, 7.5),
+            st.floats(7.5, 26.5),
+        ),
+        zeta=st.floats(1e-2, 1e3),
+        sign=st.sampled_from((1.0, 1.0, 1.0, -1.0)),
+        tau=st.floats(1e-2, 1e2),
+        k=st.floats(1e-3, 1e3),
+    )
+    @example(x=0.0199, zeta=3.0, sign=1.0, tau=0.5, k=1.0)
+    @example(x=0.0201, zeta=3.0, sign=1.0, tau=0.5, k=1.0)
+    @example(x=6.999, zeta=40.0, sign=1.0, tau=2.0, k=2.5)
+    @example(x=7.001, zeta=40.0, sign=1.0, tau=2.0, k=2.5)
+    @example(x=25.99, zeta=90.0, sign=1.0, tau=1.0, k=1.0)
+    @example(x=26.01, zeta=90.0, sign=1.0, tau=1.0, k=1.0)
+    @example(x=26.01, zeta=90.0, sign=-1.0, tau=1.0, k=1.0)
+    @settings(max_examples=300, deadline=None)
+    def test_fields_equal_standalone(self, x, zeta, sign, tau, k):
+        ctx = ThermoContext(zeta=sign * zeta, tau=tau, k=k)
+        beta = (x * tau / zeta) ** 2
+        standalone = [_outcome(fn, ctx, beta) for fn in self.STANDALONE]
+        errors = [o for o in standalone if isinstance(o, tuple)]
+        try:
+            pt = thermo_point(ctx, beta)
+        except PtboundError as exc:
+            assert errors and (type(exc), str(exc)) == errors[0]
+        else:
+            assert errors == []
+            assert (pt.beta, pt.chi, pt.Z, pt.U, pt.C, pt.F, pt.S) == (beta, *standalone)
+
+    @pytest.mark.parametrize(
+        "zeta, beta, error, message",
+        [
+            (5.0, 0.0, DomainError, "beta must be positive, got 0.0"),
+            (5.0, -1.0, DomainError, "beta must be positive, got -1.0"),
+            (5.0, math.nan, DomainError, "beta must be positive, got nan"),
+            (0.0, -1.0, DomainError, "beta must be positive, got -1.0"),
+            (5.0, math.inf, DomainError, "x must be finite, got inf"),
+            (0.0, 0.1, DomainError, "mean energy needs chi > 0"),
+            (-3.0, 0.1, DomainError, "mean energy needs chi > 0"),
+            (
+                30.0, 1.0, OverflowRangeError,
+                "erfi(30.0) exceeds the supported range |x| <= 26.0; "
+                "use ln_erfi for log-scaled values",
+            ),
+            (
+                -30.0, 1.0, OverflowRangeError,
+                "erfi(-30.0) exceeds the supported range |x| <= 26.0; "
+                "use ln_erfi for log-scaled values",
+            ),
+        ],
+        ids=[
+            "beta-zero", "beta-negative", "beta-nan", "beta-before-zeta", "chi-inf",
+            "zeta-zero", "zeta-negative", "chi-past-range", "chi-past-negative-range",
+        ],
+    )
+    def test_error_precedence(self, zeta, beta, error, message):
+        with pytest.raises(PtboundError) as info:
+            thermo_point(ThermoContext(zeta=zeta, tau=1.0), beta)
+        assert type(info.value) is error
+        assert str(info.value) == message
 
 
 class TestContextValidation:
