@@ -115,6 +115,9 @@ class AimScanReport:
     roots: tuple[AimRoot, ...]
     shallow_roots: tuple[float, ...]
     warnings: tuple[str, ...] = field(default=())
+    # Scalar aim_delta evaluations the scan made: bisection, re-scan and
+    # residuals.  A work count, not a result: reports compare without it.
+    delta_evals: int = field(default=0, compare=False)
 
     def converged_roots(self) -> list[float]:
         return [r.value for r in self.roots if r.converged]
@@ -201,10 +204,10 @@ def _delta_grid(problem: AimProblem, es: np.ndarray, k: int):
     return _delta(older, prev), _delta(prev, cur)
 
 
-def _scan_roots(problem, k, fx, lo, hi, grid, xtol):
-    """Bisected roots of delta_k from its values fx on the scan grid, and
-    the indices of cells that follow another sign-changing cell."""
-    f = lambda e: aim_delta(problem, e, k)
+def _scan_roots(f, fx, lo, hi, grid, xtol):
+    """Bisected roots of f, the scalar delta_k, from its values fx on the
+    scan grid, and the indices of cells that follow another
+    sign-changing cell."""
     roots = []
     crowded = []
     cells = sign_change_brackets(fx, lo, hi, grid)
@@ -221,12 +224,13 @@ def _scan_roots(problem, k, fx, lo, hi, grid, xtol):
     return roots, crowded
 
 
-def _rescan_shallow(problem, r, h, lo, hi, k, xtol):
-    """Roots of delta_(k-1) on a RESCAN_CELLS-cell grid over the scan cells
-    on either side of r, clipped to the bracket [lo, hi]."""
+def _rescan_shallow(problem, f, r, h, lo, hi, k, xtol):
+    """Roots of f, the scalar delta_(k-1), on a RESCAN_CELLS-cell grid
+    over the scan cells on either side of r, clipped to the bracket
+    [lo, hi]."""
     a, b = max(lo, r - h), min(hi, r + h)
     shallow, _ = _delta_grid(problem, uniform_grid(a, b, RESCAN_CELLS + 1), k)
-    return _scan_roots(problem, k - 1, shallow, a, b, RESCAN_CELLS + 1, xtol)[0]
+    return _scan_roots(f, shallow, a, b, RESCAN_CELLS + 1, xtol)[0]
 
 
 def _nearest_gap(r: float, roots) -> float:
@@ -266,9 +270,20 @@ def aim_eigen_scan(
     _check_depth(problem, k)
     scale = max(abs(lo), abs(hi), 1.0)
     xtol = tol * scale
+    evals = 0
+
+    def delta(depth):
+        def f(e):
+            nonlocal evals
+            evals += 1
+            return aim_delta(problem, e, depth)
+
+        return f
+
+    deep_delta, shallow_delta = delta(k), delta(k - 1)
     shallow_fx, deep_fx = _delta_grid(problem, uniform_grid(lo, hi, grid), k)
-    deep, crowded = _scan_roots(problem, k, deep_fx, lo, hi, grid, xtol)
-    shallow, _ = _scan_roots(problem, k - 1, shallow_fx, lo, hi, grid, xtol)
+    deep, crowded = _scan_roots(deep_delta, deep_fx, lo, hi, grid, xtol)
+    shallow, _ = _scan_roots(shallow_delta, shallow_fx, lo, hi, grid, xtol)
     if n_roots is not None:
         deep = deep[:n_roots]
 
@@ -278,12 +293,12 @@ def aim_eigen_scan(
     h = (hi - lo) / (grid - 1)
     for r in deep:
         if not converged(r):
-            found = _rescan_shallow(problem, r, h, lo, hi, k, xtol)
+            found = _rescan_shallow(problem, shallow_delta, r, h, lo, hi, k, xtol)
             shallow = sorted(shallow + [s for s in found if _nearest_gap(s, shallow) > 4.0 * xtol])
     graded = tuple(
         AimRoot(
             value=r,
-            residual=aim_delta(problem, r, k),
+            residual=deep_delta(r),
             stability_gap=_nearest_gap(r, shallow),
             converged=converged(r),
         )
@@ -300,4 +315,5 @@ def aim_eigen_scan(
         roots=graded,
         shallow_roots=tuple(shallow),
         warnings=warnings,
+        delta_evals=evals,
     )

@@ -1,9 +1,14 @@
 """Independent numerical checks: quadrature, differentiation, shooting.
 
-Everything here is deliberately self-contained and algorithmically
-unrelated to the series/iteration machinery elsewhere in the package,
-so agreement between the two routes is meaningful evidence rather than
-a tautology.
+Everything here is algorithmically unrelated to the series/iteration
+machinery elsewhere in the package, so agreement between the two routes
+is meaningful evidence rather than a tautology.  The module imports
+nothing from the closed form, the iterative engine, its jets or the
+special functions.  From the package it takes only the error types and
+``rootfind.zeroin``, which the shooting search uses to shrink its
+window: the level it returns is pinned to what plain bisection of the
+shooting predicate gives, so sharing the root finder cannot make the
+two routes agree.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from itertools import islice
 from typing import Callable
 
 from .errors import ConvergenceError, DomainError, NodeCountError
+from .rootfind import zeroin
 
 __all__ = [
     "RadialProblem",
@@ -231,52 +237,6 @@ _WIDEN_LEVELS = 3
 _SQUEEZE_XTOLS = 0.25
 
 
-def _zeroin(f, a, fa, b, fb, tol):
-    """Brent's zeroin (Algorithms for Minimization without Derivatives,
-    1973, ch. 4) from a bracket [a, b] whose values lie on opposite sides
-    (negative on one side only): evaluate f at trial points until the
-    bracket is at most 2*tol wide, or until f returns None.
-
-    Each trial is an inverse quadratic or secant step, or a halving when
-    those would not shrink the bracket fast enough; it lies strictly
-    inside the bracket.
-    """
-    c, fc = a, fa
-    d = e = b - a
-    while True:
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol:
-            return
-        if abs(e) >= tol and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p, q = 2.0 * xm * s, 1.0 - s
-            else:
-                q, r = fa / fc, fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol * q), abs(e * q)):
-                e, d = d, p / q
-            else:
-                d = e = xm
-        else:
-            d = e = xm
-        a, fa = b, fb
-        b += d if abs(d) > tol else math.copysign(tol, xm)
-        fb = f(b)
-        if fb is None:
-            return
-        if (fb < 0.0) == (fc < 0.0):
-            c, fc = a, fa
-            d = e = b - a
-
-
 def _mesh_w(problem, npts):
     """w at the npts points of the even mesh over [r_min, r_cut]."""
     h = (problem.r_cut - problem.r_min) / (npts - 1)
@@ -377,7 +337,7 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, width=0.0):
     squeezed = _SQUEEZE_XTOLS * xtol
     while known_above - known_below > squeezed:
         if mismatch_below is not None and mismatch_above is not None:
-            _zeroin(mismatch, known_below, mismatch_below, known_above, mismatch_above,
+            zeroin(mismatch, known_below, mismatch_below, known_above, mismatch_above,
                     0.5 * squeezed)
             if known_above - known_below <= squeezed:
                 break

@@ -1,4 +1,27 @@
-"""Bracketing and bisection helpers shared by the solvers."""
+"""Bracketing and bisection helpers shared by the solvers.
+
+``bisect`` halves a bracket as plain bisection does, with fewer
+evaluations of f.  Before halving, Brent's zeroin (``zeroin``) squeezes
+the bracket: its trials keep a record window (below, above), below the
+largest point seen with f(a)'s sign and above the smallest with
+f(b)'s, until the window is at most a margin wide.  The halving loop is
+then the plain one, except that a midpoint at least a margin below the
+window takes f(a)'s sign, and one at least a margin above it f(b)'s,
+without evaluating f there; every other midpoint is evaluated.
+
+The margin covers rounding noise.  Near a root f's sign can be noise
+(delta_k of the iterative engine flips within a few dozen tolerances of
+its roots), and a margin narrower than twice that band changes which
+half the loop keeps.  When the sign of f is f(a)'s left of r - w and
+f(b)'s right of r + w for some r and 2w <= margin, every answered
+midpoint gets the sign f would give it, and the value is plain
+bisection's bit for bit.  Measured on the first 30 rounds of the
+benchmark's aim_scan seeds 1-3 and 201-210 (1,521 scans): squeezing to
+a quarter tolerance and answering with no margin moved roots by up to
+37 tolerances in 181 scan reports; with a margin of 256 or 1024
+tolerances every report was unchanged.  The margin is 1024 tolerances,
+about 27 times the largest of those moves.
+"""
 
 from __future__ import annotations
 
@@ -7,9 +30,95 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BracketError
+from .errors import BracketError, PtboundError
 
-__all__ = ["bisect", "sign_change_brackets", "uniform_grid"]
+__all__ = ["bisect", "sign_change_brackets", "uniform_grid", "zeroin"]
+
+# Midpoints this many bisection tolerances outside the squeezed window
+# are answered from it; the squeeze stops once the window is this wide.
+_MARGIN_XTOLS = 1024.0
+
+
+def zeroin(f, a, fa, b, fb, tol):
+    """Brent's zeroin (Algorithms for Minimization without Derivatives,
+    1973, ch. 4) from a bracket [a, b] whose values lie on opposite sides
+    (negative on one side only): evaluate f at trial points until the
+    bracket is at most 2*tol wide, or until f returns None.
+
+    Each trial is an inverse quadratic or secant step, or a halving when
+    those would not shrink the bracket fast enough; it lies strictly
+    inside the bracket.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    while True:
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        xm = 0.5 * (c - b)
+        if abs(xm) <= tol:
+            return
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * xm * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * xm * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = xm
+        else:
+            d = e = xm
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, xm)
+        fb = f(b)
+        if fb is None:
+            return
+        if (fb < 0.0) == (fc < 0.0):
+            c, fc = a, fa
+            d = e = b - a
+
+
+def _squeeze(f, a, fa, b, fb, margin):
+    """The record window (below, above) that zeroin's trials on [a, b]
+    leave, squeezed to at most margin wide.
+
+    A trial where f is zero, not finite or raises a PtboundError ends the
+    squeeze unrecorded: the bisection meets such a point only if it is
+    one of its own midpoints, and then reacts as it would without a
+    squeeze.  A margin within a few ulps of the bracket's ends, where
+    zeroin's steps would stop moving, skips the squeeze.
+    """
+    below, above = -math.inf, math.inf
+    negative = fa < 0.0
+
+    def trial(x):
+        nonlocal below, above
+        try:
+            fx = f(x)
+        except PtboundError:
+            return None
+        if fx == 0.0 or not math.isfinite(fx):
+            return None
+        if (fx < 0.0) == negative:
+            below = max(below, x)
+        else:
+            above = min(above, x)
+        return fx
+
+    if (
+        b - a > margin > 8.0 * math.ulp(max(abs(a), abs(b)))
+        and math.isfinite(fa)
+        and math.isfinite(fb)
+    ):
+        zeroin(trial, a, fa, b, fb, 0.5 * margin)
+    return below, above
 
 
 def bisect(
@@ -25,7 +134,9 @@ def bisect(
 
     ``fab`` passes f(a) and f(b) when the caller already has them, as a
     scan does, so the bracket is judged on the values that found it.
-    NaN values of f inside the interval are treated as bracket failures.
+    NaN at a midpoint the bisection evaluates is a bracket failure.  The
+    module docstring says which midpoints it answers without evaluating
+    f, and why the value is still plain bisection's.
     """
     fa, fb = fab if fab is not None else (f(a), f(b))
     if fa == 0.0:
@@ -34,10 +145,18 @@ def bisect(
         return b
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
         raise BracketError(f"no sign change on [{a!r}, {b!r}]: f(a)={fa!r}, f(b)={fb!r}")
+    margin = _MARGIN_XTOLS * xtol
+    below, above = _squeeze(f, a, fa, b, fb, margin)
     for _ in range(maxiter):
         m = 0.5 * (a + b)
         if m == a or m == b or (b - a) <= xtol:
             break
+        if m <= below - margin:
+            a = m
+            continue
+        if m >= above + margin:
+            b = m
+            continue
         fm = f(m)
         if fm == 0.0:
             return m

@@ -61,12 +61,12 @@ class ThermoContext:
     rot_offset: float = 0.0
 
     def __post_init__(self):
-        if not self.tau > 0.0:
-            raise DomainError(f"tau must be positive, got {self.tau!r}")
+        if not 0.0 < self.tau < math.inf:
+            raise DomainError(f"tau must be finite and positive, got {self.tau!r}")
         if not math.isfinite(self.zeta):
             raise DomainError(f"zeta must be finite, got {self.zeta!r}")
-        if not self.k > 0.0:
-            raise DomainError(f"Boltzmann constant must be positive, got {self.k!r}")
+        if not 0.0 < self.k < math.inf:
+            raise DomainError(f"Boltzmann constant must be finite and positive, got {self.k!r}")
 
 
 @dataclass(frozen=True)

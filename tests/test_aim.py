@@ -5,16 +5,19 @@ K1(n) = -alpha^2 (gamma + beta + 2n)^2) and a Hermite-type problem whose
 eigenvalues are the nonnegative integers.
 """
 
+import dataclasses
 import math
 import random
 
 import pytest
 
+import ptbound.aim
 from ptbound.aim import AimProblem, aim_delta, aim_eigen_scan, aim_iterate
 from ptbound.errors import DomainError, JetMismatchError, OverflowRangeError
 from ptbound.jets import SeriesJet, jet_scale
-from ptbound.rootfind import bisect, sign_change_brackets, uniform_grid
+from ptbound.rootfind import sign_change_brackets, uniform_grid
 from ptbound.schrodinger import NRContext, PTPotential, pt_aim_problem, spectral_params
+from test_rootfind import textbook_bisect
 
 POT = PTPotential(A=-30.0, B=2.3, alpha=1.0)
 CTX = NRContext.natural(mu=0.5)  # 2 mu / hbar^2 = 1: strengths pass through
@@ -142,14 +145,15 @@ class TestClosedFormEigenvalues:
 
 def reference_roots(problem, bracket, k, grid=512, tol=1e-12):
     """Roots of delta_k from a scan that evaluates the scalar aim_delta at
-    every grid node and bisects without handing over endpoint values."""
+    every grid node and bisects without handing over endpoint values,
+    evaluating delta_k at every midpoint."""
     lo, hi = bracket
     xtol = tol * max(abs(lo), abs(hi), 1.0)
     f = lambda e: aim_delta(problem, e, k)
     fx = [f(x) for x in uniform_grid(lo, hi, grid).tolist()]
     roots = []
     for a, b, _, _ in sign_change_brackets(fx, lo, hi, grid):
-        r = a if a == b else bisect(f, a, b, xtol=xtol)
+        r = a if a == b else textbook_bisect(f, a, b, xtol=xtol)
         if not roots or abs(r - roots[-1]) > 4.0 * xtol:
             roots.append(r)
     return roots
@@ -198,6 +202,33 @@ class TestBatchedScan:
             assert uniform_grid(x - 1.0, x + 1.0, 3)[1] == x
             rep = aim_eigen_scan(prob, (x - 1.0, x + 1.0), k, grid=3)
             assert any(abs(r.value - c) <= 1e-12 * abs(c) for r in rep.roots), i
+
+
+class TestDeltaEvals:
+    """AimScanReport.delta_evals counts the scan's scalar delta_k work."""
+
+    def test_counts_every_scalar_evaluation(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return aim_delta(*args)
+
+        monkeypatch.setattr(ptbound.aim, "aim_delta", counted)
+        rng = random.Random(11)
+        for _ in range(6):
+            pot, bracket = criterion1_level(rng, 2)
+            calls.clear()
+            rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, 6), bracket, 6)
+            assert rep.delta_evals == len(calls) > 0
+            # About 17 evaluations per bisected root, against 30 for plain
+            # bisection, plus one residual per root.
+            assert rep.delta_evals <= 20 * (len(rep.roots) + len(rep.shallow_roots)) + len(rep.roots)
+
+    def test_not_compared(self):
+        rep = aim_eigen_scan(pt_problem(4), (PAR.k1(1) - 1.0, PAR.k1(1) + 1.0), 4)
+        assert rep.delta_evals > 0
+        assert dataclasses.replace(rep, delta_evals=0) == rep
 
 
 class TestFineRescan:

@@ -1,7 +1,9 @@
 """Every exported name resolves: a deletion that leaves a name behind in
 an ``__all__`` list fails here, not at a user's ``from ... import *``.
-Likewise every name the benchmark's tracer patches stays bound."""
+Likewise every name the benchmark's tracer patches stays bound, and the
+shooting oracle imports nothing from the routes it checks."""
 
+import ast
 import importlib
 import importlib.util
 import pkgutil
@@ -12,6 +14,7 @@ from types import SimpleNamespace
 import pytest
 
 import ptbound
+import ptbound.oracle
 
 MODULES = ["ptbound"] + [
     f"ptbound.{info.name}" for info in pkgutil.iter_modules(ptbound.__path__)
@@ -49,5 +52,23 @@ def test_trace_sites_bound(monkeypatch):
         }
     finally:
         tracer.restore()
-    assert {"thermo.dawson", "thermo.erfi", "thermo.ln_erfi", "cli.thermo_point"} <= wrapped
+    assert {
+        "thermo.dawson", "thermo.erfi", "thermo.ln_erfi", "cli.thermo_point",
+        "aim.bisect", "dirac.bisect", "aim.aim_delta", "aim.sign_change_brackets",
+    } <= wrapped
     assert {name: dict(vars(module)) for name, module in modules.items()} == before
+
+
+def test_oracle_imports_only_errors_and_rootfind():
+    """The shooting oracle checks the closed form and the iterative engine,
+    so it may share nothing with them beyond error types and root finding."""
+    tree = ast.parse(Path(ptbound.oracle.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "ptbound":
+            imported.add(node.module)
+        elif isinstance(node, ast.Import):
+            imported.update(a.name for a in node.names if a.name.split(".")[0] == "ptbound")
+    assert imported == {"errors", "rootfind"}

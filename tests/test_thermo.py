@@ -97,6 +97,14 @@ class TestPartitionSum:
         with pytest.raises(DomainError):
             partition_sum(ctx, 0.1, -1)
 
+    @pytest.mark.parametrize("field", ["tau", "k"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan, 0.0, -1.0])
+    def test_context_rejects_nonfinite_or_nonpositive(self, field, value):
+        # tau = inf gave Z = NaN (chi = 0, then inf * 0) and k = inf gave
+        # C = S = inf instead of an error.
+        with pytest.raises(DomainError, match="finite and positive"):
+            ThermoContext(zeta=5.0, **{"tau": 1.0, field: value})
+
     @pytest.mark.xfail(
         strict=True,
         reason="measured |closed - sum|/sum = 0.2056 at the quoted point; "
