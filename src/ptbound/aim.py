@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -59,6 +58,9 @@ __all__ = [
 # Cells of the finer delta_(k-1) grid laid over the two scan cells around
 # a root that the scan grid leaves unconverged.
 RESCAN_CELLS = 64
+# A delta_k root is converged when the nearest delta_(k-1) root lies
+# within this distance relative to max(1, |root|).
+STABILITY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -242,10 +244,8 @@ def aim_eigen_scan(
     bracket: tuple[float, float],
     k: int,
     *,
-    n_roots: Optional[int] = None,
     tol: float = 1e-12,
     grid: int = 512,
-    stability_tol: float = 1e-8,
 ) -> AimScanReport:
     """Locate roots of delta_k over a bracket and grade their stability.
 
@@ -253,12 +253,13 @@ def aim_eigen_scan(
     of ``grid`` nodes; the sign changes of each are refined with
     bisection.  Each delta_k root is then compared against the roots of
     delta_(k-1): the stability gap is the distance to the nearest
-    shallower root, and a root is marked converged when that gap is small
-    relative to the root's magnitude.  Exact terminating eigenvalues sit
-    at the same position at both depths; spurious roots do not.  Two
-    delta_(k-1) roots in one grid cell give no sign change, so a root
-    the grid leaves unconverged has delta_(k-1) re-scanned on a finer
-    grid around it before it is graded.  A bracket with no sign change
+    shallower root, and a root is marked converged when that gap is
+    within STABILITY_TOL relative to the root's magnitude.  Exact
+    terminating eigenvalues sit at the same position at both depths;
+    spurious roots do not.  Two delta_(k-1) roots in one grid cell give
+    no sign change, so a root the grid leaves unconverged has
+    delta_(k-1) re-scanned on a finer grid around it before it is
+    graded.  A bracket with no sign change
     yields an empty report rather than an error; adjacent sign-changing
     grid cells produce a too-coarse warning.
     """
@@ -284,11 +285,9 @@ def aim_eigen_scan(
     shallow_fx, deep_fx = _delta_grid(problem, uniform_grid(lo, hi, grid), k)
     deep, crowded = _scan_roots(deep_delta, deep_fx, lo, hi, grid, xtol)
     shallow, _ = _scan_roots(shallow_delta, shallow_fx, lo, hi, grid, xtol)
-    if n_roots is not None:
-        deep = deep[:n_roots]
 
     def converged(r):
-        return _nearest_gap(r, shallow) <= stability_tol * max(1.0, abs(r))
+        return _nearest_gap(r, shallow) <= STABILITY_TOL * max(1.0, abs(r))
 
     h = (hi - lo) / (grid - 1)
     for r in deep:

@@ -222,11 +222,10 @@ def cli_dirac(
     """Relativistic levels from the transcendental residual, natural units."""
     header = ["symmetry", "n", "kappa", "M", "c_shift", "E", "residual", "flags"]
     pot = config.potential(alpha)
-    shift = {"cps" if symmetry == "pspin" else "cs": c_shift}
-    dctx = DiracContext(M=m, kappa=kappa, n=0, hbar_c=hbar_c, **shift)
     rows = []
     for n in n_values:
-        for root in solve_levels(dctx, pot, symmetry, n=n):
+        dctx = DiracContext(M=m, kappa=kappa, n=n, c_shift=c_shift, hbar_c=hbar_c)
+        for root in solve_levels(dctx, pot, symmetry):
             flags = "|".join(sorted(root.flags))
             rows.append([symmetry, n, kappa, m, c_shift, root.E, root.residual, flags])
     write_csv(config.out, header, rows)

@@ -20,7 +20,11 @@ spin (upper component, kappa(kappa+1) sector):
     + (M - E)(M + E - Cs) = 0
 
 The two are exchanged exactly by the substitution map A -> -A, B -> -B,
-E -> -E, kappa -> kappa + 1, Cps -> -Cs.  Energies enter the square
+E -> -E, kappa -> kappa + 1, Cps -> -Cs.  A context carries one symmetry
+constant, c_shift, read as Cps by the pseudospin routines and as Cs by
+the spin ones.  The spin condition is transcribed once (its plain and
+gap-variable forms share it); the spin-side exponent parameters are the
+pseudospin ones taken through the map.  Energies enter the square
 roots, so parts of the E axis make the residual complex; those segments
 are marked with NaN and excluded from root scans rather than patched.
 
@@ -34,7 +38,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BracketError, DomainError
+from .errors import BracketError, DomainError, OverflowRangeError
 from .rootfind import bisect, sign_change_brackets, uniform_grid
 from .schrodinger import D0, PTPotential
 from .specfun import hyp2f1_terminating, pochhammer
@@ -65,17 +69,16 @@ FLAG_NEAR_MINUS_M = "near_minus_m"
 
 @dataclass(frozen=True)
 class DiracContext:
-    """Mass, quantum numbers, and symmetry constants for one solve.
+    """Mass, quantum numbers, and the one symmetry constant for a solve.
 
-    Exactly one of cps/cs is meaningful per residual; both default to
-    zero.  hbar_c = 1 keeps natural units.
+    c_shift is Sigma = Cps to the pseudospin routines and Delta = Cs to
+    the spin ones.  hbar_c = 1 keeps natural units.
     """
 
     M: float
     kappa: int
     n: int
-    cps: float = 0.0
-    cs: float = 0.0
+    c_shift: float = 0.0
     hbar_c: float = 1.0
 
     def __post_init__(self):
@@ -83,10 +86,12 @@ class DiracContext:
             raise DomainError("kappa must be a nonzero integer")
         if self.n < 0:
             raise DomainError(f"level index must be >= 0, got {self.n}")
-        if not self.M > 0.0:
-            raise DomainError(f"mass must be positive, got {self.M!r}")
-        if not self.hbar_c > 0.0:
-            raise DomainError(f"hbar_c must be positive, got {self.hbar_c!r}")
+        if not 0.0 < self.M < math.inf:
+            raise DomainError(f"M must be positive and finite, got {self.M!r}")
+        if not 0.0 < self.hbar_c < math.inf:
+            raise DomainError(f"hbar_c must be positive and finite, got {self.hbar_c!r}")
+        if not math.isfinite(self.c_shift):
+            raise DomainError(f"c_shift must be finite, got {self.c_shift!r}")
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,10 @@ def _ae2(ctx: DiracContext, pot: PTPotential) -> float:
     return (pot.alpha * ctx.hbar_c) ** 2
 
 
+def _reflected(pot: PTPotential) -> PTPotential:
+    return PTPotential(A=-pot.A, B=-pot.B, alpha=pot.alpha)
+
+
 def _pspin_residual_raw(e, m, kappa, n, cps, ae2, pot):
     # kappa enters only through (2k-1)^2 and k(k-1), so the formal value
     # k = 0 produced by the exchange map is evaluable here even though it
@@ -136,20 +145,24 @@ def _pspin_residual_raw(e, m, kappa, n, cps, ae2, pot):
 
 def pspin_residual(e: float, ctx: DiracContext, pot: PTPotential) -> float:
     """Left-hand side of the pseudospin energy condition; NaN off-domain."""
-    return _pspin_residual_raw(e, ctx.M, ctx.kappa, ctx.n, ctx.cps, _ae2(ctx, pot), pot)
+    return _pspin_residual_raw(e, ctx.M, ctx.kappa, ctx.n, ctx.c_shift, _ae2(ctx, pot), pot)
 
 
-def spin_residual(e: float, ctx: DiracContext, pot: PTPotential) -> float:
-    """Left-hand side of the spin energy condition; NaN off-domain."""
+def _spin_residual_raw(t, gap, ctx, pot):
+    # t = M + E - Cs and gap = M - E, as exact as the caller's variable allows.
     ae2 = _ae2(ctx, pot)
     k = ctx.kappa
-    t = ctx.M + e - ctx.cs
     arg1 = 1.0 - 4.0 * pot.A * t / ae2
     arg2 = (2.0 * k + 1.0) ** 2 + 4.0 * pot.B * t / ae2
     if arg1 < 0.0 or arg2 < 0.0:
         return _NAN
     bracket = ctx.n + 0.5 + 0.25 * (math.sqrt(arg1) - math.sqrt(arg2))
-    return 4.0 * ae2 * (D0 * k * (k + 1) - bracket * bracket) + (ctx.M - e) * t
+    return 4.0 * ae2 * (D0 * k * (k + 1) - bracket * bracket) + gap * t
+
+
+def spin_residual(e: float, ctx: DiracContext, pot: PTPotential) -> float:
+    """Left-hand side of the spin energy condition; NaN off-domain."""
+    return _spin_residual_raw(ctx.M + e - ctx.c_shift, ctx.M - e, ctx, pot)
 
 
 def spin_residual_shifted(w: float, ctx: DiracContext, pot: PTPotential) -> float:
@@ -159,15 +172,7 @@ def spin_residual_shifted(w: float, ctx: DiracContext, pot: PTPotential) -> floa
     carried as -W exactly, so the near-rest-mass regime W << M keeps
     full precision instead of losing it to cancellation.
     """
-    ae2 = _ae2(ctx, pot)
-    k = ctx.kappa
-    t = 2.0 * ctx.M + w - ctx.cs
-    arg1 = 1.0 - 4.0 * pot.A * t / ae2
-    arg2 = (2.0 * k + 1.0) ** 2 + 4.0 * pot.B * t / ae2
-    if arg1 < 0.0 or arg2 < 0.0:
-        return _NAN
-    bracket = ctx.n + 0.5 + 0.25 * (math.sqrt(arg1) - math.sqrt(arg2))
-    return 4.0 * ae2 * (D0 * k * (k + 1) - bracket * bracket) - w * t
+    return _spin_residual_raw(2.0 * ctx.M + w - ctx.c_shift, -w, ctx, pot)
 
 
 def spin_residual_via_map(e: float, ctx: DiracContext, pot: PTPotential) -> float:
@@ -179,44 +184,39 @@ def spin_residual_via_map(e: float, ctx: DiracContext, pot: PTPotential) -> floa
     transcription of both conditions.  kappa = -1 maps to the formal
     kappa = 0, which the raw evaluator accepts.
     """
-    mapped_pot = PTPotential(A=-pot.A, B=-pot.B, alpha=pot.alpha)
     return _pspin_residual_raw(
-        -e, ctx.M, ctx.kappa + 1, ctx.n, -ctx.cs, _ae2(ctx, pot), mapped_pot
+        -e, ctx.M, ctx.kappa + 1, ctx.n, -ctx.c_shift, _ae2(ctx, pot), _reflected(pot)
     )
+
+
+def _tilde_params_raw(e, m, k, cps, ae2, pot):
+    # Like _pspin_residual_raw, evaluable at the formal k = 0 of the map.
+    s = e - m - cps
+    a3 = s * pot.A / ae2
+    b3 = s * pot.B / ae2 + k * (k - 1)
+    k3 = 4.0 * k * (k - 1) * D0 + (m - e + cps) * (m + e) / ae2
+    disc_a = 1.0 - 4.0 * a3
+    disc_b = 1.0 + 4.0 * b3
+    if disc_a < 0.0 or disc_b < 0.0:
+        raise DomainError("exponent discriminant negative at this energy")
+    beta2 = 0.25 * (1.0 - math.sqrt(disc_a))
+    gamma2 = 0.25 * (1.0 - math.sqrt(disc_b))
+    return SymmetryParams(a3=a3, b3=b3, k3=k3, gamma2=gamma2, beta2=beta2)
 
 
 def tilde_params(e: float, ctx: DiracContext, pot: PTPotential) -> SymmetryParams:
     """Pseudospin-side scaled parameters and exponents at energy e."""
-    ae2 = _ae2(ctx, pot)
-    k = ctx.kappa
-    s = e - ctx.M - ctx.cps
-    a3 = s * pot.A / ae2
-    b3 = s * pot.B / ae2 + k * (k - 1)
-    k3 = 4.0 * k * (k - 1) * D0 + (ctx.M - e + ctx.cps) * (ctx.M + e) / ae2
-    disc_a = 1.0 - 4.0 * a3
-    disc_b = 1.0 + 4.0 * b3
-    if disc_a < 0.0 or disc_b < 0.0:
-        raise DomainError("exponent discriminant negative at this energy")
-    beta2 = 0.25 * (1.0 - math.sqrt(disc_a))
-    gamma2 = 0.25 * (1.0 - math.sqrt(disc_b))
-    return SymmetryParams(a3=a3, b3=b3, k3=k3, gamma2=gamma2, beta2=beta2)
+    return _tilde_params_raw(e, ctx.M, ctx.kappa, ctx.c_shift, _ae2(ctx, pot), pot)
 
 
 def plain_params(e: float, ctx: DiracContext, pot: PTPotential) -> SymmetryParams:
-    """Spin-side scaled parameters and exponents at energy e."""
-    ae2 = _ae2(ctx, pot)
-    k = ctx.kappa
-    s = e + ctx.M - ctx.cs
-    a3 = s * pot.A / ae2
-    b3 = s * pot.B / ae2 + k * (k + 1)
-    k3 = 4.0 * k * (k + 1) * D0 + (ctx.M + e - ctx.cs) * (ctx.M - e) / ae2
-    disc_a = 1.0 - 4.0 * a3
-    disc_b = 1.0 + 4.0 * b3
-    if disc_a < 0.0 or disc_b < 0.0:
-        raise DomainError("exponent discriminant negative at this energy")
-    beta2 = 0.25 * (1.0 - math.sqrt(disc_a))
-    gamma2 = 0.25 * (1.0 - math.sqrt(disc_b))
-    return SymmetryParams(a3=a3, b3=b3, k3=k3, gamma2=gamma2, beta2=beta2)
+    """Spin-side scaled parameters and exponents at energy e: the
+    pseudospin ones through the exchange map, bit for bit a direct
+    transcription's but for the sign of a zero a3 (where E + M = Cs).
+    """
+    return _tilde_params_raw(
+        -e, ctx.M, ctx.kappa + 1, -ctx.c_shift, _ae2(ctx, pot), _reflected(pot)
+    )
 
 
 _SYMMETRIES = ("pspin", "spin")
@@ -228,7 +228,6 @@ def solve_levels(
     symmetry: str,
     bracket: Optional[tuple[float, float]] = None,
     *,
-    n: Optional[int] = None,
     tol: float = 1e-12,
     grid: int = 1024,
 ) -> list[RelativisticRoot]:
@@ -243,10 +242,6 @@ def solve_levels(
     """
     if symmetry not in _SYMMETRIES:
         raise DomainError(f"symmetry must be one of {_SYMMETRIES}, got {symmetry!r}")
-    if n is not None:
-        ctx = DiracContext(
-            M=ctx.M, kappa=ctx.kappa, n=n, cps=ctx.cps, cs=ctx.cs, hbar_c=ctx.hbar_c
-        )
     residual = pspin_residual if symmetry == "pspin" else spin_residual
     if bracket is None:
         span = abs(ctx.M)
@@ -433,7 +428,8 @@ def spinor_wavefunction(
             * 2F1(-n, 2(beta2 + gamma2) + n; 2 beta2 + 1/2; sinh^2(alpha r))
 
     with the Gamma-function ratio expressed as a rising factorial and
-    the exponents taken from the matching parameter set.
+    the exponents taken from the matching parameter set.  A factor or
+    amplitude past the double range raises OverflowRangeError.
     """
     if component not in _COMPONENTS:
         raise DomainError(f"component must be one of {_COMPONENTS}, got {component!r}")
@@ -445,14 +441,18 @@ def spinor_wavefunction(
             "divergent-exponent branch evaluated inside the origin cutoff"
         )
     x = abs(pot.alpha) * r
-    sh = math.sinh(x)
+    try:
+        sh = math.sinh(x)
+        cosh_beta = math.cosh(x) ** (2.0 * params.beta2)
+        sinh_gamma = sh ** (2.0 * params.gamma2)
+    except OverflowError:
+        raise OverflowRangeError(f"spinor factors at r={r!r} exceed the double range") from None
+    if math.isinf(sh * sh):
+        raise OverflowRangeError(f"spinor argument sinh^2 at r={r!r} exceeds the double range")
     c = 2.0 * params.beta2 + 0.5
     bparam = 2.0 * (params.beta2 + params.gamma2) + ctx.n
     poly = hyp2f1_terminating(ctx.n, bparam, c, sh * sh)
-    prefactor = pochhammer(c, ctx.n)
-    return (
-        prefactor
-        * math.cosh(x) ** (2.0 * params.beta2)
-        * sh ** (2.0 * params.gamma2)
-        * poly
-    )
+    u = pochhammer(c, ctx.n) * cosh_beta * sinh_gamma * poly
+    if not math.isfinite(u):
+        raise OverflowRangeError(f"spinor amplitude at r={r!r} exceeds the double range")
+    return u

@@ -63,7 +63,6 @@ HBARC_EV_ANG = 1973.29
 # Flag vocabulary for EnergyLevel diagnostics.
 FLAG_DISCRIMINANT_EDGE = "discriminant_edge"
 FLAG_BEYOND_NMAX = "beyond_nmax"
-FLAG_ORACLE_MISMATCH = "oracle_mismatch"
 
 _BRANCHES = ("paper", "regular")
 
@@ -104,13 +103,12 @@ class NRContext:
 
     mu is the reduced mass in energy units (e.g. eV via amu conversion),
     hbar_c the conversion constant in energy*length (1973.29 eV*Angstrom
-    by default; 1.0 recovers natural units).  d0 is the centrifugal
-    approximation constant, fixed at 1/12 by convention.
+    by default; 1.0 recovers natural units).  The centrifugal
+    approximation constant is the module constant D0 = 1/12.
     """
 
     mu: float
     hbar_c: float = HBARC_EV_ANG
-    d0: float = D0
 
     def __post_init__(self):
         if not 0.0 < self.mu < math.inf:
@@ -140,10 +138,6 @@ class SpectralParams:
             raise DomainError(f"level index must be >= 0, got {n}")
         s = self.gamma + self.beta + 2.0 * n
         return -(self.alpha**2) * s * s
-
-    def k2_from_k1(self, k1: float) -> float:
-        """Shifted spectral constant used by the iterative engine."""
-        return k1 + self.alpha**2 * (self.gamma + self.beta) ** 2
 
     def bound_possible(self, n: int) -> bool:
         """Decay at infinity needs gamma + beta + 2n < 0 (regular pair)."""
@@ -251,11 +245,11 @@ def spectral_params(
 
 def k1_from_energy(ctx: NRContext, alpha: float, l: int, energy: float) -> float:
     """Scaled energy: K1 = 2 mu E / hbar^2 - 4 l(l+1) alpha^2 d0."""
-    return 2.0 * ctx.mu * energy / ctx.hbar_c**2 - 4.0 * l * (l + 1) * alpha**2 * ctx.d0
+    return 2.0 * ctx.mu * energy / ctx.hbar_c**2 - 4.0 * l * (l + 1) * alpha**2 * D0
 
 
 def energy_from_k1(ctx: NRContext, alpha: float, l: int, k1: float) -> float:
-    return (ctx.hbar_c**2 / (2.0 * ctx.mu)) * (k1 + 4.0 * l * (l + 1) * alpha**2 * ctx.d0)
+    return (ctx.hbar_c**2 / (2.0 * ctx.mu)) * (k1 + 4.0 * l * (l + 1) * alpha**2 * D0)
 
 
 _EDGE_TOL = 1e-12
@@ -293,7 +287,7 @@ def energy_nr(
     sign = 1.0 if branch == "paper" else -1.0
     bracket = n + 0.5 + sign * 0.25 * (math.sqrt(disc_a) - math.sqrt(disc_b))
     scale = 2.0 * pot.alpha**2 * ctx.hbar_c**2 / ctx.mu
-    energy = scale * (l * (l + 1) * ctx.d0 - bracket * bracket)
+    energy = scale * (l * (l + 1) * D0 - bracket * bracket)
     if n >= level_count(pot, ctx, l).n_max:
         flags.add(FLAG_BEYOND_NMAX)
     return EnergyLevel(n=n, l=l, E=energy, flags=frozenset(flags))
@@ -321,7 +315,7 @@ def level_count(pot: PTPotential, ctx: NRContext, l: int) -> LevelCount:
         0.25 * math.sqrt(disc_b)
         - 0.25 * math.sqrt(disc_a)
         - 0.5
-        + math.sqrt(l * (l + 1) * ctx.d0)
+        + math.sqrt(l * (l + 1) * D0)
     )
     if zeta <= 0.0:
         return LevelCount(zeta, 0, "zeta <= 0: no bound level predicted by the count")

@@ -241,8 +241,8 @@ class TestCriterion3:
         # kappa -> kappa+1 exchange map between the two symmetry residuals
         map_worst = 0.0
         for kappa in (-2, -1, 1, 2):
-            for cs in (0.0, 1.5):
-                ctx = DiracContext(M=self.M, kappa=kappa, n=1, cs=cs)
+            for c_shift in (0.0, 1.5):
+                ctx = DiracContext(M=self.M, kappa=kappa, n=1, c_shift=c_shift)
                 map_worst = max(map_worst, self._sweep_worst(
                     lambda e: spin_residual_via_map(e, ctx, pot_ref),
                     lambda e: spin_residual(e, ctx, pot_ref),

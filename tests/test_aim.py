@@ -409,10 +409,6 @@ class TestScanDiagnostics:
         assert rep.bracket == (-30.0, -20.0)
         assert rep.grid == 128
 
-    def test_n_roots_truncates(self):
-        rep = aim_eigen_scan(pt_problem(2), (-55.0, -20.0), 2, n_roots=1, grid=800)
-        assert len(rep.roots) == 1
-
 
 class TestValidation:
     def test_depth_exceeding_jet_order(self):

@@ -305,8 +305,9 @@ class TestSelfChecks:
 
 
 class TestGoldenOutput:
-    """Every command's default output, pinned byte for byte: a change that
-    moves any of these files must say why and recompute its digest."""
+    """Every command's default output, and two dirac runs with a nonzero
+    symmetry constant, pinned byte for byte: a change that moves any of
+    these files must say why and recompute its digest."""
 
     DIGESTS = {
         "spectrum.csv": "072e15491b3547b670f3fc1205ca06826a2d2516f28a2bdf6ed6f73ee3acf120",
@@ -314,6 +315,8 @@ class TestGoldenOutput:
         "table2.report.txt": "6f9a93f52879cd3f8ea85bcb1824bfe78d8f778949cf92e683851cc88f804a3c",
         "thermo.csv": "a07c0215c4447db553ab0f5d79e363c4c19b837496e476059bf693d4f4dffb2d",
         "dirac.csv": "db2e0b6a025e738cf1c9e322791562ada4cd12f4fbe170ac140422a272f7aab1",
+        "dirac_spin_shift.csv": "d5db30707acaf918910e4615bbba2730ab064e4d7e2886c92e2230caf811861c",
+        "dirac_pspin_shift.csv": "964751fd2943655ff6fe8c6ebf61c952f312c41065c22a213deb7eac5e543a6c",
         "fig/fig_energy_vs_alpha.csv": "f9ca1ad665768c4cd8917547bff3a9f3bffb76ce6757e794e2e2842c2e1346e6",
         "fig/fig_thermo_vs_beta.csv": "56df553e6100ef415a9198f8490d88d2a8a148eb8aa658036cf484c6122a301e",
         "fig/fig_thermo_vs_zeta.csv": "08574cf29eb3ed53528b8212bca6dbfcc603cbf399b8fe944e58d4bd29bb1b3c",
@@ -322,17 +325,21 @@ class TestGoldenOutput:
     }
 
     def test_default_output_digests(self, runner, tmp_path):
-        for command, out in (
-            ("spectrum", "spectrum.csv"),
-            ("table2", "table2.csv"),
-            ("thermo", "thermo.csv"),
-            ("dirac", "dirac.csv"),
-            ("figure-data", "fig"),
-            ("oracle-check", "oracle_check.csv"),
-            ("aim-verify", "aim_verify.csv"),
+        for args, out in (
+            (["spectrum"], "spectrum.csv"),
+            (["table2"], "table2.csv"),
+            (["thermo"], "thermo.csv"),
+            (["dirac"], "dirac.csv"),
+            (["dirac", "--symmetry", "spin", "--kappa", "-1", "--c-shift", "1.5",
+              "--n", "0", "--n", "1"], "dirac_spin_shift.csv"),
+            (["dirac", "--symmetry", "pspin", "--kappa", "2", "--c-shift", "0.75",
+              "--n", "0"], "dirac_pspin_shift.csv"),
+            (["figure-data"], "fig"),
+            (["oracle-check"], "oracle_check.csv"),
+            (["aim-verify"], "aim_verify.csv"),
         ):
-            res = runner.invoke(main, [command, "--out", str(tmp_path / out)])
-            assert res.exit_code == 0, (command, res.output)
+            res = runner.invoke(main, [*args, "--out", str(tmp_path / out)])
+            assert res.exit_code == 0, (args, res.output)
         digests = {
             name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in self.DIGESTS

@@ -24,7 +24,7 @@ from ptbound.dirac import (
     symmetric_nr_energy,
     tilde_params,
 )
-from ptbound.errors import BracketError, DomainError
+from ptbound.errors import BracketError, DomainError, OverflowRangeError, PtboundError
 from ptbound.schrodinger import D0, NRContext, PTPotential, energy_nr
 
 POT = PTPotential(A=-2.0, B=3.0, alpha=1.0)
@@ -47,15 +47,27 @@ class TestContext:
         with pytest.raises(DomainError):
             DiracContext(M=20.0, kappa=1, n=0, hbar_c=0.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("M", math.inf), ("M", math.nan), ("hbar_c", math.inf), ("hbar_c", math.nan),
+         ("c_shift", math.inf), ("c_shift", -math.inf), ("c_shift", math.nan)],
+    )
+    def test_rejects_nonfinite(self, field, value):
+        # Caught here, not later as a misleading bracket or complex-domain
+        # error from solve_levels, or an infinite residual.
+        kwargs = {"M": 20.0, "kappa": 1, "n": 0, field: value}
+        with pytest.raises(DomainError, match=field):
+            DiracContext(**kwargs)
+
 
 class TestExchangeMap:
     """The two energy conditions transform into each other under
     V -> -V, E -> -E, kappa -> kappa + 1, Cps -> -Cs."""
 
     @pytest.mark.parametrize("kappa", [-2, -1, 1, 2])
-    @pytest.mark.parametrize("cs", [0.0, 1.5])
-    def test_pointwise_identity(self, kappa, cs):
-        ctx = DiracContext(M=20.0, kappa=kappa, n=1, cs=cs)
+    @pytest.mark.parametrize("c_shift", [0.0, 1.5])
+    def test_pointwise_identity(self, kappa, c_shift):
+        ctx = DiracContext(M=20.0, kappa=kappa, n=1, c_shift=c_shift)
         for i in range(81):
             e = -40.0 + i * 1.0
             assert both_nan_or_close(
@@ -201,12 +213,6 @@ class TestSolveLevels:
         shell = [r for r in roots if FLAG_NEAR_MINUS_M in r.flags]
         assert len(shell) == 1
         assert shell[0].E == pytest.approx(-M, abs=1e-10)
-
-    def test_level_override(self):
-        ctx = DiracContext(M=20.0, kappa=1, n=3)
-        roots = solve_levels(ctx, POT, "pspin", n=0)
-        assert roots[0].n == 0
-        assert roots[0].E == pytest.approx(19.97340513040207, rel=1e-9)
 
     def test_all_nan_bracket(self):
         with pytest.raises(DomainError, match="complex on the entire bracket"):
@@ -369,8 +375,120 @@ class TestSpinor:
             "lower", self.CTX, neg, self.E, 0.9
         )
 
+    @pytest.mark.parametrize("r", [400.0, 800.0])
+    def test_overflow_raises_range_error(self, r):
+        with pytest.raises(OverflowRangeError, match="double range"):
+            spinor_wavefunction("lower", self.CTX, POT, self.E, r)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             spinor_wavefunction("middle", self.CTX, POT, self.E, 1.0)
         with pytest.raises(DomainError):
             spinor_wavefunction("lower", self.CTX, POT, self.E, 0.0)
+
+
+# -- properties: every public entry point returns a finite result or raises
+# a PtboundError; a residual may also be NaN, but only off its real domain.
+
+masses = st.floats(min_value=1e-3, max_value=1e4)
+contexts = st.builds(
+    DiracContext,
+    M=masses,
+    kappa=st.integers(min_value=-6, max_value=6).filter(lambda k: k != 0),
+    n=st.integers(min_value=0, max_value=5),
+    c_shift=st.floats(min_value=-50.0, max_value=50.0),
+    hbar_c=st.floats(min_value=0.1, max_value=10.0),
+)
+potentials = st.builds(
+    PTPotential,
+    A=st.floats(min_value=-20.0, max_value=20.0),
+    B=st.floats(min_value=-5.0, max_value=20.0),
+    alpha=st.sampled_from((1.0, -1.0)).flatmap(
+        lambda sign: st.floats(min_value=0.1, max_value=5.0).map(lambda a: sign * a)
+    ),
+)
+NONFINITE = st.sampled_from((math.inf, -math.inf, math.nan))
+# Energies in units of the context's mass.
+mass_units = st.floats(min_value=-3.0, max_value=3.0)
+
+
+def off_domain(spin, e, ctx, pot):
+    """True where a square-root argument of the condition is negative, up
+    to rounding."""
+    sgn = 1.0 if spin else -1.0
+    ae2 = (pot.alpha * ctx.hbar_c) ** 2
+    t = ctx.M + sgn * (e - ctx.c_shift)
+    pa, pb = 4.0 * pot.A * t / ae2, 4.0 * pot.B * t / ae2
+    a0 = (2.0 * ctx.kappa + sgn) ** 2
+    slack = 1e-9
+    return 1.0 - sgn * pa < slack * (1.0 + abs(pa)) or a0 + sgn * pb < slack * (a0 + abs(pb))
+
+
+def finite_or_ptbound_error(f, *args):
+    try:
+        return f(*args)
+    except PtboundError:
+        return None
+
+
+class TestProperties:
+    @given(
+        st.one_of(masses, NONFINITE, st.sampled_from((0.0, -1.0))),
+        st.integers(-3, 3),
+        st.integers(-2, 3),
+        st.one_of(st.floats(min_value=-50.0, max_value=50.0), NONFINITE),
+        st.one_of(st.floats(min_value=0.1, max_value=10.0), NONFINITE, st.just(0.0)),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_context(self, m, kappa, n, c_shift, hbar_c):
+        ctx = finite_or_ptbound_error(
+            lambda: DiracContext(M=m, kappa=kappa, n=n, c_shift=c_shift, hbar_c=hbar_c)
+        )
+        if ctx is not None:
+            assert kappa != 0 and n >= 0
+            assert 0.0 < ctx.M < math.inf and 0.0 < ctx.hbar_c < math.inf
+            assert math.isfinite(ctx.c_shift)
+
+    @pytest.mark.parametrize(
+        "residual, spin, shifted",
+        [(spin_residual, True, False), (spin_residual_shifted, True, True),
+         (pspin_residual, False, False)],
+        ids=["spin_residual", "spin_residual_shifted", "pspin_residual"],
+    )
+    @given(ctx=contexts, pot=potentials, x=mass_units)
+    @settings(max_examples=200, deadline=None)
+    def test_residual(self, residual, spin, shifted, ctx, pot, x):
+        e = x * ctx.M
+        v = finite_or_ptbound_error(residual, e - ctx.M if shifted else e, ctx, pot)
+        if v is not None:
+            assert math.isfinite(v) or (math.isnan(v) and off_domain(spin, e, ctx, pot))
+
+    @pytest.mark.parametrize("params", [tilde_params, plain_params])
+    @given(ctx=contexts, pot=potentials, x=mass_units)
+    @settings(max_examples=200, deadline=None)
+    def test_symmetry_params(self, params, ctx, pot, x):
+        p = finite_or_ptbound_error(params, x * ctx.M, ctx, pot)
+        if p is not None:
+            assert all(math.isfinite(v) for v in (p.a3, p.b3, p.k3, p.gamma2, p.beta2))
+
+    @given(
+        component=st.sampled_from(("upper", "lower")),
+        ctx=contexts,
+        pot=potentials,
+        x=mass_units,
+        r=st.floats(min_value=1e-6, max_value=1e6),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_spinor(self, component, ctx, pot, x, r):
+        u = finite_or_ptbound_error(spinor_wavefunction, component, ctx, pot, x * ctx.M, r)
+        if u is not None:
+            assert math.isfinite(u)
+
+    @given(ctx=contexts, pot=potentials, symmetry=st.sampled_from(("spin", "pspin")))
+    @settings(max_examples=60, deadline=None)
+    def test_solve_levels(self, ctx, pot, symmetry):
+        roots = finite_or_ptbound_error(solve_levels, ctx, pot, symmetry)
+        for root in roots or ():
+            assert -2.0 * ctx.M <= root.E <= 2.0 * ctx.M
+            assert math.isfinite(root.residual)
+            assert root.n == ctx.n and root.symmetry == symmetry
