@@ -38,10 +38,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BracketError, DomainError, OverflowRangeError
+from .errors import BracketError, DomainError, require_index
 from .rootfind import bisect, sign_change_brackets, uniform_grid
-from .schrodinger import D0, PTPotential
-from .specfun import hyp2f1_terminating, pochhammer
+from .schrodinger import D0, PTPotential, _hyperbolic_amplitude
+from .specfun import pochhammer
 
 __all__ = [
     "DiracContext",
@@ -82,10 +82,9 @@ class DiracContext:
     hbar_c: float = 1.0
 
     def __post_init__(self):
-        if self.kappa == 0:
-            raise DomainError("kappa must be a nonzero integer")
-        if self.n < 0:
-            raise DomainError(f"level index must be >= 0, got {self.n}")
+        if not (self.kappa != 0 and self.kappa % 1 == 0):
+            raise DomainError(f"kappa must be a nonzero integer, got {self.kappa!r}")
+        require_index(self.n, "level index")
         if not 0.0 < self.M < math.inf:
             raise DomainError(f"M must be positive and finite, got {self.M!r}")
         if not 0.0 < self.hbar_c < math.inf:
@@ -322,8 +321,7 @@ def special_case_residual(
     """
     if kind not in _SPECIAL_KINDS:
         raise DomainError(f"kind must be one of {_SPECIAL_KINDS}, got {kind!r}")
-    if n < 0:
-        raise DomainError(f"level index must be >= 0, got {n}")
+    require_index(n, "level index")
     ae2 = (alpha * hbar_c) ** 2
     if kind == "swave_pspin":
         t = m - e
@@ -373,8 +371,8 @@ def nr_limit_energy(mu: float, pot: PTPotential, n: int, l: int) -> float:
         + (1/4) sqrt(1 - 8 mu A/alpha^2)
         - (1/4) sqrt((2l+1)^2 + 8 mu B/alpha^2) )^2 ]
     """
-    if n < 0 or l < 0:
-        raise DomainError("quantum numbers must be >= 0")
+    require_index(n, "level index")
+    require_index(l, "angular momentum")
     if not mu > 0.0:
         raise DomainError(f"mass parameter must be positive, got {mu!r}")
     alpha2 = pot.alpha**2
@@ -388,8 +386,7 @@ def nr_limit_energy(mu: float, pot: PTPotential, n: int, l: int) -> float:
 
 def reflectionless_nr_energy(mu: float, alpha: float, eta: float, n: int) -> float:
     """E_n = -(2 alpha^2/mu) [n + 1/4 + (1/4) sqrt(1 + 4 mu eta(eta+1)/alpha^2)]^2."""
-    if n < 0:
-        raise DomainError(f"level index must be >= 0, got {n}")
+    require_index(n, "level index")
     arg = 1.0 + 4.0 * mu * eta * (eta + 1.0) / alpha**2
     if arg < 0.0:
         raise DomainError("square-root argument negative")
@@ -399,8 +396,7 @@ def reflectionless_nr_energy(mu: float, alpha: float, eta: float, n: int) -> flo
 
 def symmetric_nr_energy(mu: float, eta: float, n: int) -> float:
     """E_n = -(2/mu) [n + 1/4 + (1/4) sqrt(1 - 2 mu (1 - 4 eta^2))]^2."""
-    if n < 0:
-        raise DomainError(f"level index must be >= 0, got {n}")
+    require_index(n, "level index")
     arg = 1.0 - 2.0 * mu * (1.0 - 4.0 * eta * eta)
     if arg < 0.0:
         raise DomainError("square-root argument negative")
@@ -428,31 +424,15 @@ def spinor_wavefunction(
             * 2F1(-n, 2(beta2 + gamma2) + n; 2 beta2 + 1/2; sinh^2(alpha r))
 
     with the Gamma-function ratio expressed as a rising factorial and
-    the exponents taken from the matching parameter set.  A factor or
-    amplitude past the double range raises OverflowRangeError.
+    the exponents taken from the matching parameter set.  Errors follow
+    schrodinger._hyperbolic_amplitude.
     """
     if component not in _COMPONENTS:
         raise DomainError(f"component must be one of {_COMPONENTS}, got {component!r}")
-    if not r > 0.0:
-        raise DomainError(f"radius must be positive, got {r!r}")
     params = tilde_params(e, ctx, pot) if component == "lower" else plain_params(e, ctx, pot)
-    if 2.0 * params.gamma2 < 0.0 and r < 1e-8 / abs(pot.alpha):
-        raise DomainError(
-            "divergent-exponent branch evaluated inside the origin cutoff"
-        )
-    x = abs(pot.alpha) * r
-    try:
-        sh = math.sinh(x)
-        cosh_beta = math.cosh(x) ** (2.0 * params.beta2)
-        sinh_gamma = sh ** (2.0 * params.gamma2)
-    except OverflowError:
-        raise OverflowRangeError(f"spinor factors at r={r!r} exceed the double range") from None
-    if math.isinf(sh * sh):
-        raise OverflowRangeError(f"spinor argument sinh^2 at r={r!r} exceeds the double range")
     c = 2.0 * params.beta2 + 0.5
-    bparam = 2.0 * (params.beta2 + params.gamma2) + ctx.n
-    poly = hyp2f1_terminating(ctx.n, bparam, c, sh * sh)
-    u = pochhammer(c, ctx.n) * cosh_beta * sinh_gamma * poly
-    if not math.isfinite(u):
-        raise OverflowRangeError(f"spinor amplitude at r={r!r} exceeds the double range")
-    return u
+    return _hyperbolic_amplitude(
+        pot.alpha, r, ctx.n, 2.0 * params.beta2, 2.0 * params.gamma2,
+        2.0 * (params.beta2 + params.gamma2) + ctx.n, c, lambda sh: sh * sh,
+        pochhammer(c, ctx.n),
+    )

@@ -42,3 +42,13 @@ class JetMismatchError(PtboundError, ValueError):
 
 class TableFormatError(PtboundError, ValueError):
     """A molecule table or CSV artifact violates the documented layout."""
+
+
+def require_index(value, what: str) -> None:
+    """Raise DomainError unless value is a nonnegative integer (2.0 counts).
+
+    Written with % so that NaN and infinities are rejected here rather
+    than raising ValueError or OverflowError from int().
+    """
+    if not (value >= 0 and value % 1 == 0):
+        raise DomainError(f"{what} must be a nonnegative integer, got {value!r}")

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from .errors import DomainError, TableFormatError
 from .refdata import MOLECULE_CONSTANTS
-from .schrodinger import D0, HBARC_EV_ANG, NRContext, PTPotential, level_count
+from .schrodinger import HBARC_EV_ANG, NRContext, PTPotential, level_count
 from .tableio import write_csv
 from .thermo import ThermoContext
 
@@ -129,7 +129,6 @@ def thermo_context_for(
     *,
     l: int = 0,
     tau: float | None = None,
-    k: float = 1.0,
     hbar_c: float = HBARC_EV_ANG,
     amu_to_ev: float = AMU_TO_EV,
 ) -> ThermoContext:
@@ -140,11 +139,9 @@ def thermo_context_for(
     """
     ctx = nr_context_for(mol, hbar_c=hbar_c, amu_to_ev=amu_to_ev)
     zeta, _ = level_count(pot, ctx, l)
-    mu = mol.mu_amu * amu_to_ev
     if tau is None:
-        tau = math.sqrt(0.5 * mu) / (mol.alpha_invA * hbar_c)
-    rot = 2.0 * (mol.alpha_invA * hbar_c) ** 2 / mu * l * (l + 1) * D0
-    return ThermoContext(zeta=zeta, tau=tau, k=k, rot_offset=rot)
+        tau = math.sqrt(0.5 * ctx.mu) / (mol.alpha_invA * hbar_c)
+    return ThermoContext(zeta=zeta, tau=tau)
 
 
 def reference_energy(

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, NodeCountError
+from .errors import ConvergenceError, DomainError, NodeCountError, require_index
 from .rootfind import zeroin
 
 __all__ = [
@@ -51,41 +51,33 @@ def integrate_adaptive(
     m = 0.5 * (a + b)
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    try:
-        return _simpson_recurse(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
-    except _DepthExhausted as exc:
+    value, converged = _simpson_recurse(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
+    if not converged:
         raise ConvergenceError(
-            f"quadrature did not converge within depth {max_depth}",
-            estimate=exc.partial,
-        ) from None
-
-
-class _DepthExhausted(Exception):
-    def __init__(self, partial: float):
-        self.partial = partial
+            f"quadrature did not converge within depth {max_depth}", estimate=value
+        )
+    return value
 
 
 def _simpson_recurse(f, a, fa, b, fb, m, fm, whole, tol, depth):
+    # Returns (value, converged).  A panel that runs out of depth stops the
+    # recursion: its partial value plus the coarse values of the panels
+    # not yet refined is the estimate.
     lm = 0.5 * (a + m)
     rm = 0.5 * (m + b)
     flm, frm = f(lm), f(rm)
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
     diff = left + right - whole
-    if abs(diff) <= 15.0 * tol:
-        return left + right + diff / 15.0
-    if depth <= 0:
-        raise _DepthExhausted(left + right + diff / 15.0)
+    converged = abs(diff) <= 15.0 * tol
+    if converged or depth <= 0:
+        return left + right + diff / 15.0, converged
     half = 0.5 * tol
-    try:
-        lval = _simpson_recurse(f, a, fa, m, fm, lm, flm, left, half, depth - 1)
-    except _DepthExhausted as exc:
-        raise _DepthExhausted(exc.partial + right) from None
-    try:
-        rval = _simpson_recurse(f, m, fm, b, fb, rm, frm, right, half, depth - 1)
-    except _DepthExhausted as exc:
-        raise _DepthExhausted(lval + exc.partial) from None
-    return lval + rval
+    lval, converged = _simpson_recurse(f, a, fa, m, fm, lm, flm, left, half, depth - 1)
+    if not converged:
+        return lval + right, False
+    rval, converged = _simpson_recurse(f, m, fm, b, fb, rm, frm, right, half, depth - 1)
+    return lval + rval, converged
 
 
 def finite_difference(
@@ -372,8 +364,7 @@ def shoot_eigenvalue(
     Raises NodeCountError when the bracket does not straddle the
     requested level and ConvergenceError when mesh refinement stalls.
     """
-    if n < 0:
-        raise DomainError(f"level index must be >= 0, got {n}")
+    require_index(n, "level index")
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"shooting tolerance must be finite and > 0, got {tol!r}")
     if not (isinstance(max_refinements, int) and max_refinements >= 1):

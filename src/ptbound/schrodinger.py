@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .aim import AimProblem
-from .errors import DomainError, OverflowRangeError
+from .errors import DomainError, OverflowRangeError, require_index
 from .jets import SeriesJet, jet_div, jet_reciprocal, jet_scale
 from .oracle import RadialProblem
 from .specfun import hyp2f1_terminating, pochhammer
@@ -66,6 +66,9 @@ FLAG_BEYOND_NMAX = "beyond_nmax"
 
 _BRANCHES = ("paper", "regular")
 
+# Points on the first shooting mesh of pt_radial_problem.
+_SHOOT_NPTS = 4001
+
 
 @dataclass(frozen=True)
 class PTPotential:
@@ -73,7 +76,7 @@ class PTPotential:
 
     A and B carry energy units, alpha inverse length.  A < 0 with B >= 0
     is the physically expected shape; other signs are legal (special
-    cases set B = 0) and merely reported via shape_notes.  Every routine
+    cases set B = 0, the pseudospin map flips both).  Every routine
     depends on alpha only through even combinations or |alpha|, so the
     sign of alpha is immaterial; only alpha = 0 is rejected.
     """
@@ -87,14 +90,6 @@ class PTPotential:
             raise DomainError(f"alpha must be nonzero and finite, got {self.alpha!r}")
         if not (math.isfinite(self.A) and math.isfinite(self.B)):
             raise DomainError(f"A and B must be finite, got A={self.A!r}, B={self.B!r}")
-
-    def shape_notes(self) -> tuple[str, ...]:
-        notes = []
-        if self.A >= 0.0:
-            notes.append("A >= 0: no attractive well")
-        if self.B < 0.0:
-            notes.append("B < 0: attractive core, origin behavior changes")
-        return tuple(notes)
 
 
 @dataclass(frozen=True)
@@ -134,8 +129,7 @@ class SpectralParams:
 
     def k1(self, n: int) -> float:
         """Quantized scaled energy K1 = -alpha^2 (gamma + beta + 2n)^2."""
-        if n < 0:
-            raise DomainError(f"level index must be >= 0, got {n}")
+        require_index(n, "level index")
         s = self.gamma + self.beta + 2.0 * n
         return -(self.alpha**2) * s * s
 
@@ -152,22 +146,11 @@ class EnergyLevel:
     flags: frozenset = frozenset()
 
 
-class LevelCount:
-    """Result of the bound-level count: zeta, n_max = floor(zeta), note."""
+class LevelCount(NamedTuple):
+    """Result of the bound-level count: zeta and n_max = floor(zeta), or 0."""
 
-    __slots__ = ("zeta", "n_max", "note")
-
-    def __init__(self, zeta: float, n_max: int, note: Optional[str]):
-        self.zeta = zeta
-        self.n_max = n_max
-        self.note = note
-
-    def __iter__(self):
-        yield self.zeta
-        yield self.n_max
-
-    def __repr__(self):
-        return f"LevelCount(zeta={self.zeta!r}, n_max={self.n_max!r}, note={self.note!r})"
+    zeta: float
+    n_max: int
 
 
 def potential_value(pot: PTPotential, r: float) -> float:
@@ -204,8 +187,7 @@ def centrifugal_approx_residual(l: int, alpha: float, r: float) -> float:
 
 
 def _scaled_strengths(pot: PTPotential, ctx: NRContext, l: int) -> tuple[float, float]:
-    if l < 0:
-        raise DomainError(f"angular momentum must be >= 0, got {l}")
+    require_index(l, "angular momentum")
     two_mu = 2.0 * ctx.mu / ctx.hbar_c**2
     a1 = two_mu * pot.A
     b1 = two_mu * pot.B + l * (l + 1) * pot.alpha**2
@@ -271,10 +253,8 @@ def energy_nr(
     """
     if branch not in _BRANCHES:
         raise DomainError(f"branch must be one of {_BRANCHES}, got {branch!r}")
-    if n != int(n) or n < 0:
-        raise DomainError(f"level index must be a nonnegative integer, got {n!r}")
-    if l < 0:
-        raise DomainError(f"angular momentum must be >= 0, got {l}")
+    require_index(n, "level index")
+    require_index(l, "angular momentum")
     ah = (pot.alpha * ctx.hbar_c) ** 2
     disc_a = 1.0 - 8.0 * ctx.mu * pot.A / ah
     disc_b = (2.0 * l + 1.0) ** 2 + 8.0 * ctx.mu * pot.B / ah
@@ -302,10 +282,9 @@ def level_count(pot: PTPotential, ctx: NRContext, l: int) -> LevelCount:
 
     as printed in the source formula; note the l-dependence enters only
     through the last term here, unlike the energy bracket.  zeta <= 0
-    reports n_max = 0 with a diagnostic note.
+    (no bound level predicted by the count) reports n_max = 0.
     """
-    if l < 0:
-        raise DomainError(f"angular momentum must be >= 0, got {l}")
+    require_index(l, "angular momentum")
     ah = (pot.alpha * ctx.hbar_c) ** 2
     disc_a = 1.0 - 8.0 * ctx.mu * pot.A / ah
     disc_b = 1.0 + 8.0 * ctx.mu * pot.B / ah
@@ -317,9 +296,7 @@ def level_count(pot: PTPotential, ctx: NRContext, l: int) -> LevelCount:
         - 0.5
         + math.sqrt(l * (l + 1) * D0)
     )
-    if zeta <= 0.0:
-        return LevelCount(zeta, 0, "zeta <= 0: no bound level predicted by the count")
-    return LevelCount(zeta, math.floor(zeta), None)
+    return LevelCount(zeta, math.floor(zeta) if zeta > 0.0 else 0)
 
 
 _ARGUMENTS = ("linear", "squared")
@@ -345,40 +322,49 @@ def wavefunction_nr(
     equation (the companion relativistic expressions use the squared
     argument): see the residual diagnostics in the test suite.  The
     branch switch selects the exponent pair as in spectral_params; node
-    counts and square-integrability hold on the regular pair.  An
-    amplitude or factor past the double range raises OverflowRangeError.
+    counts and square-integrability hold on the regular pair.  Errors
+    follow _hyperbolic_amplitude.
     """
     if argument not in _ARGUMENTS:
         raise DomainError(f"argument must be one of {_ARGUMENTS}, got {argument!r}")
-    if n < 0:
-        raise DomainError(f"level index must be >= 0, got {n}")
-    if not r > 0.0:
-        raise DomainError(f"radius must be positive, got {r!r}")
+    require_index(n, "level index")
     params = spectral_params(pot, ctx, l, branch)
-    if params.beta < 0.0 and r < 1e-8 / abs(pot.alpha):
-        raise DomainError(
-            "divergent-exponent branch evaluated inside the origin cutoff"
-        )
-    x = abs(pot.alpha) * r
+    if argument == "linear":
+        c, z_of = params.beta + 1.0, lambda sh: -sh
+    else:
+        c, z_of = params.beta + 0.5, lambda sh: -sh * sh
+    lead = 2.0**n * (-1.0) ** n * pochhammer(c, n)
+    return _hyperbolic_amplitude(
+        pot.alpha, r, n, params.gamma, params.beta, params.beta + params.gamma + n, c, z_of, lead
+    )
+
+
+def _hyperbolic_amplitude(alpha, r, n, cosh_pow, sinh_pow, b, c, z_of, lead):
+    """lead cosh^cosh_pow(x) sinh^sinh_pow(x) 2F1(-n, b; c; z_of(sinh x)), x = |alpha| r.
+
+    Every closed-form bound state, Schrodinger and Dirac, is this
+    product.  A radius that is not positive and finite, or a negative
+    sinh exponent inside the origin cutoff r < 1e-8/|alpha|, raises
+    DomainError; a factor, the 2F1 argument or the amplitude past the
+    double range raises OverflowRangeError.
+    """
+    if not 0.0 < r < math.inf:
+        raise DomainError(f"radius must be positive and finite, got {r!r}")
+    if sinh_pow < 0.0 and r < 1e-8 / abs(alpha):
+        raise DomainError("divergent-exponent branch evaluated inside the origin cutoff")
+    x = abs(alpha) * r
     try:
         sh = math.sinh(x)
-        cosh_gamma = math.cosh(x) ** params.gamma
-        sinh_beta = sh**params.beta
+        cosh_factor = math.cosh(x) ** cosh_pow
+        sinh_factor = sh**sinh_pow
     except OverflowError:
-        raise OverflowRangeError(
-            f"wavefunction factors at r={r!r} exceed the double range"
-        ) from None
-    if argument == "linear":
-        c = params.beta + 1.0
-        z = -sh
-    else:
-        c = params.beta + 0.5
-        z = -sh * sh
-    poly = hyp2f1_terminating(n, params.beta + params.gamma + n, c, z)
-    prefactor = 2.0**n * (-1.0) ** n * pochhammer(c, n)
-    u = prefactor * cosh_gamma * sinh_beta * poly
+        raise OverflowRangeError(f"amplitude factors at r={r!r} exceed the double range") from None
+    z = z_of(sh)
+    if math.isinf(z):
+        raise OverflowRangeError(f"2F1 argument at r={r!r} exceeds the double range")
+    u = lead * cosh_factor * sinh_factor * hyp2f1_terminating(n, b, c, z)
     if not math.isfinite(u):
-        raise OverflowRangeError(f"wavefunction amplitude at r={r!r} exceeds the double range")
+        raise OverflowRangeError(f"amplitude at r={r!r} exceeds the double range")
     return u
 
 
@@ -444,9 +430,6 @@ def pt_radial_problem(
     *,
     centrifugal: str = "approx",
     k1_estimate: Optional[float] = None,
-    r_min: Optional[float] = None,
-    r_cut: Optional[float] = None,
-    npts: int = 4001,
 ) -> RadialProblem:
     """Shooting-solver formulation of the radial equation, in K1 units.
 
@@ -458,35 +441,36 @@ def pt_radial_problem(
     mode's origin_w0 is the constant term of its own w at the origin,
     from 1/cosh^2 x = 1 - x^2 + ... and 1/sinh^2 x = 1/x^2 - 1/3 + ...
 
-    k1_estimate (the deepest level of interest) shortens the default
-    integration window so the exponential tail neither dominates the
-    mesh nor underflows.
+    The integration window ends at r_cut = 40/alpha or, given a negative
+    k1_estimate (the deepest level of interest), 32 decay lengths
+    1/sqrt(-k1_estimate) past that level's outer turning point (at least
+    1/alpha), so the exponential tail neither dominates the mesh nor
+    underflows.  It starts at r_min inside the forbidden core, and the
+    first mesh has 4001 points.
     """
     if centrifugal not in ("approx", "exact"):
         raise DomainError(f"centrifugal must be 'approx' or 'exact', got {centrifugal!r}")
     a1, b1 = _scaled_strengths(pot, ctx, l)
     alpha = abs(pot.alpha)
     s_exp = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * b1 / alpha**2))
-    if r_cut is None:
-        if k1_estimate is not None and k1_estimate < 0.0:
-            kappa = math.sqrt(-k1_estimate)
-            turn = 1.0 / alpha
-            if a1 < k1_estimate:
-                turn = max(turn, math.acosh(math.sqrt(a1 / k1_estimate)) / alpha)
-            r_cut = turn + 32.0 / kappa
-        else:
-            r_cut = 40.0 / alpha
-    if r_min is None:
-        # Start inside the forbidden core, but not so deep that the stiff
-        # b1/sinh^2 wall breaks the marching stencil: near the origin
-        # w ~ (b1/alpha^2)/r^2, so keeping h^2 w(r_min)/12 below ~0.1 on
-        # the coarsest mesh needs r_min >= h sqrt(b1/1.2)/alpha.  Keep it
-        # no larger: the shooting seed is a truncated series in r, so its
-        # origin error grows with r_min.
-        r_min = max(
-            1e-4 / alpha,
-            (r_cut / npts) * math.sqrt(max(b1, 0.0) / 1.2) / alpha,
-        )
+    if k1_estimate is not None and k1_estimate < 0.0:
+        kappa = math.sqrt(-k1_estimate)
+        turn = 1.0 / alpha
+        if a1 < k1_estimate:
+            turn = max(turn, math.acosh(math.sqrt(a1 / k1_estimate)) / alpha)
+        r_cut = turn + 32.0 / kappa
+    else:
+        r_cut = 40.0 / alpha
+    # Start inside the forbidden core, but not so deep that the stiff
+    # b1/sinh^2 wall breaks the marching stencil: near the origin
+    # w ~ (b1/alpha^2)/r^2, so keeping h^2 w(r_min)/12 below ~0.1 on the
+    # coarsest mesh needs r_min >= h sqrt(b1/1.2)/alpha.  Keep it no
+    # larger: the shooting seed is a truncated series in r, so its origin
+    # error grows with r_min.
+    r_min = max(
+        1e-4 / alpha,
+        (r_cut / _SHOOT_NPTS) * math.sqrt(max(b1, 0.0) / 1.2) / alpha,
+    )
     if centrifugal == "approx":
         w0 = a1 - b1 / 3.0
 
@@ -505,5 +489,5 @@ def pt_radial_problem(
                 + ll1 / (r * r)
             )
     return RadialProblem(
-        w=w, r_min=r_min, r_cut=r_cut, origin_exponent=s_exp, npts=npts, origin_w0=w0
+        w=w, r_min=r_min, r_cut=r_cut, origin_exponent=s_exp, npts=_SHOOT_NPTS, origin_w0=w0
     )

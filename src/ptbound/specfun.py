@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, OverflowRangeError
+from .errors import DomainError, OverflowRangeError, require_index
 
 __all__ = [
     "ERFI_MAX_ARG",
@@ -186,8 +186,7 @@ def pochhammer(s: float, n: int) -> float:
     Evaluated as a finite product so negative and non-integer s are fine
     (ratios of Gamma functions would not be).
     """
-    if n != int(n) or n < 0:
-        raise DomainError(f"pochhammer order must be a nonnegative integer, got {n!r}")
+    require_index(n, "pochhammer order")
     s = _require_finite(s, "s")
     result = 1.0
     for j in range(int(n)):
@@ -204,8 +203,7 @@ def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
     inside the sum range, and OverflowRangeError when the terms or the sum
     leave the double range.
     """
-    if n != int(n) or n < 0:
-        raise DomainError(f"series order must be a nonnegative integer, got {n!r}")
+    require_index(n, "series order")
     n = int(n)
     b = _require_finite(b, "b")
     c = _require_finite(c, "c")

@@ -2,9 +2,9 @@
 
 The level ladder E_n = (2 alpha^2 hbar^2/mu)[l(l+1) d0 - (n - zeta)^2],
 n = 0..floor(zeta), turns the vibrational partition function into a
-finite sum of e^{+((n-zeta)/gamma)^2} terms (the rotational prefactor
-exp(-beta*E_rot) is dropped per its own "approximately 1" regime, and
-restorable by flag).  In the classical regime the sum is replaced by
+finite sum of e^{+((n-zeta)/gamma)^2} terms.  The rotational prefactor
+exp(-beta*E_rot) is dropped, as the paper drops it for being
+approximately 1.  In the classical regime the sum is replaced by
 
     Z = sqrt(pi) tau erfi(chi) / (2 sqrt(beta)),
     chi = zeta sqrt(beta) / tau,  tau = sqrt(mu/2) / (alpha hbar)
@@ -48,17 +48,11 @@ _SERIES_CHI = 0.02
 
 @dataclass(frozen=True)
 class ThermoContext:
-    """Level-count parameter, molecular scale, and Boltzmann constant.
-
-    rot_offset is the constant rotational energy shift whose Boltzmann
-    factor the partition function drops by default; it only matters when
-    a flag asks for it back.
-    """
+    """Level-count parameter, molecular scale, and Boltzmann constant."""
 
     zeta: float
     tau: float
     k: float = 1.0
-    rot_offset: float = 0.0
 
     def __post_init__(self):
         if not 0.0 < self.tau < math.inf:
@@ -91,13 +85,7 @@ def chi(ctx: ThermoContext, beta: float) -> float:
     return ctx.zeta * math.sqrt(beta) / ctx.tau
 
 
-def partition_sum(
-    ctx: ThermoContext,
-    beta: float,
-    n_max: int,
-    *,
-    include_rotational_prefactor: bool = False,
-) -> float:
+def partition_sum(ctx: ThermoContext, beta: float, n_max: int) -> float:
     """Finite ladder sum: Z = sum_{n=0}^{n_max} e^{((n - zeta)/gamma)^2}.
 
     The exponent is positive as printed (the ladder is written relative
@@ -115,12 +103,9 @@ def partition_sum(
         raise OverflowRangeError(
             f"largest term exponent {worst:.1f} exceeds the floating range"
         )
-    total = math.fsum(
+    return math.fsum(
         math.exp(((n - ctx.zeta) / gamma) ** 2) for n in range(n_max + 1)
     )
-    if include_rotational_prefactor:
-        total *= math.exp(-beta * ctx.rot_offset)
-    return total
 
 
 def _partition(ctx: ThermoContext, beta: float, erfi_x: float) -> float:
@@ -157,33 +142,17 @@ def _entropy(ctx: ThermoContext, beta: float, omd: float, ln_erfi_x: float) -> f
     )
 
 
-def partition_closed(
-    ctx: ThermoContext,
-    beta: float,
-    *,
-    include_rotational_prefactor: bool = False,
-) -> float:
+def partition_closed(ctx: ThermoContext, beta: float) -> float:
     """Classical-limit partition function sqrt(pi) tau erfi(chi)/(2 sqrt(beta))."""
-    z = _partition(ctx, beta, erfi(chi(ctx, beta)))
-    if include_rotational_prefactor:
-        z *= math.exp(-beta * ctx.rot_offset)
-    return z
+    return _partition(ctx, beta, erfi(chi(ctx, beta)))
 
 
-def log_partition_closed(
-    ctx: ThermoContext,
-    beta: float,
-    *,
-    include_rotational_prefactor: bool = False,
-) -> float:
+def log_partition_closed(ctx: ThermoContext, beta: float) -> float:
     """ln of partition_closed via ln(erfi), finite far past the erfi overflow."""
     x = chi(ctx, beta)
     if x <= 0.0:
         raise DomainError("log of the closed form needs zeta > 0")
-    val = _log_partition(ctx, beta, ln_erfi(x))
-    if include_rotational_prefactor:
-        val -= beta * ctx.rot_offset
-    return val
+    return _log_partition(ctx, beta, ln_erfi(x))
 
 
 def mean_energy(ctx: ThermoContext, beta: float) -> float:

@@ -59,6 +59,16 @@ class TestContext:
         with pytest.raises(DomainError, match=field):
             DiracContext(**kwargs)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("kappa", 1.5), ("kappa", math.nan), ("kappa", math.inf),
+         ("n", 2.5), ("n", math.nan), ("n", math.inf)],
+    )
+    def test_rejects_non_integer_quantum_numbers(self, field, value):
+        kwargs = {"M": 20.0, "kappa": 1, "n": 0, field: value}
+        with pytest.raises(DomainError, match="integer"):
+            DiracContext(**kwargs)
+
 
 class TestExchangeMap:
     """The two energy conditions transform into each other under
@@ -298,6 +308,22 @@ class TestNonrelativisticLimit:
                 nr_limit_energy(mu, pot, n, 0), rel=1e-13
             )
 
+    @pytest.mark.parametrize("bad", [1.5, -1, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda bad: nr_limit_energy(1.0, POT, bad, 0),
+            lambda bad: nr_limit_energy(1.0, POT, 0, bad),
+            lambda bad: reflectionless_nr_energy(1.0, 1.0, 1.0, bad),
+            lambda bad: symmetric_nr_energy(0.1, 0.0, bad),
+            lambda bad: special_case_residual("swave_spin", 1.0, m=5.0, n=bad, a=-1.0, b=0.5),
+        ],
+        ids=["nr_limit_n", "nr_limit_l", "reflectionless_n", "symmetric_n", "special_case_n"],
+    )
+    def test_quantum_numbers_are_nonnegative_integers(self, call, bad):
+        with pytest.raises(DomainError, match="integer"):
+            call(bad)
+
     def test_validation(self):
         with pytest.raises(DomainError):
             nr_limit_energy(-1.0, POT, 0, 0)
@@ -385,6 +411,9 @@ class TestSpinor:
             spinor_wavefunction("middle", self.CTX, POT, self.E, 1.0)
         with pytest.raises(DomainError):
             spinor_wavefunction("lower", self.CTX, POT, self.E, 0.0)
+        with pytest.raises(DomainError, match="radius"):
+            # an infinite radius is bad input, not an amplitude past the range
+            spinor_wavefunction("lower", self.CTX, POT, self.E, math.inf)
 
 
 # -- properties: every public entry point returns a finite result or raises

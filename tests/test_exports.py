@@ -1,11 +1,14 @@
 """Every exported name resolves: a deletion that leaves a name behind in
 an ``__all__`` list fails here, not at a user's ``from ... import *``.
-Likewise every name the benchmark's tracer patches stays bound, and the
-shooting oracle imports nothing from the routes it checks."""
+Likewise every name the benchmark's tracer patches stays bound, the
+shooting oracle imports nothing from the routes it checks, and the set of
+defaulted settings is pinned."""
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 import pkgutil
 import sys
 from pathlib import Path
@@ -72,3 +75,61 @@ def test_oracle_imports_only_errors_and_rootfind():
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.split(".")[0] == "ptbound")
     assert imported == {"errors", "rootfind"}
+
+
+SETTABLE_MODULES = ("schrodinger", "thermo", "molecules", "dirac", "aim", "oracle")
+
+
+def settable_surface():
+    """Public name -> the names of its parameters (or dataclass fields)
+    that carry a default: every setting a caller may leave alone."""
+    surface = {}
+    for mod in SETTABLE_MODULES:
+        module = importlib.import_module(f"ptbound.{mod}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if dataclasses.is_dataclass(obj):
+                names = tuple(
+                    f.name for f in dataclasses.fields(obj)
+                    if f.default is not dataclasses.MISSING
+                    or f.default_factory is not dataclasses.MISSING
+                )
+            elif callable(obj):
+                names = tuple(
+                    p.name for p in inspect.signature(obj).parameters.values()
+                    if p.default is not inspect.Parameter.empty
+                )
+            else:
+                continue
+            if names:
+                surface[f"{mod}.{name}"] = names
+    return surface
+
+
+def test_settable_surface():
+    """Adding or dropping a setting is a deliberate one-line change here."""
+    assert settable_surface() == {
+        "schrodinger.EnergyLevel": ("flags",),
+        "schrodinger.NRContext": ("hbar_c",),
+        "schrodinger.energy_nr": ("branch",),
+        "schrodinger.pt_aim_problem": ("branch", "z0"),
+        "schrodinger.pt_radial_problem": ("centrifugal", "k1_estimate"),
+        "schrodinger.spectral_params": ("branch",),
+        "schrodinger.wavefunction_nr": ("branch", "argument"),
+        "thermo.ThermoContext": ("k",),
+        "molecules.nr_context_for": ("hbar_c", "amu_to_ev"),
+        "molecules.reference_energy": ("a", "amu_to_ev"),
+        "molecules.thermo_context_for": ("l", "tau", "hbar_c", "amu_to_ev"),
+        "dirac.DiracContext": ("c_shift", "hbar_c"),
+        "dirac.RelativisticRoot": ("flags",),
+        "dirac.solve_levels": ("bracket", "tol", "grid"),
+        "dirac.special_case_residual": ("alpha", "a", "b", "eta", "hbar_c"),
+        "aim.AimProblem": ("e_shift", "e_scale"),
+        "aim.AimScanReport": ("warnings", "delta_evals"),
+        "aim.aim_eigen_scan": ("tol", "grid"),
+        "oracle.RadialProblem": ("npts", "origin_w0"),
+        "oracle.finite_difference": ("order", "h", "levels"),
+        "oracle.harmonic_problem": ("omega", "npts"),
+        "oracle.integrate_adaptive": ("tol", "max_depth"),
+        "oracle.shoot_eigenvalue": ("tol", "max_refinements"),
+    }

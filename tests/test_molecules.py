@@ -30,7 +30,7 @@ from ptbound.refdata import (
     REFERENCE_WELL_A,
     REFERENCE_WELL_B,
 )
-from ptbound.schrodinger import D0, HBARC_EV_ANG, PTPotential, energy_nr, level_count
+from ptbound.schrodinger import HBARC_EV_ANG, PTPotential, energy_nr, level_count
 
 
 def by_name():
@@ -160,7 +160,6 @@ class TestContexts:
         assert tctx.zeta == pytest.approx(14.35231136923251, rel=1e-12)
         tau = math.sqrt(0.5 * i2.mu_amu * AMU_TO_EV) / (i2.alpha_invA * HBARC_EV_ANG)
         assert tctx.tau == pytest.approx(tau, rel=1e-14)
-        assert tctx.rot_offset == 0.0
         _, n_max = level_count(pot, nr_context_for(i2), 0)
         assert n_max == 14
 
@@ -169,9 +168,6 @@ class TestContexts:
         pot = PTPotential(A=REFERENCE_WELL_A, B=REFERENCE_WELL_B, alpha=i2.alpha_invA)
         tctx = thermo_context_for(i2, pot, l=1, tau=1.0)
         assert tctx.tau == 1.0
-        mu = i2.mu_amu * AMU_TO_EV
-        rot = 2.0 * (i2.alpha_invA * HBARC_EV_ANG) ** 2 / mu * 2 * D0
-        assert tctx.rot_offset == pytest.approx(rot, rel=1e-14)
         # the centrifugal term enters the count formula additively
         zeta_l1, _ = level_count(pot, nr_context_for(i2), 1)
         assert tctx.zeta == pytest.approx(zeta_l1, rel=1e-14)

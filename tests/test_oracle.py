@@ -128,6 +128,12 @@ class TestShooting:
         with pytest.raises(DomainError):
             shoot_eigenvalue(harmonic_problem(), -1, (1.0, 5.0))
 
+    @pytest.mark.parametrize("n", [1.5, math.nan, math.inf])
+    def test_non_integer_level(self, n):
+        # 1.5 used to come back as the n = 1 level, labelled nodes=1.5
+        with pytest.raises(DomainError, match="integer"):
+            shoot_eigenvalue(harmonic_problem(), n, (1.0, 9.0))
+
     def test_problem_validation(self):
         with pytest.raises(DomainError):
             RadialProblem(w=lambda r: 0.0, r_min=1.0, r_cut=0.5, origin_exponent=1.0)

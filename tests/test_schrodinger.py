@@ -4,9 +4,10 @@ wavefunctions, and the shooting cross-check."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from ptbound.dirac import DiracContext, plain_params, spinor_wavefunction, tilde_params
 from ptbound.errors import DomainError, OverflowRangeError
 from ptbound.oracle import finite_difference, integrate_adaptive, shoot_eigenvalue
 from ptbound.schrodinger import (
@@ -61,11 +62,6 @@ class TestPotential:
         # rejected where they enter, before level_count's math.floor
         with pytest.raises(DomainError, match="finite"):
             PTPotential(A=a, B=b, alpha=1.0)
-
-    def test_shape_notes(self):
-        assert POT.shape_notes() == ()
-        assert any("no attractive well" in s for s in PTPotential(1.0, 0.0, 1.0).shape_notes())
-        assert any("attractive core" in s for s in PTPotential(-1.0, -0.5, 1.0).shape_notes())
 
     def test_context_validation(self):
         with pytest.raises(DomainError):
@@ -123,8 +119,26 @@ class TestEnergyRoutes:
         zeta, n_max = level_count(pot, CTX, 0)
         assert zeta == pytest.approx(-0.5)
         assert n_max == 0
-        assert level_count(pot, CTX, 0).note is not None
         assert FLAG_BEYOND_NMAX in lev.flags
+
+    @pytest.mark.parametrize("bad", [1.5, -1, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda bad: spectral_params(POT, CTX, 0, "regular").k1(bad),
+            lambda bad: spectral_params(POT, CTX, bad),
+            lambda bad: energy_nr(POT, CTX, 0, bad),
+            lambda bad: level_count(POT, CTX, bad),
+            lambda bad: wavefunction_nr(POT, CTX, bad, 0, 1.0),
+            lambda bad: wavefunction_nr(POT, CTX, 0, bad, 1.0),
+        ],
+        ids=["k1_n", "spectral_params_l", "energy_nr_l", "level_count_l",
+             "wavefunction_n", "wavefunction_l"],
+    )
+    def test_quantum_numbers_are_nonnegative_integers(self, call, bad):
+        # a half-integer used to flow into the formulas: k1(2.5) = -4.397
+        with pytest.raises(DomainError, match="integer"):
+            call(bad)
 
     def test_discriminant_edge_flag(self):
         # 8 mu A / (alpha hbar)^2 = 1 zeroes the first discriminant.
@@ -273,6 +287,8 @@ class TestWavefunction:
             wavefunction_nr(POT, CTX, -1, 0, 1.0)
         with pytest.raises(DomainError):
             wavefunction_nr(POT, CTX, 0, 0, 0.0)
+        with pytest.raises(DomainError, match="radius"):
+            wavefunction_nr(POT, CTX, 0, 0, math.inf)
         with pytest.raises(DomainError):
             wavefunction_nr(POT, CTX, 0, 0, 1.0, argument="cubed")
 
@@ -280,6 +296,75 @@ class TestWavefunction:
         # cosh(alpha r) is past the double range
         with pytest.raises(OverflowRangeError):
             wavefunction_nr(POT, CTX, 0, 0, 800.0)
+
+
+# Each case builds one amplitude from the drawn parameters and returns its
+# 2F1 lower parameter c with a call that evaluates it.  A Schrodinger case
+# reads kappa as the orbital l it belongs to (kappa = l or -(l + 1)) and
+# ignores the energy x, which only the spinor needs.
+def _nr_amplitude(branch, argument):
+    def case(pot, mass, n, kappa, x, r):
+        ctx = NRContext.natural(mu=mass)
+        l = kappa if kappa > 0 else -kappa - 1
+        par = spectral_params(pot, ctx, l, branch)
+        c = par.beta + (1.0 if argument == "linear" else 0.5)
+        return c, lambda: wavefunction_nr(pot, ctx, n, l, r, branch, argument)
+    return case
+
+
+def _spinor_amplitude(component):
+    params = tilde_params if component == "lower" else plain_params
+
+    def case(pot, mass, n, kappa, x, r):
+        ctx = DiracContext(M=mass, kappa=kappa, n=n)
+        c = 2.0 * params(x * mass, ctx, pot).beta2 + 0.5
+        return c, lambda: spinor_wavefunction(component, ctx, pot, x * mass, r)
+    return case
+
+
+AMPLITUDES = {
+    f"{branch}-{argument}": _nr_amplitude(branch, argument)
+    for branch in ("regular", "paper") for argument in ("linear", "squared")
+} | {f"spinor-{component}": _spinor_amplitude(component) for component in ("upper", "lower")}
+
+
+class TestAmplitudeDomain:
+    """Both closed-form amplitudes, on input inside their domain and past
+    the origin cutoff, return a finite value or raise OverflowRangeError:
+    an amplitude the double range cannot hold is never a domain error."""
+
+    @pytest.mark.parametrize("amplitude", AMPLITUDES)
+    @given(
+        pot=st.builds(
+            PTPotential,
+            A=st.floats(min_value=-50.0, max_value=20.0),
+            B=st.floats(min_value=-5.0, max_value=20.0),
+            alpha=st.sampled_from((1.0, -1.0)).flatmap(
+                lambda sign: st.floats(min_value=0.1, max_value=5.0).map(lambda a: sign * a)
+            ),
+        ),
+        mass=st.floats(min_value=1e-3, max_value=50.0),
+        n=st.integers(min_value=0, max_value=5),
+        kappa=st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)),
+        x=st.floats(min_value=-3.0, max_value=3.0),
+        r=st.floats(min_value=0.0, max_value=1e3),
+    )
+    # sinh^2 overflows at r = 400 while sinh does not
+    @example(pot=PTPotential(-2.0, 0.1, 1.0), mass=0.5, n=1, kappa=-1, x=0.0, r=400.0)
+    @settings(max_examples=200, deadline=None)
+    def test_finite_or_overflow(self, amplitude, pot, mass, n, kappa, x, r):
+        r = max(r, 1e-8 / abs(pot.alpha))
+        try:
+            c, evaluate = AMPLITUDES[amplitude](pot, mass, n, kappa, x, r)
+        except DomainError:
+            assume(False)  # no real exponents at these parameters
+        # 2F1(-n, b; c; z) is undefined where c is a nonpositive integer > -n
+        assume(not (c == math.floor(c) and -(n - 1) <= c <= 0.0))
+        try:
+            u = evaluate()
+        except OverflowRangeError:
+            return
+        assert math.isfinite(u)
 
 
 class TestShootingCrossCheck:

@@ -81,13 +81,6 @@ class TestPartitionSum:
         with pytest.raises(OverflowRangeError):
             partition_sum(ThermoContext(zeta=2.0, tau=1.0), 4.0, n_max=40)
 
-    def test_rotational_prefactor_flag(self):
-        ctx = ThermoContext(zeta=8.0, tau=1.0, rot_offset=2.0)
-        beta = 0.1
-        bare = partition_sum(ctx, beta, 8)
-        dressed = partition_sum(ctx, beta, 8, include_rotational_prefactor=True)
-        assert dressed == pytest.approx(bare * math.exp(-0.2), rel=1e-14)
-
     def test_validation(self):
         ctx = ThermoContext(zeta=5.0, tau=1.0)
         with pytest.raises(DomainError):
@@ -173,16 +166,6 @@ class TestPartitionClosed:
             mpmath.log(mpmath.sqrt(mpmath.pi) / 2 * mpmath.erfi(40))
         )
         assert val == pytest.approx(ref, rel=1e-12)
-
-    def test_rotational_prefactor_flag(self):
-        ctx = ThermoContext(zeta=8.0, tau=1.0, rot_offset=3.0)
-        beta = 0.05
-        bare = partition_closed(ctx, beta)
-        dressed = partition_closed(ctx, beta, include_rotational_prefactor=True)
-        assert dressed == pytest.approx(bare * math.exp(-0.15), rel=1e-14)
-        assert log_partition_closed(
-            ctx, beta, include_rotational_prefactor=True
-        ) == pytest.approx(log_partition_closed(ctx, beta) - 0.15, rel=1e-12)
 
     def test_monotone_in_zeta_and_beta(self):
         beta = 0.01
