@@ -154,8 +154,9 @@ class ShootResult:
     npts: int
     refinements: int
     mesh_gap: float
-    passes: int  # Numerov passes over all meshes
+    passes: int  # Numerov passes over the first and refined meshes
     gaps: tuple[float, ...]  # gap to the previous mesh, per refinement
+    points: int  # Numerov steps over every mesh, coarse rungs included
 
 
 def _numerov_outward(wvals, h, q, s_exp, r_min, kappa, w0=0.0):
@@ -227,6 +228,9 @@ _WIDEN_LEVELS = 3
 # The squeeze stops once the shot record's window is at most this many
 # bisection tolerances wide.
 _SQUEEZE_XTOLS = 0.25
+# The coarser of the two rungs under the first mesh keeps at least this
+# many of its intervals.
+_RUNG_INTERVALS = 125
 
 
 def _mesh_w(problem, npts):
@@ -248,18 +252,52 @@ def _refined_w(problem, wvals):
     return fine
 
 
+def _rung_guess(problem, n, lo, hi, wvals, xtol):
+    """A guess for the first mesh from its two coarse rungs; return
+    (guess, width, Numerov steps).
+
+    The rungs are the meshes wvals[::2s] and wvals[::s], with 2s the
+    largest power of two that divides the first mesh's intervals and
+    leaves at least _RUNG_INTERVALS of them.  Their w values are the
+    first mesh's own.  The coarse rung is solved cold, the fine one warm
+    from it, and the guess is the fine rung's value with twice the gap
+    between the two as its width.  Without a pair of rungs, or when a
+    rung's bracket misses the level, the guess is None and no steps are
+    counted.
+    """
+    intervals = len(wvals) - 1
+    stride = 1
+    while intervals % (4 * stride) == 0 and intervals // (4 * stride) >= _RUNG_INTERVALS:
+        stride *= 2
+    if stride < 2:
+        return None, 0.0, 0
+    coarse_w, fine_w = wvals[:: 2 * stride], wvals[::stride]
+    try:
+        coarse, coarse_passes = _solve_on_mesh(problem, n, lo, hi, coarse_w, xtol)
+        fine, fine_passes = _solve_on_mesh(
+            problem, n, lo, hi, fine_w, xtol, coarse, _FIRST_WARM_XTOLS * xtol
+        )
+    except NodeCountError:
+        return None, 0.0, 0
+    steps = coarse_passes * len(coarse_w) + fine_passes * len(fine_w)
+    return fine, 2.0 * abs(fine - coarse), steps
+
+
 def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, width=0.0):
     """Bisect the level's predicate over [lo, hi] on the mesh that wvals
-    (w at each point, from _mesh_w) spans; return (value, Numerov passes).
+    (w at each point, from _mesh_w, or every s-th of them for a coarse
+    rung) spans; return (value, Numerov passes).
 
-    Given a guess, the bisection is first replayed toward it without
-    shooting, down to the first bracket at most width wide; that bracket
-    is shot at both ends and widened up its own bisection path until it
-    holds the level.  Brent's method on the tail mismatch then shrinks
-    the window the shots leave around the level to a fraction of xtol,
-    so the final bisection answers nearly every midpoint from the shots.
-    For a monotone predicate every bracket the bisection lands on is one
-    the bisection from [lo, hi] visits, so the value is the same.
+    Given a guess (a coarse rung's value for the first mesh, the
+    previous mesh's for a refined one), the bisection is first replayed
+    toward it without shooting, down to the first bracket at most width
+    wide; that bracket is shot at both ends and widened up its own
+    bisection path until it holds the level.  Brent's method on the tail
+    mismatch then shrinks the window the shots leave around the level to
+    a fraction of xtol, so the final bisection answers nearly every
+    midpoint from the shots.  For a monotone predicate every bracket the
+    bisection lands on is one the bisection from [lo, hi] visits, so the
+    value is the same whatever the guess.
     """
     h = (problem.r_cut - problem.r_min) / (len(wvals) - 1)
     w_end = wvals[-1]
@@ -354,15 +392,22 @@ def shoot_eigenvalue(
 
     Bisects the node-count/tail-sign predicate on each mesh, then halves
     the step until two successive meshes agree to tol (scaled by the
-    eigenvalue magnitude).  Each refined mesh is warm-started: its search
-    starts from the previous mesh's value, in a bracket twice the last
-    mesh gap wide.  On every mesh Brent's method on the tail mismatch
-    narrows the level down before the bisection, which then takes its
-    midpoints from those shots and lands on the value a bisection of the
-    whole bracket would.  A refined mesh evaluates w only at its new
-    points, and the result's gaps lists each refinement's mesh gap.
-    Raises NodeCountError when the bracket does not straddle the
-    requested level and ConvergenceError when mesh refinement stalls.
+    eigenvalue magnitude).  Every mesh is warm-started.  The first mesh
+    starts from the level on two coarse rungs made of its own points
+    (see _rung_guess), in a bracket twice their gap wide; it runs cold
+    when there is no such pair of rungs or a rung's bracket misses the
+    level.  Each refined mesh starts from the previous mesh's value, in
+    a bracket twice the last mesh gap wide.  On every mesh Brent's
+    method on the tail mismatch narrows the level down before the
+    bisection, which then takes its midpoints from those shots and lands
+    on the value a bisection of the whole bracket would: a guess changes
+    which brackets are shot, never the value.  A refined mesh evaluates
+    w only at its new points, and the result's gaps lists each
+    refinement's mesh gap.  Its passes count the Numerov passes on the
+    first and refined meshes, its points the Numerov steps on every
+    mesh, the rungs included.  Raises NodeCountError when the bracket
+    does not straddle the requested level and ConvergenceError when
+    mesh refinement stalls.
     """
     require_index(n, "level index")
     if not (math.isfinite(tol) and tol > 0.0):
@@ -374,13 +419,16 @@ def shoot_eigenvalue(
         raise DomainError(f"empty shooting bracket ({lo!r}, {hi!r})")
     xtol = tol * max(1.0, abs(lo), abs(hi)) * 1e-2
     wvals = _mesh_w(problem, problem.npts)
-    value, passes = _solve_on_mesh(problem, n, lo, hi, wvals, xtol)
+    guess, width, points = _rung_guess(problem, n, lo, hi, wvals, xtol)
+    value, passes = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess, width)
+    points += passes * len(wvals)
     width = _FIRST_WARM_XTOLS * xtol
     gaps = []
     for refinement in range(1, max_refinements + 1):
         wvals = _refined_w(problem, wvals)
         new_value, mesh_passes = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, value, width)
         passes += mesh_passes
+        points += mesh_passes * len(wvals)
         gap = abs(new_value - value)
         gaps.append(gap)
         value = new_value
@@ -393,6 +441,7 @@ def shoot_eigenvalue(
                 mesh_gap=gap,
                 passes=passes,
                 gaps=tuple(gaps),
+                points=points,
             )
         width = 2.0 * gap
     raise ConvergenceError(

@@ -28,6 +28,7 @@ surfaced rather than hidden.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
@@ -110,6 +111,9 @@ class NRContext:
             raise DomainError(f"reduced mass must be positive and finite, got {self.mu!r}")
         if not 0.0 < self.hbar_c < math.inf:
             raise DomainError(f"hbar_c must be positive and finite, got {self.hbar_c!r}")
+        # Every closed-form route divides by hbar_c**2.
+        if not sys.float_info.min <= self.hbar_c * self.hbar_c < math.inf:
+            raise DomainError(f"hbar_c**2 must be a normal double, got hbar_c={self.hbar_c!r}")
 
     @classmethod
     def natural(cls, mu: float) -> "NRContext":
@@ -333,7 +337,10 @@ def wavefunction_nr(
         c, z_of = params.beta + 1.0, lambda sh: -sh
     else:
         c, z_of = params.beta + 0.5, lambda sh: -sh * sh
-    lead = 2.0**n * (-1.0) ** n * pochhammer(c, n)
+    try:
+        lead = 2.0**n * (-1.0) ** n * pochhammer(c, n)
+    except OverflowError:
+        raise OverflowRangeError(f"amplitude lead at n={n!r} exceeds the double range") from None
     return _hyperbolic_amplitude(
         pot.alpha, r, n, params.gamma, params.beta, params.beta + params.gamma + n, c, z_of, lead
     )

@@ -3,6 +3,7 @@ outward shooting.  These routines must stand on their own, so they are
 validated against problems with known closed-form answers."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -225,12 +226,16 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_oscillator(self, n):
-        assert self._check(harmonic_problem(), n, (4 * n + 1, 4 * n + 5)).passes <= 20
+        res = self._check(harmonic_problem(), n, (4 * n + 1, 4 * n + 5))
+        assert res.passes <= 20
+        assert res.points <= 30_000  # 32,013-38,015 with a cold first mesh
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_strong_well(self, n):
         problem, bracket = _pt_level(*self.STRONG_WELL, n)
-        assert self._check(problem, n, bracket).passes <= 24
+        res = self._check(problem, n, bracket)
+        assert res.passes <= 24
+        assert res.points <= 60_000  # 84,017-92,019 with a cold first mesh
 
     def test_refining_well(self):
         problem, bracket = _pt_level(*self.REFINING_WELL, 0)
@@ -260,6 +265,64 @@ class TestWarmStart:
         wvals = oracle._mesh_w(problem, npts)
         value, _ = oracle._solve_on_mesh(problem, 1, lo, hi, wvals, xtol, lo, 2 * xtol)
         assert value == _cold_mesh_value(problem, 1, lo, hi, npts, xtol)
+
+
+class TestCoarseRungs:
+    """The first mesh is warm-started from two coarse rungs made of its
+    own points; without a usable rung it runs cold, and either way the
+    result is the cold search's."""
+
+    def test_rungs_take_the_first_mesh_points(self):
+        problem = harmonic_problem()
+        assert oracle._rung_guess(problem, 0, 1.0, 5.0, oracle._mesh_w(problem, 2001), 1e-11)[0]
+        calls = []
+
+        def w(r):
+            calls.append(r)
+            return problem.w(r)
+
+        res = shoot_eigenvalue(replace(problem, w=w), 0, (1.0, 5.0))
+        assert len(calls) == res.npts
+
+    def test_no_rung_pair_runs_cold(self):
+        # 2002 intervals halve only once
+        problem = harmonic_problem(npts=2003)
+        wvals = oracle._mesh_w(problem, problem.npts)
+        assert oracle._rung_guess(problem, 0, 1.0, 5.0, wvals, 1e-11) == (None, 0.0, 0)
+        res = shoot_eigenvalue(problem, 0, (1.0, 5.0))
+        assert (res.value, res.npts, res.refinements, res.mesh_gap) == _cold_shoot(
+            problem, 0, (1.0, 5.0)
+        )
+
+    def test_coarse_rung_outside_bracket(self):
+        # The 126-point rung puts the level at 2.9999985, below the
+        # bracket; the first mesh puts it at 2.99999999997.
+        problem, bracket = harmonic_problem(), (2.9999995, 3.5)
+        wvals = oracle._mesh_w(problem, problem.npts)
+        with pytest.raises(NodeCountError):
+            oracle._solve_on_mesh(problem, 0, *bracket, wvals[::16], 1e-11)
+        assert oracle._rung_guess(problem, 0, *bracket, wvals, 1e-11) == (None, 0.0, 0)
+        res = TestWarmStart._check(problem, 0, bracket)
+        assert res.value == pytest.approx(3.0, rel=1e-9)
+
+    def test_fine_rung_node_count_error(self, monkeypatch):
+        problem, bracket = _pt_level(*TestWarmStart.STRONG_WELL, 1)
+        solve, failed = oracle._solve_on_mesh, []
+
+        def fine_rung_fails(problem, n, lo, hi, wvals, *args):
+            if len(wvals) == 251:
+                failed.append(args)
+                raise NodeCountError("rung")
+            return solve(problem, n, lo, hi, wvals, *args)
+
+        monkeypatch.setattr(oracle, "_solve_on_mesh", fine_rung_fails)
+        TestWarmStart._check(problem, 1, bracket)
+        assert len(failed) == 1
+
+    def test_error_is_the_first_mesh_error(self):
+        # The coarse rung holds the level; the first mesh does not.
+        with pytest.raises(NodeCountError, match="upper bracket edge 2.9999995 still lies below"):
+            shoot_eigenvalue(harmonic_problem(), 0, (1.0, 2.9999995))
 
 
 class TestMeshReuse:

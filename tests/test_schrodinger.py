@@ -78,6 +78,12 @@ class TestPotential:
         with pytest.raises(DomainError):
             NRContext(mu=1.0, hbar_c=math.nan)
 
+    @pytest.mark.parametrize("hbar_c", [1e-200, 1e-160, 1e160])
+    def test_context_square_in_range(self, hbar_c):
+        # hbar_c**2 underflowed and spectral_params divided by zero
+        with pytest.raises(DomainError, match="hbar_c"):
+            NRContext(mu=1.0, hbar_c=hbar_c)
+
 
 class TestEnergyRoutes:
     """The direct bracket expression and the quantized-K1 route must agree
@@ -296,6 +302,11 @@ class TestWavefunction:
         # cosh(alpha r) is past the double range
         with pytest.raises(OverflowRangeError):
             wavefunction_nr(POT, CTX, 0, 0, 800.0)
+
+    def test_high_level_overflow_raises(self):
+        # the lead's 2**n leaked a bare OverflowError from n = 1024 on
+        with pytest.raises(OverflowRangeError):
+            wavefunction_nr(PTPotential(-30.0, 2.3, 1.0), NRContext.natural(0.5), 1100, 0, 0.01)
 
 
 # Each case builds one amplitude from the drawn parameters and returns its
