@@ -78,7 +78,7 @@ from .schrodinger import (
     spectral_params,
     wavefunction_nr,
 )
-from .specfun import dawson, erf, erfi, hyp2f1_terminating, ln_erfi, ln_gamma, pochhammer
+from .specfun import dawson, erfi, hyp2f1_terminating, ln_erfi, pochhammer
 from .thermo import (
     ThermoContext,
     ThermoPoint,
@@ -134,7 +134,6 @@ __all__ = [
     "energy_from_k1",
     "energy_nr",
     "entropy",
-    "erf",
     "erfi",
     "finite_difference",
     "free_energy",
@@ -144,7 +143,6 @@ __all__ = [
     "k1_from_energy",
     "level_count",
     "ln_erfi",
-    "ln_gamma",
     "load_molecules",
     "log_partition_closed",
     "mean_energy",

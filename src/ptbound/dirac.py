@@ -323,6 +323,11 @@ def special_case_residual(
         raise DomainError(f"kind must be one of {_SPECIAL_KINDS}, got {kind!r}")
     require_index(n, "level index")
     ae2 = (alpha * hbar_c) ** 2
+    if not 0.0 < ae2 < math.inf:
+        raise DomainError(
+            f"(alpha hbar_c)**2 must be positive and finite, "
+            f"got alpha={alpha!r}, hbar_c={hbar_c!r}"
+        )
     if kind == "swave_pspin":
         t = m - e
         arg1 = 1.0 + 4.0 * a * t / ae2
@@ -364,6 +369,11 @@ def special_case_residual(
     return m * m - e * e - 4.0 * ae2 * bracket * bracket
 
 
+def _require_mass(mu: float) -> None:
+    if not 0.0 < mu < math.inf:
+        raise DomainError(f"mass parameter must be positive and finite, got {mu!r}")
+
+
 def nr_limit_energy(mu: float, pot: PTPotential, n: int, l: int) -> float:
     """Nonrelativistic limit of the spin condition (hbar = 1 units).
 
@@ -373,8 +383,7 @@ def nr_limit_energy(mu: float, pot: PTPotential, n: int, l: int) -> float:
     """
     require_index(n, "level index")
     require_index(l, "angular momentum")
-    if not mu > 0.0:
-        raise DomainError(f"mass parameter must be positive, got {mu!r}")
+    _require_mass(mu)
     alpha2 = pot.alpha**2
     arg1 = 1.0 - 8.0 * mu * pot.A / alpha2
     arg2 = (2.0 * l + 1.0) ** 2 + 8.0 * mu * pot.B / alpha2
@@ -387,6 +396,9 @@ def nr_limit_energy(mu: float, pot: PTPotential, n: int, l: int) -> float:
 def reflectionless_nr_energy(mu: float, alpha: float, eta: float, n: int) -> float:
     """E_n = -(2 alpha^2/mu) [n + 1/4 + (1/4) sqrt(1 + 4 mu eta(eta+1)/alpha^2)]^2."""
     require_index(n, "level index")
+    _require_mass(mu)
+    if not 0.0 < alpha**2 < math.inf:
+        raise DomainError(f"alpha**2 must be positive and finite, got alpha={alpha!r}")
     arg = 1.0 + 4.0 * mu * eta * (eta + 1.0) / alpha**2
     if arg < 0.0:
         raise DomainError("square-root argument negative")
@@ -397,6 +409,7 @@ def reflectionless_nr_energy(mu: float, alpha: float, eta: float, n: int) -> flo
 def symmetric_nr_energy(mu: float, eta: float, n: int) -> float:
     """E_n = -(2/mu) [n + 1/4 + (1/4) sqrt(1 - 2 mu (1 - 4 eta^2))]^2."""
     require_index(n, "level index")
+    _require_mass(mu)
     arg = 1.0 - 2.0 * mu * (1.0 - 4.0 * eta * eta)
     if arg < 0.0:
         raise DomainError("square-root argument negative")

@@ -50,10 +50,15 @@ class MoleculeParams:
     def __post_init__(self):
         if not self.name or self.name != self.name.strip():
             raise DomainError(f"molecule name must be non-empty and trimmed, got {self.name!r}")
-        if not self.mu_amu > 0.0:
-            raise DomainError(f"{self.name}: reduced mass must be positive, got {self.mu_amu!r}")
-        if not self.alpha_invA > 0.0:
-            raise DomainError(f"{self.name}: screening parameter must be positive, got {self.alpha_invA!r}")
+        if not 0.0 < self.mu_amu < math.inf:
+            raise DomainError(
+                f"{self.name}: reduced mass must be positive and finite, got {self.mu_amu!r}"
+            )
+        if not 0.0 < self.alpha_invA < math.inf:
+            raise DomainError(
+                f"{self.name}: screening parameter must be positive and finite, "
+                f"got {self.alpha_invA!r}"
+            )
 
 
 def builtin_molecules() -> list[MoleculeParams]:

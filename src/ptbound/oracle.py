@@ -96,8 +96,10 @@ def finite_difference(
     """
     if order not in (1, 2):
         raise DomainError(f"unsupported derivative order {order}")
-    if h <= 0.0:
-        raise DomainError("step must be positive")
+    if not 0.0 < h < math.inf:
+        raise DomainError(f"step must be positive and finite, got {h!r}")
+    if not math.isfinite(x):
+        raise DomainError(f"x must be finite, got {x!r}")
     if levels < 2:
         raise DomainError("need at least two levels to estimate the error")
 

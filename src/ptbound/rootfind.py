@@ -21,6 +21,10 @@ a quarter tolerance and answering with no margin moved roots by up to
 37 tolerances in 181 scan reports; with a margin of 256 or 1024
 tolerances every report was unchanged.  The margin is 1024 tolerances,
 about 27 times the largest of those moves.
+
+A trial where f is exactly zero is taken to lie in that band, so the
+window shrinks to that one point.  An f that is exactly zero outside
+its root's band falls outside this guarantee.
 """
 
 from __future__ import annotations
@@ -89,11 +93,12 @@ def _squeeze(f, a, fa, b, fb, margin):
     """The record window (below, above) that zeroin's trials on [a, b]
     leave, squeezed to at most margin wide.
 
-    A trial where f is zero, not finite or raises a PtboundError ends the
-    squeeze unrecorded: the bisection meets such a point only if it is
-    one of its own midpoints, and then reacts as it would without a
-    squeeze.  A margin within a few ulps of the bracket's ends, where
-    zeroin's steps would stop moving, skips the squeeze.
+    A trial where f is zero ends the squeeze with the window (x, x).  One
+    where f is not finite or raises a PtboundError ends it unrecorded:
+    the bisection meets such a point only if it is one of its own
+    midpoints, and then reacts as it would without a squeeze.  A margin
+    within a few ulps of the bracket's ends, where zeroin's steps would
+    stop moving, skips the squeeze.
     """
     below, above = -math.inf, math.inf
     negative = fa < 0.0
@@ -104,7 +109,10 @@ def _squeeze(f, a, fa, b, fb, margin):
             fx = f(x)
         except PtboundError:
             return None
-        if fx == 0.0 or not math.isfinite(fx):
+        if fx == 0.0:
+            below = above = x
+            return None
+        if not math.isfinite(fx):
             return None
         if (fx < 0.0) == negative:
             below = max(below, x)

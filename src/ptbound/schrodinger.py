@@ -114,6 +114,11 @@ class NRContext:
         # Every closed-form route divides by hbar_c**2.
         if not sys.float_info.min <= self.hbar_c * self.hbar_c < math.inf:
             raise DomainError(f"hbar_c**2 must be a normal double, got hbar_c={self.hbar_c!r}")
+        if not sys.float_info.min <= 2.0 * self.mu / self.hbar_c**2 < math.inf:
+            raise DomainError(
+                f"2 mu / hbar_c**2 must be a normal double, got mu={self.mu!r}, "
+                f"hbar_c={self.hbar_c!r}"
+            )
 
     @classmethod
     def natural(cls, mu: float) -> "NRContext":
@@ -159,7 +164,7 @@ class LevelCount(NamedTuple):
 
 def potential_value(pot: PTPotential, r: float) -> float:
     """V(r) for r > 0; at r = 0 only the B = 0 case is finite."""
-    if r < 0.0:
+    if not r >= 0.0:
         raise DomainError(f"radius must be nonnegative, got {r!r}")
     if r == 0.0:
         if pot.B != 0.0:

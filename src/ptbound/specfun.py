@@ -1,8 +1,8 @@
 """Special functions backing the spectrum and thermodynamics code.
 
-The error-function family (erf, erfi, Dawson integral) plus log-gamma,
-Pochhammer symbols and a terminating Gauss hypergeometric sum.  erfi and
-the Dawson function are not in the stdlib, so they are implemented here:
+The imaginary error function and the Dawson integral, plus Pochhammer
+symbols and a terminating Gauss hypergeometric sum.  erfi and the Dawson
+function are not in the stdlib, so they are implemented here:
 
 * central range: the integral ``int_0^x exp(t^2) dt`` has an all-positive
   Maclaurin series, so it is summed directly (compensated) with no
@@ -26,12 +26,10 @@ from .errors import DomainError, OverflowRangeError, require_index
 __all__ = [
     "ERFI_MAX_ARG",
     "dawson",
-    "erf",
     "erfi",
     "erfi_family",
     "hyp2f1_terminating",
     "ln_erfi",
-    "ln_gamma",
     "pochhammer",
 ]
 
@@ -125,11 +123,6 @@ def _erfi_arg(x: float) -> float:
     return x
 
 
-def erf(x: float) -> float:
-    """Gauss error function, odd, bounded by 1 in magnitude."""
-    return math.erf(_require_finite(x, "x"))
-
-
 def dawson(x: float) -> float:
     """Dawson integral ``exp(-x^2) * int_0^x exp(t^2) dt``."""
     x = _require_finite(x, "x")
@@ -170,14 +163,6 @@ def erfi_family(x: float) -> tuple[float, float, float]:
         raise DomainError(f"erfi_family requires x > 0, got {x!r}")
     p, v = _integral(x)
     return _dawson_of(x, p, v), _erfi_of(p, v), _ln_erfi_of(p, v)
-
-
-def ln_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0."""
-    x = _require_finite(x, "x")
-    if x <= 0.0:
-        raise DomainError(f"ln_gamma requires x > 0, got {x!r}")
-    return math.lgamma(x)
 
 
 def pochhammer(s: float, n: int) -> float:

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError, OverflowRangeError
+from .errors import DomainError, OverflowRangeError, require_index
 from .specfun import ERFI_MAX_ARG, dawson, erfi, erfi_family, ln_erfi
 
 __all__ = [
@@ -48,23 +49,21 @@ _SERIES_CHI = 0.02
 
 @dataclass(frozen=True)
 class ThermoContext:
-    """Level-count parameter, molecular scale, and Boltzmann constant."""
+    """Level-count parameter and molecular scale; C and S come out in units of k_B."""
 
     zeta: float
     tau: float
-    k: float = 1.0
 
     def __post_init__(self):
         if not 0.0 < self.tau < math.inf:
             raise DomainError(f"tau must be finite and positive, got {self.tau!r}")
         if not math.isfinite(self.zeta):
             raise DomainError(f"zeta must be finite, got {self.zeta!r}")
-        if not 0.0 < self.k < math.inf:
-            raise DomainError(f"Boltzmann constant must be finite and positive, got {self.k!r}")
 
 
-@dataclass(frozen=True)
-class ThermoPoint:
+class ThermoPoint(NamedTuple):
+    """Every closed-form quantity at one beta, as thermo_point returns it."""
+
     beta: float
     chi: float
     Z: float
@@ -93,8 +92,8 @@ def partition_sum(ctx: ThermoContext, beta: float, n_max: int) -> float:
     beyond the double range raise OverflowRangeError.
     """
     _check_beta(beta)
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    require_index(n_max, "n_max")
+    n_max = int(n_max)
     gamma = ctx.tau / math.sqrt(beta)
     # The exponent is a parabola in n, so its largest value on the ladder
     # sits at one of the two ends.
@@ -116,25 +115,24 @@ def _log_partition(ctx: ThermoContext, beta: float, ln_erfi_x: float) -> float:
     return _LN_SQRTPI_HALF + math.log(ctx.tau) - 0.5 * math.log(beta) + ln_erfi_x
 
 
-def _one_minus_chi_over_dawson(x: float, d: float | None = None) -> float:
-    # 1 - x/dawson(x), d being dawson(x) where the caller has it; both
-    # branches agree to ~1e-12 at the cutover.
+def _one_minus_chi_over_dawson(x: float, d: float) -> float:
+    # 1 - x/d with d = dawson(x); both branches agree to ~1e-12 at the cutover.
     if x < _SERIES_CHI:
         x2 = x * x
         return -x2 * (2.0 / 3.0 + x2 * (8.0 / 45.0 + x2 * (16.0 / 945.0)))
-    return 1.0 - x / (dawson(x) if d is None else d)
+    return 1.0 - x / d
 
 
-def _specific_heat(k: float, x: float, d: float) -> float:
+def _specific_heat(x: float, d: float) -> float:
     if x < _SERIES_CHI:
         x2 = x * x
-        return 0.5 * k * x2 * x2 * (8.0 / 45.0 + x2 * (32.0 / 945.0))
-    return 0.5 * k * (1.0 - x * (x + (1.0 - 2.0 * x * x) * d) / (2.0 * d * d))
+        return 0.5 * x2 * x2 * (8.0 / 45.0 + x2 * (32.0 / 945.0))
+    return 0.5 * (1.0 - x * (x + (1.0 - 2.0 * x * x) * d) / (2.0 * d * d))
 
 
 def _entropy(ctx: ThermoContext, beta: float, omd: float, ln_erfi_x: float) -> float:
     # omd is 1 - chi/dawson(chi).
-    return 0.5 * ctx.k * (
+    return 0.5 * (
         omd
         + 2.0 * (math.log(ctx.tau) + ln_erfi_x)
         - math.log(beta)
@@ -160,13 +158,13 @@ def mean_energy(ctx: ThermoContext, beta: float) -> float:
     x = chi(ctx, beta)
     if x <= 0.0:
         raise DomainError("mean energy needs chi > 0")
-    return _one_minus_chi_over_dawson(x) / (2.0 * beta)
+    return _one_minus_chi_over_dawson(x, dawson(x)) / (2.0 * beta)
 
 
 def specific_heat(ctx: ThermoContext, beta: float) -> float:
     """C per the printed closed form, rearranged to cancel every e^{chi^2}.
 
-    C = (k/2) [1 - chi (chi + (1 - 2 chi^2) dawson(chi)) / (2 dawson(chi)^2)]
+    C = (1/2) [1 - chi (chi + (1 - 2 chi^2) dawson(chi)) / (2 dawson(chi)^2)]
 
     which is the printed erfi/exponential expression with
     erfi = (2/sqrt(pi)) e^{chi^2} dawson substituted through.
@@ -174,7 +172,7 @@ def specific_heat(ctx: ThermoContext, beta: float) -> float:
     x = chi(ctx, beta)
     if x <= 0.0:
         raise DomainError("specific heat needs chi > 0")
-    return _specific_heat(ctx.k, x, dawson(x))
+    return _specific_heat(x, dawson(x))
 
 
 def free_energy(ctx: ThermoContext, beta: float) -> float:
@@ -183,17 +181,17 @@ def free_energy(ctx: ThermoContext, beta: float) -> float:
 
 
 def entropy(ctx: ThermoContext, beta: float) -> float:
-    """S = (k/2)[1 - chi/dawson(chi) + 2 ln(tau erfi(chi)/sqrt(beta)) + ln(pi/4)].
+    """S = (1/2)[1 - chi/dawson(chi) + 2 ln(tau erfi(chi)/sqrt(beta)) + ln(pi/4)].
 
     The printed formula passes zeta to the Dawson factor; dimensional
-    consistency and the defining identity S = k ln Z + k beta U require
-    chi there, and chi is what this uses.  Algebraically this expression
-    IS k ln Z + k beta U, so the identity holds to rounding.
+    consistency and the defining identity S = ln Z + beta U require chi
+    there, and chi is what this uses.  Algebraically this expression IS
+    ln Z + beta U, so the identity holds to rounding.
     """
     x = chi(ctx, beta)
     if x <= 0.0:
         raise DomainError("entropy needs chi > 0")
-    return _entropy(ctx, beta, _one_minus_chi_over_dawson(x), ln_erfi(x))
+    return _entropy(ctx, beta, _one_minus_chi_over_dawson(x, dawson(x)), ln_erfi(x))
 
 
 def thermo_point(ctx: ThermoContext, beta: float) -> ThermoPoint:
@@ -216,7 +214,7 @@ def thermo_point(ctx: ThermoContext, beta: float) -> ThermoPoint:
         chi=x,
         Z=_partition(ctx, beta, erfi_x),
         U=omd / (2.0 * beta),
-        C=_specific_heat(ctx.k, x, d),
+        C=_specific_heat(x, d),
         F=-_log_partition(ctx, beta, ln_erfi_x) / beta,
         S=_entropy(ctx, beta, omd, ln_erfi_x),
     )

@@ -14,7 +14,14 @@ import pytest
 from click.testing import CliRunner
 
 import ptbound
-from ptbound.cli import RunConfig, cli_aim_verify, cli_figure_data, cli_thermo, main
+from ptbound.cli import (
+    RunConfig,
+    cli_aim_verify,
+    cli_figure_data,
+    cli_table2,
+    cli_thermo,
+    main,
+)
 from ptbound.errors import ConvergenceError, DomainError
 from ptbound.molecules import AMU_TO_EV, builtin_molecules
 from ptbound.schrodinger import HBARC_EV_ANG
@@ -68,6 +75,26 @@ class TestTable2:
         assert "1973.0" in text
         assert "l(l+1)/12 offset term is dropped" in text
         assert "entries compared: 108" in text
+
+    def test_molecule_without_reference_values(self, tmp_path):
+        i2 = next(m for m in builtin_molecules() if m.name == "I2")
+        data = tmp_path / "mols.csv"
+        data.write_text(
+            f"name,mu_amu,alpha_invA\nXY,1.5,2.0\nI2,{i2.mu_amu!r},{i2.alpha_invA!r}\n",
+            encoding="utf-8",
+        )
+        out, report = cli_table2(RunConfig(out=tmp_path / "t2.csv", molecules_path=data))
+        _, rows = read_rows(out)
+        assert len(rows) == 2 * 9
+        for row in rows:
+            if row["molecule"] == "XY":
+                assert row["energy_reference_ev"] == ""
+                assert math.isnan(float(row["rel_dev_model"]))
+                assert math.isnan(float(row["rel_dev_calibrated"]))
+                assert math.isfinite(float(row["energy_model_ev"]))
+            else:
+                assert row["energy_reference_ev"] != ""
+        assert "entries compared: 9" in report.read_text(encoding="utf-8")
 
     def test_custom_report_path(self, runner, tmp_path):
         out = tmp_path / "t2.csv"

@@ -337,6 +337,28 @@ class TestNonrelativisticLimit:
             # mu large enough flips the symmetric-case discriminant
             symmetric_nr_energy(10.0, 0.0, 0)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: nr_limit_energy(math.inf, POT, 0, 0),
+            lambda: nr_limit_energy(math.nan, POT, 0, 0),
+            lambda: reflectionless_nr_energy(0.0, 1.0, 1.0, 0),
+            lambda: reflectionless_nr_energy(1.0, 0.0, 1.0, 0),
+            lambda: symmetric_nr_energy(0.0, 0.0, 0),
+            lambda: special_case_residual("swave_spin", 1.0, m=5.0, n=0, alpha=0.0),
+            lambda: special_case_residual("reflectionless_pspin", 1.0, m=5.0, n=0, hbar_c=0.0),
+        ],
+        ids=[
+            "nr_limit_mu_inf", "nr_limit_mu_nan", "reflectionless_mu_zero",
+            "reflectionless_alpha_zero", "symmetric_mu_zero", "special_case_alpha_zero",
+            "special_case_hbar_c_zero",
+        ],
+    )
+    def test_zero_or_nonfinite_scale(self, call):
+        # nr_limit_energy returned nan for mu = inf; the others divided by zero
+        with pytest.raises(DomainError):
+            call()
+
 
 class TestSymmetryParams:
     def test_spin_side_angular_constant_keeps_d0(self):

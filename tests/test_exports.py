@@ -1,8 +1,8 @@
 """Every exported name resolves: a deletion that leaves a name behind in
 an ``__all__`` list fails here, not at a user's ``from ... import *``.
 Likewise every name the benchmark's tracer patches stays bound, the
-shooting oracle imports nothing from the routes it checks, and the set of
-defaulted settings is pinned."""
+shooting oracle imports nothing from the routes it checks, and the sets of
+defaulted settings and of public names are pinned."""
 
 import ast
 import dataclasses
@@ -116,7 +116,6 @@ def test_settable_surface():
         "schrodinger.pt_radial_problem": ("centrifugal", "k1_estimate"),
         "schrodinger.spectral_params": ("branch",),
         "schrodinger.wavefunction_nr": ("branch", "argument"),
-        "thermo.ThermoContext": ("k",),
         "molecules.nr_context_for": ("hbar_c", "amu_to_ev"),
         "molecules.reference_energy": ("a", "amu_to_ev"),
         "molecules.thermo_context_for": ("l", "tau", "hbar_c", "amu_to_ev"),
@@ -132,4 +131,84 @@ def test_settable_surface():
         "oracle.harmonic_problem": ("omega", "npts"),
         "oracle.integrate_adaptive": ("tol", "max_depth"),
         "oracle.shoot_eigenvalue": ("tol", "max_refinements"),
+    }
+
+
+def public_surface():
+    """Module name -> its ``__all__``, sorted (None where it has none)."""
+    surface = {}
+    for name in MODULES:
+        names = getattr(importlib.import_module(name), "__all__", None)
+        surface[name] = None if names is None else tuple(sorted(names))
+    return surface
+
+
+def test_public_surface():
+    """Adding or dropping a public name is a deliberate one-line change here."""
+    assert public_surface() == {
+        "ptbound": (
+            "AMU_TO_EV", "AimProblem", "AimRoot", "AimScanReport", "BracketError",
+            "ConvergenceError", "D0", "DiracContext", "DomainError", "EnergyLevel", "HBARC_EV_ANG",
+            "JetMismatchError", "LevelCount", "MoleculeParams", "NRContext", "NodeCountError",
+            "OverflowRangeError", "PTPotential", "PtboundError", "RadialProblem",
+            "RelativisticRoot", "SeriesJet", "ShootResult", "SpectralParams", "SymmetryParams",
+            "TableFormatError", "ThermoContext", "ThermoPoint", "aim_delta", "aim_eigen_scan",
+            "aim_iterate", "builtin_molecules", "centrifugal_approx_residual", "chi", "dawson",
+            "energy_from_k1", "energy_nr", "entropy", "erfi", "finite_difference", "free_energy",
+            "harmonic_problem", "hyp2f1_terminating", "integrate_adaptive", "k1_from_energy",
+            "level_count", "ln_erfi", "load_molecules", "log_partition_closed", "mean_energy",
+            "nr_context_for", "nr_limit_energy", "partition_closed", "partition_sum",
+            "plain_params", "pochhammer", "potential_value", "pspin_residual", "pt_aim_problem",
+            "pt_radial_problem", "reference_energy", "reflectionless_nr_energy", "save_molecules",
+            "shoot_eigenvalue", "solve_levels", "special_case_residual", "specific_heat",
+            "spectral_params", "spin_residual", "spinor_wavefunction", "symmetric_nr_energy",
+            "thermo_context_for", "thermo_point", "tilde_params", "wavefunction_nr",
+        ),
+        "ptbound.aim": (
+            "AimProblem", "AimRoot", "AimScanReport", "aim_delta", "aim_eigen_scan", "aim_iterate",
+        ),
+        "ptbound.cli": (
+            "RunConfig", "cli_aim_verify", "cli_dirac", "cli_figure_data", "cli_oracle_check",
+            "cli_spectrum", "cli_table2", "cli_thermo", "main",
+        ),
+        "ptbound.dirac": (
+            "DiracContext", "RelativisticRoot", "SymmetryParams", "nr_limit_energy",
+            "plain_params", "pspin_residual", "reflectionless_nr_energy", "solve_levels",
+            "special_case_residual", "spin_residual", "spin_residual_shifted",
+            "spin_residual_via_map", "spinor_wavefunction", "symmetric_nr_energy", "tilde_params",
+        ),
+        "ptbound.errors": None,
+        "ptbound.jets": (
+            "SeriesJet", "jet_add", "jet_div", "jet_mul", "jet_reciprocal", "jet_scale",
+        ),
+        "ptbound.molecules": (
+            "AMU_TO_EV", "HBARC_CALIBRATED", "MoleculeParams", "builtin_molecules",
+            "load_molecules", "nr_context_for", "reference_energy", "save_molecules",
+            "thermo_context_for",
+        ),
+        "ptbound.oracle": (
+            "RadialProblem", "ShootResult", "finite_difference", "harmonic_problem",
+            "integrate_adaptive", "shoot_eigenvalue",
+        ),
+        "ptbound.refdata": (
+            "MOLECULE_CONSTANTS", "REFERENCE_ENERGIES", "REFERENCE_ENERGY_STRINGS",
+            "REFERENCE_GRID", "REFERENCE_WELL_A", "REFERENCE_WELL_B",
+        ),
+        "ptbound.rootfind": ("bisect", "sign_change_brackets", "uniform_grid", "zeroin"),
+        "ptbound.schrodinger": (
+            "D0", "EnergyLevel", "HBARC_EV_ANG", "LevelCount", "NRContext", "PTPotential",
+            "SpectralParams", "centrifugal_approx_residual", "energy_from_k1", "energy_nr",
+            "k1_from_energy", "level_count", "potential_value", "pt_aim_problem",
+            "pt_radial_problem", "spectral_params", "wavefunction_nr",
+        ),
+        "ptbound.specfun": (
+            "ERFI_MAX_ARG", "dawson", "erfi", "erfi_family", "hyp2f1_terminating", "ln_erfi",
+            "pochhammer",
+        ),
+        "ptbound.tableio": ("format_cell", "render_csv", "write_csv", "write_text"),
+        "ptbound.thermo": (
+            "ThermoContext", "ThermoPoint", "chi", "entropy", "free_energy",
+            "log_partition_closed", "mean_energy", "partition_closed", "partition_sum",
+            "specific_heat", "thermo_point",
+        ),
     }

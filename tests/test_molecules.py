@@ -68,6 +68,10 @@ class TestBuiltinDataset:
             MoleculeParams("X", 0.0, 1.0)
         with pytest.raises(DomainError):
             MoleculeParams("X", 1.0, -2.0)
+        with pytest.raises(DomainError, match="finite"):
+            MoleculeParams("X", math.inf, 1.0)
+        with pytest.raises(DomainError, match="finite"):
+            MoleculeParams("X", 1.0, math.inf)
 
 
 class TestDatasetIO:
@@ -125,6 +129,13 @@ class TestDatasetIO:
         path = tmp_path / "bad.csv"
         path.write_text("name,mu_amu,alpha_invA\nCO,-6.8,2.3\n", encoding="utf-8")
         with pytest.raises(TableFormatError, match="positive"):
+            load_molecules(path)
+
+    @pytest.mark.parametrize("row", ["CO,inf,2.3", "CO,6.8,inf"])
+    def test_infinite_value(self, tmp_path, row):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"name,mu_amu,alpha_invA\nNO,7.5,2.4\n{row}\n", encoding="utf-8")
+        with pytest.raises(TableFormatError, match=":3:.*finite"):
             load_molecules(path)
 
     def test_duplicate_name(self, tmp_path):

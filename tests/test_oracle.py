@@ -91,6 +91,14 @@ class TestFiniteDifference:
         with pytest.raises(DomainError):
             finite_difference(math.exp, 0.0, levels=1)
 
+    @pytest.mark.parametrize(
+        "x, h", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1e-3), (math.inf, 1e-3)]
+    )
+    def test_nonfinite_point_or_step(self, x, h):
+        # each of these returned (nan, nan)
+        with pytest.raises(DomainError):
+            finite_difference(math.exp, x, h=h)
+
 
 class TestShooting:
     """Radial oscillator: q_n = omega (4n + 3) exactly."""
@@ -205,6 +213,19 @@ def _pt_level(a, b, alpha, n):
     deeper = reg.k1(n - 1) if n else 1.44 * closed
     bracket = (0.5 * (closed + deeper), 0.5 * (closed + reg.k1(n + 1)))
     return pt_radial_problem(pot, ctx, 0, k1_estimate=reg.k1(0)), bracket
+
+
+class TestStall:
+    def test_stall_carries_the_last_mesh_value(self):
+        # One doubling is not enough on this level: the 4001- and 8001-point
+        # values differ by 7.1e-6, far above the 1e-9 tolerance.
+        problem, bracket = _pt_level(-60.0, 0.5, 1.0, 0)
+        with pytest.raises(ConvergenceError) as info:
+            shoot_eigenvalue(problem, 0, bracket, max_refinements=1)
+        assert str(info.value) == "mesh refinement stalled after 1 doublings (gap 7.149e-06)"
+        lo, hi = bracket
+        xtol = 1e-9 * max(1.0, abs(lo), abs(hi)) * 1e-2
+        assert info.value.estimate == _cold_mesh_value(problem, 0, lo, hi, 8001, xtol)
 
 
 class TestWarmStart:

@@ -44,6 +44,8 @@ class TestPotential:
             potential_value(POT, 0.0)
         with pytest.raises(DomainError):
             potential_value(POT, -1.0)
+        with pytest.raises(DomainError):
+            potential_value(POT, math.nan)
 
     def test_vanishes_at_infinity(self):
         assert abs(potential_value(POT, 40.0)) < 1e-30
@@ -83,6 +85,13 @@ class TestPotential:
         # hbar_c**2 underflowed and spectral_params divided by zero
         with pytest.raises(DomainError, match="hbar_c"):
             NRContext(mu=1.0, hbar_c=hbar_c)
+
+    @pytest.mark.parametrize("mu, hbar_c", [(1e300, 1e-10), (1e-300, 1e10)])
+    def test_context_ratio_in_range(self, mu, hbar_c):
+        # 2 mu / hbar_c**2 overflowed (level_count's zeta and energy_nr's E
+        # came out nan) or went subnormal (E = -inf)
+        with pytest.raises(DomainError, match="2 mu / hbar_c"):
+            NRContext(mu=mu, hbar_c=hbar_c)
 
 
 class TestEnergyRoutes:

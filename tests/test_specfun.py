@@ -12,12 +12,10 @@ from ptbound.oracle import integrate_adaptive
 from ptbound.specfun import (
     ERFI_MAX_ARG,
     dawson,
-    erf,
     erfi,
     erfi_family,
     hyp2f1_terminating,
     ln_erfi,
-    ln_gamma,
     pochhammer,
 )
 
@@ -30,19 +28,6 @@ SYMMETRIC_GRID = (
     + _NEAR_CUT + [-x for x in _NEAR_CUT]
 )
 POSITIVE_GRID = [i / 100.0 for i in range(1, 4001)] + _NEAR_CUT
-
-
-class TestErf:
-    def test_known_value(self):
-        assert erf(1.0) == pytest.approx(0.8427007929497149, rel=1e-15)
-
-    def test_odd(self):
-        for x in (0.3, 1.7, 4.0):
-            assert erf(-x) == -erf(x)
-
-    def test_nonfinite_rejected(self):
-        with pytest.raises(DomainError):
-            erf(float("nan"))
 
 
 class TestDawson:
@@ -163,15 +148,6 @@ class TestErfiFamily:
     def test_domain(self, x, error):
         with pytest.raises(error):
             erfi_family(x)
-
-
-class TestLnGamma:
-    def test_factorial(self):
-        assert ln_gamma(5.0) == pytest.approx(math.log(24.0), rel=1e-15)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ln_gamma(0.0)
 
 
 class TestPochhammer:
