@@ -392,6 +392,7 @@ class TestThermoPoint:
         ctx = ThermoContext(zeta=12.0, tau=0.8)
         beta = 0.03
         pt = thermo_point(ctx, beta)
+        assert pt._fields == ("beta", "chi", "Z", "U", "C", "F", "S")
         assert pt.beta == beta
         assert pt.chi == chi(ctx, beta)
         assert pt.Z == partition_closed(ctx, beta)
