@@ -294,6 +294,14 @@ _SPECIAL_KINDS = (
 )
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where a float's ** raises OverflowError instead."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
 def special_case_residual(
     kind: str,
     e: float,
@@ -322,7 +330,7 @@ def special_case_residual(
     if kind not in _SPECIAL_KINDS:
         raise DomainError(f"kind must be one of {_SPECIAL_KINDS}, got {kind!r}")
     require_index(n, "level index")
-    ae2 = (alpha * hbar_c) ** 2
+    ae2 = _square(alpha * hbar_c)
     if not 0.0 < ae2 < math.inf:
         raise DomainError(
             f"(alpha hbar_c)**2 must be positive and finite, "
@@ -397,13 +405,14 @@ def reflectionless_nr_energy(mu: float, alpha: float, eta: float, n: int) -> flo
     """E_n = -(2 alpha^2/mu) [n + 1/4 + (1/4) sqrt(1 + 4 mu eta(eta+1)/alpha^2)]^2."""
     require_index(n, "level index")
     _require_mass(mu)
-    if not 0.0 < alpha**2 < math.inf:
+    alpha2 = _square(alpha)
+    if not 0.0 < alpha2 < math.inf:
         raise DomainError(f"alpha**2 must be positive and finite, got alpha={alpha!r}")
-    arg = 1.0 + 4.0 * mu * eta * (eta + 1.0) / alpha**2
+    arg = 1.0 + 4.0 * mu * eta * (eta + 1.0) / alpha2
     if arg < 0.0:
         raise DomainError("square-root argument negative")
     bracket = n + 0.25 + 0.25 * math.sqrt(arg)
-    return -(2.0 * alpha**2 / mu) * bracket * bracket
+    return -(2.0 * alpha2 / mu) * bracket * bracket
 
 
 def symmetric_nr_energy(mu: float, eta: float, n: int) -> float:

@@ -22,9 +22,10 @@ a quarter tolerance and answering with no margin moved roots by up to
 tolerances every report was unchanged.  The margin is 1024 tolerances,
 about 27 times the largest of those moves.
 
-A trial where f is exactly zero is taken to lie in that band, so the
-window shrinks to that one point.  An f that is exactly zero outside
-its root's band falls outside this guarantee.
+A trial where f is exactly zero has no sign to record.  It is kept
+only when f has f(a)'s sign half a margin below it and f(b)'s half a
+margin above: those two evaluated points then become the window, which
+the argument above covers like any other pair of trials.
 """
 
 from __future__ import annotations
@@ -93,26 +94,35 @@ def _squeeze(f, a, fa, b, fb, margin):
     """The record window (below, above) that zeroin's trials on [a, b]
     leave, squeezed to at most margin wide.
 
-    A trial where f is zero ends the squeeze with the window (x, x).  One
-    where f is not finite or raises a PtboundError ends it unrecorded:
-    the bisection meets such a point only if it is one of its own
-    midpoints, and then reacts as it would without a squeeze.  A margin
-    within a few ulps of the bracket's ends, where zeroin's steps would
-    stop moving, skips the squeeze.
+    A trial where f is zero ends the squeeze, recording the window
+    (x - margin/2, x + margin/2), clipped to [a, b], if f has f(a)'s
+    sign at its lower end and f(b)'s at its upper one.  A trial where f
+    is not finite or raises a PtboundError ends it unrecorded: the
+    bisection meets such a point only if it is one of its own midpoints,
+    and then reacts as it would without a squeeze.  A margin within a
+    few ulps of the bracket's ends, where zeroin's steps would stop
+    moving, skips the squeeze.
     """
     below, above = -math.inf, math.inf
     negative = fa < 0.0
 
-    def trial(x):
-        nonlocal below, above
+    def value(x):
         try:
             fx = f(x)
         except PtboundError:
             return None
+        return fx if math.isfinite(fx) else None
+
+    def trial(x):
+        nonlocal below, above
+        fx = value(x)
         if fx == 0.0:
-            below = above = x
+            lo, hi = max(x - 0.5 * margin, a), min(x + 0.5 * margin, b)
+            flo, fhi = value(lo), value(hi)
+            if flo and fhi and (flo < 0.0) == negative != (fhi < 0.0):
+                below, above = max(below, lo), min(above, hi)
             return None
-        if not math.isfinite(fx):
+        if fx is None:
             return None
         if (fx < 0.0) == negative:
             below = max(below, x)

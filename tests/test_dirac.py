@@ -347,15 +347,19 @@ class TestNonrelativisticLimit:
             lambda: symmetric_nr_energy(0.0, 0.0, 0),
             lambda: special_case_residual("swave_spin", 1.0, m=5.0, n=0, alpha=0.0),
             lambda: special_case_residual("reflectionless_pspin", 1.0, m=5.0, n=0, hbar_c=0.0),
+            lambda: reflectionless_nr_energy(1.0, 1e200, 1.0, 0),
+            lambda: special_case_residual("swave_spin", 1.0, m=5.0, n=0, alpha=1e200),
         ],
         ids=[
             "nr_limit_mu_inf", "nr_limit_mu_nan", "reflectionless_mu_zero",
             "reflectionless_alpha_zero", "symmetric_mu_zero", "special_case_alpha_zero",
-            "special_case_hbar_c_zero",
+            "special_case_hbar_c_zero", "reflectionless_alpha_overflow",
+            "special_case_alpha_overflow",
         ],
     )
     def test_zero_or_nonfinite_scale(self, call):
-        # nr_limit_energy returned nan for mu = inf; the others divided by zero
+        # nr_limit_energy returned nan for mu = inf; the others divided by
+        # zero, or raised a bare OverflowError squaring alpha = 1e200
         with pytest.raises(DomainError):
             call()
 
