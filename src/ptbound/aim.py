@@ -17,9 +17,12 @@ roots of the termination indicator
     delta_k(x0; E) = lambda_k s_{k-1} - lambda_{k-1} s_k
 
 evaluated at the expansion point.  Coefficient functions are carried as
-truncated Taylor jets; each iteration differentiates once, so a depth-k
-run needs jets of order at least k, and factories in this package
-default to 2k + 8 to keep ample headroom.
+truncated Taylor jets; each iteration differentiates once, so delta_k
+reads orders 0..k of lambda0 and s0 only, and the recurrence cuts its
+inputs to them.  ``schrodinger.pt_aim_problem`` still builds order
+2k + 8: np.convolve sums the top coefficient of a product of equal-length
+jets in another order, so its quotient lambda0 built at order k would
+change in the last bit at order k, and scan roots with it.
 
 The scan parameter E enters s0 only, as a scalar factor: a problem holds
 two fixed jets and two numbers, and
@@ -61,6 +64,8 @@ RESCAN_CELLS = 64
 # A delta_k root is converged when the nearest delta_(k-1) root lies
 # within this distance relative to max(1, |root|).
 STABILITY_TOL = 1e-8
+# Scan roots are bisected to this tolerance relative to max(1, |lo|, |hi|).
+SCAN_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -69,7 +74,8 @@ class AimProblem:
 
     ``lambda0`` does not depend on the scan parameter E; E enters s0 as
     the scalar factor of ``s0(E) = s0 * ((E + e_shift) / e_scale)``.
-    Both jets share the expansion point x0 and the order max_order.
+    Both jets are finite and share the expansion point x0 and the order
+    max_order.
     """
 
     lambda0: SeriesJet
@@ -81,6 +87,8 @@ class AimProblem:
         for jet in (self.lambda0, self.s0):
             if not isinstance(jet, SeriesJet):
                 raise DomainError(f"coefficients must be SeriesJet, got {type(jet).__name__}")
+            if not (math.isfinite(jet.x0) and np.isfinite(jet.coeffs).all()):
+                raise DomainError(f"jet coefficients and x0 must be finite, got x0={jet.x0!r}")
         if self.s0.x0 != self.x0:
             raise JetMismatchError(f"s0 is expanded at x0={self.s0.x0!r}, lambda0 at {self.x0!r}")
         if self.s0.order != self.max_order:
@@ -111,15 +119,12 @@ class AimRoot:
 
 @dataclass(frozen=True)
 class AimScanReport:
-    k_used: int
-    bracket: tuple[float, float]
-    grid: int
     roots: tuple[AimRoot, ...]
     shallow_roots: tuple[float, ...]
-    warnings: tuple[str, ...] = field(default=())
+    warnings: tuple[str, ...]
     # Scalar aim_delta evaluations the scan made: bisection, re-scan and
     # residuals.  A work count, not a result: reports compare without it.
-    delta_evals: int = field(default=0, compare=False)
+    delta_evals: int = field(compare=False)
 
     def converged_roots(self) -> list[float]:
         return [r.value for r in self.roots if r.converged]
@@ -138,9 +143,13 @@ def _columns_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _recurrence(lam0: np.ndarray, s0: np.ndarray, k: int, mul):
     """[(lambda_j, s_j) for j = 0..k] as coefficient arrays whose first axis
     is the Taylor order; mul is the Cauchy product along that axis, cut
-    here to the n orders carried."""
+    here to the orders carried.  The inputs are cut to the k + 1 orders
+    delta_k reads: after j steps orders 0..k - j are exact, and the
+    zero-filled ones above them never reach order 0 of the last two
+    states."""
+    n = k + 1
+    lam0, s0 = lam0[:n], s0[:n]
     shape = lam0.shape
-    n = shape[0]
     ramp = np.arange(1, n, dtype=float).reshape((n - 1,) + (1,) * (lam0.ndim - 1))
     states = [(lam0, s0)]
     for _ in range(k):
@@ -169,8 +178,8 @@ def _check_depth(problem: AimProblem, k: int) -> None:
         )
 
 
-def aim_iterate(problem: AimProblem, e: float, k: int):
-    """Run k recurrence steps; return (lambda_k, s_k, delta_k at x0).
+def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, float]:
+    """Run k recurrence steps; return (lambda_k, s_k, delta_k) at x0.
 
     E must be finite, and a delta_k beyond the double range raises
     OverflowRangeError rather than coming back as inf or NaN.
@@ -184,7 +193,7 @@ def aim_iterate(problem: AimProblem, e: float, k: int):
     delta = float(_delta(prev, cur))
     if not math.isfinite(delta):
         raise OverflowRangeError(f"delta_{k} at E={e!r} is {delta!r}")
-    return SeriesJet(cur[0], problem.x0), SeriesJet(cur[1], problem.x0), delta
+    return float(cur[0][0]), float(cur[1][0]), delta
 
 
 def aim_delta(problem: AimProblem, e: float, k: int) -> float:
@@ -195,13 +204,10 @@ def aim_delta(problem: AimProblem, e: float, k: int) -> float:
 def _delta_grid(problem: AimProblem, es: np.ndarray, k: int):
     """(delta_{k-1}, delta_k) at every E in es, from one recurrence pass.
 
-    Column i of the coefficient arrays holds the jets at es[i], cut to the
-    k + 1 orders delta_k depends on: a step's coefficient m reads orders
-    up to m + 1 of the step before, so k steps leave order 0 exact.
+    Column i of the coefficient arrays holds the jets at es[i].
     """
-    n = k + 1
-    s0 = problem.s0.coeffs[:n, None] * ((es + problem.e_shift) / problem.e_scale)
-    lam0 = np.broadcast_to(problem.lambda0.coeffs[:n, None], s0.shape)
+    s0 = problem.s0.coeffs[:, None] * ((es + problem.e_shift) / problem.e_scale)
+    lam0 = np.broadcast_to(problem.lambda0.coeffs[:, None], s0.shape)
     older, prev, cur = _recurrence(lam0, s0, k, _columns_mul)[-3:]
     return _delta(older, prev), _delta(prev, cur)
 
@@ -244,7 +250,6 @@ def aim_eigen_scan(
     bracket: tuple[float, float],
     k: int,
     *,
-    tol: float = 1e-12,
     grid: int = 512,
 ) -> AimScanReport:
     """Locate roots of delta_k over a bracket and grade their stability.
@@ -270,7 +275,7 @@ def aim_eigen_scan(
         raise DomainError("stability grading needs depth k >= 2")
     _check_depth(problem, k)
     scale = max(abs(lo), abs(hi), 1.0)
-    xtol = tol * scale
+    xtol = SCAN_TOL * scale
     evals = 0
 
     def delta(depth):
@@ -308,9 +313,6 @@ def aim_eigen_scan(
         for i in crowded
     )
     return AimScanReport(
-        k_used=k,
-        bracket=(lo, hi),
-        grid=grid,
         roots=graded,
         shallow_roots=tuple(shallow),
         warnings=warnings,

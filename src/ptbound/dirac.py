@@ -95,13 +95,13 @@ class DiracContext:
 
 @dataclass(frozen=True)
 class RelativisticRoot:
-    n: int
-    kappa: int
+    """A level of solve_levels: its energy, the bracket the scan covered
+    (the default one resolved), the residual there, and mass-shell flags."""
+
     E: float
-    symmetry: str
     bracket_used: tuple[float, float]
     residual: float
-    flags: frozenset = frozenset()
+    flags: frozenset
 
 
 @dataclass(frozen=True)
@@ -267,15 +267,7 @@ def solve_levels(
         if abs(hit + ctx.M) <= shell_tol:
             flags.add(FLAG_NEAR_MINUS_M)
         roots.append(
-            RelativisticRoot(
-                n=ctx.n,
-                kappa=ctx.kappa,
-                E=hit,
-                symmetry=symmetry,
-                bracket_used=(lo, hi),
-                residual=f(hit),
-                flags=frozenset(flags),
-            )
+            RelativisticRoot(E=hit, bracket_used=(lo, hi), residual=f(hit), flags=frozenset(flags))
         )
     if not roots:
         raise BracketError(

@@ -2,9 +2,10 @@
 
 A SeriesJet holds the coefficients of a function's Taylor expansion about
 a fixed point x0, truncated at a given order.  The iteration engine in
-``aim`` differentiates its coefficient jets once per step; each
-differentiation loses the top coefficient, so jets must be built with
-enough headroom (the engine uses order 2k + 8 for k iterations).
+``aim`` differentiates its coefficient jets once per step, so k
+iterations read orders 0..k; ``schrodinger.pt_aim_problem`` builds order
+2k + 8 so that the order-k coefficients do not depend on where its
+products are cut (see ``aim``).
 """
 
 from __future__ import annotations

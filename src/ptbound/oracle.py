@@ -45,8 +45,12 @@ def integrate_adaptive(
     (proportionally split) tolerance.  Exhausting max_depth raises
     ConvergenceError with the best composite value attached.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise DomainError(f"integration interval must be finite: [{a!r}, {b!r}]")
     if not b > a:
         raise DomainError(f"integration interval is empty: [{a!r}, {b!r}]")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"quadrature tolerance must be positive and finite, got {tol!r}")
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
@@ -100,8 +104,8 @@ def finite_difference(
         raise DomainError(f"step must be positive and finite, got {h!r}")
     if not math.isfinite(x):
         raise DomainError(f"x must be finite, got {x!r}")
-    if levels < 2:
-        raise DomainError("need at least two levels to estimate the error")
+    if not (isinstance(levels, int) and levels >= 2):
+        raise DomainError(f"levels must be an int >= 2 to estimate the error, got {levels!r}")
 
     def stencil(step: float) -> float:
         if order == 1:
@@ -141,23 +145,30 @@ class RadialProblem:
     origin_w0: float = 0.0
 
     def __post_init__(self):
-        if not (self.r_cut > self.r_min > 0.0):
+        if not (math.inf > self.r_cut > self.r_min > 0.0):
             raise DomainError(
-                f"need 0 < r_min < r_cut, got ({self.r_min!r}, {self.r_cut!r})"
+                f"need 0 < r_min < r_cut < inf, got ({self.r_min!r}, {self.r_cut!r})"
             )
-        if self.npts < 16:
-            raise DomainError("mesh too coarse")
+        if not (isinstance(self.npts, int) and self.npts >= 16):
+            raise DomainError(f"npts must be an int >= 16, got {self.npts!r}")
+        # s and 1 - s both solve s(s - 1) = r^2 w(r) at the origin; the
+        # regular solution takes the larger.
+        if not 0.5 <= self.origin_exponent < math.inf:
+            raise DomainError(
+                f"origin_exponent must be finite and >= 1/2, got {self.origin_exponent!r}"
+            )
+        if not math.isfinite(self.origin_w0):
+            raise DomainError(f"origin_w0 must be finite, got {self.origin_w0!r}")
 
 
 @dataclass(frozen=True)
 class ShootResult:
     value: float
-    nodes: int
     npts: int
     refinements: int
-    mesh_gap: float
     passes: int  # Numerov passes over the first and refined meshes
-    gaps: tuple[float, ...]  # gap to the previous mesh, per refinement
+    # Gap to the previous mesh, per refinement; the last one met tol.
+    gaps: tuple[float, ...]
     points: int  # Numerov steps over every mesh, coarse rungs included
 
 
@@ -417,8 +428,8 @@ def shoot_eigenvalue(
     if not (isinstance(max_refinements, int) and max_refinements >= 1):
         raise DomainError(f"max_refinements must be an int >= 1, got {max_refinements!r}")
     lo, hi = float(bracket[0]), float(bracket[1])
-    if not hi > lo:
-        raise DomainError(f"empty shooting bracket ({lo!r}, {hi!r})")
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise DomainError(f"shooting bracket must be finite and nonempty, got ({lo!r}, {hi!r})")
     xtol = tol * max(1.0, abs(lo), abs(hi)) * 1e-2
     wvals = _mesh_w(problem, problem.npts)
     guess, width, points = _rung_guess(problem, n, lo, hi, wvals, xtol)
@@ -436,14 +447,8 @@ def shoot_eigenvalue(
         value = new_value
         if gap <= tol * max(1.0, abs(new_value)):
             return ShootResult(
-                value=value,
-                nodes=n,
-                npts=len(wvals),
-                refinements=refinement,
-                mesh_gap=gap,
-                passes=passes,
-                gaps=tuple(gaps),
-                points=points,
+                value=value, npts=len(wvals), refinements=refinement, passes=passes,
+                gaps=tuple(gaps), points=points,
             )
         width = 2.0 * gap
     raise ConvergenceError(

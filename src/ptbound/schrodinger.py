@@ -134,7 +134,6 @@ class SpectralParams:
     b1: float
     gamma: float
     beta: float
-    branch: str
 
     def k1(self, n: int) -> float:
         """Quantized scaled energy K1 = -alpha^2 (gamma + beta + 2n)^2."""
@@ -149,10 +148,8 @@ class SpectralParams:
 
 @dataclass(frozen=True)
 class EnergyLevel:
-    n: int
-    l: int
     E: float
-    flags: frozenset = frozenset()
+    flags: frozenset
 
 
 class LevelCount(NamedTuple):
@@ -231,7 +228,7 @@ def spectral_params(
     else:
         gamma = 0.5 * (1.0 - root_g)
         beta = 0.5 * (1.0 + root_b)
-    return SpectralParams(alpha=pot.alpha, a1=a1, b1=b1, gamma=gamma, beta=beta, branch=branch)
+    return SpectralParams(alpha=pot.alpha, a1=a1, b1=b1, gamma=gamma, beta=beta)
 
 
 def k1_from_energy(ctx: NRContext, alpha: float, l: int, energy: float) -> float:
@@ -279,7 +276,7 @@ def energy_nr(
     energy = scale * (l * (l + 1) * D0 - bracket * bracket)
     if n >= level_count(pot, ctx, l).n_max:
         flags.add(FLAG_BEYOND_NMAX)
-    return EnergyLevel(n=n, l=l, E=energy, flags=frozenset(flags))
+    return EnergyLevel(E=energy, flags=frozenset(flags))
 
 
 def level_count(pot: PTPotential, ctx: NRContext, l: int) -> LevelCount:
@@ -355,10 +352,15 @@ def _hyperbolic_amplitude(alpha, r, n, cosh_pow, sinh_pow, b, c, z_of, lead):
     """lead cosh^cosh_pow(x) sinh^sinh_pow(x) 2F1(-n, b; c; z_of(sinh x)), x = |alpha| r.
 
     Every closed-form bound state, Schrodinger and Dirac, is this
-    product.  A radius that is not positive and finite, or a negative
-    sinh exponent inside the origin cutoff r < 1e-8/|alpha|, raises
-    DomainError; a factor, the 2F1 argument or the amplitude past the
-    double range raises OverflowRangeError.
+    product.  It is formed directly, in that order, when both powers and
+    both partial products before the 2F1 value are normal doubles;
+    otherwise the four factors are combined in logs with the sign
+    carried, so an amplitude that is only tiny comes back as its value
+    or 0.0.  A radius that is not positive and finite, or a negative sinh
+    exponent inside the origin cutoff r < 1e-8/|alpha|, raises
+    DomainError; the 2F1 argument (formed only for n >= 1: 2F1(0, b; c; z)
+    is 1) or the amplitude past the double range raises
+    OverflowRangeError.
     """
     if not 0.0 < r < math.inf:
         raise DomainError(f"radius must be positive and finite, got {r!r}")
@@ -366,18 +368,38 @@ def _hyperbolic_amplitude(alpha, r, n, cosh_pow, sinh_pow, b, c, z_of, lead):
         raise DomainError("divergent-exponent branch evaluated inside the origin cutoff")
     x = abs(alpha) * r
     try:
-        sh = math.sinh(x)
-        cosh_factor = math.cosh(x) ** cosh_pow
-        sinh_factor = sh**sinh_pow
+        sh, ch = math.sinh(x), math.cosh(x)
     except OverflowError:
-        raise OverflowRangeError(f"amplitude factors at r={r!r} exceed the double range") from None
-    z = z_of(sh)
+        sh = ch = math.inf
+    z = z_of(sh) if n else 0.0
     if math.isinf(z):
         raise OverflowRangeError(f"2F1 argument at r={r!r} exceeds the double range")
-    u = lead * cosh_factor * sinh_factor * hyp2f1_terminating(n, b, c, z)
+    f = hyp2f1_terminating(n, b, c, z)
+    try:
+        powers = (ch**cosh_pow, sh**sinh_pow)
+    except OverflowError:
+        powers = (math.inf, math.inf)
+    head = lead * powers[0]
+    body = head * powers[1]
+    u = body * f
+    normal = all(sys.float_info.min <= abs(v) < math.inf for v in (*powers, head, body))
+    if not (normal and math.isfinite(u)):
+        # log cosh x = log sinh x = x - log 2 where both are past the range
+        logs = [_log_abs(lead), _log_abs(f)]
+        for p, base in ((cosh_pow, ch), (sinh_pow, sh)):
+            if p:
+                logs.append(p * (x - math.log(2.0) if base == math.inf else _log_abs(base)))
+        try:
+            u = math.copysign(math.exp(sum(logs)), lead * f)
+        except OverflowError:
+            u = math.inf
     if not math.isfinite(u):
         raise OverflowRangeError(f"amplitude at r={r!r} exceeds the double range")
     return u
+
+
+def _log_abs(v: float) -> float:
+    return math.log(abs(v)) if v else -math.inf
 
 
 def _potential_minimum_z(a1: float, b1: float) -> float:

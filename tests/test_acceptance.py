@@ -105,7 +105,7 @@ class TestCriterion1:
             problem = pt_aim_problem(pot, NATURAL, 0, depth)
             lam_prev, s_prev, _ = aim_iterate(problem, e, depth - 1)
             lam_cur, s_cur, delta = aim_iterate(problem, e, depth)
-            scale = abs(lam_cur.value * s_prev.value) + abs(lam_prev.value * s_cur.value)
+            scale = abs(lam_cur * s_prev) + abs(lam_prev * s_cur)
             return abs(delta) / scale
 
         claim_resid = normalized_delta(3, -(gb**2) - 4.0 * (gb + 2.0))

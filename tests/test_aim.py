@@ -10,10 +10,12 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ptbound.aim
 from ptbound.aim import AimProblem, aim_delta, aim_eigen_scan, aim_iterate
-from ptbound.errors import DomainError, JetMismatchError, OverflowRangeError
+from ptbound.errors import DomainError, JetMismatchError, OverflowRangeError, PtboundError
 from ptbound.jets import SeriesJet, jet_scale
 from ptbound.rootfind import sign_change_brackets, uniform_grid
 from ptbound.schrodinger import NRContext, PTPotential, pt_aim_problem, spectral_params
@@ -41,7 +43,7 @@ def normalized_delta(problem, e, k):
     """|delta_k| relative to the size of the two products it cancels."""
     lam_prev, s_prev, _ = aim_iterate(problem, e, k - 1)
     lam_cur, s_cur, delta = aim_iterate(problem, e, k)
-    scale = abs(lam_cur.value * s_prev.value) + abs(lam_prev.value * s_cur.value)
+    scale = abs(lam_cur * s_prev) + abs(lam_prev * s_cur)
     return abs(delta) / scale
 
 
@@ -68,12 +70,11 @@ class TestRecurrenceAlgebra:
     def test_delta2(self, c, e):
         assert aim_delta(self._const_problem(c), e, 2) == pytest.approx(-(e**3), rel=1e-13)
 
-    def test_iterate_returns_jets_and_delta(self):
-        lam, s, delta = aim_iterate(self._const_problem(1.0), 2.0, 1)
+    def test_iterate_returns_values_at_x0(self):
+        values = aim_iterate(self._const_problem(1.0), 2.0, 1)
         # lambda_1 = E + c^2 = 3, s_1 = E c = 2, delta_1 = E^2 = 4
-        assert lam.value == pytest.approx(3.0)
-        assert s.value == pytest.approx(2.0)
-        assert delta == pytest.approx(4.0)
+        assert all(type(v) is float for v in values)
+        assert values == pytest.approx((3.0, 2.0, 4.0))
 
 
 class TestVanishingS0:
@@ -403,12 +404,6 @@ class TestScanDiagnostics:
         rep = aim_eigen_scan(hermite_problem(3), (-0.5, 4.5), 3, grid=4)
         assert len(rep.roots) < 4
 
-    def test_report_metadata(self):
-        rep = aim_eigen_scan(pt_problem(2), (-30.0, -20.0), 2, grid=128)
-        assert rep.k_used == 2
-        assert rep.bracket == (-30.0, -20.0)
-        assert rep.grid == 128
-
 
 class TestValidation:
     def test_depth_exceeding_jet_order(self):
@@ -458,6 +453,18 @@ class TestValidation:
                 lambda0=SeriesJet.constant(1.0, 0.0, 5),
                 s0=SeriesJet.constant(1.0, 0.0, 5),
                 e_scale=e_scale,
+            )
+
+    @pytest.mark.parametrize(
+        "coeff, x0", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf), (1.0, math.nan)]
+    )
+    def test_problem_rejects_nonfinite_jets(self, coeff, x0):
+        # accepted, and each aim_delta then raised OverflowRangeError
+        # (x0 = nan as a JetMismatchError)
+        with pytest.raises(DomainError, match="finite"):
+            AimProblem(
+                lambda0=SeriesJet.constant(1.0, x0, 5),
+                s0=SeriesJet([1.0, coeff, 0.0, 0.0, 0.0, 0.0], x0),
             )
 
     def test_problem_rejects_builder_callables(self):
@@ -512,3 +519,84 @@ class TestZeroOnNode:
         for bracket in ((z, z + 5.0), (z - 5.0, z)):
             rep = aim_eigen_scan(prob, bracket, 3)
             assert [r.value for r in rep.roots] == [z], bracket
+
+
+def finite_or_ptbound_error(f, *args, **kwargs):
+    try:
+        return f(*args, **kwargs)
+    except PtboundError:
+        return None
+
+
+NONFINITE = st.sampled_from((math.nan, math.inf, -math.inf))
+finite_floats = st.floats(allow_nan=False, allow_infinity=False)
+# Criterion-1 wells and far deeper ones, at every depth the recurrence runs.
+pt_problems = st.builds(
+    lambda a, b, alpha, depth: finite_or_ptbound_error(
+        pt_aim_problem, PTPotential(a, b, alpha), CTX, 0, depth
+    ),
+    a=st.floats(min_value=-1e12, max_value=-1.0),
+    b=st.floats(min_value=0.0, max_value=50.0),
+    alpha=st.floats(min_value=0.2, max_value=5.0),
+    depth=st.integers(min_value=1, max_value=8),
+).filter(lambda problem: problem is not None)
+energies = st.one_of(st.floats(min_value=-1e14, max_value=1e3), finite_floats, NONFINITE)
+depths = st.integers(min_value=-1, max_value=30)
+
+
+class TestProperties:
+    """Each public name of the engine returns a finite result or raises a
+    PtboundError."""
+
+    @given(
+        lam=st.lists(st.one_of(finite_floats, NONFINITE), min_size=1, max_size=8),
+        s=st.lists(st.one_of(finite_floats, NONFINITE), min_size=1, max_size=8),
+        x0=st.one_of(st.floats(min_value=-5.0, max_value=5.0), NONFINITE),
+        e_shift=st.one_of(finite_floats, NONFINITE),
+        e_scale=st.one_of(finite_floats, NONFINITE),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_problem(self, lam, s, x0, e_shift, e_scale):
+        p = finite_or_ptbound_error(
+            lambda: AimProblem(SeriesJet(lam, x0), SeriesJet(s, x0), e_shift, e_scale)
+        )
+        if p is not None:
+            assert p.max_order >= 1 and p.s0.order == p.max_order
+            assert all(math.isfinite(v) for v in (p.x0, p.e_shift, p.e_scale)) and p.e_scale
+            assert all(math.isfinite(c) for jet in (p.lambda0, p.s0) for c in jet.coeffs)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(problem=pt_problems, e=energies, k=depths)
+    @settings(max_examples=300, deadline=None)
+    def test_iterate(self, problem, e, k):
+        values = finite_or_ptbound_error(aim_iterate, problem, e, k)
+        if values is not None:
+            assert all(type(v) is float and math.isfinite(v) for v in values)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(problem=pt_problems, e=energies, k=depths)
+    @settings(max_examples=300, deadline=None)
+    def test_delta(self, problem, e, k):
+        delta = finite_or_ptbound_error(aim_delta, problem, e, k)
+        if delta is not None:
+            assert math.isfinite(delta)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(
+        problem=pt_problems,
+        lo=st.one_of(st.floats(min_value=-1e14, max_value=0.0), NONFINITE),
+        width=st.one_of(st.floats(min_value=-1.0, max_value=1e14), NONFINITE),
+        k=depths,
+        grid=st.integers(min_value=-1, max_value=64),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_scan(self, problem, lo, width, k, grid):
+        report = finite_or_ptbound_error(aim_eigen_scan, problem, (lo, lo + width), k, grid=grid)
+        if report is not None:
+            assert all(math.isfinite(v) for v in report.shallow_roots)
+            for root in report.roots:
+                assert math.isfinite(root.value) and math.isfinite(root.residual)
+                # inf means no shallower root to compare against
+                assert not math.isnan(root.stability_gap)
+                assert not root.converged or math.isfinite(root.stability_gap)
+            assert report.delta_evals >= len(report.roots)

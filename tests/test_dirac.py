@@ -203,7 +203,6 @@ class TestSolveLevels:
         assert root.E == pytest.approx(19.97340513040207, rel=1e-9)
         assert abs(root.residual) < 1e-8
         assert root.flags == frozenset()
-        assert root.symmetry == "pspin"
         assert root.bracket_used == (-40.0, 40.0)
 
     def test_light_mass_has_no_root(self):
@@ -429,8 +428,25 @@ class TestSpinor:
 
     @pytest.mark.parametrize("r", [400.0, 800.0])
     def test_overflow_raises_range_error(self, r):
-        with pytest.raises(OverflowRangeError, match="double range"):
-            spinor_wavefunction("lower", self.CTX, POT, self.E, r)
+        # n = 1: the 2F1 argument sinh^2 is past the double range
+        ctx = DiracContext(M=20.0, kappa=1, n=1)
+        with pytest.raises(OverflowRangeError, match="2F1 argument"):
+            spinor_wavefunction("lower", ctx, POT, self.E, r)
+
+    @pytest.mark.parametrize("r", [400.0, 800.0])
+    def test_ground_state_needs_no_2f1_argument(self, r):
+        # 2F1(0, b; c; z) = 1, so sinh^2 past the range does not matter,
+        # and cosh^0.056 sinh^0.087 is about 1e25 at r = 400 and 1e49 at 800.
+        par = tilde_params(self.E, self.CTX, POT)
+        expect = math.exp((r - math.log(2.0)) * 2.0 * (par.beta2 + par.gamma2))
+        u = spinor_wavefunction("lower", self.CTX, POT, self.E, r)
+        assert u == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [300.0, 800.0])
+    def test_tiny_amplitude_is_zero(self, r):
+        # cosh^-4.6 sinh^-2.06 underflows; sinh is past the range at r = 800.
+        ctx = DiracContext(M=5.0, kappa=1, n=0)
+        assert spinor_wavefunction("upper", ctx, PTPotential(-3.0, 0.5, 1.0), 3.6, r) == 0.0
 
     def test_validation(self):
         with pytest.raises(DomainError):
@@ -546,4 +562,4 @@ class TestProperties:
         for root in roots or ():
             assert -2.0 * ctx.M <= root.E <= 2.0 * ctx.M
             assert math.isfinite(root.residual)
-            assert root.n == ctx.n and root.symmetry == symmetry
+            assert root.bracket_used == (-2.0 * ctx.M, 2.0 * ctx.M)

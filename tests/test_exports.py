@@ -2,7 +2,8 @@
 an ``__all__`` list fails here, not at a user's ``from ... import *``.
 Likewise every name the benchmark's tracer patches stays bound, the
 shooting oracle imports nothing from the routes it checks, and the sets of
-defaulted settings and of public names are pinned."""
+defaulted settings, of result-record fields and of public names are
+pinned."""
 
 import ast
 import dataclasses
@@ -109,7 +110,6 @@ def settable_surface():
 def test_settable_surface():
     """Adding or dropping a setting is a deliberate one-line change here."""
     assert settable_surface() == {
-        "schrodinger.EnergyLevel": ("flags",),
         "schrodinger.NRContext": ("hbar_c",),
         "schrodinger.energy_nr": ("branch",),
         "schrodinger.pt_aim_problem": ("branch", "z0"),
@@ -120,17 +120,43 @@ def test_settable_surface():
         "molecules.reference_energy": ("a", "amu_to_ev"),
         "molecules.thermo_context_for": ("l", "tau", "hbar_c", "amu_to_ev"),
         "dirac.DiracContext": ("c_shift", "hbar_c"),
-        "dirac.RelativisticRoot": ("flags",),
         "dirac.solve_levels": ("bracket", "tol", "grid"),
         "dirac.special_case_residual": ("alpha", "a", "b", "eta", "hbar_c"),
         "aim.AimProblem": ("e_shift", "e_scale"),
-        "aim.AimScanReport": ("warnings", "delta_evals"),
-        "aim.aim_eigen_scan": ("tol", "grid"),
+        "aim.aim_eigen_scan": ("grid",),
         "oracle.RadialProblem": ("npts", "origin_w0"),
         "oracle.finite_difference": ("order", "h", "levels"),
         "oracle.harmonic_problem": ("omega", "npts"),
         "oracle.integrate_adaptive": ("tol", "max_depth"),
         "oracle.shoot_eigenvalue": ("tol", "max_refinements"),
+    }
+
+
+RESULT_RECORDS = (
+    "AimRoot", "AimScanReport", "ShootResult", "RelativisticRoot", "SymmetryParams",
+    "EnergyLevel", "LevelCount", "SpectralParams", "ThermoPoint",
+)
+
+
+def field_names(record):
+    if dataclasses.is_dataclass(record):
+        return tuple(f.name for f in dataclasses.fields(record))
+    return record._fields
+
+
+def test_result_fields():
+    """Adding or dropping a field of a result record is a deliberate
+    one-line change here."""
+    assert {name: field_names(getattr(ptbound, name)) for name in RESULT_RECORDS} == {
+        "AimRoot": ("value", "residual", "stability_gap", "converged"),
+        "AimScanReport": ("roots", "shallow_roots", "warnings", "delta_evals"),
+        "ShootResult": ("value", "npts", "refinements", "passes", "gaps", "points"),
+        "RelativisticRoot": ("E", "bracket_used", "residual", "flags"),
+        "SymmetryParams": ("a3", "b3", "k3", "gamma2", "beta2"),
+        "EnergyLevel": ("E", "flags"),
+        "LevelCount": ("zeta", "n_max"),
+        "SpectralParams": ("alpha", "a1", "b1", "gamma", "beta"),
+        "ThermoPoint": ("beta", "chi", "Z", "U", "C", "F", "S"),
     }
 
 

@@ -62,6 +62,16 @@ class TestQuadrature:
         with pytest.raises(DomainError):
             integrate_adaptive(math.sin, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "a, b, tol",
+        [(0.0, math.inf, 1e-12), (-math.inf, 0.0, 1e-12), (0.0, 1.0, math.nan), (0.0, 1.0, 0.0)],
+    )
+    def test_nonfinite_interval_or_tolerance(self, a, b, tol):
+        # an infinite end reached f as a bare ValueError (math.sin(inf)),
+        # and a NaN tolerance came back as a ConvergenceError
+        with pytest.raises(DomainError):
+            integrate_adaptive(math.sin, a, b, tol=tol)
+
     def test_depth_exhaustion_carries_estimate(self):
         with pytest.raises(ConvergenceError) as exc:
             integrate_adaptive(lambda x: math.sin(10.0 * x), 0.0, 3.0, tol=1e-15, max_depth=2)
@@ -91,6 +101,11 @@ class TestFiniteDifference:
         with pytest.raises(DomainError):
             finite_difference(math.exp, 0.0, levels=1)
 
+    def test_non_integer_levels(self):
+        # levels=2.5 raised a bare TypeError from range()
+        with pytest.raises(DomainError, match="levels"):
+            finite_difference(math.exp, 0.0, levels=2.5)
+
     @pytest.mark.parametrize(
         "x, h", [(0.0, math.nan), (0.0, math.inf), (math.nan, 1e-3), (math.inf, 1e-3)]
     )
@@ -107,9 +122,8 @@ class TestShooting:
     def test_oscillator_levels(self, n):
         res = shoot_eigenvalue(harmonic_problem(), n, (4 * n + 1, 4 * n + 5))
         assert res.value == pytest.approx(4 * n + 3, rel=1e-8)
-        assert res.nodes == n
         assert res.refinements >= 1
-        assert res.mesh_gap <= 1e-9 * max(1.0, abs(res.value))
+        assert res.gaps[-1] <= 1e-9 * max(1.0, abs(res.value))
 
     def test_frequency_scaling(self):
         res = shoot_eigenvalue(harmonic_problem(omega=2.0), 1, (10.0, 18.0))
@@ -150,6 +164,27 @@ class TestShooting:
             RadialProblem(w=lambda r: 0.0, r_min=0.0, r_cut=1.0, origin_exponent=1.0)
         with pytest.raises(DomainError):
             harmonic_problem(omega=-1.0)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("npts", 2001.0),  # shoot_eigenvalue raised a bare TypeError
+            ("r_cut", math.inf),  # the solve came back as a NodeCountError
+            ("origin_exponent", math.nan),  # likewise
+            ("origin_exponent", -0.5),  # the seed divided by 4s + 2 = 0
+            ("origin_w0", math.nan),  # likewise a NodeCountError
+        ],
+    )
+    def test_problem_input_enters_checked(self, field, value):
+        settings = dict(w=lambda r: r * r, r_min=1e-6, r_cut=9.0, origin_exponent=1.0)
+        with pytest.raises(DomainError, match=field):
+            RadialProblem(**(settings | {field: value}))
+
+    @pytest.mark.parametrize("bracket", [(1.0, math.inf), (-math.inf, 5.0)])
+    def test_nonfinite_bracket(self, bracket):
+        # (1, inf) came back as a ConvergenceError with gap nan
+        with pytest.raises(DomainError, match="bracket"):
+            shoot_eigenvalue(harmonic_problem(), 0, bracket)
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9, float("nan"), float("inf")])
     def test_tolerance_validation(self, tol):
@@ -240,7 +275,7 @@ class TestWarmStart:
     @staticmethod
     def _check(problem, n, bracket):
         res = shoot_eigenvalue(problem, n, bracket)
-        assert (res.value, res.npts, res.refinements, res.mesh_gap) == _cold_shoot(
+        assert (res.value, res.npts, res.refinements, res.gaps[-1]) == _cold_shoot(
             problem, n, bracket
         )
         return res
@@ -311,7 +346,7 @@ class TestCoarseRungs:
         wvals = oracle._mesh_w(problem, problem.npts)
         assert oracle._rung_guess(problem, 0, 1.0, 5.0, wvals, 1e-11) == (None, 0.0, 0)
         res = shoot_eigenvalue(problem, 0, (1.0, 5.0))
-        assert (res.value, res.npts, res.refinements, res.mesh_gap) == _cold_shoot(
+        assert (res.value, res.npts, res.refinements, res.gaps[-1]) == _cold_shoot(
             problem, 0, (1.0, 5.0)
         )
 
@@ -374,7 +409,9 @@ class TestFourthOrder:
         problem, bracket = _pt_level(*TestWarmStart.STRONG_WELL, 0)
         res = shoot_eigenvalue(problem, 0, bracket)
         assert len(res.gaps) == res.refinements
-        assert res.mesh_gap == res.gaps[-1]
+        # Refinement stops at the first gap within the tolerance.
+        tol = 1e-9 * max(1.0, abs(res.value))
+        assert res.gaps[-1] <= tol < min(res.gaps[:-1], default=math.inf)
 
     def test_weak_core_gap_ratios_rise_to_fourth_order(self):
         problem, bracket = _pt_level(*self.WEAK_CORE_WELL, 2)
@@ -396,4 +433,4 @@ class TestFourthOrder:
     def test_strong_well_tight_tolerance(self):
         problem, bracket = _pt_level(*TestWarmStart.STRONG_WELL, 2)
         res = shoot_eigenvalue(problem, 2, bracket, tol=1e-12)
-        assert res.mesh_gap <= 1e-12 * abs(res.value)
+        assert res.gaps[-1] <= 1e-12 * abs(res.value)

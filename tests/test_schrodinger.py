@@ -308,9 +308,33 @@ class TestWavefunction:
             wavefunction_nr(POT, CTX, 0, 0, 1.0, argument="cubed")
 
     def test_overflow_raises(self):
-        # cosh(alpha r) is past the double range
-        with pytest.raises(OverflowRangeError):
-            wavefunction_nr(POT, CTX, 0, 0, 800.0)
+        # The paper-branch amplitude grows like exp(4.9 alpha r): past the
+        # double range at r = 800.
+        with pytest.raises(OverflowRangeError, match="amplitude at r=800.0"):
+            wavefunction_nr(POT, CTX, 0, 0, 800.0, "paper")
+
+    @pytest.mark.parametrize("r", [339.0, 340.0, 400.0, 800.0])
+    def test_tiny_amplitude_is_zero(self, r):
+        # cosh^-5 sinh^2.097 decays like exp(-2.9 alpha r); sinh^beta alone
+        # overflows from r = 340 on, and cosh and sinh from r = 711.
+        assert wavefunction_nr(POT, CTX, 0, 0, r) == 0.0
+
+    def test_underflowed_factor_is_combined_in_logs(self):
+        # gamma = -20, beta = 19.5: cosh^gamma underflows at r = 50, where
+        # u = tanh^19.5 / sqrt(cosh) is about 2e-11.
+        pot = PTPotential(A=-420.0, B=360.75, alpha=1.0)
+        par = spectral_params(pot, CTX, 0, "regular")
+        assert (par.gamma, par.beta) == (-20.0, 19.5)
+        expect = math.tanh(50.0) ** 19.5 / math.sqrt(math.cosh(50.0))
+        assert wavefunction_nr(pot, CTX, 0, 0, 50.0) == pytest.approx(expect, rel=1e-12)
+
+    def test_overflowed_factor_is_combined_in_logs(self):
+        # Paper branch, gamma = 6: cosh^gamma overflows at r = 130, where
+        # u = cosh^(gamma + beta) / tanh^beta is about 1e275.
+        par = spectral_params(POT, CTX, 0, "paper")
+        expect = math.cosh(130.0) ** (par.gamma + par.beta) / math.tanh(130.0) ** par.beta
+        u = wavefunction_nr(POT, CTX, 0, 0, 130.0, "paper")
+        assert u == pytest.approx(expect, rel=1e-12)
 
     def test_high_level_overflow_raises(self):
         # the lead's 2**n leaked a bare OverflowError from n = 1024 on
