@@ -45,7 +45,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, JetMismatchError, OverflowRangeError
+from .errors import (
+    DomainError, JetMismatchError, OverflowRangeError, require_bracket, require_finite,
+    require_index, require_positive,
+)
 from .jets import SeriesJet
 from .rootfind import bisect, sign_change_brackets, uniform_grid
 
@@ -93,12 +96,9 @@ class AimProblem:
             raise JetMismatchError(f"s0 is expanded at x0={self.s0.x0!r}, lambda0 at {self.x0!r}")
         if self.s0.order != self.max_order:
             raise JetMismatchError(f"s0 has order {self.s0.order}, lambda0 has {self.max_order}")
-        if self.max_order < 1:
-            raise DomainError(f"max_order must be >= 1, got {self.max_order}")
-        if not math.isfinite(self.e_shift):
-            raise DomainError(f"e_shift must be finite, got {self.e_shift!r}")
-        if not (math.isfinite(self.e_scale) and self.e_scale != 0.0):
-            raise DomainError(f"e_scale must be finite and nonzero, got {self.e_scale!r}")
+        require_index(self.max_order, "max_order", 1)
+        require_finite(self.e_shift, "e_shift")
+        require_positive(abs(self.e_scale), "|e_scale|")
 
     @property
     def x0(self) -> float:
@@ -168,14 +168,15 @@ def _delta(prev, cur):
     return cur[0][0] * prev[1][0] - prev[0][0] * cur[1][0]
 
 
-def _check_depth(problem: AimProblem, k: int) -> None:
-    if k < 1:
-        raise DomainError(f"iteration depth must be >= 1, got {k}")
+def _check_depth(problem: AimProblem, k: int, minimum: int = 1) -> int:
+    """k as an int: an integer >= minimum within the problem's jet order."""
+    k = require_index(k, "iteration depth", minimum)
     if k > problem.max_order:
         raise DomainError(
             f"depth {k} exceeds the problem's jet order {problem.max_order}; "
             "each iteration consumes one Taylor order"
         )
+    return k
 
 
 def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, float]:
@@ -184,9 +185,8 @@ def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, fl
     E must be finite, and a delta_k beyond the double range raises
     OverflowRangeError rather than coming back as inf or NaN.
     """
-    _check_depth(problem, k)
-    if not math.isfinite(e):
-        raise DomainError(f"energy must be finite, got {e!r}")
+    k = _check_depth(problem, k)
+    require_finite(e, "energy")
     s0 = problem.s0.coeffs * ((e + problem.e_shift) / problem.e_scale)
     # np.convolve is jets.jet_mul's product: the values are the jet route's.
     prev, cur = _recurrence(problem.lambda0.coeffs, s0, k, np.convolve)[-2:]
@@ -264,16 +264,13 @@ def aim_eigen_scan(
     spurious roots do not.  Two delta_(k-1) roots in one grid cell give
     no sign change, so a root the grid leaves unconverged has
     delta_(k-1) re-scanned on a finer grid around it before it is
-    graded.  A bracket with no sign change
-    yields an empty report rather than an error; adjacent sign-changing
-    grid cells produce a too-coarse warning.
+    graded, which needs k >= 2.  A bracket with no sign change yields an
+    empty report rather than an error; adjacent sign-changing grid cells
+    produce a too-coarse warning.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise DomainError(f"scan bracket must be finite and nonempty, got ({lo!r}, {hi!r})")
-    if k < 2:
-        raise DomainError("stability grading needs depth k >= 2")
-    _check_depth(problem, k)
+    lo, hi = require_bracket(bracket, "scan bracket")
+    k = _check_depth(problem, k, 2)
+    grid = require_index(grid, "grid", 2)
     scale = max(abs(lo), abs(hi), 1.0)
     xtol = SCAN_TOL * scale
     evals = 0

@@ -23,7 +23,7 @@ import click
 from . import __version__, oracle
 from .aim import aim_eigen_scan
 from .dirac import DiracContext, solve_levels
-from .errors import ConvergenceError, DomainError
+from .errors import ConvergenceError, DomainError, require_bracket, require_index, require_positive
 from .molecules import (
     AMU_TO_EV,
     MoleculeParams,
@@ -392,10 +392,10 @@ def cli_oracle_check(config: RunConfig) -> Path:
 
 def _grid(lo: float, hi: float, count: int, *, log: bool = False) -> list[float]:
     """count points from lo to hi, evenly spaced or (log) geometric."""
-    if not (count >= 2 and (0.0 if log else -math.inf) < lo < hi < math.inf):
-        floor = "0 < " if log else ""
-        raise DomainError(f"grid needs count >= 2 and {floor}lo < hi < inf: {count}, [{lo}, {hi}]")
+    require_index(count, "grid count", 2)
+    require_bracket((lo, hi), "grid range")
     if log:
+        require_positive(lo, "log grid start")
         ratio = math.log(hi / lo) / (count - 1)
         return [lo * math.exp(i * ratio) for i in range(count)]
     step = (hi - lo) / (count - 1)

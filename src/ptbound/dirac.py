@@ -38,9 +38,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import BracketError, DomainError, require_index
+from .errors import (
+    BracketError, DomainError, require_bracket, require_choice, require_finite, require_index,
+    require_positive,
+)
 from .rootfind import bisect, sign_change_brackets, uniform_grid
-from .schrodinger import D0, PTPotential, _hyperbolic_amplitude
+from .schrodinger import D0, PTPotential, _discriminant_root, _hyperbolic_amplitude
 from .specfun import pochhammer
 
 __all__ = [
@@ -82,15 +85,11 @@ class DiracContext:
     hbar_c: float = 1.0
 
     def __post_init__(self):
-        if not (self.kappa != 0 and self.kappa % 1 == 0):
-            raise DomainError(f"kappa must be a nonzero integer, got {self.kappa!r}")
+        require_index(abs(self.kappa), "|kappa|", 1)
         require_index(self.n, "level index")
-        if not 0.0 < self.M < math.inf:
-            raise DomainError(f"M must be positive and finite, got {self.M!r}")
-        if not 0.0 < self.hbar_c < math.inf:
-            raise DomainError(f"hbar_c must be positive and finite, got {self.hbar_c!r}")
-        if not math.isfinite(self.c_shift):
-            raise DomainError(f"c_shift must be finite, got {self.c_shift!r}")
+        require_positive(self.M, "M")
+        require_positive(self.hbar_c, "hbar_c")
+        require_finite(self.c_shift, "c_shift")
 
 
 @dataclass(frozen=True)
@@ -194,17 +193,14 @@ def _tilde_params_raw(e, m, k, cps, ae2, pot):
     a3 = s * pot.A / ae2
     b3 = s * pot.B / ae2 + k * (k - 1)
     k3 = 4.0 * k * (k - 1) * D0 + (m - e + cps) * (m + e) / ae2
-    disc_a = 1.0 - 4.0 * a3
-    disc_b = 1.0 + 4.0 * b3
-    if disc_a < 0.0 or disc_b < 0.0:
-        raise DomainError("exponent discriminant negative at this energy")
-    beta2 = 0.25 * (1.0 - math.sqrt(disc_a))
-    gamma2 = 0.25 * (1.0 - math.sqrt(disc_b))
+    beta2 = 0.25 * (1.0 - _discriminant_root(1.0 - 4.0 * a3, "exponent a3"))
+    gamma2 = 0.25 * (1.0 - _discriminant_root(1.0 + 4.0 * b3, "exponent b3"))
     return SymmetryParams(a3=a3, b3=b3, k3=k3, gamma2=gamma2, beta2=beta2)
 
 
 def tilde_params(e: float, ctx: DiracContext, pot: PTPotential) -> SymmetryParams:
     """Pseudospin-side scaled parameters and exponents at energy e."""
+    require_finite(e, "energy")
     return _tilde_params_raw(e, ctx.M, ctx.kappa, ctx.c_shift, _ae2(ctx, pot), pot)
 
 
@@ -213,6 +209,7 @@ def plain_params(e: float, ctx: DiracContext, pot: PTPotential) -> SymmetryParam
     pseudospin ones through the exchange map, bit for bit a direct
     transcription's but for the sign of a zero a3 (where E + M = Cs).
     """
+    require_finite(e, "energy")
     return _tilde_params_raw(
         -e, ctx.M, ctx.kappa + 1, -ctx.c_shift, _ae2(ctx, pot), _reflected(pot)
     )
@@ -239,17 +236,14 @@ def solve_levels(
     result).  Roots sitting on either mass shell E = +/-M are flagged,
     since the published validity remarks prune one shell per symmetry.
     """
-    if symmetry not in _SYMMETRIES:
-        raise DomainError(f"symmetry must be one of {_SYMMETRIES}, got {symmetry!r}")
+    require_choice(symmetry, _SYMMETRIES, "symmetry")
+    require_positive(tol, "tolerance")
+    grid = require_index(grid, "grid", 1)
     residual = pspin_residual if symmetry == "pspin" else spin_residual
     if bracket is None:
         span = abs(ctx.M)
         bracket = (-ctx.M - span, ctx.M + span)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise DomainError(f"energy bracket must be finite, got ({lo!r}, {hi!r})")
-    if not hi > lo:
-        raise DomainError(f"empty energy bracket ({lo!r}, {hi!r})")
+    lo, hi = require_bracket(bracket, "energy bracket")
     f = lambda x: residual(x, ctx, pot)
     vals = [f(x) for x in uniform_grid(lo, hi, grid + 1).tolist()]
     if all(math.isnan(v) for v in vals):
@@ -319,15 +313,13 @@ def special_case_residual(
 
     Returns NaN where the square root goes complex.
     """
-    if kind not in _SPECIAL_KINDS:
-        raise DomainError(f"kind must be one of {_SPECIAL_KINDS}, got {kind!r}")
+    require_choice(kind, _SPECIAL_KINDS, "kind")
     require_index(n, "level index")
-    ae2 = _square(alpha * hbar_c)
-    if not 0.0 < ae2 < math.inf:
-        raise DomainError(
-            f"(alpha hbar_c)**2 must be positive and finite, "
-            f"got alpha={alpha!r}, hbar_c={hbar_c!r}"
-        )
+    for what, value in (("e", e), ("m", m), ("a", a), ("b", b), ("eta", eta)):
+        require_finite(value, what)
+    ae2 = require_positive(_square(alpha * hbar_c), "(alpha hbar_c)**2")
+    if kind.startswith("hyperbolic_mpt") and (alpha != 1.0 or hbar_c != 1.0):
+        raise DomainError("the symmetric hyperbolic case is printed for alpha = hbar = 1")
     if kind == "swave_pspin":
         t = m - e
         arg1 = 1.0 + 4.0 * a * t / ae2
@@ -353,25 +345,16 @@ def special_case_residual(
             return _NAN
         bracket = n + 0.25 + 0.25 * math.sqrt(arg)
     elif kind == "hyperbolic_mpt_pspin":
-        if alpha != 1.0 or hbar_c != 1.0:
-            raise DomainError("the symmetric hyperbolic case is printed for alpha = hbar = 1")
         arg = 1.0 + (1.0 - 4.0 * eta * eta) * (m - e)
         if arg < 0.0:
             return _NAN
         bracket = n + 0.25 + 0.25 * math.sqrt(arg)
     else:
-        if alpha != 1.0 or hbar_c != 1.0:
-            raise DomainError("the symmetric hyperbolic case is printed for alpha = hbar = 1")
         arg = 1.0 - (1.0 - 4.0 * eta * eta) * (m + e)
         if arg < 0.0:
             return _NAN
         bracket = n + 0.25 + 0.25 * math.sqrt(arg)
     return m * m - e * e - 4.0 * ae2 * bracket * bracket
-
-
-def _require_mass(mu: float) -> None:
-    if not 0.0 < mu < math.inf:
-        raise DomainError(f"mass parameter must be positive and finite, got {mu!r}")
 
 
 def nr_limit_energy(mu: float, pot: PTPotential, n: int, l: int) -> float:
@@ -383,38 +366,34 @@ def nr_limit_energy(mu: float, pot: PTPotential, n: int, l: int) -> float:
     """
     require_index(n, "level index")
     require_index(l, "angular momentum")
-    _require_mass(mu)
+    require_positive(mu, "mass parameter")
     alpha2 = pot.alpha**2
     arg1 = 1.0 - 8.0 * mu * pot.A / alpha2
     arg2 = (2.0 * l + 1.0) ** 2 + 8.0 * mu * pot.B / alpha2
-    if arg1 < 0.0 or arg2 < 0.0:
-        raise DomainError("square-root argument negative in the limit formula")
-    bracket = n + 0.5 + 0.25 * math.sqrt(arg1) - 0.25 * math.sqrt(arg2)
+    root1 = _discriminant_root(arg1, "well-depth")
+    root2 = _discriminant_root(arg2, "core-strength")
+    bracket = n + 0.5 + 0.25 * root1 - 0.25 * root2
     return (2.0 * alpha2 / mu) * (l * (l + 1) * D0 - bracket * bracket)
 
 
 def reflectionless_nr_energy(mu: float, alpha: float, eta: float, n: int) -> float:
     """E_n = -(2 alpha^2/mu) [n + 1/4 + (1/4) sqrt(1 + 4 mu eta(eta+1)/alpha^2)]^2."""
     require_index(n, "level index")
-    _require_mass(mu)
-    alpha2 = _square(alpha)
-    if not 0.0 < alpha2 < math.inf:
-        raise DomainError(f"alpha**2 must be positive and finite, got alpha={alpha!r}")
+    require_positive(mu, "mass parameter")
+    require_finite(eta, "eta")
+    alpha2 = require_positive(_square(alpha), "alpha**2")
     arg = 1.0 + 4.0 * mu * eta * (eta + 1.0) / alpha2
-    if arg < 0.0:
-        raise DomainError("square-root argument negative")
-    bracket = n + 0.25 + 0.25 * math.sqrt(arg)
+    bracket = n + 0.25 + 0.25 * _discriminant_root(arg, "reflectionless")
     return -(2.0 * alpha2 / mu) * bracket * bracket
 
 
 def symmetric_nr_energy(mu: float, eta: float, n: int) -> float:
     """E_n = -(2/mu) [n + 1/4 + (1/4) sqrt(1 - 2 mu (1 - 4 eta^2))]^2."""
     require_index(n, "level index")
-    _require_mass(mu)
+    require_positive(mu, "mass parameter")
+    require_finite(eta, "eta")
     arg = 1.0 - 2.0 * mu * (1.0 - 4.0 * eta * eta)
-    if arg < 0.0:
-        raise DomainError("square-root argument negative")
-    bracket = n + 0.25 + 0.25 * math.sqrt(arg)
+    bracket = n + 0.25 + 0.25 * _discriminant_root(arg, "symmetric-case")
     return -(2.0 / mu) * bracket * bracket
 
 
@@ -441,8 +420,7 @@ def spinor_wavefunction(
     the exponents taken from the matching parameter set.  Errors follow
     schrodinger._hyperbolic_amplitude.
     """
-    if component not in _COMPONENTS:
-        raise DomainError(f"component must be one of {_COMPONENTS}, got {component!r}")
+    require_choice(component, _COMPONENTS, "component")
     params = tilde_params(e, ctx, pot) if component == "lower" else plain_params(e, ctx, pot)
     c = 2.0 * params.beta2 + 0.5
     return _hyperbolic_amplitude(

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input checks that raise them.
+
+Every public entry point checks its numeric input with the ``require_*``
+helpers below, where the data enters: each returns the checked value or
+raises DomainError naming the argument.
+"""
+
+import math
 
 
 class PtboundError(Exception):
@@ -44,11 +51,43 @@ class TableFormatError(PtboundError, ValueError):
     """A molecule table or CSV artifact violates the documented layout."""
 
 
-def require_index(value, what: str) -> None:
-    """Raise DomainError unless value is a nonnegative integer (2.0 counts).
+def require_finite(x, what: str) -> float:
+    """x as a float; DomainError unless it is finite."""
+    if not math.isfinite(x):
+        raise DomainError(f"{what} must be finite, got {x!r}")
+    return float(x)
+
+
+def require_positive(x, what: str) -> float:
+    """x as a float; DomainError unless 0 < x < inf (NaN fails too)."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{what} must be finite and positive, got {x!r}")
+    return float(x)
+
+
+def require_choice(value, choices: tuple, what: str):
+    """value; DomainError unless it is one of choices."""
+    if value not in choices:
+        raise DomainError(f"{what} must be one of {choices}, got {value!r}")
+    return value
+
+
+def require_bracket(bracket, what: str) -> tuple[float, float]:
+    """(lo, hi) of a two-element bracket as floats; DomainError unless
+    -inf < lo < hi < inf."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"{what} must be finite and nonempty, got ({lo!r}, {hi!r})")
+    return lo, hi
+
+
+def require_index(value, what: str, minimum: int = 0) -> int:
+    """value as an int; DomainError unless it is an integer >= minimum
+    (2.0 counts).
 
     Written with % so that NaN and infinities are rejected here rather
     than raising ValueError or OverflowError from int().
     """
-    if not (value >= 0 and value % 1 == 0):
-        raise DomainError(f"{what} must be a nonnegative integer, got {value!r}")
+    if not (value >= minimum and value % 1 == 0):
+        raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    return int(value)

@@ -12,7 +12,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DomainError, TableFormatError
+from .errors import (
+    DomainError, TableFormatError, require_finite, require_index, require_positive,
+)
 from .refdata import MOLECULE_CONSTANTS
 from .schrodinger import HBARC_EV_ANG, NRContext, PTPotential, level_count
 from .tableio import write_csv
@@ -50,15 +52,8 @@ class MoleculeParams:
     def __post_init__(self):
         if not self.name or self.name != self.name.strip():
             raise DomainError(f"molecule name must be non-empty and trimmed, got {self.name!r}")
-        if not 0.0 < self.mu_amu < math.inf:
-            raise DomainError(
-                f"{self.name}: reduced mass must be positive and finite, got {self.mu_amu!r}"
-            )
-        if not 0.0 < self.alpha_invA < math.inf:
-            raise DomainError(
-                f"{self.name}: screening parameter must be positive and finite, "
-                f"got {self.alpha_invA!r}"
-            )
+        require_positive(self.mu_amu, f"{self.name}: reduced mass")
+        require_positive(self.alpha_invA, f"{self.name}: screening parameter")
 
 
 def builtin_molecules() -> list[MoleculeParams]:
@@ -167,10 +162,18 @@ def reference_energy(
       - the B well strength does not enter the second square root,
         which collapses to (2l+1),
       - hbar*c = 1973.0 eV*Angstrom rather than the stated 1973.29.
+
+    A well parameter a that makes the first square root complex raises
+    DomainError.
     """
-    mu = mol.mu_amu * amu_to_ev
+    require_index(n, "level index")
+    require_index(l, "angular momentum")
+    require_finite(a, "well parameter a")
+    mu = mol.mu_amu * require_positive(amu_to_ev, "amu_to_ev")
     alpha = mol.alpha_invA
     hbarc2 = HBARC_CALIBRATED * HBARC_CALIBRATED
     x = 8.0 * mu / (alpha * alpha * hbarc2)
+    if 1.0 - a * x < 0.0:
+        raise DomainError(f"well parameter a={a!r} makes a square root complex for {mol.name}")
     bracket = n + 0.5 + 0.25 * math.sqrt(1.0 - a * x) - 0.25 * (2 * l + 1)
     return -2.0 * alpha * alpha * hbarc2 / mu * bracket * bracket

@@ -18,7 +18,10 @@ from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
 
-from .errors import ConvergenceError, DomainError, NodeCountError, require_index
+from .errors import (
+    ConvergenceError, DomainError, NodeCountError, require_bracket, require_choice,
+    require_finite, require_index, require_positive,
+)
 from .rootfind import zeroin
 
 __all__ = [
@@ -45,12 +48,9 @@ def integrate_adaptive(
     (proportionally split) tolerance.  Exhausting max_depth raises
     ConvergenceError with the best composite value attached.
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
-        raise DomainError(f"integration interval must be finite: [{a!r}, {b!r}]")
-    if not b > a:
-        raise DomainError(f"integration interval is empty: [{a!r}, {b!r}]")
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"quadrature tolerance must be positive and finite, got {tol!r}")
+    require_bracket((a, b), "integration interval")
+    require_positive(tol, "quadrature tolerance")
+    require_index(max_depth, "max_depth")
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
@@ -98,14 +98,10 @@ def finite_difference(
     error estimate is the difference between the last two extrapolation
     stages, a usually-pessimistic bound on the truncation error.
     """
-    if order not in (1, 2):
-        raise DomainError(f"unsupported derivative order {order}")
-    if not 0.0 < h < math.inf:
-        raise DomainError(f"step must be positive and finite, got {h!r}")
-    if not math.isfinite(x):
-        raise DomainError(f"x must be finite, got {x!r}")
-    if not (isinstance(levels, int) and levels >= 2):
-        raise DomainError(f"levels must be an int >= 2 to estimate the error, got {levels!r}")
+    require_choice(order, (1, 2), "derivative order")
+    require_positive(h, "step h")
+    require_finite(x, "x")
+    levels = require_index(levels, "levels", 2)
 
     def stencil(step: float) -> float:
         if order == 1:
@@ -145,10 +141,8 @@ class RadialProblem:
     origin_w0: float = 0.0
 
     def __post_init__(self):
-        if not (math.inf > self.r_cut > self.r_min > 0.0):
-            raise DomainError(
-                f"need 0 < r_min < r_cut < inf, got ({self.r_min!r}, {self.r_cut!r})"
-            )
+        require_bracket((self.r_min, self.r_cut), "window (r_min, r_cut)")
+        require_positive(self.r_min, "r_min")
         if not (isinstance(self.npts, int) and self.npts >= 16):
             raise DomainError(f"npts must be an int >= 16, got {self.npts!r}")
         # s and 1 - s both solve s(s - 1) = r^2 w(r) at the origin; the
@@ -157,8 +151,7 @@ class RadialProblem:
             raise DomainError(
                 f"origin_exponent must be finite and >= 1/2, got {self.origin_exponent!r}"
             )
-        if not math.isfinite(self.origin_w0):
-            raise DomainError(f"origin_w0 must be finite, got {self.origin_w0!r}")
+        require_finite(self.origin_w0, "origin_w0")
 
 
 @dataclass(frozen=True)
@@ -423,13 +416,9 @@ def shoot_eigenvalue(
     mesh refinement stalls.
     """
     require_index(n, "level index")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise DomainError(f"shooting tolerance must be finite and > 0, got {tol!r}")
-    if not (isinstance(max_refinements, int) and max_refinements >= 1):
-        raise DomainError(f"max_refinements must be an int >= 1, got {max_refinements!r}")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
-        raise DomainError(f"shooting bracket must be finite and nonempty, got ({lo!r}, {hi!r})")
+    require_positive(tol, "shooting tolerance")
+    max_refinements = require_index(max_refinements, "max_refinements", 1)
+    lo, hi = require_bracket(bracket, "shooting bracket")
     xtol = tol * max(1.0, abs(lo), abs(hi)) * 1e-2
     wvals = _mesh_w(problem, problem.npts)
     guess, width, points = _rung_guess(problem, n, lo, hi, wvals, xtol)
@@ -464,8 +453,7 @@ def harmonic_problem(omega: float = 1.0, *, npts: int = 2001) -> RadialProblem:
     machinery (unit mass, p-wave-free ell=0 sector, u ~ r at the origin;
     w has no constant term there, so origin_w0 keeps its default 0).
     """
-    if omega <= 0.0:
-        raise DomainError("frequency must be positive")
+    require_positive(omega, "frequency omega")
     return RadialProblem(
         w=lambda r: (omega * r) ** 2,
         r_min=1e-6,

@@ -33,7 +33,10 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .aim import AimProblem
-from .errors import DomainError, OverflowRangeError, require_index
+from .errors import (
+    DomainError, OverflowRangeError, require_choice, require_finite, require_index,
+    require_positive,
+)
 from .jets import SeriesJet, jet_div, jet_reciprocal, jet_scale
 from .oracle import RadialProblem
 from .specfun import hyp2f1_terminating, pochhammer
@@ -87,10 +90,9 @@ class PTPotential:
     alpha: float
 
     def __post_init__(self):
-        if not abs(self.alpha) > 0.0 or not math.isfinite(self.alpha):
-            raise DomainError(f"alpha must be nonzero and finite, got {self.alpha!r}")
-        if not (math.isfinite(self.A) and math.isfinite(self.B)):
-            raise DomainError(f"A and B must be finite, got A={self.A!r}, B={self.B!r}")
+        require_positive(abs(self.alpha), "|alpha|")
+        require_finite(self.A, "A")
+        require_finite(self.B, "B")
 
 
 @dataclass(frozen=True)
@@ -107,10 +109,8 @@ class NRContext:
     hbar_c: float = HBARC_EV_ANG
 
     def __post_init__(self):
-        if not 0.0 < self.mu < math.inf:
-            raise DomainError(f"reduced mass must be positive and finite, got {self.mu!r}")
-        if not 0.0 < self.hbar_c < math.inf:
-            raise DomainError(f"hbar_c must be positive and finite, got {self.hbar_c!r}")
+        require_positive(self.mu, "reduced mass")
+        require_positive(self.hbar_c, "hbar_c")
         # Every closed-form route divides by hbar_c**2.
         if not sys.float_info.min <= self.hbar_c * self.hbar_c < math.inf:
             raise DomainError(f"hbar_c**2 must be a normal double, got hbar_c={self.hbar_c!r}")
@@ -161,8 +161,8 @@ class LevelCount(NamedTuple):
 
 def potential_value(pot: PTPotential, r: float) -> float:
     """V(r) for r > 0; at r = 0 only the B = 0 case is finite."""
-    if not r >= 0.0:
-        raise DomainError(f"radius must be nonnegative, got {r!r}")
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"radius must be nonnegative and finite, got {r!r}")
     if r == 0.0:
         if pot.B != 0.0:
             raise DomainError("potential is singular at r = 0 when B != 0")
@@ -178,10 +178,9 @@ def centrifugal_approx_residual(l: int, alpha: float, r: float) -> float:
     alpha r -> 0 is exactly 0; the leading behavior is -(alpha r)^2/15,
     so the substitution is only trustworthy for small alpha r.
     """
-    if l < 1:
-        raise DomainError(f"centrifugal term needs l >= 1, got {l}")
-    if not r > 0.0:
-        raise DomainError(f"radius must be positive, got {r!r}")
+    require_index(l, "angular momentum", 1)
+    require_finite(alpha, "alpha")
+    require_positive(r, "radius")
     x = alpha * r
     if x < 0.1:
         # Direct evaluation loses all significant digits here; use the
@@ -210,18 +209,11 @@ def spectral_params(
     origin-regular, normalizable combination the shooting solver
     confirms as the actual bound spectrum.
     """
-    if branch not in _BRANCHES:
-        raise DomainError(f"branch must be one of {_BRANCHES}, got {branch!r}")
+    require_choice(branch, _BRANCHES, "branch")
     a1, b1 = _scaled_strengths(pot, ctx, l)
     alpha2 = pot.alpha**2
-    disc_g = 1.0 - 4.0 * a1 / alpha2
-    disc_b = 1.0 + 4.0 * b1 / alpha2
-    if disc_g < 0.0:
-        raise DomainError(f"well-depth discriminant negative: {disc_g!r}")
-    if disc_b < 0.0:
-        raise DomainError(f"core-strength discriminant negative: {disc_b!r}")
-    root_g = math.sqrt(disc_g)
-    root_b = math.sqrt(disc_b)
+    root_g = _discriminant_root(1.0 - 4.0 * a1 / alpha2, "well-depth")
+    root_b = _discriminant_root(1.0 + 4.0 * b1 / alpha2, "core-strength")
     if branch == "paper":
         gamma = 0.5 * (1.0 + root_g)
         beta = 0.5 * (1.0 - root_b)
@@ -231,12 +223,25 @@ def spectral_params(
     return SpectralParams(alpha=pot.alpha, a1=a1, b1=b1, gamma=gamma, beta=beta)
 
 
+def _discriminant_root(disc: float, what: str) -> float:
+    """sqrt(disc) of an exponent discriminant; DomainError when negative."""
+    if disc < 0.0:
+        raise DomainError(f"{what} discriminant negative: {disc!r}")
+    return math.sqrt(disc)
+
+
 def k1_from_energy(ctx: NRContext, alpha: float, l: int, energy: float) -> float:
     """Scaled energy: K1 = 2 mu E / hbar^2 - 4 l(l+1) alpha^2 d0."""
+    require_index(l, "angular momentum")
+    require_finite(alpha, "alpha")
+    require_finite(energy, "energy")
     return 2.0 * ctx.mu * energy / ctx.hbar_c**2 - 4.0 * l * (l + 1) * alpha**2 * D0
 
 
 def energy_from_k1(ctx: NRContext, alpha: float, l: int, k1: float) -> float:
+    require_index(l, "angular momentum")
+    require_finite(alpha, "alpha")
+    require_finite(k1, "k1")
     return (ctx.hbar_c**2 / (2.0 * ctx.mu)) * (k1 + 4.0 * l * (l + 1) * alpha**2 * D0)
 
 
@@ -257,8 +262,7 @@ def energy_nr(
     this expression (not through SpectralParams) so the algebraic
     equivalence with the quantized K1 route stays an actual test.
     """
-    if branch not in _BRANCHES:
-        raise DomainError(f"branch must be one of {_BRANCHES}, got {branch!r}")
+    require_choice(branch, _BRANCHES, "branch")
     require_index(n, "level index")
     require_index(l, "angular momentum")
     ah = (pot.alpha * ctx.hbar_c) ** 2
@@ -294,11 +298,9 @@ def level_count(pot: PTPotential, ctx: NRContext, l: int) -> LevelCount:
     ah = (pot.alpha * ctx.hbar_c) ** 2
     disc_a = 1.0 - 8.0 * ctx.mu * pot.A / ah
     disc_b = 1.0 + 8.0 * ctx.mu * pot.B / ah
-    if disc_a < 0.0 or disc_b < 0.0:
-        raise DomainError("square-root argument negative in level count")
     zeta = (
-        0.25 * math.sqrt(disc_b)
-        - 0.25 * math.sqrt(disc_a)
+        0.25 * _discriminant_root(disc_b, "core-strength")
+        - 0.25 * _discriminant_root(disc_a, "well-depth")
         - 0.5
         + math.sqrt(l * (l + 1) * D0)
     )
@@ -331,8 +333,7 @@ def wavefunction_nr(
     counts and square-integrability hold on the regular pair.  Errors
     follow _hyperbolic_amplitude.
     """
-    if argument not in _ARGUMENTS:
-        raise DomainError(f"argument must be one of {_ARGUMENTS}, got {argument!r}")
+    require_choice(argument, _ARGUMENTS, "argument")
     require_index(n, "level index")
     params = spectral_params(pot, ctx, l, branch)
     if argument == "linear":
@@ -362,8 +363,7 @@ def _hyperbolic_amplitude(alpha, r, n, cosh_pow, sinh_pow, b, c, z_of, lead):
     is 1) or the amplitude past the double range raises
     OverflowRangeError.
     """
-    if not 0.0 < r < math.inf:
-        raise DomainError(f"radius must be positive and finite, got {r!r}")
+    require_positive(r, "radius")
     if sinh_pow < 0.0 and r < 1e-8 / abs(alpha):
         raise DomainError("divergent-exponent branch evaluated inside the origin cutoff")
     x = abs(alpha) * r
@@ -404,11 +404,10 @@ def _log_abs(v: float) -> float:
 
 def _potential_minimum_z(a1: float, b1: float) -> float:
     # Stationary point of A1/cosh^2 + B1/sinh^2 solves tanh^4 = B1/|A1|;
-    # outside the regime where that exists, fall back to z = 1.
-    if a1 < 0.0 and 0.0 < b1 < -a1:
-        t = (b1 / -a1) ** 0.25
-        return t / math.sqrt(1.0 - t * t)
-    return 1.0
+    # outside the regime where that exists, or where tanh rounds to 0 or
+    # 1, fall back to z = 1.
+    t = (b1 / -a1) ** 0.25 if a1 < 0.0 and 0.0 < b1 < -a1 else 0.0
+    return t / math.sqrt(1.0 - t * t) if 0.0 < t < 1.0 else 1.0
 
 
 def pt_aim_problem(
@@ -433,13 +432,11 @@ def pt_aim_problem(
     expansion point defaults to the potential-minimum abscissa mapped
     to z, falling back to z = 1 when no interior minimum exists.
     """
-    if depth < 1:
-        raise DomainError(f"depth must be >= 1, got {depth}")
+    depth = require_index(depth, "depth", 1)
     params = spectral_params(pot, ctx, l, branch)
     if z0 is None:
         z0 = _potential_minimum_z(params.a1, params.b1)
-    if not z0 > 0.0:
-        raise DomainError(f"expansion point must be positive, got {z0!r}")
+    require_positive(z0, "expansion point z0")
     order = 2 * depth + 8
     alpha2 = pot.alpha**2
     gb_shift = alpha2 * (params.gamma + params.beta) ** 2
@@ -479,20 +476,22 @@ def pt_radial_problem(
     k1_estimate (the deepest level of interest), 32 decay lengths
     1/sqrt(-k1_estimate) past that level's outer turning point (at least
     1/alpha), so the exponential tail neither dominates the mesh nor
-    underflows.  It starts at r_min inside the forbidden core, and the
+    underflows; a k1_estimate so near 0 that this end overflows raises
+    DomainError.  It starts at r_min inside the forbidden core, and the
     first mesh has 4001 points.
     """
-    if centrifugal not in ("approx", "exact"):
-        raise DomainError(f"centrifugal must be 'approx' or 'exact', got {centrifugal!r}")
+    require_choice(centrifugal, ("approx", "exact"), "centrifugal")
     a1, b1 = _scaled_strengths(pot, ctx, l)
     alpha = abs(pot.alpha)
-    s_exp = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * b1 / alpha**2))
-    if k1_estimate is not None and k1_estimate < 0.0:
+    s_exp = 0.5 * (1.0 + _discriminant_root(1.0 + 4.0 * b1 / alpha**2, "core-strength"))
+    if k1_estimate is not None and require_finite(k1_estimate, "k1_estimate") < 0.0:
         kappa = math.sqrt(-k1_estimate)
         turn = 1.0 / alpha
         if a1 < k1_estimate:
             turn = max(turn, math.acosh(math.sqrt(a1 / k1_estimate)) / alpha)
         r_cut = turn + 32.0 / kappa
+        if r_cut == math.inf:
+            raise DomainError(f"k1_estimate={k1_estimate!r} puts the window end out of range")
     else:
         r_cut = 40.0 / alpha
     # Start inside the forbidden core, but not so deep that the stiff

@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import DomainError, OverflowRangeError, require_index
+from .errors import (
+    DomainError, OverflowRangeError, require_finite, require_index, require_positive,
+)
 
 __all__ = [
     "ERFI_MAX_ARG",
@@ -41,13 +43,6 @@ ERFI_MAX_ARG = 26.0
 
 # crossover between the positive power series and the asymptotic series
 _SERIES_CUT = 7.0
-
-
-def _require_finite(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
 
 
 def _exp_series(x: float) -> float:
@@ -114,7 +109,7 @@ def _ln_erfi_of(p: float, v: float) -> float:
 
 
 def _erfi_arg(x: float) -> float:
-    x = _require_finite(x, "x")
+    x = require_finite(x, "x")
     if abs(x) > ERFI_MAX_ARG:
         raise OverflowRangeError(
             f"erfi({x!r}) exceeds the supported range |x| <= {ERFI_MAX_ARG}; "
@@ -125,7 +120,7 @@ def _erfi_arg(x: float) -> float:
 
 def dawson(x: float) -> float:
     """Dawson integral ``exp(-x^2) * int_0^x exp(t^2) dt``."""
-    x = _require_finite(x, "x")
+    x = require_finite(x, "x")
     ax = abs(x)
     if ax == 0.0:
         return 0.0
@@ -145,9 +140,7 @@ def erfi(x: float) -> float:
 
 def ln_erfi(x: float) -> float:
     """log(erfi(x)) for x > 0, valid far beyond the plain-erfi overflow cap."""
-    x = _require_finite(x, "x")
-    if x <= 0.0:
-        raise DomainError(f"ln_erfi requires x > 0, got {x!r}")
+    x = require_positive(x, "x")
     return _ln_erfi_of(*_integral(x))
 
 
@@ -158,9 +151,7 @@ def erfi_family(x: float) -> tuple[float, float, float]:
     the one its own function returns, bit for bit.  Past the range,
     erfi's OverflowRangeError is raised.
     """
-    x = _erfi_arg(x)
-    if x <= 0.0:
-        raise DomainError(f"erfi_family requires x > 0, got {x!r}")
+    x = require_positive(_erfi_arg(x), "x")
     p, v = _integral(x)
     return _dawson_of(x, p, v), _erfi_of(p, v), _ln_erfi_of(p, v)
 
@@ -172,7 +163,7 @@ def pochhammer(s: float, n: int) -> float:
     (ratios of Gamma functions would not be).
     """
     require_index(n, "pochhammer order")
-    s = _require_finite(s, "s")
+    s = require_finite(s, "s")
     result = 1.0
     for j in range(int(n)):
         result *= s + j
@@ -188,11 +179,10 @@ def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
     inside the sum range, and OverflowRangeError when the terms or the sum
     leave the double range.
     """
-    require_index(n, "series order")
-    n = int(n)
-    b = _require_finite(b, "b")
-    c = _require_finite(c, "c")
-    z = _require_finite(z, "z")
+    n = require_index(n, "series order")
+    b = require_finite(b, "b")
+    c = require_finite(c, "c")
+    z = require_finite(z, "z")
     if c == math.floor(c) and -(n - 1) <= c <= 0.0:
         raise DomainError(
             f"lower parameter c={c!r} hits a nonpositive integer inside the "

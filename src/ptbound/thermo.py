@@ -22,7 +22,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, OverflowRangeError, require_index
+from .errors import (
+    DomainError, OverflowRangeError, require_finite, require_index, require_positive,
+)
 from .specfun import ERFI_MAX_ARG, dawson, erfi, erfi_family, ln_erfi
 
 __all__ = [
@@ -55,10 +57,8 @@ class ThermoContext:
     tau: float
 
     def __post_init__(self):
-        if not 0.0 < self.tau < math.inf:
-            raise DomainError(f"tau must be finite and positive, got {self.tau!r}")
-        if not math.isfinite(self.zeta):
-            raise DomainError(f"zeta must be finite, got {self.zeta!r}")
+        require_positive(self.tau, "tau")
+        require_finite(self.zeta, "zeta")
 
 
 class ThermoPoint(NamedTuple):
@@ -73,14 +73,9 @@ class ThermoPoint(NamedTuple):
     S: float
 
 
-def _check_beta(beta: float) -> None:
-    if not beta > 0.0:
-        raise DomainError(f"beta must be positive, got {beta!r}")
-
-
 def chi(ctx: ThermoContext, beta: float) -> float:
     """Scaling variable chi = zeta sqrt(beta) / tau."""
-    _check_beta(beta)
+    require_positive(beta, "beta")
     return ctx.zeta * math.sqrt(beta) / ctx.tau
 
 
@@ -91,9 +86,8 @@ def partition_sum(ctx: ThermoContext, beta: float, n_max: int) -> float:
     to the zero crossing at n = zeta, not as a Boltzmann sum).  Exponents
     beyond the double range raise OverflowRangeError.
     """
-    _check_beta(beta)
-    require_index(n_max, "n_max")
-    n_max = int(n_max)
+    require_positive(beta, "beta")
+    n_max = require_index(n_max, "n_max")
     gamma = ctx.tau / math.sqrt(beta)
     # The exponent is a parabola in n, so its largest value on the ladder
     # sits at one of the two ends.

@@ -21,6 +21,7 @@ from ptbound.schrodinger import (
     k1_from_energy,
     level_count,
     potential_value,
+    pt_aim_problem,
     pt_radial_problem,
     spectral_params,
     wavefunction_nr,
@@ -491,6 +492,25 @@ class TestShootingCrossCheck:
     def test_centrifugal_mode_validation(self):
         with pytest.raises(DomainError):
             pt_radial_problem(POT, CTX, 0, centrifugal="other")
+
+    def test_negative_core_discriminant(self):
+        # 1 + 4 B1/alpha^2 = -39: a bare ValueError from the origin exponent's sqrt
+        with pytest.raises(DomainError, match="core-strength discriminant"):
+            pt_radial_problem(PTPotential(-30.0, -10.0, 1.0), CTX, 0)
+
+    def test_k1_estimate_near_zero(self):
+        # a1 / k1_estimate overflowed, and RadialProblem rejected r_cut = inf
+        with pytest.raises(DomainError, match="k1_estimate"):
+            pt_radial_problem(POT, CTX, 0, k1_estimate=-1e-320)
+
+
+class TestAimProblem:
+    @pytest.mark.parametrize("a, b", [(-30.0, 5e-324), (-1.0, 0.9999999999999999)])
+    def test_minimum_abscissa_rounding_to_an_edge(self, a, b):
+        # tanh = (B1/|A1|)^(1/4) rounds to 0 or to 1: the expansion point
+        # came out as 0.0 (a DomainError about a z0 never passed) or the
+        # map to z divided by zero.  The documented fallback is z = 1.
+        assert pt_aim_problem(PTPotential(a, b, 1.0), CTX, 0, 3).x0 == 1.0
 
 
 class TestReferenceWellShape:

@@ -453,11 +453,12 @@ class TestThermoPointRoutes:
     @pytest.mark.parametrize(
         "zeta, beta, error, message",
         [
-            (5.0, 0.0, DomainError, "beta must be positive, got 0.0"),
-            (5.0, -1.0, DomainError, "beta must be positive, got -1.0"),
-            (5.0, math.nan, DomainError, "beta must be positive, got nan"),
-            (0.0, -1.0, DomainError, "beta must be positive, got -1.0"),
-            (5.0, math.inf, DomainError, "x must be finite, got inf"),
+            (5.0, 0.0, DomainError, "beta must be finite and positive, got 0.0"),
+            (5.0, -1.0, DomainError, "beta must be finite and positive, got -1.0"),
+            (5.0, math.nan, DomainError, "beta must be finite and positive, got nan"),
+            (0.0, -1.0, DomainError, "beta must be finite and positive, got -1.0"),
+            # reported as "x must be finite" from inside erfi before
+            (5.0, math.inf, DomainError, "beta must be finite and positive, got inf"),
             (0.0, 0.1, DomainError, "mean energy needs chi > 0"),
             (-3.0, 0.1, DomainError, "mean energy needs chi > 0"),
             (
