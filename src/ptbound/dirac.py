@@ -40,10 +40,10 @@ from typing import Optional
 
 from .errors import (
     BracketError, DomainError, require_bracket, require_choice, require_finite, require_index,
-    require_positive,
+    require_positive, within_range,
 )
 from .rootfind import bisect, sign_change_brackets, uniform_grid
-from .schrodinger import D0, PTPotential, _discriminant_root, _hyperbolic_amplitude
+from .schrodinger import D0, PTPotential, _discriminant_root, _hyperbolic_amplitude, _square
 from .specfun import pochhammer
 
 __all__ = [
@@ -280,14 +280,6 @@ _SPECIAL_KINDS = (
 )
 
 
-def _square(x: float) -> float:
-    """x**2, or inf where a float's ** raises OverflowError instead."""
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
 def special_case_residual(
     kind: str,
     e: float,
@@ -311,7 +303,7 @@ def special_case_residual(
       reflectionless_*   additionally B = 0, A = -eta(eta+1)/2
       hyperbolic_mpt_*   alpha = hbar_c = 1, B = 0, A = 1/4 - eta^2
 
-    Returns NaN where the square root goes complex.
+    Returns NaN where the square root goes complex; OverflowRangeError past the range.
     """
     require_choice(kind, _SPECIAL_KINDS, "kind")
     require_index(n, "level index")
@@ -354,7 +346,7 @@ def special_case_residual(
         if arg < 0.0:
             return _NAN
         bracket = n + 0.25 + 0.25 * math.sqrt(arg)
-    return m * m - e * e - 4.0 * ae2 * bracket * bracket
+    return within_range(m * m - e * e - 4.0 * ae2 * bracket * bracket, "special-case residual")
 
 
 def nr_limit_energy(mu: float, pot: PTPotential, n: int, l: int) -> float:

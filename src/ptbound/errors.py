@@ -2,7 +2,7 @@
 
 Every public entry point checks its numeric input with the ``require_*``
 helpers below, where the data enters: each returns the checked value or
-raises DomainError naming the argument.
+raises DomainError naming the argument.  ``within_range`` checks a result.
 """
 
 import math
@@ -91,3 +91,10 @@ def require_index(value, what: str, minimum: int = 0) -> int:
     if not (value >= minimum and value % 1 == 0):
         raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def within_range(x, what: str) -> float:
+    """x; OverflowRangeError unless it is finite (a result past the double range)."""
+    if not math.isfinite(x):
+        raise OverflowRangeError(f"{what} exceeds the double range, got {x!r}")
+    return x

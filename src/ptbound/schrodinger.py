@@ -35,7 +35,7 @@ from typing import NamedTuple, Optional
 from .aim import AimProblem
 from .errors import (
     DomainError, OverflowRangeError, require_choice, require_finite, require_index,
-    require_positive,
+    require_positive, within_range,
 )
 from .jets import SeriesJet, jet_div, jet_reciprocal, jet_scale
 from .oracle import RadialProblem
@@ -160,35 +160,43 @@ class LevelCount(NamedTuple):
 
 
 def potential_value(pot: PTPotential, r: float) -> float:
-    """V(r) for r > 0; at r = 0 only the B = 0 case is finite."""
+    """V(r) for r > 0; at r = 0 only the B = 0 case is finite.  A core
+    term past the double range raises OverflowRangeError."""
     if not 0.0 <= r < math.inf:
         raise DomainError(f"radius must be nonnegative and finite, got {r!r}")
     if r == 0.0:
         if pot.B != 0.0:
             raise DomainError("potential is singular at r = 0 when B != 0")
         return pot.A
-    x = pot.alpha * r
-    return pot.A / math.cosh(x) ** 2 + pot.B / math.sinh(x) ** 2
+    a = abs(pot.alpha)
+    x = a * r
+    if x > 355.0:  # cosh^2 and sinh^2 overflow; V = 16 s exp(-2x), formed in logs
+        s = 0.25 * pot.A + 0.25 * pot.B
+        return math.copysign(math.exp(math.log(abs(s)) + math.log(16.0) - 2.0 * x), s) if s else s
+    sh2 = math.sinh(x) ** 2  # where it is not a normal double, sinh x = x
+    core = pot.B / sh2 if sh2 >= sys.float_info.min else pot.B / a / r / a / r
+    return within_range(pot.A / math.cosh(x) ** 2 + core, f"potential at r={r!r}")
 
 
 def centrifugal_approx_residual(l: int, alpha: float, r: float) -> float:
     """Error of the centrifugal substitution, per unit l(l+1) alpha^2.
 
-    Returns 1/(alpha r)^2 - [4 d0 + 1/sinh^2(alpha r)].  The limit at
-    alpha r -> 0 is exactly 0; the leading behavior is -(alpha r)^2/15,
+    Returns 1/(alpha r)^2 - [4 d0 + 1/sinh^2(alpha r)], even in alpha.  The
+    limit at alpha r -> 0 is exactly 0; the leading behavior is -(alpha r)^2/15,
     so the substitution is only trustworthy for small alpha r.
     """
     require_index(l, "angular momentum", 1)
     require_finite(alpha, "alpha")
     require_positive(r, "radius")
-    x = alpha * r
+    x = abs(alpha) * r
     if x < 0.1:
         # Direct evaluation loses all significant digits here; use the
         # Laurent tail of 1/sinh^2, which is at machine accuracy for
         # x < 0.1.
         x2 = x * x
         return x2 * (-1.0 / 15.0 + x2 * (2.0 / 189.0 - x2 / 675.0))
-    return 1.0 / (x * x) - 4.0 * D0 - 1.0 / math.sinh(x) ** 2
+    # past x = 355, where sinh^2 overflows, 1/sinh^2 is far below an ulp of the rest
+    return 1.0 / (x * x) - 4.0 * D0 - (1.0 / math.sinh(x) ** 2 if x < 355.0 else 0.0)
 
 
 def _scaled_strengths(pot: PTPotential, ctx: NRContext, l: int) -> tuple[float, float]:
@@ -230,19 +238,33 @@ def _discriminant_root(disc: float, what: str) -> float:
     return math.sqrt(disc)
 
 
+def _square(x: float) -> float:
+    """x**2, or inf where a float's ** raises OverflowError instead."""
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
+
+
+def _centrifugal_offset(l: int, alpha: float) -> float:
+    return 4.0 * l * (l + 1) * _square(alpha) * D0 if l else 0.0
+
+
 def k1_from_energy(ctx: NRContext, alpha: float, l: int, energy: float) -> float:
     """Scaled energy: K1 = 2 mu E / hbar^2 - 4 l(l+1) alpha^2 d0."""
     require_index(l, "angular momentum")
     require_finite(alpha, "alpha")
     require_finite(energy, "energy")
-    return 2.0 * ctx.mu * energy / ctx.hbar_c**2 - 4.0 * l * (l + 1) * alpha**2 * D0
+    k1 = 2.0 * ctx.mu * energy / ctx.hbar_c**2 - _centrifugal_offset(l, alpha)
+    return within_range(k1, "K1")
 
 
 def energy_from_k1(ctx: NRContext, alpha: float, l: int, k1: float) -> float:
     require_index(l, "angular momentum")
     require_finite(alpha, "alpha")
     require_finite(k1, "k1")
-    return (ctx.hbar_c**2 / (2.0 * ctx.mu)) * (k1 + 4.0 * l * (l + 1) * alpha**2 * D0)
+    energy = (ctx.hbar_c**2 / (2.0 * ctx.mu)) * (k1 + _centrifugal_offset(l, alpha))
+    return within_range(energy, "energy")
 
 
 _EDGE_TOL = 1e-12

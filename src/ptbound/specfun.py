@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 from .errors import (
-    DomainError, OverflowRangeError, require_finite, require_index, require_positive,
+    DomainError, OverflowRangeError, require_finite, require_index, require_positive, within_range,
 )
 
 __all__ = [
@@ -95,9 +95,10 @@ def _integral(ax: float) -> tuple[float, float]:
     return ax * ax, _dawson_asymptotic(ax)
 
 
-# The erfi family from one (p, v) pair of _integral(ax).
+# The erfi family from one (p, v) pair of _integral(ax).  Dawson's factor
+# exp(p - ax^2) is 1.0 where p = ax^2 (even past its overflow).
 def _dawson_of(ax: float, p: float, v: float) -> float:
-    return math.exp(p - ax * ax) * v
+    return v if p else math.exp(-ax * ax) * v
 
 
 def _erfi_of(p: float, v: float) -> float:
@@ -139,8 +140,9 @@ def erfi(x: float) -> float:
 
 
 def ln_erfi(x: float) -> float:
-    """log(erfi(x)) for x > 0, valid far beyond the plain-erfi overflow cap."""
+    """log(erfi(x)) ~ x^2 for x > 0, far past the plain-erfi cap, up to where x^2 overflows."""
     x = require_positive(x, "x")
+    within_range(x * x, "ln_erfi(x) ~ x**2")
     return _ln_erfi_of(*_integral(x))
 
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
-    DomainError, OverflowRangeError, require_finite, require_index, require_positive,
+    DomainError, OverflowRangeError, require_finite, require_index, require_positive, within_range,
 )
 from .specfun import ERFI_MAX_ARG, dawson, erfi, erfi_family, ln_erfi
 
@@ -76,7 +76,7 @@ class ThermoPoint(NamedTuple):
 def chi(ctx: ThermoContext, beta: float) -> float:
     """Scaling variable chi = zeta sqrt(beta) / tau."""
     require_positive(beta, "beta")
-    return ctx.zeta * math.sqrt(beta) / ctx.tau
+    return within_range(ctx.zeta * math.sqrt(beta) / ctx.tau, "chi")
 
 
 def partition_sum(ctx: ThermoContext, beta: float, n_max: int) -> float:
@@ -197,8 +197,7 @@ def thermo_point(ctx: ThermoContext, beta: float) -> ThermoPoint:
     """
     x = chi(ctx, beta)
     if not 0.0 < x <= ERFI_MAX_ARG:
-        # A non-finite chi or one past erfi's range fails in
-        # partition_closed; any other fails in mean_energy.
+        # chi past erfi's range fails in partition_closed, any other in mean_energy
         partition_closed(ctx, beta)
         mean_energy(ctx, beta)
     d, erfi_x, ln_erfi_x = erfi_family(x)

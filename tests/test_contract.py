@@ -1,22 +1,29 @@
 """The finite-or-PtboundError contract of the public surface, as one table.
 
 Every callable that ``ptbound`` exports and that takes numbers has a row
-here: a call that works, naming every parameter.  Each numeric argument
-of that call (and each element of a numeric tuple such as a bracket) set
-to NaN, +inf or -inf must raise a PtboundError subclass.  The argument
-checks found missing or misnamed are listed as bad calls of their own,
-each of which must raise a DomainError that names the caller's argument.
-A meta-test fails when an export has neither a row nor a stated reason
-to have none.
+here: a call that works, naming every parameter.  Finite input drawn
+from the row's strategy in ``strategies.ROWS`` must give a finite result
+(every float of a number, tuple, NamedTuple or record) or raise a
+PtboundError.  Each numeric argument of the row's call (and each element
+of a numeric tuple such as a bracket) set to NaN, +inf or -inf must raise
+a DomainError.  The bad arguments of each row, one at a time, must raise
+a DomainError that names them, and each bad call must raise its error
+or return its value.  A meta-test
+fails when an export has neither a row nor a stated reason to have none,
+or a row has no strategy.
 """
 
+import dataclasses
 import inspect
 import math
+import numbers
 
 import pytest
+from hypothesis import given, settings
 
 import ptbound as pb
-from ptbound.errors import DomainError, PtboundError
+from ptbound.errors import DomainError, OverflowRangeError, PtboundError
+from strategies import ROWS
 
 POT = pb.PTPotential(-30.0, 2.3, 1.0)
 CTX = pb.NRContext.natural(0.5)
@@ -109,41 +116,172 @@ EXEMPT = {
     )},
 }
 
-# Calls that returned NaN, leaked a bare exception, were accepted, or
-# named an argument the caller never passed: (export, call, name in the message).
-BAD_CALLS = [
-    ("partition_sum", lambda: pb.partition_sum(TCTX, math.inf, 2), "beta"),
-    ("chi", lambda: pb.chi(TCTX, math.inf), "beta"),
-    ("mean_energy", lambda: pb.mean_energy(TCTX, math.inf), "beta"),
-    ("thermo_point", lambda: pb.thermo_point(TCTX, math.inf), "beta"),
-    ("pt_aim_problem", lambda: pb.pt_aim_problem(POT, CTX, 0, 2.5), "depth"),
-    ("pt_aim_problem", lambda: pb.pt_aim_problem(POT, CTX, 0, math.nan), "depth"),
-    ("aim_eigen_scan", lambda: pb.aim_eigen_scan(AIM, (-30.0, -1.0), 2.5), "depth"),
-    ("aim_delta", lambda: pb.aim_delta(AIM, -5.0, math.nan), "depth"),
-    ("solve_levels", lambda: pb.solve_levels(DCTX, DPOT, "pspin", grid=math.nan), "grid"),
-    ("solve_levels", lambda: pb.solve_levels(DCTX, DPOT, "pspin", tol=math.nan), "tolerance"),
-    ("solve_levels", lambda: pb.solve_levels(DCTX, DPOT, "pspin", tol=-1.0), "tolerance"),
-    ("centrifugal_approx_residual", lambda: pb.centrifugal_approx_residual(1, math.nan, 1.0),
-     "alpha"),
-    ("centrifugal_approx_residual", lambda: pb.centrifugal_approx_residual(math.nan, 1.0, 1.0),
-     "angular momentum"),
-    ("k1_from_energy", lambda: pb.k1_from_energy(CTX, 1.0, 0, math.nan), "energy"),
-    ("energy_from_k1", lambda: pb.energy_from_k1(CTX, 1.0, -3, -5.0), "angular momentum"),
-    ("symmetric_nr_energy", lambda: pb.symmetric_nr_energy(0.5, math.nan, 0), "eta"),
-    ("reference_energy", lambda: pb.reference_energy(MOL, 0, 0, a=math.nan), "well parameter a"),
-    ("reference_energy", lambda: pb.reference_energy(MOL, 0, 0, a=1e9), "well parameter a"),
-    ("reference_energy", lambda: pb.reference_energy(MOL, -1, 0), "level index"),
-    ("tilde_params", lambda: pb.tilde_params(math.nan, DCTX, DPOT), "energy"),
-    ("plain_params", lambda: pb.plain_params(math.nan, DCTX, DPOT), "energy"),
-    ("harmonic_problem", lambda: pb.harmonic_problem(math.nan), "omega"),
-    ("harmonic_problem", lambda: pb.harmonic_problem(math.inf), "omega"),
-    ("spinor_wavefunction",
-     lambda: pb.spinor_wavefunction("lower", DCTX, DPOT, math.nan, 1.0), "energy"),
+NOT_INDICES = (-1, 1.5, 2.5, math.nan, math.inf)
+# Arguments each row's call rejects with a DomainError naming them: (export,
+# parameter, values, what the message says), each value in turn in place
+# of the row's own.
+BAD_ARGUMENTS = [
+    ("AimProblem", "e_scale", (0.0, math.inf, math.nan), "e_scale"),
+    ("aim_delta", "k", (math.nan,), "depth"),
+    ("aim_eigen_scan", "k", (2.5,), "depth"),
+    ("DiracContext", "M", (0.0, math.inf, math.nan), "M must be finite and positive"),
+    ("DiracContext", "hbar_c", (0.0, math.inf, math.nan), "hbar_c must be finite and positive"),
+    ("DiracContext", "c_shift", (math.inf, -math.inf, math.nan), "c_shift must be finite"),
+    ("DiracContext", "kappa", (0, 1.5, math.nan, math.inf), "kappa. must be an integer"),
+    ("DiracContext", "n", NOT_INDICES, "level index must be an integer"),
+    ("nr_limit_energy", "mu", (-1.0, math.inf, math.nan), "mass parameter"),
+    ("nr_limit_energy", "n", NOT_INDICES, "level index must be an integer"),
+    ("nr_limit_energy", "l", NOT_INDICES, "angular momentum must be an integer"),
+    ("plain_params", "e", (math.nan,), "energy"),
+    ("tilde_params", "e", (math.nan,), "energy"),
+    ("tilde_params", "e", (3.0,), "exponent"),
+    ("reflectionless_nr_energy", "mu", (0.0,), "mass parameter"),
+    ("reflectionless_nr_energy", "alpha", (0.0, 1e200), "alpha"),
+    ("reflectionless_nr_energy", "n", NOT_INDICES, "level index must be an integer"),
+    ("solve_levels", "symmetry", ("other",), "symmetry"),
+    ("solve_levels", "bracket", ((1.0, 1.0),), "bracket"),
+    ("solve_levels", "grid", (math.nan,), "grid"),
+    ("solve_levels", "tol", (math.nan, -1.0), "tolerance"),
+    ("special_case_residual", "kind", ("bogus",), "kind"),
+    ("special_case_residual", "n", NOT_INDICES, "level index must be an integer"),
+    ("special_case_residual", "alpha", (0.0, 1e200), "alpha"),
+    ("special_case_residual", "hbar_c", (0.0,), "hbar_c"),
+    ("spinor_wavefunction", "component", ("middle",), "component"),
+    ("spinor_wavefunction", "e", (math.nan,), "energy"),
+    ("spinor_wavefunction", "r", (0.0, math.inf), "radius"),
+    ("symmetric_nr_energy", "mu", (0.0,), "mass parameter"),
+    ("symmetric_nr_energy", "mu", (10.0,), "discriminant"),
+    ("symmetric_nr_energy", "eta", (math.nan,), "eta"),
+    ("symmetric_nr_energy", "n", NOT_INDICES, "level index must be an integer"),
+    ("MoleculeParams", "name", ("", " CO"), "name"),
+    ("MoleculeParams", "mu_amu", (0.0, math.inf), "reduced mass must be finite"),
+    ("MoleculeParams", "alpha_invA", (-2.0, math.inf), "screening parameter must be finite"),
+    ("reference_energy", "a", (math.nan, 1e9), "well parameter a"),
+    ("reference_energy", "n", (-1,), "level index"),
+    ("RadialProblem", "r_cut", (1e-7, math.inf), "r_cut"),
+    ("RadialProblem", "r_min", (0.0,), "r_min"),
+    ("RadialProblem", "npts", (2001.0,), "npts"),
+    ("RadialProblem", "origin_exponent", (math.nan, -0.5), "origin_exponent"),
+    ("RadialProblem", "origin_w0", (math.nan,), "origin_w0"),
+    ("finite_difference", "order", (3,), "order"),
+    ("finite_difference", "h", (0.0,), "step"),
+    ("finite_difference", "levels", (1, 2.5), "levels"),
+    ("harmonic_problem", "omega", (-1.0, math.nan, math.inf), "omega"),
+    ("integrate_adaptive", "b", (0.0,), "interval"),
+    ("integrate_adaptive", "tol", (0.0,), "tolerance"),
+    ("shoot_eigenvalue", "n", NOT_INDICES, "level index must be an integer"),
+    ("shoot_eigenvalue", "bracket", ((5.0, 5.0), (1.0, math.inf), (-math.inf, 5.0)), "bracket"),
+    ("shoot_eigenvalue", "tol", (0.0, -1e-9, math.nan, math.inf), "tolerance"),
+    ("shoot_eigenvalue", "max_refinements", (0, -1, 2.5), "max_refinements"),
+    ("PTPotential", "A", (math.nan, -math.inf), "A must be finite"),
+    ("PTPotential", "B", (math.inf, math.nan), "B must be finite"),
+    ("PTPotential", "alpha", (0.0,), "alpha"),
+    ("NRContext", "mu", (0.0, math.inf), "reduced mass must be finite"),
+    ("NRContext", "hbar_c", (-1.0, math.inf, math.nan), "hbar_c must be finite"),
+    ("NRContext", "hbar_c", (1e-200, 1e-160, 1e160), "hbar_c..2 must be a normal double"),
+    ("centrifugal_approx_residual", "l", (0, math.nan), "angular momentum"),
+    ("centrifugal_approx_residual", "alpha", (math.nan,), "alpha"),
+    ("centrifugal_approx_residual", "r", (0.0,), "radius"),
+    ("energy_from_k1", "l", (-3,), "angular momentum"),
+    ("k1_from_energy", "energy", (math.nan,), "energy"),
+    ("energy_nr", "n", NOT_INDICES, "level index must be an integer"),
+    ("energy_nr", "l", NOT_INDICES, "angular momentum must be an integer"),
+    ("energy_nr", "branch", ("bogus",), "branch"),
+    ("energy_nr", "pot", (pb.PTPotential(5.0, 0.0, 1.0),), "square-root argument negative"),
+    ("level_count", "l", NOT_INDICES, "angular momentum must be an integer"),
+    ("potential_value", "r", (0.0,), "singular at r = 0"),
+    ("potential_value", "r", (-1.0,), "radius"),
+    ("pt_aim_problem", "depth", (2.5, math.nan), "depth"),
+    ("pt_radial_problem", "centrifugal", ("other",), "centrifugal"),
+    ("pt_radial_problem", "pot", (pb.PTPotential(-30.0, -10.0, 1.0),),
+     "core-strength discriminant"),
+    ("pt_radial_problem", "k1_estimate", (-1e-320,), "k1_estimate"),
+    ("spectral_params", "l", NOT_INDICES, "angular momentum must be an integer"),
+    ("spectral_params", "pot", (pb.PTPotential(-1.0, -1.0, 1.0),), "discriminant negative"),
+    ("wavefunction_nr", "n", NOT_INDICES, "level index must be an integer"),
+    ("wavefunction_nr", "l", NOT_INDICES, "angular momentum must be an integer"),
+    ("wavefunction_nr", "r", (0.0, math.inf), "radius"),
+    ("wavefunction_nr", "argument", ("cubed",), "argument"),
+    ("ln_erfi", "x", (0.0, -1.0), "x must be finite and positive"),
+    ("ThermoContext", "tau", (math.inf, -math.inf, math.nan, 0.0, -1.0), "finite and positive"),
+    ("chi", "beta", (math.inf,), "beta"),
+    ("entropy", "beta", (0.0,), "beta"),
+    ("entropy", "ctx", (pb.ThermoContext(0.0, 1.0),), "chi > 0"),
+    ("free_energy", "ctx", (pb.ThermoContext(0.0, 1.0),), "zeta > 0"),
+    ("mean_energy", "beta", (-1.0, math.inf), "beta"),
+    ("mean_energy", "ctx", (pb.ThermoContext(0.0, 1.0),), "chi > 0"),
+    ("partition_sum", "beta", (0.0, -0.1, math.inf), "beta"),
+    ("partition_sum", "n_max", NOT_INDICES, "n_max must be an integer"),
+    ("thermo_point", "beta", (math.inf,), "beta"),
 ]
+
+# Calls with another outcome than a DomainError, or that change more than
+# one argument: (export, call, outcome, what the message says), where the
+# outcome is the error the call raises or the value it returns.  Most are
+# finite input whose result leaves the double range, or whose
+# intermediate does while the result does not.
+BAD_CALLS = [
+    ("AimProblem", lambda: pb.AimProblem(*[pb.SeriesJet.constant(1.0, 0.0, 0)] * 2),
+     DomainError, "max_order"),
+    ("AimProblem", lambda: pb.AimProblem(lambda e: AIM.lambda0, lambda e: AIM.s0),
+     DomainError, "SeriesJet"),
+    ("NRContext", lambda: pb.NRContext(1e300, 1e-10), DomainError, "2 mu / hbar_c"),
+    ("NRContext", lambda: pb.NRContext(1e-300, 1e10), DomainError, "2 mu / hbar_c"),
+    ("special_case_residual",
+     lambda: pb.special_case_residual("hyperbolic_mpt_spin", 1.0, m=1.0, n=0, alpha=2.0),
+     DomainError, "alpha = hbar = 1"),
+    *[("spectral_params", lambda bad=bad: pb.spectral_params(POT, CTX, 0).k1(bad), DomainError,
+       "level index must be an integer") for bad in NOT_INDICES],
+    ("potential_value", lambda: pb.potential_value(POT, 800.0), 0.0, None),
+    ("potential_value", lambda: pb.potential_value(POT, 5e-324), OverflowRangeError, "potential"),
+    ("k1_from_energy", lambda: pb.k1_from_energy(CTX, 1e200, 1, 1.0), OverflowRangeError, "K1"),
+    ("energy_from_k1", lambda: pb.energy_from_k1(pb.NRContext(1e-3, 1.0), 1.0, 0, -1e308),
+     OverflowRangeError, "energy"),
+    ("special_case_residual",
+     lambda: pb.special_case_residual("swave_spin", 1e200, m=5.0, n=0, a=-1.0, b=0.5),
+     OverflowRangeError, "residual"),
+    ("chi", lambda: pb.chi(pb.ThermoContext(1e300, 1e-300), 1.0), OverflowRangeError, "chi"),
+    ("thermo_point", lambda: pb.thermo_point(pb.ThermoContext(1e300, 1e-300), 1.0),
+     OverflowRangeError, "chi"),
+    ("centrifugal_approx_residual", lambda: pb.centrifugal_approx_residual(1, 1.0, 800.0),
+     1.0 / 800.0**2 - 1.0 / 3.0, None),
+    ("dawson", lambda: pb.dawson(2e154), 2.5e-155, None),
+    ("ln_erfi", lambda: pb.ln_erfi(1e300), OverflowRangeError, "ln_erfi"),
+    ("ln_erfi", lambda: pb.ln_erfi(1.7e308), OverflowRangeError, "ln_erfi"),
+]
+
+
+# Examples of the finite-input property per row; a row not named takes
+# the default.  The AIM, Dirac-parameter and spinor rows keep the counts
+# of the module properties they replaced; shooting, at tens of ms a
+# call, takes fewer.
+EXAMPLES = {
+    "aim_delta": 300, "plain_params": 200, "tilde_params": 200, "spinor_wavefunction": 300,
+    "shoot_eigenvalue": 10,
+}
+DEFAULT_EXAMPLES = 20
+
+# Documented non-finite results on finite input: the floats each row may return.
+NONFINITE_RESULTS = {
+    "special_case_residual": math.isnan,  # NaN where its square roots go complex
+    "aim_eigen_scan": math.isinf,  # a root's stability_gap with no shallower root
+}
 
 
 def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def floats_of(result):
+    """Every number of a result: itself, or those of its items or fields."""
+    if isinstance(result, numbers.Real):
+        yield float(result)
+    elif dataclasses.is_dataclass(result):
+        for field in dataclasses.fields(result):
+            yield from floats_of(getattr(result, field.name))
+    elif isinstance(result, (tuple, list)) or hasattr(result, "tolist"):
+        for item in list(result):
+            yield from floats_of(item)
 
 
 def nonfinite_calls():
@@ -179,7 +317,9 @@ def test_every_public_callable_has_a_row():
     assert missing == []
     assert set(CONTRACT) & set(EXEMPT) == set()
     assert set(CONTRACT) | set(EXEMPT) <= set(pb.__all__)
-    assert {export for export, _, _ in BAD_CALLS} <= set(CONTRACT)
+    assert set(ROWS) == set(CONTRACT)
+    assert set(EXAMPLES) | set(NONFINITE_RESULTS) <= set(CONTRACT)
+    assert {row[0] for row in BAD_ARGUMENTS + BAD_CALLS} <= set(CONTRACT)
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT))
@@ -192,15 +332,46 @@ def test_row_names_every_parameter_and_works(name):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(CONTRACT))
+def test_finite_input_gives_finite_result_or_ptbound_error(name):
+    fn, allowed = getattr(pb, name), NONFINITE_RESULTS.get(name, lambda v: False)
+
+    @settings(max_examples=EXAMPLES.get(name, DEFAULT_EXAMPLES))
+    @given(kwargs=ROWS[name])
+    def check(kwargs):
+        assert set(kwargs) == set(CONTRACT[name])
+        try:
+            result = fn(**kwargs)
+        except PtboundError:
+            return
+        assert [v for v in floats_of(result) if not (math.isfinite(v) or allowed(v))] == []
+
+    check()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name, kwargs", nonfinite_calls())
 def test_nonfinite_argument_raises(name, kwargs):
-    with pytest.raises(PtboundError):
+    with pytest.raises(DomainError):
         getattr(pb, name)(**kwargs)
 
 
-@pytest.mark.parametrize(
-    "name, call, what", [pytest.param(*row, id=f"{row[0]}-{i}") for i, row in enumerate(BAD_CALLS)]
-)
-def test_bad_call_names_its_argument(name, call, what):
+@pytest.mark.parametrize("name, param, bad, what", [
+    pytest.param(name, param, bad, what, id=f"{name}-{param}={bad!r}")
+    for name, param, values, what in BAD_ARGUMENTS for bad in values
+])
+def test_bad_argument_is_named(name, param, bad, what):
     with pytest.raises(DomainError, match=what):
-        call()
+        getattr(pb, name)(**CONTRACT[name] | {param: bad})
+
+
+@pytest.mark.parametrize(
+    "name, call, outcome, what",
+    [pytest.param(*row, id=f"{row[0]}-{i}") for i, row in enumerate(BAD_CALLS)],
+)
+def test_bad_call(name, call, outcome, what):
+    if isinstance(outcome, float):
+        assert call() == pytest.approx(outcome, rel=1e-15)
+    else:
+        with pytest.raises(outcome, match=what):
+            call()

@@ -124,7 +124,7 @@ def _poly_eval(coeffs, t):
     st.lists(st.floats(min_value=-3.0, max_value=3.0, allow_nan=False), min_size=4, max_size=4),
     st.floats(min_value=-0.5, max_value=0.5, allow_nan=False),
 )
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 def test_jet_mul_agrees_with_polynomial_product(ca, cb, t):
     # Degree-3 factors in order-7 jets: the Cauchy product is exact, so
     # evaluating the jet at x0 + t must match the pointwise product.

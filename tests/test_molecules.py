@@ -11,7 +11,7 @@ import math
 
 import pytest
 
-from ptbound.errors import DomainError, TableFormatError
+from ptbound.errors import TableFormatError
 from ptbound.molecules import (
     AMU_TO_EV,
     HBARC_CALIBRATED,
@@ -58,20 +58,6 @@ class TestBuiltinDataset:
         mol = by_name()[name]
         assert mol.mu_amu == mu
         assert mol.alpha_invA == alpha
-
-    def test_params_validation(self):
-        with pytest.raises(DomainError):
-            MoleculeParams("", 1.0, 1.0)
-        with pytest.raises(DomainError):
-            MoleculeParams(" CO", 1.0, 1.0)
-        with pytest.raises(DomainError):
-            MoleculeParams("X", 0.0, 1.0)
-        with pytest.raises(DomainError):
-            MoleculeParams("X", 1.0, -2.0)
-        with pytest.raises(DomainError, match="finite"):
-            MoleculeParams("X", math.inf, 1.0)
-        with pytest.raises(DomainError, match="finite"):
-            MoleculeParams("X", 1.0, math.inf)
 
 
 class TestDatasetIO:

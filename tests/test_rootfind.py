@@ -84,7 +84,7 @@ xtols = st.sampled_from([1e-13, 1e-11, 1e-10, 1e-8, 1e-6])
 
 
 class TestMatchesTextbook:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.sampled_from(sorted(SHAPES)), roots, widths, fractions, xtols,
            st.booleans(), st.booleans())
     def test_smooth_monotone(self, shape, root, width, frac, rel_xtol, flip, use_fab):
@@ -98,7 +98,7 @@ class TestMatchesTextbook:
             kwargs["fab"] = (f(a), f(b))
         assert bisect(f, a, b, **kwargs) == textbook_bisect(f, a, b, **kwargs)
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.sampled_from(sorted(SHAPES)), roots, st.floats(0.1, 0.9),
            st.sampled_from([1e-13, 1e-11, 1e-10, 1e-8]), st.floats(0.0, 64.0), st.booleans())
     def test_noise_band(self, shape, root, frac, rel_xtol, band_xtols, use_fab):

@@ -4,7 +4,7 @@ wavefunctions, and the shooting cross-check."""
 import math
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ptbound.dirac import DiracContext, plain_params, spinor_wavefunction, tilde_params
@@ -27,6 +27,8 @@ from ptbound.schrodinger import (
     wavefunction_nr,
 )
 
+import strategies as S
+
 POT = PTPotential(A=-30.0, B=2.3, alpha=1.0)
 CTX = NRContext.natural(mu=0.5)  # 2 mu / hbar^2 = 1
 
@@ -39,60 +41,19 @@ class TestPotential:
         expect = -4.0 / math.cosh(x) ** 2 + 1.0 / math.sinh(x) ** 2
         assert potential_value(pot, r) == pytest.approx(expect, rel=1e-15)
 
-    def test_origin(self):
+    def test_origin_without_core(self):
         assert potential_value(PTPotential(A=-4.0, B=0.0, alpha=1.0), 0.0) == -4.0
-        with pytest.raises(DomainError):
-            potential_value(POT, 0.0)
-        with pytest.raises(DomainError):
-            potential_value(POT, -1.0)
-        with pytest.raises(DomainError):
-            potential_value(POT, math.nan)
 
     def test_vanishes_at_infinity(self):
         assert abs(potential_value(POT, 40.0)) < 1e-30
 
-    def test_alpha_validation(self):
-        with pytest.raises(DomainError):
-            PTPotential(A=-1.0, B=0.0, alpha=0.0)
-        with pytest.raises(DomainError):
-            PTPotential(A=-1.0, B=0.0, alpha=float("inf"))
-        PTPotential(A=-1.0, B=0.0, alpha=-2.0)  # sign is immaterial
-
-    @pytest.mark.parametrize(
-        "a,b", [(math.nan, 1.0), (-math.inf, 1.0), (-1.0, math.inf), (-1.0, math.nan)]
-    )
-    def test_strength_validation(self, a, b):
-        # rejected where they enter, before level_count's math.floor
-        with pytest.raises(DomainError, match="finite"):
-            PTPotential(A=a, B=b, alpha=1.0)
-
-    def test_context_validation(self):
-        with pytest.raises(DomainError):
-            NRContext(mu=0.0)
-        with pytest.raises(DomainError):
-            NRContext(mu=1.0, hbar_c=-1.0)
-
-    def test_context_finiteness(self):
-        # rejected where they enter, before level_count's math.floor
-        with pytest.raises(DomainError, match="finite"):
-            NRContext.natural(mu=math.inf)
-        with pytest.raises(DomainError, match="finite"):
-            NRContext(mu=1.0, hbar_c=math.inf)
-        with pytest.raises(DomainError):
-            NRContext(mu=1.0, hbar_c=math.nan)
-
-    @pytest.mark.parametrize("hbar_c", [1e-200, 1e-160, 1e160])
-    def test_context_square_in_range(self, hbar_c):
-        # hbar_c**2 underflowed and spectral_params divided by zero
-        with pytest.raises(DomainError, match="hbar_c"):
-            NRContext(mu=1.0, hbar_c=hbar_c)
-
-    @pytest.mark.parametrize("mu, hbar_c", [(1e300, 1e-10), (1e-300, 1e10)])
-    def test_context_ratio_in_range(self, mu, hbar_c):
-        # 2 mu / hbar_c**2 overflowed (level_count's zeta and energy_nr's E
-        # came out nan) or went subnormal (E = -inf)
-        with pytest.raises(DomainError, match="2 mu / hbar_c"):
-            NRContext(mu=mu, hbar_c=hbar_c)
+    def test_tail_past_the_cosh_range(self):
+        # past alpha r = 355, cosh^2 and sinh^2 overflow and V is formed in
+        # logs as (A + B) 4 exp(-2 alpha r); at 354.9 it is the direct form
+        pot = PTPotential(A=-1e300, B=1e299, alpha=-1.0)
+        for r in (354.9, 355.1, 400.0):
+            expect = -math.exp(math.log(3.6e300) - 2.0 * r)
+            assert potential_value(pot, r) == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 class TestEnergyRoutes:
@@ -137,45 +98,11 @@ class TestEnergyRoutes:
         assert n_max == 0
         assert FLAG_BEYOND_NMAX in lev.flags
 
-    @pytest.mark.parametrize("bad", [1.5, -1, math.nan, math.inf])
-    @pytest.mark.parametrize(
-        "call",
-        [
-            lambda bad: spectral_params(POT, CTX, 0, "regular").k1(bad),
-            lambda bad: spectral_params(POT, CTX, bad),
-            lambda bad: energy_nr(POT, CTX, 0, bad),
-            lambda bad: level_count(POT, CTX, bad),
-            lambda bad: wavefunction_nr(POT, CTX, bad, 0, 1.0),
-            lambda bad: wavefunction_nr(POT, CTX, 0, bad, 1.0),
-        ],
-        ids=["k1_n", "spectral_params_l", "energy_nr_l", "level_count_l",
-             "wavefunction_n", "wavefunction_l"],
-    )
-    def test_quantum_numbers_are_nonnegative_integers(self, call, bad):
-        # a half-integer used to flow into the formulas: k1(2.5) = -4.397
-        with pytest.raises(DomainError, match="integer"):
-            call(bad)
-
     def test_discriminant_edge_flag(self):
         # 8 mu A / (alpha hbar)^2 = 1 zeroes the first discriminant.
         pot = PTPotential(0.25, 0.0, 1.0)
         lev = energy_nr(pot, CTX, 0, 0)
         assert FLAG_DISCRIMINANT_EDGE in lev.flags
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            energy_nr(POT, CTX, -1, 0)
-        with pytest.raises(DomainError):
-            energy_nr(POT, CTX, 0, -1)
-        with pytest.raises(DomainError):
-            energy_nr(POT, CTX, 0, 0, "bogus")
-        with pytest.raises(DomainError, match="integer"):
-            energy_nr(POT, CTX, 2.5, 0)
-        with pytest.raises(DomainError):
-            # deep repulsive A flips the first discriminant negative
-            energy_nr(PTPotential(5.0, 0.0, 1.0), CTX, 0, 0)
-        with pytest.raises(DomainError):
-            spectral_params(PTPotential(-1.0, -1.0, 1.0), CTX, 0)
 
 
 class TestAlphaSignSymmetry:
@@ -186,7 +113,7 @@ class TestAlphaSignSymmetry:
         st.integers(min_value=0, max_value=2),
         st.integers(min_value=0, max_value=2),
     )
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=80)
     def test_energy_even_in_alpha(self, a, b, alpha, n, l):
         e_pos = energy_nr(PTPotential(a, b, alpha), CTX, n, l).E
         e_neg = energy_nr(PTPotential(a, b, -alpha), CTX, n, l).E
@@ -219,15 +146,19 @@ class TestCentrifugalSubstitution:
         above = centrifugal_approx_residual(1, 1.0, 0.1000001)
         assert below == pytest.approx(above, rel=1e-4)
 
+    @pytest.mark.parametrize("alpha, r", [(1.0, 0.05), (100.0, 1.0), (1.0, 2.0), (1.0, 800.0)])
+    def test_even_in_alpha(self, alpha, r):
+        # a negative alpha took the small-x series, and alpha r > 355 overflowed
+        value = centrifugal_approx_residual(1, alpha, r)
+        assert centrifugal_approx_residual(1, -alpha, r) == value
+        assert value == pytest.approx(
+            1.0 / (alpha * r) ** 2 - 1.0 / 3.0 - 1.0 / math.sinh(min(alpha * r, 300.0)) ** 2,
+            rel=1e-6, abs=1e-9,
+        )
+
     def test_grows_at_large_x(self):
         # the substitution is a small-x device; by x ~ 2 the error is O(0.1)
         assert abs(centrifugal_approx_residual(1, 1.0, 2.0)) > 0.05
-
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            centrifugal_approx_residual(0, 1.0, 1.0)
-        with pytest.raises(DomainError):
-            centrifugal_approx_residual(1, 1.0, 0.0)
 
 
 class TestWavefunction:
@@ -298,16 +229,6 @@ class TestWavefunction:
         with pytest.raises(DomainError, match="divergent-exponent"):
             wavefunction_nr(POT, CTX, 0, 0, 1e-12, "paper", "linear")
 
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            wavefunction_nr(POT, CTX, -1, 0, 1.0)
-        with pytest.raises(DomainError):
-            wavefunction_nr(POT, CTX, 0, 0, 0.0)
-        with pytest.raises(DomainError, match="radius"):
-            wavefunction_nr(POT, CTX, 0, 0, math.inf)
-        with pytest.raises(DomainError):
-            wavefunction_nr(POT, CTX, 0, 0, 1.0, argument="cubed")
-
     def test_overflow_raises(self):
         # The paper-branch amplitude grows like exp(4.9 alpha r): past the
         # double range at r = 800.
@@ -344,27 +265,33 @@ class TestWavefunction:
 
 
 # Each case builds one amplitude from the drawn parameters and returns its
-# 2F1 lower parameter c with a call that evaluates it.  A Schrodinger case
-# reads kappa as the orbital l it belongs to (kappa = l or -(l + 1)) and
-# ignores the energy x, which only the spinor needs.
+# 2F1 lower parameter c with a call that evaluates it.  Its exponents are
+# real where p A <= alpha^2 and -p B <= (j alpha)^2, with the scale p and
+# odd integer j that its region gives at (mass, kappa, x).  A Schrodinger
+# case reads kappa as the orbital l it belongs to (kappa = l or -(l + 1))
+# and ignores the energy x, which only the spinor needs.
+def _orbital(kappa):
+    return kappa if kappa > 0 else -kappa - 1
+
+
 def _nr_amplitude(branch, argument):
     def case(pot, mass, n, kappa, x, r):
         ctx = NRContext.natural(mu=mass)
-        l = kappa if kappa > 0 else -kappa - 1
+        l = _orbital(kappa)
         par = spectral_params(pot, ctx, l, branch)
         c = par.beta + (1.0 if argument == "linear" else 0.5)
         return c, lambda: wavefunction_nr(pot, ctx, n, l, r, branch, argument)
-    return case
+    return (lambda mass, kappa, x: (8.0 * mass, 2 * _orbital(kappa) + 1)), case
 
 
 def _spinor_amplitude(component):
-    params = tilde_params if component == "lower" else plain_params
+    params, side = (tilde_params, -1) if component == "lower" else (plain_params, 1)
 
     def case(pot, mass, n, kappa, x, r):
         ctx = DiracContext(M=mass, kappa=kappa, n=n)
         c = 2.0 * params(x * mass, ctx, pot).beta2 + 0.5
         return c, lambda: spinor_wavefunction(component, ctx, pot, x * mass, r)
-    return case
+    return (lambda mass, kappa, x: (4.0 * (x + side) * mass, 2 * kappa + side)), case
 
 
 AMPLITUDES = {
@@ -376,40 +303,54 @@ AMPLITUDES = {
 class TestAmplitudeDomain:
     """Both closed-form amplitudes, on input inside their domain and past
     the origin cutoff, return a finite value or raise OverflowRangeError:
-    an amplitude the double range cannot hold is never a domain error."""
+    an amplitude the double range cannot hold is never a domain error.
+    The only DomainError is the 2F1 of a c that is a nonpositive integer
+    > -n, where it is undefined."""
 
-    @pytest.mark.parametrize("amplitude", AMPLITUDES)
-    @given(
-        pot=st.builds(
-            PTPotential,
-            A=st.floats(min_value=-50.0, max_value=20.0),
-            B=st.floats(min_value=-5.0, max_value=20.0),
-            alpha=st.sampled_from((1.0, -1.0)).flatmap(
-                lambda sign: st.floats(min_value=0.1, max_value=5.0).map(lambda a: sign * a)
-            ),
-        ),
-        mass=st.floats(min_value=1e-3, max_value=50.0),
-        n=st.integers(min_value=0, max_value=5),
-        kappa=st.sampled_from((-4, -3, -2, -1, 1, 2, 3, 4)),
-        x=st.floats(min_value=-3.0, max_value=3.0),
-        r=st.floats(min_value=0.0, max_value=1e3),
-    )
-    # sinh^2 overflows at r = 400 while sinh does not
-    @example(pot=PTPotential(-2.0, 0.1, 1.0), mass=0.5, n=1, kappa=-1, x=0.0, r=400.0)
-    @settings(max_examples=200, deadline=None)
-    def test_finite_or_overflow(self, amplitude, pot, mass, n, kappa, x, r):
+    @staticmethod
+    def _check(amplitude, pot, mass, n, kappa, x, r):
         r = max(r, 1e-8 / abs(pot.alpha))
         try:
-            c, evaluate = AMPLITUDES[amplitude](pot, mass, n, kappa, x, r)
+            c, evaluate = AMPLITUDES[amplitude][1](pot, mass, n, kappa, x, r)
         except DomainError:
-            assume(False)  # no real exponents at these parameters
-        # 2F1(-n, b; c; z) is undefined where c is a nonpositive integer > -n
-        assume(not (c == math.floor(c) and -(n - 1) <= c <= 0.0))
+            assume(False)  # a strength drawn on the rounded edge of its region
         try:
             u = evaluate()
         except OverflowRangeError:
             return
+        except DomainError:
+            assert c == math.floor(c) and -(n - 1) <= c <= 0.0
+            return
         assert math.isfinite(u)
+
+    @pytest.mark.parametrize("amplitude", AMPLITUDES)
+    @given(
+        data=st.data(),
+        alpha=S.alphas,
+        mass=S.masses,
+        n=st.integers(min_value=0, max_value=5),
+        kappa=S.kappas,
+        x=S.mass_units,
+        r=st.floats(min_value=0.0, max_value=1e3),
+    )
+    @settings(max_examples=200)
+    def test_finite_or_overflow(self, amplitude, data, alpha, mass, n, kappa, x, r):
+        # A and B from the shared potentials' ranges, where the exponents are real
+        p, j = AMPLITUDES[amplitude][0](mass, kappa, x)
+        (a_lo, a_hi), (b_lo, b_hi) = S.A_RANGE, S.B_RANGE
+        if p > 0.0:
+            a_hi, b_lo = min(a_hi, alpha**2 / p), max(b_lo, -((j * alpha) ** 2) / p)
+        elif p < 0.0:
+            a_lo, b_hi = max(a_lo, alpha**2 / p), min(b_hi, -((j * alpha) ** 2) / p)
+        a = data.draw(st.floats(min_value=a_lo, max_value=a_hi), label="A")
+        b = data.draw(st.floats(min_value=b_lo, max_value=b_hi), label="B")
+        self._check(amplitude, PTPotential(a, b, alpha), mass, n, kappa, x, r)
+
+    # the lower spinor has no real exponents at these parameters
+    @pytest.mark.parametrize("amplitude", [name for name in AMPLITUDES if name != "spinor-lower"])
+    def test_sinh_squared_past_range(self, amplitude):
+        # sinh^2 overflows at r = 400 while sinh does not
+        self._check(amplitude, PTPotential(-2.0, 0.1, 1.0), 0.5, 1, -1, 0.0, 400.0)
 
 
 class TestShootingCrossCheck:
@@ -420,6 +361,21 @@ class TestShootingCrossCheck:
         assert res0.value == pytest.approx(reg.k1(0), rel=1e-8)
         res1 = shoot_eigenvalue(prob, 1, (-4.0, -0.2), tol=1e-9)
         assert res1.value == pytest.approx(reg.k1(1), rel=1e-8)
+
+    def test_regular_level_past_printed_count(self):
+        # The printed level count gives n_max = 0 on criterion 2's strong
+        # core, but the regular pair still decays at n = 3 and shooting
+        # finds that level at its closed-form value.
+        pot = PTPotential(A=-150.0, B=3.0, alpha=1.3)
+        assert level_count(pot, CTX, 0).n_max == 0
+        reg = spectral_params(pot, CTX, 0, "regular")
+        n = 3
+        assert reg.bound_possible(n)
+        assert FLAG_BEYOND_NMAX in energy_nr(pot, CTX, n, 0, "regular").flags
+        closed = reg.k1(n)
+        prob = pt_radial_problem(pot, CTX, 0, k1_estimate=closed)
+        res = shoot_eigenvalue(prob, n, (0.5 * (closed + reg.k1(n - 1)), 0.5 * closed), tol=1e-9)
+        assert res.value == pytest.approx(closed, rel=1e-8)
 
     def test_molecule_scale_well(self):
         # CO-sized reduced mass and range parameter with a binding core
@@ -488,20 +444,6 @@ class TestShootingCrossCheck:
         r = 1e-3 / pot.alpha
         assert abs(rest(r)) < 1e-4
         assert rest(2.0 * r) / rest(r) == pytest.approx(4.0, rel=1e-2)
-
-    def test_centrifugal_mode_validation(self):
-        with pytest.raises(DomainError):
-            pt_radial_problem(POT, CTX, 0, centrifugal="other")
-
-    def test_negative_core_discriminant(self):
-        # 1 + 4 B1/alpha^2 = -39: a bare ValueError from the origin exponent's sqrt
-        with pytest.raises(DomainError, match="core-strength discriminant"):
-            pt_radial_problem(PTPotential(-30.0, -10.0, 1.0), CTX, 0)
-
-    def test_k1_estimate_near_zero(self):
-        # a1 / k1_estimate overflowed, and RadialProblem rejected r_cut = inf
-        with pytest.raises(DomainError, match="k1_estimate"):
-            pt_radial_problem(POT, CTX, 0, k1_estimate=-1e-320)
 
 
 class TestAimProblem:

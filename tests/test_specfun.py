@@ -70,7 +70,7 @@ class TestErfi:
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-300), f"x={x}"
 
     @given(st.floats(min_value=-10.0, max_value=10.0, allow_nan=False))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_dawson_identity_property(self, x):
         assert erfi(x) == pytest.approx(
             2.0 / SQRT_PI * math.exp(x * x) * dawson(x), rel=1e-12, abs=1e-300
@@ -101,12 +101,6 @@ class TestLnErfi:
     def test_series_asymptotic_crossover_consistent(self):
         below, above = ln_erfi(6.999999), ln_erfi(7.000001)
         assert abs(above - below) < 1e-4
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            ln_erfi(0.0)
-        with pytest.raises(DomainError):
-            ln_erfi(-1.0)
 
 
 class TestBitPattern:
@@ -171,7 +165,7 @@ class TestPochhammer:
         st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
         st.integers(min_value=0, max_value=10),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def test_recurrence(self, s, n):
         assert pochhammer(s, n + 1) == pytest.approx(
             pochhammer(s, n) * (s + n), rel=1e-12, abs=1e-300
