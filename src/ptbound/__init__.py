@@ -2,9 +2,10 @@
 
 Layers, bottom to top:
 
-- specfun / jets / rootfind: special functions, truncated Taylor-series
-  arithmetic, and bracketing root finding.
-- aim: the generic iterative eigenvalue engine over coefficient jets.
+- specfun / jets / rootfind: special functions, products of truncated
+  Taylor series on coefficient arrays, and bracketing root finding.
+- aim: the generic iterative eigenvalue engine over Taylor-coefficient
+  arrays.
 - oracle: independent numerics (shooting solver, adaptive quadrature,
   Richardson finite differences) used to cross-check everything else.
 - schrodinger / dirac: closed-form spectra, wavefunctions, and the
@@ -34,13 +35,11 @@ from .errors import (
     BracketError,
     ConvergenceError,
     DomainError,
-    JetMismatchError,
     NodeCountError,
     OverflowRangeError,
     PtboundError,
     TableFormatError,
 )
-from .jets import SeriesJet
 from .molecules import (
     AMU_TO_EV,
     MoleculeParams,
@@ -107,7 +106,6 @@ __all__ = [
     "DomainError",
     "EnergyLevel",
     "HBARC_EV_ANG",
-    "JetMismatchError",
     "LevelCount",
     "MoleculeParams",
     "NRContext",
@@ -117,7 +115,6 @@ __all__ = [
     "PtboundError",
     "RadialProblem",
     "RelativisticRoot",
-    "SeriesJet",
     "ShootResult",
     "SpectralParams",
     "SymmetryParams",

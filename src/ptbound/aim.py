@@ -17,15 +17,16 @@ roots of the termination indicator
     delta_k(x0; E) = lambda_k s_{k-1} - lambda_{k-1} s_k
 
 evaluated at the expansion point.  Coefficient functions are carried as
-truncated Taylor jets; each iteration differentiates once, so delta_k
-reads orders 0..k of lambda0 and s0 only, and the recurrence cuts its
-inputs to them.  ``schrodinger.pt_aim_problem`` still builds order
-2k + 8: np.convolve sums the top coefficient of a product of equal-length
-jets in another order, so its quotient lambda0 built at order k would
-change in the last bit at order k, and scan roots with it.
+arrays of their Taylor coefficients there; each iteration differentiates
+once, so delta_k reads orders 0..k of lambda0 and s0 only, and the
+recurrence cuts its inputs to them.  ``schrodinger.pt_aim_problem``
+still builds order 2k + 8: np.convolve sums the top coefficient of a
+product of equal-length arrays in another order, so its quotient
+lambda0 built at order k would change in the last bit at order k, and
+scan roots with it.
 
 The scan parameter E enters s0 only, as a scalar factor: a problem holds
-two fixed jets and two numbers, and
+two fixed coefficient arrays and two numbers, and
 
     s0(E) = s0 * ((E + e_shift) / e_scale),
 
@@ -46,10 +47,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
-    DomainError, JetMismatchError, OverflowRangeError, require_bracket, require_finite,
-    require_index, require_positive,
+    DomainError, OverflowRangeError, require_bracket, require_finite, require_index,
+    require_positive,
 )
-from .jets import SeriesJet
 from .rootfind import bisect, sign_change_brackets, uniform_grid
 
 __all__ = [
@@ -73,40 +73,38 @@ SCAN_TOL = 1e-12
 
 @dataclass(frozen=True)
 class AimProblem:
-    """Canonical coefficient jets of order max_order about x0.
+    """Taylor coefficients of order 0..max_order of lambda0 and s0 at the
+    expansion point, as two finite 1-d float arrays of one length.
 
     ``lambda0`` does not depend on the scan parameter E; E enters s0 as
     the scalar factor of ``s0(E) = s0 * ((E + e_shift) / e_scale)``.
-    Both jets are finite and share the expansion point x0 and the order
-    max_order.
     """
 
-    lambda0: SeriesJet
-    s0: SeriesJet
+    lambda0: np.ndarray
+    s0: np.ndarray
     e_shift: float = 0.0
     e_scale: float = 1.0
 
     def __post_init__(self):
-        for jet in (self.lambda0, self.s0):
-            if not isinstance(jet, SeriesJet):
-                raise DomainError(f"coefficients must be SeriesJet, got {type(jet).__name__}")
-            if not (math.isfinite(jet.x0) and np.isfinite(jet.coeffs).all()):
-                raise DomainError(f"jet coefficients and x0 must be finite, got x0={jet.x0!r}")
-        if self.s0.x0 != self.x0:
-            raise JetMismatchError(f"s0 is expanded at x0={self.s0.x0!r}, lambda0 at {self.x0!r}")
-        if self.s0.order != self.max_order:
-            raise JetMismatchError(f"s0 has order {self.s0.order}, lambda0 has {self.max_order}")
-        require_index(self.max_order, "max_order", 1)
+        try:
+            lam0, s0 = (np.asarray(c, dtype=float) for c in (self.lambda0, self.s0))
+        except (TypeError, ValueError):
+            raise DomainError("lambda0 and s0 must be arrays of Taylor coefficients") from None
+        if lam0.ndim != 1 or s0.shape != lam0.shape:
+            raise DomainError(
+                f"lambda0 and s0 must be 1-d and of one length, got {lam0.shape}, {s0.shape}"
+            )
+        require_index(lam0.size - 1, "max_order", 1)
+        if not (np.isfinite(lam0).all() and np.isfinite(s0).all()):
+            raise DomainError("lambda0 and s0 coefficients must be finite")
+        object.__setattr__(self, "lambda0", lam0)
+        object.__setattr__(self, "s0", s0)
         require_finite(self.e_shift, "e_shift")
         require_positive(abs(self.e_scale), "|e_scale|")
 
     @property
-    def x0(self) -> float:
-        return self.lambda0.x0
-
-    @property
     def max_order(self) -> int:
-        return self.lambda0.order
+        return self.lambda0.size - 1
 
 
 @dataclass(frozen=True)
@@ -169,7 +167,7 @@ def _delta(prev, cur):
 
 
 def _check_depth(problem: AimProblem, k: int, minimum: int = 1) -> int:
-    """k as an int: an integer >= minimum within the problem's jet order."""
+    """k as an int: an integer >= minimum within the problem's max_order."""
     k = require_index(k, "iteration depth", minimum)
     if k > problem.max_order:
         raise DomainError(
@@ -187,9 +185,9 @@ def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, fl
     """
     k = _check_depth(problem, k)
     require_finite(e, "energy")
-    s0 = problem.s0.coeffs * ((e + problem.e_shift) / problem.e_scale)
-    # np.convolve is jets.jet_mul's product: the values are the jet route's.
-    prev, cur = _recurrence(problem.lambda0.coeffs, s0, k, np.convolve)[-2:]
+    s0 = problem.s0 * ((e + problem.e_shift) / problem.e_scale)
+    # np.convolve is jets.jet_mul's product, with the cut left to _recurrence.
+    prev, cur = _recurrence(problem.lambda0, s0, k, np.convolve)[-2:]
     delta = float(_delta(prev, cur))
     if not math.isfinite(delta):
         raise OverflowRangeError(f"delta_{k} at E={e!r} is {delta!r}")
@@ -204,10 +202,10 @@ def aim_delta(problem: AimProblem, e: float, k: int) -> float:
 def _delta_grid(problem: AimProblem, es: np.ndarray, k: int):
     """(delta_{k-1}, delta_k) at every E in es, from one recurrence pass.
 
-    Column i of the coefficient arrays holds the jets at es[i].
+    Column i of the coefficient arrays holds the coefficients at es[i].
     """
-    s0 = problem.s0.coeffs[:, None] * ((es + problem.e_shift) / problem.e_scale)
-    lam0 = np.broadcast_to(problem.lambda0.coeffs[:, None], s0.shape)
+    s0 = problem.s0[:, None] * ((es + problem.e_shift) / problem.e_scale)
+    lam0 = np.broadcast_to(problem.lambda0[:, None], s0.shape)
     older, prev, cur = _recurrence(lam0, s0, k, _columns_mul)[-3:]
     return _delta(older, prev), _delta(prev, cur)
 

@@ -39,8 +39,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
-    BracketError, DomainError, require_bracket, require_choice, require_finite, require_index,
-    require_positive, within_range,
+    BracketError, DomainError, OverflowRangeError, require_bracket, require_choice,
+    require_finite, require_index, require_positive, within_range,
 )
 from .rootfind import bisect, sign_change_brackets, uniform_grid
 from .schrodinger import D0, PTPotential, _discriminant_root, _hyperbolic_amplitude, _square
@@ -195,6 +195,8 @@ def _tilde_params_raw(e, m, k, cps, ae2, pot):
     k3 = 4.0 * k * (k - 1) * D0 + (m - e + cps) * (m + e) / ae2
     beta2 = 0.25 * (1.0 - _discriminant_root(1.0 - 4.0 * a3, "exponent a3"))
     gamma2 = 0.25 * (1.0 - _discriminant_root(1.0 + 4.0 * b3, "exponent b3"))
+    if not all(map(math.isfinite, (a3, b3, k3, gamma2, beta2))):
+        raise OverflowRangeError("symmetry parameters exceed the double range")
     return SymmetryParams(a3=a3, b3=b3, k3=k3, gamma2=gamma2, beta2=beta2)
 
 
@@ -365,7 +367,9 @@ def nr_limit_energy(mu: float, pot: PTPotential, n: int, l: int) -> float:
     root1 = _discriminant_root(arg1, "well-depth")
     root2 = _discriminant_root(arg2, "core-strength")
     bracket = n + 0.5 + 0.25 * root1 - 0.25 * root2
-    return (2.0 * alpha2 / mu) * (l * (l + 1) * D0 - bracket * bracket)
+    return within_range(
+        (2.0 * alpha2 / mu) * (l * (l + 1) * D0 - bracket * bracket), "NR-limit energy"
+    )
 
 
 def reflectionless_nr_energy(mu: float, alpha: float, eta: float, n: int) -> float:
@@ -376,7 +380,7 @@ def reflectionless_nr_energy(mu: float, alpha: float, eta: float, n: int) -> flo
     alpha2 = require_positive(_square(alpha), "alpha**2")
     arg = 1.0 + 4.0 * mu * eta * (eta + 1.0) / alpha2
     bracket = n + 0.25 + 0.25 * _discriminant_root(arg, "reflectionless")
-    return -(2.0 * alpha2 / mu) * bracket * bracket
+    return within_range(-(2.0 * alpha2 / mu) * bracket * bracket, "reflectionless energy")
 
 
 def symmetric_nr_energy(mu: float, eta: float, n: int) -> float:
@@ -386,7 +390,7 @@ def symmetric_nr_energy(mu: float, eta: float, n: int) -> float:
     require_finite(eta, "eta")
     arg = 1.0 - 2.0 * mu * (1.0 - 4.0 * eta * eta)
     bracket = n + 0.25 + 0.25 * _discriminant_root(arg, "symmetric-case")
-    return -(2.0 / mu) * bracket * bracket
+    return within_range(-(2.0 / mu) * bracket * bracket, "symmetric-case energy")
 
 
 _COMPONENTS = ("upper", "lower")

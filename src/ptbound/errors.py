@@ -43,10 +43,6 @@ class NodeCountError(BracketError):
     """A shooting bracket excludes the requested level (wrong node counts)."""
 
 
-class JetMismatchError(PtboundError, ValueError):
-    """Jet operands disagree in expansion point or truncation order."""
-
-
 class TableFormatError(PtboundError, ValueError):
     """A molecule table or CSV artifact violates the documented layout."""
 

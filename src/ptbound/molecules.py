@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
-    DomainError, TableFormatError, require_finite, require_index, require_positive,
+    DomainError, TableFormatError, require_finite, require_index, require_positive, within_range,
 )
 from .refdata import MOLECULE_CONSTANTS
 from .schrodinger import HBARC_EV_ANG, NRContext, PTPotential, level_count
@@ -176,4 +176,4 @@ def reference_energy(
     if 1.0 - a * x < 0.0:
         raise DomainError(f"well parameter a={a!r} makes a square root complex for {mol.name}")
     bracket = n + 0.5 + 0.25 * math.sqrt(1.0 - a * x) - 0.25 * (2 * l + 1)
-    return -2.0 * alpha * alpha * hbarc2 / mu * bracket * bracket
+    return within_range(-2.0 * alpha * alpha * hbarc2 / mu * bracket * bracket, "reference energy")

@@ -32,12 +32,14 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
+import numpy as np
+
 from .aim import AimProblem
 from .errors import (
     DomainError, OverflowRangeError, require_choice, require_finite, require_index,
     require_positive, within_range,
 )
-from .jets import SeriesJet, jet_div, jet_reciprocal, jet_scale
+from .jets import jet_mul, jet_reciprocal
 from .oracle import RadialProblem
 from .specfun import hyp2f1_terminating, pochhammer
 
@@ -465,14 +467,21 @@ def pt_aim_problem(
     two_gamma_1 = 2.0 * params.gamma + 1.0
     two_beta = 2.0 * params.beta
 
-    # K1 enters s0 = -K2 / (alpha^2 (1 + z^2)) only, through
-    # K2 = K1 + gb_shift: the jet -1 / (1 + z^2) times (K1 + gb_shift) / alpha^2.
-    z = SeriesJet.variable(z0, order)
-    z2 = z * z
-    one_p_z2 = z2 + 1.0
-    num = jet_scale(z2, two_gamma_1) + jet_scale(one_p_z2, two_beta)
-    lam0 = jet_scale(jet_div(num, z * one_p_z2), -1.0)
-    s0 = jet_scale(jet_reciprocal(one_p_z2), -1.0)
+    # Taylor coefficients in z - z0.  K1 enters s0 = -K2 / (alpha^2 (1 + z^2))
+    # only, through K2 = K1 + gb_shift: -1 / (1 + z^2) times (K1 + gb_shift) / alpha^2.
+    z = np.zeros(order + 1)
+    z[:2] = z0, 1.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        z2 = jet_mul(z, z)
+        one_p_z2 = z2.copy()
+        one_p_z2[0] += 1.0
+        num = z2 * two_gamma_1 + one_p_z2 * two_beta
+        lam0 = -jet_mul(num, jet_reciprocal(jet_mul(z, one_p_z2)))
+        s0 = -jet_reciprocal(one_p_z2)
+    if not (np.isfinite(lam0).all() and np.isfinite(s0).all()):
+        raise OverflowRangeError(
+            f"Taylor coefficients at the expansion point z0={z0!r} exceed the double range"
+        )
     return AimProblem(lambda0=lam0, s0=s0, e_shift=gb_shift, e_scale=alpha2)
 
 

@@ -169,7 +169,7 @@ def pochhammer(s: float, n: int) -> float:
     result = 1.0
     for j in range(int(n)):
         result *= s + j
-    return result
+    return within_range(result, "pochhammer")
 
 
 def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:

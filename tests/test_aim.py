@@ -9,14 +9,14 @@ import dataclasses
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ptbound.aim
 from ptbound.aim import AimProblem, aim_delta, aim_eigen_scan, aim_iterate
-from ptbound.errors import DomainError, JetMismatchError, OverflowRangeError
-from ptbound.jets import SeriesJet, jet_scale
+from ptbound.errors import DomainError, OverflowRangeError
 from ptbound.rootfind import sign_change_brackets, uniform_grid
 from ptbound.schrodinger import NRContext, PTPotential, pt_aim_problem, spectral_params
 import strategies as S
@@ -31,13 +31,19 @@ def pt_problem(depth):
     return pt_aim_problem(POT, CTX, 0, depth)
 
 
+def constant(value, order):
+    """Taylor coefficients of order 0..order of a constant function."""
+    c = np.zeros(order + 1)
+    c[0] = value
+    return c
+
+
 def hermite_problem(depth):
-    # y'' = 2x y' - 2E y: eigenvalues E = 0, 1, 2, ...
+    # y'' = 2x y' - 2E y about x = 0: eigenvalues E = 0, 1, 2, ...
     order = 2 * depth + 8
-    return AimProblem(
-        lambda0=jet_scale(SeriesJet.variable(0.0, order), 2.0),
-        s0=SeriesJet.constant(-2.0, 0.0, order),
-    )
+    lambda0 = np.zeros(order + 1)
+    lambda0[1] = 2.0
+    return AimProblem(lambda0=lambda0, s0=constant(-2.0, order))
 
 
 def normalized_delta(problem, e, k):
@@ -56,10 +62,7 @@ class TestRecurrenceAlgebra:
 
     @staticmethod
     def _const_problem(c, order=12):
-        return AimProblem(
-            lambda0=SeriesJet.constant(c, 0.0, order),
-            s0=SeriesJet.constant(1.0, 0.0, order),
-        )
+        return AimProblem(lambda0=constant(c, order), s0=constant(1.0, order))
 
     @pytest.mark.parametrize("c", [0.0, 1.0, -2.5])
     @pytest.mark.parametrize("e", [0.7, -1.3, 4.0])
@@ -89,11 +92,8 @@ class TestVanishingS0:
             assert aim_delta(prob, k1_ground, k) == 0.0
 
     def test_zero_s0_generic_lambda0(self):
-        order = 10
-        prob = AimProblem(
-            lambda0=jet_scale(SeriesJet.variable(0.3, order), 2.0),
-            s0=SeriesJet.constant(0.0, 0.3, order),
-        )
+        # lambda0 = 2x about x = 0.3
+        prob = AimProblem(lambda0=2.0 * np.array([0.3, 1.0] + [0.0] * 9), s0=constant(0.0, 10))
         for k in (1, 2, 3):
             assert aim_delta(prob, 1.7, k) == 0.0
 
@@ -330,8 +330,8 @@ class TestTerminationPattern:
 
 def _scaled(problem, c):
     return AimProblem(
-        lambda0=jet_scale(problem.lambda0, c),
-        s0=jet_scale(problem.s0, c),
+        lambda0=problem.lambda0 * c,
+        s0=problem.s0 * c,
         e_shift=problem.e_shift,
         e_scale=problem.e_scale,
     )
@@ -427,29 +427,24 @@ class TestValidation:
             aim_eigen_scan(pt_problem(2), (-20.0, -30.0), 2)
 
     def test_builder_order_mismatch(self):
-        with pytest.raises(JetMismatchError):
-            AimProblem(
-                lambda0=SeriesJet.constant(1.0, 0.0, 5),
-                s0=SeriesJet.constant(1.0, 0.0, 4),
-            )
+        with pytest.raises(DomainError, match="one length"):
+            AimProblem(lambda0=constant(1.0, 5), s0=constant(1.0, 4))
 
-    def test_builder_x0_mismatch(self):
-        with pytest.raises(JetMismatchError):
-            AimProblem(
-                lambda0=SeriesJet.constant(1.0, 1.0, 5),
-                s0=SeriesJet.constant(1.0, 0.0, 5),
-            )
+    @pytest.mark.parametrize("coeffs", [[], [[1.0, 0.0], [0.0, 1.0]]], ids=["empty", "two-dim"])
+    def test_problem_rejects_bad_shape(self, coeffs):
+        with pytest.raises(DomainError):
+            AimProblem(lambda0=coeffs, s0=coeffs)
 
     @pytest.mark.parametrize(
-        "coeff, x0", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf), (1.0, math.nan)]
+        "lam_coeff, s_coeff",
+        [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.inf), (1.0, math.nan)],
     )
-    def test_problem_rejects_nonfinite_jets(self, coeff, x0):
+    def test_problem_rejects_nonfinite_jets(self, lam_coeff, s_coeff):
         # accepted, and each aim_delta then raised OverflowRangeError
-        # (x0 = nan as a JetMismatchError)
         with pytest.raises(DomainError, match="finite"):
             AimProblem(
-                lambda0=SeriesJet.constant(1.0, x0, 5),
-                s0=SeriesJet([1.0, coeff, 0.0, 0.0, 0.0, 0.0], x0),
+                lambda0=[1.0, lam_coeff, 0.0, 0.0, 0.0, 0.0],
+                s0=[1.0, s_coeff, 0.0, 0.0, 0.0, 0.0],
             )
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -492,19 +487,17 @@ class TestProperties:
     @given(
         lam=st.lists(st.one_of(S.finite_floats, S.NONFINITE), min_size=1, max_size=8),
         s=st.lists(st.one_of(S.finite_floats, S.NONFINITE), min_size=1, max_size=8),
-        x0=st.one_of(st.floats(min_value=-5.0, max_value=5.0), S.NONFINITE),
         e_shift=st.one_of(S.finite_floats, S.NONFINITE),
         e_scale=st.one_of(S.finite_floats, S.NONFINITE),
     )
     @settings(max_examples=300)
-    def test_problem(self, lam, s, x0, e_shift, e_scale):
-        p = S.finite_or_ptbound_error(
-            lambda: AimProblem(SeriesJet(lam, x0), SeriesJet(s, x0), e_shift, e_scale)
-        )
+    def test_problem(self, lam, s, e_shift, e_scale):
+        p = S.finite_or_ptbound_error(lambda: AimProblem(lam, s, e_shift, e_scale))
         if p is not None:
-            assert p.max_order >= 1 and p.s0.order == p.max_order
-            assert all(math.isfinite(v) for v in (p.x0, p.e_shift, p.e_scale)) and p.e_scale
-            assert all(math.isfinite(c) for jet in (p.lambda0, p.s0) for c in jet.coeffs)
+            assert p.max_order >= 1 and p.lambda0.shape == p.s0.shape == (p.max_order + 1,)
+            assert p.lambda0.dtype == p.s0.dtype == float
+            assert all(math.isfinite(v) for v in (p.e_shift, p.e_scale)) and p.e_scale
+            assert np.isfinite(p.lambda0).all() and np.isfinite(p.s0).all()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @given(

@@ -4,9 +4,11 @@ Every callable that ``ptbound`` exports and that takes numbers has a row
 here: a call that works, naming every parameter.  Finite input drawn
 from the row's strategy in ``strategies.ROWS`` must give a finite result
 (every float of a number, tuple, NamedTuple or record) or raise a
-PtboundError.  Each numeric argument of the row's call (and each element
-of a numeric tuple such as a bracket) set to NaN, +inf or -inf must raise
-a DomainError.  The bad arguments of each row, one at a time, must raise
+PtboundError, and so must each float argument of the row's call set to
+5e-324, the largest double or its negative (the calls that still leak
+are strict xfails, each with its reason).  Each numeric argument of the
+row's call (and each element of a numeric tuple such as a bracket) set
+to NaN, +inf or -inf must raise a DomainError.  The bad arguments of each row, one at a time, must raise
 a DomainError that names them, and each bad call must raise its error
 or return its value.  A meta-test
 fails when an export has neither a row nor a stated reason to have none,
@@ -17,6 +19,7 @@ import dataclasses
 import inspect
 import math
 import numbers
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -106,7 +109,6 @@ EXEMPT = {
     "pspin_residual": "per-node residual of the root scans: NaN is its documented "
     "off-domain value, and no check runs per node",
     "spin_residual": "per-node residual of the root scans, as pspin_residual",
-    "SeriesJet": "a jet arithmetic value; AimProblem checks the jets it is given",
     "builtin_molecules": "takes no argument",
     "load_molecules": "takes a path; MoleculeParams checks each row's numbers",
     "save_molecules": "takes a path and MoleculeParams records",
@@ -221,10 +223,9 @@ BAD_ARGUMENTS = [
 # finite input whose result leaves the double range, or whose
 # intermediate does while the result does not.
 BAD_CALLS = [
-    ("AimProblem", lambda: pb.AimProblem(*[pb.SeriesJet.constant(1.0, 0.0, 0)] * 2),
-     DomainError, "max_order"),
+    ("AimProblem", lambda: pb.AimProblem([1.0], [1.0]), DomainError, "max_order"),
     ("AimProblem", lambda: pb.AimProblem(lambda e: AIM.lambda0, lambda e: AIM.s0),
-     DomainError, "SeriesJet"),
+     DomainError, "arrays of Taylor coefficients"),
     ("NRContext", lambda: pb.NRContext(1e300, 1e-10), DomainError, "2 mu / hbar_c"),
     ("NRContext", lambda: pb.NRContext(1e-300, 1e10), DomainError, "2 mu / hbar_c"),
     ("special_case_residual",
@@ -248,6 +249,17 @@ BAD_CALLS = [
     ("dawson", lambda: pb.dawson(2e154), 2.5e-155, None),
     ("ln_erfi", lambda: pb.ln_erfi(1e300), OverflowRangeError, "ln_erfi"),
     ("ln_erfi", lambda: pb.ln_erfi(1.7e308), OverflowRangeError, "ln_erfi"),
+    ("nr_limit_energy", lambda: pb.nr_limit_energy(5e-324, DPOT, 0, 0),
+     OverflowRangeError, "energy"),
+    ("reflectionless_nr_energy", lambda: pb.reflectionless_nr_energy(1.0, 1.0, 1e200, 0),
+     OverflowRangeError, "energy"),
+    ("symmetric_nr_energy", lambda: pb.symmetric_nr_energy(5e-324, 0.0, 0),
+     OverflowRangeError, "energy"),
+    ("reference_energy", lambda: pb.reference_energy(MOL, 0, 0, a=-1e308),
+     OverflowRangeError, "energy"),
+    ("plain_params", lambda: pb.plain_params(1e308, DCTX, DPOT), OverflowRangeError, "symmetry"),
+    ("tilde_params", lambda: pb.tilde_params(1e308, DCTX, DPOT), OverflowRangeError, "symmetry"),
+    ("pochhammer", lambda: pb.pochhammer(1e200, 2), OverflowRangeError, "pochhammer"),
 ]
 
 
@@ -272,6 +284,10 @@ def _is_number(value):
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _is_float(value):
+    return isinstance(value, float)
+
+
 def floats_of(result):
     """Every number of a result: itself, or those of its items or fields."""
     if isinstance(result, numbers.Real):
@@ -284,25 +300,56 @@ def floats_of(result):
             yield from floats_of(item)
 
 
+def substitutions(kwargs, accept, values):
+    """(label, kwargs) for every argument that accept() takes, and every
+    element of a tuple of such, set to each of values in turn."""
+    for param, value in kwargs.items():
+        if accept(value):
+            slots = [None]
+        elif isinstance(value, tuple) and all(map(accept, value)):
+            slots = range(len(value))
+        else:
+            continue
+        for index in slots:
+            for bad in values:
+                if index is None:
+                    arg, label = bad, param
+                else:
+                    arg, label = value[:index] + (bad,) + value[index + 1:], f"{param}[{index}]"
+                yield f"{label}={bad}", kwargs | {param: arg}
+
+
 def nonfinite_calls():
-    """(id, export, kwargs) for every numeric argument of every row set to
-    NaN, +inf and -inf in turn."""
+    """Every numeric argument of every row set to NaN, +inf and -inf in turn."""
     for name, kwargs in CONTRACT.items():
-        for param, value in kwargs.items():
-            if _is_number(value):
-                slots = [(param, None)]
-            elif isinstance(value, tuple) and all(map(_is_number, value)):
-                slots = [(param, i) for i in range(len(value))]
-            else:
-                continue
-            for param, index in slots:
-                for bad in (math.nan, math.inf, -math.inf):
-                    if index is None:
-                        arg = bad
-                    else:
-                        arg = kwargs[param][:index] + (bad,) + kwargs[param][index + 1:]
-                    label = param if index is None else f"{param}[{index}]"
-                    yield pytest.param(name, kwargs | {param: arg}, id=f"{name}-{label}={bad}")
+        for label, call in substitutions(kwargs, _is_number, (math.nan, math.inf, -math.inf)):
+            yield pytest.param(name, call, id=f"{name}-{label}")
+
+
+TINY, HUGE = 5e-324, sys.float_info.max
+# finite_difference's own f, exp, overflows at x = HUGE; atan is finite
+# everywhere, as in its strategy row.
+EXTREME_ROWS = CONTRACT | {"finite_difference": CONTRACT["finite_difference"] | {"f": math.atan}}
+# Extreme arguments that still leak: the call's id -> what comes back.
+EXTREME_LEAKS = {
+    f"partition_sum-beta={TINY}": "bare OverflowError: gamma**2, gamma = tau / sqrt(beta)",
+    f"free_energy-beta={TINY}": "-inf: -ln Z / beta",
+    f"thermo_point-beta={TINY}": "-inf F, as free_energy",
+    f"mean_energy-beta={HUGE}": "NaN: 1 - chi/dawson(chi) is -inf, over 2 beta = inf",
+    f"specific_heat-beta={HUGE}": "inf: chi**2 overflows at chi = 6.7e154",
+    f"finite_difference-h={TINY}": "ZeroDivisionError: the halved step h / 2 is 0",
+    f"integrate_adaptive-a={-HUGE}": "bare ValueError: sin(-inf) at 0.5 * (a + m)",
+    f"integrate_adaptive-b={HUGE}": "bare ValueError: sin(inf) at 0.5 * (m + b)",
+}
+
+
+def extreme_calls():
+    """Every float argument of every row set to 5e-324, max and -max in turn."""
+    for name, kwargs in EXTREME_ROWS.items():
+        for label, call in substitutions(kwargs, _is_float, (TINY, HUGE, -HUGE)):
+            reason = EXTREME_LEAKS.get(f"{name}-{label}")
+            marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
+            yield pytest.param(name, call, id=f"{name}-{label}", marks=marks)
 
 
 def public_callables():
@@ -320,6 +367,7 @@ def test_every_public_callable_has_a_row():
     assert set(ROWS) == set(CONTRACT)
     assert set(EXAMPLES) | set(NONFINITE_RESULTS) <= set(CONTRACT)
     assert {row[0] for row in BAD_ARGUMENTS + BAD_CALLS} <= set(CONTRACT)
+    assert set(EXTREME_LEAKS) <= {call.id for call in extreme_calls()}
 
 
 @pytest.mark.parametrize("name", sorted(CONTRACT))
@@ -331,22 +379,33 @@ def test_row_names_every_parameter_and_works(name):
         assert math.isfinite(result)
 
 
+def check_finite_or_ptbound_error(name, kwargs):
+    """The row's export at kwargs raises a PtboundError or returns finite
+    floats (or its documented non-finite ones)."""
+    allowed = NONFINITE_RESULTS.get(name, lambda v: False)
+    try:
+        result = getattr(pb, name)(**kwargs)
+    except PtboundError:
+        return
+    assert [v for v in floats_of(result) if not (math.isfinite(v) or allowed(v))] == []
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("name", sorted(CONTRACT))
 def test_finite_input_gives_finite_result_or_ptbound_error(name):
-    fn, allowed = getattr(pb, name), NONFINITE_RESULTS.get(name, lambda v: False)
-
     @settings(max_examples=EXAMPLES.get(name, DEFAULT_EXAMPLES))
     @given(kwargs=ROWS[name])
     def check(kwargs):
         assert set(kwargs) == set(CONTRACT[name])
-        try:
-            result = fn(**kwargs)
-        except PtboundError:
-            return
-        assert [v for v in floats_of(result) if not (math.isfinite(v) or allowed(v))] == []
+        check_finite_or_ptbound_error(name, kwargs)
 
     check()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("name, kwargs", extreme_calls())
+def test_extreme_argument_gives_finite_result_or_ptbound_error(name, kwargs):
+    check_finite_or_ptbound_error(name, kwargs)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

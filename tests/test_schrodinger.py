@@ -1,7 +1,9 @@
 """Nonrelativistic hyperbolic-well spectra: closed forms, branches,
 wavefunctions, and the shooting cross-check."""
 
+import hashlib
 import math
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -451,8 +453,37 @@ class TestAimProblem:
     def test_minimum_abscissa_rounding_to_an_edge(self, a, b):
         # tanh = (B1/|A1|)^(1/4) rounds to 0 or to 1: the expansion point
         # came out as 0.0 (a DomainError about a z0 never passed) or the
-        # map to z divided by zero.  The documented fallback is z = 1.
-        assert pt_aim_problem(PTPotential(a, b, 1.0), CTX, 0, 3).x0 == 1.0
+        # map to z divided by zero.  The documented fallback is z = 1,
+        # where s0 = -1 / (1 + z^2) is -1/2.
+        assert pt_aim_problem(PTPotential(a, b, 1.0), CTX, 0, 3).s0[0] == -0.5
+
+    def test_coefficient_digest(self):
+        # sha256 of float.hex of every coefficient of lambda0 and s0 on the
+        # criterion-1 wells (tests/test_acceptance.py's draws), depths 1-9,
+        # both branches, at the default and an explicit expansion point:
+        # any change to the order of the arithmetic that builds them shows here.
+        rng = random.Random(20260814)
+        wells = [
+            PTPotential(rng.uniform(-80.0, -5.0), rng.uniform(0.1, 5.0), rng.uniform(0.5, 2.0))
+            for _ in range(10)
+        ]
+        problems = (
+            pt_aim_problem(pot, CTX, 0, depth, branch, z0)
+            for pot in wells for depth in range(1, 10) for branch in ("paper", "regular")
+            for z0 in (None, 0.8)
+        )
+        text = "\n".join(float.hex(float(c)) for p in problems for c in (*p.lambda0, *p.s0))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "712cd30afa8f5928f0f8b2e7048627675d49db9e94a194774372dfb26d816c07"
+        )
+
+    @pytest.mark.filterwarnings("error")
+    def test_expansion_point_overflow(self):
+        # B far below |A| puts z0 near 0, where 1 / (z (1 + z^2)) has
+        # coefficients near z0^-(k+1): past the double range from order
+        # 20 on, and depth 7 builds order 22.
+        with pytest.raises(OverflowRangeError, match="z0=1e-15"):
+            pt_aim_problem(PTPotential(-1e12, 1e-48, 3.0), CTX, 0, 7)
 
 
 class TestReferenceWellShape:
