@@ -19,11 +19,13 @@ roots of the termination indicator
 evaluated at the expansion point.  Coefficient functions are carried as
 arrays of their Taylor coefficients there; each iteration differentiates
 once, so delta_k reads orders 0..k of lambda0 and s0 only, and the
-recurrence cuts its inputs to them.  ``schrodinger.pt_aim_problem``
-still builds order 2k + 8: np.convolve sums the top coefficient of a
-product of equal-length arrays in another order, so its quotient
-lambda0 built at order k would change in the last bit at order k, and
-scan roots with it.
+recurrence cuts its inputs to them, then drops one order a step (step j
+carries orders 0..k - j).  The kept orders keep their bits: np.convolve
+and the batched product sum each coefficient below the shorter factor's
+top order alike at any length.  Only the top coefficient of equal-length
+factors is summed otherwise, so ``schrodinger.pt_aim_problem`` still
+builds order 2k + 8: its quotient lambda0 built at order k would change
+in the last bit at order k, and scan roots with it.
 
 The scan parameter E enters s0 only, as a scalar factor: a problem holds
 two fixed coefficient arrays and two numbers, and
@@ -102,6 +104,15 @@ class AimProblem:
         require_finite(self.e_shift, "e_shift")
         require_positive(abs(self.e_scale), "|e_scale|")
 
+    def __eq__(self, other):
+        return isinstance(other, AimProblem) and self._value() == other._value()
+
+    def __hash__(self):
+        return hash(self._value())
+
+    def _value(self):  # + 0.0 turns -0.0 into 0.0, which compares equal to it
+        return *((c + 0.0).tobytes() for c in (self.lambda0, self.s0)), self.e_shift, self.e_scale
+
     @property
     def max_order(self) -> int:
         return self.lambda0.size - 1
@@ -129,9 +140,9 @@ class AimScanReport:
 
 
 def _columns_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise Cauchy product of two (n, columns) coefficient arrays,
-    truncated to n coefficients."""
-    n = a.shape[0]
+    """Column-wise Cauchy product of two (orders, columns) coefficient
+    arrays, truncated to b's orders; a has at least as many."""
+    n = b.shape[0]
     out = a[:1] * b
     for j in range(1, n):
         out[j:] += a[j : j + 1] * b[: n - j]
@@ -139,25 +150,24 @@ def _columns_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _recurrence(lam0: np.ndarray, s0: np.ndarray, k: int, mul):
-    """[(lambda_j, s_j) for j = 0..k] as coefficient arrays whose first axis
-    is the Taylor order; mul is the Cauchy product along that axis, cut
-    here to the orders carried.  The inputs are cut to the k + 1 orders
-    delta_k reads: after j steps orders 0..k - j are exact, and the
-    zero-filled ones above them never reach order 0 of the last two
-    states."""
-    n = k + 1
-    lam0, s0 = lam0[:n], s0[:n]
-    shape = lam0.shape
-    ramp = np.arange(1, n, dtype=float).reshape((n - 1,) + (1,) * (lam0.ndim - 1))
+    """The last (up to three) states (lambda_j, s_j), j = 0..k, as arrays
+    whose first axis is the Taylor order; mul(a, b) is the Cauchy product
+    along it, kept below b's top order.  The inputs are cut to the k + 1
+    orders delta_k reads, and each step drops the top order, which its
+    derivative leaves inexact: state j carries orders 0..k - j."""
+    lam0, s0 = lam0[: k + 1], s0[: k + 1]
+    ramp = np.arange(1.0, k + 1).reshape((k,) + (1,) * (lam0.ndim - 1))
     states = [(lam0, s0)]
-    for _ in range(k):
+    for m in range(k, 0, -1):
         lam, s = states[-1]
-        dlam = np.zeros(shape)
-        dlam[:-1] = ramp * lam[1:]
-        ds = np.zeros(shape)
-        ds[:-1] = ramp * s[1:]
-        states.append((dlam + s + mul(lam0, lam)[:n], ds + mul(s0, lam)[:n]))
-    return states
+        r = ramp[:m]
+        new_lam = r * lam[1:]
+        new_lam += s[:m]
+        new_lam += mul(lam0, lam)[:m]
+        new_s = r * s[1:]
+        new_s += mul(s0, lam)[:m]
+        states.append((new_lam, new_s))
+    return states[-3:]
 
 
 def _delta(prev, cur):
@@ -204,9 +214,9 @@ def _delta_grid(problem: AimProblem, es: np.ndarray, k: int):
 
     Column i of the coefficient arrays holds the coefficients at es[i].
     """
-    s0 = problem.s0[:, None] * ((es + problem.e_shift) / problem.e_scale)
-    lam0 = np.broadcast_to(problem.lambda0[:, None], s0.shape)
-    older, prev, cur = _recurrence(lam0, s0, k, _columns_mul)[-3:]
+    s0 = problem.s0[: k + 1, None] * ((es + problem.e_shift) / problem.e_scale)
+    lam0 = np.broadcast_to(problem.lambda0[: k + 1, None], s0.shape)
+    older, prev, cur = _recurrence(lam0, s0, k, _columns_mul)
     return _delta(older, prev), _delta(prev, cur)
 
 

@@ -20,7 +20,7 @@ from typing import Callable
 
 from .errors import (
     ConvergenceError, DomainError, NodeCountError, require_bracket, require_choice,
-    require_finite, require_index, require_positive,
+    require_finite, require_index, require_positive, within_range,
 )
 from .rootfind import zeroin
 
@@ -46,13 +46,14 @@ def integrate_adaptive(
 
     Subdivides until the local Richardson error estimate is below the
     (proportionally split) tolerance.  Exhausting max_depth raises
-    ConvergenceError with the best composite value attached.
+    ConvergenceError with the best composite value attached.  Midpoints
+    a/2 + b/2 are (a + b)/2 bit for bit wherever a + b does not overflow.
     """
     require_bracket((a, b), "integration interval")
     require_positive(tol, "quadrature tolerance")
     require_index(max_depth, "max_depth")
     fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
+    m = 0.5 * a + 0.5 * b
     fm = f(m)
     whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
     value, converged = _simpson_recurse(f, a, fa, b, fb, m, fm, whole, tol, max_depth)
@@ -60,15 +61,15 @@ def integrate_adaptive(
         raise ConvergenceError(
             f"quadrature did not converge within depth {max_depth}", estimate=value
         )
-    return value
+    return within_range(value, "integral")
 
 
 def _simpson_recurse(f, a, fa, b, fb, m, fm, whole, tol, depth):
     # Returns (value, converged).  A panel that runs out of depth stops the
     # recursion: its partial value plus the coarse values of the panels
     # not yet refined is the estimate.
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
+    lm = 0.5 * a + 0.5 * m
+    rm = 0.5 * m + 0.5 * b
     flm, frm = f(lm), f(rm)
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
@@ -102,6 +103,9 @@ def finite_difference(
     require_positive(h, "step h")
     require_finite(x, "x")
     levels = require_index(levels, "levels", 2)
+    if math.ldexp(h, 1 - levels) ** order == 0.0:
+        raise DomainError(f"step h={h!r} underflows to 0 over {levels} halving levels")
+    within_range(abs(x) + h, "x +- h")
 
     def stencil(step: float) -> float:
         if order == 1:
@@ -109,14 +113,11 @@ def finite_difference(
         return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
 
     # Richardson on an even error series: each halving gains a factor 4.
-    tableau = [stencil(h / 2.0**i) for i in range(levels)]
+    tableau = [stencil(math.ldexp(h, -i)) for i in range(levels)]
     prev_best = tableau[0]
     for col in range(1, levels):
         factor = 4.0**col
-        tableau = [
-            (factor * tableau[i + 1] - tableau[i]) / (factor - 1.0)
-            for i in range(len(tableau) - 1)
-        ]
+        tableau = [(factor * b - a) / (factor - 1.0) for a, b in zip(tableau, tableau[1:])]
         err = abs(tableau[-1] - prev_best)
         prev_best = tableau[-1]
     return prev_best, err
@@ -172,7 +173,9 @@ def _numerov_outward(wvals, h, q, s_exp, r_min, kappa, w0=0.0):
     382 (1967)): with f = 1 - h^2 (w - q)/12 and y = f u, the second
     difference of y is h^2 (w - q) u, and its running sum D is carried
     instead of forming (12 - 10 f) u, whose cancellation would leave a
-    round-off floor near 1e-10 in the level.
+    round-off floor near 1e-10 in the level.  Each step tests u's sign once,
+    with the rescale check in the branch taken (only u < 0 passes -1e250).
+    A node is a step onto +-0 or across a sign (+-inf by its sign, NaN after u < 0).
     """
     # Seed from the two-term Frobenius series u = r^s (1 + c r^2), with the
     # power law rescaled so both values are representable even when
@@ -188,24 +191,27 @@ def _numerov_outward(wvals, h, q, s_exp, r_min, kappa, w0=0.0):
     u_cur *= 1.0 + c_origin * r_next * r_next
     h2 = h * h
     c = h2 / 12.0
-    g_cur = wvals[1] - q
-    y = (1.0 - c * g_cur) * u_cur
+    g = wvals[1] - q
+    y = (1.0 - c * g) * u_cur
     d = y - (1.0 - c * (wvals[0] - q)) * u_prev
     negative = u_cur < 0.0
     nodes = 0
     for w in islice(wvals, 2, None):
-        g_next = w - q
-        d += h2 * g_cur * u_cur
+        d += h2 * g * u_cur
+        g = w - q
         y += d
-        u_next = y / (1.0 - c * g_next)
-        next_negative = u_next < 0.0
-        if u_next == 0.0 or next_negative != negative:
-            nodes += 1
-        negative = next_negative
-        if u_next > 1e250 or u_next < -1e250:
-            u_cur, u_next, y, d = u_cur / 1e250, u_next / 1e250, y / 1e250, d / 1e250
-        u_prev, u_cur = u_cur, u_next
-        g_cur = g_next
+        u_prev = u_cur
+        u_cur = y / (1.0 - c * g)
+        if u_cur < 0.0:
+            if not negative:
+                nodes, negative = nodes + 1, True
+            if u_cur < -1e250:
+                u_prev, u_cur, y, d = u_prev / 1e250, u_cur / 1e250, y / 1e250, d / 1e250
+        else:
+            if negative or u_cur == 0.0:
+                nodes, negative = nodes + 1, False
+            if u_cur > 1e250:
+                u_prev, u_cur, y, d = u_prev / 1e250, u_cur / 1e250, y / 1e250, d / 1e250
     du = (u_cur - u_prev) / h
     return nodes, du + kappa * u_cur
 
@@ -241,8 +247,9 @@ _RUNG_INTERVALS = 125
 
 def _mesh_w(problem, npts):
     """w at the npts points of the even mesh over [r_min, r_cut]."""
-    h = (problem.r_cut - problem.r_min) / (npts - 1)
-    return [problem.w(problem.r_min + i * h) for i in range(npts)]
+    w, r_min = problem.w, problem.r_min
+    h = (problem.r_cut - r_min) / (npts - 1)
+    return [w(r_min + i * h) for i in range(npts)]
 
 
 def _refined_w(problem, wvals):
@@ -251,10 +258,11 @@ def _refined_w(problem, wvals):
     with x = r_cut - r_min and m intervals, fl(x/2m) = fl(x/m)/2 exactly,
     so fl(2i*fl(x/2m)) = fl(i*fl(x/m)) and both meshes add it to r_min."""
     npts = 2 * len(wvals) - 1
-    h = (problem.r_cut - problem.r_min) / (npts - 1)
+    w, r_min = problem.w, problem.r_min
+    h = (problem.r_cut - r_min) / (npts - 1)
     fine = [0.0] * npts
     fine[::2] = wvals
-    fine[1::2] = [problem.w(problem.r_min + i * h) for i in range(1, npts, 2)]
+    fine[1::2] = [w(r_min + i * h) for i in range(1, npts, 2)]
     return fine
 
 

@@ -6,6 +6,7 @@ eigenvalues are the nonnegative integers.
 """
 
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -204,6 +205,52 @@ class TestBatchedScan:
             assert uniform_grid(x - 1.0, x + 1.0, 3)[1] == x
             rep = aim_eigen_scan(prob, (x - 1.0, x + 1.0), k, grid=3)
             assert any(abs(r.value - c) <= 1e-12 * abs(c) for r in rep.roots), i
+
+
+class TestKernelDigest:
+    """sha256 pins of the recurrence's bits, scalar and batched, in the
+    style of test_schrodinger's coefficient digest: any change to the
+    order of the arithmetic in a step shows here."""
+
+    @staticmethod
+    def _levels():
+        """The criterion-1 wells (tests/test_acceptance.py's draws), each
+        with its levels n = 0..3 and the midpoints between them."""
+        rng = random.Random(20260814)
+        for _ in range(10):
+            pot = PTPotential(
+                rng.uniform(-80.0, -5.0), rng.uniform(0.1, 5.0), rng.uniform(0.5, 2.0)
+            )
+            k1 = spectral_params(pot, CTX, 0).k1
+            yield pot, [k1(n) for n in range(4)] + [0.5 * (k1(n) + k1(n + 1)) for n in range(4)]
+
+    @staticmethod
+    def _digest(values):
+        text = "\n".join(float.hex(float(v)) for v in values)
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_iterate(self):
+        values = [
+            v
+            for pot, energies in self._levels()
+            for k in range(1, 10)
+            for e in energies
+            for v in aim_iterate(pt_aim_problem(pot, CTX, 0, k), e, k)
+        ]
+        assert self._digest(values) == (
+            "fbcc9124916d2df063f5349a82736a786797dfbab81a79ac99de60f071dc8a31"
+        )
+
+    def test_delta_grid(self):
+        values = []
+        for pot, energies in self._levels():
+            es = uniform_grid(1.1 * energies[0], 0.0, 64)
+            for k in range(2, 10):
+                problem = pt_aim_problem(pot, CTX, 0, k)
+                values += [v for row in ptbound.aim._delta_grid(problem, es, k) for v in row]
+        assert self._digest(values) == (
+            "e416b07c9610b3ebde5bf659709c6fb3c69ab600f17adf43697d46d56af71f65"
+        )
 
 
 class TestDeltaEvals:
@@ -451,6 +498,20 @@ class TestValidation:
     def test_delta_overflow_raises(self):
         with pytest.raises(OverflowRangeError):
             aim_delta(pt_problem(3), 1e300, 3)
+
+
+class TestProblemEquality:
+    def test_equal_builds_are_one_key(self):
+        a, b = pt_problem(3), pt_problem(3)
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert {a: "level"}[b] == "level"
+        assert pt_problem(4) != a
+        assert dataclasses.replace(a, e_shift=a.e_shift + 1.0) != a
+        assert a != (a.lambda0, a.s0, a.e_shift, a.e_scale)
+
+    def test_signed_zero(self):
+        a, b = AimProblem([0.0, 1.0], [1.0, 2.0]), AimProblem([-0.0, 1.0], [1.0, 2.0])
+        assert a == b and hash(a) == hash(b)
 
 
 class TestZeroOnNode:

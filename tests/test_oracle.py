@@ -2,6 +2,7 @@
 outward shooting.  These routines must stand on their own, so they are
 validated against problems with known closed-form answers."""
 
+import hashlib
 import math
 from dataclasses import replace
 
@@ -14,6 +15,7 @@ from ptbound.oracle import (
 )
 from ptbound.schrodinger import NRContext, PTPotential, pt_radial_problem, spectral_params
 from ptbound.specfun import erfi
+import test_acceptance
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -342,3 +344,69 @@ class TestFourthOrder:
         problem, bracket = _pt_level(*TestWarmStart.STRONG_WELL, 2)
         res = shoot_eigenvalue(problem, 2, bracket, tol=1e-12)
         assert res.gaps[-1] <= 1e-12 * abs(res.value)
+
+
+def _march(problem, wvals, q):
+    """float.hex of one Numerov pass's (nodes, mismatch) over wvals at q."""
+    h = (problem.r_cut - problem.r_min) / (len(wvals) - 1)
+    kappa = math.sqrt(max(wvals[-1] - q, 1e-12))
+    nodes, g = oracle._numerov_outward(
+        wvals, h, q, problem.origin_exponent, problem.r_min, kappa, problem.origin_w0
+    )
+    return f"{nodes} {float.hex(g)}"
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestKernelDigest:
+    """sha256 pins of the Numerov march's bits and of every ShootResult
+    field: any change to the order of the arithmetic in a pass shows
+    here.  TestWarmStart cannot show one, as its cold reference calls
+    the same march."""
+
+    WELLS = test_acceptance.TestCriterion2.WELLS
+
+    def test_march(self):
+        cases = [(harmonic_problem(), [(4 * n + 1, 4 * n + 5) for n in range(3)])]
+        cases += [
+            (_pt_level(*well, 0)[0], [_pt_level(*well, n)[1] for n in range(3)])
+            for well in self.WELLS
+        ]
+        lines = []
+        for problem, brackets in cases:
+            for npts in (4001, 8001):
+                wvals = oracle._mesh_w(problem, npts)
+                for lo, hi in brackets:
+                    lines += [_march(problem, wvals, lo + (hi - lo) * i / 6) for i in range(7)]
+        # Far below the levels u grows past 1e250 and is rescaled: twice
+        # on the strong well, once on the weak core.
+        for well, q in ((TestWarmStart.STRONG_WELL, -1e5), (TestFourthOrder.WEAK_CORE_WELL, -1e4)):
+            problem = _pt_level(*well, 0)[0]
+            lines.append(_march(problem, oracle._mesh_w(problem, 8001), q))
+        # One non-finite w where u > 0 (r = 0.45) or u < 0 (r = 3.375): NaN
+        # poisons the march, +-inf first gives u = +-0.
+        problem = harmonic_problem()
+        for i in (200, 1500):
+            for bad in (math.nan, math.inf, -math.inf):
+                wvals = oracle._mesh_w(problem, 4001)
+                wvals[i] = bad
+                lines.append(_march(problem, wvals, 7.0))
+        assert _digest(lines) == (
+            "44e97193bfa2484a294888c437fc388cd2a848a276f4c8f7debcdedf6e146010"
+        )
+
+    def test_shoot_results(self):
+        lines = []
+        for well in self.WELLS:
+            for n in range(3):
+                problem, bracket = _pt_level(*well, n)
+                res = shoot_eigenvalue(problem, n, bracket)
+                lines.append(
+                    f"{float.hex(res.value)} {res.npts} {res.refinements} {res.passes} "
+                    f"{res.points} {' '.join(map(float.hex, res.gaps))}"
+                )
+        assert _digest(lines) == (
+            "fe2a2fd8af739b3d07c4888298a0bbe34a33519d88610d84bfbff26b47394b64"
+        )
