@@ -347,7 +347,7 @@ class TestFourthOrder:
 
 
 def _march(problem, wvals, q):
-    """float.hex of one Numerov pass's (nodes, mismatch) over wvals at q."""
+    """One Numerov pass over wvals at q: its node count and float.hex mismatch."""
     h = (problem.r_cut - problem.r_min) / (len(wvals) - 1)
     kappa = math.sqrt(max(wvals[-1] - q, 1e-12))
     nodes, g = oracle._numerov_outward(
