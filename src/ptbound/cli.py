@@ -33,7 +33,8 @@ from .molecules import (
     reference_energy,
     thermo_context_for,
 )
-from .refdata import REFERENCE_ENERGY_STRINGS, REFERENCE_GRID
+from .refdata import REFERENCE_ENERGY_STRINGS, REFERENCE_GRID, REFERENCE_WELL_A, REFERENCE_WELL_B
+from .rootfind import uniform_grid
 from .schrodinger import (
     HBARC_EV_ANG,
     NRContext,
@@ -71,8 +72,8 @@ class RunConfig:
     (figure-data: directory).  molecules_path: a molecule CSV in place
     of the bundled dataset."""
 
-    a: float = -2.0
-    b: float = 3.0
+    a: float = REFERENCE_WELL_A
+    b: float = REFERENCE_WELL_B
     hbar_c: float = HBARC_EV_ANG
     amu_to_ev: float = AMU_TO_EV
     n: tuple[int, ...] = (0, 1, 2)
@@ -398,8 +399,7 @@ def _grid(lo: float, hi: float, count: int, *, log: bool = False) -> list[float]
         require_positive(lo, "log grid start")
         ratio = math.log(hi / lo) / (count - 1)
         return [lo * math.exp(i * ratio) for i in range(count)]
-    step = (hi - lo) / (count - 1)
-    return [lo + i * step for i in range(count)]
+    return uniform_grid(lo, hi, count).tolist()
 
 
 @click.group()

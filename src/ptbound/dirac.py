@@ -218,6 +218,8 @@ def plain_params(e: float, ctx: DiracContext, pot: PTPotential) -> SymmetryParam
 
 
 _SYMMETRIES = ("pspin", "spin")
+# Cells of the residual scan over the energy bracket.
+SCAN_CELLS = 1024
 
 
 def solve_levels(
@@ -227,7 +229,6 @@ def solve_levels(
     bracket: Optional[tuple[float, float]] = None,
     *,
     tol: float = 1e-12,
-    grid: int = 1024,
 ) -> list[RelativisticRoot]:
     """All residual roots in the bracket, refined by bisection.
 
@@ -240,19 +241,18 @@ def solve_levels(
     """
     require_choice(symmetry, _SYMMETRIES, "symmetry")
     require_positive(tol, "tolerance")
-    grid = require_index(grid, "grid", 1)
     residual = pspin_residual if symmetry == "pspin" else spin_residual
     if bracket is None:
         span = abs(ctx.M)
         bracket = (-ctx.M - span, ctx.M + span)
     lo, hi = require_bracket(bracket, "energy bracket")
     f = lambda x: residual(x, ctx, pot)
-    vals = [f(x) for x in uniform_grid(lo, hi, grid + 1).tolist()]
+    vals = [f(x) for x in uniform_grid(lo, hi, SCAN_CELLS + 1).tolist()]
     if all(math.isnan(v) for v in vals):
         raise DomainError("residual is complex on the entire bracket")
     xtol = tol * max(1.0, abs(lo), abs(hi))
     roots: list[RelativisticRoot] = []
-    for a, b, fa, fb in sign_change_brackets(vals, lo, hi, grid + 1):
+    for a, b, fa, fb in sign_change_brackets(vals, lo, hi, SCAN_CELLS + 1):
         hit = a if a == b else bisect(f, a, b, xtol=xtol, fab=(fa, fb))
         if roots and abs(hit - roots[-1].E) <= 4.0 * xtol:
             continue

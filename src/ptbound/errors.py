@@ -7,6 +7,11 @@ raises DomainError naming the argument.  ``within_range`` checks a result.
 
 import math
 
+__all__ = [
+    "BracketError", "ConvergenceError", "DomainError", "NodeCountError", "OverflowRangeError",
+    "PtboundError", "TableFormatError",
+]
+
 
 class PtboundError(Exception):
     """Base class for all package-specific errors."""

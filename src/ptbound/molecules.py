@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import (
     DomainError, TableFormatError, require_finite, require_index, require_positive, within_range,
 )
-from .refdata import MOLECULE_CONSTANTS
+from .refdata import MOLECULE_CONSTANTS, REFERENCE_WELL_A
 from .schrodinger import HBARC_EV_ANG, NRContext, PTPotential, level_count
 from .tableio import write_csv
 from .thermo import ThermoContext
@@ -149,7 +149,7 @@ def reference_energy(
     n: int,
     l: int,
     *,
-    a: float = -2.0,
+    a: float = REFERENCE_WELL_A,
     amu_to_ev: float = AMU_TO_EV,
 ) -> float:
     """Best-found convention reproducing the bundled reference energies.

@@ -19,8 +19,8 @@ from itertools import islice
 from typing import Callable
 
 from .errors import (
-    ConvergenceError, DomainError, NodeCountError, require_bracket, require_choice,
-    require_finite, require_index, require_positive, within_range,
+    ConvergenceError, DomainError, NodeCountError, OverflowRangeError, require_bracket,
+    require_choice, require_finite, require_index, require_positive, within_range,
 )
 from .rootfind import zeroin
 
@@ -46,8 +46,10 @@ def integrate_adaptive(
 
     Subdivides until the local Richardson error estimate is below the
     (proportionally split) tolerance.  Exhausting max_depth raises
-    ConvergenceError with the best composite value attached.  Midpoints
-    a/2 + b/2 are (a + b)/2 bit for bit wherever a + b does not overflow.
+    ConvergenceError with the best composite value attached; a panel value
+    past the double range from finite samples raises OverflowRangeError.
+    Midpoints a/2 + b/2 are (a + b)/2 bit for bit wherever a + b does not
+    overflow.
     """
     require_bracket((a, b), "integration interval")
     require_positive(tol, "quadrature tolerance")
@@ -73,6 +75,8 @@ def _simpson_recurse(f, a, fa, b, fb, m, fm, whole, tol, depth):
     flm, frm = f(lm), f(rm)
     left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
     right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if not math.isfinite(left + right) and all(map(math.isfinite, (fa, flm, fm, frm, fb))):
+        raise OverflowRangeError(f"integral exceeds the double range on the panel [{a!r}, {b!r}]")
     diff = left + right - whole
     converged = abs(diff) <= 15.0 * tol
     if converged or depth <= 0:
@@ -85,13 +89,16 @@ def _simpson_recurse(f, a, fa, b, fb, m, fm, whole, tol, depth):
     return lval + rval, converged
 
 
+# Steps h, h/2, ... of the Richardson tableau.
+RICHARDSON_LEVELS = 4
+
+
 def finite_difference(
     f: Callable[[float], float],
     x: float,
     *,
     order: int = 1,
     h: float = 1e-3,
-    levels: int = 4,
 ) -> tuple[float, float]:
     """Central-difference derivative with Richardson extrapolation.
 
@@ -102,9 +109,8 @@ def finite_difference(
     require_choice(order, (1, 2), "derivative order")
     require_positive(h, "step h")
     require_finite(x, "x")
-    levels = require_index(levels, "levels", 2)
-    if math.ldexp(h, 1 - levels) ** order == 0.0:
-        raise DomainError(f"step h={h!r} underflows to 0 over {levels} halving levels")
+    if math.ldexp(h, 1 - RICHARDSON_LEVELS) ** order == 0.0:
+        raise DomainError(f"step h={h!r} underflows to 0 over {RICHARDSON_LEVELS} halving levels")
     within_range(abs(x) + h, "x +- h")
 
     def stencil(step: float) -> float:
@@ -113,9 +119,9 @@ def finite_difference(
         return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
 
     # Richardson on an even error series: each halving gains a factor 4.
-    tableau = [stencil(math.ldexp(h, -i)) for i in range(levels)]
+    tableau = [stencil(math.ldexp(h, -i)) for i in range(RICHARDSON_LEVELS)]
     prev_best = tableau[0]
-    for col in range(1, levels):
+    for col in range(1, RICHARDSON_LEVELS):
         factor = 4.0**col
         tableau = [(factor * b - a) / (factor - 1.0) for a, b in zip(tableau, tableau[1:])]
         err = abs(tableau[-1] - prev_best)

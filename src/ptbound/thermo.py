@@ -90,9 +90,11 @@ def partition_sum(ctx: ThermoContext, beta: float, n_max: int) -> float:
     n_max = require_index(n_max, "n_max")
     gamma = ctx.tau / math.sqrt(beta)
     # The exponent is a parabola in n, so its largest value on the ladder
-    # sits at one of the two ends.
-    worst = max(ctx.zeta**2, (n_max - ctx.zeta) ** 2) / gamma**2
-    if worst > _EXP_MAX:
+    # sits at one of the two ends.  Squares formed with * overflow to inf
+    # (inf / inf is NaN) where ** would raise, and both fail the check.
+    far = max(abs(ctx.zeta), abs(n_max - ctx.zeta))
+    worst = far * far / (gamma * gamma)
+    if not worst <= _EXP_MAX:
         raise OverflowRangeError(
             f"largest term exponent {worst:.1f} exceeds the floating range"
         )
@@ -152,7 +154,7 @@ def mean_energy(ctx: ThermoContext, beta: float) -> float:
     x = chi(ctx, beta)
     if x <= 0.0:
         raise DomainError("mean energy needs chi > 0")
-    return _one_minus_chi_over_dawson(x, dawson(x)) / (2.0 * beta)
+    return within_range(_one_minus_chi_over_dawson(x, dawson(x)) / (2.0 * beta), "mean energy")
 
 
 def specific_heat(ctx: ThermoContext, beta: float) -> float:
@@ -166,12 +168,12 @@ def specific_heat(ctx: ThermoContext, beta: float) -> float:
     x = chi(ctx, beta)
     if x <= 0.0:
         raise DomainError("specific heat needs chi > 0")
-    return _specific_heat(x, dawson(x))
+    return within_range(_specific_heat(x, dawson(x)), "specific heat")
 
 
 def free_energy(ctx: ThermoContext, beta: float) -> float:
     """F = -(1/beta) ln Z, with the log-scaled erfi path."""
-    return -log_partition_closed(ctx, beta) / beta
+    return within_range(-log_partition_closed(ctx, beta) / beta, "free energy")
 
 
 def entropy(ctx: ThermoContext, beta: float) -> float:
@@ -193,7 +195,8 @@ def thermo_point(ctx: ThermoContext, beta: float) -> ThermoPoint:
 
     chi and the erfi series are evaluated once; every field equals what
     the standalone function returns, bit for bit, and an argument they
-    reject raises what partition_closed, then mean_energy, would.
+    reject raises what the first of partition_closed, mean_energy,
+    specific_heat and free_energy to reject it would.
     """
     x = chi(ctx, beta)
     if not 0.0 < x <= ERFI_MAX_ARG:
@@ -206,8 +209,8 @@ def thermo_point(ctx: ThermoContext, beta: float) -> ThermoPoint:
         beta=beta,
         chi=x,
         Z=_partition(ctx, beta, erfi_x),
-        U=omd / (2.0 * beta),
-        C=_specific_heat(x, d),
-        F=-_log_partition(ctx, beta, ln_erfi_x) / beta,
+        U=within_range(omd / (2.0 * beta), "mean energy"),
+        C=within_range(_specific_heat(x, d), "specific heat"),
+        F=within_range(-_log_partition(ctx, beta, ln_erfi_x) / beta, "free energy"),
         S=_entropy(ctx, beta, omd, ln_erfi_x),
     )

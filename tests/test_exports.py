@@ -1,9 +1,9 @@
 """Every exported name resolves: a deletion that leaves a name behind in
 an ``__all__`` list fails here, not at a user's ``from ... import *``.
 Likewise every name the benchmark's tracer patches stays bound, the
-shooting oracle imports nothing from the routes it checks, and the sets of
-defaulted settings, of result-record fields and of public names are
-pinned."""
+shooting oracle imports nothing from the routes it checks, the package
+exports exactly its layers' ``__all__``, and the sets of defaulted
+settings, of result-record fields and of public names are pinned."""
 
 import ast
 import dataclasses
@@ -121,12 +121,12 @@ def test_settable_surface():
         "molecules.reference_energy": ("a", "amu_to_ev"),
         "molecules.thermo_context_for": ("l", "tau", "hbar_c", "amu_to_ev"),
         "dirac.DiracContext": ("c_shift", "hbar_c"),
-        "dirac.solve_levels": ("bracket", "tol", "grid"),
+        "dirac.solve_levels": ("bracket", "tol"),
         "dirac.special_case_residual": ("alpha", "a", "b", "eta", "hbar_c"),
         "aim.AimProblem": ("e_shift", "e_scale"),
         "aim.aim_eigen_scan": ("grid",),
         "oracle.RadialProblem": ("npts", "origin_w0"),
-        "oracle.finite_difference": ("order", "h", "levels"),
+        "oracle.finite_difference": ("order", "h"),
         "oracle.harmonic_problem": ("omega", "npts"),
         "oracle.integrate_adaptive": ("tol", "max_depth"),
         "oracle.shoot_eigenvalue": ("tol", "max_refinements"),
@@ -161,36 +161,43 @@ def test_result_fields():
     }
 
 
+LAYERS = ("aim", "dirac", "errors", "molecules", "oracle", "schrodinger", "specfun", "thermo")
+
+
+def star_imported_layers():
+    """The modules ``ptbound/__init__.py`` imports with ``*``, in order."""
+    tree = ast.parse(Path(ptbound.__file__).read_text(encoding="utf-8"))
+    return tuple(
+        node.module for node in tree.body
+        if isinstance(node, ast.ImportFrom) and [alias.name for alias in node.names] == ["*"]
+    )
+
+
+def test_star_imported_layers_define_all():
+    """The package star-imports the layers, and each declares ``__all__``:
+    a layer without one would hand the package its np, math and require_*."""
+    layers = star_imported_layers()
+    assert layers == LAYERS
+    modules = [importlib.import_module(f"ptbound.{name}") for name in layers]
+    assert [m.__name__ for m in modules if "__all__" not in vars(m)] == []
+
+
 def public_surface():
     """Module name -> its ``__all__``, sorted (None where it has none)."""
     surface = {}
-    for name in MODULES:
+    for name in MODULES[1:]:
         names = getattr(importlib.import_module(name), "__all__", None)
         surface[name] = None if names is None else tuple(sorted(names))
     return surface
 
 
 def test_public_surface():
-    """Adding or dropping a public name is a deliberate one-line change here."""
+    """Adding or dropping a public name is a deliberate one-line change
+    here; the package exports each layer's names, each once."""
+    layers = [importlib.import_module(f"ptbound.{name}").__all__ for name in LAYERS]
+    assert ptbound.__all__ == [name for names in layers for name in names]
+    assert len(set(ptbound.__all__)) == len(ptbound.__all__)
     assert public_surface() == {
-        "ptbound": (
-            "AMU_TO_EV", "AimProblem", "AimRoot", "AimScanReport", "BracketError",
-            "ConvergenceError", "D0", "DiracContext", "DomainError", "EnergyLevel", "HBARC_EV_ANG",
-            "LevelCount", "MoleculeParams", "NRContext", "NodeCountError",
-            "OverflowRangeError", "PTPotential", "PtboundError", "RadialProblem",
-            "RelativisticRoot", "ShootResult", "SpectralParams", "SymmetryParams",
-            "TableFormatError", "ThermoContext", "ThermoPoint", "aim_delta", "aim_eigen_scan",
-            "aim_iterate", "builtin_molecules", "centrifugal_approx_residual", "chi", "dawson",
-            "energy_from_k1", "energy_nr", "entropy", "erfi", "finite_difference", "free_energy",
-            "harmonic_problem", "hyp2f1_terminating", "integrate_adaptive", "k1_from_energy",
-            "level_count", "ln_erfi", "load_molecules", "log_partition_closed", "mean_energy",
-            "nr_context_for", "nr_limit_energy", "partition_closed", "partition_sum",
-            "plain_params", "pochhammer", "potential_value", "pspin_residual", "pt_aim_problem",
-            "pt_radial_problem", "reference_energy", "reflectionless_nr_energy", "save_molecules",
-            "shoot_eigenvalue", "solve_levels", "special_case_residual", "specific_heat",
-            "spectral_params", "spin_residual", "spinor_wavefunction", "symmetric_nr_energy",
-            "thermo_context_for", "thermo_point", "tilde_params", "wavefunction_nr",
-        ),
         "ptbound.aim": (
             "AimProblem", "AimRoot", "AimScanReport", "aim_delta", "aim_eigen_scan", "aim_iterate",
         ),
@@ -204,7 +211,10 @@ def test_public_surface():
             "special_case_residual", "spin_residual", "spin_residual_shifted",
             "spin_residual_via_map", "spinor_wavefunction", "symmetric_nr_energy", "tilde_params",
         ),
-        "ptbound.errors": None,
+        "ptbound.errors": (
+            "BracketError", "ConvergenceError", "DomainError", "NodeCountError",
+            "OverflowRangeError", "PtboundError", "TableFormatError",
+        ),
         "ptbound.jets": ("jet_mul", "jet_reciprocal"),
         "ptbound.molecules": (
             "AMU_TO_EV", "HBARC_CALIBRATED", "MoleculeParams", "builtin_molecules",

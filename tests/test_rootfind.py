@@ -260,3 +260,15 @@ class TestEvaluations:
         assert 12.345 in calls
         assert len(calls) <= 18
         assert value == textbook_bisect(f, a, a + 0.05, xtol=1e-10)
+
+
+@settings(max_examples=300)
+@given(
+    lo=st.floats(-1e6, 1e6), width=st.floats(1e-8, 1e7), n=st.integers(2, 400),
+)
+def test_uniform_grid_is_the_stepping_loop(lo, width, n):
+    """The scans' nodes, and the CLI's linear grids, are the loop
+    lo + i * step bit for bit."""
+    hi = lo + width
+    step = (hi - lo) / (n - 1)
+    assert rootfind.uniform_grid(lo, hi, n).tolist() == [lo + i * step for i in range(n)]
