@@ -14,6 +14,7 @@ two routes agree.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
@@ -251,25 +252,43 @@ _SQUEEZE_XTOLS = 0.25
 _RUNG_INTERVALS = 125
 
 
+# Each live problem's finest mesh of w, as _mesh_w built it.
+_FINEST_W: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _mesh_w(problem, npts):
-    """w at the npts points of the even mesh over [r_min, r_cut]."""
+    """w at the npts points of the even mesh over [r_min, r_cut], in a
+    list of the caller's own.
+
+    The problem keeps the finest list built for it, so the levels shot
+    on one problem share their meshes.  A mesh with that list's
+    intervals times or divided by a power of two takes its values from
+    it: a coarser mesh is a stride of the list, a finer one doubles it,
+    evaluating w only at the new points.  Those are the points of a
+    fresh mesh bit for bit: with x = r_cut - r_min and m intervals,
+    fl(x/2m) = fl(x/m)/2 exactly, so fl(2i*fl(x/2m)) = fl(i*fl(x/m))
+    and both meshes add it to r_min.
+    """
     w, r_min = problem.w, problem.r_min
-    h = (problem.r_cut - r_min) / (npts - 1)
-    return [w(r_min + i * h) for i in range(npts)]
+    kept = finest = _FINEST_W.get(problem, ())
+    if not (kept and _doublings_apart(len(kept) - 1, npts - 1)):
+        h = (problem.r_cut - r_min) / (npts - 1)
+        finest = [w(r_min + i * h) for i in range(npts)]
+    while len(finest) < npts:
+        doubled = [0.0] * (2 * len(finest) - 1)
+        h = (problem.r_cut - r_min) / (len(doubled) - 1)
+        doubled[::2] = finest
+        doubled[1::2] = [w(r_min + i * h) for i in range(1, len(doubled), 2)]
+        finest = doubled
+    if len(finest) > len(kept):
+        _FINEST_W[problem] = finest
+    return finest[:: (len(finest) - 1) // (npts - 1)]
 
 
-def _refined_w(problem, wvals):
-    """_mesh_w on the mesh with twice the intervals of wvals' mesh, taking
-    its even points from wvals.  Those are the coarse points bit for bit:
-    with x = r_cut - r_min and m intervals, fl(x/2m) = fl(x/m)/2 exactly,
-    so fl(2i*fl(x/2m)) = fl(i*fl(x/m)) and both meshes add it to r_min."""
-    npts = 2 * len(wvals) - 1
-    w, r_min = problem.w, problem.r_min
-    h = (problem.r_cut - r_min) / (npts - 1)
-    fine = [0.0] * npts
-    fine[::2] = wvals
-    fine[1::2] = [w(r_min + i * h) for i in range(1, npts, 2)]
-    return fine
+def _doublings_apart(m, n):
+    """Whether the positive ints m and n differ by a factor 2**k."""
+    ratio, rest = divmod(max(m, n), min(m, n))
+    return rest == 0 and ratio & (ratio - 1) == 0
 
 
 def _rung_guess(problem, n, lo, hi, wvals, xtol):
@@ -422,7 +441,9 @@ def shoot_eigenvalue(
     bisection, which then takes its midpoints from those shots and lands
     on the value a bisection of the whole bracket would: a guess changes
     which brackets are shot, never the value.  A refined mesh evaluates
-    w only at its new points, and the result's gaps lists each
+    w only at its new points, and the problem keeps its finest mesh, so
+    every level shot on it reuses the meshes built for the levels
+    before, with the same bits.  The result's gaps lists each
     refinement's mesh gap.  Its passes count the Numerov passes on the
     first and refined meshes, its points the Numerov steps on every
     mesh, the rungs included.  Raises NodeCountError when the bracket
@@ -441,7 +462,7 @@ def shoot_eigenvalue(
     width = _FIRST_WARM_XTOLS * xtol
     gaps = []
     for refinement in range(1, max_refinements + 1):
-        wvals = _refined_w(problem, wvals)
+        wvals = _mesh_w(problem, 2 * len(wvals) - 1)
         new_value, mesh_passes = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, value, width)
         passes += mesh_passes
         points += mesh_passes * len(wvals)

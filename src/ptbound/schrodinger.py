@@ -27,6 +27,7 @@ surfaced rather than hidden.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -485,6 +486,9 @@ def pt_aim_problem(
     return AimProblem(lambda0=lam0, s0=s0, e_shift=gb_shift, e_scale=alpha2)
 
 
+# One entry: the previous well's problem, and with it the meshes the
+# oracle keeps for it, is freed when the next well's is built.
+@functools.lru_cache(maxsize=1, typed=True)
 def pt_radial_problem(
     pot: PTPotential,
     ctx: NRContext,
@@ -510,6 +514,10 @@ def pt_radial_problem(
     underflows; a k1_estimate so near 0 that this end overflows raises
     DomainError.  It starts at r_min inside the forbidden core, and the
     first mesh has 4001 points.
+
+    A call with the arguments of the call before (equal, and of the same
+    types) returns the same problem, so the levels shot on one well
+    share the meshes the oracle keeps for it.
     """
     require_choice(centrifugal, ("approx", "exact"), "centrifugal")
     a1, b1 = _scaled_strengths(pot, ctx, l)

@@ -72,8 +72,9 @@ def _exp_series(x: float) -> float:
 
 def _dawson_asymptotic(x: float) -> float:
     # F(x) ~ 1/(2x) * sum_k (2k-1)!! / (2x^2)^k, truncated at machine level.
+    # 0.5/x is 1/(2x) bit for bit, and stays above 0 where 2x overflows.
     inv2x2 = 1.0 / (2.0 * x * x)
-    term = 1.0 / (2.0 * x)
+    term = 0.5 / x
     total = term
     for k in range(1, 64):
         term *= (2 * k - 1) * inv2x2

@@ -47,6 +47,11 @@ _EXP_MAX = 700.0
 # form has lost ~chi^-2 leading digits, the three-term series still has
 # ~1e-12 relative truncation error at the cutover.
 _SERIES_CHI = 0.02
+# C = sum_k c_k t^k with t = 1/(2 chi^2), highest order first: the large-chi
+# series of the closed form.  With S = 2 chi dawson(chi) = sum_k (2k-1)!! t^k,
+# C = 1/2 + (S - 1 - t S) / (4 t^2 S^2).  Past ERFI_MAX_ARG (t < 7.4e-4) the
+# orders left out add under 2e-19 to C, which tends to 1.
+_C_ASYMPTOTIC = (133884297.0, 6833576.0, 386435.0, 24486.0, 1765.0, 148.0, 15.0, 2.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -91,9 +96,15 @@ def partition_sum(ctx: ThermoContext, beta: float, n_max: int) -> float:
     gamma = ctx.tau / math.sqrt(beta)
     # The exponent is a parabola in n, so its largest value on the ladder
     # sits at one of the two ends.  Squares formed with * overflow to inf
-    # (inf / inf is NaN) where ** would raise, and both fail the check.
+    # where ** would raise.  Past a finite far * far, squaring far / gamma
+    # cannot give inf / inf = NaN.
     far = max(abs(ctx.zeta), abs(n_max - ctx.zeta))
-    worst = far * far / (gamma * gamma)
+    square = far * far
+    if square < math.inf:
+        worst = square / (gamma * gamma)
+    else:
+        ratio = far / gamma
+        worst = ratio * ratio
     if not worst <= _EXP_MAX:
         raise OverflowRangeError(
             f"largest term exponent {worst:.1f} exceeds the floating range"
@@ -150,11 +161,18 @@ def log_partition_closed(ctx: ThermoContext, beta: float) -> float:
 
 
 def mean_energy(ctx: ThermoContext, beta: float) -> float:
-    """U = (1/(2 beta)) [1 - chi/dawson(chi)]; tends to -zeta^2/(3 tau^2) as beta -> 0."""
+    """U = (1/(2 beta)) [1 - chi/dawson(chi)]; tends to -zeta^2/(3 tau^2) as
+    beta -> 0 and to -zeta^2/tau^2 as chi -> inf."""
     x = chi(ctx, beta)
     if x <= 0.0:
         raise DomainError("mean energy needs chi > 0")
-    return within_range(_one_minus_chi_over_dawson(x, dawson(x)) / (2.0 * beta), "mean energy")
+    omd = _one_minus_chi_over_dawson(x, dawson(x))
+    if omd == -math.inf:
+        # chi/dawson(chi) = 2 chi^2 - 1 - chi^-2 + ... has overflowed, and
+        # U = -(zeta/tau)^2 (1 - chi^-2 + ...) rounds to its limit.
+        z = ctx.zeta / ctx.tau
+        return within_range(-(z * z), "mean energy")
+    return within_range(omd / (2.0 * beta), "mean energy")
 
 
 def specific_heat(ctx: ThermoContext, beta: float) -> float:
@@ -163,11 +181,20 @@ def specific_heat(ctx: ThermoContext, beta: float) -> float:
     C = (1/2) [1 - chi (chi + (1 - 2 chi^2) dawson(chi)) / (2 dawson(chi)^2)]
 
     which is the printed erfi/exponential expression with
-    erfi = (2/sqrt(pi)) e^{chi^2} dawson substituted through.
+    erfi = (2/sqrt(pi)) e^{chi^2} dawson substituted through.  That form
+    cancels about chi^4 ulps, so past ERFI_MAX_ARG C is summed from its
+    asymptotic series 1 + 1/chi^2 + 15/(4 chi^4) + 37/(2 chi^6) + ...,
+    which tends to 1.
     """
     x = chi(ctx, beta)
     if x <= 0.0:
         raise DomainError("specific heat needs chi > 0")
+    if x > ERFI_MAX_ARG:
+        t = 0.5 / (x * x)
+        c = 0.0
+        for coefficient in _C_ASYMPTOTIC:
+            c = c * t + coefficient
+        return c
     return within_range(_specific_heat(x, dawson(x)), "specific heat")
 
 

@@ -276,10 +276,10 @@ BAD_CALLS = [
     ("partition_sum", lambda: pb.partition_sum(TCTX, 5e-324, 5), 6.0, None),
     ("free_energy", lambda: pb.free_energy(TCTX, 5e-324), OverflowRangeError, "free energy"),
     ("thermo_point", lambda: pb.thermo_point(TCTX, 5e-324), OverflowRangeError, "free energy"),
-    ("mean_energy", lambda: pb.mean_energy(TCTX, sys.float_info.max),
-     OverflowRangeError, "mean energy"),
-    ("specific_heat", lambda: pb.specific_heat(TCTX, sys.float_info.max),
-     OverflowRangeError, "specific heat"),
+    ("partition_sum", lambda: pb.partition_sum(pb.ThermoContext(1e160, 1e10), 1e-300, 3),
+     4.0 * math.e, None),
+    ("mean_energy", lambda: pb.mean_energy(TCTX, sys.float_info.max), -25.0, None),
+    ("specific_heat", lambda: pb.specific_heat(TCTX, sys.float_info.max), 1.0, None),
 ]
 
 

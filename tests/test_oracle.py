@@ -301,10 +301,69 @@ class TestMeshReuse:
         ids=["harmonic", "weak_core"],
     )
     def test_interleaved_equals_fresh(self, problem):
-        wvals = oracle._mesh_w(problem, problem.npts)
+        npts = problem.npts
         for _ in range(6):
-            wvals = oracle._refined_w(problem, wvals)
-            assert wvals == oracle._mesh_w(problem, len(wvals))
+            npts = 2 * npts - 1
+            fresh = replace(problem, w=lambda r: problem.w(r))
+            assert oracle._mesh_w(problem, npts) == oracle._mesh_w(fresh, npts)
+
+
+class _CountingW:
+    def __init__(self, w):
+        self.w, self.calls = w, 0
+
+    def __call__(self, r):
+        self.calls += 1
+        return self.w(r)
+
+
+class TestMeshSharing:
+    """A problem keeps the finest mesh built for it, so the levels of a
+    well shot on one problem evaluate w once per point of its finest
+    mesh, with the results of problems that share nothing."""
+
+    def test_levels_of_a_well_share_their_meshes(self):
+        problem = _pt_level(*TestWarmStart.STRONG_WELL, 0)[0]
+        counting = _CountingW(problem.w)
+        shared = replace(problem, w=counting)
+        for n in range(3):
+            bracket = _pt_level(*TestWarmStart.STRONG_WELL, n)[1]
+            res = shoot_eigenvalue(shared, n, bracket)
+            assert res.npts == 8001
+            assert res == shoot_eigenvalue(replace(problem, w=_CountingW(problem.w)), n, bracket)
+        assert counting.calls == 8001  # 24,003 when each level builds its own meshes
+
+    def test_caller_owns_the_mesh(self):
+        problem = replace(harmonic_problem(), w=lambda r: r * r)
+        first = oracle._mesh_w(problem, 4001)
+        expected = list(first)
+        first[:] = [math.nan] * len(first)
+        assert oracle._mesh_w(problem, 4001) == expected
+        fine = oracle._mesh_w(problem, 8001)
+        fine[0] = math.inf
+        assert oracle._mesh_w(problem, 8001)[0] == expected[0]
+        assert oracle._mesh_w(problem, 4001) == expected
+
+    def test_meshes_off_the_doubling_ladder(self):
+        # 3001 points are not 4001 halved or doubled: built fresh, and
+        # the kept mesh is unchanged.
+        problem = replace(harmonic_problem(), w=lambda r: r * r)
+        counting = _CountingW(problem.w)
+        shared = replace(problem, w=counting)
+        oracle._mesh_w(shared, 4001)
+        odd = oracle._mesh_w(shared, 3001)
+        assert odd == oracle._mesh_w(replace(problem, w=lambda r: r * r), 3001)
+        assert oracle._mesh_w(shared, 1001) == oracle._mesh_w(problem, 4001)[::4]
+        assert counting.calls == 4001 + 3001
+
+    def test_radial_problem_is_rebuilt_only_for_new_arguments(self):
+        pot, ctx = PTPotential(-150.0, 3.0, 1.3), NRContext.natural(mu=0.5)
+        first = pt_radial_problem(pot, ctx, 1, k1_estimate=-100.0)
+        again = pt_radial_problem(PTPotential(-150.0, 3.0, 1.3), ctx, 1, k1_estimate=-100.0)
+        assert again is first
+        # Equal arguments of another type are built anew.
+        assert pt_radial_problem(pot, ctx, 1.0, k1_estimate=-100.0) is not first
+        assert pt_radial_problem(pot, ctx, 1, k1_estimate=-101.0).r_cut != first.r_cut
 
 
 class TestFourthOrder:

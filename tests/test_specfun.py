@@ -55,6 +55,13 @@ class TestDawson:
         x = 50.0
         assert 2.0 * x * dawson(x) == pytest.approx(1.0 + 1.0 / (2.0 * x * x), abs=1e-6)
 
+    def test_tail_past_the_overflow_of_2x(self):
+        # F(x) = 1/(2x) to the last bit once 1/(2x^2) underflows, also
+        # where 2x overflows and 1/(2x) is subnormal.
+        for x in (1e160, 1e307, 1e308, 1.7976931348623157e308):
+            assert dawson(x) == 0.5 / x > 0.0
+            assert dawson(-x) == -dawson(x)
+
 
 class TestErfi:
     def test_value_at_one_vs_quadrature(self):

@@ -9,6 +9,7 @@ frozen alongside them.
 """
 
 import math
+import sys
 
 import mpmath
 import pytest
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 from ptbound.errors import DomainError, OverflowRangeError, PtboundError
 from ptbound.oracle import finite_difference, integrate_adaptive
-from ptbound.specfun import dawson
+from ptbound.specfun import ERFI_MAX_ARG, dawson
 from ptbound.thermo import (
     ThermoContext,
     chi,
@@ -81,6 +82,12 @@ class TestPartitionSum:
         # (40 - 2)^2 * 4 = 5776, while the n = 0 term's is only 16.
         with pytest.raises(OverflowRangeError):
             partition_sum(ThermoContext(zeta=2.0, tau=1.0), 4.0, n_max=40)
+
+    def test_far_ladder_past_the_square_range(self):
+        # far * far overflows, but every term is e^1: (n - 1e160)/1e160 = -1.
+        assert partition_sum(ThermoContext(1e160, 1e10), 1e-300, 3) == 4.0 * math.e
+        with pytest.raises(OverflowRangeError, match="exponent inf"):
+            partition_sum(ThermoContext(1e160, 1.0), 1.0, 3)
 
     def test_integer_valued_ladder_top(self):
         ctx = ThermoContext(zeta=5.0, tau=1.0)
@@ -228,6 +235,19 @@ class TestMeanEnergy:
         u = mean_energy(ctx, beta)
         assert abs(2.0 * beta * u) < 1e-8
 
+    def test_limit_past_the_overflow_of_chi_over_dawson(self):
+        # chi/dawson(chi) ~ 2 chi^2 overflows near beta = 3.6e306 here; U
+        # is -zeta^2/tau^2 = -25 on both sides.
+        ctx = ThermoContext(zeta=5.0, tau=1.0)
+        assert mean_energy(ctx, 3e306) == pytest.approx(-25.0, rel=1e-15)
+        assert mean_energy(ctx, 4e306) == -25.0
+        assert mean_energy(ctx, sys.float_info.max) == -25.0
+        assert mean_energy(ThermoContext(zeta=3e150, tau=2e-3), 1.0) == -(1.5e153**2)
+        # chi = 1.2e308, where dawson(chi) is subnormal.
+        assert mean_energy(ThermoContext(zeta=1e154, tau=1.0), 1.5e308) == -1e308
+        with pytest.raises(OverflowRangeError, match="mean energy"):
+            mean_energy(ThermoContext(zeta=2e154, tau=1.0), 1.0)
+
     def test_series_matches_direct_form(self):
         # Both branches of 1 - chi/dawson(chi) against 60-digit arithmetic,
         # straddling the series cutover at chi = 0.02.
@@ -254,6 +274,35 @@ class TestSpecificHeat:
         )
         ctx, beta = ctx_for_chi(x)
         assert specific_heat(ctx, beta) == pytest.approx(float(printed), rel=1e-10)
+
+    @staticmethod
+    def mp_specific_heat(x):
+        # The dawson form in 60-digit arithmetic: it cancels about chi^4
+        # ulps, leaving 40 digits at chi = 1e5.
+        xm = mpmath.mpf(x)
+        d = mp_dawson(xm)
+        return float(0.5 - xm * (xm + (1 - 2 * xm * xm) * d) / (4 * d * d))
+
+    @pytest.mark.parametrize("x", [26.000001, 30.0, 50.0, 100.0, 300.0, 1e4, 1e5])
+    def test_large_chi_asymptotic_series(self, x):
+        # Past ERFI_MAX_ARG the series is within an ulp of C (the
+        # rearranged form was 3.8e-10 off at chi = 50 and 2.32 at 1e4).
+        ctx = ThermoContext(zeta=x, tau=1.0)
+        assert chi(ctx, 1.0) == x > ERFI_MAX_ARG
+        reference = self.mp_specific_heat(x)
+        assert abs(specific_heat(ctx, 1.0) - reference) <= math.ulp(reference)
+
+    def test_large_chi_tends_to_one(self):
+        # C = 1 + 1/chi^2 + ... rounds to 1 from chi ~ 1e8 (the rearranged
+        # form gave 0.5 there and raised past chi ~ 9.5e153).
+        for x in (1e8, 1e100, 1e154, 1e200):
+            assert specific_heat(ThermoContext(zeta=x, tau=1.0), 1.0) == 1.0
+        assert specific_heat(ThermoContext(zeta=5.0, tau=1.0), sys.float_info.max) == 1.0
+
+    def test_branches_meet_at_the_erfi_range(self):
+        below = specific_heat(ThermoContext(zeta=ERFI_MAX_ARG, tau=1.0), 1.0)
+        above = specific_heat(ThermoContext(zeta=math.nextafter(ERFI_MAX_ARG, 30.0), tau=1.0), 1.0)
+        assert below == pytest.approx(above, rel=1e-10)
 
     @pytest.mark.parametrize("zeta,beta", [(10.0, 0.04), (10.0, 0.0025), (80.0, 0.001)])
     def test_matches_minus_k_beta2_du_dbeta(self, zeta, beta):
