@@ -330,7 +330,7 @@ class TestMeshSharing:
             bracket = _pt_level(*TestWarmStart.STRONG_WELL, n)[1]
             res = shoot_eigenvalue(shared, n, bracket)
             assert res.npts == 8001
-            assert res == shoot_eigenvalue(replace(problem, w=_CountingW(problem.w)), n, bracket)
+            assert res == shoot_eigenvalue(replace(problem, w=lambda r: problem.w(r)), n, bracket)
         assert counting.calls == 8001  # 24,003 when each level builds its own meshes
 
     def test_caller_owns_the_mesh(self):
