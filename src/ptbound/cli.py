@@ -103,10 +103,7 @@ def cli_spectrum(config: RunConfig) -> Path:
         for l in config.l:
             zeta, n_max = level_count(pot, ctx, l)
             for n in config.n:
-                level = energy_nr(pot, ctx, n, l)
-                rows.append(
-                    [mol.name, n, l, zeta, n_max, level.E, "beyond_nmax" in level.flags]
-                )
+                rows.append([mol.name, n, l, zeta, n_max, energy_nr(pot, ctx, n, l), n >= n_max])
     write_csv(config.out, header, rows)
     return config.out
 
@@ -130,7 +127,8 @@ def cli_table2(config: RunConfig, report_path: Path | None = None) -> tuple[Path
         ctx = config.context(mol)
         pot = config.potential(mol.alpha_invA)
         for n, l in REFERENCE_GRID:
-            level = energy_nr(pot, ctx, n, l)
+            energy = energy_nr(pot, ctx, n, l)
+            n_max = level_count(pot, ctx, l).n_max
             calibrated = reference_energy(mol, n, l, a=config.a, amu_to_ev=config.amu_to_ev)
             ref_text = REFERENCE_ENERGY_STRINGS.get((mol.name, n, l))
             if ref_text is None:
@@ -138,14 +136,14 @@ def cli_table2(config: RunConfig, report_path: Path | None = None) -> tuple[Path
                 dev_model = dev_cal = math.nan
             else:
                 ref = float(ref_text)
-                dev_model = (level.E - ref) / abs(ref)
+                dev_model = (energy - ref) / abs(ref)
                 dev_cal = (calibrated - ref) / abs(ref)
                 devs.append((abs(dev_cal), mol.name, n, l))
             rows.append(
                 [
                     mol.name, n, l,
-                    level.E, calibrated, ref_text,
-                    dev_model, dev_cal, "beyond_nmax" in level.flags,
+                    energy, calibrated, ref_text,
+                    dev_model, dev_cal, n >= n_max,
                 ]
             )
     write_csv(config.out, header, rows)
@@ -272,7 +270,7 @@ def cli_figure_data(
     rows = []
     for alpha in alphas:
         pot = config.potential(alpha)
-        rows.append([alpha] + [energy_nr(pot, ctx, n, 0).E for n in ns])
+        rows.append([alpha] + [energy_nr(pot, ctx, n, 0) for n in ns])
     tables.append(("fig_energy_vs_alpha.csv", header, rows))
 
     # Thermo vs beta at tau = 1, one column block per molecule.

@@ -43,7 +43,9 @@ from .errors import (
     require_finite, require_index, require_positive, within_range,
 )
 from .rootfind import bisect, sign_change_brackets, uniform_grid
-from .schrodinger import D0, PTPotential, _discriminant_root, _hyperbolic_amplitude, _square
+from .schrodinger import (
+    D0, PTPotential, _alpha_hbar_c_squared, _discriminant_root, _hyperbolic_amplitude, _square,
+)
 from .specfun import pochhammer
 
 __all__ = [
@@ -121,6 +123,8 @@ class SymmetryParams:
 
 
 def _ae2(ctx: DiracContext, pot: PTPotential) -> float:
+    # Unchecked: the residuals form it at every scan node; the entry points
+    # check it once with _alpha_hbar_c_squared.
     return (pot.alpha * ctx.hbar_c) ** 2
 
 
@@ -203,7 +207,8 @@ def _tilde_params_raw(e, m, k, cps, ae2, pot):
 def tilde_params(e: float, ctx: DiracContext, pot: PTPotential) -> SymmetryParams:
     """Pseudospin-side scaled parameters and exponents at energy e."""
     require_finite(e, "energy")
-    return _tilde_params_raw(e, ctx.M, ctx.kappa, ctx.c_shift, _ae2(ctx, pot), pot)
+    ae2 = _alpha_hbar_c_squared(pot.alpha, ctx.hbar_c)
+    return _tilde_params_raw(e, ctx.M, ctx.kappa, ctx.c_shift, ae2, pot)
 
 
 def plain_params(e: float, ctx: DiracContext, pot: PTPotential) -> SymmetryParams:
@@ -212,9 +217,8 @@ def plain_params(e: float, ctx: DiracContext, pot: PTPotential) -> SymmetryParam
     transcription's but for the sign of a zero a3 (where E + M = Cs).
     """
     require_finite(e, "energy")
-    return _tilde_params_raw(
-        -e, ctx.M, ctx.kappa + 1, -ctx.c_shift, _ae2(ctx, pot), _reflected(pot)
-    )
+    ae2 = _alpha_hbar_c_squared(pot.alpha, ctx.hbar_c)
+    return _tilde_params_raw(-e, ctx.M, ctx.kappa + 1, -ctx.c_shift, ae2, _reflected(pot))
 
 
 _SYMMETRIES = ("pspin", "spin")
@@ -241,6 +245,7 @@ def solve_levels(
     """
     require_choice(symmetry, _SYMMETRIES, "symmetry")
     require_positive(tol, "tolerance")
+    _alpha_hbar_c_squared(pot.alpha, ctx.hbar_c)
     residual = pspin_residual if symmetry == "pspin" else spin_residual
     if bracket is None:
         span = abs(ctx.M)

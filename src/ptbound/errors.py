@@ -6,6 +6,7 @@ raises DomainError naming the argument.  ``within_range`` checks a result.
 """
 
 import math
+import sys
 
 __all__ = [
     "BracketError", "ConvergenceError", "DomainError", "NodeCountError", "OverflowRangeError",
@@ -92,6 +93,14 @@ def require_index(value, what: str, minimum: int = 0) -> int:
     if not (value >= minimum and value % 1 == 0):
         raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def require_normal_square(x, what: str) -> float:
+    """x; DomainError unless x * x is a normal double (for an input whose
+    square the routes divide by)."""
+    if not sys.float_info.min <= x * x < math.inf:
+        raise DomainError(f"{what}**2 must be a normal double, got {what}={x!r}")
+    return x
 
 
 def within_range(x, what: str) -> float:

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import (
-    DomainError, TableFormatError, require_finite, require_index, require_positive, within_range,
+    DomainError, TableFormatError, require_finite, require_index, require_normal_square,
+    require_positive, within_range,
 )
 from .refdata import MOLECULE_CONSTANTS, REFERENCE_WELL_A
 from .schrodinger import HBARC_EV_ANG, NRContext, PTPotential, level_count
@@ -54,6 +55,7 @@ class MoleculeParams:
             raise DomainError(f"molecule name must be non-empty and trimmed, got {self.name!r}")
         require_positive(self.mu_amu, f"{self.name}: reduced mass")
         require_positive(self.alpha_invA, f"{self.name}: screening parameter")
+        require_normal_square(self.alpha_invA, "alpha_invA")
 
 
 def builtin_molecules() -> list[MoleculeParams]:

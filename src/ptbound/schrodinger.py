@@ -38,7 +38,7 @@ import numpy as np
 from .aim import AimProblem
 from .errors import (
     DomainError, OverflowRangeError, require_choice, require_finite, require_index,
-    require_positive, within_range,
+    require_normal_square, require_positive, within_range,
 )
 from .jets import jet_mul, jet_reciprocal
 from .oracle import RadialProblem
@@ -47,7 +47,6 @@ from .specfun import hyp2f1_terminating, pochhammer
 __all__ = [
     "D0",
     "HBARC_EV_ANG",
-    "EnergyLevel",
     "LevelCount",
     "NRContext",
     "PTPotential",
@@ -67,10 +66,6 @@ __all__ = [
 D0 = 1.0 / 12.0
 HBARC_EV_ANG = 1973.29
 
-# Flag vocabulary for EnergyLevel diagnostics.
-FLAG_DISCRIMINANT_EDGE = "discriminant_edge"
-FLAG_BEYOND_NMAX = "beyond_nmax"
-
 _BRANCHES = ("paper", "regular")
 
 # Points on the first shooting mesh of pt_radial_problem.
@@ -85,7 +80,7 @@ class PTPotential:
     is the physically expected shape; other signs are legal (special
     cases set B = 0, the pseudospin map flips both).  Every routine
     depends on alpha only through even combinations or |alpha|, so the
-    sign of alpha is immaterial; only alpha = 0 is rejected.
+    sign of alpha is immaterial; alpha**2 must be a normal double.
     """
 
     A: float
@@ -96,6 +91,8 @@ class PTPotential:
         require_positive(abs(self.alpha), "|alpha|")
         require_finite(self.A, "A")
         require_finite(self.B, "B")
+        # Every closed-form route divides by alpha**2.
+        require_normal_square(self.alpha, "alpha")
 
 
 @dataclass(frozen=True)
@@ -115,8 +112,7 @@ class NRContext:
         require_positive(self.mu, "reduced mass")
         require_positive(self.hbar_c, "hbar_c")
         # Every closed-form route divides by hbar_c**2.
-        if not sys.float_info.min <= self.hbar_c * self.hbar_c < math.inf:
-            raise DomainError(f"hbar_c**2 must be a normal double, got hbar_c={self.hbar_c!r}")
+        require_normal_square(self.hbar_c, "hbar_c")
         if not sys.float_info.min <= 2.0 * self.mu / self.hbar_c**2 < math.inf:
             raise DomainError(
                 f"2 mu / hbar_c**2 must be a normal double, got mu={self.mu!r}, "
@@ -142,17 +138,11 @@ class SpectralParams:
         """Quantized scaled energy K1 = -alpha^2 (gamma + beta + 2n)^2."""
         require_index(n, "level index")
         s = self.gamma + self.beta + 2.0 * n
-        return -(self.alpha**2) * s * s
+        return within_range(-(self.alpha**2) * s * s, "K1")
 
     def bound_possible(self, n: int) -> bool:
         """Decay at infinity needs gamma + beta + 2n < 0 (regular pair)."""
         return self.gamma + self.beta + 2.0 * n < 0.0
-
-
-@dataclass(frozen=True)
-class EnergyLevel:
-    E: float
-    flags: frozenset
 
 
 class LevelCount(NamedTuple):
@@ -225,6 +215,7 @@ def spectral_params(
     alpha2 = pot.alpha**2
     root_g = _discriminant_root(1.0 - 4.0 * a1 / alpha2, "well-depth")
     root_b = _discriminant_root(1.0 + 4.0 * b1 / alpha2, "core-strength")
+    within_range(root_g + root_b, "sum of the exponent roots")
     if branch == "paper":
         gamma = 0.5 * (1.0 + root_g)
         beta = 0.5 * (1.0 - root_b)
@@ -239,6 +230,12 @@ def _discriminant_root(disc: float, what: str) -> float:
     if disc < 0.0:
         raise DomainError(f"{what} discriminant negative: {disc!r}")
     return math.sqrt(disc)
+
+
+def _alpha_hbar_c_squared(alpha: float, hbar_c: float) -> float:
+    """(alpha hbar_c)**2, which every closed form divides by; DomainError
+    unless it is a normal double."""
+    return require_normal_square(alpha * hbar_c, "(alpha hbar_c)") ** 2
 
 
 def _square(x: float) -> float:
@@ -270,12 +267,9 @@ def energy_from_k1(ctx: NRContext, alpha: float, l: int, k1: float) -> float:
     return within_range(energy, "energy")
 
 
-_EDGE_TOL = 1e-12
-
-
 def energy_nr(
     pot: PTPotential, ctx: NRContext, n: int, l: int, branch: str = "paper"
-) -> EnergyLevel:
+) -> float:
     """Closed-form level via the published bracket expression.
 
     E = (2 alpha^2 hbar^2 / mu) [ l(l+1) d0 - (n + 1/2
@@ -290,22 +284,16 @@ def energy_nr(
     require_choice(branch, _BRANCHES, "branch")
     require_index(n, "level index")
     require_index(l, "angular momentum")
-    ah = (pot.alpha * ctx.hbar_c) ** 2
+    ah = _alpha_hbar_c_squared(pot.alpha, ctx.hbar_c)
     disc_a = 1.0 - 8.0 * ctx.mu * pot.A / ah
     disc_b = (2.0 * l + 1.0) ** 2 + 8.0 * ctx.mu * pot.B / ah
-    flags = set()
     for disc in (disc_a, disc_b):
         if disc < 0.0:
             raise DomainError(f"square-root argument negative: {disc!r}")
-        if disc <= _EDGE_TOL:
-            flags.add(FLAG_DISCRIMINANT_EDGE)
     sign = 1.0 if branch == "paper" else -1.0
     bracket = n + 0.5 + sign * 0.25 * (math.sqrt(disc_a) - math.sqrt(disc_b))
     scale = 2.0 * pot.alpha**2 * ctx.hbar_c**2 / ctx.mu
-    energy = scale * (l * (l + 1) * D0 - bracket * bracket)
-    if n >= level_count(pot, ctx, l).n_max:
-        flags.add(FLAG_BEYOND_NMAX)
-    return EnergyLevel(E=energy, flags=frozenset(flags))
+    return within_range(scale * (l * (l + 1) * D0 - bracket * bracket), "energy")
 
 
 def level_count(pot: PTPotential, ctx: NRContext, l: int) -> LevelCount:
@@ -320,14 +308,15 @@ def level_count(pot: PTPotential, ctx: NRContext, l: int) -> LevelCount:
     (no bound level predicted by the count) reports n_max = 0.
     """
     require_index(l, "angular momentum")
-    ah = (pot.alpha * ctx.hbar_c) ** 2
+    ah = _alpha_hbar_c_squared(pot.alpha, ctx.hbar_c)
     disc_a = 1.0 - 8.0 * ctx.mu * pot.A / ah
     disc_b = 1.0 + 8.0 * ctx.mu * pot.B / ah
-    zeta = (
+    zeta = within_range(
         0.25 * _discriminant_root(disc_b, "core-strength")
         - 0.25 * _discriminant_root(disc_a, "well-depth")
         - 0.5
-        + math.sqrt(l * (l + 1) * D0)
+        + math.sqrt(l * (l + 1) * D0),
+        "zeta",
     )
     return LevelCount(zeta, math.floor(zeta) if zeta > 0.0 else 0)
 

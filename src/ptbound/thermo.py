@@ -19,6 +19,7 @@ leading digits, switches to series.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,6 +43,7 @@ __all__ = [
 ]
 
 _LN_SQRTPI_HALF = 0.5 * math.log(math.pi) - math.log(2.0)
+_LN2 = math.log(2.0)
 _EXP_MAX = 700.0
 # Below this chi, 1 - chi/dawson(chi) is evaluated by series: the direct
 # form has lost ~chi^-2 leading digits, the three-term series still has
@@ -94,14 +96,17 @@ def partition_sum(ctx: ThermoContext, beta: float, n_max: int) -> float:
     require_positive(beta, "beta")
     n_max = require_index(n_max, "n_max")
     gamma = ctx.tau / math.sqrt(beta)
+    if gamma == 0.0:
+        raise OverflowRangeError(f"tau/sqrt(beta) underflows to 0 at beta={beta!r}")
     # The exponent is a parabola in n, so its largest value on the ladder
     # sits at one of the two ends.  Squares formed with * overflow to inf
-    # where ** would raise.  Past a finite far * far, squaring far / gamma
-    # cannot give inf / inf = NaN.
+    # where ** would raise.  Past a finite far * far, or below a normal
+    # gamma * gamma, squaring far / gamma cannot give inf / inf = NaN or
+    # divide by 0.
     far = max(abs(ctx.zeta), abs(n_max - ctx.zeta))
-    square = far * far
-    if square < math.inf:
-        worst = square / (gamma * gamma)
+    square, gamma2 = far * far, gamma * gamma
+    if square < math.inf and gamma2 >= sys.float_info.min:
+        worst = square / gamma2
     else:
         ratio = far / gamma
         worst = ratio * ratio
@@ -109,9 +114,11 @@ def partition_sum(ctx: ThermoContext, beta: float, n_max: int) -> float:
         raise OverflowRangeError(
             f"largest term exponent {worst:.1f} exceeds the floating range"
         )
-    return math.fsum(
-        math.exp(((n - ctx.zeta) / gamma) ** 2) for n in range(n_max + 1)
-    )
+    try:
+        return math.fsum(math.exp(((n - ctx.zeta) / gamma) ** 2) for n in range(n_max + 1))
+    except OverflowError:  # fsum's intermediate overflow
+        pass
+    raise OverflowRangeError(f"partition sum of {n_max + 1} terms exceeds the double range")
 
 
 def _partition(ctx: ThermoContext, beta: float, erfi_x: float) -> float:
@@ -128,6 +135,29 @@ def _one_minus_chi_over_dawson(x: float, d: float) -> float:
         x2 = x * x
         return -x2 * (2.0 / 3.0 + x2 * (8.0 / 45.0 + x2 * (16.0 / 945.0)))
     return 1.0 - x / d
+
+
+def _mean_energy(omd: float, beta: float) -> float:
+    # omd / (2 beta); where 2 beta overflows, 0.5 omd / beta
+    two_beta = 2.0 * beta
+    return within_range(omd / two_beta if two_beta < math.inf else 0.5 * omd / beta, "mean energy")
+
+
+def _asymptotic_dawson(x: float) -> tuple[float, float]:
+    """(ln dawson(x), 2 x^2 - x/dawson(x)) for x > ERFI_MAX_ARG, with no x^2
+    formed: from Dawson's series 2 x dawson(x) = sum_k (2k-1)!! t^k,
+    t = 1/(2 x^2), the second is sum_{k>=1} (2k-1)!! t^(k-1) over that sum.
+    Where x^2 overflows, t = 0 and the pair is (-ln 2x, 1)."""
+    t = 0.5 / (x * x)
+    term = series = 1.0
+    shifted = 0.0
+    for k in range(1, 64):
+        shifted += (2 * k - 1) * term
+        term *= (2 * k - 1) * t
+        series += term
+        if (2 * k + 1) * term <= 1e-18 * shifted:
+            break
+    return math.log(series) - math.log(x) - _LN2, shifted / series
 
 
 def _specific_heat(x: float, d: float) -> float:
@@ -172,7 +202,7 @@ def mean_energy(ctx: ThermoContext, beta: float) -> float:
         # U = -(zeta/tau)^2 (1 - chi^-2 + ...) rounds to its limit.
         z = ctx.zeta / ctx.tau
         return within_range(-(z * z), "mean energy")
-    return within_range(omd / (2.0 * beta), "mean energy")
+    return _mean_energy(omd, beta)
 
 
 def specific_heat(ctx: ThermoContext, beta: float) -> float:
@@ -199,7 +229,16 @@ def specific_heat(ctx: ThermoContext, beta: float) -> float:
 
 
 def free_energy(ctx: ThermoContext, beta: float) -> float:
-    """F = -(1/beta) ln Z, with the log-scaled erfi path."""
+    """F = -(1/beta) ln Z, with the log-scaled erfi path.  Where chi^2
+    overflows, ln Z = chi^2 + ln(dawson(chi) tau/sqrt(beta)) is divided by
+    beta term by term, with chi^2/beta = (zeta/tau)^2: F tends to
+    -(zeta/tau)^2."""
+    x = chi(ctx, beta)
+    if x > 0.0 and x * x == math.inf:
+        ln_d, _ = _asymptotic_dawson(x)
+        z = ctx.zeta / ctx.tau
+        rest = (ln_d + math.log(ctx.tau) - 0.5 * math.log(beta)) / beta
+        return within_range(-(z * z) - rest, "free energy")
     return within_range(-log_partition_closed(ctx, beta) / beta, "free energy")
 
 
@@ -209,11 +248,17 @@ def entropy(ctx: ThermoContext, beta: float) -> float:
     The printed formula passes zeta to the Dawson factor; dimensional
     consistency and the defining identity S = ln Z + beta U require chi
     there, and chi is what this uses.  Algebraically this expression IS
-    ln Z + beta U, so the identity holds to rounding.
+    ln Z + beta U, so the identity holds to rounding.  Past ERFI_MAX_ARG the
+    2 chi^2 of 1 - chi/dawson(chi) and of 2 ln erfi(chi) cancel, so S is
+    formed as (1 + 2 chi^2 - chi/dawson(chi))/2 + ln(dawson(chi) tau/sqrt(beta))
+    with no chi^2 (see _asymptotic_dawson).
     """
     x = chi(ctx, beta)
     if x <= 0.0:
         raise DomainError("entropy needs chi > 0")
+    if x > ERFI_MAX_ARG:
+        ln_d, gap = _asymptotic_dawson(x)
+        return 0.5 * (1.0 + gap) + ln_d + math.log(ctx.tau) - 0.5 * math.log(beta)
     return _entropy(ctx, beta, _one_minus_chi_over_dawson(x, dawson(x)), ln_erfi(x))
 
 
@@ -236,7 +281,7 @@ def thermo_point(ctx: ThermoContext, beta: float) -> ThermoPoint:
         beta=beta,
         chi=x,
         Z=_partition(ctx, beta, erfi_x),
-        U=within_range(omd / (2.0 * beta), "mean energy"),
+        U=_mean_energy(omd, beta),
         C=within_range(_specific_heat(x, d), "specific heat"),
         F=within_range(-_log_partition(ctx, beta, ln_erfi_x) / beta, "free energy"),
         S=_entropy(ctx, beta, omd, ln_erfi_x),

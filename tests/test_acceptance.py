@@ -265,7 +265,7 @@ class TestCriterion4:
             ctx = NRContext.natural(mu=mu)
             for n, l in ((0, 0), (1, 0), (2, 3)):
                 limit = nr_limit_energy(mu, pot, n, l)
-                closed = energy_nr(pot, ctx, n, l, branch="paper").E
+                closed = energy_nr(pot, ctx, n, l, branch="paper")
                 alg_worst = max(alg_worst, abs(limit - closed) / abs(closed))
 
         # Large-M study: solve the spin-symmetry condition and watch

@@ -4,9 +4,10 @@ Every callable that ``ptbound`` exports and that takes numbers has a row
 here: a call that works, naming every parameter.  Finite input drawn
 from the row's strategy in ``strategies.ROWS`` must give a finite result
 (every float of a number, tuple, NamedTuple or record) or raise a
-PtboundError, and so must each float argument of the row's call set to
-5e-324, the largest double or its negative (the calls that still leak
-are strict xfails, each with its reason).  Each numeric argument of the
+PtboundError, and so must each float argument of the row's call, and
+each float field of a record argument, set to 5e-324, the largest double
+or its negative (the calls that still leak are strict xfails, each with
+its reason).  Each numeric argument of the
 row's call (and each element of a numeric tuple such as a bracket) set
 to NaN, +inf or -inf must raise a DomainError.  The bad arguments of each row, one at a time, must raise
 a DomainError that names them, and each bad call must raise its error
@@ -20,6 +21,7 @@ import inspect
 import math
 import numbers
 import sys
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -117,7 +119,7 @@ EXEMPT = {
     "load_molecules": "takes a path; MoleculeParams checks each row's numbers",
     "save_molecules": "takes a path and MoleculeParams records",
     **{name: _RECORD for name in (
-        "AimRoot", "AimScanReport", "EnergyLevel", "LevelCount", "RelativisticRoot",
+        "AimRoot", "AimScanReport", "LevelCount", "RelativisticRoot",
         "ShootResult", "SpectralParams", "SymmetryParams", "ThermoPoint",
     )},
 }
@@ -161,6 +163,7 @@ BAD_ARGUMENTS = [
     ("MoleculeParams", "name", ("", " CO"), "name"),
     ("MoleculeParams", "mu_amu", (0.0, math.inf), "reduced mass must be finite"),
     ("MoleculeParams", "alpha_invA", (-2.0, math.inf), "screening parameter must be finite"),
+    ("MoleculeParams", "alpha_invA", (5e-324, 1e-160, 1e200), "alpha_invA..2 must be a normal double"),
     ("reference_energy", "a", (math.nan, 1e9), "well parameter a"),
     ("reference_energy", "n", (-1,), "level index"),
     ("RadialProblem", "r_cut", (1e-7, math.inf), "r_cut"),
@@ -180,6 +183,7 @@ BAD_ARGUMENTS = [
     ("PTPotential", "A", (math.nan, -math.inf), "A must be finite"),
     ("PTPotential", "B", (math.inf, math.nan), "B must be finite"),
     ("PTPotential", "alpha", (0.0,), "alpha"),
+    ("PTPotential", "alpha", (1e-200, 1e-160, 1e155, -1e200), "alpha..2 must be a normal double"),
     ("NRContext", "mu", (0.0, math.inf), "reduced mass must be finite"),
     ("NRContext", "hbar_c", (-1.0, math.inf, math.nan), "hbar_c must be finite"),
     ("NRContext", "hbar_c", (1e-200, 1e-160, 1e160), "hbar_c..2 must be a normal double"),
@@ -280,6 +284,31 @@ BAD_CALLS = [
      4.0 * math.e, None),
     ("mean_energy", lambda: pb.mean_energy(TCTX, sys.float_info.max), -25.0, None),
     ("specific_heat", lambda: pb.specific_heat(TCTX, sys.float_info.max), 1.0, None),
+    # (alpha hbar_c)**2 leaves the double range while alpha**2 and hbar_c**2 do not
+    *[(name, lambda call=call, alpha=alpha, hbar_c=hbar_c: call(alpha, hbar_c), DomainError,
+       r"\(alpha hbar_c\)\*\*2 must be a normal double")
+      for alpha, hbar_c in ((1e150, 1e10), (1e-150, 1e-10))
+      for name, call in (
+          ("energy_nr", lambda alpha, hbar_c: pb.energy_nr(
+              pb.PTPotential(-1.0, 0.0, alpha), pb.NRContext(1e-20 * hbar_c**2, hbar_c), 0, 0)),
+          ("level_count", lambda alpha, hbar_c: pb.level_count(
+              pb.PTPotential(-1.0, 0.0, alpha), pb.NRContext(1e-20 * hbar_c**2, hbar_c), 0)),
+          ("tilde_params", lambda alpha, hbar_c: pb.tilde_params(
+              19.9, pb.DiracContext(20.0, 2, 0, hbar_c=hbar_c), pb.PTPotential(-2.0, 3.0, alpha))),
+      )],
+    ("spectral_params",
+     lambda: pb.spectral_params(pb.PTPotential(-30.0, 2.3, 1e150), CTX, 0).k1(10**10),
+     OverflowRangeError, "K1"),
+    # gamma = tau/sqrt(beta) whose square underflows, or gamma itself
+    ("partition_sum", lambda: pb.partition_sum(pb.ThermoContext(5.0, 1e-200), 1.0, 3),
+     OverflowRangeError, "largest term exponent"),
+    ("partition_sum", lambda: pb.partition_sum(pb.ThermoContext(0.0, 1e-160), 1.0, 0), 1.0, None),
+    ("partition_sum",
+     lambda: pb.partition_sum(pb.ThermoContext(0.0, 5e-324), sys.float_info.max, 0),
+     OverflowRangeError, "tau/sqrt.beta. underflows"),
+    # 200,001 terms near e^700 sum past the double range
+    ("partition_sum", lambda: pb.partition_sum(pb.ThermoContext(2.6457e7, 1e6), 1.0, 200000),
+     OverflowRangeError, "partition sum"),
 ]
 
 
@@ -354,10 +383,31 @@ EXTREME_ROWS = CONTRACT | {"finite_difference": CONTRACT["finite_difference"] | 
 EXTREME_LEAKS: dict[str, str] = {}
 
 
+def record_substitutions(kwargs, values):
+    """(label, kwargs) for every float field of every record argument set to
+    each of values in turn.  A value the record refuses with a PtboundError
+    never reaches a call, so it gives none.  A RadialProblem is left out: what
+    its w does at an extreme radius is the caller's function's business."""
+    for param, record in kwargs.items():
+        if not dataclasses.is_dataclass(record) or isinstance(record, pb.RadialProblem):
+            continue
+        own = {field.name: getattr(record, field.name) for field in dataclasses.fields(record)}
+        for label, changed in substitutions(own, _is_float, values):
+            try:
+                changed = dataclasses.replace(record, **changed)
+            except PtboundError:
+                continue
+            yield f"{param}.{label}", kwargs | {param: changed}
+
+
 def extreme_calls():
-    """Every float argument of every row set to 5e-324, max and -max in turn."""
+    """Every float argument of every row, and every float field of a record
+    argument, set to 5e-324, max and -max in turn."""
     for name, kwargs in EXTREME_ROWS.items():
-        for label, call in substitutions(kwargs, _is_float, (TINY, HUGE, -HUGE)):
+        extremes = (TINY, HUGE, -HUGE)
+        for label, call in chain(
+            substitutions(kwargs, _is_float, extremes), record_substitutions(kwargs, extremes)
+        ):
             reason = EXTREME_LEAKS.get(f"{name}-{label}")
             marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
             yield pytest.param(name, call, id=f"{name}-{label}", marks=marks)

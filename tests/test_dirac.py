@@ -224,7 +224,7 @@ class TestNonrelativisticLimit:
             ctx = NRContext(mu=mu, hbar_c=1.0)
             for n, l in ((0, 0), (1, 0), (2, 3)):
                 assert nr_limit_energy(mu, POT, n, l) == pytest.approx(
-                    energy_nr(POT, ctx, n, l, "paper").E, rel=1e-12
+                    energy_nr(POT, ctx, n, l, "paper"), rel=1e-12
                 )
 
     def test_gap_variable_converges_with_first_order_rate(self):

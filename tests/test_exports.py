@@ -1,9 +1,10 @@
 """Every exported name resolves: a deletion that leaves a name behind in
 an ``__all__`` list fails here, not at a user's ``from ... import *``.
 Likewise every name the benchmark's tracer patches stays bound, the
-shooting oracle imports nothing from the routes it checks, the package
-exports exactly its layers' ``__all__``, and the sets of defaulted
-settings, of result-record fields and of public names are pinned."""
+shooting oracle imports nothing from the routes it checks, no module
+imports a name it never uses, the package exports exactly its layers'
+``__all__``, and the sets of defaulted settings, of result-record fields
+and of public names are pinned."""
 
 import ast
 import dataclasses
@@ -79,6 +80,30 @@ def test_oracle_imports_only_errors_and_rootfind():
     assert imported == {"errors", "rootfind"}
 
 
+def test_no_unused_imports():
+    """Each name a module's top-level import binds is read in the module or
+    listed in its __all__ (from __future__ binds nothing used)."""
+    unused = []
+    for path in sorted(Path(ptbound.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {
+            node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+        }
+        exported = set(getattr(importlib.import_module(f"ptbound.{path.stem}"), "__all__", ()))
+        for node in tree.body:
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in read | exported:
+                        unused.append(f"{path.name}:{node.lineno}: {name}")
+    assert unused == []
+
+
 SETTABLE_MODULES = ("schrodinger", "thermo", "molecules", "dirac", "aim", "oracle")
 
 
@@ -135,7 +160,7 @@ def test_settable_surface():
 
 RESULT_RECORDS = (
     "AimRoot", "AimScanReport", "ShootResult", "RelativisticRoot", "SymmetryParams",
-    "EnergyLevel", "LevelCount", "SpectralParams", "ThermoPoint",
+    "LevelCount", "SpectralParams", "ThermoPoint",
 )
 
 
@@ -154,7 +179,6 @@ def test_result_fields():
         "ShootResult": ("value", "npts", "refinements", "passes", "gaps", "points"),
         "RelativisticRoot": ("E", "bracket_used", "residual", "flags"),
         "SymmetryParams": ("a3", "b3", "k3", "gamma2", "beta2"),
-        "EnergyLevel": ("E", "flags"),
         "LevelCount": ("zeta", "n_max"),
         "SpectralParams": ("alpha", "a1", "b1", "gamma", "beta"),
         "ThermoPoint": ("beta", "chi", "Z", "U", "C", "F", "S"),
@@ -231,7 +255,7 @@ def test_public_surface():
         ),
         "ptbound.rootfind": ("bisect", "sign_change_brackets", "uniform_grid", "zeroin"),
         "ptbound.schrodinger": (
-            "D0", "EnergyLevel", "HBARC_EV_ANG", "LevelCount", "NRContext", "PTPotential",
+            "D0", "HBARC_EV_ANG", "LevelCount", "NRContext", "PTPotential",
             "SpectralParams", "centrifugal_approx_residual", "energy_from_k1", "energy_nr",
             "k1_from_energy", "level_count", "potential_value", "pt_aim_problem",
             "pt_radial_problem", "spectral_params", "wavefunction_nr",

@@ -10,11 +10,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ptbound.dirac import DiracContext, plain_params, spinor_wavefunction, tilde_params
-from ptbound.errors import DomainError, OverflowRangeError
+from ptbound.errors import DomainError, NodeCountError, OverflowRangeError
 from ptbound.oracle import finite_difference, integrate_adaptive, shoot_eigenvalue
 from ptbound.schrodinger import (
-    FLAG_BEYOND_NMAX,
-    FLAG_DISCRIMINANT_EDGE,
     NRContext,
     PTPotential,
     centrifugal_approx_residual,
@@ -28,6 +26,7 @@ from ptbound.schrodinger import (
     spectral_params,
     wavefunction_nr,
 )
+from ptbound.thermo import ThermoContext, partition_sum
 
 import strategies as S
 
@@ -75,7 +74,7 @@ class TestEnergyRoutes:
     def test_bracket_equals_k1_route(self, pot, n, l, branch):
         par = spectral_params(pot, CTX, l, branch)
         via_k1 = energy_from_k1(CTX, pot.alpha, l, par.k1(n))
-        direct = energy_nr(pot, CTX, n, l, branch).E
+        direct = energy_nr(pot, CTX, n, l, branch)
         assert direct == pytest.approx(via_k1, rel=1e-13, abs=1e-13)
 
     def test_k1_energy_roundtrip(self):
@@ -86,25 +85,27 @@ class TestEnergyRoutes:
     def test_branches_disagree(self):
         # The exponent pairs give genuinely different spectra; the gap is
         # the published-formula vs regular-spectrum discrepancy.
-        e_paper = energy_nr(POT, CTX, 0, 0, "paper").E
-        e_regular = energy_nr(POT, CTX, 0, 0, "regular").E
+        e_paper = energy_nr(POT, CTX, 0, 0, "paper")
+        e_regular = energy_nr(POT, CTX, 0, 0, "regular")
         assert abs(e_paper - e_regular) > 1.0
 
     def test_free_case(self):
         # A = B = 0, l = 0: bracket collapses to -(2 alpha^2 hbar^2/mu)(n+1/2)^2
         pot = PTPotential(0.0, 0.0, 1.0)
-        lev = energy_nr(pot, CTX, 0, 0)
-        assert lev.E == pytest.approx(-1.0, rel=1e-14)
+        assert energy_nr(pot, CTX, 0, 0) == pytest.approx(-1.0, rel=1e-14)
         zeta, n_max = level_count(pot, CTX, 0)
         assert zeta == pytest.approx(-0.5)
         assert n_max == 0
-        assert FLAG_BEYOND_NMAX in lev.flags
 
-    def test_discriminant_edge_flag(self):
-        # 8 mu A / (alpha hbar)^2 = 1 zeroes the first discriminant.
-        pot = PTPotential(0.25, 0.0, 1.0)
-        lev = energy_nr(pot, CTX, 0, 0)
-        assert FLAG_DISCRIMINANT_EDGE in lev.flags
+    def test_attractive_core_lifted_by_the_centrifugal_term(self):
+        # 1 + 8 mu B/(alpha hbar)^2 = -3 < 0 <= (2l+1)^2 + 8 mu B/(alpha hbar)^2 = 5:
+        # the printed count has no real root here, but the l = 1 energy does.
+        # It is the K1 route's value, k1(0) plus the 4 l(l+1) alpha^2 d0 offset.
+        pot = PTPotential(-10.0, -1.0, 1.0)
+        with pytest.raises(DomainError, match="core-strength discriminant negative: -3.0"):
+            level_count(pot, CTX, 1)
+        assert spectral_params(pot, CTX, 1).k1(0) == -9.508145728294881
+        assert energy_nr(pot, CTX, 0, 1) == -8.841479061628215
 
 
 class TestAlphaSignSymmetry:
@@ -117,8 +118,8 @@ class TestAlphaSignSymmetry:
     )
     @settings(max_examples=80)
     def test_energy_even_in_alpha(self, a, b, alpha, n, l):
-        e_pos = energy_nr(PTPotential(a, b, alpha), CTX, n, l).E
-        e_neg = energy_nr(PTPotential(a, b, -alpha), CTX, n, l).E
+        e_pos = energy_nr(PTPotential(a, b, alpha), CTX, n, l)
+        e_neg = energy_nr(PTPotential(a, b, -alpha), CTX, n, l)
         assert e_pos == e_neg
 
     def test_wavefunction_even_in_alpha(self):
@@ -373,11 +374,46 @@ class TestShootingCrossCheck:
         reg = spectral_params(pot, CTX, 0, "regular")
         n = 3
         assert reg.bound_possible(n)
-        assert FLAG_BEYOND_NMAX in energy_nr(pot, CTX, n, 0, "regular").flags
         closed = reg.k1(n)
         prob = pt_radial_problem(pot, CTX, 0, k1_estimate=closed)
         res = shoot_eigenvalue(prob, n, (0.5 * (closed + reg.k1(n - 1)), 0.5 * closed), tol=1e-9)
         assert res.value == pytest.approx(closed, rel=1e-8)
+
+    # criterion 2's wells (tests/test_acceptance.py), at l = 0 and l = 1
+    @pytest.mark.parametrize("l", [0, 1])
+    @pytest.mark.parametrize(
+        "well", [(-60.0, 0.5, 1.0), (-100.0, 2.0, 1.0), (-45.0, 0.1, 0.8), (-150.0, 3.0, 1.3),
+                 (-75.0, 1.2, 1.1)],
+    )
+    def test_shooting_finds_exactly_the_regular_levels(self, well, l):
+        # The regular pair admits levels n = 0..N (Poschl and Teller's
+        # count); the printed count admits none.  Shooting finds each of
+        # them at k1(n) and nothing above, and their Boltzmann sum is the
+        # thermodynamic ladder at zeta_reg = -(gamma + beta)/2, tau = 1/(2 alpha).
+        pot = PTPotential(*well)
+        reg = spectral_params(pot, CTX, l, "regular")
+        top = max(n for n in range(10) if reg.bound_possible(n))
+        assert top in (2, 3)
+        assert level_count(pot, CTX, l).n_max == 0
+        prob = pt_radial_problem(pot, CTX, l, k1_estimate=reg.k1(top))
+        shot = []
+        for n in range(top + 1):
+            deeper = reg.k1(n - 1) if n else 1.44 * reg.k1(0)
+            upper = 0.5 * (reg.k1(n) + reg.k1(n + 1)) if n < top else 0.5 * reg.k1(top)
+            # the top levels of (-45, 0.1, 0.8) at l = 0 and (-150, 3, 1.3)
+            # at l = 1 stall at the default 6 refinements, with mesh gaps near
+            # 1.3e-9, and converge at 8, on 512,001 points
+            res = shoot_eigenvalue(
+                prob, n, (0.5 * (reg.k1(n) + deeper), upper), tol=1e-9, max_refinements=8
+            )
+            assert res.value == pytest.approx(reg.k1(n), rel=1e-6)
+            shot.append(res.value)
+        with pytest.raises(NodeCountError):
+            shoot_eigenvalue(prob, top + 1, (0.5 * reg.k1(top), -1e-6), tol=1e-9, max_refinements=8)
+        ladder = ThermoContext(-0.5 * (reg.gamma + reg.beta), 0.5 / pot.alpha)
+        for beta in (0.01, 0.05, 0.2):
+            boltzmann = math.fsum(math.exp(-beta * q) for q in shot)
+            assert boltzmann == pytest.approx(partition_sum(ladder, beta, top), rel=1e-7)
 
     def test_molecule_scale_well(self):
         # CO-sized reduced mass and range parameter with a binding core
@@ -399,7 +435,7 @@ class TestShootingCrossCheck:
         # must be close but NOT identical at natural-unit x ~ 1.
         l = 1
         reg = spectral_params(POT, CTX, l, "regular")
-        e_model = energy_nr(POT, CTX, 0, l, "regular").E
+        e_model = energy_nr(POT, CTX, 0, l, "regular")
         q_expect = 2.0 * CTX.mu * e_model / CTX.hbar_c**2
         prob = pt_radial_problem(POT, CTX, l, centrifugal="exact", k1_estimate=reg.k1(0))
         res = shoot_eigenvalue(prob, 0, (q_expect - 2.0, q_expect + 2.0), tol=1e-9)
@@ -417,7 +453,7 @@ class TestShootingCrossCheck:
         for alpha in (1.0, 0.5, 0.25, 0.1):
             pot = PTPotential(A=-30.0, B=2.3, alpha=alpha)
             reg = spectral_params(pot, CTX, l, "regular")
-            e_model = energy_nr(pot, CTX, 0, l, "regular").E
+            e_model = energy_nr(pot, CTX, 0, l, "regular")
             q = 2.0 * CTX.mu * e_model / CTX.hbar_c**2
             prob = pt_radial_problem(
                 pot, CTX, l, centrifugal="exact", k1_estimate=reg.k1(0)
@@ -506,5 +542,4 @@ class TestReferenceWellShape:
         assert not reg.bound_possible(0)
 
     def test_paper_formula_still_negative(self):
-        lev = energy_nr(self.POT_REF, self.CTX_CO, 0, 0, "paper")
-        assert lev.E < 0.0
+        assert energy_nr(self.POT_REF, self.CTX_CO, 0, 0, "paper") < 0.0

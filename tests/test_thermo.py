@@ -248,6 +248,13 @@ class TestMeanEnergy:
         with pytest.raises(OverflowRangeError, match="mean energy"):
             mean_energy(ThermoContext(zeta=2e154, tau=1.0), 1.0)
 
+    def test_two_beta_past_the_double_range(self):
+        # U = (1 - chi/dawson(chi)) / (2 beta) came out as -0.0 once 2 beta
+        # overflowed (chi = 5e153 here), where U = -(zeta/tau)^2 = -0.25.
+        ctx = ThermoContext(zeta=0.5, tau=1.0)
+        assert mean_energy(ctx, 1e307) == pytest.approx(-0.25, rel=1e-15)
+        assert mean_energy(ctx, 1e308) == pytest.approx(-0.25, rel=1e-15)
+
     def test_series_matches_direct_form(self):
         # Both branches of 1 - chi/dawson(chi) against 60-digit arithmetic,
         # straddling the series cutover at chi = 0.02.
@@ -395,6 +402,31 @@ class TestFreeEnergyEntropy:
         assert entropy(ctx, beta) == pytest.approx(
             math.log(z_quad) + beta * (-du), rel=1e-7
         )
+
+    # (zeta, tau, beta): chi = 1e3, 1e4, 1e6, 1e8, 1e10, 5e150, 6.7e154 (beta
+    # = max) and 5e153 (2 beta overflows)
+    LARGE_CHI = [
+        (1e3, 1.0, 1.0), (1e4, 1.0, 1.0), (1e6, 1.0, 1.0), (1e8, 1.0, 1.0), (5.0, 1.0, 4e18),
+        (5.0, 1.0, 1e300), (5.0, 1.0, sys.float_info.max), (0.5, 1.0, 1e308),
+    ]
+
+    @pytest.mark.parametrize("zeta,tau,beta", LARGE_CHI)
+    def test_large_chi_against_the_printed_form(self, zeta, tau, beta):
+        # S cancelled -2 chi^2 against +2 chi^2 (an absolute error of 7e-3
+        # at chi = 1e8, half of S at chi = 1e10), and S and F overflowed in
+        # chi^2 at beta = max; the reference is the printed form in
+        # 700-digit arithmetic.
+        with mpmath.workdps(700):
+            z, t, b = map(mpmath.mpf, (zeta, tau, beta))
+            x = z * mpmath.sqrt(b) / t
+            erfi_x = mpmath.erfi(x)
+            dawson_x = mp_dawson(x)
+            ln_scaled = mpmath.log(t * erfi_x / mpmath.sqrt(b))
+            s_ref = (1 - x / dawson_x + 2 * ln_scaled + mpmath.log(mpmath.pi / 4)) / 2
+            f_ref = -(ln_scaled + mpmath.log(mpmath.sqrt(mpmath.pi) / 2)) / b
+        ctx = ThermoContext(zeta=zeta, tau=tau)
+        assert entropy(ctx, beta) == pytest.approx(float(s_ref), rel=1e-15)
+        assert free_energy(ctx, beta) == pytest.approx(float(f_ref), rel=1e-15)
 
     def test_finite_well_past_erfi_overflow(self):
         # The documented envelope relies on the log-scaled path only.
