@@ -226,7 +226,7 @@ class TestKernelDigest:
 
     @staticmethod
     def _digest(values):
-        text = "\n".join(float.hex(float(v)) for v in values)
+        text = "\n".join(v if isinstance(v, str) else float.hex(float(v)) for v in values)
         return hashlib.sha256(text.encode()).hexdigest()
 
     def test_iterate(self):
@@ -250,6 +250,23 @@ class TestKernelDigest:
                 values += [v for row in ptbound.aim._delta_grid(problem, es, k) for v in row]
         assert self._digest(values) == (
             "e416b07c9610b3ebde5bf659709c6fb3c69ab600f17adf43697d46d56af71f65"
+        )
+
+    def test_scan_reports(self):
+        # Every AimScanReport field but delta_evals, a work count: level n
+        # of each well scanned at depth 2n + 2 over the bracket halfway to
+        # its neighbors (0 above the ground level).
+        values = []
+        for pot, energies in self._levels():
+            for n in range(4):
+                upper = 0.5 * (energies[0] if n == 0 else energies[n - 1] + energies[n])
+                k = 2 * n + 2
+                rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, k), (energies[4 + n], upper), k)
+                for r in rep.roots:
+                    values += [r.value, r.residual, r.stability_gap, r.converged]
+                values += [len(rep.roots), *rep.shallow_roots, *rep.warnings]
+        assert self._digest(values) == (
+            "1a38cb32cfa287b185ce71c62d4c8e361eaccae9beed2bdee269081ab2b466ee"
         )
 
 
