@@ -36,9 +36,12 @@ so the coefficients at a whole grid of E values are one broadcast.
 
 Roots of delta_k that correspond to true terminating solutions stay put
 as the depth changes; spurious roots drift.  ``aim_eigen_scan``
-therefore also locates the roots one level shallower, from the same
-recurrence pass over its scan grid, and reports a per-root stability
-gap, flagging drifting roots as not converged.
+therefore also locates the roots one level shallower, and reports a
+per-root stability gap, flagging drifting roots as not converged.  The
+shallow roots cost few recurrence passes of their own.  One pass over
+the scan grid gives both depths there.  Each scalar pass that bisects a
+delta_k root also gives delta_(k-1) at its E, and the shallow
+bisections take that value wherever they evaluate the same E.
 """
 
 from __future__ import annotations
@@ -131,8 +134,10 @@ class AimScanReport:
     roots: tuple[AimRoot, ...]
     shallow_roots: tuple[float, ...]
     warnings: tuple[str, ...]
-    # Scalar aim_delta evaluations the scan made: bisection, re-scan and
-    # residuals.  A work count, not a result: reports compare without it.
+    # Scalar recurrence passes the scan ran: bisection, re-scan and
+    # residuals.  A depth-k pass also gives delta_(k-1) at its E, so a
+    # shallow value found that way runs none.  A work count, not a
+    # result: reports compare without it.
     delta_evals: int = field(compare=False)
 
     def converged_roots(self) -> list[float]:
@@ -187,6 +192,21 @@ def _check_depth(problem: AimProblem, k: int, minimum: int = 1) -> int:
     return k
 
 
+def _scalar_states(problem: AimProblem, e: float, k: int):
+    """The last (up to three) recurrence states at one finite E."""
+    require_finite(e, "energy")
+    s0 = problem.s0 * ((e + problem.e_shift) / problem.e_scale)
+    # np.convolve is jets.jet_mul's product, with the cut left to _recurrence.
+    return _recurrence(problem.lambda0, s0, k, np.convolve)
+
+
+def _finite_delta(delta, e: float, k: int) -> float:
+    delta = float(delta)
+    if not math.isfinite(delta):
+        raise OverflowRangeError(f"delta_{k} at E={e!r} is {delta!r}")
+    return delta
+
+
 def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, float]:
     """Run k recurrence steps; return (lambda_k, s_k, delta_k) at x0.
 
@@ -194,19 +214,27 @@ def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, fl
     OverflowRangeError rather than coming back as inf or NaN.
     """
     k = _check_depth(problem, k)
-    require_finite(e, "energy")
-    s0 = problem.s0 * ((e + problem.e_shift) / problem.e_scale)
-    # np.convolve is jets.jet_mul's product, with the cut left to _recurrence.
-    prev, cur = _recurrence(problem.lambda0, s0, k, np.convolve)[-2:]
-    delta = float(_delta(prev, cur))
-    if not math.isfinite(delta):
-        raise OverflowRangeError(f"delta_{k} at E={e!r} is {delta!r}")
-    return float(cur[0][0]), float(cur[1][0]), delta
+    prev, cur = _scalar_states(problem, e, k)[-2:]
+    return float(cur[0][0]), float(cur[1][0]), _finite_delta(_delta(prev, cur), e, k)
 
 
 def aim_delta(problem: AimProblem, e: float, k: int) -> float:
     """Termination indicator delta_k evaluated at the expansion point."""
     return aim_iterate(problem, e, k)[2]
+
+
+def _scalar_deltas(problem: AimProblem, e: float, k: int) -> tuple[float, float]:
+    """(delta_(k-1), delta_k) at E from one scalar depth-k pass, k >= 2.
+
+    delta_k is aim_delta(problem, e, k), raising where it raises.
+    delta_(k-1) has the bits of aim_delta(problem, e, k - 1) where that
+    is finite, and is inf or NaN where it raises.  It is formed from
+    Python floats, whose overflow does not warn, so the pass warns only
+    where aim_delta at depth k would.
+    """
+    older, prev, cur = _scalar_states(problem, e, k)
+    shallow = float(prev[0][0]) * float(older[1][0]) - float(older[0][0]) * float(prev[1][0])
+    return shallow, _finite_delta(_delta(prev, cur), e, k)
 
 
 def _delta_grid(problem: AimProblem, es: np.ndarray, k: int):
@@ -282,16 +310,25 @@ def aim_eigen_scan(
     scale = max(abs(lo), abs(hi), 1.0)
     xtol = SCAN_TOL * scale
     evals = 0
+    # delta_(k-1) at each E where a depth-k pass ran, when finite.
+    recorded = {}
 
-    def delta(depth):
-        def f(e):
-            nonlocal evals
+    def deep_delta(e):
+        nonlocal evals
+        evals += 1
+        shallow, deep = _scalar_deltas(problem, e, k)
+        if math.isfinite(shallow):
+            recorded[e] = shallow
+        return deep
+
+    def shallow_delta(e):
+        nonlocal evals
+        value = recorded.get(e)
+        if value is None:
             evals += 1
-            return aim_delta(problem, e, depth)
+            value = aim_delta(problem, e, k - 1)
+        return value
 
-        return f
-
-    deep_delta, shallow_delta = delta(k), delta(k - 1)
     shallow_fx, deep_fx = _delta_grid(problem, uniform_grid(lo, hi, grid), k)
     deep, crowded = _scan_roots(deep_delta, deep_fx, lo, hi, grid, xtol)
     shallow, _ = _scan_roots(shallow_delta, shallow_fx, lo, hi, grid, xtol)

@@ -269,20 +269,30 @@ def _mesh_w(problem, npts):
     fl(x/2m) = fl(x/m)/2 exactly, so fl(2i*fl(x/2m)) = fl(i*fl(x/m))
     and both meshes add it to r_min.
     """
-    w, r_min = problem.w, problem.r_min
     kept = finest = _FINEST_W.get(problem, ())
     if not (kept and _doublings_apart(len(kept) - 1, npts - 1)):
-        h = (problem.r_cut - r_min) / (npts - 1)
-        finest = [w(r_min + i * h) for i in range(npts)]
+        finest = _w_at(problem, npts, range(npts))
     while len(finest) < npts:
         doubled = [0.0] * (2 * len(finest) - 1)
-        h = (problem.r_cut - r_min) / (len(doubled) - 1)
         doubled[::2] = finest
-        doubled[1::2] = [w(r_min + i * h) for i in range(1, len(doubled), 2)]
+        doubled[1::2] = _w_at(problem, len(doubled), range(1, len(doubled), 2))
         finest = doubled
     if len(finest) > len(kept):
         _FINEST_W[problem] = finest
     return finest[:: (len(finest) - 1) // (npts - 1)]
+
+
+def _w_at(problem, npts, indices):
+    """w at the given indices of the even npts-point mesh, as a list; an
+    OverflowError of w's own is an OverflowRangeError."""
+    w, r_min = problem.w, problem.r_min
+    h = (problem.r_cut - r_min) / (npts - 1)
+    try:
+        return [w(r_min + i * h) for i in indices]
+    except OverflowError:
+        raise OverflowRangeError(
+            f"w overflows on the mesh over [{r_min!r}, {problem.r_cut!r}]"
+        ) from None
 
 
 def _doublings_apart(m, n):

@@ -502,7 +502,8 @@ def pt_radial_problem(
     1/alpha), so the exponential tail neither dominates the mesh nor
     underflows; a k1_estimate so near 0 that this end overflows raises
     DomainError.  It starts at r_min inside the forbidden core, and the
-    first mesh has 4001 points.
+    first mesh has 4001 points; a core so strong that r_min reaches
+    r_cut raises DomainError too.
 
     A call with the arguments of the call before (equal, and of the same
     types) returns the same problem, so the levels shot on one well
@@ -532,6 +533,11 @@ def pt_radial_problem(
         1e-4 / alpha,
         (r_cut / _SHOOT_NPTS) * math.sqrt(max(b1, 0.0) / 1.2) / alpha,
     )
+    if not r_min < r_cut:
+        raise DomainError(
+            f"core strength B1={b1!r} puts the window start r_min={r_min!r} "
+            f"at or past its end r_cut={r_cut!r}"
+        )
     if centrifugal == "approx":
         w0 = a1 - b1 / 3.0
 

@@ -27,6 +27,8 @@ def format_cell(value: Cell) -> str:
     values whose digits must survive untouched); bools and ints print
     as integers; floats get exactly 11 significant digits.
     """
+    if type(value) is float:  # the common cell: its text holds no "," or newline
+        return f"{value:.10e}"
     if isinstance(value, str):
         text = value
     elif isinstance(value, bool):

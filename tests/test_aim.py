@@ -271,22 +271,28 @@ class TestKernelDigest:
 
 
 class TestDeltaEvals:
-    """AimScanReport.delta_evals counts the scan's scalar delta_k work."""
+    """AimScanReport.delta_evals counts the scan's scalar recurrence passes."""
 
     def test_counts_every_scalar_evaluation(self, monkeypatch):
+        # Scalar passes multiply with np.convolve, the grid passes of
+        # _delta_grid with _columns_mul.  A shallow value that a deep pass
+        # already gave runs no pass and is not counted.
         calls = []
+        recurrence = ptbound.aim._recurrence
 
-        def counted(*args):
-            calls.append(args)
-            return aim_delta(*args)
+        def counted(lam0, s0, k, mul):
+            if mul is np.convolve:
+                calls.append(k)
+            return recurrence(lam0, s0, k, mul)
 
-        monkeypatch.setattr(ptbound.aim, "aim_delta", counted)
+        monkeypatch.setattr(ptbound.aim, "_recurrence", counted)
         rng = random.Random(11)
         for _ in range(6):
             pot, bracket = criterion1_level(rng, 2)
             calls.clear()
             rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, 6), bracket, 6)
             assert rep.delta_evals == len(calls) > 0
+            assert set(calls) == {5, 6}
             # About 17 evaluations per bisected root, against 30 for plain
             # bisection, plus one residual per root.
             assert rep.delta_evals <= 20 * (len(rep.roots) + len(rep.shallow_roots)) + len(rep.roots)
@@ -295,6 +301,29 @@ class TestDeltaEvals:
         rep = aim_eigen_scan(pt_problem(4), (PAR.k1(1) - 1.0, PAR.k1(1) + 1.0), 4)
         assert rep.delta_evals > 0
         assert dataclasses.replace(rep, delta_evals=0) == rep
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(
+        a=st.floats(-80.0, -5.0),
+        b=st.floats(0.1, 5.0),
+        alpha=st.floats(0.5, 2.0),
+        e=st.one_of(st.floats(-1e4, 1e3), S.finite_floats),
+        k=st.integers(2, 9),
+        branch=st.sampled_from(("paper", "regular")),
+    )
+    @settings(max_examples=300)
+    def test_deep_pass_gives_shallow_delta(self, a, b, alpha, e, k, branch):
+        # A depth-k pass gives aim_delta's delta_k, raising where it
+        # raises, and its delta_(k-1), which is not finite exactly where
+        # aim_delta raises at k - 1.
+        problem = pt_aim_problem(PTPotential(a, b, alpha), CTX, 0, k, branch)
+        deep, shallow = (S.finite_or_ptbound_error(aim_delta, problem, e, j) for j in (k, k - 1))
+        both = S.finite_or_ptbound_error(ptbound.aim._scalar_deltas, problem, e, k)
+        if both is None:
+            assert deep is None
+        else:
+            assert both[1] == deep
+            assert both[0] == shallow if shallow is not None else not math.isfinite(both[0])
 
 
 class TestFineRescan:

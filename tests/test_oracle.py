@@ -4,12 +4,13 @@ validated against problems with known closed-form answers."""
 
 import hashlib
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 
 from ptbound import oracle
-from ptbound.errors import ConvergenceError, NodeCountError
+from ptbound.errors import ConvergenceError, NodeCountError, OverflowRangeError
 from ptbound.oracle import (
     finite_difference, harmonic_problem, integrate_adaptive, shoot_eigenvalue,
 )
@@ -105,6 +106,13 @@ class TestShooting:
     def test_bracket_below_level(self):
         with pytest.raises(NodeCountError, match="below"):
             shoot_eigenvalue(harmonic_problem(), 1, (1.0, 2.0))
+
+    def test_w_overflow_is_a_range_error(self):
+        # The problem's own w, (omega r)**2, overflows on a mesh out to the
+        # largest double.
+        problem = replace(harmonic_problem(), r_cut=sys.float_info.max)
+        with pytest.raises(OverflowRangeError, match="w"):
+            shoot_eigenvalue(problem, 0, (1.0, 5.0))
 
 
 def _cold_mesh_value(problem, n, lo, hi, npts, xtol):

@@ -483,6 +483,13 @@ class TestShootingCrossCheck:
         assert abs(rest(r)) < 1e-4
         assert rest(2.0 * r) / rest(r) == pytest.approx(4.0, rel=1e-2)
 
+    @pytest.mark.parametrize("b", [1e8, 1e308])
+    def test_core_past_the_window_names_the_core(self, b):
+        # r_min grows with sqrt(B1); past r_cut = 40/alpha it is the core
+        # strength that is out of range, not a window the caller passed.
+        with pytest.raises(DomainError, match="core strength"):
+            pt_radial_problem(PTPotential(-30.0, b, 1.0), CTX, 0)
+
 
 class TestAimProblem:
     @pytest.mark.parametrize("a, b", [(-30.0, 5e-324), (-1.0, 0.9999999999999999)])
