@@ -192,19 +192,17 @@ def _check_depth(problem: AimProblem, k: int, minimum: int = 1) -> int:
     return k
 
 
-def _scalar_states(problem: AimProblem, e: float, k: int):
-    """The last (up to three) recurrence states at one finite E."""
+def _scalar_pass(problem: AimProblem, e: float, k: int):
+    """The last (up to three) recurrence states at one finite E, and
+    delta_k from them, which must be finite."""
     require_finite(e, "energy")
     s0 = problem.s0 * ((e + problem.e_shift) / problem.e_scale)
     # np.convolve is jets.jet_mul's product, with the cut left to _recurrence.
-    return _recurrence(problem.lambda0, s0, k, np.convolve)
-
-
-def _finite_delta(delta, e: float, k: int) -> float:
-    delta = float(delta)
+    states = _recurrence(problem.lambda0, s0, k, np.convolve)
+    delta = float(_delta(*states[-2:]))
     if not math.isfinite(delta):
         raise OverflowRangeError(f"delta_{k} at E={e!r} is {delta!r}")
-    return delta
+    return states, delta
 
 
 def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, float]:
@@ -214,8 +212,9 @@ def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, fl
     OverflowRangeError rather than coming back as inf or NaN.
     """
     k = _check_depth(problem, k)
-    prev, cur = _scalar_states(problem, e, k)[-2:]
-    return float(cur[0][0]), float(cur[1][0]), _finite_delta(_delta(prev, cur), e, k)
+    states, delta = _scalar_pass(problem, e, k)
+    lam, s = states[-1]
+    return float(lam[0]), float(s[0]), delta
 
 
 def aim_delta(problem: AimProblem, e: float, k: int) -> float:
@@ -232,9 +231,9 @@ def _scalar_deltas(problem: AimProblem, e: float, k: int) -> tuple[float, float]
     Python floats, whose overflow does not warn, so the pass warns only
     where aim_delta at depth k would.
     """
-    older, prev, cur = _scalar_states(problem, e, k)
+    (older, prev, _), delta = _scalar_pass(problem, e, k)
     shallow = float(prev[0][0]) * float(older[1][0]) - float(older[0][0]) * float(prev[1][0])
-    return shallow, _finite_delta(_delta(prev, cur), e, k)
+    return shallow, delta
 
 
 def _delta_grid(problem: AimProblem, es: np.ndarray, k: int):

@@ -111,7 +111,7 @@ class TestShooting:
         # The problem's own w, (omega r)**2, overflows on a mesh out to the
         # largest double.
         problem = replace(harmonic_problem(), r_cut=sys.float_info.max)
-        with pytest.raises(OverflowRangeError, match="w"):
+        with pytest.raises(OverflowRangeError, match="w overflows"):
             shoot_eigenvalue(problem, 0, (1.0, 5.0))
 
 
