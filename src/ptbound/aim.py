@@ -309,7 +309,9 @@ def aim_eigen_scan(
     scale = max(abs(lo), abs(hi), 1.0)
     xtol = SCAN_TOL * scale
     evals = 0
-    # delta_(k-1) at each E where a depth-k pass ran, when finite.
+    # delta_(k-1) at each E where a depth-k pass ran.  Only finite values
+    # are kept: elsewhere the shallow pass runs and raises as aim_delta
+    # does, which rootfind's squeeze takes as no value.
     recorded = {}
 
     def deep_delta(e):
