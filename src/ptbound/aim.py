@@ -37,11 +37,12 @@ so the coefficients at a whole grid of E values are one broadcast.
 Roots of delta_k that correspond to true terminating solutions stay put
 as the depth changes; spurious roots drift.  ``aim_eigen_scan``
 therefore also locates the roots one level shallower, and reports a
-per-root stability gap, flagging drifting roots as not converged.  The
-shallow roots cost few recurrence passes of their own.  One pass over
-the scan grid gives both depths there.  Each scalar pass that bisects a
-delta_k root also gives delta_(k-1) at its E, and the shallow
-bisections take that value wherever they evaluate the same E.
+per-root stability gap, flagging drifting roots as not converged.  One
+pass over the scan grid gives both depths there.  Each scalar pass that
+bisects a delta_k root also gives delta_(k-1) at its E, and the shallow
+bisections take that value wherever they evaluate the same E (about two
+in five shallow evaluations on the aim_scan workload; the rest run a
+depth k-1 pass of their own).
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ def format_cell(value: Cell) -> str:
     values whose digits must survive untouched); bools and ints print
     as integers; floats get exactly 11 significant digits.
     """
-    if type(value) is float:  # the common cell: its text holds no "," or newline
+    if isinstance(value, float):  # its text never holds a "," or a newline
         return f"{value:.10e}"
     if isinstance(value, str):
         text = value
@@ -35,8 +35,6 @@ def format_cell(value: Cell) -> str:
         text = str(int(value))
     elif isinstance(value, int):
         text = str(value)
-    elif isinstance(value, float):
-        text = f"{value:.10e}"
     else:
         raise TableFormatError(f"unsupported cell type {type(value).__name__}")
     if "," in text or "\n" in text or "\r" in text:
