@@ -247,6 +247,9 @@ _WIDEN_LEVELS = 3
 # The squeeze stops once the shot record's window is at most this many
 # bisection tolerances wide.
 _SQUEEZE_XTOLS = 0.25
+# A Newton step from the guess longer than this many bisection
+# tolerances is corrected by a secant through the mesh's own two shots.
+_NEWTON_XTOLS = 4.0
 # The coarser of the two rungs under the first mesh keeps at least this
 # many of its intervals.
 _RUNG_INTERVALS = 125
@@ -284,15 +287,24 @@ def _mesh_w(problem, npts):
 
 def _w_at(problem, npts, indices):
     """w at the given indices of the even npts-point mesh, as a list; an
-    OverflowError of w's own is an OverflowRangeError."""
+    OverflowError of w's own is an OverflowRangeError, and a value that
+    is not finite a DomainError naming its r."""
     w, r_min = problem.w, problem.r_min
     h = (problem.r_cut - r_min) / (npts - 1)
     try:
-        return [w(r_min + i * h) for i in indices]
+        values = [w(r_min + i * h) for i in indices]
     except OverflowError:
         raise OverflowRangeError(
             f"w overflows on the mesh over [{r_min!r}, {problem.r_cut!r}]"
         ) from None
+    # A sum of finite values can overflow too, so only a non-finite sum
+    # is searched for the point to name.
+    if not math.isfinite(sum(values)):
+        for i, value in zip(indices, values):
+            if not math.isfinite(value):
+                r = r_min + i * h
+                raise DomainError(f"w must be finite on the mesh, got {value!r} at r={r!r}")
+    return values
 
 
 def _doublings_apart(m, n):
@@ -303,50 +315,75 @@ def _doublings_apart(m, n):
 
 def _rung_guess(problem, n, lo, hi, wvals, xtol):
     """A guess for the first mesh from its two coarse rungs; return
-    (guess, width, Numerov steps).
+    (guess, width, slope, Numerov steps).
 
     The rungs are the meshes wvals[::2s] and wvals[::s], with 2s the
     largest power of two that divides the first mesh's intervals and
     leaves at least _RUNG_INTERVALS of them.  Their w values are the
     first mesh's own.  The coarse rung is solved cold, the fine one warm
     from it, and the guess is the fine rung's value with twice the gap
-    between the two as its width.  Without a pair of rungs, or when a
-    rung's bracket misses the level, the guess is None and no steps are
-    counted.
+    between the two as its width and the fine rung's mismatch slope.
+    Without a pair of rungs, or when a rung's bracket misses the level,
+    the guess and slope are None and no steps are counted.
     """
     intervals = len(wvals) - 1
     stride = 1
     while intervals % (4 * stride) == 0 and intervals // (4 * stride) >= _RUNG_INTERVALS:
         stride *= 2
     if stride < 2:
-        return None, 0.0, 0
+        return None, 0.0, None, 0
     coarse_w, fine_w = wvals[:: 2 * stride], wvals[::stride]
     try:
-        coarse, coarse_passes = _solve_on_mesh(problem, n, lo, hi, coarse_w, xtol)
-        fine, fine_passes = _solve_on_mesh(
-            problem, n, lo, hi, fine_w, xtol, coarse, _FIRST_WARM_XTOLS * xtol
+        coarse, coarse_passes, slope = _solve_on_mesh(problem, n, lo, hi, coarse_w, xtol)
+        fine, fine_passes, slope = _solve_on_mesh(
+            problem, n, lo, hi, fine_w, xtol, coarse, _FIRST_WARM_XTOLS * xtol, slope
         )
     except NodeCountError:
-        return None, 0.0, 0
+        return None, 0.0, None, 0
     steps = coarse_passes * len(coarse_w) + fine_passes * len(fine_w)
-    return fine, 2.0 * abs(fine - coarse), steps
+    return fine, 2.0 * abs(fine - coarse), slope, steps
 
 
-def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, width=0.0):
+def _predict(mismatch, guess, slope, lo, hi, xtol):
+    """The level a Newton step from the guess on the mismatch slope
+    predicts, corrected by a secant through both shots where the step is
+    longer than _NEWTON_XTOLS xtol; None where a trial falls outside
+    (lo, hi) or has no mismatch, or the slope is 0.  mismatch(q) shoots
+    q and returns its mismatch."""
+    if not lo < guess < hi:
+        return None
+    m0 = mismatch(guess)
+    if m0 is None or slope == 0.0:
+        return None
+    q = guess - m0 / slope
+    if lo < q < hi and abs(q - guess) > _NEWTON_XTOLS * xtol:
+        m1 = mismatch(q)
+        if m1 is None or m1 == m0:
+            return None
+        q -= m1 * (q - guess) / (m1 - m0)
+    return q if lo < q < hi else None
+
+
+def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, width=0.0, slope=None):
     """Bisect the level's predicate over [lo, hi] on the mesh that wvals
     (w at each point, from _mesh_w, or every s-th of them for a coarse
-    rung) spans; return (value, Numerov passes).
+    rung) spans; return (value, Numerov passes, slope).
 
+    The slope is dm/dq of the tail mismatch m through the two shots that
+    straddle the level at the end, or None when either has no mismatch.
     Given a guess (a coarse rung's value for the first mesh, the
-    previous mesh's for a refined one), the bisection is first replayed
-    toward it without shooting, down to the first bracket at most width
-    wide; that bracket is shot at both ends and widened up its own
-    bisection path until it holds the level.  Brent's method on the tail
-    mismatch then shrinks the window the shots leave around the level to
-    a fraction of xtol, so the final bisection answers nearly every
-    midpoint from the shots.  For a monotone predicate every bracket the
-    bisection lands on is one the bisection from [lo, hi] visits, so the
-    value is the same whatever the guess.
+    previous mesh's for a refined one) and the slope of the mesh before,
+    which moves only at O(h^4) between meshes, the guess is shot first
+    and the level _predict takes from it is shot a tenth of xtol to each
+    side.  The bisection is then replayed toward the guess without
+    shooting, down to the first bracket at most width wide; that bracket
+    is shot at both ends and widened up its own bisection path until it
+    holds the level.  Brent's method on the tail mismatch then shrinks
+    the window the shots leave around the level to a fraction of xtol,
+    so the final bisection answers nearly every midpoint from the shots.
+    For a monotone predicate every bracket the bisection lands on is one
+    the bisection from [lo, hi] visits, so the value is the same
+    whatever the guess and slope: they only choose which q are shot.
     """
     h = (problem.r_cut - problem.r_min) / (len(wvals) - 1)
     w_end = wvals[-1]
@@ -396,6 +433,12 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, width=0.0):
             return None
         return mismatch_above if above(q) else mismatch_below
 
+    if guess is not None and slope is not None:
+        predicted = _predict(mismatch, guess, slope, lo, hi, xtol)
+        if predicted is not None:
+            for q in (predicted - 0.1 * xtol, predicted + 0.1 * xtol):
+                if lo < q < hi:
+                    above(q)
     path = [(lo, hi)]
     if guess is not None:
         path += _halvings(lo, hi, max(width, xtol), lambda mid: mid > guess)
@@ -426,7 +469,10 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, width=0.0):
         above(mid)
     for a, b in _halvings(a, b, xtol, above):
         pass
-    return 0.5 * (a + b), passes
+    slope = None
+    if mismatch_below is not None and mismatch_above is not None:
+        slope = (mismatch_above - mismatch_below) / (known_above - known_below)
+    return 0.5 * (a + b), passes, slope
 
 
 def shoot_eigenvalue(
@@ -446,19 +492,25 @@ def shoot_eigenvalue(
     (see _rung_guess), in a bracket twice their gap wide; it runs cold
     when there is no such pair of rungs or a rung's bracket misses the
     level.  Each refined mesh starts from the previous mesh's value, in
-    a bracket twice the last mesh gap wide.  On every mesh Brent's
-    method on the tail mismatch narrows the level down before the
-    bisection, which then takes its midpoints from those shots and lands
-    on the value a bisection of the whole bracket would: a guess changes
-    which brackets are shot, never the value.  A refined mesh evaluates
-    w only at its new points, and the problem keeps its finest mesh, so
-    every level shot on it reuses the meshes built for the levels
-    before, with the same bits.  The result's gaps lists each
-    refinement's mesh gap.  Its passes count the Numerov passes on the
-    first and refined meshes, its points the Numerov steps on every
+    a bracket twice the last mesh gap wide.  Each warm mesh also takes
+    the slope of the tail mismatch from the mesh before (the first mesh
+    from its fine rung) and shoots the guess, a Newton step from it and
+    that step's level a tenth of the bisection tolerance to each side
+    first; a refined mesh's guess lies a few tolerances from its level,
+    so these shots bracket it in about three passes.  On every mesh
+    Brent's method on the tail mismatch then narrows the level down
+    before the bisection, which takes its midpoints from the shots and
+    lands on the value a bisection of the whole bracket would: a guess
+    or slope changes which q are shot, never the value.  A refined mesh
+    evaluates w only at its new points, and the problem keeps its
+    finest mesh, so every level shot on it reuses the meshes built for
+    the levels before, with the same bits.  The result's gaps lists
+    each refinement's mesh gap.  Its passes count the Numerov passes on
+    the first and refined meshes, its points the Numerov steps on every
     mesh, the rungs included.  Raises NodeCountError when the bracket
-    does not straddle the requested level and ConvergenceError when
-    mesh refinement stalls.
+    does not straddle the requested level, DomainError when w is not
+    finite at a mesh point and ConvergenceError when mesh refinement
+    stalls.
     """
     require_index(n, "level index")
     require_positive(tol, "shooting tolerance")
@@ -466,14 +518,16 @@ def shoot_eigenvalue(
     lo, hi = require_bracket(bracket, "shooting bracket")
     xtol = tol * max(1.0, abs(lo), abs(hi)) * 1e-2
     wvals = _mesh_w(problem, problem.npts)
-    guess, width, points = _rung_guess(problem, n, lo, hi, wvals, xtol)
-    value, passes = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess, width)
+    guess, width, slope, points = _rung_guess(problem, n, lo, hi, wvals, xtol)
+    value, passes, slope = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess, width, slope)
     points += passes * len(wvals)
     width = _FIRST_WARM_XTOLS * xtol
     gaps = []
     for refinement in range(1, max_refinements + 1):
         wvals = _mesh_w(problem, 2 * len(wvals) - 1)
-        new_value, mesh_passes = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, value, width)
+        new_value, mesh_passes, slope = _solve_on_mesh(
+            problem, n, lo, hi, wvals, xtol, value, width, slope
+        )
         passes += mesh_passes
         points += mesh_passes * len(wvals)
         gap = abs(new_value - value)
