@@ -105,7 +105,10 @@ def finite_difference(
 
     Supports order 1 and 2.  Returns (value, error_estimate) where the
     error estimate is the difference between the last two extrapolation
-    stages, a usually-pessimistic bound on the truncation error.
+    stages, a usually-pessimistic bound on the truncation error.  An f
+    that is not finite at a stencil point raises DomainError naming the
+    point; a value or estimate past the double range raises
+    OverflowRangeError.
     """
     require_choice(order, (1, 2), "derivative order")
     require_positive(h, "step h")
@@ -114,10 +117,16 @@ def finite_difference(
         raise DomainError(f"step h={h!r} underflows to 0 over {RICHARDSON_LEVELS} halving levels")
     within_range(abs(x) + h, "x +- h")
 
+    def f_at(t: float) -> float:
+        value = f(t)
+        if not math.isfinite(value):
+            raise DomainError(f"f must be finite on the stencil, got {value!r} at x={t!r}")
+        return value
+
     def stencil(step: float) -> float:
         if order == 1:
-            return (f(x + step) - f(x - step)) / (2.0 * step)
-        return (f(x + step) - 2.0 * f(x) + f(x - step)) / (step * step)
+            return (f_at(x + step) - f_at(x - step)) / (2.0 * step)
+        return (f_at(x + step) - 2.0 * f_at(x) + f_at(x - step)) / (step * step)
 
     # Richardson on an even error series: each halving gains a factor 4.
     tableau = [stencil(math.ldexp(h, -i)) for i in range(RICHARDSON_LEVELS)]
@@ -127,7 +136,7 @@ def finite_difference(
         tableau = [(factor * b - a) / (factor - 1.0) for a, b in zip(tableau, tableau[1:])]
         err = abs(tableau[-1] - prev_best)
         prev_best = tableau[-1]
-    return prev_best, err
+    return within_range(prev_best, "derivative"), within_range(err, "derivative error estimate")
 
 
 @dataclass(frozen=True)
@@ -223,27 +232,6 @@ def _numerov_outward(wvals, h, q, s_exp, r_min, kappa, w0=0.0):
     return nodes, du + kappa * u_cur
 
 
-def _halvings(a, b, width, above):
-    """The brackets a bisection of [a, b] passes through: each step keeps
-    the half that above(mid) picks, until the bracket is at most width
-    wide or its midpoint rounds onto an end."""
-    while b - a > width:
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            return
-        if above(mid):
-            b = mid
-        else:
-            a = mid
-        yield a, b
-
-
-# The first warm search, with no mesh gap yet, stops this many bisection
-# tolerances wide.
-_FIRST_WARM_XTOLS = 16.0
-# A warm search that misses the root widens its bracket by this many
-# bisection levels at a time.
-_WIDEN_LEVELS = 3
 # The squeeze stops once the shot record's window is at most this many
 # bisection tolerances wide.
 _SQUEEZE_XTOLS = 0.25
@@ -315,33 +303,31 @@ def _doublings_apart(m, n):
 
 def _rung_guess(problem, n, lo, hi, wvals, xtol):
     """A guess for the first mesh from its two coarse rungs; return
-    (guess, width, slope, Numerov steps).
+    (guess, slope, Numerov steps).
 
     The rungs are the meshes wvals[::2s] and wvals[::s], with 2s the
     largest power of two that divides the first mesh's intervals and
     leaves at least _RUNG_INTERVALS of them.  Their w values are the
-    first mesh's own.  The coarse rung is solved cold, the fine one warm
-    from it, and the guess is the fine rung's value with twice the gap
-    between the two as its width and the fine rung's mismatch slope.
-    Without a pair of rungs, or when a rung's bracket misses the level,
-    the guess and slope are None and no steps are counted.
+    first mesh's own.  The coarse rung is solved cold, the fine one
+    from the coarse rung's value and mismatch slope, and the guess is
+    the fine rung's value with its mismatch slope.  Without a pair of
+    rungs, or when a rung's bracket misses the level, the guess and
+    slope are None and no steps are counted.
     """
     intervals = len(wvals) - 1
     stride = 1
     while intervals % (4 * stride) == 0 and intervals // (4 * stride) >= _RUNG_INTERVALS:
         stride *= 2
     if stride < 2:
-        return None, 0.0, None, 0
+        return None, None, 0
     coarse_w, fine_w = wvals[:: 2 * stride], wvals[::stride]
     try:
         coarse, coarse_passes, slope = _solve_on_mesh(problem, n, lo, hi, coarse_w, xtol)
-        fine, fine_passes, slope = _solve_on_mesh(
-            problem, n, lo, hi, fine_w, xtol, coarse, _FIRST_WARM_XTOLS * xtol, slope
-        )
+        fine, fine_passes, slope = _solve_on_mesh(problem, n, lo, hi, fine_w, xtol, coarse, slope)
     except NodeCountError:
-        return None, 0.0, None, 0
+        return None, None, 0
     steps = coarse_passes * len(coarse_w) + fine_passes * len(fine_w)
-    return fine, 2.0 * abs(fine - coarse), slope, steps
+    return fine, slope, steps
 
 
 def _predict(mismatch, guess, slope, lo, hi, xtol):
@@ -364,7 +350,7 @@ def _predict(mismatch, guess, slope, lo, hi, xtol):
     return q if lo < q < hi else None
 
 
-def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, width=0.0, slope=None):
+def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, slope=None):
     """Bisect the level's predicate over [lo, hi] on the mesh that wvals
     (w at each point, from _mesh_w, or every s-th of them for a coarse
     rung) spans; return (value, Numerov passes, slope).
@@ -375,14 +361,14 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, width=0.0, slope
     previous mesh's for a refined one) and the slope of the mesh before,
     which moves only at O(h^4) between meshes, the guess is shot first
     and the level _predict takes from it is shot a tenth of xtol to each
-    side.  The bisection is then replayed toward the guess without
-    shooting, down to the first bracket at most width wide; that bracket
-    is shot at both ends and widened up its own bisection path until it
-    holds the level.  Brent's method on the tail mismatch then shrinks
-    the window the shots leave around the level to a fraction of xtol,
-    so the final bisection answers nearly every midpoint from the shots.
-    For a monotone predicate every bracket the bisection lands on is one
-    the bisection from [lo, hi] visits, so the value is the same
+    side.  Every shot goes into one record: the highest q found below
+    the level and the lowest found above it, with their mismatches.
+    The ends lo and hi are checked against that record, which costs no
+    pass where the shots already straddle the level.  Brent's method on
+    the tail mismatch then shrinks the record's window around the level
+    to a fraction of xtol, so the bisection of [lo, hi] answers nearly
+    every midpoint from the record.  For a monotone predicate the record
+    answers each midpoint as a shot would, so the value is the same
     whatever the guess and slope: they only choose which q are shot.
     """
     h = (problem.r_cut - problem.r_min) / (len(wvals) - 1)
@@ -439,21 +425,10 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, width=0.0, slope
             for q in (predicted - 0.1 * xtol, predicted + 0.1 * xtol):
                 if lo < q < hi:
                     above(q)
-    path = [(lo, hi)]
-    if guess is not None:
-        path += _halvings(lo, hi, max(width, xtol), lambda mid: mid > guess)
-    level = len(path) - 1
-    while True:
-        a, b = path[level]
-        if above(a):
-            if level == 0:
-                raise NodeCountError(f"lower bracket edge {lo!r} already lies above level n={n}")
-        elif not above(b):
-            if level == 0:
-                raise NodeCountError(f"upper bracket edge {hi!r} still lies below level n={n}")
-        else:
-            break
-        level = max(level - _WIDEN_LEVELS, 0)
+    if above(lo):
+        raise NodeCountError(f"lower bracket edge {lo!r} already lies above level n={n}")
+    if not above(hi):
+        raise NodeCountError(f"upper bracket edge {hi!r} still lies below level n={n}")
     # Squeeze the window: zeroin on the ends' mismatches, halving while
     # one of them has none.
     squeezed = _SQUEEZE_XTOLS * xtol
@@ -467,8 +442,15 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, width=0.0, slope
         if not known_below < mid < known_above:
             break
         above(mid)
-    for a, b in _halvings(a, b, xtol, above):
-        pass
+    a, b = lo, hi
+    while b - a > xtol:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        if above(mid):
+            b = mid
+        else:
+            a = mid
     slope = None
     if mismatch_below is not None and mismatch_above is not None:
         slope = (mismatch_above - mismatch_below) / (known_above - known_below)
@@ -489,28 +471,26 @@ def shoot_eigenvalue(
     the step until two successive meshes agree to tol (scaled by the
     eigenvalue magnitude).  Every mesh is warm-started.  The first mesh
     starts from the level on two coarse rungs made of its own points
-    (see _rung_guess), in a bracket twice their gap wide; it runs cold
-    when there is no such pair of rungs or a rung's bracket misses the
-    level.  Each refined mesh starts from the previous mesh's value, in
-    a bracket twice the last mesh gap wide.  Each warm mesh also takes
-    the slope of the tail mismatch from the mesh before (the first mesh
-    from its fine rung) and shoots the guess, a Newton step from it and
-    that step's level a tenth of the bisection tolerance to each side
-    first; a refined mesh's guess lies a few tolerances from its level,
-    so these shots bracket it in about three passes.  On every mesh
-    Brent's method on the tail mismatch then narrows the level down
-    before the bisection, which takes its midpoints from the shots and
-    lands on the value a bisection of the whole bracket would: a guess
-    or slope changes which q are shot, never the value.  A refined mesh
-    evaluates w only at its new points, and the problem keeps its
-    finest mesh, so every level shot on it reuses the meshes built for
-    the levels before, with the same bits.  The result's gaps lists
-    each refinement's mesh gap.  Its passes count the Numerov passes on
-    the first and refined meshes, its points the Numerov steps on every
-    mesh, the rungs included.  Raises NodeCountError when the bracket
-    does not straddle the requested level, DomainError when w is not
-    finite at a mesh point and ConvergenceError when mesh refinement
-    stalls.
+    (see _rung_guess); it runs cold when there is no such pair of rungs
+    or a rung's bracket misses the level.  Each refined mesh starts from
+    the previous mesh's value.  A warm mesh takes the slope of the tail
+    mismatch from the mesh before (the first mesh from its fine rung)
+    and shoots the guess, a Newton step from it and that step's level a
+    tenth of the bisection tolerance to each side first; a refined
+    mesh's guess lies a few tolerances from its level, so these shots
+    bracket it in about three passes.  On every mesh Brent's method on
+    the tail mismatch then narrows the level down before the bisection
+    of the whole bracket, which takes its midpoints from the shots: a
+    guess or slope changes which q are shot, never the value.  A
+    refined mesh evaluates w only at its new points, and the problem
+    keeps its finest mesh, so every level shot on it reuses the meshes
+    built for the levels before, with the same bits.  The result's gaps
+    lists each refinement's mesh gap.  Its passes count the Numerov
+    passes on the first and refined meshes, its points the Numerov steps
+    on every mesh, the rungs included.  Raises NodeCountError when the
+    bracket does not straddle the requested level, DomainError when w
+    is not finite at a mesh point and ConvergenceError when mesh
+    refinement stalls.
     """
     require_index(n, "level index")
     require_positive(tol, "shooting tolerance")
@@ -518,15 +498,14 @@ def shoot_eigenvalue(
     lo, hi = require_bracket(bracket, "shooting bracket")
     xtol = tol * max(1.0, abs(lo), abs(hi)) * 1e-2
     wvals = _mesh_w(problem, problem.npts)
-    guess, width, slope, points = _rung_guess(problem, n, lo, hi, wvals, xtol)
-    value, passes, slope = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess, width, slope)
+    guess, slope, points = _rung_guess(problem, n, lo, hi, wvals, xtol)
+    value, passes, slope = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess, slope)
     points += passes * len(wvals)
-    width = _FIRST_WARM_XTOLS * xtol
     gaps = []
     for refinement in range(1, max_refinements + 1):
         wvals = _mesh_w(problem, 2 * len(wvals) - 1)
         new_value, mesh_passes, slope = _solve_on_mesh(
-            problem, n, lo, hi, wvals, xtol, value, width, slope
+            problem, n, lo, hi, wvals, xtol, value, slope
         )
         passes += mesh_passes
         points += mesh_passes * len(wvals)
@@ -538,7 +517,6 @@ def shoot_eigenvalue(
                 value=value, npts=len(wvals), refinements=refinement, passes=passes,
                 gaps=tuple(gaps), points=points,
             )
-        width = 2.0 * gap
     raise ConvergenceError(
         f"mesh refinement stalled after {max_refinements} doublings (gap {gap:.3e})",
         estimate=value,
@@ -551,12 +529,17 @@ def harmonic_problem(omega: float = 1.0, *, npts: int = 2001) -> RadialProblem:
     The exact levels make this the standard self-test for the shooting
     machinery (unit mass, p-wave-free ell=0 sector, u ~ r at the origin;
     w has no constant term there, so origin_w0 keeps its default 0).
+    The window is (1e-6, 9/sqrt(omega)), so omega must stay below about
+    8.1e13.
     """
     require_positive(omega, "frequency omega")
+    r_cut = 9.0 / math.sqrt(omega)
+    if not r_cut > 1e-6:
+        raise DomainError(f"frequency omega={omega!r} puts r_cut={r_cut!r} at or below r_min=1e-06")
     return RadialProblem(
         w=lambda r: (omega * r) ** 2,
         r_min=1e-6,
-        r_cut=9.0 / math.sqrt(omega),
+        r_cut=r_cut,
         origin_exponent=1.0,
         npts=npts,
     )

@@ -5,6 +5,7 @@ validated against problems with known closed-form answers."""
 import functools
 import hashlib
 import math
+import re
 import sys
 from dataclasses import replace
 
@@ -79,6 +80,19 @@ class TestFiniteDifference:
         val, _ = finite_difference(math.exp, 0.5)
         assert val == pytest.approx(math.exp(0.5), rel=1e-10)
 
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_non_finite_f_is_a_domain_error(self, order):
+        # Once returned (nan, nan).
+        with pytest.raises(DomainError, match=r"got inf at x=1\.001"):
+            finite_difference(lambda x: math.inf, 1.0, order=order)
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_quotient_past_the_double_range(self, order):
+        # f is finite on the stencil, its difference quotients are not;
+        # this once returned (nan, nan).
+        with pytest.raises(OverflowRangeError, match="derivative exceeds the double range"):
+            finite_difference(lambda x: 1e308 * x * x, 1.0, order=order)
+
 
 class TestShooting:
     """Radial oscillator: q_n = omega (4n + 3) exactly."""
@@ -93,6 +107,12 @@ class TestShooting:
     def test_frequency_scaling(self):
         res = shoot_eigenvalue(harmonic_problem(omega=2.0), 1, (10.0, 18.0))
         assert res.value == pytest.approx(14.0, rel=1e-8)
+
+    def test_frequency_past_the_window(self):
+        # r_cut = 9/sqrt(omega) falls below r_min = 1e-6 past omega = 8.1e13;
+        # the error once named that window instead of omega.
+        with pytest.raises(DomainError, match=r"frequency omega=100000000000000\.0"):
+            harmonic_problem(1e14)
 
     def test_mesh_doubles(self):
         coarse = harmonic_problem(npts=501)
@@ -204,10 +224,12 @@ class TestStall:
 
 
 class TestWarmStart:
-    """Each refined mesh starts from the previous mesh's value, and every
-    mesh squeezes the level with Brent's method on the tail mismatch
-    before its bisection; the results must be the cold search's, bit for
-    bit, in a fraction of its Numerov passes."""
+    """Each refined mesh shoots a Newton prediction from the previous
+    mesh's value, every mesh squeezes the window its shots leave around
+    the level with Brent's method on the tail mismatch, and the
+    bisection of the whole bracket takes its midpoints from those shots;
+    the results must be the cold search's, bit for bit, in a fraction of
+    its Numerov passes."""
 
     STRONG_WELL = (-150.0, 3.0, 1.3)  # criterion 2's: two meshes, 38 passes each when cold
     REFINING_WELL = (-60.0, 0.5, 1.0)  # n = 0 refines four times, to 64k points
@@ -258,12 +280,12 @@ class TestWarmStart:
         # 6,443,710 before the Newton shots
         assert sum(res.points for res in _criterion2_results()) <= 5_000_000
 
-    def test_far_guess_widens_to_bracket(self):
+    def test_far_guess_without_slope_gives_cold_value(self):
         problem, (lo, hi) = _pt_level(*self.STRONG_WELL, 1)
         xtol = 1e-9 * max(1.0, abs(lo), abs(hi)) * 1e-2
         npts = 2 * problem.npts - 1
         wvals = oracle._mesh_w(problem, npts)
-        value, _, _ = oracle._solve_on_mesh(problem, 1, lo, hi, wvals, xtol, lo, 2 * xtol)
+        value, _, _ = oracle._solve_on_mesh(problem, 1, lo, hi, wvals, xtol, lo)
         assert value == _cold_mesh_value(problem, 1, lo, hi, npts, xtol)
 
 
@@ -288,10 +310,27 @@ class TestNewtonShots:
             )]
             cases += [(lo - 1.0, slope), (hi + 1.0, slope)]
             for guess, s in cases:
-                value, _, _ = oracle._solve_on_mesh(
-                    problem, n, lo, hi, wvals, xtol, guess, 16 * xtol, s
-                )
+                value, _, _ = oracle._solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess, s)
                 assert value == cold, (n, guess, s)
+
+    @pytest.mark.parametrize("side", ["above", "below"])
+    def test_bracket_missing_the_level(self, side):
+        # A refined mesh with a guess in the bracket and the level's own
+        # slope: every shot lands on one side, and the end on that side
+        # is named.
+        problem, (lo, hi) = _pt_level(*TestWarmStart.STRONG_WELL, 1)
+        xtol = 1e-9 * max(1.0, abs(lo), abs(hi)) * 1e-2
+        wvals = oracle._mesh_w(problem, 8001)
+        cold, _, slope = oracle._solve_on_mesh(problem, 1, lo, hi, wvals, xtol)
+        if side == "above":
+            lo, hi = cold + 64 * xtol, cold + 4096 * xtol
+            message = f"lower bracket edge {lo!r} already lies above level n=1"
+        else:
+            lo, hi = cold - 4096 * xtol, cold - 64 * xtol
+            message = f"upper bracket edge {hi!r} still lies below level n=1"
+        for guess in (lo + 8 * xtol, 0.5 * (lo + hi), hi - 8 * xtol):
+            with pytest.raises(NodeCountError, match=re.escape(message)):
+                oracle._solve_on_mesh(problem, 1, lo, hi, wvals, xtol, guess, slope)
 
 
 class TestCoarseRungs:
@@ -315,7 +354,7 @@ class TestCoarseRungs:
         # 2002 intervals halve only once
         problem = harmonic_problem(npts=2003)
         wvals = oracle._mesh_w(problem, problem.npts)
-        assert oracle._rung_guess(problem, 0, 1.0, 5.0, wvals, 1e-11) == (None, 0.0, None, 0)
+        assert oracle._rung_guess(problem, 0, 1.0, 5.0, wvals, 1e-11) == (None, None, 0)
         res = shoot_eigenvalue(problem, 0, (1.0, 5.0))
         assert (res.value, res.npts, res.refinements, res.gaps[-1]) == _cold_shoot(
             problem, 0, (1.0, 5.0)
@@ -328,7 +367,7 @@ class TestCoarseRungs:
         wvals = oracle._mesh_w(problem, problem.npts)
         with pytest.raises(NodeCountError):
             oracle._solve_on_mesh(problem, 0, *bracket, wvals[::16], 1e-11)
-        assert oracle._rung_guess(problem, 0, *bracket, wvals, 1e-11) == (None, 0.0, None, 0)
+        assert oracle._rung_guess(problem, 0, *bracket, wvals, 1e-11) == (None, None, 0)
         res = TestWarmStart._check(problem, 0, bracket)
         assert res.value == pytest.approx(3.0, rel=1e-9)
 
@@ -530,8 +569,9 @@ class TestKernelDigest:
 
     def test_shoot_work(self):
         # 302 passes and 6,443,710 points before the Newton shots, 241 and
-        # 4,821,075 with them.
+        # 4,821,075 with them and the warm replay and widening search, 241
+        # and 4,816,557 with the bracket checked against the shot record.
         lines = [f"{res.passes} {res.points}" for res in _criterion2_results()]
         assert _digest(lines) == (
-            "60bda51038cd2fc62067bcd2105d1bd2b2a22132d64102d38ca4d01ab4e93009"
+            "012c122088efb864903441fa497577485d8d7a0ae46d49cc46bcaff7890f7712"
         )
