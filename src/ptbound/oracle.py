@@ -13,6 +13,7 @@ two routes agree.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass
@@ -117,6 +118,8 @@ def finite_difference(
         raise DomainError(f"step h={h!r} underflows to 0 over {RICHARDSON_LEVELS} halving levels")
     within_range(abs(x) + h, "x +- h")
 
+    # Cached, so order 2 takes the centre f(x) once for all its levels.
+    @functools.cache
     def f_at(t: float) -> float:
         value = f(t)
         if not math.isfinite(value):
@@ -247,22 +250,21 @@ _RUNG_INTERVALS = 125
 _FINEST_W: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _mesh_w(problem, npts):
-    """w at the npts points of the even mesh over [r_min, r_cut], in a
-    list of the caller's own.
+def _mesh_w(problem, doublings):
+    """w at the points of the problem's even mesh over [r_min, r_cut]
+    with (npts - 1) * 2**doublings intervals, doublings >= 0, in a list
+    of the caller's own.
 
     The problem keeps the finest list built for it, so the levels shot
-    on one problem share their meshes.  A mesh with that list's
-    intervals times or divided by a power of two takes its values from
-    it: a coarser mesh is a stride of the list, a finer one doubles it,
-    evaluating w only at the new points.  Those are the points of a
-    fresh mesh bit for bit: with x = r_cut - r_min and m intervals,
-    fl(x/2m) = fl(x/m)/2 exactly, so fl(2i*fl(x/2m)) = fl(i*fl(x/m))
-    and both meshes add it to r_min.
+    on one problem share their meshes: a coarser mesh is a stride of
+    the list, a finer one doubles it, evaluating w only at the new
+    points.  Those are the points of a fresh mesh bit for bit: with
+    x = r_cut - r_min and m intervals, fl(x/2m) = fl(x/m)/2 exactly, so
+    fl(2i*fl(x/2m)) = fl(i*fl(x/m)) and both meshes add it to r_min.
     """
-    kept = finest = _FINEST_W.get(problem, ())
-    if not (kept and _doublings_apart(len(kept) - 1, npts - 1)):
-        finest = _w_at(problem, npts, range(npts))
+    npts = ((problem.npts - 1) << doublings) + 1
+    kept = _FINEST_W.get(problem, ())
+    finest = kept or _w_at(problem, problem.npts, range(problem.npts))
     while len(finest) < npts:
         doubled = [0.0] * (2 * len(finest) - 1)
         doubled[::2] = finest
@@ -295,41 +297,6 @@ def _w_at(problem, npts, indices):
     return values
 
 
-def _doublings_apart(m, n):
-    """Whether the positive ints m and n differ by a factor 2**k."""
-    ratio, rest = divmod(max(m, n), min(m, n))
-    return rest == 0 and ratio & (ratio - 1) == 0
-
-
-def _rung_guess(problem, n, lo, hi, wvals, xtol):
-    """A guess for the first mesh from its two coarse rungs; return
-    (guess, slope, Numerov steps).
-
-    The rungs are the meshes wvals[::2s] and wvals[::s], with 2s the
-    largest power of two that divides the first mesh's intervals and
-    leaves at least _RUNG_INTERVALS of them.  Their w values are the
-    first mesh's own.  The coarse rung is solved cold, the fine one
-    from the coarse rung's value and mismatch slope, and the guess is
-    the fine rung's value with its mismatch slope.  Without a pair of
-    rungs, or when a rung's bracket misses the level, the guess and
-    slope are None and no steps are counted.
-    """
-    intervals = len(wvals) - 1
-    stride = 1
-    while intervals % (4 * stride) == 0 and intervals // (4 * stride) >= _RUNG_INTERVALS:
-        stride *= 2
-    if stride < 2:
-        return None, None, 0
-    coarse_w, fine_w = wvals[:: 2 * stride], wvals[::stride]
-    try:
-        coarse, coarse_passes, slope = _solve_on_mesh(problem, n, lo, hi, coarse_w, xtol)
-        fine, fine_passes, slope = _solve_on_mesh(problem, n, lo, hi, fine_w, xtol, coarse, slope)
-    except NodeCountError:
-        return None, None, 0
-    steps = coarse_passes * len(coarse_w) + fine_passes * len(fine_w)
-    return fine, slope, steps
-
-
 def _predict(mismatch, guess, slope, lo, hi, xtol):
     """The level a Newton step from the guess on the mismatch slope
     predicts, corrected by a secant through both shots where the step is
@@ -352,24 +319,24 @@ def _predict(mismatch, guess, slope, lo, hi, xtol):
 
 def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, slope=None):
     """Bisect the level's predicate over [lo, hi] on the mesh that wvals
-    (w at each point, from _mesh_w, or every s-th of them for a coarse
-    rung) spans; return (value, Numerov passes, slope).
+    spans (w at each point, from _mesh_w, or every s-th of them for a
+    coarse rung); return (value, Numerov passes, slope).
 
     The slope is dm/dq of the tail mismatch m through the two shots that
     straddle the level at the end, or None when either has no mismatch.
-    Given a guess (a coarse rung's value for the first mesh, the
-    previous mesh's for a refined one) and the slope of the mesh before,
-    which moves only at O(h^4) between meshes, the guess is shot first
-    and the level _predict takes from it is shot a tenth of xtol to each
-    side.  Every shot goes into one record: the highest q found below
-    the level and the lowest found above it, with their mismatches.
-    The ends lo and hi are checked against that record, which costs no
-    pass where the shots already straddle the level.  Brent's method on
-    the tail mismatch then shrinks the record's window around the level
-    to a fraction of xtol, so the bisection of [lo, hi] answers nearly
-    every midpoint from the record.  For a monotone predicate the record
-    answers each midpoint as a shot would, so the value is the same
-    whatever the guess and slope: they only choose which q are shot.
+    Given the value and slope of the mesh before in the level's chain as
+    guess and slope (the slope moves only at O(h^4) between meshes), the
+    guess is shot first and the level _predict takes from it is shot a
+    tenth of xtol to each side.  Every shot goes into one record: the
+    highest q found below the level and the lowest found above it, with
+    their mismatches.  The ends lo and hi are checked against that
+    record, which costs no pass where the shots already straddle the
+    level.  Brent's method on the tail mismatch then shrinks the
+    record's window around the level to a fraction of xtol, so the
+    bisection of [lo, hi] answers nearly every midpoint from the record.
+    For a monotone predicate the record answers each midpoint as a shot
+    would, so the value is the same whatever the guess and slope: they
+    only choose which q are shot.
     """
     h = (problem.r_cut - problem.r_min) / (len(wvals) - 1)
     w_end = wvals[-1]
@@ -467,56 +434,69 @@ def shoot_eigenvalue(
 ) -> ShootResult:
     """Eigenvalue q of level n (n radial nodes) by outward shooting.
 
-    Bisects the node-count/tail-sign predicate on each mesh, then halves
-    the step until two successive meshes agree to tol (scaled by the
-    eigenvalue magnitude).  Every mesh is warm-started.  The first mesh
-    starts from the level on two coarse rungs made of its own points
-    (see _rung_guess); it runs cold when there is no such pair of rungs
-    or a rung's bracket misses the level.  Each refined mesh starts from
-    the previous mesh's value.  A warm mesh takes the slope of the tail
-    mismatch from the mesh before (the first mesh from its fine rung)
-    and shoots the guess, a Newton step from it and that step's level a
-    tenth of the bisection tolerance to each side first; a refined
-    mesh's guess lies a few tolerances from its level, so these shots
-    bracket it in about three passes.  On every mesh Brent's method on
-    the tail mismatch then narrows the level down before the bisection
-    of the whole bracket, which takes its midpoints from the shots: a
-    guess or slope changes which q are shot, never the value.  A
-    refined mesh evaluates w only at its new points, and the problem
-    keeps its finest mesh, so every level shot on it reuses the meshes
-    built for the levels before, with the same bits.  The result's gaps
-    lists each refinement's mesh gap.  Its passes count the Numerov
-    passes on the first and refined meshes, its points the Numerov steps
-    on every mesh, the rungs included.  Raises NodeCountError when the
-    bracket does not straddle the requested level, DomainError when w
-    is not finite at a mesh point and ConvergenceError when mesh
-    refinement stalls.
+    Bisects the node-count/tail-sign predicate on each mesh of one
+    chain, then halves the step until two successive meshes agree to
+    tol (scaled by the eigenvalue magnitude).  The chain runs from two
+    coarse rungs through the first mesh to its refinements.  The rungs
+    are every 2s-th and every s-th point of the first mesh, with 2s the
+    largest power of two that divides its intervals and leaves at least
+    _RUNG_INTERVALS of them; with s = 1 there are none.  The coarse rung
+    is solved cold, and every later mesh from the value and tail
+    mismatch slope of the mesh before.  A rung whose bracket misses the
+    level restarts the chain cold at the first mesh.  A warm mesh shoots
+    the guess, a Newton step from it and that step's level a tenth of
+    the bisection tolerance to each side first; a refined mesh's guess
+    lies a few tolerances from its level, so these shots bracket it in
+    about three passes.  On every mesh Brent's method on the tail
+    mismatch then narrows the level down before the bisection of the
+    whole bracket, which takes its midpoints from the shots: a guess or
+    slope changes which q are shot, never the value.  A refined mesh
+    evaluates w only at its new points, and the problem keeps its
+    finest mesh, so every level shot on it reuses the meshes built for
+    the levels before, with the same bits.  The result's gaps lists
+    each refinement's mesh gap.  Its passes count the Numerov passes on
+    the first and refined meshes, its points the Numerov steps on every
+    mesh, the rungs of an unbroken chain included.  Raises
+    NodeCountError when the bracket does not straddle the requested
+    level, DomainError when w is not finite at a mesh point and
+    ConvergenceError when mesh refinement stalls.
     """
     require_index(n, "level index")
     require_positive(tol, "shooting tolerance")
     max_refinements = require_index(max_refinements, "max_refinements", 1)
     lo, hi = require_bracket(bracket, "shooting bracket")
     xtol = tol * max(1.0, abs(lo), abs(hi)) * 1e-2
-    wvals = _mesh_w(problem, problem.npts)
-    guess, slope, points = _rung_guess(problem, n, lo, hi, wvals, xtol)
-    value, passes, slope = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess, slope)
-    points += passes * len(wvals)
-    gaps = []
-    for refinement in range(1, max_refinements + 1):
-        wvals = _mesh_w(problem, 2 * len(wvals) - 1)
+    first = _mesh_w(problem, 0)
+    intervals, stride = len(first) - 1, 1
+    while intervals % (4 * stride) == 0 and intervals // (4 * stride) >= _RUNG_INTERVALS:
+        stride *= 2
+    value = slope = None
+    points = 0
+    try:
+        for wvals in (first[:: 2 * stride], first[::stride]) if stride > 1 else ():
+            value, rung_passes, slope = _solve_on_mesh(
+                problem, n, lo, hi, wvals, xtol, value, slope
+            )
+            points += rung_passes * len(wvals)
+    except NodeCountError:
+        value, slope, points = None, None, 0
+    passes, gaps = 0, []
+    for refinement in range(max_refinements + 1):
+        wvals = _mesh_w(problem, refinement) if refinement else first
         new_value, mesh_passes, slope = _solve_on_mesh(
             problem, n, lo, hi, wvals, xtol, value, slope
         )
         passes += mesh_passes
         points += mesh_passes * len(wvals)
-        gap = abs(new_value - value)
-        gaps.append(gap)
+        if refinement:
+            gap = abs(new_value - value)
+            gaps.append(gap)
+            if gap <= tol * max(1.0, abs(new_value)):
+                return ShootResult(
+                    value=new_value, npts=len(wvals), refinements=refinement, passes=passes,
+                    gaps=tuple(gaps), points=points,
+                )
         value = new_value
-        if gap <= tol * max(1.0, abs(new_value)):
-            return ShootResult(
-                value=value, npts=len(wvals), refinements=refinement, passes=passes,
-                gaps=tuple(gaps), points=points,
-            )
     raise ConvergenceError(
         f"mesh refinement stalled after {max_refinements} doublings (gap {gap:.3e})",
         estimate=value,

@@ -505,6 +505,20 @@ class TestValidation:
         with pytest.raises(DomainError, match="exceeds the problem's jet order"):
             aim_delta(prob, -30.0, prob.max_order + 1)
 
+    def test_depth_at_jet_order(self):
+        # The deepest pass reads every order of the jets, and only those:
+        # orders past max_order change nothing, one more depth raises.
+        prob = pt_problem(2)
+        k = prob.max_order
+        longer = AimProblem(
+            lambda0=np.append(prob.lambda0, [0.5, -1.25]), s0=np.append(prob.s0, [2.0, 3.0]),
+            e_shift=prob.e_shift, e_scale=prob.e_scale,
+        )
+        for e in (-30.0, PAR.k1(1) + 0.5):
+            assert aim_delta(prob, e, k) == aim_delta(longer, e, k)
+        with pytest.raises(DomainError, match="exceeds the problem's jet order"):
+            aim_delta(prob, -30.0, k + 1)
+
     def test_nonpositive_depth(self):
         with pytest.raises(DomainError):
             aim_delta(pt_problem(2), -30.0, 0)

@@ -342,6 +342,36 @@ class TestSpinor:
         ctx = DiracContext(M=5.0, kappa=1, n=0)
         assert spinor_wavefunction("upper", ctx, PTPotential(-3.0, 0.5, 1.0), 3.6, r) == 0.0
 
+    @pytest.mark.parametrize("symmetry, component, well, kappa", [
+        ("pspin", "lower", (3.0, -0.2, 1.0), 2),
+        ("pspin", "lower", (4.0, -0.1, 0.8), 1),
+        ("spin", "upper", (-3.0, 0.5, 1.0), 1),
+    ])
+    def test_ground_state_solves_its_equation(self, symmetry, component, well, kappa):
+        # G'' = (w - k) G with w = a/cosh^2 + b/sinh^2 (alpha r), so a
+        # fourth-order difference G''/G - w is one constant over r.  The
+        # spreads are 1e-9 to 7e-9; a 0.25 -> 0.3 slip in the gamma2 or
+        # beta2 line of _tilde_params_raw gives at least 0.0139.
+        ctx, pot = DiracContext(M=5.0, kappa=kappa, n=0), PTPotential(*well)
+        h, alpha2 = 1e-3, pot.alpha**2
+        for root in solve_levels(ctx, pot, symmetry):
+            if component == "lower":
+                t = ctx.M - root.E + ctx.c_shift
+                a, b = -pot.A * t, -pot.B * t + kappa * (kappa - 1) * alpha2
+            else:
+                t = ctx.M + root.E - ctx.c_shift
+                a, b = pot.A * t, pot.B * t + kappa * (kappa + 1) * alpha2
+            g = lambda r: spinor_wavefunction(component, ctx, pot, root.E, r)
+            constants = []
+            for i in range(19):
+                r = 0.6 + 0.1 * i
+                d2 = (16.0 * (g(r + h) + g(r - h)) - g(r + 2 * h) - g(r - 2 * h) - 30.0 * g(r)) / (
+                    12.0 * h * h
+                )
+                x = pot.alpha * r
+                constants.append(d2 / g(r) - a / math.cosh(x) ** 2 - b / math.sinh(x) ** 2)
+            assert max(constants) - min(constants) <= 1e-6, root.E
+
 
 # -- properties beyond the contract table's: a residual may be NaN, but
 # only off its real domain, and solve_levels' roots lie in its bracket.

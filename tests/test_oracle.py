@@ -80,6 +80,16 @@ class TestFiniteDifference:
         val, _ = finite_difference(math.exp, 0.5)
         assert val == pytest.approx(math.exp(0.5), rel=1e-10)
 
+    @pytest.mark.parametrize("order, calls", [(1, 8), (2, 9)])
+    def test_each_stencil_point_is_evaluated_once(self, order, calls):
+        # Order 2 once took f(x) anew at each of the four levels: 12 calls.
+        counting = _CountingW(math.exp)
+        value, err = finite_difference(counting, 1.0, order=order)
+        assert counting.calls == calls
+        expected = {1: ("0x1.5bf0a8b1453a3p+1", "0x1.8000000000000p-46"),
+                    2: ("0x1.5bf0a8d768ad9p+1", "0x1.ade0000000000p-38")}[order]
+        assert (float.hex(value), float.hex(err)) == expected
+
     @pytest.mark.parametrize("order", [1, 2])
     def test_non_finite_f_is_a_domain_error(self, order):
         # Once returned (nan, nan).
@@ -283,10 +293,9 @@ class TestWarmStart:
     def test_far_guess_without_slope_gives_cold_value(self):
         problem, (lo, hi) = _pt_level(*self.STRONG_WELL, 1)
         xtol = 1e-9 * max(1.0, abs(lo), abs(hi)) * 1e-2
-        npts = 2 * problem.npts - 1
-        wvals = oracle._mesh_w(problem, npts)
+        wvals = oracle._mesh_w(problem, 1)
         value, _, _ = oracle._solve_on_mesh(problem, 1, lo, hi, wvals, xtol, lo)
-        assert value == _cold_mesh_value(problem, 1, lo, hi, npts, xtol)
+        assert value == _cold_mesh_value(problem, 1, lo, hi, len(wvals), xtol)
 
 
 class TestNewtonShots:
@@ -300,8 +309,8 @@ class TestNewtonShots:
         for n in range(3):
             problem, (lo, hi) = _pt_level(*well, n)
             xtol = 1e-9 * max(1.0, abs(lo), abs(hi)) * 1e-2
-            wvals = oracle._mesh_w(problem, 8001)
-            cold = _cold_mesh_value(problem, n, lo, hi, 8001, xtol)
+            wvals = oracle._mesh_w(problem, 1)
+            cold = _cold_mesh_value(problem, n, lo, hi, len(wvals), xtol)
             value, _, slope = oracle._solve_on_mesh(problem, n, lo, hi, wvals, xtol)
             assert value == cold and slope < 0.0
             near, far = cold + 3.0 * xtol, cold - 1e3 * xtol
@@ -320,7 +329,7 @@ class TestNewtonShots:
         # is named.
         problem, (lo, hi) = _pt_level(*TestWarmStart.STRONG_WELL, 1)
         xtol = 1e-9 * max(1.0, abs(lo), abs(hi)) * 1e-2
-        wvals = oracle._mesh_w(problem, 8001)
+        wvals = oracle._mesh_w(problem, 1)
         cold, _, slope = oracle._solve_on_mesh(problem, 1, lo, hi, wvals, xtol)
         if side == "above":
             lo, hi = cold + 64 * xtol, cold + 4096 * xtol
@@ -334,41 +343,56 @@ class TestNewtonShots:
 
 
 class TestCoarseRungs:
-    """The first mesh is warm-started from two coarse rungs made of its
-    own points; without a usable rung it runs cold, and either way the
-    result is the cold search's."""
+    """A level's meshes are one chain: two coarse rungs made of the first
+    mesh's own points, the first mesh, then its refinements, each warm
+    from the mesh before.  Without a pair of rungs, or when a rung's
+    bracket misses the level, the chain starts cold at the first mesh;
+    either way the result is the cold search's."""
 
-    def test_rungs_take_the_first_mesh_points(self):
+    @staticmethod
+    def _record_meshes(monkeypatch):
+        """(mesh size, guess) of each _solve_on_mesh call from here on."""
+        solve, calls = oracle._solve_on_mesh, []
+
+        def recording(problem, n, lo, hi, wvals, xtol, guess=None, slope=None):
+            calls.append((len(wvals), guess))
+            return solve(problem, n, lo, hi, wvals, xtol, guess, slope)
+
+        monkeypatch.setattr(oracle, "_solve_on_mesh", recording)
+        return calls
+
+    def test_rungs_take_the_first_mesh_points(self, monkeypatch):
         problem = harmonic_problem()
-        assert oracle._rung_guess(problem, 0, 1.0, 5.0, oracle._mesh_w(problem, 2001), 1e-11)[0]
         calls = []
 
         def w(r):
             calls.append(r)
             return problem.w(r)
 
+        meshes = self._record_meshes(monkeypatch)
         res = shoot_eigenvalue(replace(problem, w=w), 0, (1.0, 5.0))
         assert len(calls) == res.npts
+        # 2000 intervals: rungs of 125 and 250, then 2000 and 4000.
+        assert [npts for npts, _ in meshes] == [126, 251, 2001, 4001]
+        assert meshes[0][1] is None and all(guess is not None for _, guess in meshes[1:])
 
-    def test_no_rung_pair_runs_cold(self):
+    def test_no_rung_pair_runs_cold(self, monkeypatch):
         # 2002 intervals halve only once
         problem = harmonic_problem(npts=2003)
-        wvals = oracle._mesh_w(problem, problem.npts)
-        assert oracle._rung_guess(problem, 0, 1.0, 5.0, wvals, 1e-11) == (None, None, 0)
-        res = shoot_eigenvalue(problem, 0, (1.0, 5.0))
-        assert (res.value, res.npts, res.refinements, res.gaps[-1]) == _cold_shoot(
-            problem, 0, (1.0, 5.0)
-        )
+        meshes = self._record_meshes(monkeypatch)
+        TestWarmStart._check(problem, 0, (1.0, 5.0))
+        assert meshes[0] == (2003, None)
 
-    def test_coarse_rung_outside_bracket(self):
+    def test_coarse_rung_outside_bracket(self, monkeypatch):
         # The 126-point rung puts the level at 2.9999985, below the
         # bracket; the first mesh puts it at 2.99999999997.
         problem, bracket = harmonic_problem(), (2.9999995, 3.5)
-        wvals = oracle._mesh_w(problem, problem.npts)
+        wvals = oracle._mesh_w(problem, 0)
         with pytest.raises(NodeCountError):
             oracle._solve_on_mesh(problem, 0, *bracket, wvals[::16], 1e-11)
-        assert oracle._rung_guess(problem, 0, *bracket, wvals, 1e-11) == (None, None, 0)
+        meshes = self._record_meshes(monkeypatch)
         res = TestWarmStart._check(problem, 0, bracket)
+        assert meshes[:2] == [(126, None), (2001, None)]
         assert res.value == pytest.approx(3.0, rel=1e-9)
 
     def test_fine_rung_node_count_error(self, monkeypatch):
@@ -401,11 +425,11 @@ class TestMeshReuse:
         ids=["harmonic", "weak_core"],
     )
     def test_interleaved_equals_fresh(self, problem):
-        npts = problem.npts
-        for _ in range(6):
-            npts = 2 * npts - 1
-            fresh = replace(problem, w=lambda r: problem.w(r))
-            assert oracle._mesh_w(problem, npts) == oracle._mesh_w(fresh, npts)
+        for doublings in range(1, 7):
+            npts = (problem.npts - 1) * 2**doublings + 1
+            h = (problem.r_cut - problem.r_min) / (npts - 1)
+            fresh = [problem.w(problem.r_min + i * h) for i in range(npts)]
+            assert oracle._mesh_w(problem, doublings) == fresh
 
 
 class _CountingW:
@@ -435,26 +459,14 @@ class TestMeshSharing:
 
     def test_caller_owns_the_mesh(self):
         problem = replace(harmonic_problem(), w=lambda r: r * r)
-        first = oracle._mesh_w(problem, 4001)
+        first = oracle._mesh_w(problem, 1)
         expected = list(first)
         first[:] = [math.nan] * len(first)
-        assert oracle._mesh_w(problem, 4001) == expected
-        fine = oracle._mesh_w(problem, 8001)
+        assert oracle._mesh_w(problem, 1) == expected
+        fine = oracle._mesh_w(problem, 2)
         fine[0] = math.inf
-        assert oracle._mesh_w(problem, 8001)[0] == expected[0]
-        assert oracle._mesh_w(problem, 4001) == expected
-
-    def test_meshes_off_the_doubling_ladder(self):
-        # 3001 points are not 4001 halved or doubled: built fresh, and
-        # the kept mesh is unchanged.
-        problem = replace(harmonic_problem(), w=lambda r: r * r)
-        counting = _CountingW(problem.w)
-        shared = replace(problem, w=counting)
-        oracle._mesh_w(shared, 4001)
-        odd = oracle._mesh_w(shared, 3001)
-        assert odd == oracle._mesh_w(replace(problem, w=lambda r: r * r), 3001)
-        assert oracle._mesh_w(shared, 1001) == oracle._mesh_w(problem, 4001)[::4]
-        assert counting.calls == 4001 + 3001
+        assert oracle._mesh_w(problem, 2)[0] == expected[0]
+        assert oracle._mesh_w(problem, 1) == expected
 
     def test_radial_problem_is_rebuilt_only_for_new_arguments(self):
         pot, ctx = PTPotential(-150.0, 3.0, 1.3), NRContext.natural(mu=0.5)
@@ -529,28 +541,28 @@ class TestKernelDigest:
     WELLS = test_acceptance.TestCriterion2.WELLS
 
     def test_march(self):
-        cases = [(harmonic_problem(), [(4 * n + 1, 4 * n + 5) for n in range(3)])]
+        cases = [(harmonic_problem(npts=4001), [(4 * n + 1, 4 * n + 5) for n in range(3)])]
         cases += [
             (_pt_level(*well, 0)[0], [_pt_level(*well, n)[1] for n in range(3)])
             for well in self.WELLS
         ]
         lines = []
         for problem, brackets in cases:
-            for npts in (4001, 8001):
-                wvals = oracle._mesh_w(problem, npts)
+            for doublings in (0, 1):  # 4001 and 8001 points
+                wvals = oracle._mesh_w(problem, doublings)
                 for lo, hi in brackets:
                     lines += [_march(problem, wvals, lo + (hi - lo) * i / 6) for i in range(7)]
         # Far below the levels u grows past 1e250 and is rescaled: twice
         # on the strong well, once on the weak core.
         for well, q in ((TestWarmStart.STRONG_WELL, -1e5), (TestFourthOrder.WEAK_CORE_WELL, -1e4)):
             problem = _pt_level(*well, 0)[0]
-            lines.append(_march(problem, oracle._mesh_w(problem, 8001), q))
+            lines.append(_march(problem, oracle._mesh_w(problem, 1), q))
         # One non-finite w where u > 0 (r = 0.45) or u < 0 (r = 3.375): NaN
         # poisons the march, +-inf first gives u = +-0.
         problem = harmonic_problem()
         for i in (200, 1500):
             for bad in (math.nan, math.inf, -math.inf):
-                wvals = oracle._mesh_w(problem, 4001)
+                wvals = oracle._mesh_w(problem, 1)
                 wvals[i] = bad
                 lines.append(_march(problem, wvals, 7.0))
         assert _digest(lines) == (
