@@ -182,7 +182,7 @@ class ShootResult:
     passes: int  # Numerov passes over the first and refined meshes
     # Gap to the previous mesh, per refinement; the last one met tol.
     gaps: tuple[float, ...]
-    points: int  # Numerov steps over every mesh, coarse rungs included
+    points: int  # Numerov steps over every mesh, the rungs of an unbroken chain included
 
 
 def _numerov_outward(wvals, h, q, s_exp, r_min, kappa, w0=0.0):

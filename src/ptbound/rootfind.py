@@ -26,11 +26,21 @@ A trial where f is exactly zero has no sign to record.  It is kept
 only when f has f(a)'s sign half a margin below it and f(b)'s half a
 margin above: those two evaluated points then become the window, which
 the argument above covers like any other pair of trials.
+
+The argument needs only that each window end is a point where f was
+evaluated, not that zeroin chose it.  A caller that already knows f at
+points inside the bracket passes them, and the window starts from them:
+zeroin squeezes from the seeded ends, or not at all when they are
+already a margin apart.  The AIM scan seeds its shallow bisections with
+the delta_(k-1) values its deep passes gave, so a shallow root that
+sits on a deep one is nearly always found without a pass of its own.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
+from types import MappingProxyType
 from typing import Optional
 
 import numpy as np
@@ -90,18 +100,21 @@ def zeroin(f, a, fa, b, fb, tol):
             d = e = b - a
 
 
-def _squeeze(f, a, fa, b, fb, margin):
-    """The record window (below, above) that zeroin's trials on [a, b]
-    leave, squeezed to at most margin wide.
+def _squeeze(f, a, fa, b, fb, margin, known):
+    """The record window (below, above) that the known values of f and
+    zeroin's trials on [a, b] leave, squeezed to at most margin wide.
 
-    A trial where f is zero ends the squeeze, recording the window
-    (x - margin/2, x + margin/2), clipped to [a, b], if f has f(a)'s
-    sign at its lower end and f(b)'s at its upper one.  A trial where f
-    is not finite or raises a PtboundError ends it unrecorded: the
-    bisection meets such a point only if it is one of its own midpoints,
-    and then reacts as it would without a squeeze.  A margin within a
-    few ulps of the bracket's ends, where zeroin's steps would stop
-    moving, skips the squeeze.
+    ``known`` maps points to values of f already evaluated there; the
+    finite, nonzero ones strictly inside (a, b) seed the window, and
+    zeroin starts from its seeded ends, stopping before any trial when
+    they are at most a margin apart.  A trial where f is zero ends
+    the squeeze, recording the window (x - margin/2, x + margin/2),
+    clipped to [a, b], if f has f(a)'s sign at its lower end and f(b)'s
+    at its upper one.  A trial where f is not finite or raises a
+    PtboundError ends it unrecorded: the bisection meets such a point
+    only if it is one of its own midpoints, and then reacts as it would
+    without a squeeze.  A margin within a few ulps of the bracket's
+    ends, where zeroin's steps would stop moving, skips the squeeze.
     """
     below, above = -math.inf, math.inf
     negative = fa < 0.0
@@ -130,12 +143,22 @@ def _squeeze(f, a, fa, b, fb, margin):
             above = min(above, x)
         return fx
 
-    if (
+    if not (
         b - a > margin > 8.0 * math.ulp(max(abs(a), abs(b)))
         and math.isfinite(fa)
         and math.isfinite(fb)
     ):
-        zeroin(trial, a, fa, b, fb, 0.5 * margin)
+        return below, above
+    # Midpoints lie strictly inside [a, b], so its ends answer none.
+    below, fbelow, above, fabove = a, fa, b, fb
+    for x, fx in known.items():
+        if a < x < b and fx != 0.0 and math.isfinite(fx):
+            if (fx < 0.0) == negative:
+                if x > below:
+                    below, fbelow = x, fx
+            elif x < above:
+                above, fabove = x, fx
+    zeroin(trial, below, fbelow, above, fabove, 0.5 * margin)
     return below, above
 
 
@@ -147,14 +170,17 @@ def bisect(
     xtol: float,
     maxiter: int = 200,
     fab: Optional[tuple[float, float]] = None,
+    known: Mapping[float, float] = MappingProxyType({}),
 ) -> float:
     """Bisection root of f on [a, b]; endpoints must straddle a sign change.
 
     ``fab`` passes f(a) and f(b) when the caller already has them, as a
     scan does, so the bracket is judged on the values that found it.
-    NaN at a midpoint the bisection evaluates is a bracket failure.  The
-    module docstring says which midpoints it answers without evaluating
-    f, and why the value is still plain bisection's.
+    ``known`` maps points to values of f the caller has already
+    evaluated; those strictly inside (a, b) seed the squeeze.  NaN at a
+    midpoint the bisection evaluates is a bracket failure.  The module
+    docstring says which midpoints it answers without evaluating f, and
+    why the value is still plain bisection's.
     """
     fa, fb = fab if fab is not None else (f(a), f(b))
     if fa == 0.0:
@@ -164,7 +190,7 @@ def bisect(
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
         raise BracketError(f"no sign change on [{a!r}, {b!r}]: f(a)={fa!r}, f(b)={fb!r}")
     margin = _MARGIN_XTOLS * xtol
-    below, above = _squeeze(f, a, fa, b, fb, margin)
+    below, above = _squeeze(f, a, fa, b, fb, margin, known)
     for _ in range(maxiter):
         m = 0.5 * (a + b)
         if m == a or m == b or (b - a) <= xtol:

@@ -252,6 +252,15 @@ class TestKernelDigest:
             "e416b07c9610b3ebde5bf659709c6fb3c69ab600f17adf43697d46d56af71f65"
         )
 
+    @given(st.integers(1, 12), st.integers(0, 11), st.integers(0, 2**32 - 1))
+    def test_series_mul_is_convolve(self, n, cut, seed):
+        # The scalar passes' product is np.convolve's, bit for bit, for
+        # every pair of lengths a step multiplies.
+        rng = np.random.default_rng(seed)
+        a, b = (rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4, m)
+                for m in (n, n - min(cut, n - 1)))
+        assert ptbound.aim._series_mul(a, b).tobytes() == np.convolve(a, b).tobytes()
+
     def test_scan_reports(self):
         # Every AimScanReport field but delta_evals, a work count: level n
         # of each well scanned at depth 2n + 2 over the bracket halfway to
@@ -274,14 +283,14 @@ class TestDeltaEvals:
     """AimScanReport.delta_evals counts the scan's scalar recurrence passes."""
 
     def test_counts_every_scalar_evaluation(self, monkeypatch):
-        # Scalar passes multiply with np.convolve, the grid passes of
-        # _delta_grid with _columns_mul.  A shallow value that a deep pass
-        # already gave runs no pass and is not counted.
+        # The grid passes of _delta_grid multiply with _columns_mul, the
+        # scalar passes with another product.  A shallow value that a deep
+        # pass already gave runs no pass and is not counted.
         calls = []
         recurrence = ptbound.aim._recurrence
 
         def counted(lam0, s0, k, mul):
-            if mul is np.convolve:
+            if mul is not ptbound.aim._columns_mul:
                 calls.append(k)
             return recurrence(lam0, s0, k, mul)
 
@@ -293,9 +302,38 @@ class TestDeltaEvals:
             rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, 6), bracket, 6)
             assert rep.delta_evals == len(calls) > 0
             assert set(calls) == {5, 6}
-            # About 17 evaluations per bisected root, against 30 for plain
-            # bisection, plus one residual per root.
-            assert rep.delta_evals <= 20 * (len(rep.roots) + len(rep.shallow_roots)) + len(rep.roots)
+            # Each of these levels has two delta_k roots, one of them
+            # converged, and two delta_(k-1) roots, one on the converged
+            # root.  Bisecting a root takes 15 to 17 passes, against 30
+            # for plain bisection; the delta_(k-1) root on a delta_k root
+            # takes none, and each delta_k root one residual: 49 to 52
+            # passes a level.
+            lone = sum(s not in {r.value for r in rep.roots} for s in rep.shallow_roots)
+            assert rep.delta_evals <= 17 * (len(rep.roots) + lone) + len(rep.roots)
+
+    def test_shallow_twin_runs_no_pass(self, monkeypatch):
+        # On a converged level the delta_(k-1) root is the delta_k root's
+        # float.  The deep bisection's passes gave delta_(k-1) at the
+        # points the shallow one evaluates, and seed its squeeze, so no
+        # depth k - 1 pass runs in that root's scan cell.
+        k, grid = 6, 512
+        pot, bracket = criterion1_level(random.Random(11), 2)
+        shallow_es = []
+        delta = ptbound.aim.aim_delta
+
+        def counted(problem, e, depth):
+            if depth == k - 1:
+                shallow_es.append(e)
+            return delta(problem, e, depth)
+
+        monkeypatch.setattr(ptbound.aim, "aim_delta", counted)
+        rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, k), bracket, k, grid=grid)
+        (root,) = [r for r in rep.roots if r.converged]
+        assert root.stability_gap == 0.0 and root.value in rep.shallow_roots
+        nodes = uniform_grid(*bracket, grid)
+        i = int(np.searchsorted(nodes, root.value))
+        assert shallow_es  # the lone delta_(k-1) root runs its own
+        assert not [e for e in shallow_es if nodes[i - 1] <= e <= nodes[i]]
 
     def test_not_compared(self):
         rep = aim_eigen_scan(pt_problem(4), (PAR.k1(1) - 1.0, PAR.k1(1) + 1.0), 4)

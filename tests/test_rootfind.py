@@ -189,6 +189,97 @@ class TestMatchesTextbook:
         assert bisect(f, -0.02, 0.03, xtol=1e-10) == textbook_bisect(g, -0.02, 0.03, xtol=1e-10)
 
 
+class TestKnownValues:
+    """bisect seeds its squeeze from values of f the caller already has;
+    wherever they lie, and whatever they are, it returns plain
+    bisection's float."""
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(sorted(SHAPES) + ["sine"]), roots, widths, fractions, xtols,
+           st.booleans(), st.lists(st.floats(-1.5, 2.5), max_size=12))
+    def test_inside_and_outside(self, shape, root, width, frac, rel_xtol, flip, spots):
+        # Points spread over the bracket and on either side of it.  The
+        # sine changes sign again a bracket width either side of the
+        # root, so points beyond those roots have the other end's sign.
+        sign = -1.0 if flip else 1.0
+        g = (lambda t: math.sin(math.pi * t)) if shape == "sine" else SHAPES[shape]
+        f = lambda x: sign * g((x - root) / width)
+        a = root - frac * width
+        b = a + width
+        xtol = rel_xtol * max(1.0, abs(a), abs(b))
+        known = {a + t * width: f(a + t * width) for t in spots}
+        assert bisect(f, a, b, xtol=xtol, known=known) == textbook_bisect(f, a, b, xtol=xtol)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(sorted(SHAPES)), roots, st.floats(0.1, 0.9),
+           st.sampled_from([1e-13, 1e-11, 1e-10, 1e-8]), st.floats(0.0, 40.0),
+           st.lists(st.floats(-80.0, 80.0), max_size=24), st.booleans())
+    def test_noise_band(self, shape, root, frac, rel_xtol, band_xtols, offsets, use_path):
+        # f's sign is noise within band_xtols tolerances of its root, and
+        # the known points sit in and around that band, or on the
+        # textbook path, whose last midpoints lie in it.
+        width = 0.05
+        a = root - frac * width
+        b = a + width
+        xtol = rel_xtol * max(1.0, abs(a), abs(b))
+        f = noisy(lambda x: SHAPES[shape]((x - root) / width), root, band_xtols * xtol)
+        points = [root + t * xtol for t in offsets]
+        if use_path:
+            points += midpoints(f, a, b, xtol=xtol)
+        known = {x: f(x) for x in points}
+        assert bisect(f, a, b, xtol=xtol, known=known) == textbook_bisect(f, a, b, xtol=xtol)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_zero_or_not_finite(self, value, side):
+        # f has the value at points off the textbook path on one side of
+        # the root, a few and a few hundred tolerances from it; taken as
+        # either sign there, they would move the window across the root.
+        g = SHAPES["exp"]
+        a, b, xtol = -0.02, 0.03, 1e-10
+        path = set(midpoints(g, a, b, xtol=xtol))
+        odd = {x for x in (side * 3.3e-10, side * 3.1e-8, side * 2.9e-7) if x not in path}
+        f = lambda x: value if x in odd else g(x)
+        known = {x: f(x) for x in odd}
+        assert bisect(f, a, b, xtol=xtol, known=known) == textbook_bisect(g, a, b, xtol=xtol)
+
+    @pytest.mark.parametrize("a", [12.3, 12.33, 12.34])
+    def test_path_known_evaluates_nothing_new(self, a):
+        # With f known on plain bisection's whole path, as a scan knows
+        # the shallow delta near a deep root, the seeded window is within
+        # a margin: no zeroin trial runs, and f is asked only for points
+        # of the path.
+        g = lambda x: math.expm1((x - 12.345) / 0.05)
+        path = midpoints(g, a, a + 0.05, xtol=1e-10)
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return g(x)
+
+        known = {x: g(x) for x in path}
+        value = bisect(f, a, a + 0.05, xtol=1e-10, known=known)
+        assert value == textbook_bisect(g, a, a + 0.05, xtol=1e-10)
+        assert set(calls[2:]) <= set(path)
+        assert len(calls) - 2 < len(path) // 2
+
+    def test_seeded_ends_start_zeroin(self):
+        # Known points either side of the root, and one beyond them:
+        # every trial lies between the two nearest.  From the bracket's
+        # own ends zeroin's first secant trial would fall near -0.3.
+        g = SHAPES["exp"]
+        known = {-5e-4: g(-5e-4), 4e-4: g(4e-4), 0.02: g(0.02)}
+        trials = []
+
+        def f(x):
+            trials.append(x)
+            return g(x)
+
+        value = bisect(f, -0.3, 0.7, xtol=1e-10, fab=(g(-0.3), g(0.7)), known=known)
+        assert value == textbook_bisect(g, -0.3, 0.7, xtol=1e-10)
+        assert trials and all(-5e-4 < x < 4e-4 for x in trials)
+
+
 class TestZeroin:
     def test_zeroin(self):
         # A mismatch that grows exponentially away from its root, as the
