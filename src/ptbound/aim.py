@@ -82,7 +82,7 @@ STABILITY_TOL = 1e-8
 SCAN_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AimProblem:
     """Taylor coefficients of order 0..max_order of lambda0 and s0 at the
     expansion point, as two finite 1-d float arrays of one length.
@@ -112,15 +112,6 @@ class AimProblem:
         object.__setattr__(self, "s0", s0)
         require_finite(self.e_shift, "e_shift")
         require_positive(abs(self.e_scale), "|e_scale|")
-
-    def __eq__(self, other):
-        return isinstance(other, AimProblem) and self._value() == other._value()
-
-    def __hash__(self):
-        return hash(self._value())
-
-    def _value(self):  # + 0.0 turns -0.0 into 0.0, which compares equal to it
-        return *((c + 0.0).tobytes() for c in (self.lambda0, self.s0)), self.e_shift, self.e_scale
 
     @property
     def max_order(self) -> int:
@@ -273,15 +264,14 @@ def _scan_roots(f, fx, lo, hi, grid, xtol, known):
     which seed each bisection's squeeze."""
     roots = []
     crowded = []
-    cells = sign_change_brackets(fx, lo, hi, grid)
-    h = (hi - lo) / grid
+    h = (hi - lo) / (grid - 1)
     prev_cell_index = None
-    for a, b, fa, fb in cells:
-        cell_index = int((a - lo) / h) if h > 0 else 0
+    for a, b, fa, fb in sign_change_brackets(fx, lo, hi, grid):
+        cell_index = round((a - lo) / h)
         if prev_cell_index is not None and cell_index == prev_cell_index + 1:
             crowded.append(cell_index)
         prev_cell_index = cell_index
-        r = a if a == b else bisect(f, a, b, xtol=xtol, fab=(fa, fb), known=known)
+        r = bisect(f, a, b, xtol=xtol, fab=(fa, fb), known=known)
         if not roots or abs(r - roots[-1]) > 4.0 * xtol:
             roots.append(r)
     return roots, crowded

@@ -96,11 +96,10 @@ class DiracContext:
 
 @dataclass(frozen=True)
 class RelativisticRoot:
-    """A level of solve_levels: its energy, the bracket the scan covered
-    (the default one resolved), the residual there, and mass-shell flags."""
+    """A level of solve_levels: its energy, the residual there, and
+    mass-shell flags."""
 
     E: float
-    bracket_used: tuple[float, float]
     residual: float
     flags: frozenset
 
@@ -258,7 +257,7 @@ def solve_levels(
     xtol = tol * max(1.0, abs(lo), abs(hi))
     roots: list[RelativisticRoot] = []
     for a, b, fa, fb in sign_change_brackets(vals, lo, hi, SCAN_CELLS + 1):
-        hit = a if a == b else bisect(f, a, b, xtol=xtol, fab=(fa, fb))
+        hit = bisect(f, a, b, xtol=xtol, fab=(fa, fb))
         if roots and abs(hit - roots[-1].E) <= 4.0 * xtol:
             continue
         flags = set()
@@ -267,9 +266,7 @@ def solve_levels(
             flags.add(FLAG_NEAR_PLUS_M)
         if abs(hit + ctx.M) <= shell_tol:
             flags.add(FLAG_NEAR_MINUS_M)
-        roots.append(
-            RelativisticRoot(E=hit, bracket_used=(lo, hi), residual=f(hit), flags=frozenset(flags))
-        )
+        roots.append(RelativisticRoot(E=hit, residual=f(hit), flags=frozenset(flags)))
     if not roots:
         raise BracketError(
             f"no {symmetry} level with n={ctx.n}, kappa={ctx.kappa} in ({lo!r}, {hi!r})"

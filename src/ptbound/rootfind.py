@@ -168,20 +168,25 @@ def bisect(
     b: float,
     *,
     xtol: float,
-    maxiter: int = 200,
     fab: Optional[tuple[float, float]] = None,
     known: Mapping[float, float] = MappingProxyType({}),
 ) -> float:
     """Bisection root of f on [a, b]; endpoints must straddle a sign change.
 
-    ``fab`` passes f(a) and f(b) when the caller already has them, as a
-    scan does, so the bracket is judged on the values that found it.
-    ``known`` maps points to values of f the caller has already
-    evaluated; those strictly inside (a, b) seed the squeeze.  NaN at a
-    midpoint the bisection evaluates is a bracket failure.  The module
-    docstring says which midpoints it answers without evaluating f, and
-    why the value is still plain bisection's.
+    The halving runs until the bracket is at most xtol wide or its
+    midpoint meets an end, which a bracket with finite ends always
+    reaches, so it needs no cap on steps; a NaN or infinite end, whose
+    midpoints need not, is a bracket failure.  ``fab`` passes f(a) and
+    f(b) when the caller already has them, as a scan does, so the
+    bracket is judged on the values that found it.  ``known`` maps
+    points to values of f the caller has already evaluated; those
+    strictly inside (a, b) seed the squeeze.  NaN at a midpoint the
+    bisection evaluates is a bracket failure.  The module docstring says
+    which midpoints it answers without evaluating f, and why the value
+    is still plain bisection's.
     """
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise BracketError(f"bracket ends must be finite, got [{a!r}, {b!r}]")
     fa, fb = fab if fab is not None else (f(a), f(b))
     if fa == 0.0:
         return a
@@ -191,7 +196,7 @@ def bisect(
         raise BracketError(f"no sign change on [{a!r}, {b!r}]: f(a)={fa!r}, f(b)={fb!r}")
     margin = _MARGIN_XTOLS * xtol
     below, above = _squeeze(f, a, fa, b, fb, margin, known)
-    for _ in range(maxiter):
+    while True:
         m = 0.5 * (a + b)
         if m == a or m == b or (b - a) <= xtol:
             break

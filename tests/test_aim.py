@@ -598,20 +598,6 @@ class TestValidation:
             aim_delta(pt_problem(3), 1e300, 3)
 
 
-class TestProblemEquality:
-    def test_equal_builds_are_one_key(self):
-        a, b = pt_problem(3), pt_problem(3)
-        assert a is not b and a == b and hash(a) == hash(b)
-        assert {a: "level"}[b] == "level"
-        assert pt_problem(4) != a
-        assert dataclasses.replace(a, e_shift=a.e_shift + 1.0) != a
-        assert a != (a.lambda0, a.s0, a.e_shift, a.e_scale)
-
-    def test_signed_zero(self):
-        a, b = AimProblem([0.0, 1.0], [1.0, 2.0]), AimProblem([-0.0, 1.0], [1.0, 2.0])
-        assert a == b and hash(a) == hash(b)
-
-
 class TestZeroOnNode:
     """A value exactly zero on a scan node is one degenerate bracket (x, x),
     whatever its neighbours, the first node included."""

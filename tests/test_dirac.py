@@ -163,7 +163,6 @@ class TestSolveLevels:
         assert root.E == pytest.approx(19.97340513040207, rel=1e-9)
         assert abs(root.residual) < 1e-8
         assert root.flags == frozenset()
-        assert root.bracket_used == (-40.0, 40.0)
 
     def test_light_mass_has_no_root(self):
         with pytest.raises(BracketError):
@@ -342,17 +341,26 @@ class TestSpinor:
         ctx = DiracContext(M=5.0, kappa=1, n=0)
         assert spinor_wavefunction("upper", ctx, PTPotential(-3.0, 0.5, 1.0), 3.6, r) == 0.0
 
-    @pytest.mark.parametrize("symmetry, component, well, kappa", [
-        ("pspin", "lower", (3.0, -0.2, 1.0), 2),
-        ("pspin", "lower", (4.0, -0.1, 0.8), 1),
-        ("spin", "upper", (-3.0, 0.5, 1.0), 1),
+    # The printed form fails its equation for n >= 1: the spreads of the
+    # four n = 1 levels are 147 to 2,330.  (4, -0.1, 0.8) at kappa 1 has
+    # no n = 1 level.
+    PRINTED_FORM_FAILS = pytest.mark.xfail(
+        strict=True, raises=AssertionError, reason="printed spinor form, n >= 1"
+    )
+
+    @pytest.mark.parametrize("symmetry, component, well, kappa, n", [
+        ("pspin", "lower", (3.0, -0.2, 1.0), 2, 0),
+        ("pspin", "lower", (4.0, -0.1, 0.8), 1, 0),
+        ("spin", "upper", (-3.0, 0.5, 1.0), 1, 0),
+        pytest.param("pspin", "lower", (3.0, -0.2, 1.0), 2, 1, marks=PRINTED_FORM_FAILS),
+        pytest.param("spin", "upper", (-3.0, 0.5, 1.0), 1, 1, marks=PRINTED_FORM_FAILS),
     ])
-    def test_ground_state_solves_its_equation(self, symmetry, component, well, kappa):
+    def test_ground_state_solves_its_equation(self, symmetry, component, well, kappa, n):
         # G'' = (w - k) G with w = a/cosh^2 + b/sinh^2 (alpha r), so a
         # fourth-order difference G''/G - w is one constant over r.  The
-        # spreads are 1e-9 to 7e-9; a 0.25 -> 0.3 slip in the gamma2 or
-        # beta2 line of _tilde_params_raw gives at least 0.0139.
-        ctx, pot = DiracContext(M=5.0, kappa=kappa, n=0), PTPotential(*well)
+        # n = 0 spreads are 1e-9 to 7e-9; a 0.25 -> 0.3 slip in the gamma2
+        # or beta2 line of _tilde_params_raw gives at least 0.0139.
+        ctx, pot = DiracContext(M=5.0, kappa=kappa, n=n), PTPotential(*well)
         h, alpha2 = 1e-3, pot.alpha**2
         for root in solve_levels(ctx, pot, symmetry):
             if component == "lower":
@@ -428,4 +436,3 @@ class TestProperties:
         for root in roots or ():
             assert -2.0 * ctx.M <= root.E <= 2.0 * ctx.M
             assert math.isfinite(root.residual)
-            assert root.bracket_used == (-2.0 * ctx.M, 2.0 * ctx.M)

@@ -177,7 +177,7 @@ def test_result_fields():
         "AimRoot": ("value", "residual", "stability_gap", "converged"),
         "AimScanReport": ("roots", "shallow_roots", "warnings", "delta_evals"),
         "ShootResult": ("value", "npts", "refinements", "passes", "gaps", "points"),
-        "RelativisticRoot": ("E", "bracket_used", "residual", "flags"),
+        "RelativisticRoot": ("E", "residual", "flags"),
         "SymmetryParams": ("a3", "b3", "k3", "gamma2", "beta2"),
         "LevelCount": ("zeta", "n_max"),
         "SpectralParams": ("alpha", "a1", "b1", "gamma", "beta"),

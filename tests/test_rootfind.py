@@ -19,7 +19,7 @@ from ptbound.errors import BracketError, OverflowRangeError
 from ptbound.rootfind import bisect
 
 
-def textbook_bisect(f, a, b, *, xtol, maxiter=200, fab=None):
+def textbook_bisect(f, a, b, *, xtol, fab=None):
     """Bisection root of f on [a, b], f evaluated at every midpoint."""
     fa, fb = fab if fab is not None else (f(a), f(b))
     if fa == 0.0:
@@ -28,7 +28,7 @@ def textbook_bisect(f, a, b, *, xtol, maxiter=200, fab=None):
         return b
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
         raise BracketError(f"no sign change on [{a!r}, {b!r}]: f(a)={fa!r}, f(b)={fb!r}")
-    for _ in range(maxiter):
+    while True:
         m = 0.5 * (a + b)
         if m == a or m == b or (b - a) <= xtol:
             break
@@ -142,14 +142,17 @@ class TestMatchesTextbook:
         with pytest.raises(BracketError):
             bisect(math.cos, -1.0, 1.0, xtol=1e-10)
 
-    @pytest.mark.parametrize("maxiter", [0, 1, 5, 17, 30])
-    def test_maxiter_bounds_halvings(self, maxiter):
-        f = SHAPES["exp"]
-        value = bisect(f, -0.3, 0.7, xtol=1e-12, maxiter=maxiter)
-        assert value == textbook_bisect(f, -0.3, 0.7, xtol=1e-12, maxiter=maxiter)
-        # After maxiter halvings of [-0.3, 0.7] the midpoint is within
-        # half the last bracket of the root.
-        assert abs(value) <= 0.5 ** (maxiter + 1)
+    def test_wide_bracket_halves_to_xtol(self):
+        # About 1,040 halvings take [-1e300, 1e300] down to xtol; no cap on
+        # the steps may stop the loop short of the root.
+        assert abs(bisect(lambda x: x - 1.0, -1e300, 1e300, xtol=1e-12) - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (-1.0, math.nan), (-math.inf, math.inf)])
+    def test_nonfinite_end(self, a, b):
+        # The midpoints of such a bracket are NaN, where a step f answers
+        # with a sign would never end the loop.
+        with pytest.raises(BracketError, match="finite"):
+            bisect(lambda x: -1.0 if x < 0.0 else 1.0, a, b, xtol=1e-10, fab=(-1.0, 1.0))
 
     @pytest.mark.parametrize("a, b", [(1.0, -1.0), (-1e-11, 2e-11), (-1.0, 1.0 + 1e-15)])
     def test_reversed_or_narrow_bracket(self, a, b):
