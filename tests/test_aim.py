@@ -598,6 +598,15 @@ class TestValidation:
             aim_delta(pt_problem(3), 1e300, 3)
 
 
+class TestProblemIdentity:
+    def test_builds_compare_by_identity(self):
+        # Problems are never compared or used as keys by value; two equal
+        # builds are two objects.
+        a, b = pt_problem(3), pt_problem(3)
+        assert a == a and a != b
+        assert {a: "level"}.get(b) is None
+
+
 class TestZeroOnNode:
     """A value exactly zero on a scan node is one degenerate bracket (x, x),
     whatever its neighbours, the first node included."""

@@ -142,10 +142,19 @@ class TestMatchesTextbook:
         with pytest.raises(BracketError):
             bisect(math.cos, -1.0, 1.0, xtol=1e-10)
 
-    def test_wide_bracket_halves_to_xtol(self):
-        # About 1,040 halvings take [-1e300, 1e300] down to xtol; no cap on
-        # the steps may stop the loop short of the root.
-        assert abs(bisect(lambda x: x - 1.0, -1e300, 1e300, xtol=1e-12) - 1.0) <= 1e-12
+    @pytest.mark.parametrize("a, b, root, xtol", [
+        (-1e300, 1e300, 1.0, 1e-12),
+        (0.0, 1e300, 2.5e-7, 1e-15),
+        (-1e200, 1e-200, -7.0, 1e-9),
+        (-1e300, 1e300, 3e250, 1e238),
+    ])
+    def test_wide_bracket_halves_to_xtol(self, a, b, root, xtol):
+        # About 1,040 halvings take [-1e300, 1e300] down to 1e-12; no cap
+        # on the steps may stop the loop short of the root.
+        f = lambda x: x - root
+        value = bisect(f, a, b, xtol=xtol)
+        assert abs(value - root) <= xtol
+        assert value == textbook_bisect(f, a, b, xtol=xtol)
 
     @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (-1.0, math.nan), (-math.inf, math.inf)])
     def test_nonfinite_end(self, a, b):
