@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
@@ -194,17 +195,40 @@ def cli_thermo(
     """Closed-form thermodynamics over a log-spaced beta grid per molecule."""
     header = ["molecule", "beta", "chi", "Z", "U", "C", "F", "S"]
     betas = _grid(beta_min, beta_max, points, log=True)
-    rows = []
-    for mol in config.molecules():
-        pot = config.potential(mol.alpha_invA)
-        tctx = thermo_context_for(
-            mol, pot, l=l, tau=tau, hbar_c=config.hbar_c, amu_to_ev=config.amu_to_ev
-        )
-        for beta in betas:
-            p = thermo_point(tctx, beta)
-            rows.append([mol.name, p.beta, p.chi, p.Z, p.U, p.C, p.F, p.S])
+    mols = config.molecules()
+
+    def pairs():
+        for mol in mols:
+            pot = config.potential(mol.alpha_invA)
+            tctx = thermo_context_for(
+                mol, pot, l=l, tau=tau, hbar_c=config.hbar_c, amu_to_ev=config.amu_to_ev
+            )
+            for beta in betas:
+                yield tctx, beta
+
+    names = [mol.name for mol in mols for _ in betas]
+    rows = [[name, *p] for name, p in zip(names, _thermo_batch(pairs()))]
     write_csv(config.out, header, rows)
     return config.out
+
+
+def _thermo_batch(pairs):
+    """thermo_point of every (context, beta) pair, in one batch.
+
+    Drawing a pair can fail (a context that cannot be built); the pairs
+    drawn before it are then evaluated first, so that the error reported
+    is the one a pair-by-pair loop would meet first.
+    """
+    ctxs: list[ThermoContext] = []
+    betas: list[float] = []
+    try:
+        for ctx, beta in pairs:
+            ctxs.append(ctx)
+            betas.append(beta)
+    except Exception:
+        thermo_point(ctxs, betas)
+        raise
+    return thermo_point(ctxs, betas)
 
 
 def cli_dirac(
@@ -273,39 +297,38 @@ def cli_figure_data(
         rows.append([alpha] + [energy_nr(pot, ctx, n, 0) for n in ns])
     tables.append(("fig_energy_vs_alpha.csv", header, rows))
 
-    # Thermo vs beta at tau = 1, one column block per molecule.
-    header = ["beta"]
-    contexts: list[ThermoContext] = []
-    for name in wanted:
-        header += [f"{q}_{name}" for q in ("Z", "U", "C", "F", "S")]
-        contexts.append(
-            thermo_context_for(
-                mols[name], config.potential(mols[name].alpha_invA),
-                tau=1.0, hbar_c=config.hbar_c, amu_to_ev=config.amu_to_ev,
-            )
+    # Z, U, C, F, S at tau = 1: over beta, one column block per molecule,
+    # and over zeta, one block per fixed beta (chi stays < 10).
+    contexts = [
+        thermo_context_for(
+            mols[name], config.potential(mols[name].alpha_invA),
+            tau=1.0, hbar_c=config.hbar_c, amu_to_ev=config.amu_to_ev,
         )
-    rows = []
-    for beta in betas:
-        row: list[float] = [beta]
-        for tctx in contexts:
-            p = thermo_point(tctx, beta)
-            row += [p.Z, p.U, p.C, p.F, p.S]
-        rows.append(row)
-    tables.append(("fig_thermo_vs_beta.csv", header, rows))
-
-    # Thermo vs zeta at tau = 1 for three betas (chi stays < 10).
+        for name in wanted
+    ]
     fixed_betas = (1e-4, 1e-3, 1e-2)
-    header = ["zeta"]
-    for i, _ in enumerate(fixed_betas, start=1):
-        header += [f"{q}_beta{i}" for q in ("Z", "U", "C", "F", "S")]
-    rows = []
-    for zeta in zetas:
-        row = [zeta]
-        for beta in fixed_betas:
-            p = thermo_point(ThermoContext(zeta=zeta, tau=1.0), beta)
-            row += [p.Z, p.U, p.C, p.F, p.S]
-        rows.append(row)
-    tables.append(("fig_thermo_vs_zeta.csv", header, rows))
+
+    def pairs():  # both tables' points in row order
+        for beta in betas:
+            for tctx in contexts:
+                yield tctx, beta
+        for zeta in zetas:
+            for beta in fixed_betas:
+                yield ThermoContext(zeta=zeta, tau=1.0), beta
+
+    points = iter(_thermo_batch(pairs()))
+    for name, column, grid, blocks in (
+        ("fig_thermo_vs_beta.csv", "beta", betas, wanted),
+        ("fig_thermo_vs_zeta.csv", "zeta", zetas, [f"beta{i}" for i in (1, 2, 3)]),
+    ):
+        header = [column] + [f"{q}_{block}" for block in blocks for q in ("Z", "U", "C", "F", "S")]
+        rows = []
+        for value in grid:
+            row = [value]
+            for p in islice(points, len(blocks)):
+                row += p[2:]  # Z, U, C, F, S
+            rows.append(row)
+        tables.append((name, header, rows))
 
     config.out.mkdir(parents=True, exist_ok=True)
     paths = tuple(config.out / name for name, _, _ in tables)

@@ -197,7 +197,9 @@ def bisect(
     margin = _MARGIN_XTOLS * xtol
     below, above = _squeeze(f, a, fa, b, fb, margin, known)
     while True:
-        m = 0.5 * (a + b)
+        # (a + b)/2 bit for bit where a + b is finite and normal; a + b
+        # itself can overflow on a finite bracket.
+        m = 0.5 * a + 0.5 * b
         if m == a or m == b or (b - a) <= xtol:
             break
         if m <= below - margin:
@@ -215,7 +217,7 @@ def bisect(
             a, fa = m, fm
         else:
             b, fb = m, fm
-    return 0.5 * (a + b)
+    return 0.5 * a + 0.5 * b
 
 
 def uniform_grid(a: float, b: float, n: int) -> np.ndarray:

@@ -47,7 +47,8 @@ def render_csv(header: Sequence[str], rows: Iterable[Sequence[Cell]]) -> str:
     lines = [",".join(format_cell(h) for h in header)]
     width = len(header)
     for row in rows:
-        cells = [format_cell(c) for c in row]
+        # format_cell's float rendering inline: most cells are floats
+        cells = [f"{c:.10e}" if type(c) is float else format_cell(c) for c in row]
         if len(cells) != width:
             raise TableFormatError(
                 f"row has {len(cells)} cells, header has {width}"

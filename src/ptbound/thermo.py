@@ -14,6 +14,12 @@ overflow quickly, so U, C, S, F are evaluated through dawson(chi) and
 ln(erfi) combinations in which every e^{chi^2} factor cancels
 analytically; the small-chi region, where 1 - chi/dawson(chi) loses all
 leading digits, switches to series.
+
+thermo_point gives every quantity at one beta.  Given a sequence of
+contexts and one of betas, it evaluates all the pairs in one array pass
+(the erfi series of every point summed together, each element with the
+scalar operations in the scalar order), bit for bit the list of the
+pointwise calls; the tables of the CLI are built that way.
 """
 
 from __future__ import annotations
@@ -21,12 +27,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
+
+import numpy as np
 
 from .errors import (
     DomainError, OverflowRangeError, require_finite, require_index, require_positive, within_range,
 )
-from .specfun import ERFI_MAX_ARG, dawson, erfi, erfi_family, ln_erfi
+from .specfun import ERFI_MAX_ARG, _erfi_family_array, dawson, erfi, erfi_family, ln_erfi
 
 __all__ = [
     "ThermoContext",
@@ -43,6 +51,8 @@ __all__ = [
 ]
 
 _LN_SQRTPI_HALF = 0.5 * math.log(math.pi) - math.log(2.0)
+_HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
+_LN_PI_4 = math.log(math.pi / 4.0)
 _LN2 = math.log(2.0)
 _EXP_MAX = 700.0
 # Below this chi, 1 - chi/dawson(chi) is evaluated by series: the direct
@@ -121,26 +131,52 @@ def partition_sum(ctx: ThermoContext, beta: float, n_max: int) -> float:
     raise OverflowRangeError(f"partition sum of {n_max + 1} terms exceeds the double range")
 
 
-def _partition(ctx: ThermoContext, beta: float, erfi_x: float) -> float:
-    return 0.5 * math.sqrt(math.pi) * ctx.tau * erfi_x / math.sqrt(beta)
+# The closed forms below take a float or an array in each argument: the
+# scalar functions pass floats, the batched thermo_point arrays.
+def _pick(cond, taken, other):
+    """taken() where cond holds, else other(): element by element for an
+    array cond, and for a bool only the branch taken is evaluated."""
+    if isinstance(cond, np.ndarray):
+        return np.where(cond, taken(), other())
+    return taken() if cond else other()
 
 
-def _log_partition(ctx: ThermoContext, beta: float, ln_erfi_x: float) -> float:
-    return _LN_SQRTPI_HALF + math.log(ctx.tau) - 0.5 * math.log(beta) + ln_erfi_x
+def _partition(erfi_x, tau, sqrt_beta):
+    return _HALF_SQRT_PI * tau * erfi_x / sqrt_beta
 
 
-def _one_minus_chi_over_dawson(x: float, d: float) -> float:
+def _log_partition(ln_erfi_x, ln_tau, ln_beta):
+    return _LN_SQRTPI_HALF + ln_tau - 0.5 * ln_beta + ln_erfi_x
+
+
+def _one_minus_chi_over_dawson(x, d):
     # 1 - x/d with d = dawson(x); both branches agree to ~1e-12 at the cutover.
-    if x < _SERIES_CHI:
-        x2 = x * x
-        return -x2 * (2.0 / 3.0 + x2 * (8.0 / 45.0 + x2 * (16.0 / 945.0)))
-    return 1.0 - x / d
+    x2 = x * x
+    return _pick(
+        x < _SERIES_CHI,
+        lambda: -x2 * (2.0 / 3.0 + x2 * (8.0 / 45.0 + x2 * (16.0 / 945.0))),
+        lambda: 1.0 - x / d,
+    )
 
 
-def _mean_energy(omd: float, beta: float) -> float:
+def _mean_energy(omd, beta):
     # omd / (2 beta); where 2 beta overflows, 0.5 omd / beta
     two_beta = 2.0 * beta
-    return within_range(omd / two_beta if two_beta < math.inf else 0.5 * omd / beta, "mean energy")
+    return _pick(two_beta < math.inf, lambda: omd / two_beta, lambda: 0.5 * omd / beta)
+
+
+def _specific_heat(x, d):
+    x2 = x * x
+    return _pick(
+        x < _SERIES_CHI,
+        lambda: 0.5 * x2 * x2 * (8.0 / 45.0 + x2 * (32.0 / 945.0)),
+        lambda: 0.5 * (1.0 - x * (x + (1.0 - 2.0 * x * x) * d) / (2.0 * d * d)),
+    )
+
+
+def _entropy(omd, ln_erfi_x, ln_tau, ln_beta):
+    # omd is 1 - chi/dawson(chi).
+    return 0.5 * (omd + 2.0 * (ln_tau + ln_erfi_x) - ln_beta + _LN_PI_4)
 
 
 def _asymptotic_dawson(x: float) -> tuple[float, float]:
@@ -160,26 +196,11 @@ def _asymptotic_dawson(x: float) -> tuple[float, float]:
     return math.log(series) - math.log(x) - _LN2, shifted / series
 
 
-def _specific_heat(x: float, d: float) -> float:
-    if x < _SERIES_CHI:
-        x2 = x * x
-        return 0.5 * x2 * x2 * (8.0 / 45.0 + x2 * (32.0 / 945.0))
-    return 0.5 * (1.0 - x * (x + (1.0 - 2.0 * x * x) * d) / (2.0 * d * d))
-
-
-def _entropy(ctx: ThermoContext, beta: float, omd: float, ln_erfi_x: float) -> float:
-    # omd is 1 - chi/dawson(chi).
-    return 0.5 * (
-        omd
-        + 2.0 * (math.log(ctx.tau) + ln_erfi_x)
-        - math.log(beta)
-        + math.log(math.pi / 4.0)
-    )
-
-
 def partition_closed(ctx: ThermoContext, beta: float) -> float:
     """Classical-limit partition function sqrt(pi) tau erfi(chi)/(2 sqrt(beta))."""
-    return _partition(ctx, beta, erfi(chi(ctx, beta)))
+    return within_range(
+        _partition(erfi(chi(ctx, beta)), ctx.tau, math.sqrt(beta)), "partition function"
+    )
 
 
 def log_partition_closed(ctx: ThermoContext, beta: float) -> float:
@@ -187,7 +208,7 @@ def log_partition_closed(ctx: ThermoContext, beta: float) -> float:
     x = chi(ctx, beta)
     if x <= 0.0:
         raise DomainError("log of the closed form needs zeta > 0")
-    return _log_partition(ctx, beta, ln_erfi(x))
+    return _log_partition(ln_erfi(x), math.log(ctx.tau), math.log(beta))
 
 
 def mean_energy(ctx: ThermoContext, beta: float) -> float:
@@ -202,7 +223,7 @@ def mean_energy(ctx: ThermoContext, beta: float) -> float:
         # U = -(zeta/tau)^2 (1 - chi^-2 + ...) rounds to its limit.
         z = ctx.zeta / ctx.tau
         return within_range(-(z * z), "mean energy")
-    return _mean_energy(omd, beta)
+    return within_range(_mean_energy(omd, beta), "mean energy")
 
 
 def specific_heat(ctx: ThermoContext, beta: float) -> float:
@@ -259,17 +280,29 @@ def entropy(ctx: ThermoContext, beta: float) -> float:
     if x > ERFI_MAX_ARG:
         ln_d, gap = _asymptotic_dawson(x)
         return 0.5 * (1.0 + gap) + ln_d + math.log(ctx.tau) - 0.5 * math.log(beta)
-    return _entropy(ctx, beta, _one_minus_chi_over_dawson(x, dawson(x)), ln_erfi(x))
+    return _entropy(
+        _one_minus_chi_over_dawson(x, dawson(x)), ln_erfi(x), math.log(ctx.tau), math.log(beta)
+    )
 
 
-def thermo_point(ctx: ThermoContext, beta: float) -> ThermoPoint:
-    """All closed-form quantities at one temperature.
+def thermo_point(
+    ctx: ThermoContext | Sequence[ThermoContext], beta: float | Sequence[float]
+) -> ThermoPoint | list[ThermoPoint]:
+    """All closed-form quantities at one temperature, or at many.
 
-    chi and the erfi series are evaluated once; every field equals what
-    the standalone function returns, bit for bit, and an argument they
-    reject raises what the first of partition_closed, mean_energy,
-    specific_heat and free_energy to reject it would.
+    With a ThermoContext and one beta: chi and the erfi series are
+    evaluated once; every field equals what the standalone function
+    returns, bit for bit, and an argument they reject raises what the
+    first of partition_closed, mean_energy, specific_heat and free_energy
+    to reject it would.
+
+    With two sequences of equal length, contexts and betas: the list of
+    thermo_point at each pair, from one array pass over all of them
+    (see _thermo_points), equal to the pair-by-pair list or raising what
+    its first failing pair raises.
     """
+    if not isinstance(ctx, ThermoContext):
+        return _thermo_points(ctx, beta)
     x = chi(ctx, beta)
     if not 0.0 < x <= ERFI_MAX_ARG:
         # chi past erfi's range fails in partition_closed, any other in mean_energy
@@ -277,12 +310,65 @@ def thermo_point(ctx: ThermoContext, beta: float) -> ThermoPoint:
         mean_energy(ctx, beta)
     d, erfi_x, ln_erfi_x = erfi_family(x)
     omd = _one_minus_chi_over_dawson(x, d)
+    ln_tau, ln_beta = math.log(ctx.tau), math.log(beta)
     return ThermoPoint(
         beta=beta,
         chi=x,
-        Z=_partition(ctx, beta, erfi_x),
-        U=_mean_energy(omd, beta),
+        Z=within_range(_partition(erfi_x, ctx.tau, math.sqrt(beta)), "partition function"),
+        U=within_range(_mean_energy(omd, beta), "mean energy"),
         C=within_range(_specific_heat(x, d), "specific heat"),
-        F=within_range(-_log_partition(ctx, beta, ln_erfi_x) / beta, "free energy"),
-        S=_entropy(ctx, beta, omd, ln_erfi_x),
+        F=within_range(-_log_partition(ln_erfi_x, ln_tau, ln_beta) / beta, "free energy"),
+        S=_entropy(omd, ln_erfi_x, ln_tau, ln_beta),
     )
+
+
+def _thermo_points(ctxs: Sequence[ThermoContext], betas: Sequence[float]) -> list[ThermoPoint]:
+    """thermo_point at each (ctxs[i], betas[i]), bit for bit.
+
+    The series of all pairs are summed in one array pass, which runs as
+    long as the slowest pair's.  If that pass does not cover every pair,
+    the pairs go through the scalar form one by one, in order, and the
+    first failing pair raises its error.
+    """
+    if len(ctxs) != len(betas):
+        raise DomainError(
+            f"thermo_point needs one beta per context, got {len(betas)} and {len(ctxs)}"
+        )
+    fields = _point_fields(ctxs, betas)
+    if fields is None:
+        return [thermo_point(c, b) for c, b in zip(ctxs, betas)]
+    return list(map(ThermoPoint._make, zip(betas, *fields.tolist())))
+
+
+@np.errstate(all="ignore")  # the branch np.where drops may divide by 0
+def _point_fields(ctxs, betas) -> np.ndarray | None:
+    """chi, Z, U, C, F and S of every pair, one row each, as the scalar
+    thermo_point gives them; None unless every pair has float fields and
+    beta, 0 < chi <= ERFI_MAX_ARG and finite results."""
+    if not (
+        all(isinstance(b, float) for b in betas)
+        and all(
+            isinstance(c, ThermoContext) and isinstance(c.zeta, float) and isinstance(c.tau, float)
+            for c in ctxs
+        )
+    ):
+        return None
+    tau, beta = np.array([c.tau for c in ctxs]), np.array(betas)
+    sqrt_beta = np.sqrt(beta)
+    x = np.array([c.zeta for c in ctxs]) * sqrt_beta / tau
+    if not np.all((0.0 < x) & (x <= ERFI_MAX_ARG)):
+        return None
+    d, erfi_x, ln_erfi_x = _erfi_family_array(x)
+    omd = _one_minus_chi_over_dawson(x, d)
+    # logs from math, as in the scalar form: numpy's differ in the last bit
+    ln_tau = np.array([math.log(c.tau) for c in ctxs])
+    ln_beta = np.array([math.log(b) for b in betas])
+    fields = np.array([
+        x,
+        _partition(erfi_x, tau, sqrt_beta),
+        _mean_energy(omd, beta),
+        _specific_heat(x, d),
+        -_log_partition(ln_erfi_x, ln_tau, ln_beta) / beta,
+        _entropy(omd, ln_erfi_x, ln_tau, ln_beta),
+    ])
+    return fields if np.isfinite(fields).all() else None

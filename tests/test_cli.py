@@ -290,6 +290,24 @@ class TestBadInput:
             cli_figure_data(RunConfig(out=out), zeta_min=0.0, points=4)
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["thermo", "figure-data"])
+    @pytest.mark.parametrize("molecules", [False, True], ids=["bundled", "bad-second-molecule"])
+    def test_nonpositive_chi_error_record(self, runner, tmp_path, command, molecules):
+        # A = -2, B = 0.2 makes every zeta negative, so the first point
+        # fails.  The second molecule of the file fails too, in its
+        # context (2 mu/hbar_c**2 overflows), but only after the first
+        # molecule's points, so theirs is the error reported.
+        data = tmp_path / "mols.csv"
+        data.write_text("name,mu_amu,alpha_invA\nN2,7.0,2.0\nX,1e299,1.0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        args = [command, "--A", "-2", "--B", "0.2", "--out", str(out)]
+        res = runner.invoke(main, args + (["--molecules", str(data)] if molecules else []))
+        assert res.exit_code == 1
+        assert json.loads(res.stderr.strip()) == {
+            "error": "DomainError", "message": "mean energy needs chi > 0",
+        }
+        assert not out.exists()
+
     def test_figure_data_empty_dataset(self, runner, tmp_path):
         data = tmp_path / "none.csv"
         data.write_text("name,mu_amu,alpha_invA\n", encoding="utf-8")

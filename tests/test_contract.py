@@ -251,6 +251,11 @@ BAD_CALLS = [
     ("chi", lambda: pb.chi(pb.ThermoContext(1e300, 1e-300), 1.0), OverflowRangeError, "chi"),
     ("thermo_point", lambda: pb.thermo_point(pb.ThermoContext(1e300, 1e-300), 1.0),
      OverflowRangeError, "chi"),
+    # chi = 26 inside erfi's range, but tau erfi(chi) overflows (ln Z is 718.1)
+    ("partition_closed", lambda: pb.partition_closed(pb.ThermoContext(26e20, 1e20), 1.0),
+     OverflowRangeError, "partition function"),
+    ("thermo_point", lambda: pb.thermo_point(pb.ThermoContext(26e20, 1e20), 1.0),
+     OverflowRangeError, "partition function"),
     ("centrifugal_approx_residual", lambda: pb.centrifugal_approx_residual(1, 1.0, 800.0),
      1.0 / 800.0**2 - 1.0 / 3.0, None),
     ("dawson", lambda: pb.dawson(2e154), 2.5e-155, None),

@@ -29,7 +29,7 @@ def textbook_bisect(f, a, b, *, xtol, fab=None):
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
         raise BracketError(f"no sign change on [{a!r}, {b!r}]: f(a)={fa!r}, f(b)={fb!r}")
     while True:
-        m = 0.5 * (a + b)
+        m = 0.5 * a + 0.5 * b
         if m == a or m == b or (b - a) <= xtol:
             break
         fm = f(m)
@@ -41,7 +41,7 @@ def textbook_bisect(f, a, b, *, xtol, fab=None):
             a, fa = m, fm
         else:
             b, fb = m, fm
-    return 0.5 * (a + b)
+    return 0.5 * a + 0.5 * b
 
 
 def midpoints(f, a, b, **kwargs):
@@ -155,6 +155,16 @@ class TestMatchesTextbook:
         value = bisect(f, a, b, xtol=xtol)
         assert abs(value - root) <= xtol
         assert value == textbook_bisect(f, a, b, xtol=xtol)
+
+    @pytest.mark.parametrize(
+        "a, b, root", [(1e308, 1.7e308, 1.6e308), (-1.7e308, -1e308, -1.6e308)]
+    )
+    def test_midpoint_sum_past_the_double_range(self, a, b, root):
+        # a + b overflows; the midpoint a/2 + b/2 stays inside the bracket.
+        f = lambda x: x - root
+        value = bisect(f, a, b, xtol=1e-12)
+        assert value == root
+        assert value == textbook_bisect(f, a, b, xtol=1e-12)
 
     @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (-1.0, math.nan), (-math.inf, math.inf)])
     def test_nonfinite_end(self, a, b):

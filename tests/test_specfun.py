@@ -3,14 +3,19 @@
 import hashlib
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptbound.errors import DomainError, OverflowRangeError
 from ptbound.oracle import integrate_adaptive
 from ptbound.specfun import (
+    _SERIES_CUT,
     ERFI_MAX_ARG,
+    _erfi_family_array,
+    _integral,
+    _integral_array,
     dawson,
     erfi,
     erfi_family,
@@ -149,6 +154,35 @@ class TestErfiFamily:
     def test_domain(self, x, error):
         with pytest.raises(error):
             erfi_family(x)
+
+
+def _hexes(*columns):
+    return [tuple(float.hex(v) for v in row) for row in zip(*columns)]
+
+
+class TestArrayTwin:
+    """The array pass behind the batched thermo_point against the scalar
+    series, bit for bit, on both sides of the series/asymptotic cut."""
+
+    @given(st.lists(
+        st.one_of(
+            st.floats(0.0, 0.05), st.floats(0.0, _SERIES_CUT), st.floats(6.9, 7.1),
+            st.floats(_SERIES_CUT, ERFI_MAX_ARG),
+        ),
+        min_size=1, max_size=60,
+    ))
+    @example([0.0, 5e-324, *_NEAR_CUT, ERFI_MAX_ARG])
+    @example(POSITIVE_GRID)
+    def test_integral(self, xs):
+        p, v = _integral_array(np.array(xs))
+        assert _hexes(p.tolist(), v.tolist()) == _hexes(*zip(*map(_integral, xs)))
+
+    @given(st.lists(st.floats(5e-324, ERFI_MAX_ARG), min_size=1, max_size=60))
+    @example([5e-324, 1e-160, *_NEAR_CUT, ERFI_MAX_ARG])
+    @example([x for x in POSITIVE_GRID if x <= ERFI_MAX_ARG])
+    def test_erfi_family(self, xs):
+        family = _erfi_family_array(np.array(xs))
+        assert _hexes(*(f.tolist() for f in family)) == _hexes(*zip(*map(erfi_family, xs)))
 
 
 class TestPochhammer:

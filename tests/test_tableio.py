@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ptbound.errors import TableFormatError
 from ptbound.tableio import format_cell, render_csv, write_csv, write_text
@@ -63,6 +66,24 @@ class TestRenderCsv:
 
     def test_header_only(self):
         assert render_csv(["a"], []) == "a\n"
+
+
+CELLS = st.one_of(
+    st.floats(), st.floats().map(np.float64), st.booleans(), st.integers(),
+    st.text(st.characters(blacklist_characters=",\n\r")),
+)
+
+
+class TestRenderInline:
+    @given(st.integers(1, 6).flatmap(
+        lambda width: st.lists(st.lists(CELLS, min_size=width, max_size=width))
+    ))
+    def test_equals_format_cell_per_cell(self, rows):
+        # render_csv formats float cells inline; every cell must read as
+        # format_cell renders it.
+        header = [f"c{i}" for i in range(len(rows[0]))] if rows else ["c0"]
+        expected = "".join(",".join(map(format_cell, row)) + "\n" for row in [header, *rows])
+        assert render_csv(header, rows) == expected
 
 
 class TestWriteCsv:

@@ -21,6 +21,7 @@ from ptbound.oracle import finite_difference, integrate_adaptive
 from ptbound.specfun import ERFI_MAX_ARG, dawson
 from ptbound.thermo import (
     ThermoContext,
+    ThermoPoint,
     chi,
     entropy,
     free_energy,
@@ -531,3 +532,78 @@ class TestThermoPointRoutes:
             thermo_point(ThermoContext(zeta=zeta, tau=1.0), beta)
         assert type(info.value) is error
         assert str(info.value) == message
+
+
+
+def _pair(x, zeta, tau):
+    """A context and the beta giving chi close to x (-x for zeta < 0)."""
+    return ThermoContext(zeta=zeta, tau=tau), (x * tau / zeta) ** 2
+
+
+ZETAS, TAUS = st.floats(1e-2, 1e3), st.floats(1e-2, 1e2)
+# chi on both sides of the small-chi series cut (0.02) and of Dawson's
+# asymptotic cut (7), up to erfi's range (26).
+VALID_PAIRS = st.builds(
+    _pair,
+    x=st.one_of(
+        st.floats(1e-4, 0.05), st.floats(0.05, 6.5), st.floats(6.5, 7.5), st.floats(7.5, 25.9),
+    ),
+    zeta=ZETAS,
+    tau=TAUS,
+)
+INVALID_PAIRS = st.one_of(
+    st.builds(_pair, x=st.floats(26.01, 26.5), zeta=ZETAS, tau=TAUS),  # past erfi's range
+    st.builds(_pair, x=st.floats(1e-4, 26.0), zeta=ZETAS.map(lambda z: -z), tau=TAUS),
+    st.sampled_from([
+        (ThermoContext(5.0, 1.0), 0.0),
+        (ThermoContext(5.0, 1.0), -1.0),
+        (ThermoContext(5.0, 1.0), math.nan),
+        (ThermoContext(5.0, 1.0), math.inf),
+        (ThermoContext(0.0, 1.0), 0.1),
+        (ThermoContext(26e20, 1e20), 1.0),  # Z past the double range
+        (ThermoContext(5.0, 1.0), 5e-324),  # F past the double range
+        (ThermoContext(5, 1), 0.1),  # int fields take the scalar route
+        (ThermoContext(5.0, 1.0), 1),  # so does an int beta
+    ]),
+)
+
+
+def _hexes(points):
+    return [[float(v).hex() for v in p] for p in points]
+
+
+class TestThermoPointSequence:
+    """thermo_point over two sequences against the list of scalar calls:
+    equal bit for bit, or the same first error, type and message."""
+
+    @given(
+        pairs=st.lists(VALID_PAIRS, max_size=40),
+        bad=st.lists(st.tuples(st.integers(0, 40), INVALID_PAIRS), max_size=2),
+    )
+    @example(
+        pairs=[_pair(x, 40.0, 2.0) for x in (0.0199, 0.0201, 6.999, 7.0, 7.001, 25.99, 26.0)],
+        bad=[],
+    )
+    @settings(max_examples=200)
+    def test_equals_scalar_calls(self, pairs, bad):
+        for i, pair in bad:
+            pairs.insert(i, pair)
+        ctxs, betas = [c for c, _ in pairs], [b for _, b in pairs]
+        try:
+            expected = [thermo_point(c, b) for c, b in pairs]
+        except PtboundError as exc:
+            with pytest.raises(PtboundError) as info:
+                thermo_point(ctxs, betas)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+        else:
+            points = thermo_point(ctxs, betas)
+            assert points == expected
+            assert _hexes(points) == _hexes(expected)
+            assert all(type(p) is ThermoPoint for p in points)
+
+    def test_lengths_must_match(self):
+        with pytest.raises(DomainError, match="one beta per context"):
+            thermo_point([ThermoContext(5.0, 1.0)], [0.1, 0.2])
+
+    def test_empty(self):
+        assert thermo_point([], []) == []
