@@ -15,11 +15,11 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
-from itertools import islice
 from pathlib import Path
 from typing import NamedTuple
 
 import click
+import numpy as np
 
 from . import __version__, oracle
 from .aim import aim_eigen_scan
@@ -46,8 +46,8 @@ from .schrodinger import (
     spectral_params,
 )
 from .specfun import erfi
-from .tableio import write_csv, write_text
-from .thermo import ThermoContext, thermo_point
+from .tableio import ColumnTable, write_csv, write_text
+from .thermo import ThermoContext, thermo_point, thermo_table
 
 __all__ = [
     "RunConfig",
@@ -206,18 +206,19 @@ def cli_thermo(
             for beta in betas:
                 yield tctx, beta
 
-    names = [mol.name for mol in mols for _ in betas]
-    rows = [[name, *p] for name, p in zip(names, _thermo_batch(pairs()))]
-    write_csv(config.out, header, rows)
+    fields = _thermo_batch(pairs())
+    values = np.column_stack((np.tile(betas, len(mols)), fields))
+    write_csv(config.out, header, ColumnTable(values, [mol.name for mol in mols for _ in betas]))
     return config.out
 
 
-def _thermo_batch(pairs):
-    """thermo_point of every (context, beta) pair, in one batch.
+def _thermo_batch(pairs) -> np.ndarray:
+    """thermo_table of every (context, beta) pair, in one batch.
 
     Drawing a pair can fail (a context that cannot be built); the pairs
-    drawn before it are then evaluated first, so that the error reported
-    is the one a pair-by-pair loop would meet first.
+    drawn before it are then evaluated first, through thermo_point, so
+    that the error reported is the one a pair-by-pair loop would meet
+    first.  (perfbench's tracer wraps this module's thermo_point.)
     """
     ctxs: list[ThermoContext] = []
     betas: list[float] = []
@@ -228,7 +229,7 @@ def _thermo_batch(pairs):
     except Exception:
         thermo_point(ctxs, betas)
         raise
-    return thermo_point(ctxs, betas)
+    return thermo_table(ctxs, betas)
 
 
 def cli_dirac(
@@ -285,7 +286,7 @@ def cli_figure_data(
     betas = _grid(beta_min, beta_max, points, log=True)
     zetas = _grid(zeta_min, zeta_max, points)
     wanted = [name for name in FIGURE_MOLECULES if name in mols]
-    tables = []  # (file name, header, rows), all built before the first write
+    tables = []  # (file name, header, table), all built before the first write
 
     # E vs alpha, n = 1..4, N2 reduced mass (else the first molecule's).
     ns = (1, 2, 3, 4)
@@ -295,7 +296,7 @@ def cli_figure_data(
     for alpha in alphas:
         pot = config.potential(alpha)
         rows.append([alpha] + [energy_nr(pot, ctx, n, 0) for n in ns])
-    tables.append(("fig_energy_vs_alpha.csv", header, rows))
+    tables.append(("fig_energy_vs_alpha.csv", header, ColumnTable(rows)))
 
     # Z, U, C, F, S at tau = 1: over beta, one column block per molecule,
     # and over zeta, one block per fixed beta (chi stays < 10).
@@ -316,24 +317,21 @@ def cli_figure_data(
             for beta in fixed_betas:
                 yield ThermoContext(zeta=zeta, tau=1.0), beta
 
-    points = iter(_thermo_batch(pairs()))
-    for name, column, grid, blocks in (
-        ("fig_thermo_vs_beta.csv", "beta", betas, wanted),
-        ("fig_thermo_vs_zeta.csv", "zeta", zetas, [f"beta{i}" for i in (1, 2, 3)]),
+    fields = _thermo_batch(pairs())[:, 1:]  # Z, U, C, F, S
+    split = len(betas) * len(contexts)
+    for name, column, grid, blocks, block_fields in (
+        ("fig_thermo_vs_beta.csv", "beta", betas, wanted, fields[:split]),
+        ("fig_thermo_vs_zeta.csv", "zeta", zetas, [f"beta{i}" for i in (1, 2, 3)], fields[split:]),
     ):
         header = [column] + [f"{q}_{block}" for block in blocks for q in ("Z", "U", "C", "F", "S")]
-        rows = []
-        for value in grid:
-            row = [value]
-            for p in islice(points, len(blocks)):
-                row += p[2:]  # Z, U, C, F, S
-            rows.append(row)
-        tables.append((name, header, rows))
+        # a grid value's pairs are consecutive, so its row is theirs side by side
+        values = np.column_stack((grid, block_fields.reshape(len(grid), 5 * len(blocks))))
+        tables.append((name, header, ColumnTable(values)))
 
     config.out.mkdir(parents=True, exist_ok=True)
     paths = tuple(config.out / name for name, _, _ in tables)
-    for path, (_, header, rows) in zip(paths, tables):
-        write_csv(path, header, rows)
+    for path, (_, header, table) in zip(paths, tables):
+        write_csv(path, header, table)
     return paths
 
 

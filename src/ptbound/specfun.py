@@ -57,11 +57,12 @@ def _exp_series(x: float) -> float:
     """
     if x == 0.0:
         return 0.0
-    x2 = x * x
-    power = x  # x^(2n+1) / n!
-    total = x
-    comp = 0.0
-    n = 0
+    return _exp_series_from(x * x, x, x, 0.0, 0)
+
+
+def _exp_series_from(x2: float, power: float, total: float, comp: float, n: int) -> float:
+    # The series after its first n terms: power is x^(2n+1)/n!, total and
+    # comp the compensated sum so far.
     while True:
         n += 1
         power *= x2 / n
@@ -77,10 +78,13 @@ def _exp_series(x: float) -> float:
 def _dawson_asymptotic(x: float) -> float:
     # F(x) ~ 1/(2x) * sum_k (2k-1)!! / (2x^2)^k, truncated at machine level.
     # 0.5/x is 1/(2x) bit for bit, and stays above 0 where 2x overflows.
-    inv2x2 = 1.0 / (2.0 * x * x)
     term = 0.5 / x
-    total = term
-    for k in range(1, 64):
+    return _dawson_asymptotic_from(1.0 / (2.0 * x * x), term, term, 1)
+
+
+def _dawson_asymptotic_from(inv2x2: float, term: float, total: float, k: int) -> float:
+    # The series from its order-k term on, at most to order 63.
+    for k in range(k, 64):
         term *= (2 * k - 1) * inv2x2
         total += term
         if term <= 1e-18 * total:
@@ -104,8 +108,10 @@ def _integral_array(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``_integral`` at each element of a 1-d array of finite ax >= 0, bit for bit.
 
     Each element takes the scalar series' operations in the same order
-    and stops at its own last term.  Finished elements leave the working
-    set, so each step costs one operation per element still summing.
+    and stops at its own last term.  The elements are sorted so that they
+    finish about in order, and the finished prefix is sliced off as a
+    view.  Once fewer than _SCALAR_TAIL are left, where a numpy step costs
+    more than their scalar steps, each goes on in the scalar loop.
     """
     series = ax <= _SERIES_CUT
     v = np.empty_like(ax)
@@ -114,48 +120,76 @@ def _integral_array(ax: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.where(series, 0.0, ax * ax), v
 
 
+_SCALAR_TAIL = 64  # a numpy step costs about as much as 64 scalar ones
+
+
 def _exp_series_array(x: np.ndarray) -> np.ndarray:
-    # _exp_series, one term of every unfinished element per step
-    out = np.empty_like(x)
-    index = np.arange(x.size)
-    x2 = x * x
-    power, total, comp = x.copy(), x, np.zeros_like(x)
-    n = 0
-    while index.size:
+    # _exp_series, one term of every unfinished element per step; smaller
+    # x finish first
+    order = np.argsort(x)
+    xs = x[order]
+    x2 = xs * xs
+    power, total, comp = xs.copy(), xs.copy(), np.zeros_like(xs)
+    out, done = np.empty_like(xs), np.zeros(xs.shape, bool)
+    lo, n = 0, 0
+    while xs.size - lo >= _SCALAR_TAIL:
         n += 1
-        power *= x2 / n
-        term = power / (2 * n + 1)
-        y = term - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-        done = term <= 1e-17 * total
-        if done.any():
-            out[index[done]] = total[done]
-            keep = ~done
-            index, x2, power = index[keep], x2[keep], power[keep]
-            total, comp = total[keep], comp[keep]
-    return out
+        p, c = power[lo:], comp[lo:]
+        p *= x2[lo:] / n
+        term = p / (2 * n + 1)
+        y = term - c
+        t = total[lo:] + y
+        np.subtract(t, total[lo:], out=c)
+        c -= y
+        total[lo:] = t
+        stop = term <= 1e-17 * t
+        if stop.any():
+            lo = _retire(stop, t, lo, out, done)
+    rest = np.flatnonzero(~done)
+    states = zip(*(a[rest].tolist() for a in (x2, power, total, comp)))
+    out[rest] = [_exp_series_from(*state, n) for state in states]
+    return _unsort(out, order)
 
 
 def _dawson_asymptotic_array(x: np.ndarray) -> np.ndarray:
-    # _dawson_asymptotic, one term of every unfinished element per step
-    out = np.empty_like(x)
-    index = np.arange(x.size)
-    inv2x2 = 1.0 / (2.0 * x * x)
-    term = 0.5 / x
+    # _dawson_asymptotic, one term of every unfinished element per step;
+    # larger x finish first
+    order = np.argsort(x)[::-1]
+    xs = x[order]
+    inv2x2 = 1.0 / (2.0 * xs * xs)
+    term = 0.5 / xs
     total = term.copy()
-    for k in range(1, 64):
-        if not index.size:
-            break
-        term *= (2 * k - 1) * inv2x2
-        total += term
-        done = term <= 1e-18 * total
-        if done.any():
-            out[index[done]] = total[done]
-            keep = ~done
-            index, inv2x2, term, total = index[keep], inv2x2[keep], term[keep], total[keep]
-    out[index] = total
+    out, done = np.empty_like(xs), np.zeros(xs.shape, bool)
+    lo, k = 0, 1
+    while xs.size - lo >= _SCALAR_TAIL and k < 64:
+        tk, t = term[lo:], total[lo:]
+        tk *= (2 * k - 1) * inv2x2[lo:]
+        t += tk
+        stop = tk <= 1e-18 * t
+        if stop.any():
+            lo = _retire(stop, t, lo, out, done)
+        k += 1
+    rest = np.flatnonzero(~done)
+    states = zip(*(a[rest].tolist() for a in (inv2x2, term, total)))
+    out[rest] = [_dawson_asymptotic_from(*state, k) for state in states]
+    return _unsort(out, order)
+
+
+def _retire(stop, value, lo, out, done) -> int:
+    """Record value where the working set [lo:] stops for the first time,
+    and return the start of the working set past the finished prefix.
+    Elements that finish ahead of the prefix stay in it, recorded."""
+    fresh = stop & ~done[lo:]
+    out[lo:][fresh] = value[fresh]
+    rest = done[lo:]
+    rest |= stop
+    first = int(rest.argmin())
+    return done.size if rest[first] else lo + first
+
+
+def _unsort(values: np.ndarray, order: np.ndarray) -> np.ndarray:
+    out = np.empty_like(values)
+    out[order] = values
     return out
 
 

@@ -15,11 +15,16 @@ ln(erfi) combinations in which every e^{chi^2} factor cancels
 analytically; the small-chi region, where 1 - chi/dawson(chi) loses all
 leading digits, switches to series.
 
-thermo_point gives every quantity at one beta.  Given a sequence of
-contexts and one of betas, it evaluates all the pairs in one array pass
-(the erfi series of every point summed together, each element with the
-scalar operations in the scalar order), bit for bit the list of the
-pointwise calls; the tables of the CLI are built that way.
+thermo_point gives every quantity at one beta.  thermo_table takes a
+sequence of contexts and one of betas and evaluates all the pairs in one
+array pass (the erfi series of every point summed together, each
+element with the scalar operations in the scalar order).  It returns a
+float64 block with one row per pair, its columns chi, Z, U, C, F and S,
+each row bit for bit the fields of the pointwise thermo_point call; a
+pair the pass cannot cover sends every pair through the pointwise call,
+in order, so the first failing pair raises its error.  thermo_point,
+given the two sequences, returns the block's rows as ThermoPoints; the
+tables of the CLI are formatted from the block itself.
 """
 
 from __future__ import annotations
@@ -48,6 +53,7 @@ __all__ = [
     "partition_sum",
     "specific_heat",
     "thermo_point",
+    "thermo_table",
 ]
 
 _LN_SQRTPI_HALF = 0.5 * math.log(math.pi) - math.log(2.0)
@@ -297,12 +303,10 @@ def thermo_point(
     to reject it would.
 
     With two sequences of equal length, contexts and betas: the list of
-    thermo_point at each pair, from one array pass over all of them
-    (see _thermo_points), equal to the pair-by-pair list or raising what
-    its first failing pair raises.
+    thermo_point at each pair, built from the rows of thermo_table.
     """
     if not isinstance(ctx, ThermoContext):
-        return _thermo_points(ctx, beta)
+        return [ThermoPoint(b, *row) for b, row in zip(beta, thermo_table(ctx, beta).tolist())]
     x = chi(ctx, beta)
     if not 0.0 < x <= ERFI_MAX_ARG:
         # chi past erfi's range fails in partition_closed, any other in mean_energy
@@ -322,22 +326,24 @@ def thermo_point(
     )
 
 
-def _thermo_points(ctxs: Sequence[ThermoContext], betas: Sequence[float]) -> list[ThermoPoint]:
-    """thermo_point at each (ctxs[i], betas[i]), bit for bit.
+def thermo_table(ctxs: Sequence[ThermoContext], betas: Sequence[float]) -> np.ndarray:
+    """chi, Z, U, C, F and S at each (ctxs[i], betas[i]), one row per pair.
 
-    The series of all pairs are summed in one array pass, which runs as
-    long as the slowest pair's.  If that pass does not cover every pair,
-    the pairs go through the scalar form one by one, in order, and the
-    first failing pair raises its error.
+    Each row equals the fields of thermo_point(ctxs[i], betas[i]) bit for
+    bit.  The series of all pairs are summed in one array pass, which runs
+    as long as the slowest pair's.  If that pass does not cover every
+    pair, the pairs go through the scalar thermo_point one by one, in
+    order, and the first failing pair raises its error.
     """
     if len(ctxs) != len(betas):
         raise DomainError(
-            f"thermo_point needs one beta per context, got {len(betas)} and {len(ctxs)}"
+            f"thermo needs one beta per context, got {len(betas)} betas and {len(ctxs)} contexts"
         )
     fields = _point_fields(ctxs, betas)
     if fields is None:
-        return [thermo_point(c, b) for c, b in zip(ctxs, betas)]
-    return list(map(ThermoPoint._make, zip(betas, *fields.tolist())))
+        points = [thermo_point(c, b)[1:] for c, b in zip(ctxs, betas)]
+        fields = np.array(points, dtype=np.float64).reshape(len(points), 6)
+    return fields
 
 
 @np.errstate(all="ignore")  # the branch np.where drops may divide by 0
@@ -363,12 +369,12 @@ def _point_fields(ctxs, betas) -> np.ndarray | None:
     # logs from math, as in the scalar form: numpy's differ in the last bit
     ln_tau = np.array([math.log(c.tau) for c in ctxs])
     ln_beta = np.array([math.log(b) for b in betas])
-    fields = np.array([
+    fields = np.stack([
         x,
         _partition(erfi_x, tau, sqrt_beta),
         _mean_energy(omd, beta),
         _specific_heat(x, d),
         -_log_partition(ln_erfi_x, ln_tau, ln_beta) / beta,
         _entropy(omd, ln_erfi_x, ln_tau, ln_beta),
-    ])
+    ], axis=1)
     return fields if np.isfinite(fields).all() else None

@@ -189,4 +189,7 @@ ROWS = {
         "chi", "entropy", "free_energy", "log_partition_closed", "mean_energy",
         "partition_closed", "specific_heat", "thermo_point",
     ), thermo_call),
+    "thermo_table": st.lists(thermo_call, max_size=6).map(
+        lambda calls: {"ctxs": [c["ctx"] for c in calls], "betas": [c["beta"] for c in calls]}
+    ),
 }

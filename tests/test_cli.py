@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,16 +16,20 @@ from click.testing import CliRunner
 
 import ptbound
 from ptbound.cli import (
+    FIGURE_MOLECULES,
     RunConfig,
+    _grid,
     cli_aim_verify,
     cli_figure_data,
     cli_table2,
     cli_thermo,
     main,
 )
-from ptbound.errors import ConvergenceError, DomainError
-from ptbound.molecules import AMU_TO_EV, builtin_molecules
-from ptbound.schrodinger import HBARC_EV_ANG
+from ptbound.errors import ConvergenceError, DomainError, PtboundError
+from ptbound.molecules import AMU_TO_EV, builtin_molecules, thermo_context_for
+from ptbound.schrodinger import HBARC_EV_ANG, energy_nr
+from ptbound.tableio import format_cell
+from ptbound.thermo import ThermoContext, thermo_point
 
 
 @pytest.fixture()
@@ -251,6 +256,131 @@ class TestFigureData:
         for col in ("Z_beta1", "Z_beta2", "Z_beta3"):
             z = [float(r[col]) for r in rows]
             assert all(b > a for a, b in zip(z, z[1:]))
+
+
+def row_path_bytes(header, rows) -> bytes:
+    """A table as the row path renders it: format_cell on every cell."""
+    return "".join(",".join(map(format_cell, row)) + "\n" for row in [header, *rows]).encode()
+
+
+def thermo_row_table(config, *, l=0, beta_min=1e-4, beta_max=1.0, points=64, tau=None):
+    """cli_thermo's table built row by row from the scalar thermo_point."""
+    betas = _grid(beta_min, beta_max, points, log=True)
+    rows = []
+    for mol in config.molecules():
+        ctx = thermo_context_for(
+            mol, config.potential(mol.alpha_invA), l=l, tau=tau,
+            hbar_c=config.hbar_c, amu_to_ev=config.amu_to_ev,
+        )
+        rows += [[mol.name, *thermo_point(ctx, beta)] for beta in betas]
+    return row_path_bytes(["molecule", "beta", "chi", "Z", "U", "C", "F", "S"], rows)
+
+
+def figure_row_tables(config, *, alpha_min=0.05, alpha_max=0.5, beta_min=1e-4, beta_max=1.0,
+                      zeta_min=1.0, zeta_max=100.0, points=64):
+    """cli_figure_data's three tables built row by row, pointwise."""
+    mols = {mol.name: mol for mol in config.molecules()}
+    wanted = [name for name in FIGURE_MOLECULES if name in mols]
+    ctx = config.context(mols.get("N2") or next(iter(mols.values())))
+    contexts = [
+        thermo_context_for(mols[name], config.potential(mols[name].alpha_invA), tau=1.0,
+                           hbar_c=config.hbar_c, amu_to_ev=config.amu_to_ev)
+        for name in wanted
+    ]
+    fields = ("Z", "U", "C", "F", "S")
+    fixed = (1e-4, 1e-3, 1e-2)
+    return {
+        "fig_energy_vs_alpha.csv": row_path_bytes(
+            ["alpha", "E_n1", "E_n2", "E_n3", "E_n4"],
+            [[a] + [energy_nr(config.potential(a), ctx, n, 0) for n in (1, 2, 3, 4)]
+             for a in _grid(alpha_min, alpha_max, points)],
+        ),
+        "fig_thermo_vs_beta.csv": row_path_bytes(
+            ["beta"] + [f"{q}_{name}" for name in wanted for q in fields],
+            [[b] + [v for c in contexts for v in thermo_point(c, b)[2:]]
+             for b in _grid(beta_min, beta_max, points, log=True)],
+        ),
+        "fig_thermo_vs_zeta.csv": row_path_bytes(
+            ["zeta"] + [f"{q}_beta{i}" for i in (1, 2, 3) for q in fields],
+            [[z] + [v for b in fixed for v in thermo_point(ThermoContext(zeta=z, tau=1.0), b)[2:]]
+             for z in _grid(zeta_min, zeta_max, points)],
+        ),
+    }
+
+
+def seeded_thermo_args(rng):
+    a = rng.uniform(-3.0, -0.5)
+    config = RunConfig(a=a, b=-a + rng.uniform(0.5, 3.0))
+    kwargs = dict(l=rng.randint(0, 2), tau=rng.choice((None, 1.0)), points=rng.randint(16, 96))
+    zetas = [thermo_context_for(m, config.potential(m.alpha_invA), l=kwargs["l"], tau=kwargs["tau"])
+             for m in config.molecules()]
+    kwargs["beta_max"] = (rng.uniform(8.0, 20.0) / max(c.zeta / c.tau for c in zetas)) ** 2
+    kwargs["beta_min"] = kwargs["beta_max"] * 10.0 ** -rng.uniform(2.0, 4.0)
+    return config, kwargs
+
+
+def seeded_figure_args(rng):
+    return RunConfig(), dict(
+        alpha_min=rng.uniform(0.02, 0.1), alpha_max=rng.uniform(0.3, 1.0),
+        beta_min=10.0 ** rng.uniform(-5.0, -3.0), beta_max=rng.uniform(0.2, 1.0),
+        zeta_min=rng.uniform(0.5, 5.0), zeta_max=rng.uniform(75.0, 200.0),
+        points=rng.randint(16, 96),
+    )
+
+
+NON_ASCII = "name,mu_amu,alpha_invA\nN2,7.0,2.7\n\u00c5ngstr\u00f6m,12.0,1.5\nI2,63.4,1.9\n"
+WITH_NUL = "name,mu_amu,alpha_invA\nN2,7.0,2.7\nX\x00Y,20.0,1.0\n"
+
+
+class TestColumnTables:
+    """thermo and figure-data format their float64 blocks as ColumnTables;
+    every file must hold the bytes the row path gives for the same table,
+    built from pointwise thermo_point calls."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_thermo_seeded(self, tmp_path, seed):
+        config, kwargs = seeded_thermo_args(random.Random(3000 + seed))
+        out = cli_thermo(RunConfig(a=config.a, b=config.b, out=tmp_path / "t.csv"), **kwargs)
+        assert out.read_bytes() == thermo_row_table(config, **kwargs)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_figure_data_seeded(self, tmp_path, seed):
+        config, kwargs = seeded_figure_args(random.Random(3100 + seed))
+        paths = cli_figure_data(RunConfig(out=tmp_path), **kwargs)
+        expected = figure_row_tables(config, **kwargs)
+        assert {p.name: p.read_bytes() for p in paths} == expected
+
+    @pytest.mark.parametrize("text", [NON_ASCII, WITH_NUL], ids=["non-ascii", "nul"])
+    def test_molecule_names(self, tmp_path, text):
+        data = tmp_path / "mols.csv"
+        data.write_text(text, encoding="utf-8")
+        config = RunConfig(molecules_path=data)
+        name = text.splitlines()[2].split(",")[0]
+        kwargs = dict(beta_max=1e-2, points=8)
+        out = cli_thermo(RunConfig(molecules_path=data, out=tmp_path / "t.csv"), **kwargs)
+        assert out.read_bytes() == thermo_row_table(config, **kwargs)
+        assert name.encode() in out.read_bytes()
+        paths = cli_figure_data(RunConfig(molecules_path=data, out=tmp_path / "fig"), points=8)
+        assert {p.name: p.read_bytes() for p in paths} == figure_row_tables(config, points=8)
+
+    @pytest.mark.parametrize("command", ["thermo", "figure-data"])
+    def test_context_failing_mid_list(self, runner, tmp_path, command):
+        # TiH's context fails (2 mu/hbar_c**2 overflows) after N2's points
+        # are drawn; those are valid, so the context's error is reported.
+        data = tmp_path / "mols.csv"
+        data.write_text("name,mu_amu,alpha_invA\nN2,7.0,2.0\nTiH,1e299,1.0\nI2,63.0,1.0\n",
+                        encoding="utf-8")
+        config = RunConfig(molecules_path=data)
+        bad = config.molecules()[1]
+        with pytest.raises(PtboundError) as info:
+            thermo_context_for(bad, config.potential(bad.alpha_invA))
+        out = tmp_path / "out"
+        res = runner.invoke(main, [command, "--molecules", str(data), "--out", str(out)])
+        assert res.exit_code == 1
+        assert json.loads(res.stderr.strip()) == {
+            "error": type(info.value).__name__, "message": str(info.value),
+        }
+        assert not out.exists()
 
 
 class TestBadInput:

@@ -105,6 +105,7 @@ CONTRACT = {
     "partition_sum": dict(ctx=TCTX, beta=0.1, n_max=5),
     "specific_heat": BETA,
     "thermo_point": BETA,
+    "thermo_table": dict(ctxs=(TCTX, TCTX), betas=(0.1, 0.2)),
 }
 
 _RECORD = "a result record the package builds, not an input"
@@ -285,6 +286,10 @@ BAD_CALLS = [
     ("partition_sum", lambda: pb.partition_sum(TCTX, 5e-324, 5), 6.0, None),
     ("free_energy", lambda: pb.free_energy(TCTX, 5e-324), OverflowRangeError, "free energy"),
     ("thermo_point", lambda: pb.thermo_point(TCTX, 5e-324), OverflowRangeError, "free energy"),
+    ("thermo_table", lambda: pb.thermo_table([TCTX, TCTX], [0.1, 5e-324]),
+     OverflowRangeError, "free energy"),
+    ("thermo_table", lambda: pb.thermo_table([TCTX], [0.1, 0.2]),
+     DomainError, "one beta per context"),
     ("partition_sum", lambda: pb.partition_sum(pb.ThermoContext(1e160, 1e10), 1e-300, 3),
      4.0 * math.e, None),
     ("mean_energy", lambda: pb.mean_energy(TCTX, sys.float_info.max), -25.0, None),

@@ -264,10 +264,10 @@ def test_public_surface():
             "ERFI_MAX_ARG", "dawson", "erfi", "erfi_family", "hyp2f1_terminating", "ln_erfi",
             "pochhammer",
         ),
-        "ptbound.tableio": ("format_cell", "render_csv", "write_csv", "write_text"),
+        "ptbound.tableio": ("ColumnTable", "format_cell", "render_csv", "write_csv", "write_text"),
         "ptbound.thermo": (
             "ThermoContext", "ThermoPoint", "chi", "entropy", "free_energy",
             "log_partition_closed", "mean_energy", "partition_closed", "partition_sum",
-            "specific_heat", "thermo_point",
+            "specific_heat", "thermo_point", "thermo_table",
         ),
     }

@@ -8,14 +8,18 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ptbound.cli import FIGURE_MOLECULES, RunConfig
 from ptbound.errors import DomainError, OverflowRangeError
+from ptbound.molecules import builtin_molecules, thermo_context_for
 from ptbound.oracle import integrate_adaptive
 from ptbound.specfun import (
+    _SCALAR_TAIL,
     _SERIES_CUT,
     ERFI_MAX_ARG,
     _erfi_family_array,
     _integral,
     _integral_array,
+    _retire,
     dawson,
     erfi,
     erfi_family,
@@ -160,24 +164,59 @@ def _hexes(*columns):
     return [tuple(float.hex(v) for v in row) for row in zip(*columns)]
 
 
+def figure_data_chis() -> list[float]:
+    """chi at figure-data's 448 default points (tau = 1), spread over 0-14:
+    the four figure molecules over the beta grid, then zeta over 1-100 at
+    three fixed betas."""
+    config = RunConfig()
+    mols = {mol.name: mol for mol in builtin_molecules()}
+    zetas = [
+        thermo_context_for(mols[name], config.potential(mols[name].alpha_invA), tau=1.0).zeta
+        for name in FIGURE_MOLECULES
+    ]
+    betas = [1e-4 * math.exp(i * math.log(1e4) / 63) for i in range(64)]
+    grid = np.linspace(1.0, 100.0, 64).tolist()
+    return [z * math.sqrt(b) for b in betas for z in zetas] + [
+        z * math.sqrt(b) for z in grid for b in (1e-4, 1e-3, 1e-2)
+    ]
+
+
 class TestArrayTwin:
-    """The array pass behind the batched thermo_point against the scalar
-    series, bit for bit, on both sides of the series/asymptotic cut."""
+    """The array pass behind the batched thermo_table against the scalar
+    series, bit for bit, on both sides of the series/asymptotic cut.  Past
+    _SCALAR_TAIL elements a series steps as arrays first."""
 
     @given(st.lists(
         st.one_of(
             st.floats(0.0, 0.05), st.floats(0.0, _SERIES_CUT), st.floats(6.9, 7.1),
             st.floats(_SERIES_CUT, ERFI_MAX_ARG),
         ),
-        min_size=1, max_size=60,
+        min_size=1, max_size=200,
     ))
     @example([0.0, 5e-324, *_NEAR_CUT, ERFI_MAX_ARG])
     @example(POSITIVE_GRID)
+    @example(figure_data_chis())
     def test_integral(self, xs):
         p, v = _integral_array(np.array(xs))
         assert _hexes(p.tolist(), v.tolist()) == _hexes(*zip(*map(_integral, xs)))
 
-    @given(st.lists(st.floats(5e-324, ERFI_MAX_ARG), min_size=1, max_size=60))
+    def test_figure_data_chis_span_both_series(self):
+        xs = np.array(figure_data_chis())
+        assert len(xs) == 448 and xs.max() > 14.0
+        assert (xs <= _SERIES_CUT).sum() > _SCALAR_TAIL
+
+    def test_out_of_order_finish_keeps_its_own_step(self):
+        # Working set [1:] of four: the element at 3 stops ahead of the
+        # prefix and is recorded; later steps record only new stops.
+        out, done = np.full(4, np.nan), np.array([True, False, False, False])
+        lo = _retire(np.array([False, False, True]), np.array([1.0, 2.0, 3.0]), 1, out, done)
+        assert lo == 1 and out[3] == 3.0 and done.tolist() == [True, False, False, True]
+        lo = _retire(np.array([True, False, True]), np.array([4.0, 5.0, 6.0]), 1, out, done)
+        assert lo == 2 and out[1] == 4.0 and math.isnan(out[2]) and out[3] == 3.0
+        lo = _retire(np.array([True, True]), np.array([7.0, 8.0]), 2, out, done)
+        assert lo == 4 and out[1:].tolist() == [4.0, 7.0, 3.0]
+
+    @given(st.lists(st.floats(5e-324, ERFI_MAX_ARG), min_size=1, max_size=200))
     @example([5e-324, 1e-160, *_NEAR_CUT, ERFI_MAX_ARG])
     @example([x for x in POSITIVE_GRID if x <= ERFI_MAX_ARG])
     def test_erfi_family(self, xs):

@@ -12,6 +12,7 @@ import math
 import sys
 
 import mpmath
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -31,6 +32,7 @@ from ptbound.thermo import (
     partition_sum,
     specific_heat,
     thermo_point,
+    thermo_table,
 )
 from ptbound.thermo import _one_minus_chi_over_dawson
 
@@ -568,22 +570,30 @@ INVALID_PAIRS = st.one_of(
 )
 
 
+# chi spread over (0, 26): both series run as arrays, then a scalar tail
+SPREAD_PAIRS = [_pair(1e-3 + 25.9 * i / 199, 40.0, 2.0) for i in range(200)]
+
+
 def _hexes(points):
     return [[float(v).hex() for v in p] for p in points]
 
 
 class TestThermoPointSequence:
-    """thermo_point over two sequences against the list of scalar calls:
-    equal bit for bit, or the same first error, type and message."""
+    """thermo_point and thermo_table over two sequences against the list of
+    scalar calls: equal bit for bit, or the same first error, type and
+    message.  Past 64 points the series run as arrays before their scalar
+    tail (specfun._SCALAR_TAIL)."""
 
     @given(
-        pairs=st.lists(VALID_PAIRS, max_size=40),
-        bad=st.lists(st.tuples(st.integers(0, 40), INVALID_PAIRS), max_size=2),
+        pairs=st.lists(VALID_PAIRS, max_size=120),
+        bad=st.lists(st.tuples(st.integers(0, 120), INVALID_PAIRS), max_size=2),
     )
     @example(
         pairs=[_pair(x, 40.0, 2.0) for x in (0.0199, 0.0201, 6.999, 7.0, 7.001, 25.99, 26.0)],
         bad=[],
     )
+    @example(pairs=SPREAD_PAIRS, bad=[])
+    @example(pairs=SPREAD_PAIRS, bad=[(150, (ThermoContext(5.0, 1.0), 0.0))])
     @settings(max_examples=200)
     def test_equals_scalar_calls(self, pairs, bad):
         for i, pair in bad:
@@ -592,18 +602,24 @@ class TestThermoPointSequence:
         try:
             expected = [thermo_point(c, b) for c, b in pairs]
         except PtboundError as exc:
-            with pytest.raises(PtboundError) as info:
-                thermo_point(ctxs, betas)
-            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            for batch in (thermo_point, thermo_table):
+                with pytest.raises(PtboundError) as info:
+                    batch(ctxs, betas)
+                assert (type(info.value), str(info.value)) == (type(exc), str(exc))
         else:
             points = thermo_point(ctxs, betas)
             assert points == expected
             assert _hexes(points) == _hexes(expected)
             assert all(type(p) is ThermoPoint for p in points)
+            table = thermo_table(ctxs, betas)
+            assert table.shape == (len(pairs), 6) and table.dtype == np.float64
+            assert _hexes(table.tolist()) == _hexes(p[1:] for p in expected)
 
     def test_lengths_must_match(self):
-        with pytest.raises(DomainError, match="one beta per context"):
-            thermo_point([ThermoContext(5.0, 1.0)], [0.1, 0.2])
+        for batch in (thermo_point, thermo_table):
+            with pytest.raises(DomainError, match="one beta per context"):
+                batch([ThermoContext(5.0, 1.0)], [0.1, 0.2])
 
     def test_empty(self):
         assert thermo_point([], []) == []
+        assert thermo_table([], []).shape == (0, 6)
