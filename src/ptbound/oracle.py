@@ -146,11 +146,12 @@ def finite_difference(
 class RadialProblem:
     """Radial eigenproblem u'' = (w(r) - q) u on (r_min, r_cut).
 
-    Near the origin w(r) = s(s-1)/r**2 + origin_w0 + O(r**2), where s is
-    origin_exponent; the outward integration is seeded with the two-term
-    Frobenius series u = r**s (1 + c r**2), c = (origin_w0 - q)/(4s + 2),
-    that this expansion gives.  npts is the initial mesh size
-    (refinement doubles it).
+    Near the origin w(r) = s(s-1)/r**2 + origin_w0 + origin_w2 r**2 +
+    O(r**4), where s is origin_exponent; the outward integration is seeded
+    with the three-term Frobenius series u = r**s (1 + c1 r**2 + c2 r**4)
+    that this expansion gives, c1 = (origin_w0 - q)/(4s + 2) and
+    c2 = ((origin_w0 - q) c1 + origin_w2)/(8s + 12).  npts is the initial
+    mesh size (refinement doubles it).
     """
 
     w: Callable[[float], float]
@@ -159,6 +160,7 @@ class RadialProblem:
     origin_exponent: float
     npts: int = 4001
     origin_w0: float = 0.0
+    origin_w2: float = 0.0
 
     def __post_init__(self):
         require_bracket((self.r_min, self.r_cut), "window (r_min, r_cut)")
@@ -172,6 +174,7 @@ class RadialProblem:
                 f"origin_exponent must be finite and >= 1/2, got {self.origin_exponent!r}"
             )
         require_finite(self.origin_w0, "origin_w0")
+        require_finite(self.origin_w2, "origin_w2")
 
 
 @dataclass(frozen=True)
@@ -182,10 +185,10 @@ class ShootResult:
     passes: int  # Numerov passes over the first and refined meshes
     # Gap to the previous mesh, per refinement; the last one met tol.
     gaps: tuple[float, ...]
-    points: int  # Numerov steps over every mesh, the rungs of an unbroken chain included
+    points: int  # Numerov steps over every mesh, the rungs included
 
 
-def _numerov_outward(wvals, h, q, s_exp, r_min, kappa, w0=0.0):
+def _numerov_outward(wvals, h, q, s_exp, r_min, kappa, w0=0.0, w2=0.0):
     """March the Numerov recurrence; return (node count, u' + kappa*u at the end).
 
     The recurrence is carried in Blatt's summed form (J. Comput. Phys. 1,
@@ -196,18 +199,20 @@ def _numerov_outward(wvals, h, q, s_exp, r_min, kappa, w0=0.0):
     with the rescale check in the branch taken (only u < 0 passes -1e250).
     A node is a step onto +-0 or across a sign (+-inf by its sign, NaN after u < 0).
     """
-    # Seed from the two-term Frobenius series u = r^s (1 + c r^2), with the
-    # power law rescaled so both values are representable even when
-    # s*log(step ratio) is large.
+    # Seed from the three-term Frobenius series u = r^s (1 + c1 r^2 + c2 r^4),
+    # with the power law rescaled so both values are representable even
+    # when s*log(step ratio) is large.
     r_next = r_min + h
     t = s_exp * math.log(r_next / r_min)
     if t > 300.0:
         u_prev, u_cur = math.exp(-t), 1.0
     else:
         u_prev, u_cur = 1.0, math.exp(t)
-    c_origin = (w0 - q) / (4.0 * s_exp + 2.0)
-    u_prev *= 1.0 + c_origin * r_min * r_min
-    u_cur *= 1.0 + c_origin * r_next * r_next
+    c1 = (w0 - q) / (4.0 * s_exp + 2.0)
+    c2 = ((w0 - q) * c1 + w2) / (8.0 * s_exp + 12.0)
+    x_prev, x_cur = r_min * r_min, r_next * r_next
+    u_prev *= 1.0 + (c1 + c2 * x_prev) * x_prev
+    u_cur *= 1.0 + (c1 + c2 * x_cur) * x_cur
     h2 = h * h
     c = h2 / 12.0
     g = wvals[1] - q
@@ -317,6 +322,13 @@ def _predict(mismatch, guess, slope, lo, hi, xtol):
     return q if lo < q < hi else None
 
 
+def _bracket_miss(message, passes):
+    """A NodeCountError carrying the Numerov passes its mesh ran."""
+    miss = NodeCountError(message)
+    miss.passes = passes
+    return miss
+
+
 def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, slope=None):
     """Bisect the level's predicate over [lo, hi] on the mesh that wvals
     spans (w at each point, from _mesh_w, or every s-th of them for a
@@ -364,7 +376,8 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, slope=None):
         # through the tail node that enters r_cut just above the level.
         kappa = math.sqrt(max(w_end - q, 1e-12))
         nodes, g = _numerov_outward(
-            wvals, h, q, problem.origin_exponent, problem.r_min, kappa, problem.origin_w0
+            wvals, h, q, problem.origin_exponent, problem.r_min, kappa,
+            problem.origin_w0, problem.origin_w2,
         )
         m = g * parity
         if nodes != n:
@@ -393,9 +406,9 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, slope=None):
                 if lo < q < hi:
                     above(q)
     if above(lo):
-        raise NodeCountError(f"lower bracket edge {lo!r} already lies above level n={n}")
+        raise _bracket_miss(f"lower bracket edge {lo!r} already lies above level n={n}", passes)
     if not above(hi):
-        raise NodeCountError(f"upper bracket edge {hi!r} still lies below level n={n}")
+        raise _bracket_miss(f"upper bracket edge {hi!r} still lies below level n={n}", passes)
     # Squeeze the window: zeroin on the ends' mismatches, halving while
     # one of them has none.
     squeezed = _SQUEEZE_XTOLS * xtol
@@ -456,7 +469,7 @@ def shoot_eigenvalue(
     the levels before, with the same bits.  The result's gaps lists
     each refinement's mesh gap.  Its passes count the Numerov passes on
     the first and refined meshes, its points the Numerov steps on every
-    mesh, the rungs of an unbroken chain included.  Raises
+    mesh, the rungs included, a rung that missed the level too.  Raises
     NodeCountError when the bracket does not straddle the requested
     level, DomainError when w is not finite at a mesh point and
     ConvergenceError when mesh refinement stalls.
@@ -478,8 +491,9 @@ def shoot_eigenvalue(
                 problem, n, lo, hi, wvals, xtol, value, slope
             )
             points += rung_passes * len(wvals)
-    except NodeCountError:
-        value, slope, points = None, None, 0
+    except NodeCountError as miss:
+        value = slope = None
+        points += miss.passes * len(wvals)
     passes, gaps = 0, []
     for refinement in range(max_refinements + 1):
         wvals = _mesh_w(problem, refinement) if refinement else first
@@ -508,7 +522,8 @@ def harmonic_problem(omega: float = 1.0, *, npts: int = 2001) -> RadialProblem:
 
     The exact levels make this the standard self-test for the shooting
     machinery (unit mass, p-wave-free ell=0 sector, u ~ r at the origin;
-    w has no constant term there, so origin_w0 keeps its default 0).
+    w has no constant term there, so origin_w0 keeps its default 0, and
+    origin_w2 is omega^2).
     The window is (1e-6, 9/sqrt(omega)), so omega must stay below about
     8.1e13.
     """
@@ -522,4 +537,5 @@ def harmonic_problem(omega: float = 1.0, *, npts: int = 2001) -> RadialProblem:
         r_cut=r_cut,
         origin_exponent=1.0,
         npts=npts,
+        origin_w2=omega * omega,
     )

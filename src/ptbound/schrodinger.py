@@ -493,17 +493,20 @@ def pt_radial_problem(
     reduced form) or w = 2 mu V/hbar^2 + l(l+1)/r^2 with q = 2 mu E/hbar^2
     (centrifugal="exact", the raw form; no d0 offset applies).  Both
     share the origin exponent s = (1 + sqrt(1 + 4 B1/alpha^2))/2.  Each
-    mode's origin_w0 is the constant term of its own w at the origin,
-    from 1/cosh^2 x = 1 - x^2 + ... and 1/sinh^2 x = 1/x^2 - 1/3 + ...
+    mode's origin_w0 and origin_w2 are the r^0 and r^2 terms of its own
+    w at the origin, from 1/cosh^2 x = 1 - x^2 + ... and
+    1/sinh^2 x = 1/x^2 - 1/3 + x^2/15 - ...
 
     The integration window ends at r_cut = 40/alpha or, given a negative
     k1_estimate (the deepest level of interest), 32 decay lengths
     1/sqrt(-k1_estimate) past that level's outer turning point (at least
     1/alpha), so the exponential tail neither dominates the mesh nor
     underflows; a k1_estimate so near 0 that this end overflows raises
-    DomainError.  It starts at r_min inside the forbidden core, and the
-    first mesh has 4001 points; a core so strong that r_min reaches
-    r_cut raises DomainError too.
+    DomainError.  It starts at r_min inside the forbidden core, at least
+    three first-mesh steps out unless the origin seed would lose accuracy
+    there, and the first mesh has 4001 points; a core so strong that r_min
+    reaches r_cut raises DomainError too, and an origin_w2 past the
+    double range OverflowRangeError.
 
     A call with the arguments of the call before (equal, and of the same
     types) returns the same problem, so the levels shot on one well
@@ -523,23 +526,9 @@ def pt_radial_problem(
             raise DomainError(f"k1_estimate={k1_estimate!r} puts the window end out of range")
     else:
         r_cut = 40.0 / alpha
-    # Start inside the forbidden core, but not so deep that the stiff
-    # b1/sinh^2 wall breaks the marching stencil: near the origin
-    # w ~ (b1/alpha^2)/r^2, so keeping h^2 w(r_min)/12 below ~0.1 on the
-    # coarsest mesh needs r_min >= h sqrt(b1/1.2)/alpha.  Keep it no
-    # larger: the shooting seed is a truncated series in r, so its origin
-    # error grows with r_min.
-    r_min = max(
-        1e-4 / alpha,
-        (r_cut / _SHOOT_NPTS) * math.sqrt(max(b1, 0.0) / 1.2) / alpha,
-    )
-    if not r_min < r_cut:
-        raise DomainError(
-            f"core strength B1={b1!r} puts the window start r_min={r_min!r} "
-            f"at or past its end r_cut={r_cut!r}"
-        )
     if centrifugal == "approx":
         w0 = a1 - b1 / 3.0
+        w2 = alpha**2 * (b1 / 15.0 - a1)
 
         def w(r: float) -> float:
             x = alpha * r
@@ -548,6 +537,7 @@ def pt_radial_problem(
         two_mu = 2.0 * ctx.mu / ctx.hbar_c**2
         ll1 = float(l * (l + 1))
         w0 = two_mu * (pot.A - pot.B / 3.0)
+        w2 = two_mu * alpha**2 * (pot.B / 15.0 - pot.A)
 
         def w(r: float) -> float:
             x = alpha * r
@@ -555,6 +545,30 @@ def pt_radial_problem(
                 two_mu * (pot.A / math.cosh(x) ** 2 + pot.B / math.sinh(x) ** 2)
                 + ll1 / (r * r)
             )
+    # Start inside the forbidden core, but not so deep that the stiff
+    # b1/sinh^2 wall breaks the marching stencil: near the origin
+    # w ~ (b1/alpha^2)/r^2, so keeping h^2 w(r_min)/12 below ~0.1 on the
+    # coarsest mesh needs r_min >= h sqrt(b1/1.2)/alpha.  A weaker core
+    # starts three first-mesh steps out, so that u ~ r^s is smooth on the
+    # scale of the first steps, but no farther than rho: the seed is a
+    # series in r^2 that drops the r^6 term, and that term stays small
+    # only while r^2 (|w0 - q| + alpha^2) does.  Without a k1_estimate,
+    # q = 0 stands in for the level: it bounds |w0 - q| over every bound
+    # level above w0.
+    h0 = r_cut / _SHOOT_NPTS
+    q = 0.0 if k1_estimate is None else k1_estimate
+    rho = math.sqrt(2e-3 / (abs(w0 - q) + alpha**2))
+    r_min = max(
+        1e-4 / alpha,
+        h0 * math.sqrt(max(b1, 0.0) / 1.2) / alpha,
+        min(3.0 * h0, rho),
+    )
+    if not r_min < r_cut:
+        raise DomainError(
+            f"core strength B1={b1!r} puts the window start r_min={r_min!r} "
+            f"at or past its end r_cut={r_cut!r}"
+        )
     return RadialProblem(
-        w=w, r_min=r_min, r_cut=r_cut, origin_exponent=s_exp, npts=_SHOOT_NPTS, origin_w0=w0
+        w=w, r_min=r_min, r_cut=r_cut, origin_exponent=s_exp, npts=_SHOOT_NPTS,
+        origin_w0=w0, origin_w2=within_range(w2, "r^2 term of w at the origin"),
     )

@@ -142,6 +142,7 @@ ROWS = {
     "RadialProblem": row(
         w=st.just(lambda r: r * r), r_min=around(1e-6), r_cut=around(9.0),
         origin_exponent=around(1.0), npts=st.integers(0, 4001), origin_w0=around(1.0),
+        origin_w2=around(1.0),
     ),
     # atan is finite at every float, so the row checks finite_difference, not f
     "finite_difference": row(

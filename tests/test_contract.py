@@ -67,7 +67,8 @@ CONTRACT = {
         mol=MOL, pot=pb.PTPotential(-2.0, 3.0, MOL.alpha_invA), l=0, tau=1.0, **MOL_UNITS
     ),
     "RadialProblem": dict(
-        w=lambda r: r * r, r_min=1e-6, r_cut=9.0, origin_exponent=1.0, npts=2001, origin_w0=0.0
+        w=lambda r: r * r, r_min=1e-6, r_cut=9.0, origin_exponent=1.0, npts=2001, origin_w0=0.0,
+        origin_w2=1.0,
     ),
     "finite_difference": dict(f=math.exp, x=0.0, order=1, h=1e-3),
     "harmonic_problem": dict(omega=1.0, npts=2001),
@@ -172,6 +173,7 @@ BAD_ARGUMENTS = [
     ("RadialProblem", "npts", (2001.0,), "npts"),
     ("RadialProblem", "origin_exponent", (math.nan, -0.5), "origin_exponent"),
     ("RadialProblem", "origin_w0", (math.nan,), "origin_w0"),
+    ("RadialProblem", "origin_w2", (math.inf,), "origin_w2"),
     ("finite_difference", "order", (3,), "order"),
     ("finite_difference", "h", (0.0,), "step"),
     ("harmonic_problem", "omega", (-1.0, math.nan, math.inf), "omega"),

@@ -150,7 +150,7 @@ def test_settable_surface():
         "dirac.special_case_residual": ("alpha", "a", "b", "eta", "hbar_c"),
         "aim.AimProblem": ("e_shift", "e_scale"),
         "aim.aim_eigen_scan": ("grid",),
-        "oracle.RadialProblem": ("npts", "origin_w0"),
+        "oracle.RadialProblem": ("npts", "origin_w0", "origin_w2"),
         "oracle.finite_difference": ("order", "h"),
         "oracle.harmonic_problem": ("omega", "npts"),
         "oracle.integrate_adaptive": ("tol", "max_depth"),

@@ -165,7 +165,8 @@ def _cold_mesh_value(problem, n, lo, hi, npts, xtol):
     def above(q):
         kappa = math.sqrt(max(wvals[-1] - q, 1e-12))
         nodes, g = oracle._numerov_outward(
-            wvals, h, q, problem.origin_exponent, problem.r_min, kappa, problem.origin_w0
+            wvals, h, q, problem.origin_exponent, problem.r_min, kappa,
+            problem.origin_w0, problem.origin_w2,
         )
         return nodes > n if nodes != n else g * parity < 0.0
 
@@ -223,11 +224,11 @@ def _criterion2_results():
 class TestStall:
     def test_stall_carries_the_last_mesh_value(self):
         # One doubling is not enough on this level: the 4001- and 8001-point
-        # values differ by 7.1e-6, far above the 1e-9 tolerance.
+        # values differ by 4.8e-7, far above the 1e-9 tolerance.
         problem, bracket = _pt_level(-60.0, 0.5, 1.0, 0)
         with pytest.raises(ConvergenceError) as info:
             shoot_eigenvalue(problem, 0, bracket, max_refinements=1)
-        assert str(info.value) == "mesh refinement stalled after 1 doublings (gap 7.149e-06)"
+        assert str(info.value) == "mesh refinement stalled after 1 doublings (gap 4.764e-07)"
         lo, hi = bracket
         xtol = 1e-9 * max(1.0, abs(lo), abs(hi)) * 1e-2
         assert info.value.estimate == _cold_mesh_value(problem, 0, lo, hi, 8001, xtol)
@@ -242,7 +243,7 @@ class TestWarmStart:
     its Numerov passes."""
 
     STRONG_WELL = (-150.0, 3.0, 1.3)  # criterion 2's: two meshes, 38 passes each when cold
-    REFINING_WELL = (-60.0, 0.5, 1.0)  # n = 0 refines four times, to 64k points
+    REFINING_WELL = (-60.0, 0.5, 1.0)  # n = 0 refines three times, to 32k points
 
     @staticmethod
     def _check(problem, n, bracket):
@@ -268,7 +269,7 @@ class TestWarmStart:
     def test_refining_well(self):
         problem, bracket = _pt_level(*self.REFINING_WELL, 0)
         res = self._check(problem, 0, bracket)
-        assert res.refinements == 4
+        assert res.refinements == 3
         assert res.passes <= 25
 
     def test_edge_without_mismatch(self):
@@ -287,8 +288,8 @@ class TestWarmStart:
         assert res.passes <= 9
 
     def test_criterion2_points(self):
-        # 6,443,710 before the Newton shots
-        assert sum(res.points for res in _criterion2_results()) <= 5_000_000
+        # 6,443,710 before the Newton shots, 4,816,557 with the two-term seed
+        assert sum(res.points for res in _criterion2_results()) <= 2_000_000
 
     def test_far_guess_without_slope_gives_cold_value(self):
         problem, (lo, hi) = _pt_level(*self.STRONG_WELL, 1)
@@ -402,12 +403,48 @@ class TestCoarseRungs:
         def fine_rung_fails(problem, n, lo, hi, wvals, *args):
             if len(wvals) == 251:
                 failed.append(args)
-                raise NodeCountError("rung")
+                raise oracle._bracket_miss("rung", 0)
             return solve(problem, n, lo, hi, wvals, *args)
 
         monkeypatch.setattr(oracle, "_solve_on_mesh", fine_rung_fails)
         TestWarmStart._check(problem, 1, bracket)
         assert len(failed) == 1
+
+    @staticmethod
+    def _count_steps(monkeypatch):
+        """The Numerov steps of every pass from here on, one entry a pass."""
+        march, steps = oracle._numerov_outward, []
+
+        def counting(wvals, *args):
+            steps.append(len(wvals))
+            return march(wvals, *args)
+
+        monkeypatch.setattr(oracle, "_numerov_outward", counting)
+        return steps
+
+    def test_points_count_a_coarse_rung_that_missed(self, monkeypatch):
+        # The restart once dropped the missed rung's pass: 24,009 points
+        # for 24,135 steps.
+        steps = self._count_steps(monkeypatch)
+        res = shoot_eigenvalue(harmonic_problem(), 0, (2.9999995, 3.5))
+        assert res.points == sum(steps) == 24_135
+
+    def test_points_count_a_fine_rung_that_missed(self, monkeypatch):
+        # Both rungs' passes stay counted when the fine one misses.
+        problem, bracket = _pt_level(*TestWarmStart.STRONG_WELL, 1)
+        solve = oracle._solve_on_mesh
+
+        def fine_rung_misses(problem, n, lo, hi, wvals, *args):
+            value, passes, slope = solve(problem, n, lo, hi, wvals, *args)
+            if len(wvals) == 251:
+                raise oracle._bracket_miss("rung", passes)
+            return value, passes, slope
+
+        monkeypatch.setattr(oracle, "_solve_on_mesh", fine_rung_misses)
+        steps = self._count_steps(monkeypatch)
+        res = shoot_eigenvalue(problem, 1, bracket)
+        assert 126 in steps and 251 in steps
+        assert res.points == sum(steps)
 
     def test_error_is_the_first_mesh_error(self):
         # The coarse rung holds the level; the first mesh does not.
@@ -479,11 +516,11 @@ class TestMeshSharing:
 
 
 class TestFourthOrder:
-    """Blatt's summed Numerov form and the two-term Frobenius seed leave
+    """Blatt's summed Numerov form and the three-term Frobenius seed leave
     no round-off floor or origin error above the tolerances the solver
     is run at, so the gaps shrink at the method's h^4 order."""
 
-    WEAK_CORE_WELL = (-45.0, 0.1, 0.8)  # criterion 2's; n = 2 refines to 128k points
+    WEAK_CORE_WELL = (-45.0, 0.1, 0.8)  # criterion 2's; n = 2 refines to 32k points
     STALLED_WELL = (-108.38468982155987, 0.26891787363534336, 1.2422303788240925)
 
     def test_gap_history(self):
@@ -496,7 +533,12 @@ class TestFourthOrder:
 
     def test_weak_core_gap_ratios_rise_to_fourth_order(self):
         problem, bracket = _pt_level(*self.WEAK_CORE_WELL, 2)
-        gaps = shoot_eigenvalue(problem, 2, bracket).gaps
+        res = shoot_eigenvalue(problem, 2, bracket)
+        # The three-term seed lets a weak core start three first-mesh steps
+        # out; with the two-term seed from 0.36 of a step, this level and
+        # the stalled well's refined five times, to 128,001 points.
+        assert res.npts <= 32_001
+        gaps = res.gaps
         ratios = [coarse / fine for coarse, fine in zip(gaps, gaps[1:])]
         assert all(a < b for a, b in zip(ratios, ratios[1:])), ratios
         assert ratios[-1] >= 12.0, ratios
@@ -508,7 +550,7 @@ class TestFourthOrder:
         res = shoot_eigenvalue(problem, 2, bracket)
         pot = PTPotential(*self.STALLED_WELL)
         closed = spectral_params(pot, NRContext.natural(mu=0.5), 0, "regular").k1(2)
-        assert res.npts <= 128_001
+        assert res.npts <= 32_001
         assert res.value == pytest.approx(closed, rel=1e-8)
 
     def test_strong_well_tight_tolerance(self):
@@ -522,7 +564,8 @@ def _march(problem, wvals, q):
     h = (problem.r_cut - problem.r_min) / (len(wvals) - 1)
     kappa = math.sqrt(max(wvals[-1] - q, 1e-12))
     nodes, g = oracle._numerov_outward(
-        wvals, h, q, problem.origin_exponent, problem.r_min, kappa, problem.origin_w0
+        wvals, h, q, problem.origin_exponent, problem.r_min, kappa,
+        problem.origin_w0, problem.origin_w2,
     )
     return f"{nodes} {float.hex(g)}"
 
@@ -566,7 +609,7 @@ class TestKernelDigest:
                 wvals[i] = bad
                 lines.append(_march(problem, wvals, 7.0))
         assert _digest(lines) == (
-            "44e97193bfa2484a294888c437fc388cd2a848a276f4c8f7debcdedf6e146010"
+            "5921333edac3af0d36c7976066dc0e09ed6adcc5f101cc54e1baa4454ce3e49d"
         )
 
     def test_shoot_results(self):
@@ -576,14 +619,15 @@ class TestKernelDigest:
             for res in _criterion2_results()
         ]
         assert _digest(lines) == (
-            "1cd19bb6b027fcc38927dddf817b7753675d2bcfe06ccf2eab022535b132d714"
+            "33939c01b604b05c06c19d91fd989124c2b2524e751304169056560b873fdcef"
         )
 
     def test_shoot_work(self):
         # 302 passes and 6,443,710 points before the Newton shots, 241 and
         # 4,821,075 with them and the warm replay and widening search, 241
-        # and 4,816,557 with the bracket checked against the shot record.
+        # and 4,816,557 with the bracket checked against the shot record,
+        # 186 and 1,909,994 with the three-term seed.
         lines = [f"{res.passes} {res.points}" for res in _criterion2_results()]
         assert _digest(lines) == (
-            "012c122088efb864903441fa497577485d8d7a0ae46d49cc46bcaff7890f7712"
+            "9ca4548558f40fb94a9f34fa7577340118ee66347208a32e25600e325ec82371"
         )

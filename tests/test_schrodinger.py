@@ -11,7 +11,9 @@ from hypothesis import strategies as st
 
 from ptbound.dirac import DiracContext, plain_params, spinor_wavefunction, tilde_params
 from ptbound.errors import DomainError, NodeCountError, OverflowRangeError
-from ptbound.oracle import finite_difference, integrate_adaptive, shoot_eigenvalue
+from ptbound.oracle import (
+    finite_difference, harmonic_problem, integrate_adaptive, shoot_eigenvalue,
+)
 from ptbound.schrodinger import (
     NRContext,
     PTPotential,
@@ -400,16 +402,15 @@ class TestShootingCrossCheck:
         for n in range(top + 1):
             deeper = reg.k1(n - 1) if n else 1.44 * reg.k1(0)
             upper = 0.5 * (reg.k1(n) + reg.k1(n + 1)) if n < top else 0.5 * reg.k1(top)
-            # the top levels of (-45, 0.1, 0.8) at l = 0 and (-150, 3, 1.3)
-            # at l = 1 stall at the default 6 refinements, with mesh gaps near
-            # 1.3e-9, and converge at 8, on 512,001 points
-            res = shoot_eigenvalue(
-                prob, n, (0.5 * (reg.k1(n) + deeper), upper), tol=1e-9, max_refinements=8
-            )
-            assert res.value == pytest.approx(reg.k1(n), rel=1e-6)
+            # With the two-term origin seed the top levels of (-45, 0.1, 0.8)
+            # at l = 0 and (-150, 3, 1.3) at l = 1 stalled at the default 6
+            # refinements, with mesh gaps near 1.3e-9, and the worst level
+            # lay 1.1e-7 from k1(n) even at 8.
+            res = shoot_eigenvalue(prob, n, (0.5 * (reg.k1(n) + deeper), upper), tol=1e-9)
+            assert res.value == pytest.approx(reg.k1(n), rel=1e-9)
             shot.append(res.value)
         with pytest.raises(NodeCountError):
-            shoot_eigenvalue(prob, top + 1, (0.5 * reg.k1(top), -1e-6), tol=1e-9, max_refinements=8)
+            shoot_eigenvalue(prob, top + 1, (0.5 * reg.k1(top), -1e-6), tol=1e-9)
         ladder = ThermoContext(-0.5 * (reg.gamma + reg.beta), 0.5 / pot.alpha)
         for beta in (0.01, 0.05, 0.2):
             boltzmann = math.fsum(math.exp(-beta * q) for q in shot)
@@ -482,6 +483,48 @@ class TestShootingCrossCheck:
         r = 1e-3 / pot.alpha
         assert abs(rest(r)) < 1e-4
         assert rest(2.0 * r) / rest(r) == pytest.approx(4.0, rel=1e-2)
+
+    @pytest.mark.parametrize(
+        "problem, r",
+        [
+            *(
+                pytest.param(
+                    pt_radial_problem(PTPotential(*well), NRContext.natural(mu=0.8), l,
+                                      centrifugal=centrifugal),
+                    1e-2 / well[2],
+                    id=f"{well}-l{l}-{centrifugal}",
+                )
+                for well in ((-30.0, 2.3, 1.3), (-45.0, 0.1, 0.8), (-150.0, 3.0, 1.3))
+                for l in (0, 1)
+                for centrifugal in ("approx", "exact")
+            ),
+            pytest.param(harmonic_problem(omega=2.0), 1e-2, id="harmonic"),
+        ],
+    )
+    def test_origin_coefficients_are_those_of_w(self, problem, r):
+        # Near the origin w = s(s-1)/r^2 + origin_w0 + origin_w2 r^2 + O(r^4).
+        # Each coefficient is read off w at r and 2r, with the next term's
+        # r^2 dependence extrapolated away.  A wrong origin_w2 moves the
+        # levels only near 1e-10, so this is what catches it.
+        s = problem.origin_exponent
+
+        def extrapolated(rest):
+            return (4.0 * rest(r) - rest(2.0 * r)) / 3.0
+
+        def w0_at(r):
+            return problem.w(r) - s * (s - 1.0) / r**2
+
+        def w2_at(r):
+            return (w0_at(r) - problem.origin_w0) / r**2
+
+        assert extrapolated(w0_at) == pytest.approx(problem.origin_w0, rel=1e-6, abs=1e-9)
+        assert extrapolated(w2_at) == pytest.approx(problem.origin_w2, rel=1e-6)
+
+    @pytest.mark.parametrize("centrifugal", ["approx", "exact"])
+    def test_origin_r2_term_past_the_range_names_it(self, centrifugal):
+        # alpha^2 A overflows, so the seed cannot take the r^2 term.
+        with pytest.raises(OverflowRangeError, match=r"r\^2 term of w at the origin"):
+            pt_radial_problem(PTPotential(-1e300, 0.1, 1e5), CTX, 0, centrifugal=centrifugal)
 
     @pytest.mark.parametrize("b", [1e8, 1e308])
     def test_core_past_the_window_names_the_core(self, b):
