@@ -216,8 +216,8 @@ def _thermo_batch(pairs) -> np.ndarray:
     """thermo_table of every (context, beta) pair, in one batch.
 
     Drawing a pair can fail (a context that cannot be built); the pairs
-    drawn before it are then evaluated first, through thermo_point, so
-    that the error reported is the one a pair-by-pair loop would meet
+    drawn before it are then evaluated first, one thermo_point call each,
+    so that the error reported is the one a pair-by-pair loop would meet
     first.  (perfbench's tracer wraps this module's thermo_point.)
     """
     ctxs: list[ThermoContext] = []
@@ -227,7 +227,8 @@ def _thermo_batch(pairs) -> np.ndarray:
             ctxs.append(ctx)
             betas.append(beta)
     except Exception:
-        thermo_point(ctxs, betas)
+        for ctx, beta in zip(ctxs, betas):
+            thermo_point(ctx, beta)
         raise
     return thermo_table(ctxs, betas)
 
@@ -350,6 +351,7 @@ def cli_aim_verify(
     the dimensionless a1, b1 directly; scans each level in a bracket
     bounded by the midpoints to its neighbors.
     """
+    n_max = require_index(n_max, "n_max")
     header = ["n", "depth", "k1_closed", "k1_scan", "rel_dev", "converged", "residual"]
     ctx = NRContext.natural(mu=0.5)
     pot = PTPotential(A=a1, B=b1, alpha=alpha)

@@ -311,7 +311,9 @@ def special_case_residual(
     """
     require_choice(kind, _SPECIAL_KINDS, "kind")
     require_index(n, "level index")
-    for what, value in (("e", e), ("m", m), ("a", a), ("b", b), ("eta", eta)):
+    for what, value in (
+        ("e", e), ("m", m), ("a", a), ("b", b), ("eta", eta), ("alpha", alpha), ("hbar_c", hbar_c),
+    ):
         require_finite(value, what)
     ae2 = require_positive(_square(alpha * hbar_c), "(alpha hbar_c)**2")
     if kind.startswith("hyperbolic_mpt") and (alpha != 1.0 or hbar_c != 1.0):

@@ -53,18 +53,30 @@ class TableFormatError(PtboundError, ValueError):
     """A molecule table or CSV artifact violates the documented layout."""
 
 
+# An int past the double range compares as finite but has no float.
+_PAST_RANGE = "got an int past the double range"
+
+
 def require_finite(x, what: str) -> float:
-    """x as a float; DomainError unless it is finite."""
-    if not math.isfinite(x):
-        raise DomainError(f"{what} must be finite, got {x!r}")
-    return float(x)
+    """x as a float; DomainError unless it is finite (an int past the double
+    range is not)."""
+    try:
+        if math.isfinite(x):
+            return float(x)
+    except OverflowError:
+        raise DomainError(f"{what} must be finite, {_PAST_RANGE}") from None
+    raise DomainError(f"{what} must be finite, got {x!r}")
 
 
 def require_positive(x, what: str) -> float:
-    """x as a float; DomainError unless 0 < x < inf (NaN fails too)."""
+    """x as a float; DomainError unless 0 < x < inf (NaN and an int past the
+    double range fail too)."""
     if not 0.0 < x < math.inf:
         raise DomainError(f"{what} must be finite and positive, got {x!r}")
-    return float(x)
+    try:
+        return float(x)
+    except OverflowError:
+        raise DomainError(f"{what} must be finite and positive, {_PAST_RANGE}") from None
 
 
 def require_choice(value, choices: tuple, what: str):
@@ -77,7 +89,10 @@ def require_choice(value, choices: tuple, what: str):
 def require_bracket(bracket, what: str) -> tuple[float, float]:
     """(lo, hi) of a two-element bracket as floats; DomainError unless
     -inf < lo < hi < inf."""
-    lo, hi = float(bracket[0]), float(bracket[1])
+    try:
+        lo, hi = float(bracket[0]), float(bracket[1])
+    except OverflowError:
+        raise DomainError(f"{what} must be finite and nonempty, {_PAST_RANGE}") from None
     if not -math.inf < lo < hi < math.inf:
         raise DomainError(f"{what} must be finite and nonempty, got ({lo!r}, {hi!r})")
     return lo, hi
@@ -96,8 +111,12 @@ def require_index(value, what: str, minimum: int = 0) -> int:
 
 
 def require_normal_square(x, what: str) -> float:
-    """x; DomainError unless x * x is a normal double (for an input whose
-    square the routes divide by)."""
+    """x as a float; DomainError unless x * x is a normal double (for an
+    input whose square the routes divide by)."""
+    try:
+        x = float(x)
+    except OverflowError:
+        raise DomainError(f"{what}**2 must be a normal double, {_PAST_RANGE}") from None
     if not sys.float_info.min <= x * x < math.inf:
         raise DomainError(f"{what}**2 must be a normal double, got {what}={x!r}")
     return x

@@ -122,7 +122,7 @@ def nr_context_for(
     amu_to_ev: float = AMU_TO_EV,
 ) -> NRContext:
     """Schrodinger context in eV/Angstrom units for one molecule."""
-    return NRContext(mu=mol.mu_amu * amu_to_ev, hbar_c=hbar_c)
+    return NRContext(mu=mol.mu_amu * require_finite(amu_to_ev, "amu_to_ev"), hbar_c=hbar_c)
 
 
 def thermo_context_for(

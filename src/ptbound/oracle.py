@@ -169,7 +169,7 @@ class RadialProblem:
             raise DomainError(f"npts must be an int >= 16, got {self.npts!r}")
         # s and 1 - s both solve s(s - 1) = r^2 w(r) at the origin; the
         # regular solution takes the larger.
-        if not 0.5 <= self.origin_exponent < math.inf:
+        if not 0.5 <= require_finite(self.origin_exponent, "origin_exponent"):
             raise DomainError(
                 f"origin_exponent must be finite and >= 1/2, got {self.origin_exponent!r}"
             )

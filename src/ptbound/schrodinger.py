@@ -155,7 +155,8 @@ class LevelCount(NamedTuple):
 def potential_value(pot: PTPotential, r: float) -> float:
     """V(r) for r > 0; at r = 0 only the B = 0 case is finite.  A core
     term past the double range raises OverflowRangeError."""
-    if not 0.0 <= r < math.inf:
+    r = require_finite(r, "radius")
+    if r < 0.0:
         raise DomainError(f"radius must be nonnegative and finite, got {r!r}")
     if r == 0.0:
         if pot.B != 0.0:

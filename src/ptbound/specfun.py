@@ -10,10 +10,11 @@ function are not in the stdlib, so they are implemented here:
 * large |x|: Dawson uses its asymptotic series, erfi the identity
   ``erfi(x) = 2/sqrt(pi) * exp(x^2) * dawson(x)``.
 
-The branch between the two is taken in one place, and ``erfi_family``
-returns Dawson, erfi and log-erfi at one x from a single summation.
-Its private array twin sums the series of many x at once, each element
-bit for bit as the scalar form does, for the batched thermodynamics.
+The branch between the two is taken in one place, ``_integral``, which
+dawson, erfi and ln_erfi share.  Its array twin sums the series of many
+x at once, each element bit for bit as the scalar form does, and
+``_erfi_family_array`` gives the three functions of every element from
+that one summation, for the batched thermodynamics.
 
 Accuracy is a few ulp over the supported range (checked against
 quadrature and high-precision references in the test suite).
@@ -33,7 +34,6 @@ __all__ = [
     "ERFI_MAX_ARG",
     "dawson",
     "erfi",
-    "erfi_family",
     "hyp2f1_terminating",
     "ln_erfi",
     "pochhammer",
@@ -193,37 +193,15 @@ def _unsort(values: np.ndarray, order: np.ndarray) -> np.ndarray:
     return out
 
 
-# The erfi family from one (p, v) pair of _integral(ax).  Dawson's factor
-# exp(p - ax^2) is 1.0 where p = ax^2 (even past its overflow).
-def _dawson_of(ax: float, p: float, v: float) -> float:
-    return v if p else math.exp(-ax * ax) * v
-
-
-def _erfi_of(p: float, v: float) -> float:
-    return _TWO_OVER_SQRT_PI * math.exp(p) * v
-
-
-def _ln_erfi_of(p: float, v: float) -> float:
-    return p + math.log(_TWO_OVER_SQRT_PI * v)
-
-
-def _erfi_arg(x: float) -> float:
-    x = require_finite(x, "x")
-    if abs(x) > ERFI_MAX_ARG:
-        raise OverflowRangeError(
-            f"erfi({x!r}) exceeds the supported range |x| <= {ERFI_MAX_ARG}; "
-            "use ln_erfi for log-scaled values"
-        )
-    return x
-
-
 def dawson(x: float) -> float:
     """Dawson integral ``exp(-x^2) * int_0^x exp(t^2) dt``."""
     x = require_finite(x, "x")
     ax = abs(x)
     if ax == 0.0:
         return 0.0
-    return math.copysign(_dawson_of(ax, *_integral(ax)), x)
+    p, v = _integral(ax)
+    # exp(p - ax^2) is 1.0 where p = ax^2 (even past its overflow)
+    return math.copysign(v if p else math.exp(-ax * ax) * v, x)
 
 
 def erfi(x: float) -> float:
@@ -233,31 +211,27 @@ def erfi(x: float) -> float:
     the double range and OverflowRangeError is raised.  Use ln_erfi for
     the log-scaled value instead.
     """
-    x = _erfi_arg(x)
-    return math.copysign(_erfi_of(*_integral(abs(x))), x)
+    x = require_finite(x, "x")
+    if abs(x) > ERFI_MAX_ARG:
+        raise OverflowRangeError(
+            f"erfi({x!r}) exceeds the supported range |x| <= {ERFI_MAX_ARG}; "
+            "use ln_erfi for log-scaled values"
+        )
+    p, v = _integral(abs(x))
+    return math.copysign(_TWO_OVER_SQRT_PI * math.exp(p) * v, x)
 
 
 def ln_erfi(x: float) -> float:
     """log(erfi(x)) ~ x^2 for x > 0, far past the plain-erfi cap, up to where x^2 overflows."""
     x = require_positive(x, "x")
     within_range(x * x, "ln_erfi(x) ~ x**2")
-    return _ln_erfi_of(*_integral(x))
-
-
-def erfi_family(x: float) -> tuple[float, float, float]:
-    """``(dawson(x), erfi(x), ln_erfi(x))`` for 0 < x <= ERFI_MAX_ARG.
-
-    The three share one summation of their series, and each value is
-    the one its own function returns, bit for bit.  Past the range,
-    erfi's OverflowRangeError is raised.
-    """
-    x = require_positive(_erfi_arg(x), "x")
     p, v = _integral(x)
-    return _dawson_of(x, p, v), _erfi_of(p, v), _ln_erfi_of(p, v)
+    return p + math.log(_TWO_OVER_SQRT_PI * v)
 
 
 def _erfi_family_array(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``erfi_family`` at each element of a 1-d array of 0 < x <= ERFI_MAX_ARG, bit for bit.
+    """``(dawson(x), erfi(x), ln_erfi(x))`` at each element of a 1-d array of
+    0 < x <= ERFI_MAX_ARG, bit for bit, from one summation of the series.
 
     exp and log come from math, element by element: numpy's differ from
     them in the last bit at some arguments.

@@ -15,16 +15,15 @@ ln(erfi) combinations in which every e^{chi^2} factor cancels
 analytically; the small-chi region, where 1 - chi/dawson(chi) loses all
 leading digits, switches to series.
 
-thermo_point gives every quantity at one beta.  thermo_table takes a
-sequence of contexts and one of betas and evaluates all the pairs in one
-array pass (the erfi series of every point summed together, each
-element with the scalar operations in the scalar order).  It returns a
-float64 block with one row per pair, its columns chi, Z, U, C, F and S,
-each row bit for bit the fields of the pointwise thermo_point call; a
-pair the pass cannot cover sends every pair through the pointwise call,
-in order, so the first failing pair raises its error.  thermo_point,
-given the two sequences, returns the block's rows as ThermoPoints; the
-tables of the CLI are formatted from the block itself.
+thermo_point gives every quantity at one beta, each from its standalone
+function.  thermo_table takes a sequence of contexts and one of betas
+and evaluates all the pairs in one array pass (the erfi series of every
+point summed together, each element with the scalar operations in the
+scalar order).  It returns a float64 block with one row per pair, its
+columns chi, Z, U, C, F and S, each row bit for bit the fields of
+thermo_point at that pair; a pair the pass cannot cover sends every pair
+through thermo_point, in order, so the first failing pair raises its
+error.  The tables of the CLI are formatted from the block itself.
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ import numpy as np
 from .errors import (
     DomainError, OverflowRangeError, require_finite, require_index, require_positive, within_range,
 )
-from .specfun import ERFI_MAX_ARG, _erfi_family_array, dawson, erfi, erfi_family, ln_erfi
+from .specfun import ERFI_MAX_ARG, _erfi_family_array, dawson, erfi, ln_erfi
 
 __all__ = [
     "ThermoContext",
@@ -138,7 +137,7 @@ def partition_sum(ctx: ThermoContext, beta: float, n_max: int) -> float:
 
 
 # The closed forms below take a float or an array in each argument: the
-# scalar functions pass floats, the batched thermo_point arrays.
+# standalone functions pass floats, the batched thermo_table arrays.
 def _pick(cond, taken, other):
     """taken() where cond holds, else other(): element by element for an
     array cond, and for a bool only the branch taken is evaluated."""
@@ -291,39 +290,13 @@ def entropy(ctx: ThermoContext, beta: float) -> float:
     )
 
 
-def thermo_point(
-    ctx: ThermoContext | Sequence[ThermoContext], beta: float | Sequence[float]
-) -> ThermoPoint | list[ThermoPoint]:
-    """All closed-form quantities at one temperature, or at many.
-
-    With a ThermoContext and one beta: chi and the erfi series are
-    evaluated once; every field equals what the standalone function
-    returns, bit for bit, and an argument they reject raises what the
-    first of partition_closed, mean_energy, specific_heat and free_energy
-    to reject it would.
-
-    With two sequences of equal length, contexts and betas: the list of
-    thermo_point at each pair, built from the rows of thermo_table.
-    """
-    if not isinstance(ctx, ThermoContext):
-        return [ThermoPoint(b, *row) for b, row in zip(beta, thermo_table(ctx, beta).tolist())]
-    x = chi(ctx, beta)
-    if not 0.0 < x <= ERFI_MAX_ARG:
-        # chi past erfi's range fails in partition_closed, any other in mean_energy
-        partition_closed(ctx, beta)
-        mean_energy(ctx, beta)
-    d, erfi_x, ln_erfi_x = erfi_family(x)
-    omd = _one_minus_chi_over_dawson(x, d)
-    ln_tau, ln_beta = math.log(ctx.tau), math.log(beta)
-    return ThermoPoint(
-        beta=beta,
-        chi=x,
-        Z=within_range(_partition(erfi_x, ctx.tau, math.sqrt(beta)), "partition function"),
-        U=within_range(_mean_energy(omd, beta), "mean energy"),
-        C=within_range(_specific_heat(x, d), "specific heat"),
-        F=within_range(-_log_partition(ln_erfi_x, ln_tau, ln_beta) / beta, "free energy"),
-        S=_entropy(omd, ln_erfi_x, ln_tau, ln_beta),
-    )
+def thermo_point(ctx: ThermoContext, beta: float) -> ThermoPoint:
+    """All closed-form quantities at one temperature: each field is what
+    its standalone function returns, and the first of them to reject an
+    argument raises."""
+    return ThermoPoint(beta, *(f(ctx, beta) for f in (
+        chi, partition_closed, mean_energy, specific_heat, free_energy, entropy,
+    )))
 
 
 def thermo_table(ctxs: Sequence[ThermoContext], betas: Sequence[float]) -> np.ndarray:
@@ -332,8 +305,8 @@ def thermo_table(ctxs: Sequence[ThermoContext], betas: Sequence[float]) -> np.nd
     Each row equals the fields of thermo_point(ctxs[i], betas[i]) bit for
     bit.  The series of all pairs are summed in one array pass, which runs
     as long as the slowest pair's.  If that pass does not cover every
-    pair, the pairs go through the scalar thermo_point one by one, in
-    order, and the first failing pair raises its error.
+    pair, the pairs go through thermo_point one by one, in order, and the
+    first failing pair raises its error.
     """
     if len(ctxs) != len(betas):
         raise DomainError(

@@ -180,7 +180,6 @@ ROWS = {
     ),
     "dawson": row(x=around(1.0)),
     "erfi": row(x=around(1.0)),
-    "erfi_family": row(x=around(1.0)),
     "ln_erfi": row(x=around(1.0)),
     "hyp2f1_terminating": row(n=st.integers(-1, 6), b=around(1.5), c=around(0.5), z=around(-0.3)),
     "pochhammer": row(s=around(2.7), n=st.integers(-1, 8)),

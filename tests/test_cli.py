@@ -264,7 +264,7 @@ def row_path_bytes(header, rows) -> bytes:
 
 
 def thermo_row_table(config, *, l=0, beta_min=1e-4, beta_max=1.0, points=64, tau=None):
-    """cli_thermo's table built row by row from the scalar thermo_point."""
+    """cli_thermo's table built row by row from pointwise thermo_point calls."""
     betas = _grid(beta_min, beta_max, points, log=True)
     rows = []
     for mol in config.molecules():
@@ -456,6 +456,15 @@ class TestBadInput:
         out = tmp_path / "av.csv"
         with pytest.raises(ConvergenceError, match="n=1"):
             cli_aim_verify(RunConfig(out=out), depth=2)
+        assert not out.exists()
+
+    def test_aim_verify_negative_n_max_error_record(self, runner, tmp_path):
+        out = tmp_path / "av.csv"
+        res = runner.invoke(main, ["aim-verify", "--n-max", "-1", "--out", str(out)])
+        assert res.exit_code == 1
+        assert json.loads(res.stderr.strip()) == {
+            "error": "DomainError", "message": "n_max must be an integer >= 0, got -1",
+        }
         assert not out.exists()
 
 

@@ -5,9 +5,9 @@ here: a call that works, naming every parameter.  Finite input drawn
 from the row's strategy in ``strategies.ROWS`` must give a finite result
 (every float of a number, tuple, NamedTuple or record) or raise a
 PtboundError, and so must each float argument of the row's call, and
-each float field of a record argument, set to 5e-324, the largest double
-or its negative (the calls that still leak are strict xfails, each with
-its reason).  Each numeric argument of the
+each float field of a record argument, set to 5e-324, the largest double,
+its negative or the int 10**400 (the calls that still leak are strict
+xfails, each with its reason).  Each numeric argument of the
 row's call (and each element of a numeric tuple such as a bracket) set
 to NaN, +inf or -inf must raise a DomainError.  The bad arguments of each row, one at a time, must raise
 a DomainError that names them, and each bad call must raise its error
@@ -39,6 +39,9 @@ TCTX = pb.ThermoContext(zeta=5.0, tau=1.0)
 MOL = pb.builtin_molecules()[0]
 MOL_UNITS = dict(hbar_c=pb.HBARC_EV_ANG, amu_to_ev=pb.AMU_TO_EV)
 BETA = dict(ctx=TCTX, beta=0.1)
+# An int past the double range: it compares as finite, but float() of it
+# raises OverflowError.
+BIG_INT = 10**400
 
 # Export -> a call that works, as keyword arguments naming every parameter.
 CONTRACT = {
@@ -92,7 +95,6 @@ CONTRACT = {
     ),
     "dawson": dict(x=1.0),
     "erfi": dict(x=1.0),
-    "erfi_family": dict(x=1.0),
     "ln_erfi": dict(x=1.0),
     "hyp2f1_terminating": dict(n=2, b=1.5, c=0.5, z=-0.3),
     "pochhammer": dict(s=2.7, n=3),
@@ -214,7 +216,6 @@ BAD_ARGUMENTS = [
     ("wavefunction_nr", "r", (0.0, math.inf), "radius"),
     ("wavefunction_nr", "argument", ("cubed",), "argument"),
     ("ln_erfi", "x", (0.0, -1.0), "x must be finite and positive"),
-    ("erfi_family", "x", (0.0, -1.0), "x must be finite and positive"),
     ("ThermoContext", "tau", (math.inf, -math.inf, math.nan, 0.0, -1.0), "finite and positive"),
     ("chi", "beta", (math.inf,), "beta"),
     ("entropy", "beta", (0.0,), "beta"),
@@ -321,6 +322,15 @@ BAD_CALLS = [
     # 200,001 terms near e^700 sum past the double range
     ("partition_sum", lambda: pb.partition_sum(pb.ThermoContext(2.6457e7, 1e6), 1.0, 200000),
      OverflowRangeError, "partition sum"),
+    # an int past the double range, refused where it enters and named
+    ("ThermoContext", lambda: pb.ThermoContext(BIG_INT, 1.0),
+     DomainError, "zeta must be finite, got an int past the double range"),
+    ("PTPotential", lambda: pb.PTPotential(-30.0, 2.3, BIG_INT),
+     DomainError, r"\|alpha\| must be finite and positive, got an int past the double range"),
+    ("shoot_eigenvalue", lambda: pb.shoot_eigenvalue(pb.harmonic_problem(), 0, (1.0, BIG_INT)),
+     DomainError, "shooting bracket must be finite and nonempty, got an int past the double range"),
+    ("potential_value", lambda: pb.potential_value(POT, BIG_INT),
+     DomainError, "radius must be finite, got an int past the double range"),
 ]
 
 
@@ -377,7 +387,7 @@ def substitutions(kwargs, accept, values):
                     arg, label = bad, param
                 else:
                     arg, label = value[:index] + (bad,) + value[index + 1:], f"{param}[{index}]"
-                yield f"{label}={bad}", kwargs | {param: arg}
+                yield f"{label}={'10**400' if bad == BIG_INT else bad}", kwargs | {param: arg}
 
 
 def nonfinite_calls():
@@ -414,9 +424,9 @@ def record_substitutions(kwargs, values):
 
 def extreme_calls():
     """Every float argument of every row, and every float field of a record
-    argument, set to 5e-324, max and -max in turn."""
+    argument, set to 5e-324, max, -max and 10**400 in turn."""
     for name, kwargs in EXTREME_ROWS.items():
-        extremes = (TINY, HUGE, -HUGE)
+        extremes = (TINY, HUGE, -HUGE, BIG_INT)
         for label, call in chain(
             substitutions(kwargs, _is_float, extremes), record_substitutions(kwargs, extremes)
         ):

@@ -261,8 +261,7 @@ def test_public_surface():
             "pt_radial_problem", "spectral_params", "wavefunction_nr",
         ),
         "ptbound.specfun": (
-            "ERFI_MAX_ARG", "dawson", "erfi", "erfi_family", "hyp2f1_terminating", "ln_erfi",
-            "pochhammer",
+            "ERFI_MAX_ARG", "dawson", "erfi", "hyp2f1_terminating", "ln_erfi", "pochhammer",
         ),
         "ptbound.tableio": ("ColumnTable", "format_cell", "render_csv", "write_csv", "write_text"),
         "ptbound.thermo": (

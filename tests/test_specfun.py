@@ -22,7 +22,6 @@ from ptbound.specfun import (
     _retire,
     dawson,
     erfi,
-    erfi_family,
     hyp2f1_terminating,
     ln_erfi,
     pochhammer,
@@ -140,26 +139,6 @@ class TestBitPattern:
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-class TestErfiFamily:
-    def test_equals_single_functions(self):
-        for x in [x for x in POSITIVE_GRID if x <= ERFI_MAX_ARG] + [ERFI_MAX_ARG]:
-            assert erfi_family(x) == (dawson(x), erfi(x), ln_erfi(x)), x
-
-    @pytest.mark.parametrize(
-        "x, error",
-        [
-            (0.0, DomainError),
-            (-1.0, DomainError),
-            (math.nan, DomainError),
-            (math.inf, DomainError),
-            (ERFI_MAX_ARG + 0.5, OverflowRangeError),
-        ],
-    )
-    def test_domain(self, x, error):
-        with pytest.raises(error):
-            erfi_family(x)
-
-
 def _hexes(*columns):
     return [tuple(float.hex(v) for v in row) for row in zip(*columns)]
 
@@ -221,7 +200,8 @@ class TestArrayTwin:
     @example([x for x in POSITIVE_GRID if x <= ERFI_MAX_ARG])
     def test_erfi_family(self, xs):
         family = _erfi_family_array(np.array(xs))
-        assert _hexes(*(f.tolist() for f in family)) == _hexes(*zip(*map(erfi_family, xs)))
+        singles = [(dawson(x), erfi(x), ln_erfi(x)) for x in xs]
+        assert _hexes(*(f.tolist() for f in family)) == _hexes(*zip(*singles))
 
 
 class TestPochhammer:

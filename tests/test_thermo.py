@@ -444,6 +444,7 @@ class TestThermoPoint:
         ctx = ThermoContext(zeta=12.0, tau=0.8)
         beta = 0.03
         pt = thermo_point(ctx, beta)
+        assert type(pt) is ThermoPoint
         assert pt._fields == ("beta", "chi", "Z", "U", "C", "F", "S")
         assert pt.beta == beta
         assert pt.chi == chi(ctx, beta)
@@ -578,11 +579,11 @@ def _hexes(points):
     return [[float(v).hex() for v in p] for p in points]
 
 
-class TestThermoPointSequence:
-    """thermo_point and thermo_table over two sequences against the list of
-    scalar calls: equal bit for bit, or the same first error, type and
-    message.  Past 64 points the series run as arrays before their scalar
-    tail (specfun._SCALAR_TAIL)."""
+class TestThermoTable:
+    """thermo_table against the list of pointwise thermo_point calls: equal
+    bit for bit, or the same first error, type and message.  Past 64
+    points the series run as arrays before their scalar tail
+    (specfun._SCALAR_TAIL)."""
 
     @given(
         pairs=st.lists(VALID_PAIRS, max_size=120),
@@ -595,31 +596,24 @@ class TestThermoPointSequence:
     @example(pairs=SPREAD_PAIRS, bad=[])
     @example(pairs=SPREAD_PAIRS, bad=[(150, (ThermoContext(5.0, 1.0), 0.0))])
     @settings(max_examples=200)
-    def test_equals_scalar_calls(self, pairs, bad):
+    def test_equals_pointwise_calls(self, pairs, bad):
         for i, pair in bad:
             pairs.insert(i, pair)
         ctxs, betas = [c for c, _ in pairs], [b for _, b in pairs]
         try:
-            expected = [thermo_point(c, b) for c, b in pairs]
+            expected = [thermo_point(c, b)[1:] for c, b in pairs]
         except PtboundError as exc:
-            for batch in (thermo_point, thermo_table):
-                with pytest.raises(PtboundError) as info:
-                    batch(ctxs, betas)
-                assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            with pytest.raises(PtboundError) as info:
+                thermo_table(ctxs, betas)
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
         else:
-            points = thermo_point(ctxs, betas)
-            assert points == expected
-            assert _hexes(points) == _hexes(expected)
-            assert all(type(p) is ThermoPoint for p in points)
             table = thermo_table(ctxs, betas)
             assert table.shape == (len(pairs), 6) and table.dtype == np.float64
-            assert _hexes(table.tolist()) == _hexes(p[1:] for p in expected)
+            assert _hexes(table.tolist()) == _hexes(expected)
 
     def test_lengths_must_match(self):
-        for batch in (thermo_point, thermo_table):
-            with pytest.raises(DomainError, match="one beta per context"):
-                batch([ThermoContext(5.0, 1.0)], [0.1, 0.2])
+        with pytest.raises(DomainError, match="one beta per context"):
+            thermo_table([ThermoContext(5.0, 1.0)], [0.1, 0.2])
 
     def test_empty(self):
-        assert thermo_point([], []) == []
         assert thermo_table([], []).shape == (0, 6)
