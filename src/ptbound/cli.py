@@ -93,6 +93,14 @@ class RunConfig:
     def context(self, mol: MoleculeParams) -> NRContext:
         return nr_context_for(mol, hbar_c=self.hbar_c, amu_to_ev=self.amu_to_ev)
 
+    def thermo_context(
+        self, mol: MoleculeParams, *, l: int = 0, tau: float | None = None
+    ) -> ThermoContext:
+        pot = self.potential(mol.alpha_invA)
+        return thermo_context_for(
+            mol, pot, l=l, tau=tau, hbar_c=self.hbar_c, amu_to_ev=self.amu_to_ev
+        )
+
 
 def cli_spectrum(config: RunConfig) -> Path:
     """Closed-form bound levels for each molecule on the (n, l) grid."""
@@ -199,16 +207,12 @@ def cli_thermo(
 
     def pairs():
         for mol in mols:
-            pot = config.potential(mol.alpha_invA)
-            tctx = thermo_context_for(
-                mol, pot, l=l, tau=tau, hbar_c=config.hbar_c, amu_to_ev=config.amu_to_ev
-            )
+            tctx = config.thermo_context(mol, l=l, tau=tau)
             for beta in betas:
                 yield tctx, beta
 
-    fields = _thermo_batch(pairs())
-    values = np.column_stack((np.tile(betas, len(mols)), fields))
-    write_csv(config.out, header, ColumnTable(values, [mol.name for mol in mols for _ in betas]))
+    points = _thermo_batch(pairs())
+    write_csv(config.out, header, ColumnTable(points, [mol.name for mol in mols for _ in betas]))
     return config.out
 
 
@@ -220,17 +224,14 @@ def _thermo_batch(pairs) -> np.ndarray:
     so that the error reported is the one a pair-by-pair loop would meet
     first.  (perfbench's tracer wraps this module's thermo_point.)
     """
-    ctxs: list[ThermoContext] = []
-    betas: list[float] = []
+    drawn: list[tuple[ThermoContext, float]] = []
     try:
-        for ctx, beta in pairs:
-            ctxs.append(ctx)
-            betas.append(beta)
+        drawn.extend(pairs)
     except Exception:
-        for ctx, beta in zip(ctxs, betas):
+        for ctx, beta in drawn:
             thermo_point(ctx, beta)
         raise
-    return thermo_table(ctxs, betas)
+    return thermo_table(drawn)
 
 
 def cli_dirac(
@@ -301,13 +302,7 @@ def cli_figure_data(
 
     # Z, U, C, F, S at tau = 1: over beta, one column block per molecule,
     # and over zeta, one block per fixed beta (chi stays < 10).
-    contexts = [
-        thermo_context_for(
-            mols[name], config.potential(mols[name].alpha_invA),
-            tau=1.0, hbar_c=config.hbar_c, amu_to_ev=config.amu_to_ev,
-        )
-        for name in wanted
-    ]
+    contexts = [config.thermo_context(mols[name], tau=1.0) for name in wanted]
     fixed_betas = (1e-4, 1e-3, 1e-2)
 
     def pairs():  # both tables' points in row order
@@ -318,7 +313,7 @@ def cli_figure_data(
             for beta in fixed_betas:
                 yield ThermoContext(zeta=zeta, tau=1.0), beta
 
-    fields = _thermo_batch(pairs())[:, 1:]  # Z, U, C, F, S
+    fields = _thermo_batch(pairs())[:, 2:]  # Z, U, C, F, S
     split = len(betas) * len(contexts)
     for name, column, grid, blocks, block_fields in (
         ("fig_thermo_vs_beta.csv", "beta", betas, wanted, fields[:split]),

@@ -55,6 +55,7 @@ class TableFormatError(PtboundError, ValueError):
 
 # An int past the double range compares as finite but has no float.
 _PAST_RANGE = "got an int past the double range"
+_FLOAT_MAX = sys.float_info.max
 
 
 def require_finite(x, what: str) -> float:
@@ -100,13 +101,15 @@ def require_bracket(bracket, what: str) -> tuple[float, float]:
 
 def require_index(value, what: str, minimum: int = 0) -> int:
     """value as an int; DomainError unless it is an integer >= minimum
-    (2.0 counts).
+    (2.0 counts) within the double range.
 
     Written with % so that NaN and infinities are rejected here rather
     than raising ValueError or OverflowError from int().
     """
     if not (value >= minimum and value % 1 == 0):
         raise DomainError(f"{what} must be an integer >= {minimum}, got {value!r}")
+    if value > _FLOAT_MAX:
+        raise DomainError(f"{what} must be an integer >= {minimum}, {_PAST_RANGE}")
     return int(value)
 
 

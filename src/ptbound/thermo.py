@@ -16,11 +16,11 @@ analytically; the small-chi region, where 1 - chi/dawson(chi) loses all
 leading digits, switches to series.
 
 thermo_point gives every quantity at one beta, each from its standalone
-function.  thermo_table takes a sequence of contexts and one of betas
-and evaluates all the pairs in one array pass (the erfi series of every
-point summed together, each element with the scalar operations in the
-scalar order).  It returns a float64 block with one row per pair, its
-columns chi, Z, U, C, F and S, each row bit for bit the fields of
+function.  thermo_table takes a sequence of (context, beta) pairs and
+evaluates them all in one array pass (the erfi series of every point
+summed together, each element with the scalar operations in the scalar
+order).  It returns a float64 block with one row per pair, the whole
+ThermoPoint (beta, chi, Z, U, C, F, S), bit for bit the fields of
 thermo_point at that pair; a pair the pass cannot cover sends every pair
 through thermo_point, in order, so the first failing pair raises its
 error.  The tables of the CLI are formatted from the block itself.
@@ -299,50 +299,45 @@ def thermo_point(ctx: ThermoContext, beta: float) -> ThermoPoint:
     )))
 
 
-def thermo_table(ctxs: Sequence[ThermoContext], betas: Sequence[float]) -> np.ndarray:
-    """chi, Z, U, C, F and S at each (ctxs[i], betas[i]), one row per pair.
+def thermo_table(pairs: Sequence[tuple[ThermoContext, float]]) -> np.ndarray:
+    """The ThermoPoint of each (context, beta) pair, one float64 row per pair.
 
-    Each row equals the fields of thermo_point(ctxs[i], betas[i]) bit for
-    bit.  The series of all pairs are summed in one array pass, which runs
-    as long as the slowest pair's.  If that pass does not cover every
-    pair, the pairs go through thermo_point one by one, in order, and the
-    first failing pair raises its error.
+    Each row equals thermo_point(ctx, beta) bit for bit.  The series of
+    all pairs are summed in one array pass, which runs as long as the
+    slowest pair's.  If that pass does not cover every pair, the pairs go
+    through thermo_point one by one, in order, and the first failing pair
+    raises its error.
     """
-    if len(ctxs) != len(betas):
-        raise DomainError(
-            f"thermo needs one beta per context, got {len(betas)} betas and {len(ctxs)} contexts"
-        )
-    fields = _point_fields(ctxs, betas)
+    fields = _point_fields(pairs)
     if fields is None:
-        points = [thermo_point(c, b)[1:] for c, b in zip(ctxs, betas)]
-        fields = np.array(points, dtype=np.float64).reshape(len(points), 6)
+        points = [thermo_point(ctx, beta) for ctx, beta in pairs]
+        fields = np.array(points, dtype=np.float64).reshape(len(points), len(ThermoPoint._fields))
     return fields
 
 
 @np.errstate(all="ignore")  # the branch np.where drops may divide by 0
-def _point_fields(ctxs, betas) -> np.ndarray | None:
-    """chi, Z, U, C, F and S of every pair, one row each, as the scalar
-    thermo_point gives them; None unless every pair has float fields and
+def _point_fields(pairs) -> np.ndarray | None:
+    """The ThermoPoint of every pair, one row each, as the scalar
+    thermo_point gives it; None unless every pair has float fields and
     beta, 0 < chi <= ERFI_MAX_ARG and finite results."""
-    if not (
-        all(isinstance(b, float) for b in betas)
-        and all(
-            isinstance(c, ThermoContext) and isinstance(c.zeta, float) and isinstance(c.tau, float)
-            for c in ctxs
-        )
+    if not all(
+        isinstance(c, ThermoContext) and isinstance(c.zeta, float) and isinstance(c.tau, float)
+        and isinstance(b, float)
+        for c, b in pairs
     ):
         return None
-    tau, beta = np.array([c.tau for c in ctxs]), np.array(betas)
+    tau, beta = np.array([c.tau for c, _ in pairs]), np.array([b for _, b in pairs])
     sqrt_beta = np.sqrt(beta)
-    x = np.array([c.zeta for c in ctxs]) * sqrt_beta / tau
+    x = np.array([c.zeta for c, _ in pairs]) * sqrt_beta / tau
     if not np.all((0.0 < x) & (x <= ERFI_MAX_ARG)):
         return None
     d, erfi_x, ln_erfi_x = _erfi_family_array(x)
     omd = _one_minus_chi_over_dawson(x, d)
     # logs from math, as in the scalar form: numpy's differ in the last bit
-    ln_tau = np.array([math.log(c.tau) for c in ctxs])
-    ln_beta = np.array([math.log(b) for b in betas])
+    ln_tau = np.array([math.log(c.tau) for c, _ in pairs])
+    ln_beta = np.array([math.log(b) for _, b in pairs])
     fields = np.stack([
+        beta,
         x,
         _partition(erfi_x, tau, sqrt_beta),
         _mean_energy(omd, beta),

@@ -190,6 +190,6 @@ ROWS = {
         "partition_closed", "specific_heat", "thermo_point",
     ), thermo_call),
     "thermo_table": st.lists(thermo_call, max_size=6).map(
-        lambda calls: {"ctxs": [c["ctx"] for c in calls], "betas": [c["beta"] for c in calls]}
+        lambda calls: {"pairs": [(c["ctx"], c["beta"]) for c in calls]}
     ),
 }

@@ -6,14 +6,15 @@ from the row's strategy in ``strategies.ROWS`` must give a finite result
 (every float of a number, tuple, NamedTuple or record) or raise a
 PtboundError, and so must each float argument of the row's call, and
 each float field of a record argument, set to 5e-324, the largest double,
-its negative or the int 10**400 (the calls that still leak are strict
-xfails, each with its reason).  Each numeric argument of the
-row's call (and each element of a numeric tuple such as a bracket) set
-to NaN, +inf or -inf must raise a DomainError.  The bad arguments of each row, one at a time, must raise
+its negative or the int 10**400, and each integer argument set to
+10**400 (the calls that still leak are strict xfails, each with its
+reason).  Each numeric argument of the row's call (and each numeric
+element of a tuple such as a bracket, or of the tuples in a tuple such
+as thermo_table's pairs) set to NaN, +inf or -inf must raise a
+DomainError.  The bad arguments of each row, one at a time, must raise
 a DomainError that names them, and each bad call must raise its error
-or return its value.  A meta-test
-fails when an export has neither a row nor a stated reason to have none,
-or a row has no strategy.
+or return its value.  A meta-test fails when an export has neither a
+row nor a stated reason to have none, or a row has no strategy.
 """
 
 import dataclasses
@@ -108,7 +109,7 @@ CONTRACT = {
     "partition_sum": dict(ctx=TCTX, beta=0.1, n_max=5),
     "specific_heat": BETA,
     "thermo_point": BETA,
-    "thermo_table": dict(ctxs=(TCTX, TCTX), betas=(0.1, 0.2)),
+    "thermo_table": dict(pairs=((TCTX, 0.1), (TCTX, 0.2))),
 }
 
 _RECORD = "a result record the package builds, not an input"
@@ -289,10 +290,8 @@ BAD_CALLS = [
     ("partition_sum", lambda: pb.partition_sum(TCTX, 5e-324, 5), 6.0, None),
     ("free_energy", lambda: pb.free_energy(TCTX, 5e-324), OverflowRangeError, "free energy"),
     ("thermo_point", lambda: pb.thermo_point(TCTX, 5e-324), OverflowRangeError, "free energy"),
-    ("thermo_table", lambda: pb.thermo_table([TCTX, TCTX], [0.1, 5e-324]),
+    ("thermo_table", lambda: pb.thermo_table([(TCTX, 0.1), (TCTX, 5e-324)]),
      OverflowRangeError, "free energy"),
-    ("thermo_table", lambda: pb.thermo_table([TCTX], [0.1, 0.2]),
-     DomainError, "one beta per context"),
     ("partition_sum", lambda: pb.partition_sum(pb.ThermoContext(1e160, 1e10), 1e-300, 3),
      4.0 * math.e, None),
     ("mean_energy", lambda: pb.mean_energy(TCTX, sys.float_info.max), -25.0, None),
@@ -331,6 +330,8 @@ BAD_CALLS = [
      DomainError, "shooting bracket must be finite and nonempty, got an int past the double range"),
     ("potential_value", lambda: pb.potential_value(POT, BIG_INT),
      DomainError, "radius must be finite, got an int past the double range"),
+    ("pochhammer", lambda: pb.pochhammer(1.5, BIG_INT),
+     DomainError, "pochhammer order must be an integer >= 0, got an int past the double range"),
 ]
 
 
@@ -359,6 +360,10 @@ def _is_float(value):
     return isinstance(value, float)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def floats_of(result):
     """Every number of a result: itself, or those of its items or fields."""
     if isinstance(result, numbers.Real):
@@ -371,23 +376,38 @@ def floats_of(result):
             yield from floats_of(item)
 
 
+def slots(value, accept):
+    """The index paths of value's slots that accept() takes: value itself,
+    every element of a tuple of such, or every such element of the tuples
+    in a tuple of tuples (as the (context, beta) pairs of thermo_table)."""
+    if accept(value):
+        return [()]
+    if not isinstance(value, tuple):
+        return []
+    if all(map(accept, value)):
+        return [(i,) for i in range(len(value))]
+    if all(isinstance(item, tuple) for item in value):
+        return [(i, j) for i, item in enumerate(value) for j, v in enumerate(item) if accept(v)]
+    return []
+
+
+def replaced(value, path, bad):
+    """value with the slot at the index path set to bad."""
+    if not path:
+        return bad
+    i = path[0]
+    return value[:i] + (replaced(value[i], path[1:], bad),) + value[i + 1:]
+
+
 def substitutions(kwargs, accept, values):
-    """(label, kwargs) for every argument that accept() takes, and every
-    element of a tuple of such, set to each of values in turn."""
+    """(label, kwargs) for every argument slot that accept() takes (see
+    slots) set to each of values in turn."""
     for param, value in kwargs.items():
-        if accept(value):
-            slots = [None]
-        elif isinstance(value, tuple) and all(map(accept, value)):
-            slots = range(len(value))
-        else:
-            continue
-        for index in slots:
+        for path in slots(value, accept):
+            index = "".join(f"[{i}]" for i in path)
             for bad in values:
-                if index is None:
-                    arg, label = bad, param
-                else:
-                    arg, label = value[:index] + (bad,) + value[index + 1:], f"{param}[{index}]"
-                yield f"{label}={'10**400' if bad == BIG_INT else bad}", kwargs | {param: arg}
+                label = f"{param}{index}={'10**400' if bad == BIG_INT else bad}"
+                yield label, kwargs | {param: replaced(value, path, bad)}
 
 
 def nonfinite_calls():
@@ -424,11 +444,13 @@ def record_substitutions(kwargs, values):
 
 def extreme_calls():
     """Every float argument of every row, and every float field of a record
-    argument, set to 5e-324, max, -max and 10**400 in turn."""
+    argument, set to 5e-324, max, -max and 10**400 in turn; every integer
+    argument set to 10**400."""
     for name, kwargs in EXTREME_ROWS.items():
         extremes = (TINY, HUGE, -HUGE, BIG_INT)
         for label, call in chain(
-            substitutions(kwargs, _is_float, extremes), record_substitutions(kwargs, extremes)
+            substitutions(kwargs, _is_float, extremes), record_substitutions(kwargs, extremes),
+            substitutions(kwargs, _is_int, (BIG_INT,)),
         ):
             reason = EXTREME_LEAKS.get(f"{name}-{label}")
             marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []

@@ -599,21 +599,16 @@ class TestThermoTable:
     def test_equals_pointwise_calls(self, pairs, bad):
         for i, pair in bad:
             pairs.insert(i, pair)
-        ctxs, betas = [c for c, _ in pairs], [b for _, b in pairs]
         try:
-            expected = [thermo_point(c, b)[1:] for c, b in pairs]
+            expected = [thermo_point(c, b) for c, b in pairs]
         except PtboundError as exc:
             with pytest.raises(PtboundError) as info:
-                thermo_table(ctxs, betas)
+                thermo_table(pairs)
             assert (type(info.value), str(info.value)) == (type(exc), str(exc))
         else:
-            table = thermo_table(ctxs, betas)
-            assert table.shape == (len(pairs), 6) and table.dtype == np.float64
+            table = thermo_table(pairs)
+            assert table.shape == (len(pairs), 7) and table.dtype == np.float64
             assert _hexes(table.tolist()) == _hexes(expected)
 
-    def test_lengths_must_match(self):
-        with pytest.raises(DomainError, match="one beta per context"):
-            thermo_table([ThermoContext(5.0, 1.0)], [0.1, 0.2])
-
     def test_empty(self):
-        assert thermo_table([], []).shape == (0, 6)
+        assert thermo_table([]).shape == (0, 7)
