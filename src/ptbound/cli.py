@@ -93,9 +93,7 @@ class RunConfig:
     def context(self, mol: MoleculeParams) -> NRContext:
         return nr_context_for(mol, hbar_c=self.hbar_c, amu_to_ev=self.amu_to_ev)
 
-    def thermo_context(
-        self, mol: MoleculeParams, *, l: int = 0, tau: float | None = None
-    ) -> ThermoContext:
+    def thermo_context(self, mol: MoleculeParams, *, tau: float, l: int = 0) -> ThermoContext:
         pot = self.potential(mol.alpha_invA)
         return thermo_context_for(
             mol, pot, l=l, tau=tau, hbar_c=self.hbar_c, amu_to_ev=self.amu_to_ev
@@ -211,8 +209,8 @@ def cli_thermo(
             for beta in betas:
                 yield tctx, beta
 
-    points = _thermo_batch(pairs())
-    write_csv(config.out, header, ColumnTable(points, [mol.name for mol in mols for _ in betas]))
+    table = _thermo_batch(pairs())
+    write_csv(config.out, header, ColumnTable(table, [mol.name for mol in mols for _ in betas]))
     return config.out
 
 

@@ -166,7 +166,7 @@ class RadialProblem:
         require_bracket((self.r_min, self.r_cut), "window (r_min, r_cut)")
         require_positive(self.r_min, "r_min")
         if not isinstance(self.npts, int):
-            raise DomainError(f"npts must be an int >= 16, got {self.npts!r}")
+            raise DomainError(f"npts must be an integer >= 16, got {self.npts!r}")
         require_index(self.npts, "npts", 16)
         # s and 1 - s both solve s(s - 1) = r^2 w(r) at the origin; the
         # regular solution takes the larger.

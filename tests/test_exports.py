@@ -124,11 +124,14 @@ def settable_surface():
                     if f.default is not dataclasses.MISSING
                     or f.default_factory is not dataclasses.MISSING
                 )
+            elif (
+                isinstance(obj, type)
+                and issubclass(obj, BaseException)
+                and not inspect.isfunction(obj.__init__)
+            ):
+                continue  # a builtin exception's __init__ has no signature and no settings
             elif callable(obj):
-                try:
-                    params = inspect.signature(obj).parameters.values()
-                except ValueError:  # an exception class with the builtin __init__
-                    continue
+                params = inspect.signature(obj).parameters.values()
                 names = tuple(p.name for p in params if p.default is not inspect.Parameter.empty)
             else:
                 continue
