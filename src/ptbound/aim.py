@@ -20,33 +20,34 @@ evaluated at the expansion point.  Coefficient functions are carried as
 arrays of their Taylor coefficients there; each iteration differentiates
 once, so delta_k reads orders 0..k of lambda0 and s0 only, and the
 recurrence runs on those, then drops one order a step (step j carries
-orders 0..k - j).  The kept orders keep their bits: np.convolve, whose
-core the scalar passes call, and the batched product sum each
-coefficient below the shorter factor's top order alike at any length.
-Only the top coefficient of equal-length factors is summed otherwise,
-so ``schrodinger.pt_aim_problem`` still builds order 2k + 8: its
-quotient lambda0 built at order k would change in the last bit at
-order k, and scan roots with it.
+orders 0..k - j).
 
 The scan parameter E enters s0 only, as a scalar factor: a problem holds
 two fixed coefficient arrays and two numbers, and
 
-    s0(E) = s0 * ((E + e_shift) / e_scale),
+    s0(E) = s0 * t,    t = (E + e_shift) / e_scale.
 
-so the coefficients at a whole grid of E values are one broadcast.
+Every lambda_j and s_j coefficient is therefore an exact polynomial in t,
+and s_j is t times one, so delta_k = t q_k(t) with q_k of degree at most
+k (Ciftci, Hall and Saad, J. Phys. A 36, 11807 (2003), treat delta_k as
+a function of E the same way).  ``aim_delta`` runs the recurrence at one
+E on np.convolve's products: it is the public evaluator and the
+reference.  ``aim_eigen_scan`` runs it once per scan, on coefficients in
+powers of tau = t - t_c about the bracket's midpoint t_c, carrying
+s_j / t, so that delta_k is exactly 0 where s0 vanishes.  On 605
+levels of the benchmark's aim_scan workload (seeds 1-3, 201 and 205, 30
+rounds each) the worst root lies 2.8e-12 from the closed form, against
+1.7e-10 in plain powers of t, whose high powers round badly, and 4.9e-11
+with the recurrence in doubles rather than long doubles (the scalar
+scan's worst there was 3.2e-11).  The grid, its re-scans and its
+bisections all evaluate q_(k-1) and q_k by Horner's rule in one
+operation order, so a bisection sees the grid's bits.  Those values
+differ from aim_delta's by rounding; a root's residual is aim_delta's.
 
 Roots of delta_k that correspond to true terminating solutions stay put
 as the depth changes; spurious roots drift.  ``aim_eigen_scan``
 therefore also locates the roots one level shallower, and reports a
-per-root stability gap, flagging drifting roots as not converged.  One
-pass over the scan grid gives both depths there.  Each scalar pass that
-bisects a delta_k root also gives delta_(k-1) at its E.  The shallow
-bisections take that value wherever they evaluate the same E, and seed
-their squeeze with all such values (rootfind.bisect's ``known``), so a
-delta_(k-1) root on a delta_k root nearly always runs no pass of its
-own: all but 2 of 2,110 on the benchmark's aim_scan seeds 1-13 and
-201-210, where 45% of shallow evaluations are answered from the deep
-passes and the rest run a depth k-1 pass of their own.
+per-root stability gap, flagging drifting roots as not converged.
 """
 
 from __future__ import annotations
@@ -131,10 +132,9 @@ class AimScanReport:
     roots: tuple[AimRoot, ...]
     shallow_roots: tuple[float, ...]
     warnings: tuple[str, ...]
-    # Scalar recurrence passes the scan ran: bisection, re-scan and
-    # residuals.  A depth-k pass also gives delta_(k-1) at its E, so a
-    # shallow value found that way runs none.  A work count, not a
-    # result: reports compare without it.
+    # Values of delta the scan took at single energies, off its grids:
+    # its polynomials' in bisections and each root's aim_delta residual.
+    # A work count, not a result: reports compare without it.
     delta_evals: int = field(compare=False)
 
     def converged_roots(self) -> list[float]:
@@ -166,30 +166,25 @@ def _ramp(k: int, ndim: int) -> np.ndarray:
     return ramp
 
 
-def _recurrence(lam0: np.ndarray, s0: np.ndarray, k: int, mul):
+def _recurrence(lam0: np.ndarray, s0: np.ndarray, k: int, mul, times_t=None):
     """The last (up to three) states (lambda_j, s_j), j = 0..k, as arrays
     whose first axis is the Taylor order; mul(a, b) is the Cauchy product
     along it, kept below b's top order.  The inputs carry the k + 1
     orders delta_k reads, and each step drops the top order, which its
-    derivative leaves inexact: state j carries orders 0..k - j."""
+    derivative leaves inexact: state j carries orders 0..k - j.  With
+    ``times_t``, s0 and the s states hold s_j / t, and times_t(a) is t a."""
     ramp = _ramp(k, lam0.ndim)
     states = [(lam0, s0)]
     for m in range(k, 0, -1):
         lam, s = states[-1]
         r = ramp[:m]
         new_lam = r * lam[1:]
-        new_lam += s[:m]
+        new_lam += s[:m] if times_t is None else times_t(s[:m])
         new_lam += mul(lam0, lam)[:m]
         new_s = r * s[1:]
         new_s += mul(s0, lam)[:m]
         states.append((new_lam, new_s))
     return states[-3:]
-
-
-def _delta(prev, cur):
-    """lambda_k s_{k-1} - lambda_{k-1} s_k at the expansion point, from the
-    states (lambda_{k-1}, s_{k-1}) and (lambda_k, s_k)."""
-    return cur[0][0] * prev[1][0] - prev[0][0] * cur[1][0]
 
 
 def _check_depth(problem: AimProblem, k: int, minimum: int = 1) -> int:
@@ -203,18 +198,6 @@ def _check_depth(problem: AimProblem, k: int, minimum: int = 1) -> int:
     return k
 
 
-def _scalar_pass(problem: AimProblem, e: float, k: int):
-    """The last (up to three) recurrence states at one finite E, and
-    delta_k from them, which must be finite."""
-    require_finite(e, "energy")
-    s0 = problem.s0[: k + 1] * ((e + problem.e_shift) / problem.e_scale)
-    states = _recurrence(problem.lambda0[: k + 1], s0, k, _series_mul)
-    delta = float(_delta(*states[-2:]))
-    if not math.isfinite(delta):
-        raise OverflowRangeError(f"delta_{k} at E={e!r} is {delta!r}")
-    return states, delta
-
-
 def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, float]:
     """Run k recurrence steps; return (lambda_k, s_k, delta_k) at x0.
 
@@ -222,8 +205,12 @@ def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, fl
     OverflowRangeError rather than coming back as inf or NaN.
     """
     k = _check_depth(problem, k)
-    states, delta = _scalar_pass(problem, e, k)
-    lam, s = states[-1]
+    require_finite(e, "energy")
+    s0 = problem.s0[: k + 1] * ((e + problem.e_shift) / problem.e_scale)
+    (prev_lam, prev_s), (lam, s) = _recurrence(problem.lambda0[: k + 1], s0, k, _series_mul)[-2:]
+    delta = float(lam[0] * prev_s[0] - prev_lam[0] * s[0])
+    if not math.isfinite(delta):
+        raise OverflowRangeError(f"delta_{k} at E={e!r} is {delta!r}")
     return float(lam[0]), float(s[0]), delta
 
 
@@ -232,58 +219,74 @@ def aim_delta(problem: AimProblem, e: float, k: int) -> float:
     return aim_iterate(problem, e, k)[2]
 
 
-def _scalar_deltas(problem: AimProblem, e: float, k: int) -> tuple[float, float]:
-    """(delta_(k-1), delta_k) at E from one scalar depth-k pass, k >= 2.
+def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
+    """delta_(k-1) and delta_k over [lo, hi] as two functions of E, each
+    taking one float or an array of them, from one recurrence run.
 
-    delta_k is aim_delta(problem, e, k), raising where it raises.
-    delta_(k-1) has the bits of aim_delta(problem, e, k - 1) where that
-    is finite, and is inf or NaN where it raises.  It is formed from
-    Python floats, whose overflow does not warn, so the pass warns only
-    where aim_delta at depth k would.
+    Each is t q(tau), tau = t - t_c with t_c the t of the bracket's
+    midpoint: the recurrence runs on coefficients in powers of tau, in
+    np.longdouble (a 64-bit significand on x86-64 Linux; the double
+    itself where the platform has no wider type), and q is rounded to
+    doubles and evaluated by Horner's rule.  A coefficient or a value
+    beyond the double range raises OverflowRangeError.
     """
-    (older, prev, _), delta = _scalar_pass(problem, e, k)
-    shallow = float(prev[0][0]) * float(older[1][0]) - float(older[0][0]) * float(prev[1][0])
-    return shallow, delta
+    e_shift, e_scale = problem.e_shift, problem.e_scale
+    t_c = (0.5 * lo + 0.5 * hi + e_shift) / e_scale
+    # lambda_j has degree ceil(j/2) in tau and s_j / t floor(j/2), so
+    # times_t shifts only zeros off the top power.
+    lam0, s0 = np.zeros((2, k + 1, k // 2 + 2), np.longdouble)
+    lam0[:, 0], s0[:, 0] = problem.lambda0[: k + 1], problem.s0[: k + 1]
+    wide_t_c = np.longdouble(t_c)
+
+    def times_t(a):
+        out = wide_t_c * a
+        out[:, 1:] += a[:, :-1]
+        return out
+
+    def polynomial(j, prev, cur):
+        q = (np.convolve(cur[0][0], prev[1][0]) - np.convolve(prev[0][0], cur[1][0])).astype(float)
+        if not np.isfinite(q).all():
+            raise OverflowRangeError(f"delta_{j} on [{lo!r}, {hi!r}] is past the double range")
+        coeffs = q[::-1].tolist()
+
+        def delta(e):
+            t = (e + e_shift) / e_scale
+            tau = t - t_c
+            acc = 0.0
+            for c in coeffs:
+                acc = acc * tau + c
+            value = t * acc
+            if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+                raise OverflowRangeError(f"delta_{j} on [{lo!r}, {hi!r}] is past the double range")
+            return value
+
+        return delta
+
+    def mul(a, b):
+        # lambda0 and s0 / t do not depend on tau: column 0 holds them.
+        return _columns_mul(a[:, :1], b)
+
+    older, prev, cur = _recurrence(lam0, s0, k, mul, times_t)
+    return polynomial(k - 1, older, prev), polynomial(k, prev, cur)
 
 
-def _delta_grid(problem: AimProblem, es: np.ndarray, k: int):
-    """(delta_{k-1}, delta_k) at every E in es, from one recurrence pass.
-
-    Column i of the coefficient arrays holds the coefficients at es[i].
-    """
-    s0 = problem.s0[: k + 1, None] * ((es + problem.e_shift) / problem.e_scale)
-    lam0 = np.broadcast_to(problem.lambda0[: k + 1, None], s0.shape)
-    older, prev, cur = _recurrence(lam0, s0, k, _columns_mul)
-    return _delta(older, prev), _delta(prev, cur)
-
-
-def _scan_roots(f, fx, lo, hi, grid, xtol, known):
-    """Bisected roots of f, the scalar delta_k, from its values fx on the
-    scan grid, and the indices of cells that follow another
-    sign-changing cell.  ``known`` holds values of f at other points,
-    which seed each bisection's squeeze."""
+def _scan_roots(f, lo, hi, grid, xtol):
+    """Bisected roots of f from its values on a grid of ``grid`` nodes
+    over [lo, hi], and the indices of cells that follow another
+    sign-changing cell."""
     roots = []
     crowded = []
     h = (hi - lo) / (grid - 1)
     prev_cell_index = None
-    for a, b, fa, fb in sign_change_brackets(fx, lo, hi, grid):
+    for a, b, fa, fb in sign_change_brackets(f(uniform_grid(lo, hi, grid)), lo, hi, grid):
         cell_index = round((a - lo) / h)
         if prev_cell_index is not None and cell_index == prev_cell_index + 1:
             crowded.append(cell_index)
         prev_cell_index = cell_index
-        r = bisect(f, a, b, xtol=xtol, fab=(fa, fb), known=known)
+        r = bisect(f, a, b, xtol=xtol, fab=(fa, fb))
         if not roots or abs(r - roots[-1]) > 4.0 * xtol:
             roots.append(r)
     return roots, crowded
-
-
-def _rescan_shallow(problem, f, r, h, lo, hi, k, xtol, known):
-    """Roots of f, the scalar delta_(k-1), on a RESCAN_CELLS-cell grid
-    over the scan cells on either side of r, clipped to the bracket
-    [lo, hi]; ``known`` as for _scan_roots."""
-    a, b = max(lo, r - h), min(hi, r + h)
-    shallow, _ = _delta_grid(problem, uniform_grid(a, b, RESCAN_CELLS + 1), k)
-    return _scan_roots(f, shallow, a, b, RESCAN_CELLS + 1, xtol, known)[0]
 
 
 def _nearest_gap(r: float, roots) -> float:
@@ -299,16 +302,17 @@ def aim_eigen_scan(
 ) -> AimScanReport:
     """Locate roots of delta_k over a bracket and grade their stability.
 
-    One recurrence pass gives delta_k and delta_(k-1) on a uniform grid
-    of ``grid`` nodes; the sign changes of each are refined with
-    bisection.  Each delta_k root is then compared against the roots of
-    delta_(k-1): the stability gap is the distance to the nearest
-    shallower root, and a root is marked converged when that gap is
-    within STABILITY_TOL relative to the root's magnitude.  Exact
-    terminating eigenvalues sit at the same position at both depths;
-    spurious roots do not.  Two delta_(k-1) roots in one grid cell give
-    no sign change, so a root the grid leaves unconverged has
-    delta_(k-1) re-scanned on a finer grid around it before it is
+    One recurrence run gives delta_k and delta_(k-1) over the bracket as
+    polynomials in E; their values on a uniform grid of ``grid`` nodes
+    are bracketed at each sign change and refined with bisection.  Each
+    delta_k root is then compared against the roots of delta_(k-1): the
+    stability gap is the distance to the nearest shallower root, and a
+    root is marked converged when that gap is within STABILITY_TOL
+    relative to the root's magnitude.  Exact terminating eigenvalues sit
+    at the same position at both depths; spurious roots do not.  Two
+    delta_(k-1) roots in one grid cell give no sign change, so a root
+    the grid leaves unconverged has delta_(k-1) re-scanned on a finer
+    grid around it, and then across its stability window, before it is
     graded, which needs k >= 2.  A bracket with no sign change yields an
     empty report rather than an error; adjacent sign-changing grid cells
     produce a too-coarse warning.
@@ -319,44 +323,38 @@ def aim_eigen_scan(
     scale = max(abs(lo), abs(hi), 1.0)
     xtol = SCAN_TOL * scale
     evals = 0
-    # delta_(k-1) at each E where a depth-k pass ran.  Only finite values
-    # are kept: elsewhere the shallow pass runs and raises as aim_delta
-    # does, which rootfind's squeeze takes as no value.  The shallow
-    # bisections look values up here and seed their squeeze from it.
-    recorded = {}
 
-    def deep_delta(e):
-        nonlocal evals
-        evals += 1
-        shallow, deep = _scalar_deltas(problem, e, k)
-        if math.isfinite(shallow):
-            recorded[e] = shallow
-        return deep
+    def counted(delta):
+        def f(e):
+            nonlocal evals
+            evals += not isinstance(e, np.ndarray)
+            return delta(e)
 
-    def shallow_delta(e):
-        nonlocal evals
-        value = recorded.get(e)
-        if value is None:
-            evals += 1
-            value = aim_delta(problem, e, k - 1)
-        return value
+        return f
 
-    shallow_fx, deep_fx = _delta_grid(problem, uniform_grid(lo, hi, grid), k)
-    deep, crowded = _scan_roots(deep_delta, deep_fx, lo, hi, grid, xtol, {})
-    shallow, _ = _scan_roots(shallow_delta, shallow_fx, lo, hi, grid, xtol, recorded)
+    shallow_delta, deep_delta = map(counted, _delta_polys(problem, lo, hi, k))
+    deep, crowded = _scan_roots(deep_delta, lo, hi, grid, xtol)
+    shallow, _ = _scan_roots(shallow_delta, lo, hi, grid, xtol)
 
     def converged(r):
         return _nearest_gap(r, shallow) <= STABILITY_TOL * max(1.0, abs(r))
 
+    # A root the scan grid leaves unconverged has delta_(k-1) re-scanned
+    # finer over the scan cells on either side, then, if still
+    # unconverged, across its own stability window, which finds a
+    # delta_(k-1) root there even when a second one shares its re-scan
+    # cell (aim_scan seed 9 has such a pair 9.2e-4 apart).
     h = (hi - lo) / (grid - 1)
     for r in deep:
-        if not converged(r):
-            found = _rescan_shallow(problem, shallow_delta, r, h, lo, hi, k, xtol, recorded)
-            shallow = sorted(shallow + [s for s in found if _nearest_gap(s, shallow) > 4.0 * xtol])
+        for half_width, cells in ((h, RESCAN_CELLS), (STABILITY_TOL * max(1.0, abs(r)), 1)):
+            if not converged(r):
+                a, b = max(lo, r - half_width), min(hi, r + half_width)
+                found, _ = _scan_roots(shallow_delta, a, b, cells + 1, xtol)
+                shallow = sorted(shallow + [s for s in found if _nearest_gap(s, shallow) > 4.0 * xtol])
     graded = tuple(
         AimRoot(
             value=r,
-            residual=deep_delta(r),
+            residual=aim_delta(problem, r, k),
             stability_gap=_nearest_gap(r, shallow),
             converged=converged(r),
         )
@@ -370,5 +368,5 @@ def aim_eigen_scan(
         roots=graded,
         shallow_roots=tuple(shallow),
         warnings=warnings,
-        delta_evals=evals,
+        delta_evals=evals + len(graded),
     )

@@ -6,7 +6,10 @@ constant added to c[0] are numpy's own.  The iteration engine in ``aim``
 differentiates its coefficient arrays once per step, so k iterations
 read orders 0..k; ``schrodinger.pt_aim_problem`` builds order 2k + 8 so
 that the order-k coefficients do not depend on where its products are
-cut (see ``aim``).
+cut.  np.convolve sums each coefficient below the shorter factor's top
+order alike at any length, but the top coefficient of equal-length
+factors otherwise: a quotient lambda0 built at order k would change in
+the last bit at order k, and the iteration engine's roots with it.
 """
 
 from __future__ import annotations

@@ -251,13 +251,17 @@ def pochhammer(s: float, n: int) -> float:
     """Rising factorial ``(s)_n = s (s+1) ... (s+n-1)``.
 
     Evaluated as a finite product so negative and non-integer s are fine
-    (ratios of Gamma functions would not be).
+    (ratios of Gamma functions would not be).  The product stops once it
+    is 0, which the later factors, all positive, keep, or past the double
+    range, so a huge order costs no more than the steps that get there.
     """
     require_index(n, "pochhammer order")
     s = require_finite(s, "s")
     result = 1.0
     for j in range(int(n)):
         result *= s + j
+        if result == 0.0 or not math.isfinite(result):
+            break
     return within_range(result, "pochhammer")
 
 

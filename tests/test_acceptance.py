@@ -8,10 +8,11 @@ unattainable at zeta = 50, where the ladder-sum endpoint correction
 already floors at 1/(zeta+1) = 1.96% and reaches 2.49% at chi = 1) and
 once on the attainable zeta >= 64 envelope, which passes.
 
-Criteria 1 and 2 beat the paper's bounds by orders of magnitude, so each
-also asserts its worst deviation within 10 times the floor committed in
-floors.json, with the case that gave it.  A change that moves a floor
-edits that file.
+Criteria 1 to 4 beat their bounds by orders of magnitude, so each also
+asserts its worst deviation within 10 times the floor committed in
+floors.json, with the case that gave it (criterion 3 takes the larger of
+its two sweeps' worst, criterion 4 the limit formula's).  A change that
+moves a floor edits that file.
 """
 
 import json
@@ -206,26 +207,31 @@ class TestCriterion2:
 class TestCriterion3:
     M = 20.0
 
-    def _sweep_worst(self, fn_special, fn_general, npts=641):
-        worst = 0.0
+    def _sweep_worst(self, case, fn_special, fn_general, npts=641):
+        """The largest gap over the energy sweep, and case with its E."""
+        worst, at = 0.0, None
         for i in range(npts):
             e = -40.0 + 80.0 * i / (npts - 1)
-            worst = max(worst, gap(fn_special(e), fn_general(e)))
-        return worst
+            g = gap(fn_special(e), fn_general(e))
+            if g > worst:
+                worst, at = g, e
+        return worst, {**case, "E": at}
 
     def test_reductions_and_parameter_map(self):
         pot_ref = PTPotential(A=-2.0, B=3.0, alpha=1.0)
-        worst = 0.0
+        sweeps = []
 
         ctx = DiracContext(M=self.M, kappa=1, n=2)
-        worst = max(worst, self._sweep_worst(
+        sweeps.append(self._sweep_worst(
+            {"condition": "swave_pspin"},
             lambda e: special_case_residual(
                 "swave_pspin", e, m=self.M, n=2, a=pot_ref.A, b=pot_ref.B
             ),
             lambda e: pspin_residual(e, ctx, pot_ref),
         ))
         ctx = DiracContext(M=self.M, kappa=-1, n=1)
-        worst = max(worst, self._sweep_worst(
+        sweeps.append(self._sweep_worst(
+            {"condition": "swave_spin"},
             lambda e: special_case_residual(
                 "swave_spin", e, m=self.M, n=1, a=pot_ref.A, b=pot_ref.B
             ),
@@ -234,14 +240,16 @@ class TestCriterion3:
         for eta in (0.5, 1.0, 2.3):
             pot = PTPotential(A=-eta * (eta + 1.0) / 2.0, B=0.0, alpha=1.0)
             ctx = DiracContext(M=self.M, kappa=1, n=1)
-            worst = max(worst, self._sweep_worst(
+            sweeps.append(self._sweep_worst(
+                {"condition": "reflectionless_pspin", "eta": eta},
                 lambda e: special_case_residual(
                     "reflectionless_pspin", e, m=self.M, n=1, eta=eta
                 ),
                 lambda e: pspin_residual(e, ctx, pot),
             ))
             ctx = DiracContext(M=self.M, kappa=-1, n=1)
-            worst = max(worst, self._sweep_worst(
+            sweeps.append(self._sweep_worst(
+                {"condition": "reflectionless_spin", "eta": eta},
                 lambda e: special_case_residual(
                     "reflectionless_spin", e, m=self.M, n=1, eta=eta
                 ),
@@ -250,30 +258,35 @@ class TestCriterion3:
         for eta in (0.1, 0.45):
             pot = PTPotential(A=0.25 - eta * eta, B=0.0, alpha=1.0)
             ctx = DiracContext(M=self.M, kappa=1, n=0)
-            worst = max(worst, self._sweep_worst(
+            sweeps.append(self._sweep_worst(
+                {"condition": "hyperbolic_mpt_pspin", "eta": eta},
                 lambda e: special_case_residual(
                     "hyperbolic_mpt_pspin", e, m=self.M, n=0, eta=eta
                 ),
                 lambda e: pspin_residual(e, ctx, pot),
             ))
             ctx = DiracContext(M=self.M, kappa=-1, n=0)
-            worst = max(worst, self._sweep_worst(
+            sweeps.append(self._sweep_worst(
+                {"condition": "hyperbolic_mpt_spin", "eta": eta},
                 lambda e: special_case_residual(
                     "hyperbolic_mpt_spin", e, m=self.M, n=0, eta=eta
                 ),
                 lambda e: spin_residual(e, ctx, pot),
             ))
+        worst = max(g for g, _ in sweeps)
 
         # kappa -> kappa+1 exchange map between the two symmetry residuals
-        map_worst = 0.0
+        map_sweeps = []
         for kappa in (-2, -1, 1, 2):
             for c_shift in (0.0, 1.5):
                 ctx = DiracContext(M=self.M, kappa=kappa, n=1, c_shift=c_shift)
-                map_worst = max(map_worst, self._sweep_worst(
+                map_sweeps.append(self._sweep_worst(
+                    {"condition": "exchange_map", "kappa": kappa, "c_shift": c_shift},
                     lambda e: spin_residual_via_map(e, ctx, pot_ref),
                     lambda e: spin_residual(e, ctx, pot_ref),
                     npts=321,
                 ))
+        map_worst = max(g for g, _ in map_sweeps)
 
         ok = worst <= 1e-12 and map_worst <= 1e-12
         report(
@@ -281,18 +294,21 @@ class TestCriterion3:
             f"six reduced conditions pointwise vs general residuals, worst "
             f"{worst:.2e}; exchange map worst {map_worst:.2e} (tol 1e-12)",
         )
+        check_floor(3, *max(sweeps + map_sweeps, key=lambda s: s[0]))
 
 
 class TestCriterion4:
     def test_nonrelativistic_limit(self):
         pot = PTPotential(A=-2.0, B=3.0, alpha=1.0)
-        alg_worst = 0.0
+        alg_worst, alg_case = 0.0, None
         for mu in (0.5, 1.0, 7.3):
             ctx = NRContext.natural(mu=mu)
             for n, l in ((0, 0), (1, 0), (2, 3)):
                 limit = nr_limit_energy(mu, pot, n, l)
                 closed = energy_nr(pot, ctx, n, l, branch="paper")
-                alg_worst = max(alg_worst, abs(limit - closed) / abs(closed))
+                dev = abs(limit - closed) / abs(closed)
+                if dev > alg_worst:
+                    alg_worst, alg_case = dev, {"mu": mu, "n": n, "l": l}
 
         # Large-M study: solve the spin-symmetry condition and watch
         # E - M approach the limit value across a decade of M.
@@ -321,6 +337,7 @@ class TestCriterion4:
             f"(tol 1e-12); E-M convergence order {decade_order:.2f} over "
             f"M in {masses} (need >= 1)",
         )
+        check_floor(4, alg_worst, alg_case)
 
 
 BETA_GRID = [1e-6 * (1e5) ** (i / 63) for i in range(64)]

@@ -146,13 +146,10 @@ class TestClosedFormEigenvalues:
         assert roots[0] == pytest.approx(roots[1], abs=1e-9)
 
 
-def reference_roots(problem, bracket, k, grid=512, tol=1e-12):
-    """Roots of delta_k from a scan that evaluates the scalar aim_delta at
-    every grid node and bisects without handing over endpoint values,
-    evaluating delta_k at every midpoint."""
-    lo, hi = bracket
-    xtol = tol * max(abs(lo), abs(hi), 1.0)
-    f = lambda e: aim_delta(problem, e, k)
+def bisected_roots(f, lo, hi, grid, xtol):
+    """Roots of f from its values on a grid of ``grid`` nodes over
+    [lo, hi], each bisected without handing over endpoint values,
+    evaluating f at every midpoint."""
     fx = [f(x) for x in uniform_grid(lo, hi, grid).tolist()]
     roots = []
     for a, b, _, _ in sign_change_brackets(fx, lo, hi, grid):
@@ -160,6 +157,28 @@ def reference_roots(problem, bracket, k, grid=512, tol=1e-12):
         if not roots or abs(r - roots[-1]) > 4.0 * xtol:
             roots.append(r)
     return roots
+
+
+def reference_roots(problem, bracket, k, grid=512, tol=1e-12):
+    """Roots of delta_k from a scan that evaluates the scalar aim_delta at
+    every grid node and midpoint."""
+    lo, hi = bracket
+    xtol = tol * max(abs(lo), abs(hi), 1.0)
+    return bisected_roots(lambda e: aim_delta(problem, e, k), lo, hi, grid, xtol)
+
+
+def polynomial_roots(problem, bracket, k, grid=512, tol=1e-12):
+    """Roots of the scan's own delta_(k-1) and delta_k polynomials, found as
+    reference_roots finds those of aim_delta; each polynomial's values on
+    the whole grid at once must be its values node by node."""
+    lo, hi = bracket
+    xtol = tol * max(abs(lo), abs(hi), 1.0)
+    nodes = uniform_grid(lo, hi, grid)
+    out = []
+    for f in ptbound.aim._delta_polys(problem, lo, hi, k):
+        assert f(nodes).tolist() == [f(x) for x in nodes.tolist()]
+        out.append(bisected_roots(f, lo, hi, grid, xtol))
+    return out
 
 
 def criterion1_level(rng, n):
@@ -172,32 +191,40 @@ def criterion1_level(rng, n):
     return pot, (0.5 * (par.k1(n) + par.k1(n + 1)), 0.5 * (par.k1(n) + above))
 
 
-class TestBatchedScan:
-    """The scan evaluates delta_(k-1) and delta_k on its grid in one batched
-    recurrence pass; its roots must be the scalar route's, bit for bit."""
+class TestPolynomialScan:
+    """The scan evaluates delta_(k-1) and delta_k as polynomials in E from
+    one recurrence run: its roots are textbook bisection's of those
+    polynomials, bit for bit, and lie within 128 bisection tolerances of
+    the roots of the scalar aim_delta (29 the most over 1,815 levels of
+    the benchmark's aim_scan seeds 1-13, 201 and 202)."""
+
+    @staticmethod
+    def _check(prob, bracket, k, grid=512):
+        rep = aim_eigen_scan(prob, bracket, k, grid=grid)
+        shallow, deep = polynomial_roots(prob, bracket, k, grid)
+        assert [r.value for r in rep.roots] == deep
+        assert [r.residual for r in rep.roots] == [aim_delta(prob, r.value, k) for r in rep.roots]
+        assert set(shallow) <= set(rep.shallow_roots)
+        scalar = reference_roots(prob, bracket, k, grid)
+        xtol = 1e-12 * max(abs(bracket[0]), abs(bracket[1]), 1.0)
+        assert len(scalar) == len(deep)
+        assert all(abs(r - s) <= 128.0 * xtol for r, s in zip(deep, scalar))
 
     @pytest.mark.parametrize("k", range(2, 10))
-    def test_matches_scalar_scan(self, k):
+    def test_matches_textbook_bisection(self, k):
         rng = random.Random(7919 * k)
         for _ in range(2):
             pot, bracket = criterion1_level(rng, (k - 2) // 2)
-            prob = pt_aim_problem(pot, CTX, 0, k)
-            rep = aim_eigen_scan(prob, bracket, k)
-            assert [r.value for r in rep.roots] == reference_roots(prob, bracket, k)
-            assert [r.residual for r in rep.roots] == [aim_delta(prob, r.value, k) for r in rep.roots]
-            assert set(reference_roots(prob, bracket, k - 1)) <= set(rep.shallow_roots)
+            self._check(pt_aim_problem(pot, CTX, 0, k), bracket, k)
 
-    def test_matches_scalar_scan_hermite(self):
-        prob = hermite_problem(3)
-        rep = aim_eigen_scan(prob, (-0.5, 4.5), 3, grid=2001)
-        assert [r.value for r in rep.roots] == reference_roots(prob, (-0.5, 4.5), 3, grid=2001)
-        assert [r.residual for r in rep.roots] == [aim_delta(prob, r.value, 3) for r in rep.roots]
+    def test_matches_textbook_bisection_hermite(self):
+        self._check(hermite_problem(3), (-0.5, 4.5), 3, grid=2001)
 
     def test_node_on_root(self):
         # Nodes within a few ulps of the n = 1 root, where delta_6 is
-        # rounding noise.  At some of them (measured: -5 and -4 ulps) the
-        # batched pass and the scalar aim_delta give opposite signs, so
-        # bisection must judge the bracket on the scan's own values.
+        # rounding noise, so the scan's polynomial and the scalar
+        # aim_delta can give it opposite signs there: bisection must
+        # judge the bracket on the scan's own values.
         k, c = 6, PAR.k1(1)
         prob = pt_problem(k)
         for i in range(-6, 7):
@@ -206,9 +233,36 @@ class TestBatchedScan:
             rep = aim_eigen_scan(prob, (x - 1.0, x + 1.0), k, grid=3)
             assert any(abs(r.value - c) <= 1e-12 * abs(c) for r in rep.roots), i
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(
+        a=st.floats(-80.0, -5.0),
+        b=st.floats(0.1, 5.0),
+        alpha=st.floats(0.5, 2.0),
+        frac=st.floats(0.0, 1.0),
+        k=st.integers(2, 9),
+        branch=st.sampled_from(("paper", "regular")),
+    )
+    @settings(max_examples=300)
+    def test_polynomials_are_delta(self, a, b, alpha, frac, k, branch):
+        # Over a level's bracket each polynomial is aim_delta up to
+        # rounding: within 1e-12 of the two products delta cancels
+        # (8.9e-14 the worst of 3,000 random draws).
+        pot = PTPotential(a, b, alpha)
+        par = spectral_params(pot, CTX, 0, branch)
+        n = (k - 2) // 2
+        lo, hi = sorted((1.3 * par.k1(n) - 1.0, 0.7 * par.k1(n) + 1.0))
+        problem = pt_aim_problem(pot, CTX, 0, k, branch)
+        e = lo + frac * (hi - lo)
+        for j, f in zip((k - 1, k), ptbound.aim._delta_polys(problem, lo, hi, k)):
+            if j >= 2:
+                lam_prev, s_prev, _ = aim_iterate(problem, e, j - 1)
+                lam_cur, s_cur, delta = aim_iterate(problem, e, j)
+                scale = abs(lam_cur * s_prev) + abs(lam_prev * s_cur)
+                assert abs(f(e) - delta) <= 1e-12 * scale
+
 
 class TestKernelDigest:
-    """sha256 pins of the recurrence's bits, scalar and batched, in the
+    """sha256 pins of the recurrence's bits, scalar and polynomial, in the
     style of test_schrodinger's coefficient digest: any change to the
     order of the arithmetic in a step shows here."""
 
@@ -241,15 +295,16 @@ class TestKernelDigest:
             "fbcc9124916d2df063f5349a82736a786797dfbab81a79ac99de60f071dc8a31"
         )
 
-    def test_delta_grid(self):
+    def test_delta_polys(self):
         values = []
         for pot, energies in self._levels():
             es = uniform_grid(1.1 * energies[0], 0.0, 64)
             for k in range(2, 10):
                 problem = pt_aim_problem(pot, CTX, 0, k)
-                values += [v for row in ptbound.aim._delta_grid(problem, es, k) for v in row]
+                polys = ptbound.aim._delta_polys(problem, es[0], es[-1], k)
+                values += [v for f in polys for v in f(es)]
         assert self._digest(values) == (
-            "e416b07c9610b3ebde5bf659709c6fb3c69ab600f17adf43697d46d56af71f65"
+            "5ce30441370095d84dff3f4bb05d782125538237f0578089579e911c8d8b0a26"
         )
 
     @given(st.integers(1, 12), st.integers(0, 11), st.integers(0, 2**32 - 1))
@@ -275,93 +330,40 @@ class TestKernelDigest:
                     values += [r.value, r.residual, r.stability_gap, r.converged]
                 values += [len(rep.roots), *rep.shallow_roots, *rep.warnings]
         assert self._digest(values) == (
-            "1a38cb32cfa287b185ce71c62d4c8e361eaccae9beed2bdee269081ab2b466ee"
+            "31e97fc5cbad486b1feec8f2dbbfd1a62e9dbed230be4379f40a8b7676de3d33"
         )
 
 
 class TestDeltaEvals:
-    """AimScanReport.delta_evals counts the scan's scalar recurrence passes."""
+    """AimScanReport.delta_evals counts the values of delta the scan takes
+    at single energies: its bisections' and its residuals."""
 
-    def test_counts_every_scalar_evaluation(self, monkeypatch):
-        # The grid passes of _delta_grid multiply with _columns_mul, the
-        # scalar passes with another product.  A shallow value that a deep
-        # pass already gave runs no pass and is not counted.
-        calls = []
-        recurrence = ptbound.aim._recurrence
+    def test_counts_every_single_energy_value(self, monkeypatch):
+        # One recurrence run gives the scan polynomials, and one scalar
+        # pass per root gives its residual; every other value comes from
+        # the polynomials, on a grid or in a bisection.
+        runs, residuals, bisected = [], [], []
+        recurrence, delta, bisect = ptbound.aim._recurrence, ptbound.aim.aim_delta, ptbound.aim.bisect
 
-        def counted(lam0, s0, k, mul):
-            if mul is not ptbound.aim._columns_mul:
-                calls.append(k)
-            return recurrence(lam0, s0, k, mul)
+        def counted_bisect(f, a, b, **kwargs):
+            return bisect(lambda e: bisected.append(e) or f(e), a, b, **kwargs)
 
-        monkeypatch.setattr(ptbound.aim, "_recurrence", counted)
+        monkeypatch.setattr(ptbound.aim, "_recurrence", lambda *a: runs.append(a) or recurrence(*a))
+        monkeypatch.setattr(ptbound.aim, "aim_delta", lambda *a: residuals.append(a) or delta(*a))
+        monkeypatch.setattr(ptbound.aim, "bisect", counted_bisect)
         rng = random.Random(11)
         for _ in range(6):
             pot, bracket = criterion1_level(rng, 2)
-            calls.clear()
+            for log in (runs, residuals, bisected):
+                log.clear()
             rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, 6), bracket, 6)
-            assert rep.delta_evals == len(calls) > 0
-            assert set(calls) == {5, 6}
-            # Each of these levels has two delta_k roots, one of them
-            # converged, and two delta_(k-1) roots, one on the converged
-            # root.  Bisecting a root takes 15 to 17 passes, against 30
-            # for plain bisection; the delta_(k-1) root on a delta_k root
-            # takes none, and each delta_k root one residual: 49 to 52
-            # passes a level.
-            lone = sum(s not in {r.value for r in rep.roots} for s in rep.shallow_roots)
-            assert rep.delta_evals <= 17 * (len(rep.roots) + lone) + len(rep.roots)
-
-    def test_shallow_twin_runs_no_pass(self, monkeypatch):
-        # On a converged level the delta_(k-1) root is the delta_k root's
-        # float.  The deep bisection's passes gave delta_(k-1) at the
-        # points the shallow one evaluates, and seed its squeeze, so no
-        # depth k - 1 pass runs in that root's scan cell.
-        k, grid = 6, 512
-        pot, bracket = criterion1_level(random.Random(11), 2)
-        shallow_es = []
-        delta = ptbound.aim.aim_delta
-
-        def counted(problem, e, depth):
-            if depth == k - 1:
-                shallow_es.append(e)
-            return delta(problem, e, depth)
-
-        monkeypatch.setattr(ptbound.aim, "aim_delta", counted)
-        rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, k), bracket, k, grid=grid)
-        (root,) = [r for r in rep.roots if r.converged]
-        assert root.stability_gap == 0.0 and root.value in rep.shallow_roots
-        nodes = uniform_grid(*bracket, grid)
-        i = int(np.searchsorted(nodes, root.value))
-        assert shallow_es  # the lone delta_(k-1) root runs its own
-        assert not [e for e in shallow_es if nodes[i - 1] <= e <= nodes[i]]
+            assert len(runs) == 1 + len(rep.roots) and len(residuals) == len(rep.roots)
+            assert rep.delta_evals == len(bisected) + len(rep.roots) > 0
 
     def test_not_compared(self):
         rep = aim_eigen_scan(pt_problem(4), (PAR.k1(1) - 1.0, PAR.k1(1) + 1.0), 4)
         assert rep.delta_evals > 0
         assert dataclasses.replace(rep, delta_evals=0) == rep
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @given(
-        a=st.floats(-80.0, -5.0),
-        b=st.floats(0.1, 5.0),
-        alpha=st.floats(0.5, 2.0),
-        e=st.one_of(st.floats(-1e4, 1e3), S.finite_floats),
-        k=st.integers(2, 9),
-        branch=st.sampled_from(("paper", "regular")),
-    )
-    @settings(max_examples=300)
-    def test_deep_pass_gives_shallow_delta(self, a, b, alpha, e, k, branch):
-        # A depth-k pass gives aim_delta's delta_k, raising where it
-        # raises, and its delta_(k-1), which is not finite exactly where
-        # aim_delta raises at k - 1.
-        problem = pt_aim_problem(PTPotential(a, b, alpha), CTX, 0, k, branch)
-        deep, shallow = (S.finite_or_ptbound_error(aim_delta, problem, e, j) for j in (k, k - 1))
-        both = S.finite_or_ptbound_error(ptbound.aim._scalar_deltas, problem, e, k)
-        if both is None:
-            assert deep is None
-        else:
-            assert both[1] == deep
-            assert both[0] == shallow if shallow is not None else not math.isfinite(both[0])
 
 
 class TestFineRescan:
@@ -379,6 +381,16 @@ class TestFineRescan:
         stable = rep.converged_roots()
         assert len(stable) == 1
         assert abs(stable[0] - par.k1(2)) <= 1e-8 * abs(par.k1(2))
+
+    def test_root_pair_in_rescan_cell_converges(self):
+        # Depth 3 has a root pair 9.2e-4 apart, one of them on the n = 1
+        # level, inside one 2.8e-3-wide cell of the re-scan; the level's
+        # own stability window holds one sign change (aim_scan seed 9).
+        pot = PTPotential(A=-10.96063264973641, B=1.9935694823814056, alpha=1.6814612693305482)
+        closed = spectral_params(pot, CTX, 0).k1(1)
+        rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, 4), (-75.04880478893833, -29.1996492800036), 4)
+        (stable,) = rep.converged_roots()
+        assert abs(stable - closed) <= 1e-8 * abs(closed)
 
 
 class TestRootPairInDeepCell:

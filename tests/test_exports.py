@@ -162,7 +162,7 @@ def test_settable_surface():
         "oracle.harmonic_problem": ("omega", "npts"),
         "oracle.integrate_adaptive": ("tol", "max_depth"),
         "oracle.shoot_eigenvalue": ("tol", "max_refinements"),
-        "rootfind.bisect": ("fab", "known"),
+        "rootfind.bisect": ("fab",),
         "tableio.ColumnTable": ("labels",),
         "errors.ConvergenceError": ("estimate",),
     }

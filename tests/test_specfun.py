@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import time
 
 import numpy as np
 import pytest
@@ -220,6 +221,16 @@ class TestPochhammer:
     def test_negative_order_rejected(self):
         with pytest.raises(DomainError):
             pochhammer(1.0, -1)
+
+    def test_huge_order_ends_at_once(self):
+        # The product is past the double range after a few hundred
+        # factors, or 0 after a few; the loop ran all 10**18 before.
+        t0 = time.perf_counter()
+        with pytest.raises(OverflowRangeError, match="pochhammer exceeds the double range"):
+            pochhammer(1.5, 10**18)
+        assert pochhammer(-3.0, 10**18) == 0.0
+        assert math.copysign(1.0, pochhammer(-2.0, 10**18)) == 1.0
+        assert time.perf_counter() - t0 < 1.0
 
     @given(
         st.floats(min_value=-5.0, max_value=5.0, allow_nan=False),
