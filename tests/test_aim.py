@@ -98,6 +98,18 @@ class TestVanishingS0:
         for k in (1, 2, 3):
             assert aim_delta(prob, 1.7, k) == 0.0
 
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_scan_polynomials_zero_where_s0_vanishes(self, k):
+        # The scan carries s_j / t, so both its polynomials are t times
+        # one and exactly 0 at t = 0, E = -e_shift, though the bracket's
+        # midpoint, about which they are expanded, lies elsewhere.
+        prob = pt_problem(k)
+        z = -prob.e_shift
+        for lo, hi in ((z - 7.0, z + 3.0), (z - 1.0, z + 40.0)):
+            for f in ptbound.aim._delta_polys(prob, lo, hi, k):
+                assert f(z) == 0.0
+                assert f(np.array([lo, z, hi]))[1] == 0.0
+
 
 class TestClosedFormEigenvalues:
     def test_delta2_vanishes_at_first_excited(self):
@@ -315,6 +327,21 @@ class TestKernelDigest:
         a, b = (rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4, m)
                 for m in (n, n - min(cut, n - 1)))
         assert ptbound.aim._series_mul(a, b).tobytes() == np.convolve(a, b).tobytes()
+
+    @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
+    def test_columns_mul_is_convolve_per_column(self, n, cols, seed):
+        # On integer values, where every sum is exact, each column of the
+        # scan's product is np.convolve's of that column of a with that
+        # of b, cut to b's orders; a of one column multiplies every one.
+        rng = np.random.default_rng(seed)
+        a = rng.integers(-99, 100, (n + int(rng.integers(0, 3)), cols)).astype(float)
+        b = rng.integers(-99, 100, (n, cols)).astype(float)
+        for a_used in (a, a[:, :1]):
+            out = ptbound.aim._columns_mul(a_used, b)
+            assert out.shape == b.shape
+            for c in range(cols):
+                want = np.convolve(a_used[:, min(c, a_used.shape[1] - 1)], b[:, c])[:n]
+                assert out[:, c].tolist() == want.tolist()
 
     def test_scan_reports(self):
         # Every AimScanReport field but delta_evals, a work count: level n
@@ -608,6 +635,31 @@ class TestValidation:
     def test_delta_overflow_raises(self):
         with pytest.raises(OverflowRangeError):
             aim_delta(pt_problem(3), 1e300, 3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scan_coefficient_overflow_raises(self):
+        # Finite jets whose delta polynomial has coefficients past the
+        # double range: building the polynomials raises, as the scan does.
+        prob = AimProblem(lambda0=constant(1e300, 4) + 1e300, s0=constant(1e300, 4) + 1e300)
+        with pytest.raises(OverflowRangeError, match="double range"):
+            ptbound.aim._delta_polys(prob, -1.0, 1.0, 3)
+        with pytest.raises(OverflowRangeError, match="double range"):
+            aim_eigen_scan(prob, (-1.0, 1.0), 3)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_scan_value_overflow_raises(self):
+        # Finite coefficients about the midpoint 0 of a bracket whose ends
+        # give delta values past the double range: each value raises.
+        prob = pt_problem(3)
+        deltas = ptbound.aim._delta_polys(prob, -1e300, 1e300, 3)
+        for f in deltas:
+            assert math.isfinite(f(0.0))
+            with pytest.raises(OverflowRangeError, match="double range"):
+                f(1e300)
+            with pytest.raises(OverflowRangeError, match="double range"):
+                f(np.array([0.0, -1e300]))
+        with pytest.raises(OverflowRangeError, match="double range"):
+            aim_eigen_scan(prob, (-1e300, 1e300), 3)
 
 
 class TestProblemIdentity:

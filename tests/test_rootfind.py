@@ -190,7 +190,7 @@ class TestMatchesTextbook:
 
         assert bisect(f, 3.1, 3.2, xtol=xtol) == textbook_bisect(f, 3.1, 3.2, xtol=xtol)
 
-    @pytest.mark.parametrize("misbehave", ["raise", "nan", "zero", "inf"])
+    @pytest.mark.parametrize("misbehave", ["raise", "nan", "zero", "negzero", "inf", "neginf"])
     @pytest.mark.parametrize("at", [0, 2, 4])
     def test_f_fails_off_the_textbook_path(self, misbehave, at):
         # f fails at the at-th point it is asked for that the textbook loop
@@ -205,7 +205,8 @@ class TestMatchesTextbook:
             if others[at:at + 1] == [x]:
                 if misbehave == "raise":
                     raise OverflowRangeError(f"no value at {x!r}")
-                return {"nan": math.nan, "zero": 0.0, "inf": math.inf}[misbehave]
+                return {"nan": math.nan, "zero": 0.0, "negzero": -0.0, "inf": math.inf,
+                        "neginf": -math.inf}[misbehave]
             return g(x)
 
         assert bisect(f, -0.02, 0.03, xtol=1e-10) == textbook_bisect(g, -0.02, 0.03, xtol=1e-10)
