@@ -151,13 +151,6 @@ def _columns_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _series_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.convolve(a, b), jets.jet_mul's product, bit for bit when a is
-    at least as long as b: the same correlation of a with b reversed,
-    without np.convolve's argument wrapping."""
-    return np.correlate(a, b[::-1], "full")
-
-
 @functools.cache
 def _ramp(k: int, ndim: int) -> np.ndarray:
     """1.0..k down the first of ndim axes, read-only: derivative factors."""
@@ -207,7 +200,7 @@ def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, fl
     k = _check_depth(problem, k)
     require_finite(e, "energy")
     s0 = problem.s0[: k + 1] * ((e + problem.e_shift) / problem.e_scale)
-    (prev_lam, prev_s), (lam, s) = _recurrence(problem.lambda0[: k + 1], s0, k, _series_mul)[-2:]
+    (prev_lam, prev_s), (lam, s) = _recurrence(problem.lambda0[: k + 1], s0, k, np.convolve)[-2:]
     delta = float(lam[0] * prev_s[0] - prev_lam[0] * s[0])
     if not math.isfinite(delta):
         raise OverflowRangeError(f"delta_{k} at E={e!r} is {delta!r}")

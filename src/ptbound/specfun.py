@@ -292,6 +292,7 @@ def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
         t = total + y
         comp = (t - total) - y
         total = t
-    if not math.isfinite(total):
-        raise OverflowRangeError(f"2F1 terms exceed the double range (n={n}, z={z!r})")
+        if not math.isfinite(total):
+            # An inf or NaN sum stays one: no later term can mend it.
+            raise OverflowRangeError(f"2F1 terms exceed the double range (n={n}, z={z!r})")
     return total

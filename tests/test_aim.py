@@ -319,15 +319,6 @@ class TestKernelDigest:
             "5ce30441370095d84dff3f4bb05d782125538237f0578089579e911c8d8b0a26"
         )
 
-    @given(st.integers(1, 12), st.integers(0, 11), st.integers(0, 2**32 - 1))
-    def test_series_mul_is_convolve(self, n, cut, seed):
-        # The scalar passes' product is np.convolve's, bit for bit, for
-        # every pair of lengths a step multiplies.
-        rng = np.random.default_rng(seed)
-        a, b = (rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4, m)
-                for m in (n, n - min(cut, n - 1)))
-        assert ptbound.aim._series_mul(a, b).tobytes() == np.convolve(a, b).tobytes()
-
     @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
     def test_columns_mul_is_convolve_per_column(self, n, cols, seed):
         # On integer values, where every sum is exact, each column of the

@@ -65,9 +65,9 @@ def test_trace_sites_bound(monkeypatch):
     assert {name: dict(vars(module)) for name, module in modules.items()} == before
 
 
-def test_oracle_imports_only_errors_and_rootfind():
+def test_oracle_imports_only_errors():
     """The shooting oracle checks the closed form and the iterative engine,
-    so it may share nothing with them beyond error types and root finding."""
+    so it may share nothing with them beyond error types."""
     tree = ast.parse(Path(ptbound.oracle.__file__).read_text(encoding="utf-8"))
     imported = set()
     for node in ast.walk(tree):
@@ -77,7 +77,7 @@ def test_oracle_imports_only_errors_and_rootfind():
             imported.add(node.module)
         elif isinstance(node, ast.Import):
             imported.update(a.name for a in node.names if a.name.split(".")[0] == "ptbound")
-    assert imported == {"errors", "rootfind"}
+    assert imported == {"errors"}
 
 
 def test_no_unused_imports():
@@ -263,7 +263,7 @@ def test_public_surface():
             "MOLECULE_CONSTANTS", "REFERENCE_ENERGIES", "REFERENCE_ENERGY_STRINGS",
             "REFERENCE_GRID", "REFERENCE_WELL_A", "REFERENCE_WELL_B",
         ),
-        "ptbound.rootfind": ("bisect", "sign_change_brackets", "uniform_grid", "zeroin"),
+        "ptbound.rootfind": ("bisect", "sign_change_brackets", "uniform_grid"),
         "ptbound.schrodinger": (
             "D0", "HBARC_EV_ANG", "LevelCount", "NRContext", "PTPotential",
             "SpectralParams", "centrifugal_approx_residual", "energy_from_k1", "energy_nr",

@@ -156,6 +156,35 @@ class TestShooting:
             shoot_eigenvalue(problem, 0, (1.0, 5.0))
 
 
+class TestZeroin:
+    def test_zeroin(self):
+        # A mismatch that grows exponentially away from its root, as the
+        # tail mismatch does: every trial stays strictly inside the
+        # bracket, and the bracket reaches 2*tol in far fewer trials than
+        # the 40 halvings bisection needs.
+        root, tol = math.pi, 1e-12
+        g = lambda x: math.exp(8.0 * (root - x)) - 1.0
+        bracket = [1.0, 5.0]
+        trials = []
+
+        def f(x):
+            assert bracket[0] < x < bracket[1]
+            trials.append(x)
+            bracket[x > root] = x
+            return g(x)
+
+        oracle._zeroin(f, 1.0, g(1.0), 5.0, g(5.0), tol)
+        assert bracket[1] - bracket[0] <= 2.0 * tol
+        assert len(trials) <= 20
+
+    def test_zeroin_stops_without_value(self):
+        trials = []
+        oracle._zeroin(lambda x: trials.append(x), 1.0, 1.0, 5.0, -1.0, 1e-12)
+        assert len(trials) == 1 and 1.0 < trials[0] < 5.0
+
+
+
+
 def _cold_mesh_value(problem, n, lo, hi, npts, xtol):
     """Reference mesh search: bisect the whole bracket, shooting every midpoint."""
     h = (problem.r_cut - problem.r_min) / (npts - 1)

@@ -1,10 +1,8 @@
-"""Bracketing helpers: bisect against the textbook halving loop, zeroin.
+"""Bracketing helpers: bisect against the textbook halving loop.
 
-``textbook_bisect`` is plain bisection, evaluating f at every midpoint.
-``rootfind.bisect`` may answer a midpoint from points it has already
-seen, so for any f whose sign changes once, outside a rounding-noise
-band narrower than its margin, it must return the same float and raise
-the same error.
+``textbook_bisect`` is plain bisection written out on its own.
+``rootfind.bisect`` must evaluate f at the same points, in the same
+order, return the same float and raise the same error.
 """
 
 import math
@@ -180,7 +178,7 @@ class TestMatchesTextbook:
     @pytest.mark.parametrize("xtol", [0.0, -1e-10, 1e-300, 1e-17, math.nan])
     def test_degenerate_tolerance(self, xtol):
         # f is never exactly 0, and a tolerance below the ulps of the
-        # bracket must not leave Brent's steps stuck on one point.
+        # bracket must not leave the halving stuck on one point.
         calls = []
 
         def f(x):
@@ -212,77 +210,30 @@ class TestMatchesTextbook:
         assert bisect(f, -0.02, 0.03, xtol=1e-10) == textbook_bisect(g, -0.02, 0.03, xtol=1e-10)
 
 
-class TestZeroin:
-    def test_zeroin(self):
-        # A mismatch that grows exponentially away from its root, as the
-        # tail mismatch does: every trial stays strictly inside the
-        # bracket, and the bracket reaches 2*tol in far fewer trials than
-        # the 40 halvings bisection needs.
-        root, tol = math.pi, 1e-12
-        g = lambda x: math.exp(8.0 * (root - x)) - 1.0
-        bracket = [1.0, 5.0]
-        trials = []
-
-        def f(x):
-            assert bracket[0] < x < bracket[1]
-            trials.append(x)
-            bracket[x > root] = x
-            return g(x)
-
-        rootfind.zeroin(f, 1.0, g(1.0), 5.0, g(5.0), tol)
-        assert bracket[1] - bracket[0] <= 2.0 * tol
-        assert len(trials) <= 20
-
-    def test_zeroin_stops_without_value(self):
-        trials = []
-        rootfind.zeroin(lambda x: trials.append(x), 1.0, 1.0, 5.0, -1.0, 1e-12)
-        assert len(trials) == 1 and 1.0 < trials[0] < 5.0
-
-
 class TestEvaluations:
-    @pytest.mark.parametrize("g", [
-        lambda t: t + 0.3 * t * t,
-        lambda t: math.expm1(t),
-        lambda t: math.expm1(2.0 * t),
-        lambda t: math.tanh(t) * (2.0 + t),
-    ])
-    def test_smooth_simple_root(self, g):
-        # Plain bisection of a 0.05-wide scan cell to 1e-10 evaluates f at
-        # 29 midpoints; the squeeze leaves at most 20 evaluations.
+    def test_evaluates_the_textbook_midpoints(self):
+        # f is evaluated at the ends, unless fab gives them, and then at
+        # each midpoint of the textbook loop, in its order, and nowhere else.
         rng = random.Random(7)
-        for _ in range(200):
-            root, frac = rng.uniform(-50.0, 50.0), rng.uniform(0.01, 0.99)
-            a = root - frac * 0.05
-            b = a + 0.05
-            calls = []
+        for shape, g in SHAPES.items():
+            for use_fab in (False, True):
+                for _ in range(40):
+                    root, frac = rng.uniform(-50.0, 50.0), rng.uniform(0.01, 0.99)
+                    a = root - frac * 0.05
+                    b = a + 0.05
+                    f = lambda x: g((x - root) / 0.05)
+                    kwargs = {"xtol": 1e-10}
+                    if use_fab:
+                        kwargs["fab"] = (f(a), f(b))
+                    calls = []
 
-            def f(x):
-                calls.append(x)
-                return g((x - root) / 0.05)
+                    def traced(x):
+                        calls.append(x)
+                        return f(x)
 
-            fab = (f(a), f(b))
-            calls.clear()
-            value = bisect(f, a, b, xtol=1e-10, fab=fab)
-            assert len(calls) <= 20, (root, frac, len(calls))
-            assert value == textbook_bisect(f, a, b, xtol=1e-10, fab=fab)
-
-    @pytest.mark.parametrize("a", [12.3, 12.33, 12.34])
-    def test_zero_trial_is_recorded(self, a):
-        # zeroin's first secant trial on a linear f is its root, where f is
-        # exactly 0.  f has the bracket ends' signs half a margin either
-        # side of it, so the squeeze keeps those two points as its window
-        # and the bisection evaluates only the midpoints near them: 18
-        # calls where ending the squeeze unrecorded took 32.
-        calls = []
-
-        def f(x):
-            calls.append(x)
-            return (x - 12.345) / 0.05
-
-        value = bisect(f, a, a + 0.05, xtol=1e-10)
-        assert 12.345 in calls
-        assert len(calls) <= 18
-        assert value == textbook_bisect(f, a, a + 0.05, xtol=1e-10)
+                    bisect(traced, a, b, **kwargs)
+                    ends = [] if use_fab else [a, b]
+                    assert calls == ends + midpoints(f, a, b, **kwargs), (shape, root, frac)
 
 
 @settings(max_examples=300)

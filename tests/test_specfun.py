@@ -301,3 +301,11 @@ class TestHyp2F1Terminating:
         # the terms pass the double range: raise, never return NaN
         with pytest.raises(OverflowRangeError):
             hyp2f1_terminating(400, 1.5, 0.5, -1e6)
+
+    def test_huge_order_ends_at_once(self):
+        # The sum is past the double range after a few dozen terms, so
+        # the loop must stop there rather than run all 10**18.
+        t0 = time.perf_counter()
+        with pytest.raises(OverflowRangeError, match="2F1 terms exceed the double range"):
+            hyp2f1_terminating(10**18, 0.5, 1.5, 0.5)
+        assert time.perf_counter() - t0 < 1.0
