@@ -211,29 +211,30 @@ class TestMatchesTextbook:
 
 
 class TestEvaluations:
-    def test_evaluates_the_textbook_midpoints(self):
+    @pytest.mark.parametrize("use_fab", [False, True])
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_evaluates_the_textbook_midpoints(self, shape, use_fab):
         # f is evaluated at the ends, unless fab gives them, and then at
         # each midpoint of the textbook loop, in its order, and nowhere else.
+        g = SHAPES[shape]
         rng = random.Random(7)
-        for shape, g in SHAPES.items():
-            for use_fab in (False, True):
-                for _ in range(40):
-                    root, frac = rng.uniform(-50.0, 50.0), rng.uniform(0.01, 0.99)
-                    a = root - frac * 0.05
-                    b = a + 0.05
-                    f = lambda x: g((x - root) / 0.05)
-                    kwargs = {"xtol": 1e-10}
-                    if use_fab:
-                        kwargs["fab"] = (f(a), f(b))
-                    calls = []
+        for _ in range(40):
+            root, frac = rng.uniform(-50.0, 50.0), rng.uniform(0.01, 0.99)
+            a = root - frac * 0.05
+            b = a + 0.05
+            f = lambda x: g((x - root) / 0.05)
+            kwargs = {"xtol": 1e-10}
+            if use_fab:
+                kwargs["fab"] = (f(a), f(b))
+            calls = []
 
-                    def traced(x):
-                        calls.append(x)
-                        return f(x)
+            def traced(x):
+                calls.append(x)
+                return f(x)
 
-                    bisect(traced, a, b, **kwargs)
-                    ends = [] if use_fab else [a, b]
-                    assert calls == ends + midpoints(f, a, b, **kwargs), (shape, root, frac)
+            bisect(traced, a, b, **kwargs)
+            ends = [] if use_fab else [a, b]
+            assert calls == ends + midpoints(f, a, b, **kwargs), (root, frac)
 
 
 @settings(max_examples=300)
