@@ -221,7 +221,8 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
     np.longdouble (a 64-bit significand on x86-64 Linux; the double
     itself where the platform has no wider type), and q is rounded to
     doubles and evaluated by Horner's rule.  A coefficient or a value
-    beyond the double range raises OverflowRangeError.
+    beyond the double range raises OverflowRangeError.  Each function
+    counts its calls at one E, not on an array, in its ``calls``.
     """
     e_shift, e_scale = problem.e_shift, problem.e_scale
     t_c = (0.5 * lo + 0.5 * hi + e_shift) / e_scale
@@ -249,10 +250,16 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
             for c in coeffs:
                 acc = acc * tau + c
             value = t * acc
-            if not (math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()):
+            if isinstance(value, float):
+                delta.calls += 1
+                finite = math.isfinite(value)
+            else:
+                finite = np.isfinite(value).all()
+            if not finite:
                 raise OverflowRangeError(f"delta_{j} on [{lo!r}, {hi!r}] is past the double range")
             return value
 
+        delta.calls = 0
         return delta
 
     def mul(a, b):
@@ -315,17 +322,7 @@ def aim_eigen_scan(
     grid = require_index(grid, "grid", 2)
     scale = max(abs(lo), abs(hi), 1.0)
     xtol = SCAN_TOL * scale
-    evals = 0
-
-    def counted(delta):
-        def f(e):
-            nonlocal evals
-            evals += not isinstance(e, np.ndarray)
-            return delta(e)
-
-        return f
-
-    shallow_delta, deep_delta = map(counted, _delta_polys(problem, lo, hi, k))
+    shallow_delta, deep_delta = _delta_polys(problem, lo, hi, k)
     deep, crowded = _scan_roots(deep_delta, lo, hi, grid, xtol)
     shallow, _ = _scan_roots(shallow_delta, lo, hi, grid, xtol)
 
@@ -361,5 +358,5 @@ def aim_eigen_scan(
         roots=graded,
         shallow_roots=tuple(shallow),
         warnings=warnings,
-        delta_evals=evals + len(graded),
+        delta_evals=shallow_delta.calls + deep_delta.calls + len(graded),
     )

@@ -35,6 +35,7 @@ eV*Angstrom reuses the nonrelativistic constants.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,6 +68,7 @@ __all__ = [
 ]
 
 _NAN = float("nan")
+_NORMAL_MIN = sys.float_info.min
 
 FLAG_NEAR_PLUS_M = "near_plus_m"
 FLAG_NEAR_MINUS_M = "near_minus_m"
@@ -122,9 +124,17 @@ class SymmetryParams:
 
 
 def _ae2(ctx: DiracContext, pot: PTPotential) -> float:
-    # Unchecked: the residuals form it at every scan node; the entry points
-    # check it once with _alpha_hbar_c_squared.
-    return (pot.alpha * ctx.hbar_c) ** 2
+    """(alpha hbar_c)**2; where that is not a normal double,
+    _alpha_hbar_c_squared raises its DomainError.  The residuals form it
+    at every scan node, where a normal square costs a comparison rather
+    than that call."""
+    try:
+        ae2 = (pot.alpha * ctx.hbar_c) ** 2
+    except OverflowError:
+        ae2 = math.inf
+    if _NORMAL_MIN <= ae2 < math.inf:
+        return ae2
+    return _alpha_hbar_c_squared(pot.alpha, ctx.hbar_c)
 
 
 def _reflected(pot: PTPotential) -> PTPotential:
@@ -244,7 +254,6 @@ def solve_levels(
     """
     require_choice(symmetry, _SYMMETRIES, "symmetry")
     require_positive(tol, "tolerance")
-    _alpha_hbar_c_squared(pot.alpha, ctx.hbar_c)
     residual = pspin_residual if symmetry == "pspin" else spin_residual
     if bracket is None:
         span = abs(ctx.M)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import functools
 import math
 import weakref
+from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
 from typing import Callable
@@ -364,17 +365,11 @@ def _predict(mismatch, guess, slope, lo, hi, xtol):
     return q if lo < q < hi else None
 
 
-def _bracket_miss(message, passes):
-    """A NodeCountError carrying the Numerov passes its mesh ran."""
-    miss = NodeCountError(message)
-    miss.passes = passes
-    return miss
-
-
-def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, slope=None):
+def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, tally, guess=None, slope=None):
     """Bisect the level's predicate over [lo, hi] on the mesh that wvals
     spans (w at each point, from _mesh_w, or every s-th of them for a
-    coarse rung); return (value, Numerov passes, slope).
+    coarse rung); return (value, slope).  Each Numerov pass adds 1 to
+    tally["passes"] and its len(wvals) steps to tally["points"].
 
     The slope is dm/dq of the tail mismatch m through the two shots that
     straddle the level at the end, or None when either has no mismatch.
@@ -401,15 +396,15 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, slope=None):
     # level (None elsewhere).
     known_below, known_above = -math.inf, math.inf
     mismatch_below = mismatch_above = None
-    passes = 0
 
     def above(q: float) -> bool:
-        nonlocal known_below, known_above, mismatch_below, mismatch_above, passes
+        nonlocal known_below, known_above, mismatch_below, mismatch_above
         if q <= known_below:
             return False
         if q >= known_above:
             return True
-        passes += 1
+        tally["passes"] += 1
+        tally["points"] += len(wvals)
         # Too-high trial energies show up either as an extra node or, at
         # the right node count, as a tail already bent through zero: the
         # log-derivative combination u' + kappa*u flips sign relative to
@@ -421,6 +416,8 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, slope=None):
             wvals, h, q, problem.origin_exponent, problem.r_min, kappa,
             problem.origin_w0, problem.origin_w2,
         )
+        if math.isnan(g):
+            raise OverflowRangeError(f"the Numerov pass at q={q!r} leaves the double range")
         m = g * parity
         if nodes != n:
             result = nodes > n
@@ -448,9 +445,9 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, slope=None):
                 if lo < q < hi:
                     above(q)
     if above(lo):
-        raise _bracket_miss(f"lower bracket edge {lo!r} already lies above level n={n}", passes)
+        raise NodeCountError(f"lower bracket edge {lo!r} already lies above level n={n}")
     if not above(hi):
-        raise _bracket_miss(f"upper bracket edge {hi!r} still lies below level n={n}", passes)
+        raise NodeCountError(f"upper bracket edge {hi!r} still lies below level n={n}")
     # Squeeze the window: zeroin on the ends' mismatches, halving while
     # one of them has none.
     squeezed = _SQUEEZE_XTOLS * xtol
@@ -476,7 +473,7 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, guess=None, slope=None):
     slope = None
     if mismatch_below is not None and mismatch_above is not None:
         slope = (mismatch_above - mismatch_below) / (known_above - known_below)
-    return 0.5 * (a + b), passes, slope
+    return 0.5 * (a + b), slope
 
 
 def shoot_eigenvalue(
@@ -513,7 +510,8 @@ def shoot_eigenvalue(
     the first and refined meshes, its points the Numerov steps on every
     mesh, the rungs included, a rung that missed the level too.  Raises
     NodeCountError when the bracket does not straddle the requested
-    level, DomainError when w is not finite at a mesh point and
+    level, DomainError when w is not finite at a mesh point,
+    OverflowRangeError when a pass's tail mismatch is NaN and
     ConvergenceError when mesh refinement stalls.
     """
     require_index(n, "level index")
@@ -525,32 +523,25 @@ def shoot_eigenvalue(
     intervals, stride = len(first) - 1, 1
     while intervals % (4 * stride) == 0 and intervals // (4 * stride) >= _RUNG_INTERVALS:
         stride *= 2
+    rungs, meshes = Counter(), Counter()
     value = slope = None
-    points = 0
     try:
         for wvals in (first[:: 2 * stride], first[::stride]) if stride > 1 else ():
-            value, rung_passes, slope = _solve_on_mesh(
-                problem, n, lo, hi, wvals, xtol, value, slope
-            )
-            points += rung_passes * len(wvals)
-    except NodeCountError as miss:
+            value, slope = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, rungs, value, slope)
+    except NodeCountError:
         value = slope = None
-        points += miss.passes * len(wvals)
-    passes, gaps = 0, []
+    gaps = []
     for refinement in range(max_refinements + 1):
         wvals = _mesh_w(problem, refinement) if refinement else first
-        new_value, mesh_passes, slope = _solve_on_mesh(
-            problem, n, lo, hi, wvals, xtol, value, slope
-        )
-        passes += mesh_passes
-        points += mesh_passes * len(wvals)
+        new_value, slope = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, meshes, value, slope)
         if refinement:
             gap = abs(new_value - value)
             gaps.append(gap)
             if gap <= tol * max(1.0, abs(new_value)):
                 return ShootResult(
-                    value=new_value, npts=len(wvals), refinements=refinement, passes=passes,
-                    gaps=tuple(gaps), points=points,
+                    value=new_value, npts=len(wvals), refinements=refinement,
+                    passes=meshes["passes"], gaps=tuple(gaps),
+                    points=rungs["points"] + meshes["points"],
                 )
         value = new_value
     raise ConvergenceError(

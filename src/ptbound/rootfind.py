@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -12,27 +11,19 @@ from .errors import BracketError
 __all__ = ["bisect", "sign_change_brackets", "uniform_grid"]
 
 
-def bisect(
-    f,
-    a: float,
-    b: float,
-    *,
-    xtol: float,
-    fab: Optional[tuple[float, float]] = None,
-) -> float:
-    """Bisection root of f on [a, b]; endpoints must straddle a sign change.
+def bisect(f, a: float, b: float, *, xtol: float, fab: tuple[float, float]) -> float:
+    """Bisection root of f on [a, b]; fab = (f(a), f(b)), the values a
+    scan found the bracket with, must straddle a sign change.
 
     The halving runs until the bracket is at most xtol wide or its
     midpoint meets an end, which a bracket with finite ends always
     reaches, so it needs no cap on steps; a NaN or infinite end, whose
-    midpoints need not, is a bracket failure.  ``fab`` passes f(a) and
-    f(b) when the caller already has them, as a scan does, so the
-    bracket is judged on the values that found it.  NaN at a midpoint
-    is a bracket failure.
+    midpoints need not, is a bracket failure.  NaN at a midpoint is a
+    bracket failure.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise BracketError(f"bracket ends must be finite, got [{a!r}, {b!r}]")
-    fa, fb = fab if fab is not None else (f(a), f(b))
+    fa, fb = fab
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -58,10 +49,18 @@ def bisect(
 
 
 def uniform_grid(a: float, b: float, n: int) -> np.ndarray:
-    """The n nodes a + i (b - a) / (n - 1), i = 0..n-1, of a scan over [a, b]."""
+    """The n nodes a + i (b - a) / (n - 1), i = 0..n-1, of a scan over [a, b].
+
+    Where b - a overflows, the nodes are (1 - t) a + t b, t = i / (n - 1),
+    which stay finite and end on a and b.
+    """
     if not (b > a) or n < 2:
         raise BracketError(f"bad scan interval [{a!r}, {b!r}] with {n} points")
-    return a + np.arange(n) * ((b - a) / (n - 1))
+    step = (b - a) / (n - 1)
+    if math.isinf(step):
+        t = np.arange(n) / (n - 1)
+        return (1.0 - t) * a + t * b
+    return a + np.arange(n) * step
 
 
 def sign_change_brackets(fx, a: float, b: float, n: int):

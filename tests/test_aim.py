@@ -160,12 +160,12 @@ class TestClosedFormEigenvalues:
 
 def bisected_roots(f, lo, hi, grid, xtol):
     """Roots of f from its values on a grid of ``grid`` nodes over
-    [lo, hi], each bisected without handing over endpoint values,
+    [lo, hi], each bisected from endpoint values evaluated anew,
     evaluating f at every midpoint."""
     fx = [f(x) for x in uniform_grid(lo, hi, grid).tolist()]
     roots = []
     for a, b, _, _ in sign_change_brackets(fx, lo, hi, grid):
-        r = a if a == b else textbook_bisect(f, a, b, xtol=xtol)
+        r = a if a == b else textbook_bisect(f, a, b, xtol=xtol, fab=(f(a), f(b)))
         if not roots or abs(r - roots[-1]) > 4.0 * xtol:
             roots.append(r)
     return roots
@@ -377,6 +377,16 @@ class TestDeltaEvals:
             rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, 6), bracket, 6)
             assert len(runs) == 1 + len(rep.roots) and len(residuals) == len(rep.roots)
             assert rep.delta_evals == len(bisected) + len(rep.roots) > 0
+
+    def test_scan_polynomials_count_their_single_energy_calls(self):
+        # Values on an array of energies, as on a scan grid, are not counted.
+        lo, hi = -30.0, -1.0
+        shallow, deep = ptbound.aim._delta_polys(pt_problem(3), lo, hi, 3)
+        deep(uniform_grid(lo, hi, 9))
+        deep(lo)
+        deep(0.5 * lo + 0.5 * hi)
+        shallow(hi)
+        assert (shallow.calls, deep.calls) == (1, 2)
 
     def test_not_compared(self):
         rep = aim_eigen_scan(pt_problem(4), (PAR.k1(1) - 1.0, PAR.k1(1) + 1.0), 4)

@@ -7,6 +7,7 @@ order, return the same float and raise the same error.
 
 import math
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -17,9 +18,10 @@ from ptbound.errors import BracketError, OverflowRangeError
 from ptbound.rootfind import bisect
 
 
-def textbook_bisect(f, a, b, *, xtol, fab=None):
-    """Bisection root of f on [a, b], f evaluated at every midpoint."""
-    fa, fb = fab if fab is not None else (f(a), f(b))
+def textbook_bisect(f, a, b, *, xtol, fab):
+    """Bisection root of f on [a, b] from fab = (f(a), f(b)), f evaluated
+    at every midpoint."""
+    fa, fb = fab
     if fa == 0.0:
         return a
     if fb == 0.0:
@@ -42,16 +44,20 @@ def textbook_bisect(f, a, b, *, xtol, fab=None):
     return 0.5 * a + 0.5 * b
 
 
-def midpoints(f, a, b, **kwargs):
-    """The points textbook_bisect evaluates f at, endpoints excluded."""
+def ends(f, a, b):
+    return f(a), f(b)
+
+
+def midpoints(f, a, b, *, xtol):
+    """The points textbook_bisect evaluates f at, given f's end values."""
     seen = []
 
     def g(x):
         seen.append(x)
         return f(x)
 
-    textbook_bisect(g, a, b, **kwargs)
-    return seen if "fab" in kwargs else seen[2:]
+    textbook_bisect(g, a, b, xtol=xtol, fab=ends(f, a, b))
+    return seen
 
 
 SHAPES = {
@@ -83,32 +89,26 @@ xtols = st.sampled_from([1e-13, 1e-11, 1e-10, 1e-8, 1e-6])
 
 class TestMatchesTextbook:
     @settings(max_examples=300)
-    @given(st.sampled_from(sorted(SHAPES)), roots, widths, fractions, xtols,
-           st.booleans(), st.booleans())
-    def test_smooth_monotone(self, shape, root, width, frac, rel_xtol, flip, use_fab):
+    @given(st.sampled_from(sorted(SHAPES)), roots, widths, fractions, xtols, st.booleans())
+    def test_smooth_monotone(self, shape, root, width, frac, rel_xtol, flip):
         sign = -1.0 if flip else 1.0
         f = lambda x: sign * SHAPES[shape]((x - root) / width)
         a = root - frac * width
         b = a + width
-        xtol = rel_xtol * max(1.0, abs(a), abs(b))
-        kwargs = {"xtol": xtol}
-        if use_fab:
-            kwargs["fab"] = (f(a), f(b))
+        kwargs = {"xtol": rel_xtol * max(1.0, abs(a), abs(b)), "fab": ends(f, a, b)}
         assert bisect(f, a, b, **kwargs) == textbook_bisect(f, a, b, **kwargs)
 
     @settings(max_examples=300)
     @given(st.sampled_from(sorted(SHAPES)), roots, st.floats(0.1, 0.9),
-           st.sampled_from([1e-13, 1e-11, 1e-10, 1e-8]), st.floats(0.0, 64.0), st.booleans())
-    def test_noise_band(self, shape, root, frac, rel_xtol, band_xtols, use_fab):
+           st.sampled_from([1e-13, 1e-11, 1e-10, 1e-8]), st.floats(0.0, 64.0))
+    def test_noise_band(self, shape, root, frac, rel_xtol, band_xtols):
         width = 0.05
         a = root - frac * width
         b = a + width
         xtol = rel_xtol * max(1.0, abs(a), abs(b))
         g = lambda x: SHAPES[shape]((x - root) / width)
         f = noisy(g, root, band_xtols * xtol)
-        kwargs = {"xtol": xtol}
-        if use_fab:
-            kwargs["fab"] = (f(a), f(b))
+        kwargs = {"xtol": xtol, "fab": ends(f, a, b)}
         assert bisect(f, a, b, **kwargs) == textbook_bisect(f, a, b, **kwargs)
 
     def test_nan_at_visited_midpoint(self):
@@ -117,10 +117,11 @@ class TestMatchesTextbook:
         g = SHAPES["cubic"]
         last = midpoints(g, -0.02, 0.03, xtol=1e-10)[-1]
         f = lambda x: math.nan if x == last else g(x)
+        fab = ends(f, -0.02, 0.03)
         with pytest.raises(BracketError, match="NaN"):
-            textbook_bisect(f, -0.02, 0.03, xtol=1e-10)
+            textbook_bisect(f, -0.02, 0.03, xtol=1e-10, fab=fab)
         with pytest.raises(BracketError, match="NaN"):
-            bisect(f, -0.02, 0.03, xtol=1e-10)
+            bisect(f, -0.02, 0.03, xtol=1e-10, fab=fab)
 
     def test_nan_endpoint(self):
         with pytest.raises(BracketError):
@@ -129,16 +130,16 @@ class TestMatchesTextbook:
     def test_exact_zero_at_midpoint(self):
         # 0.375 is the third midpoint of [0, 1]; f is exactly 0 there.
         f = lambda x: (x - 0.375) * (1.0 + x * x)
-        assert textbook_bisect(f, 0.0, 1.0, xtol=1e-10) == 0.375
-        assert bisect(f, 0.0, 1.0, xtol=1e-10) == 0.375
+        assert textbook_bisect(f, 0.0, 1.0, xtol=1e-10, fab=ends(f, 0.0, 1.0)) == 0.375
+        assert bisect(f, 0.0, 1.0, xtol=1e-10, fab=ends(f, 0.0, 1.0)) == 0.375
 
     def test_zero_endpoints(self):
-        assert bisect(math.sin, 0.0, 1.0, xtol=1e-10) == 0.0
+        assert bisect(math.sin, 0.0, 1.0, xtol=1e-10, fab=ends(math.sin, 0.0, 1.0)) == 0.0
         assert bisect(math.sin, -1.0, 0.0, xtol=1e-10, fab=(-1.0, 0.0)) == 0.0
 
     def test_no_sign_change(self):
         with pytest.raises(BracketError):
-            bisect(math.cos, -1.0, 1.0, xtol=1e-10)
+            bisect(math.cos, -1.0, 1.0, xtol=1e-10, fab=ends(math.cos, -1.0, 1.0))
 
     @pytest.mark.parametrize("a, b, root, xtol", [
         (-1e300, 1e300, 1.0, 1e-12),
@@ -150,9 +151,9 @@ class TestMatchesTextbook:
         # About 1,040 halvings take [-1e300, 1e300] down to 1e-12; no cap
         # on the steps may stop the loop short of the root.
         f = lambda x: x - root
-        value = bisect(f, a, b, xtol=xtol)
+        value = bisect(f, a, b, xtol=xtol, fab=ends(f, a, b))
         assert abs(value - root) <= xtol
-        assert value == textbook_bisect(f, a, b, xtol=xtol)
+        assert value == textbook_bisect(f, a, b, xtol=xtol, fab=ends(f, a, b))
 
     @pytest.mark.parametrize(
         "a, b, root", [(1e308, 1.7e308, 1.6e308), (-1.7e308, -1e308, -1.6e308)]
@@ -160,9 +161,9 @@ class TestMatchesTextbook:
     def test_midpoint_sum_past_the_double_range(self, a, b, root):
         # a + b overflows; the midpoint a/2 + b/2 stays inside the bracket.
         f = lambda x: x - root
-        value = bisect(f, a, b, xtol=1e-12)
+        value = bisect(f, a, b, xtol=1e-12, fab=ends(f, a, b))
         assert value == root
-        assert value == textbook_bisect(f, a, b, xtol=1e-12)
+        assert value == textbook_bisect(f, a, b, xtol=1e-12, fab=ends(f, a, b))
 
     @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (-1.0, math.nan), (-math.inf, math.inf)])
     def test_nonfinite_end(self, a, b):
@@ -173,7 +174,8 @@ class TestMatchesTextbook:
 
     @pytest.mark.parametrize("a, b", [(1.0, -1.0), (-1e-11, 2e-11), (-1.0, 1.0 + 1e-15)])
     def test_reversed_or_narrow_bracket(self, a, b):
-        assert bisect(math.sin, a, b, xtol=1e-10) == textbook_bisect(math.sin, a, b, xtol=1e-10)
+        kwargs = {"xtol": 1e-10, "fab": ends(math.sin, a, b)}
+        assert bisect(math.sin, a, b, **kwargs) == textbook_bisect(math.sin, a, b, **kwargs)
 
     @pytest.mark.parametrize("xtol", [0.0, -1e-10, 1e-300, 1e-17, math.nan])
     def test_degenerate_tolerance(self, xtol):
@@ -186,7 +188,8 @@ class TestMatchesTextbook:
             assert len(calls) < 1000
             return math.atan(50.0 * (x - math.pi)) + 1e-17
 
-        assert bisect(f, 3.1, 3.2, xtol=xtol) == textbook_bisect(f, 3.1, 3.2, xtol=xtol)
+        kwargs = {"xtol": xtol, "fab": ends(f, 3.1, 3.2)}
+        assert bisect(f, 3.1, 3.2, **kwargs) == textbook_bisect(f, 3.1, 3.2, **kwargs)
 
     @pytest.mark.parametrize("misbehave", ["raise", "nan", "zero", "negzero", "inf", "neginf"])
     @pytest.mark.parametrize("at", [0, 2, 4])
@@ -207,15 +210,15 @@ class TestMatchesTextbook:
                         "neginf": -math.inf}[misbehave]
             return g(x)
 
-        assert bisect(f, -0.02, 0.03, xtol=1e-10) == textbook_bisect(g, -0.02, 0.03, xtol=1e-10)
+        kwargs = {"xtol": 1e-10, "fab": ends(g, -0.02, 0.03)}
+        assert bisect(f, -0.02, 0.03, **kwargs) == textbook_bisect(g, -0.02, 0.03, **kwargs)
 
 
 class TestEvaluations:
-    @pytest.mark.parametrize("use_fab", [False, True])
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_evaluates_the_textbook_midpoints(self, shape, use_fab):
-        # f is evaluated at the ends, unless fab gives them, and then at
-        # each midpoint of the textbook loop, in its order, and nowhere else.
+    def test_evaluates_the_textbook_midpoints(self, shape):
+        # Given the ends' values, f is evaluated at each midpoint of the
+        # textbook loop, in its order, and nowhere else.
         g = SHAPES[shape]
         rng = random.Random(7)
         for _ in range(40):
@@ -223,18 +226,14 @@ class TestEvaluations:
             a = root - frac * 0.05
             b = a + 0.05
             f = lambda x: g((x - root) / 0.05)
-            kwargs = {"xtol": 1e-10}
-            if use_fab:
-                kwargs["fab"] = (f(a), f(b))
             calls = []
 
             def traced(x):
                 calls.append(x)
                 return f(x)
 
-            bisect(traced, a, b, **kwargs)
-            ends = [] if use_fab else [a, b]
-            assert calls == ends + midpoints(f, a, b, **kwargs), (root, frac)
+            bisect(traced, a, b, xtol=1e-10, fab=ends(f, a, b))
+            assert calls == midpoints(f, a, b, xtol=1e-10), (root, frac)
 
 
 @settings(max_examples=300)
@@ -247,3 +246,15 @@ def test_uniform_grid_is_the_stepping_loop(lo, width, n):
     hi = lo + width
     step = (hi - lo) / (n - 1)
     assert rootfind.uniform_grid(lo, hi, n).tolist() == [lo + i * step for i in range(n)]
+
+
+@pytest.mark.parametrize("a, b, n", [
+    (-1.7e308, 1.7e308, 5), (-sys.float_info.max, sys.float_info.max, 1025), (-1e308, 9e307, 2),
+])
+def test_uniform_grid_past_the_double_range(a, b, n):
+    """Where b - a overflows, the nodes stay finite and run from a to b,
+    with no numpy warning (once [nan, inf, inf, inf, inf] for the first)."""
+    xs = rootfind.uniform_grid(a, b, n).tolist()
+    assert all(map(math.isfinite, xs))
+    assert xs[0] == a and xs[-1] == b
+    assert xs == sorted(xs)
