@@ -238,22 +238,30 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
         return out
 
     def polynomial(j, prev, cur):
-        q = (np.convolve(cur[0][0], prev[1][0]) - np.convolve(prev[0][0], cur[1][0])).astype(float)
+        wide = np.convolve(cur[0][0], prev[1][0]) - np.convolve(prev[0][0], cur[1][0])
+        with np.errstate(over="ignore"):  # a coefficient past the range is refused below
+            q = wide.astype(float)
         if not np.isfinite(q).all():
             raise OverflowRangeError(f"delta_{j} on [{lo!r}, {hi!r}] is past the double range")
         coeffs = q[::-1].tolist()
 
-        def delta(e):
-            t = (e + e_shift) / e_scale
+        def horner(t):
             tau = t - t_c
             acc = 0.0
             for c in coeffs:
                 acc = acc * tau + c
-            value = t * acc
-            if isinstance(value, float):
+            return t * acc
+
+        def delta(e):
+            t = (e + e_shift) / e_scale
+            if isinstance(t, float):
                 delta.calls += 1
+                value = horner(t)
                 finite = math.isfinite(value)
             else:
+                # values past the range are refused below
+                with np.errstate(over="ignore", invalid="ignore"):
+                    value = horner(t)
                 finite = np.isfinite(value).all()
             if not finite:
                 raise OverflowRangeError(f"delta_{j} on [{lo!r}, {hi!r}] is past the double range")

@@ -411,8 +411,13 @@ def _grid(lo: float, hi: float, count: int, *, log: bool = False) -> list[float]
     require_bracket((lo, hi), "grid range")
     if log:
         require_positive(lo, "log grid start")
-        ratio = math.log(hi / lo) / (count - 1)
-        return [lo * math.exp(i * ratio) for i in range(count)]
+        if hi / lo < math.inf:
+            ratio = math.log(hi / lo) / (count - 1)
+            return [lo * math.exp(i * ratio) for i in range(count)]
+        # hi / lo is past the double range: step in logs
+        log_lo = math.log(lo)
+        ratio = (math.log(hi) - log_lo) / (count - 1)
+        return [math.exp(log_lo + i * ratio) for i in range(count)]
     return uniform_grid(lo, hi, count).tolist()
 
 

@@ -35,18 +35,15 @@ eV*Angstrom reuses the nonrelativistic constants.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import (
     BracketError, DomainError, OverflowRangeError, require_bracket, require_choice,
-    require_finite, require_index, require_positive, within_range,
+    require_finite, require_index, require_normal_square, require_positive, within_range,
 )
 from .rootfind import bisect, sign_change_brackets, uniform_grid
-from .schrodinger import (
-    D0, PTPotential, _alpha_hbar_c_squared, _discriminant_root, _hyperbolic_amplitude, _square,
-)
+from .schrodinger import D0, PTPotential, _discriminant_root, _hyperbolic_amplitude
 from .specfun import pochhammer
 
 __all__ = [
@@ -68,7 +65,6 @@ __all__ = [
 ]
 
 _NAN = float("nan")
-_NORMAL_MIN = sys.float_info.min
 
 FLAG_NEAR_PLUS_M = "near_plus_m"
 FLAG_NEAR_MINUS_M = "near_minus_m"
@@ -123,20 +119,6 @@ class SymmetryParams:
     beta2: float
 
 
-def _ae2(ctx: DiracContext, pot: PTPotential) -> float:
-    """(alpha hbar_c)**2; where that is not a normal double,
-    _alpha_hbar_c_squared raises its DomainError.  The residuals form it
-    at every scan node, where a normal square costs a comparison rather
-    than that call."""
-    try:
-        ae2 = (pot.alpha * ctx.hbar_c) ** 2
-    except OverflowError:
-        ae2 = math.inf
-    if _NORMAL_MIN <= ae2 < math.inf:
-        return ae2
-    return _alpha_hbar_c_squared(pot.alpha, ctx.hbar_c)
-
-
 def _reflected(pot: PTPotential) -> PTPotential:
     return PTPotential(A=-pot.A, B=-pot.B, alpha=pot.alpha)
 
@@ -156,12 +138,13 @@ def _pspin_residual_raw(e, m, kappa, n, cps, ae2, pot):
 
 def pspin_residual(e: float, ctx: DiracContext, pot: PTPotential) -> float:
     """Left-hand side of the pseudospin energy condition; NaN off-domain."""
-    return _pspin_residual_raw(e, ctx.M, ctx.kappa, ctx.n, ctx.c_shift, _ae2(ctx, pot), pot)
+    ae2 = require_normal_square(pot.alpha * ctx.hbar_c, "(alpha hbar_c)")
+    return _pspin_residual_raw(e, ctx.M, ctx.kappa, ctx.n, ctx.c_shift, ae2, pot)
 
 
 def _spin_residual_raw(t, gap, ctx, pot):
     # t = M + E - Cs and gap = M - E, as exact as the caller's variable allows.
-    ae2 = _ae2(ctx, pot)
+    ae2 = require_normal_square(pot.alpha * ctx.hbar_c, "(alpha hbar_c)")
     k = ctx.kappa
     arg1 = 1.0 - 4.0 * pot.A * t / ae2
     arg2 = (2.0 * k + 1.0) ** 2 + 4.0 * pot.B * t / ae2
@@ -195,9 +178,8 @@ def spin_residual_via_map(e: float, ctx: DiracContext, pot: PTPotential) -> floa
     transcription of both conditions.  kappa = -1 maps to the formal
     kappa = 0, which the raw evaluator accepts.
     """
-    return _pspin_residual_raw(
-        -e, ctx.M, ctx.kappa + 1, ctx.n, -ctx.c_shift, _ae2(ctx, pot), _reflected(pot)
-    )
+    ae2 = require_normal_square(pot.alpha * ctx.hbar_c, "(alpha hbar_c)")
+    return _pspin_residual_raw(-e, ctx.M, ctx.kappa + 1, ctx.n, -ctx.c_shift, ae2, _reflected(pot))
 
 
 def _tilde_params_raw(e, m, k, cps, ae2, pot):
@@ -216,7 +198,7 @@ def _tilde_params_raw(e, m, k, cps, ae2, pot):
 def tilde_params(e: float, ctx: DiracContext, pot: PTPotential) -> SymmetryParams:
     """Pseudospin-side scaled parameters and exponents at energy e."""
     require_finite(e, "energy")
-    ae2 = _alpha_hbar_c_squared(pot.alpha, ctx.hbar_c)
+    ae2 = require_normal_square(pot.alpha * ctx.hbar_c, "(alpha hbar_c)")
     return _tilde_params_raw(e, ctx.M, ctx.kappa, ctx.c_shift, ae2, pot)
 
 
@@ -226,7 +208,7 @@ def plain_params(e: float, ctx: DiracContext, pot: PTPotential) -> SymmetryParam
     transcription's but for the sign of a zero a3 (where E + M = Cs).
     """
     require_finite(e, "energy")
-    ae2 = _alpha_hbar_c_squared(pot.alpha, ctx.hbar_c)
+    ae2 = require_normal_square(pot.alpha * ctx.hbar_c, "(alpha hbar_c)")
     return _tilde_params_raw(-e, ctx.M, ctx.kappa + 1, -ctx.c_shift, ae2, _reflected(pot))
 
 
@@ -324,7 +306,7 @@ def special_case_residual(
         ("e", e), ("m", m), ("a", a), ("b", b), ("eta", eta), ("alpha", alpha), ("hbar_c", hbar_c),
     ):
         require_finite(value, what)
-    ae2 = require_positive(_square(alpha * hbar_c), "(alpha hbar_c)**2")
+    ae2 = require_normal_square(alpha * hbar_c, "(alpha hbar_c)")
     if kind.startswith("hyperbolic_mpt") and (alpha != 1.0 or hbar_c != 1.0):
         raise DomainError("the symmetric hyperbolic case is printed for alpha = hbar = 1")
     if kind == "swave_pspin":
@@ -390,7 +372,7 @@ def reflectionless_nr_energy(mu: float, alpha: float, eta: float, n: int) -> flo
     require_index(n, "level index")
     require_positive(mu, "mass parameter")
     require_finite(eta, "eta")
-    alpha2 = require_positive(_square(alpha), "alpha**2")
+    alpha2 = require_normal_square(alpha, "alpha")
     arg = 1.0 + 4.0 * mu * eta * (eta + 1.0) / alpha2
     bracket = n + 0.25 + 0.25 * _discriminant_root(arg, "reflectionless")
     return within_range(-(2.0 * alpha2 / mu) * bracket * bracket, "reflectionless energy")

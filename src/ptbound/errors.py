@@ -56,6 +56,7 @@ class TableFormatError(PtboundError, ValueError):
 # An int past the double range compares as finite but has no float.
 _PAST_RANGE = "got an int past the double range"
 _FLOAT_MAX = sys.float_info.max
+_FLOAT_MIN = sys.float_info.min
 
 
 def require_finite(x, what: str) -> float:
@@ -114,15 +115,20 @@ def require_index(value, what: str, minimum: int = 0) -> int:
 
 
 def require_normal_square(x, what: str) -> float:
-    """x as a float; DomainError unless x * x is a normal double (for an
-    input whose square the routes divide by)."""
+    """x ** 2.0, the square the routes divide by; DomainError unless it
+    is a normal double.  The float power raises OverflowError both for a
+    square past the range and for an int past it, which has no float."""
     try:
-        x = float(x)
+        square = x ** 2.0
     except OverflowError:
-        raise DomainError(f"{what}**2 must be a normal double, {_PAST_RANGE}") from None
-    if not sys.float_info.min <= x * x < math.inf:
-        raise DomainError(f"{what}**2 must be a normal double, got {what}={x!r}")
-    return x
+        square = math.inf
+    if _FLOAT_MIN <= square < math.inf:
+        return square
+    try:
+        got = f"got {what}={float(x)!r}"
+    except OverflowError:
+        got = _PAST_RANGE
+    raise DomainError(f"{what}**2 must be a normal double, {got}")
 
 
 def within_range(x, what: str) -> float:

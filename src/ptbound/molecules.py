@@ -54,8 +54,8 @@ class MoleculeParams:
         if not self.name or self.name != self.name.strip():
             raise DomainError(f"molecule name must be non-empty and trimmed, got {self.name!r}")
         require_positive(self.mu_amu, f"{self.name}: reduced mass")
-        require_positive(self.alpha_invA, f"{self.name}: screening parameter")
-        require_normal_square(self.alpha_invA, "alpha_invA")
+        alpha = require_positive(self.alpha_invA, f"{self.name}: screening parameter")
+        require_normal_square(alpha, "alpha_invA")
 
 
 def builtin_molecules() -> list[MoleculeParams]:

@@ -138,7 +138,7 @@ def finite_difference(
     return within_range(prev_best, "derivative"), within_range(err, "derivative error estimate")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RadialProblem:
     """Radial eigenproblem u'' = (w(r) - q) u on (r_min, r_cut).
 
@@ -147,7 +147,8 @@ class RadialProblem:
     with the three-term Frobenius series u = r**s (1 + c1 r**2 + c2 r**4)
     that this expansion gives, c1 = (origin_w0 - q)/(4s + 2) and
     c2 = ((origin_w0 - q) c1 + origin_w2)/(8s + 12).  npts is the initial
-    mesh size (refinement doubles it).
+    mesh size (refinement doubles it).  Problems compare and hash by
+    identity: the mesh cache keys them so, whatever w is.
     """
 
     w: Callable[[float], float]
@@ -159,6 +160,8 @@ class RadialProblem:
     origin_w2: float = 0.0
 
     def __post_init__(self):
+        if not callable(self.w):
+            raise DomainError(f"w must be callable, got {self.w!r}")
         require_bracket((self.r_min, self.r_cut), "window (r_min, r_cut)")
         require_positive(self.r_min, "r_min")
         if not isinstance(self.npts, int):

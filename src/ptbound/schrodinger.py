@@ -88,11 +88,11 @@ class PTPotential:
     alpha: float
 
     def __post_init__(self):
-        require_positive(abs(self.alpha), "|alpha|")
+        alpha = require_positive(abs(self.alpha), "|alpha|")
         require_finite(self.A, "A")
         require_finite(self.B, "B")
         # Every closed-form route divides by alpha**2.
-        require_normal_square(self.alpha, "alpha")
+        require_normal_square(alpha, "alpha")
 
 
 @dataclass(frozen=True)
@@ -110,10 +110,9 @@ class NRContext:
 
     def __post_init__(self):
         require_positive(self.mu, "reduced mass")
-        require_positive(self.hbar_c, "hbar_c")
         # Every closed-form route divides by hbar_c**2.
-        require_normal_square(self.hbar_c, "hbar_c")
-        if not sys.float_info.min <= 2.0 * self.mu / self.hbar_c**2 < math.inf:
+        hbar_c2 = require_normal_square(require_positive(self.hbar_c, "hbar_c"), "hbar_c")
+        if not sys.float_info.min <= 2.0 * self.mu / hbar_c2 < math.inf:
             raise DomainError(
                 f"2 mu / hbar_c**2 must be a normal double, got mu={self.mu!r}, "
                 f"hbar_c={self.hbar_c!r}"
@@ -233,12 +232,6 @@ def _discriminant_root(disc: float, what: str) -> float:
     return math.sqrt(disc)
 
 
-def _alpha_hbar_c_squared(alpha: float, hbar_c: float) -> float:
-    """(alpha hbar_c)**2, which every closed form divides by; DomainError
-    unless it is a normal double."""
-    return require_normal_square(alpha * hbar_c, "(alpha hbar_c)") ** 2
-
-
 def _square(x: float) -> float:
     """x**2, or inf where a float's ** raises OverflowError instead."""
     try:
@@ -285,7 +278,7 @@ def energy_nr(
     require_choice(branch, _BRANCHES, "branch")
     require_index(n, "level index")
     require_index(l, "angular momentum")
-    ah = _alpha_hbar_c_squared(pot.alpha, ctx.hbar_c)
+    ah = require_normal_square(pot.alpha * ctx.hbar_c, "(alpha hbar_c)")
     disc_a = 1.0 - 8.0 * ctx.mu * pot.A / ah
     disc_b = (2.0 * l + 1.0) ** 2 + 8.0 * ctx.mu * pot.B / ah
     for disc in (disc_a, disc_b):
@@ -309,7 +302,7 @@ def level_count(pot: PTPotential, ctx: NRContext, l: int) -> LevelCount:
     (no bound level predicted by the count) reports n_max = 0.
     """
     require_index(l, "angular momentum")
-    ah = _alpha_hbar_c_squared(pot.alpha, ctx.hbar_c)
+    ah = require_normal_square(pot.alpha * ctx.hbar_c, "(alpha hbar_c)")
     disc_a = 1.0 - 8.0 * ctx.mu * pot.A / ah
     disc_b = 1.0 + 8.0 * ctx.mu * pot.B / ah
     zeta = within_range(

@@ -647,7 +647,6 @@ class TestValidation:
         with pytest.raises(OverflowRangeError, match="double range"):
             aim_eigen_scan(prob, (-1.0, 1.0), 3)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_scan_value_overflow_raises(self):
         # Finite coefficients about the midpoint 0 of a bracket whose ends
         # give delta values past the double range: each value raises.
@@ -659,8 +658,12 @@ class TestValidation:
                 f(1e300)
             with pytest.raises(OverflowRangeError, match="double range"):
                 f(np.array([0.0, -1e300]))
-        with pytest.raises(OverflowRangeError, match="double range"):
-            aim_eigen_scan(prob, (-1e300, 1e300), 3)
+        # Values past the range on the grid (the first two brackets) or
+        # coefficients past it (the last two): the scan raises its own
+        # error, and no numpy warning comes before it.
+        for bracket in (-1e300, 1e300), (-1e200, 1e200), (1e150, 2e150), (1e300, 1.5e300):
+            with pytest.raises(OverflowRangeError, match="double range"):
+                aim_eigen_scan(prob, bracket, 3)
 
 
 class TestProblemIdentity:

@@ -6,11 +6,13 @@ import hashlib
 import json
 import math
 import os
+import platform
 import random
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -396,6 +398,27 @@ class TestBadInput:
         with pytest.raises(DomainError):
             cli_thermo(RunConfig(out=tmp_path / "th.csv"), beta_min=beta_min)
 
+    def test_log_grid_past_the_ratio_range(self):
+        # hi / lo overflows; the grid steps in logs instead.
+        grid = _grid(1e-300, 1e300, 64, log=True)
+        assert all(map(math.isfinite, grid))
+        assert all(a < b for a, b in zip(grid, grid[1:]))
+        assert grid[0] == pytest.approx(1e-300, rel=1e-12)
+        assert grid[-1] == pytest.approx(1e300, rel=1e-12)
+
+    @pytest.mark.parametrize("command, beta_max", [("thermo", "1e300"), ("figure-data", "1e10")])
+    def test_wide_beta_range_error_record(self, runner, tmp_path, command, beta_max):
+        # The grid once made a NaN beta that the record then named.
+        out = tmp_path / "out"
+        res = runner.invoke(
+            main, [command, "--beta-min", "1e-300", "--beta-max", beta_max, "--out", str(out)]
+        )
+        assert res.exit_code == 1
+        record = json.loads(res.stderr.strip())
+        assert record["error"] == "OverflowRangeError"
+        assert "nan" not in record["message"]
+        assert not out.exists()
+
     def test_thermo_point_count_error_record(self, runner, tmp_path):
         out = tmp_path / "th.csv"
         res = runner.invoke(main, ["thermo", "--points", "1", "--out", str(out)])
@@ -529,6 +552,42 @@ class TestGoldenOutput:
             for name in self.DIGESTS
         }
         assert digests == self.DIGESTS
+
+
+def _dynamic_arch_openblas() -> bool:
+    """Whether numpy's BLAS is an OpenBLAS built with DYNAMIC_ARCH on
+    x86-64, whose kernels OPENBLAS_CORETYPE then picks."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints its configuration
+        return False
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get(
+        "openblas configuration", ""
+    )
+
+
+@pytest.mark.skipif(
+    not _dynamic_arch_openblas(),
+    reason="ROADMAP direction 16: needs numpy on an OpenBLAS built with DYNAMIC_ARCH, on x86-64",
+)
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP direction 16")
+def test_aim_verify_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
+    # The same aim-verify file under two OpenBLAS kernel choices; today the
+    # products that reach the file differ in their last bits.
+    src = Path(ptbound.__file__).resolve().parents[1]
+    digests = set()
+    for coretype in ("Haswell", "Prescott"):
+        out = tmp_path / f"aim_verify_{coretype}.csv"
+        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_CORETYPE": coretype}
+        subprocess.run(
+            [sys.executable, "-m", "ptbound", "aim-verify", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
+    assert len(digests) == 1, digests
 
 
 class TestGroup:

@@ -333,17 +333,19 @@ BAD_CALLS = [
     ("pochhammer", lambda: pb.pochhammer(1.5, BIG_INT),
      DomainError, "pochhammer order must be an integer >= 0, got an int past the double range"),
     # (alpha hbar_c)**2 underflows to 0 or overflows in the per-node residuals
-    # (once a bare ZeroDivisionError or OverflowError)
+    # (once a bare ZeroDivisionError or OverflowError), or alpha hbar_c is
+    # an int product past the double range (once a bare OverflowError)
     *[(name, lambda name=name, alpha=alpha, hbar_c=hbar_c: getattr(pb, name)(
         1.0, pb.DiracContext(M=5.0, kappa=1, n=0, hbar_c=hbar_c), pb.PTPotential(-3.0, 0.5, alpha)),
        DomainError, r"\(alpha hbar_c\)\*\*2 must be a normal double")
-      for alpha, hbar_c in ((1e-150, 1e-20), (1e100, 1e200))
+      for alpha, hbar_c in ((1e-150, 1e-20), (1e100, 1e200), (10**150, 10**300))
       for name in ("pspin_residual", "spin_residual", "spin_residual_shifted",
                    "spin_residual_via_map")],
     *[("solve_levels", lambda alpha=alpha, hbar_c=hbar_c, symmetry=symmetry: pb.solve_levels(
         pb.DiracContext(M=5.0, kappa=1, n=0, hbar_c=hbar_c), pb.PTPotential(-3.0, 0.5, alpha),
         symmetry), DomainError, r"\(alpha hbar_c\)\*\*2 must be a normal double")
-      for alpha, hbar_c in ((1e-150, 1e-20), (1e100, 1e200)) for symmetry in ("pspin", "spin")],
+      for alpha, hbar_c in ((1e-150, 1e-20), (1e100, 1e200), (10**150, 10**300))
+      for symmetry in ("pspin", "spin")],
 ]
 
 

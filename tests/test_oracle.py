@@ -8,7 +8,7 @@ import math
 import re
 import sys
 from collections import Counter
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import pytest
 
@@ -490,6 +490,22 @@ class TestCoarseRungs:
         # The coarse rung holds the level; the first mesh does not.
         with pytest.raises(NodeCountError, match="upper bracket edge 2.9999995 still lies below"):
             shoot_eigenvalue(harmonic_problem(), 0, (1.0, 2.9999995))
+
+
+class TestProblemIdentity:
+    def test_unhashable_w(self):
+        # The mesh cache keys a problem by identity, so w need not hash.
+        @dataclass
+        class Square:
+            def __call__(self, r):
+                return r * r
+
+        res = shoot_eigenvalue(replace(harmonic_problem(), w=Square()), 0, (1.0, 5.0))
+        assert res == shoot_eigenvalue(harmonic_problem(), 0, (1.0, 5.0))
+
+    def test_w_must_be_callable(self):
+        with pytest.raises(DomainError, match="w must be callable, got 5.0"):
+            replace(harmonic_problem(), w=5.0)
 
 
 class TestMeshReuse:
