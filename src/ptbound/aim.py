@@ -31,16 +31,18 @@ Every lambda_j and s_j coefficient is therefore an exact polynomial in t,
 and s_j is t times one, so delta_k = t q_k(t) with q_k of degree at most
 k (Ciftci, Hall and Saad, J. Phys. A 36, 11807 (2003), treat delta_k as
 a function of E the same way).  ``aim_delta`` runs the recurrence at one
-E on np.convolve's products: it is the public evaluator and the
-reference.  ``aim_eigen_scan`` runs it once per scan, on coefficients in
-powers of tau = t - t_c about the bracket's midpoint t_c, carrying
-s_j / t, so that delta_k is exactly 0 where s0 vanishes.  On 605
-levels of the benchmark's aim_scan workload (seeds 1-3, 201 and 205, 30
-rounds each) the worst root lies 2.8e-12 from the closed form, against
-1.7e-10 in plain powers of t, whose high powers round badly, and 4.9e-11
-with the recurrence in doubles rather than long doubles (the scalar
-scan's worst there was 3.2e-11).  The grid, its re-scans and its
-bisections all evaluate q_(k-1) and q_k by Horner's rule in one
+E on plain lists of Python floats, each Cauchy product summed in one
+fixed order (ascending in lambda0's and s0's index, as in ``jets``), so
+its bits do not depend on the machine's BLAS kernel: it is the public
+evaluator and the reference.  ``aim_eigen_scan`` runs the recurrence
+once per scan, in long doubles, on coefficients in powers of
+tau = t - t_c about the bracket's midpoint t_c, carrying s_j / t, so
+that delta_k is exactly 0 where s0 vanishes.  On 605 levels of the benchmark's aim_scan workload (seeds 1-3, 201 and
+205, 30 rounds each) the worst root lies 2.8e-12 from the closed form,
+against 1.7e-10 in plain powers of t, whose high powers round badly,
+and 4.9e-11 with the recurrence in doubles rather than long doubles
+(the scalar scan's worst there was 3.2e-11).  The grid, its re-scans
+and its bisections all evaluate q_(k-1) and q_k by Horner's rule in one
 operation order, so a bisection sees the grid's bits.  Those values
 differ from aim_delta's by rounding; a root's residual is aim_delta's.
 
@@ -111,8 +113,9 @@ class AimProblem:
             raise DomainError("lambda0 and s0 coefficients must be finite")
         object.__setattr__(self, "lambda0", lam0)
         object.__setattr__(self, "s0", s0)
-        require_finite(self.e_shift, "e_shift")
+        object.__setattr__(self, "e_shift", require_finite(self.e_shift, "e_shift"))
         require_positive(abs(self.e_scale), "|e_scale|")
+        object.__setattr__(self, "e_scale", float(self.e_scale))
 
     @property
     def max_order(self) -> int:
@@ -159,25 +162,48 @@ def _ramp(k: int, ndim: int) -> np.ndarray:
     return ramp
 
 
-def _recurrence(lam0: np.ndarray, s0: np.ndarray, k: int, mul, times_t=None):
-    """The last (up to three) states (lambda_j, s_j), j = 0..k, as arrays
-    whose first axis is the Taylor order; mul(a, b) is the Cauchy product
-    along it, kept below b's top order.  The inputs carry the k + 1
-    orders delta_k reads, and each step drops the top order, which its
-    derivative leaves inexact: state j carries orders 0..k - j.  With
-    ``times_t``, s0 and the s states hold s_j / t, and times_t(a) is t a."""
+def _recurrence(lam0: np.ndarray, s0: np.ndarray, k: int, mul, times_t):
+    """The last three states (lambda_j, s_j), j = 0..k, as arrays whose
+    first axis is the Taylor order; mul(a, b) is the Cauchy product along
+    it, kept below b's top order.  The inputs carry the k + 1 orders
+    delta_k reads, and each step drops the top order, which its derivative
+    leaves inexact: state j carries orders 0..k - j.  s0 and the s states
+    hold s_j / t, and times_t(a) is t a."""
     ramp = _ramp(k, lam0.ndim)
     states = [(lam0, s0)]
     for m in range(k, 0, -1):
         lam, s = states[-1]
         r = ramp[:m]
         new_lam = r * lam[1:]
-        new_lam += s[:m] if times_t is None else times_t(s[:m])
+        new_lam += times_t(s[:m])
         new_lam += mul(lam0, lam)[:m]
         new_s = r * s[1:]
         new_s += mul(s0, lam)[:m]
         states.append((new_lam, new_s))
     return states[-3:]
+
+
+def _scalar_recurrence(lam0: list, s0: list, k: int) -> tuple[float, float, float, float]:
+    """lambda_(k-1), s_(k-1), lambda_k and s_k at x0 from k recurrence
+    steps on lists of Python floats holding the k + 1 orders delta_k
+    reads; as in ``_recurrence``, state j carries orders 0..k - j.
+    Coefficient i of each Cauchy product is summed from 0.0 as
+    acc += lam0[p] * lam[i - p] (s0[p] for s's) for p = 0..i in ascending
+    order, so its bits do not depend on the machine, and the next state's
+    coefficient i is (i + 1) lam[i + 1] + s[i] + acc, and
+    (i + 1) s[i + 1] + acc for s."""
+    lam, s = prev_lam, prev_s = lam0, s0
+    for m in range(k, 0, -1):
+        new_lam, new_s = [], []
+        for i in range(m):
+            acc_lam = acc_s = 0.0
+            for a, b, x in zip(lam0, s0, lam[i::-1]):
+                acc_lam += a * x
+                acc_s += b * x
+            new_lam.append((i + 1) * lam[i + 1] + s[i] + acc_lam)
+            new_s.append((i + 1) * s[i + 1] + acc_s)
+        prev_lam, prev_s, lam, s = lam, s, new_lam, new_s
+    return prev_lam[0], prev_s[0], lam[0], s[0]
 
 
 def _check_depth(problem: AimProblem, k: int, minimum: int = 1) -> int:
@@ -198,13 +224,13 @@ def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, fl
     OverflowRangeError rather than coming back as inf or NaN.
     """
     k = _check_depth(problem, k)
-    require_finite(e, "energy")
-    s0 = problem.s0[: k + 1] * ((e + problem.e_shift) / problem.e_scale)
-    (prev_lam, prev_s), (lam, s) = _recurrence(problem.lambda0[: k + 1], s0, k, np.convolve)[-2:]
-    delta = float(lam[0] * prev_s[0] - prev_lam[0] * s[0])
+    t = (require_finite(e, "energy") + problem.e_shift) / problem.e_scale
+    s0 = [c * t for c in problem.s0[: k + 1].tolist()]
+    prev_lam, prev_s, lam, s = _scalar_recurrence(problem.lambda0[: k + 1].tolist(), s0, k)
+    delta = lam * prev_s - prev_lam * s
     if not math.isfinite(delta):
         raise OverflowRangeError(f"delta_{k} at E={e!r} is {delta!r}")
-    return float(lam[0]), float(s[0]), delta
+    return lam, s, delta
 
 
 def aim_delta(problem: AimProblem, e: float, k: int) -> float:

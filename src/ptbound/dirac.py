@@ -87,9 +87,10 @@ class DiracContext:
     def __post_init__(self):
         require_index(abs(self.kappa), "|kappa|", 1)
         require_index(self.n, "level index")
-        require_positive(self.M, "M")
-        require_positive(self.hbar_c, "hbar_c")
-        require_finite(self.c_shift, "c_shift")
+        # Stored as floats, once, as in schrodinger.PTPotential.
+        object.__setattr__(self, "M", require_positive(self.M, "M"))
+        object.__setattr__(self, "hbar_c", require_positive(self.hbar_c, "hbar_c"))
+        object.__setattr__(self, "c_shift", require_finite(self.c_shift, "c_shift"))
 
 
 @dataclass(frozen=True)

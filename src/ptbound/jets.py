@@ -1,37 +1,48 @@
-"""Products of truncated Taylor series, on coefficient arrays.
+"""Products of truncated Taylor series, on lists of coefficients.
 
-An array c[0..K] holds the coefficients of sum_k c[k] (x - x0)^k about
-an expansion point the caller keeps; sums, scalar multiples and a
-constant added to c[0] are numpy's own.  The iteration engine in ``aim``
-differentiates its coefficient arrays once per step, so k iterations
-read orders 0..k; ``schrodinger.pt_aim_problem`` builds order 2k + 8 so
-that the order-k coefficients do not depend on where its products are
-cut.  np.convolve sums each coefficient below the shorter factor's top
-order alike at any length, but the top coefficient of equal-length
-factors otherwise: a quotient lambda0 built at order k would change in
-the last bit at order k, and the iteration engine's roots with it.
+A list c[0..K] holds the coefficients of sum_k c[k] (x - x0)^k about an
+expansion point the caller keeps.  Every product is summed in one fixed
+order, in plain Python floats: coefficient j of a Cauchy product is
+
+    acc = 0.0;  acc += a[i] * b[j - i]  for i = 0, 1, ..., j
+
+so its bits do not depend on the machine's BLAS kernel, and coefficient
+j does not depend on how many orders past j the factors carry.  Neither
+``sum()`` (compensated from Python 3.12 on), ``math.fsum`` nor numpy
+enters, because each would sum in an order of its own.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from .errors import DomainError
 
 __all__ = ["jet_mul", "jet_reciprocal"]
 
 
-def jet_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cauchy product truncated to a's length."""
-    return np.convolve(a, b)[: a.size]
+def jet_mul(a, b) -> list:
+    """Cauchy product truncated to a's length; b shorter than a counts as
+    padded with zeros."""
+    b = list(b) + [0.0] * (len(a) - len(b))
+    out = []
+    for j in range(len(a)):
+        acc = 0.0
+        for x, y in zip(a, b[j::-1]):
+            acc += x * y
+        out.append(acc)
+    return out
 
 
-def jet_reciprocal(a: np.ndarray) -> np.ndarray:
-    """Multiplicative inverse; requires a nonzero constant coefficient."""
+def jet_reciprocal(a) -> list:
+    """Multiplicative inverse; requires a nonzero constant coefficient.
+    Coefficient k is -r[0] times the sum of a[i] r[k - i], i = 1..k, in
+    ascending i."""
     if a[0] == 0.0:
         raise DomainError("cannot invert a jet with zero constant coefficient")
-    r = np.zeros(a.size)
-    r[0] = 1.0 / a[0]
-    for k in range(1, a.size):
-        r[k] = -r[0] * np.dot(a[1 : k + 1], r[k - 1 :: -1])
+    r = [1.0 / a[0]]
+    tail = a[1:]
+    for _ in tail:
+        acc = 0.0
+        for x, y in zip(tail, reversed(r)):
+            acc += x * y
+        r.append(-r[0] * acc)
     return r

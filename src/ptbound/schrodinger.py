@@ -33,8 +33,6 @@ import sys
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-import numpy as np
-
 from .aim import AimProblem
 from .errors import (
     DomainError, OverflowRangeError, require_choice, require_finite, require_index,
@@ -89,8 +87,11 @@ class PTPotential:
 
     def __post_init__(self):
         alpha = require_positive(abs(self.alpha), "|alpha|")
-        require_finite(self.A, "A")
-        require_finite(self.B, "B")
+        # Stored as floats, once: numpy scalars would reach every power
+        # downstream, where numpy warns before a range check raises.
+        object.__setattr__(self, "A", require_finite(self.A, "A"))
+        object.__setattr__(self, "B", require_finite(self.B, "B"))
+        object.__setattr__(self, "alpha", float(self.alpha))
         # Every closed-form route divides by alpha**2.
         require_normal_square(alpha, "alpha")
 
@@ -109,9 +110,11 @@ class NRContext:
     hbar_c: float = HBARC_EV_ANG
 
     def __post_init__(self):
-        require_positive(self.mu, "reduced mass")
+        # Stored as floats, once, as in PTPotential.
+        object.__setattr__(self, "mu", require_positive(self.mu, "reduced mass"))
+        object.__setattr__(self, "hbar_c", require_positive(self.hbar_c, "hbar_c"))
         # Every closed-form route divides by hbar_c**2.
-        hbar_c2 = require_normal_square(require_positive(self.hbar_c, "hbar_c"), "hbar_c")
+        hbar_c2 = require_normal_square(self.hbar_c, "hbar_c")
         if not sys.float_info.min <= 2.0 * self.mu / hbar_c2 < math.inf:
             raise DomainError(
                 f"2 mu / hbar_c**2 must be a normal double, got mu={self.mu!r}, "
@@ -439,13 +442,16 @@ def pt_aim_problem(
     reported roots compare directly against SpectralParams.k1(n).  The
     expansion point defaults to the potential-minimum abscissa mapped
     to z, falling back to z = 1 when no interior minimum exists.
+
+    The coefficients are built to order ``depth``, all that an iteration
+    of that depth reads, with ``jets``' fixed-order products: each order
+    comes out with the same bits whatever order the build stops at.
     """
     depth = require_index(depth, "depth", 1)
     params = spectral_params(pot, ctx, l, branch)
     if z0 is None:
         z0 = _potential_minimum_z(params.a1, params.b1)
-    require_positive(z0, "expansion point z0")
-    order = 2 * depth + 8
+    z0 = require_positive(z0, "expansion point z0")
     alpha2 = pot.alpha**2
     gb_shift = alpha2 * (params.gamma + params.beta) ** 2
     two_gamma_1 = 2.0 * params.gamma + 1.0
@@ -453,16 +459,15 @@ def pt_aim_problem(
 
     # Taylor coefficients in z - z0.  K1 enters s0 = -K2 / (alpha^2 (1 + z^2))
     # only, through K2 = K1 + gb_shift: -1 / (1 + z^2) times (K1 + gb_shift) / alpha^2.
-    z = np.zeros(order + 1)
-    z[:2] = z0, 1.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        z2 = jet_mul(z, z)
-        one_p_z2 = z2.copy()
-        one_p_z2[0] += 1.0
-        num = z2 * two_gamma_1 + one_p_z2 * two_beta
-        lam0 = -jet_mul(num, jet_reciprocal(jet_mul(z, one_p_z2)))
-        s0 = -jet_reciprocal(one_p_z2)
-    if not (np.isfinite(lam0).all() and np.isfinite(s0).all()):
+    # Python floats overflow to inf and NaN without a warning; one check
+    # below refuses both.
+    z = [z0, 1.0] + [0.0] * (depth - 1)
+    z2 = jet_mul(z, z)
+    one_p_z2 = [z2[0] + 1.0] + z2[1:]
+    num = [c * two_gamma_1 + d * two_beta for c, d in zip(z2, one_p_z2)]
+    lam0 = [-c for c in jet_mul(num, jet_reciprocal(jet_mul(z, one_p_z2)))]
+    s0 = [-c for c in jet_reciprocal(one_p_z2)]
+    if not all(map(math.isfinite, lam0 + s0)):
         raise OverflowRangeError(
             f"Taylor coefficients at the expansion point z0={z0!r} exceed the double range"
         )

@@ -295,28 +295,59 @@ class TestKernelDigest:
         text = "\n".join(v if isinstance(v, str) else float.hex(float(v)) for v in values)
         return hashlib.sha256(text.encode()).hexdigest()
 
-    def test_iterate(self):
-        values = [
+    # The digest methods are public so that
+    # test_cli.py::test_aim_verify_bytes_do_not_depend_on_the_blas_kernel
+    # can recompute them under other BLAS kernels.
+    @classmethod
+    def iterate_digest(cls):
+        return cls._digest(
             v
-            for pot, energies in self._levels()
+            for pot, energies in cls._levels()
             for k in range(1, 10)
             for e in energies
             for v in aim_iterate(pt_aim_problem(pot, CTX, 0, k), e, k)
-        ]
-        assert self._digest(values) == (
-            "fbcc9124916d2df063f5349a82736a786797dfbab81a79ac99de60f071dc8a31"
         )
 
-    def test_delta_polys(self):
+    @classmethod
+    def delta_polys_digest(cls):
         values = []
-        for pot, energies in self._levels():
+        for pot, energies in cls._levels():
             es = uniform_grid(1.1 * energies[0], 0.0, 64)
             for k in range(2, 10):
                 problem = pt_aim_problem(pot, CTX, 0, k)
                 polys = ptbound.aim._delta_polys(problem, es[0], es[-1], k)
                 values += [v for f in polys for v in f(es)]
-        assert self._digest(values) == (
-            "5ce30441370095d84dff3f4bb05d782125538237f0578089579e911c8d8b0a26"
+        return cls._digest(values)
+
+    @classmethod
+    def scan_reports_digest(cls):
+        # Every AimScanReport field but delta_evals, a work count: level n
+        # of each well scanned at depth 2n + 2 over the bracket halfway to
+        # its neighbors (0 above the ground level).
+        values = []
+        for pot, energies in cls._levels():
+            for n in range(4):
+                upper = 0.5 * (energies[0] if n == 0 else energies[n - 1] + energies[n])
+                k = 2 * n + 2
+                rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, k), (energies[4 + n], upper), k)
+                for r in rep.roots:
+                    values += [r.value, r.residual, r.stability_gap, r.converged]
+                values += [len(rep.roots), *rep.shallow_roots, *rep.warnings]
+        return cls._digest(values)
+
+    def test_iterate(self):
+        assert self.iterate_digest() == (
+            "b49fe4a65f4a9b2063f149b26cfec85707dbba9ae3ccea2cfb4a7b21906717e5"
+        )
+
+    def test_delta_polys(self):
+        assert self.delta_polys_digest() == (
+            "e4ec21dcfe7d17b6e1c3a6f46376b4ba9580c02b27e77dc5a4a16413fa882b87"
+        )
+
+    def test_scan_reports(self):
+        assert self.scan_reports_digest() == (
+            "3a26e210389a5834d7eea6c0ea4d9507f5578f5ff25cc77b48e7db4785dea6ce"
         )
 
     @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
@@ -334,23 +365,6 @@ class TestKernelDigest:
                 want = np.convolve(a_used[:, min(c, a_used.shape[1] - 1)], b[:, c])[:n]
                 assert out[:, c].tolist() == want.tolist()
 
-    def test_scan_reports(self):
-        # Every AimScanReport field but delta_evals, a work count: level n
-        # of each well scanned at depth 2n + 2 over the bracket halfway to
-        # its neighbors (0 above the ground level).
-        values = []
-        for pot, energies in self._levels():
-            for n in range(4):
-                upper = 0.5 * (energies[0] if n == 0 else energies[n - 1] + energies[n])
-                k = 2 * n + 2
-                rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, k), (energies[4 + n], upper), k)
-                for r in rep.roots:
-                    values += [r.value, r.residual, r.stability_gap, r.converged]
-                values += [len(rep.roots), *rep.shallow_roots, *rep.warnings]
-        assert self._digest(values) == (
-            "31e97fc5cbad486b1feec8f2dbbfd1a62e9dbed230be4379f40a8b7676de3d33"
-        )
-
 
 class TestDeltaEvals:
     """AimScanReport.delta_evals counts the values of delta the scan takes
@@ -358,24 +372,30 @@ class TestDeltaEvals:
 
     def test_counts_every_single_energy_value(self, monkeypatch):
         # One recurrence run gives the scan polynomials, and one scalar
-        # pass per root gives its residual; every other value comes from
-        # the polynomials, on a grid or in a bisection.
-        runs, residuals, bisected = [], [], []
-        recurrence, delta, bisect = ptbound.aim._recurrence, ptbound.aim.aim_delta, ptbound.aim.bisect
+        # pass (aim_delta's list recurrence) per root gives its residual;
+        # every other value comes from the polynomials, on a grid or in a
+        # bisection.
+        runs, scalar_runs, residuals, bisected = [], [], [], []
+        recurrence, scalar = ptbound.aim._recurrence, ptbound.aim._scalar_recurrence
+        delta, bisect = ptbound.aim.aim_delta, ptbound.aim.bisect
 
         def counted_bisect(f, a, b, **kwargs):
             return bisect(lambda e: bisected.append(e) or f(e), a, b, **kwargs)
 
         monkeypatch.setattr(ptbound.aim, "_recurrence", lambda *a: runs.append(a) or recurrence(*a))
+        monkeypatch.setattr(
+            ptbound.aim, "_scalar_recurrence", lambda *a: scalar_runs.append(a) or scalar(*a)
+        )
         monkeypatch.setattr(ptbound.aim, "aim_delta", lambda *a: residuals.append(a) or delta(*a))
         monkeypatch.setattr(ptbound.aim, "bisect", counted_bisect)
         rng = random.Random(11)
         for _ in range(6):
             pot, bracket = criterion1_level(rng, 2)
-            for log in (runs, residuals, bisected):
+            for log in (runs, scalar_runs, residuals, bisected):
                 log.clear()
             rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, 6), bracket, 6)
-            assert len(runs) == 1 + len(rep.roots) and len(residuals) == len(rep.roots)
+            assert len(runs) == 1
+            assert len(scalar_runs) == len(residuals) == len(rep.roots)
             assert rep.delta_evals == len(bisected) + len(rep.roots) > 0
 
     def test_scan_polynomials_count_their_single_energy_calls(self):
@@ -579,7 +599,7 @@ class TestScanDiagnostics:
 
 class TestValidation:
     def test_depth_exceeding_jet_order(self):
-        prob = pt_problem(2)  # jets carry order 12
+        prob = pt_problem(2)  # jets carry order 2, the depth they are built for
         with pytest.raises(DomainError, match="exceeds the problem's jet order"):
             aim_delta(prob, -30.0, prob.max_order + 1)
 

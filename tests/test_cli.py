@@ -528,7 +528,7 @@ class TestGoldenOutput:
         "fig/fig_thermo_vs_beta.csv": "56df553e6100ef415a9198f8490d88d2a8a148eb8aa658036cf484c6122a301e",
         "fig/fig_thermo_vs_zeta.csv": "08574cf29eb3ed53528b8212bca6dbfcc603cbf399b8fe944e58d4bd29bb1b3c",
         "oracle_check.csv": "6edf3c8a9142c63baccd5b357abbe1687f0cf4e498328189e791cdb7dd513476",
-        "aim_verify.csv": "e1d1c7852469a7d6a6156868cb5f06b65dc663ea6b459a88b9ff276df13c0b07",
+        "aim_verify.csv": "97b008506b3481dda2ad8387162a2418594c50f959e8863a2ff81e1362d80c34",
     }
 
     def test_default_output_digests(self, runner, tmp_path):
@@ -569,25 +569,58 @@ def _dynamic_arch_openblas() -> bool:
     )
 
 
+def _has_avx512f() -> bool:
+    """Whether the CPU lists avx512f, which OpenBLAS's SkylakeX kernel needs."""
+    try:
+        return "avx512f" in Path("/proc/cpuinfo").read_text().split()
+    except OSError:
+        return False
+
+
+# One child per kernel: argv is the source and test directories and the
+# aim-verify output path.  It writes the file through the CLI, then prints
+# one JSON line of the file's sha256 and each pinned kernel digest.
+_KERNEL_CHILD = """
+import hashlib, json, sys
+sys.path[:0] = sys.argv[1:3]
+from ptbound.cli import main
+main(["aim-verify", "--out", sys.argv[3]], standalone_mode=False)
+from test_aim import TestKernelDigest
+from test_schrodinger import coefficient_digest
+print(json.dumps({
+    "aim_verify.csv": hashlib.sha256(open(sys.argv[3], "rb").read()).hexdigest(),
+    "iterate": TestKernelDigest.iterate_digest(),
+    "delta_polys": TestKernelDigest.delta_polys_digest(),
+    "scan_reports": TestKernelDigest.scan_reports_digest(),
+    "coefficients": coefficient_digest(),
+}))
+"""
+
+
 @pytest.mark.skipif(
     not _dynamic_arch_openblas(),
     reason="ROADMAP direction 16: needs numpy on an OpenBLAS built with DYNAMIC_ARCH, on x86-64",
 )
-@pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP direction 16")
 def test_aim_verify_bytes_do_not_depend_on_the_blas_kernel(tmp_path):
-    # The same aim-verify file under two OpenBLAS kernel choices; today the
-    # products that reach the file differ in their last bits.
+    # The aim-verify file and every pinned digest of the AIM products, in
+    # child processes under different OpenBLAS kernel choices: one value
+    # each.  SkylakeX runs only where the CPU has AVX-512.
     src = Path(ptbound.__file__).resolve().parents[1]
-    digests = set()
-    for coretype in ("Haswell", "Prescott"):
+    tests = Path(__file__).resolve().parent
+    coretypes = ("Haswell", "Prescott") + (("SkylakeX",) if _has_avx512f() else ())
+    seen = {}
+    for coretype in coretypes:
         out = tmp_path / f"aim_verify_{coretype}.csv"
-        env = {**os.environ, "PYTHONPATH": str(src), "OPENBLAS_CORETYPE": coretype}
-        subprocess.run(
-            [sys.executable, "-m", "ptbound", "aim-verify", "--out", str(out)],
-            env=env, check=True, capture_output=True, timeout=300,
+        env = {**os.environ, "OPENBLAS_CORETYPE": coretype}
+        res = subprocess.run(
+            [sys.executable, "-c", _KERNEL_CHILD, str(src), str(tests), str(out)],
+            env=env, check=True, capture_output=True, text=True, timeout=300,
         )
-        digests.add(hashlib.sha256(out.read_bytes()).hexdigest())
-    assert len(digests) == 1, digests
+        for name, digest in json.loads(res.stdout.splitlines()[-1]).items():
+            seen.setdefault(name, {})[coretype] = digest
+    assert len(seen) == 5
+    for name, by_kernel in seen.items():
+        assert len(set(by_kernel.values())) == 1, (name, by_kernel)
 
 
 class TestGroup:

@@ -333,8 +333,9 @@ BAD_CALLS = [
     ("pochhammer", lambda: pb.pochhammer(1.5, BIG_INT),
      DomainError, "pochhammer order must be an integer >= 0, got an int past the double range"),
     # (alpha hbar_c)**2 underflows to 0 or overflows in the per-node residuals
-    # (once a bare ZeroDivisionError or OverflowError), or alpha hbar_c is
-    # an int product past the double range (once a bare OverflowError)
+    # (once a bare ZeroDivisionError or OverflowError), or alpha and hbar_c
+    # are ints whose product is past the double range (once a bare
+    # OverflowError; the constructors now store them as floats)
     *[(name, lambda name=name, alpha=alpha, hbar_c=hbar_c: getattr(pb, name)(
         1.0, pb.DiracContext(M=5.0, kappa=1, n=0, hbar_c=hbar_c), pb.PTPotential(-3.0, 0.5, alpha)),
        DomainError, r"\(alpha hbar_c\)\*\*2 must be a normal double")

@@ -4,6 +4,7 @@ special-case reductions, and the nonrelativistic limit."""
 import math
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -258,6 +259,18 @@ class TestNonrelativisticLimit:
             assert symmetric_nr_energy(mu, eta, n) == pytest.approx(
                 nr_limit_energy(mu, pot, n, 0), rel=1e-13
             )
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("residual", [pspin_residual, spin_residual])
+def test_numpy_scalar_fields_are_floats(residual):
+    # The context stores floats where they enter, so (alpha hbar_c)**2
+    # past the range is a DomainError with no numpy overflow warning first.
+    ctx = DiracContext(M=np.float64(5.0), kappa=1, n=0, c_shift=np.float64(0.0),
+                       hbar_c=np.float64(1e200))
+    assert all(type(v) is float for v in (ctx.M, ctx.c_shift, ctx.hbar_c))
+    with pytest.raises(DomainError, match=r"\(alpha hbar_c\)\*\*2 must be a normal double"):
+        residual(1.0, ctx, PTPotential(-3.0, 0.5, np.float64(1e100)))
 
 
 class TestSymmetryParams:

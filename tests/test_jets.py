@@ -1,4 +1,4 @@
-"""Truncated Taylor-series products on coefficient arrays."""
+"""Truncated Taylor-series products on coefficient lists."""
 
 import math
 
@@ -29,6 +29,31 @@ class TestArithmetic:
         one[0] = 1.0
         j = np.array([2.0, -1.0, 0.5, 0.0, 3.0, 0.0, 1.0])
         assert np.array_equal(jet_mul(one, j), j)
+
+
+class TestSummationOrder:
+    """Coefficient j is summed as acc += a[i] * b[j - i] for i = 0..j, in
+    ascending i: not compensated, and not in any other order."""
+
+    def test_not_compensated(self):
+        # -1e16 + 1 rounds back to -1e16, and + 1e16 gives 0.0; a
+        # compensated sum (math.fsum, or sum() from Python 3.12) gives 1.0.
+        assert jet_mul([1.0, 1.0, 1.0], [1e16, 1.0, -1e16])[2] == 0.0
+
+    def test_ascending(self):
+        # -1e16 + 1e16 + 1 is 1.0; summed in descending i, 1 + 1e16 rounds
+        # to 1e16 and the sum is 0.0.
+        assert jet_mul([1.0, 1.0, 1.0], [1.0, 1e16, -1e16])[2] == 1.0
+
+    def test_reciprocal_ascending(self):
+        # r[3] = -(a[1] r[2] + a[2] r[1] + a[3] r[0]) sums 1e8 * 1e16, -1e8
+        # and -1e8: in ascending i it rounds twice, to -9.999999999999997e23;
+        # in descending i, or by math.fsum, once, to -9.999999999999998e23.
+        r = jet_reciprocal([1.0, 1e8, 1.0, -1e8])
+        assert r == [1.0, -1e8, 1e16, -9.999999999999997e23]
+
+    def test_shorter_factor_counts_as_zero_padded(self):
+        assert jet_mul([1.0, 2.0, 3.0, 4.0], [5.0, 6.0]) == [5.0, 16.0, 27.0, 38.0]
 
 
 class TestReciprocal:

@@ -5,6 +5,7 @@ import hashlib
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -37,6 +38,17 @@ CTX = NRContext.natural(mu=0.5)  # 2 mu / hbar^2 = 1
 
 
 class TestPotential:
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_scalar_fields_are_floats(self):
+        # Stored as floats where they enter: a numpy alpha once reached
+        # require_normal_square's power, which warned about its overflow
+        # before the DomainError.
+        pot = PTPotential(np.float64(-1.0), np.float64(0.0), np.float64(1e150))
+        ctx = NRContext(np.float64(1.0), np.float64(1e10))
+        assert all(type(v) is float for v in (pot.A, pot.B, pot.alpha, ctx.mu, ctx.hbar_c))
+        with pytest.raises(DomainError, match=r"\(alpha hbar_c\)\*\*2 must be a normal double"):
+            energy_nr(pot, ctx, 0, 0)
+
     def test_values(self):
         pot = PTPotential(A=-4.0, B=1.0, alpha=2.0)
         r = 0.7
@@ -534,6 +546,31 @@ class TestShootingCrossCheck:
             pt_radial_problem(PTPotential(-30.0, b, 1.0), CTX, 0)
 
 
+def criterion1_wells():
+    """The criterion-1 wells (tests/test_acceptance.py's draws)."""
+    rng = random.Random(20260814)
+    return [
+        PTPotential(rng.uniform(-80.0, -5.0), rng.uniform(0.1, 5.0), rng.uniform(0.5, 2.0))
+        for _ in range(10)
+    ]
+
+
+def coefficient_digest():
+    """sha256 of float.hex of every coefficient of lambda0 and s0 on the
+    criterion-1 wells, depths 1-9, both branches, at the default and an
+    explicit expansion point: any change to the order of the arithmetic
+    that builds them shows here.
+    test_cli.py::test_aim_verify_bytes_do_not_depend_on_the_blas_kernel
+    recomputes it under other BLAS kernels."""
+    problems = (
+        pt_aim_problem(pot, CTX, 0, depth, branch, z0)
+        for pot in criterion1_wells() for depth in range(1, 10)
+        for branch in ("paper", "regular") for z0 in (None, 0.8)
+    )
+    text = "\n".join(float.hex(float(c)) for p in problems for c in (*p.lambda0, *p.s0))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestAimProblem:
     @pytest.mark.parametrize("a, b", [(-30.0, 5e-324), (-1.0, 0.9999999999999999)])
     def test_minimum_abscissa_rounding_to_an_edge(self, a, b):
@@ -544,32 +581,35 @@ class TestAimProblem:
         assert pt_aim_problem(PTPotential(a, b, 1.0), CTX, 0, 3).s0[0] == -0.5
 
     def test_coefficient_digest(self):
-        # sha256 of float.hex of every coefficient of lambda0 and s0 on the
-        # criterion-1 wells (tests/test_acceptance.py's draws), depths 1-9,
-        # both branches, at the default and an explicit expansion point:
-        # any change to the order of the arithmetic that builds them shows here.
-        rng = random.Random(20260814)
-        wells = [
-            PTPotential(rng.uniform(-80.0, -5.0), rng.uniform(0.1, 5.0), rng.uniform(0.5, 2.0))
-            for _ in range(10)
-        ]
-        problems = (
-            pt_aim_problem(pot, CTX, 0, depth, branch, z0)
-            for pot in wells for depth in range(1, 10) for branch in ("paper", "regular")
-            for z0 in (None, 0.8)
+        assert coefficient_digest() == (
+            "4c7d41886b92b01baefb69607c680f54bfc38eb60ad33a56e12cc13a3668e873"
         )
-        text = "\n".join(float.hex(float(c)) for p in problems for c in (*p.lambda0, *p.s0))
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "712cd30afa8f5928f0f8b2e7048627675d49db9e94a194774372dfb26d816c07"
-        )
+
+    @pytest.mark.parametrize("depth", [1, 4, 9])
+    def test_builds_the_orders_its_depth_reads(self, depth):
+        assert pt_aim_problem(POT, CTX, 0, depth).max_order == depth
+
+    @pytest.mark.parametrize("branch", ["paper", "regular"])
+    def test_orders_do_not_depend_on_the_cut(self, branch):
+        # Each product sums in one fixed order, so a build to order k has
+        # the bits of the first k + 1 orders of a longer build (np.convolve
+        # once rounded the top coefficient differently at each length).
+        for pot in criterion1_wells():
+            for depth in range(1, 10):
+                cut = pt_aim_problem(pot, CTX, 0, depth, branch)
+                long = pt_aim_problem(pot, CTX, 0, 2 * depth + 8, branch)
+                for name in ("lambda0", "s0"):
+                    want = getattr(long, name)[: depth + 1].tobytes()
+                    assert getattr(cut, name).tobytes() == want, (pot, depth, name)
 
     @pytest.mark.filterwarnings("error")
     def test_expansion_point_overflow(self):
         # B far below |A| puts z0 near 0, where 1 / (z (1 + z^2)) has
-        # coefficients near z0^-(k+1): past the double range from order
-        # 20 on, and depth 7 builds order 22.
-        with pytest.raises(OverflowRangeError, match="z0=1e-15"):
-            pt_aim_problem(PTPotential(-1e12, 1e-48, 3.0), CTX, 0, 7)
+        # coefficients near z0^-(k+1): with z0 = 1e-43, past the double
+        # range from order 7 on (1e344), and depth 7 builds order 7.
+        with pytest.raises(OverflowRangeError, match="z0=1e-43"):
+            pt_aim_problem(PTPotential(-1e12, 1e-160, 3.0), CTX, 0, 7)
+        assert pt_aim_problem(PTPotential(-1e12, 1e-160, 3.0), CTX, 0, 6).max_order == 6
 
 
 class TestReferenceWellShape:
