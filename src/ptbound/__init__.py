@@ -3,9 +3,9 @@
 Layers, bottom to top:
 
 - specfun / jets / rootfind: special functions, products of truncated
-  Taylor series on coefficient arrays, and bracketing root finding.
+  Taylor series on coefficient lists, and bracketing root finding.
 - aim: the generic iterative eigenvalue engine over Taylor-coefficient
-  arrays.
+  tuples.
 - oracle: independent numerics (shooting solver, adaptive quadrature,
   Richardson finite differences) used to cross-check everything else.
 - schrodinger / dirac: closed-form spectra, wavefunctions, and the

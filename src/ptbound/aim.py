@@ -17,13 +17,13 @@ roots of the termination indicator
     delta_k(x0; E) = lambda_k s_{k-1} - lambda_{k-1} s_k
 
 evaluated at the expansion point.  Coefficient functions are carried as
-arrays of their Taylor coefficients there; each iteration differentiates
+tuples of their Taylor coefficients there; each iteration differentiates
 once, so delta_k reads orders 0..k of lambda0 and s0 only, and the
 recurrence runs on those, then drops one order a step (step j carries
 orders 0..k - j).
 
 The scan parameter E enters s0 only, as a scalar factor: a problem holds
-two fixed coefficient arrays and two numbers, and
+two fixed coefficient tuples and two numbers, and
 
     s0(E) = s0 * t,    t = (E + e_shift) / e_scale.
 
@@ -37,14 +37,15 @@ its bits do not depend on the machine's BLAS kernel: it is the public
 evaluator and the reference.  ``aim_eigen_scan`` runs the recurrence
 once per scan, in long doubles, on coefficients in powers of
 tau = t - t_c about the bracket's midpoint t_c, carrying s_j / t, so
-that delta_k is exactly 0 where s0 vanishes.  On 605 levels of the benchmark's aim_scan workload (seeds 1-3, 201 and
-205, 30 rounds each) the worst root lies 2.8e-12 from the closed form,
-against 1.7e-10 in plain powers of t, whose high powers round badly,
-and 4.9e-11 with the recurrence in doubles rather than long doubles
-(the scalar scan's worst there was 3.2e-11).  The grid, its re-scans
-and its bisections all evaluate q_(k-1) and q_k by Horner's rule in one
-operation order, so a bisection sees the grid's bits.  Those values
-differ from aim_delta's by rounding; a root's residual is aim_delta's.
+that delta_k is exactly 0 where s0 vanishes.  On 605 levels of the
+benchmark's aim_scan workload (seeds 1-3, 201 and 205, 30 rounds each)
+the worst root lies 2.8e-12 from the closed form, against 1.7e-10 in
+plain powers of t, whose high powers round badly, and 4.9e-11 with the
+recurrence in doubles rather than long doubles (the scalar scan's worst
+there was 3.2e-11).  The grid, its re-scans and its bisections all
+evaluate q_(k-1) and q_k by Horner's rule in one operation order, so a
+bisection sees the grid's bits.  Those values differ from aim_delta's by
+rounding; a root's residual is aim_delta's.
 
 Roots of delta_k that correspond to true terminating solutions stay put
 as the depth changes; spurious roots drift.  ``aim_eigen_scan``
@@ -54,7 +55,6 @@ per-root stability gap, flagging drifting roots as not converged.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -88,28 +88,32 @@ SCAN_TOL = 1e-12
 @dataclass(frozen=True, eq=False)
 class AimProblem:
     """Taylor coefficients of order 0..max_order of lambda0 and s0 at the
-    expansion point, as two finite 1-d float arrays of one length.
+    expansion point, as two tuples of one length of finite Python floats.
 
     ``lambda0`` does not depend on the scan parameter E; E enters s0 as
     the scalar factor of ``s0(E) = s0 * ((E + e_shift) / e_scale)``.
     """
 
-    lambda0: np.ndarray
-    s0: np.ndarray
+    lambda0: tuple[float, ...]
+    s0: tuple[float, ...]
     e_shift: float = 0.0
     e_scale: float = 1.0
 
     def __post_init__(self):
         try:
-            lam0, s0 = (np.asarray(c, dtype=float) for c in (self.lambda0, self.s0))
+            if isinstance(self.lambda0, (str, bytes)) or isinstance(self.s0, (str, bytes)):
+                raise TypeError  # iterable, but not of coefficients
+            lam0, s0 = (tuple(map(float, c)) for c in (self.lambda0, self.s0))
         except (TypeError, ValueError):
             raise DomainError("lambda0 and s0 must be arrays of Taylor coefficients") from None
-        if lam0.ndim != 1 or s0.shape != lam0.shape:
+        except OverflowError:
             raise DomainError(
-                f"lambda0 and s0 must be 1-d and of one length, got {lam0.shape}, {s0.shape}"
-            )
-        require_index(lam0.size - 1, "max_order", 1)
-        if not (np.isfinite(lam0).all() and np.isfinite(s0).all()):
+                "lambda0 and s0 coefficients must be finite, got an int past the double range"
+            ) from None
+        if len(s0) != len(lam0):
+            raise DomainError(f"lambda0 and s0 must be of one length, got {len(lam0)}, {len(s0)}")
+        require_index(len(lam0) - 1, "max_order", 1)
+        if not all(map(math.isfinite, lam0 + s0)):
             raise DomainError("lambda0 and s0 coefficients must be finite")
         object.__setattr__(self, "lambda0", lam0)
         object.__setattr__(self, "s0", s0)
@@ -119,7 +123,7 @@ class AimProblem:
 
     @property
     def max_order(self) -> int:
-        return self.lambda0.size - 1
+        return len(self.lambda0) - 1
 
 
 @dataclass(frozen=True)
@@ -144,49 +148,11 @@ class AimScanReport:
         return [r.value for r in self.roots if r.converged]
 
 
-def _columns_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Column-wise Cauchy product of two (orders, columns) coefficient
-    arrays, truncated to b's orders; a has at least as many."""
-    n = b.shape[0]
-    out = a[:1] * b
-    for j in range(1, n):
-        out[j:] += a[j : j + 1] * b[: n - j]
-    return out
-
-
-@functools.cache
-def _ramp(k: int, ndim: int) -> np.ndarray:
-    """1.0..k down the first of ndim axes, read-only: derivative factors."""
-    ramp = np.arange(1.0, k + 1).reshape((k,) + (1,) * (ndim - 1))
-    ramp.flags.writeable = False
-    return ramp
-
-
-def _recurrence(lam0: np.ndarray, s0: np.ndarray, k: int, mul, times_t):
-    """The last three states (lambda_j, s_j), j = 0..k, as arrays whose
-    first axis is the Taylor order; mul(a, b) is the Cauchy product along
-    it, kept below b's top order.  The inputs carry the k + 1 orders
-    delta_k reads, and each step drops the top order, which its derivative
-    leaves inexact: state j carries orders 0..k - j.  s0 and the s states
-    hold s_j / t, and times_t(a) is t a."""
-    ramp = _ramp(k, lam0.ndim)
-    states = [(lam0, s0)]
-    for m in range(k, 0, -1):
-        lam, s = states[-1]
-        r = ramp[:m]
-        new_lam = r * lam[1:]
-        new_lam += times_t(s[:m])
-        new_lam += mul(lam0, lam)[:m]
-        new_s = r * s[1:]
-        new_s += mul(s0, lam)[:m]
-        states.append((new_lam, new_s))
-    return states[-3:]
-
-
-def _scalar_recurrence(lam0: list, s0: list, k: int) -> tuple[float, float, float, float]:
+def _scalar_recurrence(lam0, s0, k: int) -> tuple[float, float, float, float]:
     """lambda_(k-1), s_(k-1), lambda_k and s_k at x0 from k recurrence
-    steps on lists of Python floats holding the k + 1 orders delta_k
-    reads; as in ``_recurrence``, state j carries orders 0..k - j.
+    steps on sequences of Python floats holding the k + 1 orders delta_k
+    reads; each step drops the top order, which its derivative leaves
+    inexact, so state j carries orders 0..k - j.
     Coefficient i of each Cauchy product is summed from 0.0 as
     acc += lam0[p] * lam[i - p] (s0[p] for s's) for p = 0..i in ascending
     order, so its bits do not depend on the machine, and the next state's
@@ -225,8 +191,8 @@ def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, fl
     """
     k = _check_depth(problem, k)
     t = (require_finite(e, "energy") + problem.e_shift) / problem.e_scale
-    s0 = [c * t for c in problem.s0[: k + 1].tolist()]
-    prev_lam, prev_s, lam, s = _scalar_recurrence(problem.lambda0[: k + 1].tolist(), s0, k)
+    s0 = [c * t for c in problem.s0[: k + 1]]
+    prev_lam, prev_s, lam, s = _scalar_recurrence(problem.lambda0[: k + 1], s0, k)
     delta = lam * prev_s - prev_lam * s
     if not math.isfinite(delta):
         raise OverflowRangeError(f"delta_{k} at E={e!r} is {delta!r}")
@@ -252,19 +218,35 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
     """
     e_shift, e_scale = problem.e_shift, problem.e_scale
     t_c = (0.5 * lo + 0.5 * hi + e_shift) / e_scale
-    # lambda_j has degree ceil(j/2) in tau and s_j / t floor(j/2), so
-    # times_t shifts only zeros off the top power.
-    lam0, s0 = np.zeros((2, k + 1, k // 2 + 2), np.longdouble)
-    lam0[:, 0], s0[:, 0] = problem.lambda0[: k + 1], problem.s0[: k + 1]
     wide_t_c = np.longdouble(t_c)
-
-    def times_t(a):
-        out = wide_t_c * a
-        out[:, 1:] += a[:, :-1]
-        return out
+    # The states lambda_j and s_j / t are arrays of (Taylor order, power
+    # of tau); lambda0 and s0 / t do not depend on tau.  lambda_j has
+    # degree ceil(j/2) in tau and s_j / t floor(j/2), so multiplying by
+    # t = t_c + tau shifts only zeros off the top power.
+    lam0, s0 = (np.array(c[: k + 1], np.longdouble) for c in (problem.lambda0, problem.s0))
+    lam, s = np.zeros((2, k + 1, k // 2 + 2), np.longdouble)
+    lam[:, 0], s[:, 0] = lam0, s0
+    ramp = np.arange(1.0, k + 1)[:, None]  # derivative factors
+    heads = [(lam[0], s[0])]  # each state's order 0, the value at x0
+    for m in range(k, 0, -1):
+        # The state's Cauchy products with lambda0 and s0, summed over
+        # lambda0's and s0's index in ascending order, to order m - 1.
+        lam_prod, s_prod = lam0[0] * lam[:m], s0[0] * lam[:m]
+        for j in range(1, m):
+            lam_prod[j:] += lam0[j] * lam[: m - j]
+            s_prod[j:] += s0[j] * lam[: m - j]
+        t_s = wide_t_c * s[:m]
+        t_s[:, 1:] += s[:m, :-1]
+        new_lam = ramp[:m] * lam[1:]
+        new_lam += t_s
+        new_lam += lam_prod
+        new_s = ramp[:m] * s[1:]
+        new_s += s_prod
+        lam, s = new_lam, new_s
+        heads.append((lam[0], s[0]))
 
     def polynomial(j, prev, cur):
-        wide = np.convolve(cur[0][0], prev[1][0]) - np.convolve(prev[0][0], cur[1][0])
+        wide = np.convolve(cur[0], prev[1]) - np.convolve(prev[0], cur[1])
         with np.errstate(over="ignore"):  # a coefficient past the range is refused below
             q = wide.astype(float)
         if not np.isfinite(q).all():
@@ -296,11 +278,7 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
         delta.calls = 0
         return delta
 
-    def mul(a, b):
-        # lambda0 and s0 / t do not depend on tau: column 0 holds them.
-        return _columns_mul(a[:, :1], b)
-
-    older, prev, cur = _recurrence(lam0, s0, k, mul, times_t)
+    older, prev, cur = heads[-3:]
     return polynomial(k - 1, older, prev), polynomial(k, prev, cur)
 
 

@@ -79,8 +79,11 @@ class ThermoContext:
     tau: float
 
     def __post_init__(self):
-        require_positive(self.tau, "tau")
-        require_finite(self.zeta, "zeta")
+        # Stored as floats, once, as PTPotential's fields are: numpy scalars
+        # would reach every product downstream, where numpy warns before a
+        # range check raises.
+        object.__setattr__(self, "tau", require_positive(self.tau, "tau"))
+        object.__setattr__(self, "zeta", require_finite(self.zeta, "zeta"))
 
 
 class ThermoPoint(NamedTuple):
@@ -318,13 +321,9 @@ def thermo_table(pairs: Sequence[tuple[ThermoContext, float]]) -> np.ndarray:
 @np.errstate(all="ignore")  # the branch np.where drops may divide by 0
 def _point_fields(pairs) -> np.ndarray | None:
     """The ThermoPoint of every pair, one row each, as the scalar
-    thermo_point gives it; None unless every pair has float fields and
-    beta, 0 < chi <= ERFI_MAX_ARG and finite results."""
-    if not all(
-        isinstance(c, ThermoContext) and isinstance(c.zeta, float) and isinstance(c.tau, float)
-        and isinstance(b, float)
-        for c, b in pairs
-    ):
+    thermo_point gives it; None unless every pair is a ThermoContext and
+    a float beta with 0 < chi <= ERFI_MAX_ARG and finite results."""
+    if not all(isinstance(c, ThermoContext) and isinstance(b, float) for c, b in pairs):
         return None
     tau, beta = np.array([c.tau for c, _ in pairs]), np.array([b for _, b in pairs])
     sqrt_beta = np.sqrt(beta)

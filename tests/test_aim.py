@@ -350,39 +350,24 @@ class TestKernelDigest:
             "3a26e210389a5834d7eea6c0ea4d9507f5578f5ff25cc77b48e7db4785dea6ce"
         )
 
-    @given(st.integers(1, 8), st.integers(1, 4), st.integers(0, 2**32 - 1))
-    def test_columns_mul_is_convolve_per_column(self, n, cols, seed):
-        # On integer values, where every sum is exact, each column of the
-        # scan's product is np.convolve's of that column of a with that
-        # of b, cut to b's orders; a of one column multiplies every one.
-        rng = np.random.default_rng(seed)
-        a = rng.integers(-99, 100, (n + int(rng.integers(0, 3)), cols)).astype(float)
-        b = rng.integers(-99, 100, (n, cols)).astype(float)
-        for a_used in (a, a[:, :1]):
-            out = ptbound.aim._columns_mul(a_used, b)
-            assert out.shape == b.shape
-            for c in range(cols):
-                want = np.convolve(a_used[:, min(c, a_used.shape[1] - 1)], b[:, c])[:n]
-                assert out[:, c].tolist() == want.tolist()
-
 
 class TestDeltaEvals:
     """AimScanReport.delta_evals counts the values of delta the scan takes
     at single energies: its bisections' and its residuals."""
 
     def test_counts_every_single_energy_value(self, monkeypatch):
-        # One recurrence run gives the scan polynomials, and one scalar
-        # pass (aim_delta's list recurrence) per root gives its residual;
-        # every other value comes from the polynomials, on a grid or in a
-        # bisection.
+        # One long-double recurrence run (_delta_polys) gives the scan
+        # polynomials, and one scalar pass (aim_delta's list recurrence)
+        # per root gives its residual; every other value comes from the
+        # polynomials, on a grid or in a bisection.
         runs, scalar_runs, residuals, bisected = [], [], [], []
-        recurrence, scalar = ptbound.aim._recurrence, ptbound.aim._scalar_recurrence
+        polys, scalar = ptbound.aim._delta_polys, ptbound.aim._scalar_recurrence
         delta, bisect = ptbound.aim.aim_delta, ptbound.aim.bisect
 
         def counted_bisect(f, a, b, **kwargs):
             return bisect(lambda e: bisected.append(e) or f(e), a, b, **kwargs)
 
-        monkeypatch.setattr(ptbound.aim, "_recurrence", lambda *a: runs.append(a) or recurrence(*a))
+        monkeypatch.setattr(ptbound.aim, "_delta_polys", lambda *a: runs.append(a) or polys(*a))
         monkeypatch.setattr(
             ptbound.aim, "_scalar_recurrence", lambda *a: scalar_runs.append(a) or scalar(*a)
         )
@@ -521,8 +506,8 @@ class TestTerminationPattern:
 
 def _scaled(problem, c):
     return AimProblem(
-        lambda0=problem.lambda0 * c,
-        s0=problem.s0 * c,
+        lambda0=[v * c for v in problem.lambda0],
+        s0=[v * c for v in problem.s0],
         e_shift=problem.e_shift,
         e_scale=problem.e_scale,
     )
@@ -609,7 +594,7 @@ class TestValidation:
         prob = pt_problem(2)
         k = prob.max_order
         longer = AimProblem(
-            lambda0=np.append(prob.lambda0, [0.5, -1.25]), s0=np.append(prob.s0, [2.0, 3.0]),
+            lambda0=(*prob.lambda0, 0.5, -1.25), s0=(*prob.s0, 2.0, 3.0),
             e_shift=prob.e_shift, e_scale=prob.e_scale,
         )
         for e in (-30.0, PAR.k1(1) + 0.5):
@@ -635,7 +620,9 @@ class TestValidation:
         with pytest.raises(DomainError, match="one length"):
             AimProblem(lambda0=constant(1.0, 5), s0=constant(1.0, 4))
 
-    @pytest.mark.parametrize("coeffs", [[], [[1.0, 0.0], [0.0, 1.0]]], ids=["empty", "two-dim"])
+    @pytest.mark.parametrize(
+        "coeffs", [[], [[1.0, 0.0], [0.0, 1.0]], "12", b"12"], ids=["empty", "two-dim", "str", "bytes"]
+    )
     def test_problem_rejects_bad_shape(self, coeffs):
         with pytest.raises(DomainError):
             AimProblem(lambda0=coeffs, s0=coeffs)
@@ -736,10 +723,14 @@ class TestProperties:
     def test_problem(self, lam, s, e_shift, e_scale):
         p = S.finite_or_ptbound_error(lambda: AimProblem(lam, s, e_shift, e_scale))
         if p is not None:
-            assert p.max_order >= 1 and p.lambda0.shape == p.s0.shape == (p.max_order + 1,)
-            assert p.lambda0.dtype == p.s0.dtype == float
+            assert p.max_order >= 1 and len(p.lambda0) == len(p.s0) == p.max_order + 1
+            assert type(p.lambda0) is type(p.s0) is tuple
+            assert all(type(c) is float and math.isfinite(c) for c in (*p.lambda0, *p.s0))
             assert all(math.isfinite(v) for v in (p.e_shift, p.e_scale)) and p.e_scale
-            assert np.isfinite(p.lambda0).all() and np.isfinite(p.s0).all()
+            # Checked once, where it is built: nothing can change it after.
+            for coeffs in (p.lambda0, p.s0):
+                with pytest.raises(TypeError):
+                    coeffs[0] = math.nan
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @given(

@@ -104,6 +104,36 @@ def test_no_unused_imports():
     assert unused == []
 
 
+def _numpy_lines(tree) -> list[int]:
+    return [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and node.id in ("np", "numpy")
+    ]
+
+
+def test_numpy_only_in_the_long_double_scan():
+    """The float64 Taylor products stay off numpy, and with it off BLAS:
+    jets and schrodinger never name numpy, and aim names it only in
+    _delta_polys, the scan's long-double recurrence.  This holds the
+    kernel independence of the aim-verify bytes where the OpenBLAS
+    kernel test skips."""
+    package = Path(ptbound.__file__).parent
+    for name in ("jets.py", "schrodinger.py"):
+        tree = ast.parse((package / name).read_text(encoding="utf-8"))
+        imported = [
+            alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+        assert not any(str(m).split(".")[0] == "numpy" for m in imported), name
+        assert _numpy_lines(tree) == [], name
+    tree = ast.parse((package / "aim.py").read_text(encoding="utf-8"))
+    (scan,) = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "_delta_polys"
+    ]
+    assert _numpy_lines(tree) == _numpy_lines(scan) != []
+
+
 SETTABLE_MODULES = (
     "schrodinger", "thermo", "molecules", "dirac", "aim", "oracle", "rootfind", "tableio",
     "errors", "specfun", "jets",

@@ -455,6 +455,17 @@ class TestThermoPoint:
         assert pt.S == entropy(ctx, beta)
         assert pt.Z > 0.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_numpy_and_int_fields_are_floats(self):
+        # Stored as floats where they enter: numpy fields once overflowed
+        # with a numpy warning in the far ladder, and came back as numpy
+        # scalars in five of thermo_point's seven fields.
+        far = ThermoContext(np.float64(1e160), np.float64(1e10))
+        assert partition_sum(far, 1e-300, 3) == 10.87312731383618
+        for ctx in (ThermoContext(np.float64(12.0), np.float64(0.8)), ThermoContext(12, 1)):
+            assert type(ctx.zeta) is type(ctx.tau) is float
+            assert all(type(v) is float for v in thermo_point(ctx, 0.03))
+
 
 def _outcome(fn, ctx, beta):
     """fn's value, or the type and message of the package error it raises."""
