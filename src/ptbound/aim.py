@@ -35,17 +35,17 @@ E on plain lists of Python floats, each Cauchy product summed in one
 fixed order (ascending in lambda0's and s0's index, as in ``jets``), so
 its bits do not depend on the machine's BLAS kernel: it is the public
 evaluator and the reference.  ``aim_eigen_scan`` runs the recurrence
-once per scan, in long doubles, on coefficients in powers of
-tau = t - t_c about the bracket's midpoint t_c, carrying s_j / t, so
-that delta_k is exactly 0 where s0 vanishes.  On 605 levels of the
-benchmark's aim_scan workload (seeds 1-3, 201 and 205, 30 rounds each)
-the worst root lies 2.8e-12 from the closed form, against 1.7e-10 in
-plain powers of t, whose high powers round badly, and 4.9e-11 with the
-recurrence in doubles rather than long doubles (the scalar scan's worst
-there was 3.2e-11).  The grid, its re-scans and its bisections all
-evaluate q_(k-1) and q_k by Horner's rule in one operation order, so a
-bisection sees the grid's bits.  Those values differ from aim_delta's by
-rounding; a root's residual is aim_delta's.
+once per scan, exactly, on coefficients in powers of tau = t - t_c
+about the bracket's midpoint t_c, carrying s_j / t, so that delta_k is
+exactly 0 where s0 vanishes, and rounds each coefficient of q_k to a
+double once, on every platform alike.  On 585 levels of the benchmark's
+aim_scan workload (seeds 1-3, 201 and 205, 30 rounds each) the worst
+root lies 4.2e-12 from the closed form, against 2.8e-11 with the
+recurrence in doubles; plain powers of t round worse still.  The grid,
+its re-scans and its bisections all evaluate q_(k-1) and q_k by
+Horner's rule in one operation order, so a bisection sees the grid's
+bits.  Those values differ from aim_delta's by rounding; a root's
+residual is aim_delta's.
 
 Roots of delta_k that correspond to true terminating solutions stay put
 as the depth changes; spurious roots drift.  ``aim_eigen_scan``
@@ -56,7 +56,9 @@ per-root stability gap, flagging drifting roots as not converged.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 
@@ -209,49 +211,57 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
     taking one float or an array of them, from one recurrence run.
 
     Each is t q(tau), tau = t - t_c with t_c the t of the bracket's
-    midpoint: the recurrence runs on coefficients in powers of tau, in
-    np.longdouble (a 64-bit significand on x86-64 Linux; the double
-    itself where the platform has no wider type), and q is rounded to
-    doubles and evaluated by Horner's rule.  A coefficient or a value
-    beyond the double range raises OverflowRangeError.  Each function
-    counts its calls at one E, not on an array, in its ``calls``.
+    midpoint, q evaluated by Horner's rule.  The inputs (orders 0..k of
+    lambda0 and s0, and t_c) are doubles, so integers over 2^shift, the
+    largest of their denominators; each step multiplies the denominator
+    by 2^shift, and q's coefficients are int / int quotients, which
+    CPython rounds correctly.  A t_c, a coefficient or a value beyond the
+    double range raises OverflowRangeError.  Each function counts its
+    calls at one E, not on an array, in ``calls``.
     """
     e_shift, e_scale = problem.e_shift, problem.e_scale
     t_c = (0.5 * lo + 0.5 * hi + e_shift) / e_scale
-    wide_t_c = np.longdouble(t_c)
-    # The states lambda_j and s_j / t are arrays of (Taylor order, power
-    # of tau); lambda0 and s0 / t do not depend on tau.  lambda_j has
-    # degree ceil(j/2) in tau and s_j / t floor(j/2), so multiplying by
-    # t = t_c + tau shifts only zeros off the top power.
-    lam0, s0 = (np.array(c[: k + 1], np.longdouble) for c in (problem.lambda0, problem.s0))
-    lam, s = np.zeros((2, k + 1, k // 2 + 2), np.longdouble)
-    lam[:, 0], s[:, 0] = lam0, s0
-    ramp = np.arange(1.0, k + 1)[:, None]  # derivative factors
-    heads = [(lam[0], s[0])]  # each state's order 0, the value at x0
+    past_range = f"on [{lo!r}, {hi!r}] is past the double range"
+    if not math.isfinite(t_c):
+        raise OverflowRangeError(f"delta_{k} {past_range}")
+    ratios = [x.as_integer_ratio() for x in (t_c, *problem.lambda0[: k + 1], *problem.s0[: k + 1])]
+    shift = max(d.bit_length() for _, d in ratios) - 1
+    t_c_int, *inputs = (n << shift + 1 - d.bit_length() for n, d in ratios)
+    lam0, s0 = inputs[: k + 1], inputs[k + 1 :]
+    # The states lambda_j and s_j / t times 2^(shift (j + 1)): lists over the
+    # power of tau, to degrees ceil(j/2) and floor(j/2), of Taylor orders.
+    lam, s = [lam0], [s0]
+    heads = [([lam0[0]], [s0[0]])]  # each state's order 0, the value at x0
     for m in range(k, 0, -1):
-        # The state's Cauchy products with lambda0 and s0, summed over
-        # lambda0's and s0's index in ascending order, to order m - 1.
-        lam_prod, s_prod = lam0[0] * lam[:m], s0[0] * lam[:m]
-        for j in range(1, m):
-            lam_prod[j:] += lam0[j] * lam[: m - j]
-            s_prod[j:] += s0[j] * lam[: m - j]
-        t_s = wide_t_c * s[:m]
-        t_s[:, 1:] += s[:m, :-1]
-        new_lam = ramp[:m] * lam[1:]
-        new_lam += t_s
-        new_lam += lam_prod
-        new_s = ramp[:m] * s[1:]
-        new_s += s_prod
+        zero = [0] * (m + 1)
+        new_lam, new_s = [], []
+        for x, below, y in zip(lam, [zero, *s], s + [zero]):
+            lam_col, s_col = [], []
+            for i in range(m):
+                tail = x[i::-1]
+                lam_col.append(
+                    ((i + 1) * x[i + 1] + below[i] << shift) + t_c_int * y[i]
+                    + sum(map(mul, lam0, tail))
+                )
+                s_col.append(((i + 1) * y[i + 1] << shift) + sum(map(mul, s0, tail)))
+            new_lam.append(lam_col)
+            new_s.append(s_col)
+        if len(lam) == len(s):  # j even: tau s_j alone gives the top power
+            new_lam.append([y << shift for y in s[-1][:m]])
         lam, s = new_lam, new_s
-        heads.append((lam[0], s[0]))
+        heads.append(([x[0] for x in lam], [y[0] for y in s]))
 
     def polynomial(j, prev, cur):
-        wide = np.convolve(cur[0], prev[1]) - np.convolve(prev[0], cur[1])
-        with np.errstate(over="ignore"):  # a coefficient past the range is refused below
-            q = wide.astype(float)
-        if not np.isfinite(q).all():
-            raise OverflowRangeError(f"delta_{j} on [{lo!r}, {hi!r}] is past the double range")
-        coeffs = q[::-1].tolist()
+        denominator = 1 << shift * (2 * j + 1)  # that of both products
+        wide = [0] * (j + 1)
+        for a, b in ((cur[0], prev[1]), ([-x for x in prev[0]], cur[1])):
+            for p, x in enumerate(a):
+                for r, y in enumerate(b):
+                    wide[p + r] += x * y
+        try:
+            coeffs = [c / denominator for c in reversed(wide)]
+        except OverflowError:
+            raise OverflowRangeError(f"delta_{j} {past_range}") from None
 
         def horner(t):
             tau = t - t_c
@@ -261,18 +271,16 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
             return t * acc
 
         def delta(e):
-            t = (e + e_shift) / e_scale
-            if isinstance(t, float):
+            if isinstance(e, float):
                 delta.calls += 1
-                value = horner(t)
+                value = horner((e + e_shift) / e_scale)
                 finite = math.isfinite(value)
             else:
-                # values past the range are refused below
-                with np.errstate(over="ignore", invalid="ignore"):
-                    value = horner(t)
+                with np.errstate(over="ignore", invalid="ignore"):  # refused below
+                    value = horner((e + e_shift) / e_scale)
                 finite = np.isfinite(value).all()
             if not finite:
-                raise OverflowRangeError(f"delta_{j} on [{lo!r}, {hi!r}] is past the double range")
+                raise OverflowRangeError(f"delta_{j} {past_range}")
             return value
 
         delta.calls = 0
@@ -286,19 +294,14 @@ def _scan_roots(f, lo, hi, grid, xtol):
     """Bisected roots of f from its values on a grid of ``grid`` nodes
     over [lo, hi], and the indices of cells that follow another
     sign-changing cell."""
-    roots = []
-    crowded = []
-    h = (hi - lo) / (grid - 1)
-    prev_cell_index = None
-    for a, b, fa, fb in sign_change_brackets(f(uniform_grid(lo, hi, grid)), lo, hi, grid):
-        cell_index = round((a - lo) / h)
-        if prev_cell_index is not None and cell_index == prev_cell_index + 1:
-            crowded.append(cell_index)
-        prev_cell_index = cell_index
+    roots, cells = [], []
+    nodes = uniform_grid(lo, hi, grid)
+    for a, b, fa, fb in sign_change_brackets(f(nodes), lo, hi, grid):
+        cells.append(bisect_right(nodes, a) - 1)  # the bracket's left node
         r = bisect(f, a, b, xtol=xtol, fab=(fa, fb))
         if not roots or abs(r - roots[-1]) > 4.0 * xtol:
             roots.append(r)
-    return roots, crowded
+    return roots, [i for prev, i in zip(cells, cells[1:]) if i == prev + 1]
 
 
 def _nearest_gap(r: float, roots) -> float:
@@ -332,8 +335,7 @@ def aim_eigen_scan(
     lo, hi = require_bracket(bracket, "scan bracket")
     k = _check_depth(problem, k, 2)
     grid = require_index(grid, "grid", 2)
-    scale = max(abs(lo), abs(hi), 1.0)
-    xtol = SCAN_TOL * scale
+    xtol = SCAN_TOL * max(abs(lo), abs(hi), 1.0)
     shallow_delta, deep_delta = _delta_polys(problem, lo, hi, k)
     deep, crowded = _scan_roots(deep_delta, lo, hi, grid, xtol)
     shallow, _ = _scan_roots(shallow_delta, lo, hi, grid, xtol)
@@ -354,12 +356,8 @@ def aim_eigen_scan(
                 found, _ = _scan_roots(shallow_delta, a, b, cells + 1, xtol)
                 shallow = sorted(shallow + [s for s in found if _nearest_gap(s, shallow) > 4.0 * xtol])
     graded = tuple(
-        AimRoot(
-            value=r,
-            residual=aim_delta(problem, r, k),
-            stability_gap=_nearest_gap(r, shallow),
-            converged=converged(r),
-        )
+        AimRoot(value=r, residual=aim_delta(problem, r, k),
+                stability_gap=_nearest_gap(r, shallow), converged=converged(r))
         for r in deep
     )
     warnings = tuple(

@@ -232,8 +232,9 @@ def solve_levels(
     between finite neighbors are refined.  A non-finite or empty
     bracket, or one whose every sample is off-domain, raises DomainError;
     a fully real bracket with no sign change raises BracketError (empty
-    result).  Roots sitting on either mass shell E = +/-M are flagged,
-    since the published validity remarks prune one shell per symmetry.
+    result), and a root whose residual is not finite OverflowRangeError.
+    Roots sitting on either mass shell E = +/-M are flagged, since the
+    published validity remarks prune one shell per symmetry.
     """
     require_choice(symmetry, _SYMMETRIES, "symmetry")
     require_positive(tol, "tolerance")
@@ -258,7 +259,8 @@ def solve_levels(
             flags.add(FLAG_NEAR_PLUS_M)
         if abs(hit + ctx.M) <= shell_tol:
             flags.add(FLAG_NEAR_MINUS_M)
-        roots.append(RelativisticRoot(E=hit, residual=f(hit), flags=frozenset(flags)))
+        value = within_range(f(hit), f"{symmetry} residual at E={hit!r}")
+        roots.append(RelativisticRoot(E=hit, residual=value, flags=frozenset(flags)))
     if not roots:
         raise BracketError(
             f"no {symmetry} level with n={ctx.n}, kappa={ctx.kappa} in ({lo!r}, {hi!r})"

@@ -9,6 +9,11 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -351,12 +356,132 @@ class TestKernelDigest:
         )
 
 
+def _poly_mul(p, q):
+    out = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _poly_sum(*ps):
+    out = [Fraction(0)] * max(map(len, ps))
+    for p in ps:
+        for i, a in enumerate(p):
+            out[i] += a
+    return out
+
+
+def exact_scan_q(problem, lo, hi, k):
+    """q_(k-1) and q_k of the scan over [lo, hi] in exact rationals, as
+    coefficient lists in powers of tau = t - t_c, lowest first: the
+    recurrence of the module docstring on Taylor coefficients that are
+    polynomials in tau, with s0(E) = s0 (t_c + tau), and delta_j over
+    t = t_c + tau by synthetic division, which must leave no remainder."""
+    t_c = Fraction((0.5 * lo + 0.5 * hi + problem.e_shift) / problem.e_scale)
+    lam0 = [[Fraction(c)] for c in problem.lambda0[: k + 1]]
+    s0 = [[Fraction(c) * t_c, Fraction(c)] for c in problem.s0[: k + 1]]
+    states = [(lam0, s0)]
+    lam, s = lam0, s0
+    for m in range(k, 0, -1):
+        lam, s = (
+            [
+                _poly_sum([(i + 1) * c for c in lam[i + 1]], s[i],
+                          *(_poly_mul(lam0[p], lam[i - p]) for p in range(i + 1)))
+                for i in range(m)
+            ],
+            [
+                _poly_sum([(i + 1) * c for c in s[i + 1]],
+                          *(_poly_mul(s0[p], lam[i - p]) for p in range(i + 1)))
+                for i in range(m)
+            ],
+        )
+        states.append((lam, s))
+    qs = []
+    for (prev_lam, prev_s), (lam, s) in zip(states[-3:-1], states[-2:]):
+        delta = _poly_sum(_poly_mul(lam[0], prev_s[0]), [-c for c in _poly_mul(prev_lam[0], s[0])])
+        q = [Fraction(0)] * (len(delta) - 1)
+        rest = delta[-1]
+        for i in range(len(delta) - 2, -1, -1):
+            q[i] = rest
+            rest = delta[i] - t_c * rest
+        assert rest == 0
+        qs.append(q)
+    return qs
+
+
+class TestExactScanPolynomials:
+    """The scan's polynomials are t q(tau) with each coefficient of q the
+    correctly rounded double of the exact one, evaluated by Horner's rule
+    in the module's operation order: the scan's bits do not depend on
+    the platform's floating-point types."""
+
+    @staticmethod
+    def _cases():
+        # The scans of TestKernelDigest's wells, and one aim_scan op
+        # (seed 3, the eighth seeded well, n = 3) where rounding q from a
+        # 64-bit-significand recurrence moved a shallow root by 1.7e-10.
+        for pot, energies in TestKernelDigest._levels():
+            for n in range(4):
+                upper = 0.5 * (energies[0] if n == 0 else energies[n - 1] + energies[n])
+                yield pot, (energies[4 + n], upper), 2 * n + 2
+        pot = PTPotential(A=-20.64914493040954, B=4.571632586738696, alpha=1.65133848464576)
+        k1 = spectral_params(pot, CTX, 0).k1
+        yield pot, (0.5 * (k1(3) + k1(4)), 0.5 * (k1(3) + k1(2))), 8
+
+    def test_values_are_horner_on_the_rounded_exact_q(self):
+        for pot, (lo, hi), k in self._cases():
+            problem = pt_aim_problem(pot, CTX, 0, k)
+            t_c = (0.5 * lo + 0.5 * hi + problem.e_shift) / problem.e_scale
+            es = uniform_grid(lo, hi, 33)
+            for f, q in zip(ptbound.aim._delta_polys(problem, lo, hi, k),
+                            exact_scan_q(problem, lo, hi, k)):
+                coeffs = [float(c) for c in reversed(q)]
+                expected = []
+                for e in es.tolist():
+                    t = (e + problem.e_shift) / problem.e_scale
+                    acc = 0.0
+                    for c in coeffs:
+                        acc = acc * (t - t_c) + c
+                    expected.append(t * acc)
+                assert f(es).tolist() == expected, (pot, k)
+                assert [f(e) for e in es.tolist()] == expected, (pot, k)
+
+
+# A child process that replaces numpy.longdouble with numpy.float64 before
+# anything imports ptbound, then runs the pinned scan digests and
+# criterion 1 (its floor check included).
+_FLOAT64_CHILD = """
+import sys
+import numpy
+numpy.longdouble = numpy.float64
+import pytest
+sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
+"""
+
+
+def test_scan_bits_do_not_depend_on_numpys_long_double():
+    # numpy's long double is the plain double in MSVC and macOS arm64
+    # builds; with it so here, the pinned bits and criterion 1's floor hold.
+    tests = Path(__file__).resolve().parent
+    res = subprocess.run(
+        [sys.executable, "-c", _FLOAT64_CHILD,
+         "tests/test_aim.py::TestKernelDigest::test_delta_polys",
+         "tests/test_aim.py::TestKernelDigest::test_scan_reports",
+         "tests/test_aim.py::TestKernelDigest::test_iterate",
+         "tests/test_acceptance.py::TestCriterion1"],
+        cwd=tests.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert res.returncode == 0, res.stdout[-3000:]
+    assert "4 passed" in res.stdout
+
+
 class TestDeltaEvals:
     """AimScanReport.delta_evals counts the values of delta the scan takes
     at single energies: its bisections' and its residuals."""
 
     def test_counts_every_single_energy_value(self, monkeypatch):
-        # One long-double recurrence run (_delta_polys) gives the scan
+        # One exact recurrence run (_delta_polys) gives the scan
         # polynomials, and one scalar pass (aim_delta's list recurrence)
         # per root gives its residual; every other value comes from the
         # polynomials, on a grid or in a bisection.
@@ -571,10 +696,12 @@ class TestScanDiagnostics:
 
     def test_coarse_grid_warns(self):
         # 6 sample points put one integer root in each cell: adjacent
-        # sign-changing cells must be flagged.
+        # sign-changing cells must be flagged, each by its left node.
         rep = aim_eigen_scan(hermite_problem(3), (-0.5, 4.5), 3, grid=6)
-        assert len(rep.warnings) >= 1
-        assert "too coarse" in rep.warnings[0]
+        assert rep.warnings == tuple(
+            f"adjacent sign changes in scan cells {i - 1} and {i}; grid may be too coarse"
+            for i in (1, 2, 3)
+        )
 
     def test_coarse_grid_can_merge_root_pairs(self):
         # With 4 points, two roots share a cell and cancel the sign change.
@@ -671,6 +798,23 @@ class TestValidation:
         for bracket in (-1e300, 1e300), (-1e200, 1e200), (1e150, 2e150), (1e300, 1.5e300):
             with pytest.raises(OverflowRangeError, match="double range"):
                 aim_eigen_scan(prob, bracket, 3)
+
+    def test_scan_bracket_wider_than_the_double_range(self):
+        # hi - lo overflows, as uniform_grid allows: the scan still
+        # numbers its cells (once a bare ValueError from inf / inf).
+        prob = AimProblem((0.0, 0.0, 0.0), (1e-300, 0.0, 0.0))
+        rep = aim_eigen_scan(prob, (-1e308, 1e308), 2)
+        assert all(math.isfinite(r.value) for r in rep.roots)
+        cells = [int(i) for w in rep.warnings for i in re.findall(r"\d+", w)]
+        assert cells and all(0 <= i < 512 for i in cells)
+
+    def test_scan_grid_t_past_the_range_raises_without_a_numpy_warning(self):
+        # t = (E + e_shift) / e_scale overflows on the grid: the package's
+        # error, with no RuntimeWarning before it (pyproject makes one an
+        # error, which used to escape in its place).
+        prob = AimProblem((0.0, 0.0, 0.0), (-1.0, 0.0, 0.0), e_scale=1e-300)
+        with pytest.raises(OverflowRangeError, match="double range"):
+            aim_eigen_scan(prob, (-1e10, 1e10), 2)
 
 
 class TestProblemIdentity:

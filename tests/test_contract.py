@@ -347,6 +347,11 @@ BAD_CALLS = [
         symmetry), DomainError, r"\(alpha hbar_c\)\*\*2 must be a normal double")
       for alpha, hbar_c in ((1e-150, 1e-20), (1e100, 1e200), (10**150, 10**300))
       for symmetry in ("pspin", "spin")],
+    # a node's residual past the double range reads as a sign change (once
+    # a level at E = 4.5e287 with residual -inf)
+    ("solve_levels", lambda: pb.solve_levels(
+        pb.DiracContext(M=5.0, kappa=1, n=0), pb.PTPotential(-3.0, 0.5, 1.0), "spin",
+        (-1e300, 1e300)), OverflowRangeError, "residual"),
 ]
 
 

@@ -111,12 +111,13 @@ def _numpy_lines(tree) -> list[int]:
     ]
 
 
-def test_numpy_only_in_the_long_double_scan():
-    """The float64 Taylor products stay off numpy, and with it off BLAS:
-    jets and schrodinger never name numpy, and aim names it only in
-    _delta_polys, the scan's long-double recurrence.  This holds the
-    kernel independence of the aim-verify bytes where the OpenBLAS
-    kernel test skips."""
+def test_numpy_only_in_the_scan_evaluators_array_branch():
+    """The Taylor products stay off numpy, and with it off BLAS and the
+    platform's long double: jets and schrodinger never name numpy, and
+    aim names it only in the array branch of the scan's evaluator (delta
+    in _delta_polys), whose recurrence runs on Python ints, and names
+    neither longdouble nor convolve.  This holds the platform independence
+    of the aim-verify bytes where the OpenBLAS kernel test skips."""
     package = Path(ptbound.__file__).parent
     for name in ("jets.py", "schrodinger.py"):
         tree = ast.parse((package / name).read_text(encoding="utf-8"))
@@ -126,12 +127,19 @@ def test_numpy_only_in_the_long_double_scan():
         ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         assert not any(str(m).split(".")[0] == "numpy" for m in imported), name
         assert _numpy_lines(tree) == [], name
-    tree = ast.parse((package / "aim.py").read_text(encoding="utf-8"))
+    text = (package / "aim.py").read_text(encoding="utf-8")
+    assert "longdouble" not in text and "convolve" not in text
+    tree = ast.parse(text)
     (scan,) = [
         node for node in tree.body
         if isinstance(node, ast.FunctionDef) and node.name == "_delta_polys"
     ]
-    assert _numpy_lines(tree) == _numpy_lines(scan) != []
+    (evaluator,) = [
+        node for node in ast.walk(scan) if isinstance(node, ast.FunctionDef) and node.name == "delta"
+    ]
+    branch = next(node for node in evaluator.body if isinstance(node, ast.If))  # float or array
+    array_branch = ast.Module(body=branch.orelse, type_ignores=[])
+    assert _numpy_lines(tree) == _numpy_lines(array_branch) != []
 
 
 SETTABLE_MODULES = (
