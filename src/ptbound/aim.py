@@ -37,15 +37,14 @@ its bits do not depend on the machine's BLAS kernel: it is the public
 evaluator and the reference.  ``aim_eigen_scan`` runs the recurrence
 once per scan, exactly, on coefficients in powers of tau = t - t_c
 about the bracket's midpoint t_c, carrying s_j / t, so that delta_k is
-exactly 0 where s0 vanishes, and rounds each coefficient of q_k to a
-double once, on every platform alike.  On 585 levels of the benchmark's
-aim_scan workload (seeds 1-3, 201 and 205, 30 rounds each) the worst
-root lies 4.2e-12 from the closed form, against 2.8e-11 with the
-recurrence in doubles; plain powers of t round worse still.  The grid,
-its re-scans and its bisections all evaluate q_(k-1) and q_k by
-Horner's rule in one operation order, so a bisection sees the grid's
-bits.  Those values differ from aim_delta's by rounding; a root's
-residual is aim_delta's.
+exactly 0 where s0 vanishes.  Its roots are t's zero and those of the
+integer q_k, isolated exactly by Descartes' rule of signs and bisected
+on Horner's rule over q_k's coefficients, each rounded to a double once,
+on every platform alike.  On 585 levels of the benchmark's aim_scan
+workload (seeds 1-3, 201 and 205, 30 rounds each) the worst root lies
+4.0e-12 from the closed form, against 2.8e-11 with the recurrence in
+doubles; plain powers of t round worse still.  Those Horner values
+differ from aim_delta's by rounding; a root's residual is aim_delta's.
 
 Roots of delta_k that correspond to true terminating solutions stay put
 as the depth changes; spurious roots drift.  ``aim_eigen_scan``
@@ -56,17 +55,15 @@ per-root stability gap, flagging drifting roots as not converged.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass, field
-from operator import mul
+from operator import mul, ne
 
-import numpy as np
-
+from . import rootfind
 from .errors import (
     DomainError, OverflowRangeError, require_bracket, require_finite, require_index,
     require_positive,
 )
-from .rootfind import bisect, sign_change_brackets, uniform_grid
+from .rootfind import bisect
 
 __all__ = [
     "AimProblem",
@@ -77,9 +74,9 @@ __all__ = [
     "aim_iterate",
 ]
 
-# Cells of the finer delta_(k-1) grid laid over the two scan cells around
-# a root that the scan grid leaves unconverged.
-RESCAN_CELLS = 64
+# perfbench/tracing.py wraps this name; the scan, which takes no grid, never calls it.
+sign_change_brackets = rootfind.sign_change_brackets
+
 # A delta_k root is converged when the nearest delta_(k-1) root lies
 # within this distance relative to max(1, |root|).
 STABILITY_TOL = 1e-8
@@ -140,10 +137,7 @@ class AimRoot:
 class AimScanReport:
     roots: tuple[AimRoot, ...]
     shallow_roots: tuple[float, ...]
-    warnings: tuple[str, ...]
-    # Values of delta the scan took at single energies, off its grids:
-    # its polynomials' in bisections and each root's aim_delta residual.
-    # A work count, not a result: reports compare without it.
+    # Values taken in bisections and residuals: a work count, not compared.
     delta_evals: int = field(compare=False)
 
     def converged_roots(self) -> list[float]:
@@ -206,23 +200,67 @@ def aim_delta(problem: AimProblem, e: float, k: int) -> float:
     return aim_iterate(problem, e, k)[2]
 
 
-def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
-    """delta_(k-1) and delta_k over [lo, hi] as two functions of E, each
-    taking one float or an array of them, from one recurrence run.
+def _taylor_shift(p: list[int]) -> list[int]:
+    """The coefficients of p(x + 1), lowest power first, from p's."""
+    p = list(p)
+    for i in range(len(p) - 1):
+        for m in range(len(p) - 2, i - 1, -1):
+            p[m] += p[m + 1]
+    return p
 
-    Each is t q(tau), tau = t - t_c with t_c the t of the bracket's
-    midpoint, q evaluated by Horner's rule.  The inputs (orders 0..k of
-    lambda0 and s0, and t_c) are doubles, so integers over 2^shift, the
-    largest of their denominators; each step multiplies the denominator
-    by 2^shift, and q's coefficients are int / int quotients, which
-    CPython rounds correctly.  A t_c, a coefficient or a value beyond the
-    double range raises OverflowRangeError.  Each function counts its
-    calls at one E, not on an array, in ``calls``.
+
+def _isolate(p: list[int], cap: int) -> list[tuple[float, float, tuple[float, float] | None]]:
+    """The real roots on [0, 1] of the nonzero integer polynomial p
+    (lowest power first) by Vincent-Collins-Akritas bisection (Collins and
+    Akritas, SYMSAC '76, 272), as (x0, x1, fab): a part holding one simple
+    root, fab the signs of p just inside its ends, or a root x0 = x1
+    exactly, fab None.  With p mapped from a part onto (0, 1), the sign
+    changes of (y + 1)^n p(1 / (y + 1)) bound its roots there, with their
+    parity; two or more halve the part, down to depth ``cap``, where a
+    multiple root, which never isolates, is one root at the midpoint."""
+    found = [(1.0, 1.0, None)] if sum(p) == 0 else []
+    todo = [(0, 0, p)]
+    while todo:
+        c, d, p = todo.pop()
+        x0, x1 = c / 2**d, (c + 1) / 2**d
+        if p[0] == 0:  # a root at the part's left end, 0 or a split point
+            found.append((x0, x0, None))
+            while p[0] == 0:
+                p = p[1:]
+        signs = [v > 0 for v in _taylor_shift(p[::-1]) if v]
+        changes = sum(map(ne, signs, signs[1:]))
+        if changes == 1:
+            # p's sign near x0 leads the shifted coefficients, near x1 ends them.
+            found.append((x0, x1, (1.0 if signs[-1] else -1.0, 1.0 if signs[0] else -1.0)))
+        elif changes and d >= cap:
+            mid = (2 * c + 1) / 2 ** (d + 1)
+            found.append((mid, mid, None))
+        elif changes:
+            left = [v << len(p) - 1 - i for i, v in enumerate(p)]  # 2^n p(x / 2)
+            todo += [(2 * c, d + 1, left), (2 * c + 1, d + 1, _taylor_shift(left))]
+    return found
+
+
+def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
+    """q_(k-1) and q_k of delta_j = t q_j(tau) over [lo, hi], from one
+    recurrence run, each as a function of one E that evaluates q by
+    Horner's rule on its coefficients rounded to doubles.
+
+    tau = t - t_c, with t_c the t of the bracket's midpoint.  The inputs
+    (orders 0..k of lambda0 and s0, and t_c) are doubles, so integers
+    over 2^shift, the largest of their denominators; each step multiplies
+    the denominator by 2^shift, and q's double coefficients are int / int
+    quotients, which CPython rounds correctly.  A t at the bracket's ends
+    or midpoint, a coefficient or a value beyond the double range raises
+    OverflowRangeError.  Each function counts its calls in ``calls``; its
+    ``roots(xtol)`` gives t's zero, if on [lo, hi], and the real roots of
+    the exact q, isolated on either side of it, then bisected to xtol.
     """
     e_shift, e_scale = problem.e_shift, problem.e_scale
     t_c = (0.5 * lo + 0.5 * hi + e_shift) / e_scale
+    t_zero = 0.0 - e_shift  # the E where t = 0
     past_range = f"on [{lo!r}, {hi!r}] is past the double range"
-    if not math.isfinite(t_c):
+    if not all(map(math.isfinite, (t_c, (lo + e_shift) / e_scale, (hi + e_shift) / e_scale))):
         raise OverflowRangeError(f"delta_{k} {past_range}")
     ratios = [x.as_integer_ratio() for x in (t_c, *problem.lambda0[: k + 1], *problem.s0[: k + 1])]
     shift = max(d.bit_length() for _, d in ratios) - 1
@@ -263,110 +301,71 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
         except OverflowError:
             raise OverflowRangeError(f"delta_{j} {past_range}") from None
 
-        def horner(t):
-            tau = t - t_c
+        def q(e):
+            q.calls += 1
+            tau = (e + e_shift) / e_scale - t_c
             acc = 0.0
             for c in coeffs:
                 acc = acc * tau + c
-            return t * acc
-
-        def delta(e):
-            if isinstance(e, float):
-                delta.calls += 1
-                value = horner((e + e_shift) / e_scale)
-                finite = math.isfinite(value)
-            else:
-                with np.errstate(over="ignore", invalid="ignore"):  # refused below
-                    value = horner((e + e_shift) / e_scale)
-                finite = np.isfinite(value).all()
-            if not finite:
+            if not math.isfinite(acc):
                 raise OverflowRangeError(f"delta_{j} {past_range}")
-            return value
+            return acc
 
-        delta.calls = 0
-        return delta
+        def roots(xtol):
+            if not any(wide):
+                raise DomainError(f"delta_{j} vanishes at every E; its roots are not isolated")
+            found = {t_zero} if lo <= t_zero <= hi else set()
+            ends = [lo, t_zero, hi] if lo < t_zero < hi else [lo, hi]
+            for a, b in zip(ends, ends[1:]):
+                ends_t = ((a + e_shift) / e_scale, (b + e_shift) / e_scale)
+                ratios = [x.as_integer_ratio() for x in (t_c, *ends_t)]
+                # den^n q(tau) as a polynomial in x on [0, 1], tau = (alpha + beta x) / den
+                den = max(d for _, d in ratios)
+                t_c_den, t_a, t_b = (n * (den // d) for n, d in ratios)
+                alpha, beta = t_a - t_c_den, t_b - t_a
+                p, scale = [wide[-1]], 1
+                for w in wide[-2::-1]:
+                    scale *= den
+                    p = [alpha * u + beta * v for u, v in zip(p + [0], [0] + p)]
+                    p[0] += w * scale
+                # Parts at depth cap are at most xtol wide; b - a can overflow.
+                cap = math.frexp((0.5 * b - 0.5 * a) / xtol)[1] + 1
+                for x0, x1, fab in _isolate(p, cap):
+                    e0, e1 = (a * (1.0 - x) + b * x for x in (x0, x1))
+                    found.add(e0 if fab is None else bisect(q, e0, e1, xtol=xtol, fab=fab))
+            return sorted(found)
+
+        q.calls = 0
+        q.roots = roots
+        return q
 
     older, prev, cur = heads[-3:]
     return polynomial(k - 1, older, prev), polynomial(k, prev, cur)
 
 
-def _scan_roots(f, lo, hi, grid, xtol):
-    """Bisected roots of f from its values on a grid of ``grid`` nodes
-    over [lo, hi], and the indices of cells that follow another
-    sign-changing cell."""
-    roots, cells = [], []
-    nodes = uniform_grid(lo, hi, grid)
-    for a, b, fa, fb in sign_change_brackets(f(nodes), lo, hi, grid):
-        cells.append(bisect_right(nodes, a) - 1)  # the bracket's left node
-        r = bisect(f, a, b, xtol=xtol, fab=(fa, fb))
-        if not roots or abs(r - roots[-1]) > 4.0 * xtol:
-            roots.append(r)
-    return roots, [i for prev, i in zip(cells, cells[1:]) if i == prev + 1]
-
-
-def _nearest_gap(r: float, roots) -> float:
-    return min((abs(r - s) for s in roots), default=float("inf"))
-
-
-def aim_eigen_scan(
-    problem: AimProblem,
-    bracket: tuple[float, float],
-    k: int,
-    *,
-    grid: int = 512,
-) -> AimScanReport:
+def aim_eigen_scan(problem: AimProblem, bracket: tuple[float, float], k: int) -> AimScanReport:
     """Locate roots of delta_k over a bracket and grade their stability.
 
-    One recurrence run gives delta_k and delta_(k-1) over the bracket as
-    polynomials in E; their values on a uniform grid of ``grid`` nodes
-    are bracketed at each sign change and refined with bisection.  Each
-    delta_k root is then compared against the roots of delta_(k-1): the
-    stability gap is the distance to the nearest shallower root, and a
-    root is marked converged when that gap is within STABILITY_TOL
-    relative to the root's magnitude.  Exact terminating eigenvalues sit
-    at the same position at both depths; spurious roots do not.  Two
-    delta_(k-1) roots in one grid cell give no sign change, so a root
-    the grid leaves unconverged has delta_(k-1) re-scanned on a finer
-    grid around it, and then across its stability window, before it is
-    graded, which needs k >= 2.  A bracket with no sign change yields an
-    empty report rather than an error; adjacent sign-changing grid cells
-    produce a too-coarse warning.
+    One exact recurrence run gives delta_k and delta_(k-1) over the
+    bracket, and their real roots there are isolated exactly, then
+    bisected.  A delta_k root's stability gap is the distance to the
+    nearest delta_(k-1) root, and the root is converged when that gap is
+    within STABILITY_TOL relative to its magnitude: exact terminating
+    eigenvalues sit at the same position at both depths, spurious roots
+    do not.  A bracket with no root yields an empty report.
     """
     lo, hi = require_bracket(bracket, "scan bracket")
     k = _check_depth(problem, k, 2)
-    grid = require_index(grid, "grid", 2)
     xtol = SCAN_TOL * max(abs(lo), abs(hi), 1.0)
-    shallow_delta, deep_delta = _delta_polys(problem, lo, hi, k)
-    deep, crowded = _scan_roots(deep_delta, lo, hi, grid, xtol)
-    shallow, _ = _scan_roots(shallow_delta, lo, hi, grid, xtol)
-
-    def converged(r):
-        return _nearest_gap(r, shallow) <= STABILITY_TOL * max(1.0, abs(r))
-
-    # A root the scan grid leaves unconverged has delta_(k-1) re-scanned
-    # finer over the scan cells on either side, then, if still
-    # unconverged, across its own stability window, which finds a
-    # delta_(k-1) root there even when a second one shares its re-scan
-    # cell (aim_scan seed 9 has such a pair 9.2e-4 apart).
-    h = (hi - lo) / (grid - 1)
+    shallow_q, deep_q = _delta_polys(problem, lo, hi, k)
+    shallow, deep = shallow_q.roots(xtol), deep_q.roots(xtol)
+    graded = []
     for r in deep:
-        for half_width, cells in ((h, RESCAN_CELLS), (STABILITY_TOL * max(1.0, abs(r)), 1)):
-            if not converged(r):
-                a, b = max(lo, r - half_width), min(hi, r + half_width)
-                found, _ = _scan_roots(shallow_delta, a, b, cells + 1, xtol)
-                shallow = sorted(shallow + [s for s in found if _nearest_gap(s, shallow) > 4.0 * xtol])
-    graded = tuple(
-        AimRoot(value=r, residual=aim_delta(problem, r, k),
-                stability_gap=_nearest_gap(r, shallow), converged=converged(r))
-        for r in deep
-    )
-    warnings = tuple(
-        f"adjacent sign changes in scan cells {i - 1} and {i}; grid may be too coarse"
-        for i in crowded
-    )
+        gap = min((abs(r - s) for s in shallow), default=math.inf)
+        graded.append(AimRoot(value=r, residual=aim_delta(problem, r, k), stability_gap=gap,
+                              converged=gap <= STABILITY_TOL * max(1.0, abs(r))))
     return AimScanReport(
-        roots=graded,
+        roots=tuple(graded),
         shallow_roots=tuple(shallow),
-        warnings=warnings,
-        delta_evals=shallow_delta.calls + deep_delta.calls + len(graded),
+        delta_evals=shallow_q.calls + deep_q.calls + len(graded),
     )

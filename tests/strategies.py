@@ -101,11 +101,8 @@ ROWS = {
     "aim_delta": row(problem=aim_problems, e=aim_energies, k=aim_depths),
     "aim_iterate": row(problem=aim_problems, e=aim_energies, k=aim_depths),
     "aim_eigen_scan": st.builds(
-        lambda problem, lo, width, k, grid: dict(
-            problem=problem, bracket=(lo, lo + width), k=k, grid=grid
-        ),
+        lambda problem, lo, width, k: dict(problem=problem, bracket=(lo, lo + width), k=k),
         aim_problems, st.floats(-1e14, 0.0), st.floats(-1.0, 1e14), aim_depths,
-        st.integers(-1, 64),
     ),
     "DiracContext": row(
         M=around(20.0), kappa=st.integers(-3, 3), n=st.integers(-2, 3), c_shift=around(1.0),

@@ -9,11 +9,7 @@ import dataclasses
 import hashlib
 import math
 import random
-import re
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +22,6 @@ from ptbound.errors import DomainError, OverflowRangeError
 from ptbound.rootfind import sign_change_brackets, uniform_grid
 from ptbound.schrodinger import NRContext, PTPotential, pt_aim_problem, spectral_params
 import strategies as S
-from test_rootfind import textbook_bisect
 
 POT = PTPotential(A=-30.0, B=2.3, alpha=1.0)
 CTX = NRContext.natural(mu=0.5)  # 2 mu / hbar^2 = 1: strengths pass through
@@ -106,14 +101,14 @@ class TestVanishingS0:
     @pytest.mark.parametrize("k", range(2, 10))
     def test_scan_polynomials_zero_where_s0_vanishes(self, k):
         # The scan carries s_j / t, so both its polynomials are t times
-        # one and exactly 0 at t = 0, E = -e_shift, though the bracket's
-        # midpoint, about which they are expanded, lies elsewhere.
+        # q, and t's zero, E = -e_shift, is a root of each exactly,
+        # though the bracket's midpoint, about which they are expanded,
+        # lies elsewhere.
         prob = pt_problem(k)
         z = -prob.e_shift
         for lo, hi in ((z - 7.0, z + 3.0), (z - 1.0, z + 40.0)):
             for f in ptbound.aim._delta_polys(prob, lo, hi, k):
-                assert f(z) == 0.0
-                assert f(np.array([lo, z, hi]))[1] == 0.0
+                assert z in f.roots(1e-12 * max(abs(lo), abs(hi)))
 
 
 class TestClosedFormEigenvalues:
@@ -125,7 +120,7 @@ class TestClosedFormEigenvalues:
         k = max(2 * n + 1, 2)
         prob = pt_problem(k)
         center = PAR.k1(n)
-        rep = aim_eigen_scan(prob, (center - 3.0, center + 3.0), k, grid=400)
+        rep = aim_eigen_scan(prob, (center - 3.0, center + 3.0), k)
         stable = [r for r in rep.roots if r.converged]
         assert len(stable) == 1
         assert stable[0].value == pytest.approx(center, rel=1e-9)
@@ -133,7 +128,7 @@ class TestClosedFormEigenvalues:
 
     def test_broad_scan_contains_all_levels(self):
         k = 9
-        rep = aim_eigen_scan(pt_problem(k), (-130.0, -5.0), k, grid=1600)
+        rep = aim_eigen_scan(pt_problem(k), (-130.0, -5.0), k)
         stable = rep.converged_roots()
         for n in range(4):
             assert any(
@@ -144,7 +139,7 @@ class TestClosedFormEigenvalues:
         # A genuine eigenvalue sits at the same place at consecutive depths.
         vals = []
         for k in (3, 4):
-            rep = aim_eigen_scan(pt_problem(k), (-49.0, -46.5), k, grid=400)
+            rep = aim_eigen_scan(pt_problem(k), (-49.0, -46.5), k)
             stable = rep.converged_roots()
             assert len(stable) == 1
             vals.append(stable[0])
@@ -156,46 +151,11 @@ class TestClosedFormEigenvalues:
         roots = []
         for z0 in (0.8, 1.3):
             prob = pt_aim_problem(POT, CTX, 0, 3, z0=z0)
-            rep = aim_eigen_scan(prob, (-49.0, -46.5), 3, grid=400)
+            rep = aim_eigen_scan(prob, (-49.0, -46.5), 3)
             stable = rep.converged_roots()
             assert len(stable) == 1
             roots.append(stable[0])
         assert roots[0] == pytest.approx(roots[1], abs=1e-9)
-
-
-def bisected_roots(f, lo, hi, grid, xtol):
-    """Roots of f from its values on a grid of ``grid`` nodes over
-    [lo, hi], each bisected from endpoint values evaluated anew,
-    evaluating f at every midpoint."""
-    fx = [f(x) for x in uniform_grid(lo, hi, grid).tolist()]
-    roots = []
-    for a, b, _, _ in sign_change_brackets(fx, lo, hi, grid):
-        r = a if a == b else textbook_bisect(f, a, b, xtol=xtol, fab=(f(a), f(b)))
-        if not roots or abs(r - roots[-1]) > 4.0 * xtol:
-            roots.append(r)
-    return roots
-
-
-def reference_roots(problem, bracket, k, grid=512, tol=1e-12):
-    """Roots of delta_k from a scan that evaluates the scalar aim_delta at
-    every grid node and midpoint."""
-    lo, hi = bracket
-    xtol = tol * max(abs(lo), abs(hi), 1.0)
-    return bisected_roots(lambda e: aim_delta(problem, e, k), lo, hi, grid, xtol)
-
-
-def polynomial_roots(problem, bracket, k, grid=512, tol=1e-12):
-    """Roots of the scan's own delta_(k-1) and delta_k polynomials, found as
-    reference_roots finds those of aim_delta; each polynomial's values on
-    the whole grid at once must be its values node by node."""
-    lo, hi = bracket
-    xtol = tol * max(abs(lo), abs(hi), 1.0)
-    nodes = uniform_grid(lo, hi, grid)
-    out = []
-    for f in ptbound.aim._delta_polys(problem, lo, hi, k):
-        assert f(nodes).tolist() == [f(x) for x in nodes.tolist()]
-        out.append(bisected_roots(f, lo, hi, grid, xtol))
-    return out
 
 
 def criterion1_level(rng, n):
@@ -206,76 +166,6 @@ def criterion1_level(rng, n):
     par = spectral_params(pot, CTX, 0)
     above = par.k1(n - 1) if n else 0.0
     return pot, (0.5 * (par.k1(n) + par.k1(n + 1)), 0.5 * (par.k1(n) + above))
-
-
-class TestPolynomialScan:
-    """The scan evaluates delta_(k-1) and delta_k as polynomials in E from
-    one recurrence run: its roots are textbook bisection's of those
-    polynomials, bit for bit, and lie within 128 bisection tolerances of
-    the roots of the scalar aim_delta (29 the most over 1,815 levels of
-    the benchmark's aim_scan seeds 1-13, 201 and 202)."""
-
-    @staticmethod
-    def _check(prob, bracket, k, grid=512):
-        rep = aim_eigen_scan(prob, bracket, k, grid=grid)
-        shallow, deep = polynomial_roots(prob, bracket, k, grid)
-        assert [r.value for r in rep.roots] == deep
-        assert [r.residual for r in rep.roots] == [aim_delta(prob, r.value, k) for r in rep.roots]
-        assert set(shallow) <= set(rep.shallow_roots)
-        scalar = reference_roots(prob, bracket, k, grid)
-        xtol = 1e-12 * max(abs(bracket[0]), abs(bracket[1]), 1.0)
-        assert len(scalar) == len(deep)
-        assert all(abs(r - s) <= 128.0 * xtol for r, s in zip(deep, scalar))
-
-    @pytest.mark.parametrize("k", range(2, 10))
-    def test_matches_textbook_bisection(self, k):
-        rng = random.Random(7919 * k)
-        for _ in range(2):
-            pot, bracket = criterion1_level(rng, (k - 2) // 2)
-            self._check(pt_aim_problem(pot, CTX, 0, k), bracket, k)
-
-    def test_matches_textbook_bisection_hermite(self):
-        self._check(hermite_problem(3), (-0.5, 4.5), 3, grid=2001)
-
-    def test_node_on_root(self):
-        # Nodes within a few ulps of the n = 1 root, where delta_6 is
-        # rounding noise, so the scan's polynomial and the scalar
-        # aim_delta can give it opposite signs there: bisection must
-        # judge the bracket on the scan's own values.
-        k, c = 6, PAR.k1(1)
-        prob = pt_problem(k)
-        for i in range(-6, 7):
-            x = c + i * math.ulp(c)
-            assert uniform_grid(x - 1.0, x + 1.0, 3)[1] == x
-            rep = aim_eigen_scan(prob, (x - 1.0, x + 1.0), k, grid=3)
-            assert any(abs(r.value - c) <= 1e-12 * abs(c) for r in rep.roots), i
-
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    @given(
-        a=st.floats(-80.0, -5.0),
-        b=st.floats(0.1, 5.0),
-        alpha=st.floats(0.5, 2.0),
-        frac=st.floats(0.0, 1.0),
-        k=st.integers(2, 9),
-        branch=st.sampled_from(("paper", "regular")),
-    )
-    @settings(max_examples=300)
-    def test_polynomials_are_delta(self, a, b, alpha, frac, k, branch):
-        # Over a level's bracket each polynomial is aim_delta up to
-        # rounding: within 1e-12 of the two products delta cancels
-        # (8.9e-14 the worst of 3,000 random draws).
-        pot = PTPotential(a, b, alpha)
-        par = spectral_params(pot, CTX, 0, branch)
-        n = (k - 2) // 2
-        lo, hi = sorted((1.3 * par.k1(n) - 1.0, 0.7 * par.k1(n) + 1.0))
-        problem = pt_aim_problem(pot, CTX, 0, k, branch)
-        e = lo + frac * (hi - lo)
-        for j, f in zip((k - 1, k), ptbound.aim._delta_polys(problem, lo, hi, k)):
-            if j >= 2:
-                lam_prev, s_prev, _ = aim_iterate(problem, e, j - 1)
-                lam_cur, s_cur, delta = aim_iterate(problem, e, j)
-                scale = abs(lam_cur * s_prev) + abs(lam_prev * s_cur)
-                assert abs(f(e) - delta) <= 1e-12 * scale
 
 
 class TestKernelDigest:
@@ -321,7 +211,10 @@ class TestKernelDigest:
             for k in range(2, 10):
                 problem = pt_aim_problem(pot, CTX, 0, k)
                 polys = ptbound.aim._delta_polys(problem, es[0], es[-1], k)
-                values += [v for f in polys for v in f(es)]
+                values += [
+                    (e + problem.e_shift) / problem.e_scale * f(e)  # delta = t q
+                    for f in polys for e in es.tolist()
+                ]
         return cls._digest(values)
 
     @classmethod
@@ -337,7 +230,7 @@ class TestKernelDigest:
                 rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, k), (energies[4 + n], upper), k)
                 for r in rep.roots:
                     values += [r.value, r.residual, r.stability_gap, r.converged]
-                values += [len(rep.roots), *rep.shallow_roots, *rep.warnings]
+                values += [len(rep.roots), *rep.shallow_roots]
         return cls._digest(values)
 
     def test_iterate(self):
@@ -352,7 +245,7 @@ class TestKernelDigest:
 
     def test_scan_reports(self):
         assert self.scan_reports_digest() == (
-            "3a26e210389a5834d7eea6c0ea4d9507f5578f5ff25cc77b48e7db4785dea6ce"
+            "bc85488b0b381e82e325a605fc6bac518dfa644bf0c9c78645272072a4d2c6a8"
         )
 
 
@@ -411,10 +304,10 @@ def exact_scan_q(problem, lo, hi, k):
 
 
 class TestExactScanPolynomials:
-    """The scan's polynomials are t q(tau) with each coefficient of q the
-    correctly rounded double of the exact one, evaluated by Horner's rule
-    in the module's operation order: the scan's bits do not depend on
-    the platform's floating-point types."""
+    """The scan's polynomials are t q(tau), and its evaluators give q
+    with each coefficient the correctly rounded double of the exact one,
+    by Horner's rule in the module's operation order: the scan's bits do
+    not depend on the platform's floating-point types."""
 
     @staticmethod
     def _cases():
@@ -443,37 +336,145 @@ class TestExactScanPolynomials:
                     acc = 0.0
                     for c in coeffs:
                         acc = acc * (t - t_c) + c
-                    expected.append(t * acc)
-                assert f(es).tolist() == expected, (pot, k)
+                    expected.append(acc)
                 assert [f(e) for e in es.tolist()] == expected, (pot, k)
 
 
-# A child process that replaces numpy.longdouble with numpy.float64 before
-# anything imports ptbound, then runs the pinned scan digests and
-# criterion 1 (its floor check included).
-_FLOAT64_CHILD = """
-import sys
-import numpy
-numpy.longdouble = numpy.float64
-import pytest
-sys.exit(pytest.main(["-q", "-p", "no:cacheprovider", *sys.argv[1:]]))
-"""
+def _poly_divmod(p, d):
+    """Quotient and remainder of p by d, lowest power first, with no
+    zero top coefficient left in the remainder."""
+    p, quotient = list(p), [Fraction(0)] * max(len(p) - len(d) + 1, 1)
+    for i in range(len(p) - len(d), -1, -1):
+        quotient[i] = p[i + len(d) - 1] / d[-1]
+        for j, c in enumerate(d):
+            p[i + j] -= quotient[i] * c
+    rest = p[: len(d) - 1]
+    while rest and rest[-1] == 0:
+        rest.pop()
+    return quotient, rest
 
 
-def test_scan_bits_do_not_depend_on_numpys_long_double():
-    # numpy's long double is the plain double in MSVC and macOS arm64
-    # builds; with it so here, the pinned bits and criterion 1's floor hold.
-    tests = Path(__file__).resolve().parent
-    res = subprocess.run(
-        [sys.executable, "-c", _FLOAT64_CHILD,
-         "tests/test_aim.py::TestKernelDigest::test_delta_polys",
-         "tests/test_aim.py::TestKernelDigest::test_scan_reports",
-         "tests/test_aim.py::TestKernelDigest::test_iterate",
-         "tests/test_acceptance.py::TestCriterion1"],
-        cwd=tests.parent, capture_output=True, text=True, timeout=300,
+def _poly_value(p, x):
+    return sum(c * x**i for i, c in enumerate(p))
+
+
+def _derivative(p):
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def sturm_root_count(p, a, b):
+    """Distinct real roots on [a, b] of the nonzero polynomial p (lowest
+    power first, exact rationals): Sturm's theorem on p's squarefree
+    part, whose sign changes drop by one at each root, counted on (a, b],
+    with a root at a added."""
+    g, h = p, _derivative(p)
+    while h:
+        g, h = h, _poly_divmod(g, h)[1]
+    chain = [_poly_divmod(p, g)[0]]
+    chain.append(_derivative(chain[0]))
+    while chain[-1]:
+        chain.append([-c for c in _poly_divmod(chain[-2], chain[-1])[1]])
+
+    def changes(x):
+        signs = [v > 0 for v in (_poly_value(f, x) for f in chain) if v]
+        return sum(u != v for u, v in zip(signs, signs[1:]))
+
+    return changes(a) - changes(b) + (_poly_value(chain[0], a) == 0)
+
+
+class TestPolynomialScan:
+    """The scan's roots against exact rationals: the roots of delta_(k-1)
+    and delta_k it reports are as many as Sturm's theorem counts on the
+    exact t q(tau) over the bracket, and each lies within the bisection
+    tolerance of an exact sign change of delta, or is an exact zero."""
+
+    @staticmethod
+    def _check(prob, bracket, k):
+        lo, hi = bracket
+        rep = aim_eigen_scan(prob, bracket, k)
+        assert [r.residual for r in rep.roots] == [aim_delta(prob, r.value, k) for r in rep.roots]
+        xtol = Fraction(1e-12 * max(abs(lo), abs(hi), 1.0))
+        t_c = Fraction((0.5 * lo + 0.5 * hi + prob.e_shift) / prob.e_scale)
+
+        def tau(e):
+            return (Fraction(e) + Fraction(prob.e_shift)) / Fraction(prob.e_scale) - t_c
+
+        for roots, q in zip((rep.shallow_roots, [r.value for r in rep.roots]),
+                            exact_scan_q(prob, lo, hi, k)):
+            delta = _poly_mul([t_c, Fraction(1)], q)
+            assert len(roots) == sturm_root_count(delta, *sorted((tau(lo), tau(hi))))
+            for r in roots:
+                at, left, right = (
+                    _poly_value(delta, tau(Fraction(r) + d)) for d in (0, -xtol, xtol)
+                )
+                assert at == 0 or (left < 0) != (right < 0), r
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_matches_exact_roots(self, k):
+        rng = random.Random(7919 * k)
+        for _ in range(2):
+            pot, bracket = criterion1_level(rng, (k - 2) // 2)
+            self._check(pt_aim_problem(pot, CTX, 0, k), bracket, k)
+
+    def test_matches_exact_roots_hermite(self):
+        self._check(hermite_problem(3), (-0.5, 4.5), 3)
+
+    def test_root_on_a_split_point(self):
+        # The bracket's midpoint 2 is a root of q (t's zero, 0, lies
+        # outside, so the bracket is not split there first): found
+        # exactly where isolation halves the bracket.
+        rep = aim_eigen_scan(hermite_problem(3), (0.5, 3.5), 3)
+        values = [r.value for r in rep.roots]
+        assert values[1] == 2.0
+        assert values == pytest.approx([1.0, 2.0, 3.0], abs=3.5e-12)
+        self._check(hermite_problem(3), (0.5, 3.5), 3)
+
+    @pytest.mark.parametrize(
+        "p, found",
+        [
+            ([-1, 2], [(0.0, 1.0, (-1.0, 1.0))]),  # 2x - 1: one part holds it
+            ([1, -6, 8], [(0.5, 0.5, None), (0.0, 0.5, (1.0, -1.0))]),  # a root at the split point
+            ([0, 1, -1], [(1.0, 1.0, None), (0.0, 0.0, None)]),  # roots at both ends
+        ],
     )
-    assert res.returncode == 0, res.stdout[-3000:]
-    assert "4 passed" in res.stdout
+    def test_isolate(self, p, found):
+        assert sorted(ptbound.aim._isolate(p, 30), key=repr) == sorted(found, key=repr)
+
+    def test_double_root_stops_at_the_cap(self):
+        # (3x - 1)^2 counts two sign changes on every part that holds 1/3:
+        # the halving stops at depth cap, a part 2^-30 wide, with one root
+        # at its midpoint.
+        (found,) = ptbound.aim._isolate([1, -6, 9], 30)
+        x0, x1, fab = found
+        assert fab is None and x0 == x1 and abs(x0 - 1 / 3) < 2.0**-31
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @given(
+        a=st.floats(-80.0, -5.0),
+        b=st.floats(0.1, 5.0),
+        alpha=st.floats(0.5, 2.0),
+        frac=st.floats(0.0, 1.0),
+        k=st.integers(2, 9),
+        branch=st.sampled_from(("paper", "regular")),
+    )
+    @settings(max_examples=300)
+    def test_polynomials_are_delta(self, a, b, alpha, frac, k, branch):
+        # Over a level's bracket t times each polynomial is aim_delta up
+        # to rounding: within 1e-12 of the two products delta cancels
+        # (8.9e-14 the worst of 3,000 random draws).
+        pot = PTPotential(a, b, alpha)
+        par = spectral_params(pot, CTX, 0, branch)
+        n = (k - 2) // 2
+        lo, hi = sorted((1.3 * par.k1(n) - 1.0, 0.7 * par.k1(n) + 1.0))
+        problem = pt_aim_problem(pot, CTX, 0, k, branch)
+        e = lo + frac * (hi - lo)
+        t = (e + problem.e_shift) / problem.e_scale
+        for j, f in zip((k - 1, k), ptbound.aim._delta_polys(problem, lo, hi, k)):
+            if j >= 2:
+                lam_prev, s_prev, _ = aim_iterate(problem, e, j - 1)
+                lam_cur, s_cur, delta = aim_iterate(problem, e, j)
+                scale = abs(lam_cur * s_prev) + abs(lam_prev * s_cur)
+                assert abs(t * f(e) - delta) <= 1e-12 * scale
 
 
 class TestDeltaEvals:
@@ -484,7 +485,7 @@ class TestDeltaEvals:
         # One exact recurrence run (_delta_polys) gives the scan
         # polynomials, and one scalar pass (aim_delta's list recurrence)
         # per root gives its residual; every other value comes from the
-        # polynomials, on a grid or in a bisection.
+        # polynomials, in a bisection.
         runs, scalar_runs, residuals, bisected = [], [], [], []
         polys, scalar = ptbound.aim._delta_polys, ptbound.aim._scalar_recurrence
         delta, bisect = ptbound.aim.aim_delta, ptbound.aim.bisect
@@ -509,10 +510,8 @@ class TestDeltaEvals:
             assert rep.delta_evals == len(bisected) + len(rep.roots) > 0
 
     def test_scan_polynomials_count_their_single_energy_calls(self):
-        # Values on an array of energies, as on a scan grid, are not counted.
         lo, hi = -30.0, -1.0
         shallow, deep = ptbound.aim._delta_polys(pt_problem(3), lo, hi, 3)
-        deep(uniform_grid(lo, hi, 9))
         deep(lo)
         deep(0.5 * lo + 0.5 * hi)
         shallow(hi)
@@ -524,15 +523,16 @@ class TestDeltaEvals:
         assert dataclasses.replace(rep, delta_evals=0) == rep
 
 
-class TestFineRescan:
-    """Two delta_(k-1) roots in one scan cell make no sign change; the
-    grid around an unconverged root is then re-scanned finer."""
+class TestShallowRootPairs:
+    """Close delta_(k-1) root pairs, which a scan on a grid of values
+    missed: exact isolation finds both roots, so the level they grade
+    converges."""
 
-    # Depth 5 has a root pair (-64.5076, -64.4726) inside one 0.05-wide
-    # cell of the 512-node grid.
+    # Depth 5 has a root pair (-64.5076, -64.4726) 0.035 apart, inside
+    # one cell of a 512-node grid over the bracket.
     POT = PTPotential(A=-34.60422904704596, B=3.3898324336221726, alpha=0.8039863706786297)
 
-    def test_level_hidden_by_root_pair_converges(self):
+    def test_level_beside_root_pair_converges(self):
         par = spectral_params(self.POT, CTX, 0)
         bracket = (0.5 * (par.k1(2) + par.k1(3)), 0.5 * (par.k1(2) + par.k1(1)))
         rep = aim_eigen_scan(pt_aim_problem(self.POT, CTX, 0, 6), bracket, 6)
@@ -540,10 +540,9 @@ class TestFineRescan:
         assert len(stable) == 1
         assert abs(stable[0] - par.k1(2)) <= 1e-8 * abs(par.k1(2))
 
-    def test_root_pair_in_rescan_cell_converges(self):
+    def test_root_pair_on_the_level_converges(self):
         # Depth 3 has a root pair 9.2e-4 apart, one of them on the n = 1
-        # level, inside one 2.8e-3-wide cell of the re-scan; the level's
-        # own stability window holds one sign change (aim_scan seed 9).
+        # level (aim_scan seed 9).
         pot = PTPotential(A=-10.96063264973641, B=1.9935694823814056, alpha=1.6814612693305482)
         closed = spectral_params(pot, CTX, 0).k1(1)
         rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, 4), (-75.04880478893833, -29.1996492800036), 4)
@@ -552,13 +551,14 @@ class TestFineRescan:
 
 
 class TestRootPairInDeepCell:
-    """Known misses: when delta_k itself has a root pair inside one scan
-    cell, the deep scan sees no sign change, so there is no deep root to
-    grade or re-scan and the level goes unanswered."""
+    """Levels a scan on a grid of values left unanswered: delta_k itself
+    has a root pair inside one grid cell, which makes no sign change
+    there.  Exact isolation finds both roots."""
 
     # Two n = 1 levels at depth 4 with the benchmark's brackets (midpoints
     # to the neighbouring levels).  delta_4 roots: -141.2433 and -141.1913
-    # in a 0.183-wide cell; -103.1345 and -103.0590 in a 0.084-wide cell.
+    # in a 0.183-wide cell of a 512-node grid; -103.1345 and -103.0590 in
+    # a 0.084-wide cell.
     LEVELS = [
         (-57.782334629394924, 1.9166354813246282, 1.9723251639883461,
          (-195.84337064109445, -102.09957450191192)),
@@ -566,10 +566,6 @@ class TestRootPairInDeepCell:
          (-126.792496582679, -83.92994814349902)),
     ]
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="a delta_k root pair inside one scan cell hides the level from the deep scan",
-    )
     @pytest.mark.parametrize("a, b, alpha, bracket", LEVELS)
     def test_level_answered(self, a, b, alpha, bracket):
         pot = PTPotential(A=a, B=b, alpha=alpha)
@@ -584,7 +580,7 @@ class TestDepthThresholds:
     BRACKET = (-85.0, -73.0)  # isolates the n = 2 eigenvalue -79.2656892...
 
     def _roots_at(self, k):
-        rep = aim_eigen_scan(pt_problem(k), self.BRACKET, k, grid=600)
+        rep = aim_eigen_scan(pt_problem(k), self.BRACKET, k)
         return rep.roots
 
     def test_absent_below_threshold(self):
@@ -658,8 +654,8 @@ class TestScaleInvariance:
         # Documents the measured behaviour: at depth 2 with c = 3 the root
         # near -47.653 migrates to -46.320 while the ground root persists.
         base = pt_problem(2)
-        rep_b = aim_eigen_scan(base, (-55.0, -20.0), 2, grid=800)
-        rep_s = aim_eigen_scan(_scaled(base, 3.0), (-55.0, -20.0), 2, grid=800)
+        rep_b = aim_eigen_scan(base, (-55.0, -20.0), 2)
+        rep_s = aim_eigen_scan(_scaled(base, 3.0), (-55.0, -20.0), 2)
         base_vals = [r.value for r in rep_b.roots]
         scaled_vals = [r.value for r in rep_s.roots]
         assert any(abs(v - PAR.k1(1)) < 1e-6 for v in base_vals)
@@ -676,37 +672,23 @@ class TestScaleInvariance:
     )
     def test_root_sets_invariant_at_depth_two(self):
         base = pt_problem(2)
-        rep_s = aim_eigen_scan(_scaled(base, 3.0), (-48.2, -47.2), 2, grid=400)
+        rep_s = aim_eigen_scan(_scaled(base, 3.0), (-48.2, -47.2), 2)
         assert any(abs(r.value - PAR.k1(1)) < 1e-6 for r in rep_s.roots)
 
 
 class TestScanDiagnostics:
     def test_no_sign_change_gives_empty_report(self):
-        rep = aim_eigen_scan(pt_problem(2), (-5.0, -1.0), 2, grid=64)
+        rep = aim_eigen_scan(pt_problem(2), (-5.0, -1.0), 2)
         assert rep.roots == ()
         assert rep.shallow_roots == ()
 
     def test_hermite_scan_finds_integer_spectrum(self):
-        rep = aim_eigen_scan(hermite_problem(3), (-0.5, 4.5), 3, grid=2001)
+        rep = aim_eigen_scan(hermite_problem(3), (-0.5, 4.5), 3)
         vals = [r.value for r in rep.roots]
         assert len(vals) == 4
         for expect, got in zip((0.0, 1.0, 2.0, 3.0), vals):
             assert got == pytest.approx(expect, abs=1e-9)
-        assert rep.warnings == ()
-
-    def test_coarse_grid_warns(self):
-        # 6 sample points put one integer root in each cell: adjacent
-        # sign-changing cells must be flagged, each by its left node.
-        rep = aim_eigen_scan(hermite_problem(3), (-0.5, 4.5), 3, grid=6)
-        assert rep.warnings == tuple(
-            f"adjacent sign changes in scan cells {i - 1} and {i}; grid may be too coarse"
-            for i in (1, 2, 3)
-        )
-
-    def test_coarse_grid_can_merge_root_pairs(self):
-        # With 4 points, two roots share a cell and cancel the sign change.
-        rep = aim_eigen_scan(hermite_problem(3), (-0.5, 4.5), 3, grid=4)
-        assert len(rep.roots) < 4
+        assert vals[0] == 0.0  # t's zero, reported exactly
 
 
 class TestValidation:
@@ -790,31 +772,42 @@ class TestValidation:
             assert math.isfinite(f(0.0))
             with pytest.raises(OverflowRangeError, match="double range"):
                 f(1e300)
-            with pytest.raises(OverflowRangeError, match="double range"):
-                f(np.array([0.0, -1e300]))
-        # Values past the range on the grid (the first two brackets) or
-        # coefficients past it (the last two): the scan raises its own
-        # error, and no numpy warning comes before it.
-        for bracket in (-1e300, 1e300), (-1e200, 1e200), (1e150, 2e150), (1e300, 1.5e300):
-            with pytest.raises(OverflowRangeError, match="double range"):
+        # Values past the range in a root's residual (the first two
+        # brackets, whose roots lie within their tolerance, 1e288 and
+        # 1e188, of one another) or coefficients past it (the last two):
+        # the scan raises its own error, and no warning comes before it.
+        for bracket, message in (
+            ((-1e300, 1e300), "is nan"), ((-1e200, 1e200), "is nan"),
+            ((1e150, 2e150), "double range"), ((1e300, 1.5e300), "double range"),
+        ):
+            with pytest.raises(OverflowRangeError, match=message):
                 aim_eigen_scan(prob, bracket, 3)
 
     def test_scan_bracket_wider_than_the_double_range(self):
-        # hi - lo overflows, as uniform_grid allows: the scan still
-        # numbers its cells (once a bare ValueError from inf / inf).
+        # hi - lo overflows, and delta_2 = -c^3 t^3 has coefficients far
+        # below the smallest double (c = 1e-300): the exact polynomials
+        # still give the one root, E = 0, where doubles gave every point.
         prob = AimProblem((0.0, 0.0, 0.0), (1e-300, 0.0, 0.0))
         rep = aim_eigen_scan(prob, (-1e308, 1e308), 2)
-        assert all(math.isfinite(r.value) for r in rep.roots)
-        cells = [int(i) for w in rep.warnings for i in re.findall(r"\d+", w)]
-        assert cells and all(0 <= i < 512 for i in cells)
+        assert [r.value for r in rep.roots] == [0.0] and rep.shallow_roots == (0.0,)
+        assert rep.roots[0].converged and rep.roots[0].residual == 0.0
 
-    def test_scan_grid_t_past_the_range_raises_without_a_numpy_warning(self):
-        # t = (E + e_shift) / e_scale overflows on the grid: the package's
-        # error, with no RuntimeWarning before it (pyproject makes one an
-        # error, which used to escape in its place).
+    def test_scan_refuses_delta_zero_at_every_energy(self):
+        # s0 = 0 makes every delta_k vanish identically: no root is isolated.
+        prob = AimProblem((1.0, 0.5, 0.0), (0.0, 0.0, 0.0))
+        with pytest.raises(DomainError, match="vanishes at every E"):
+            aim_eigen_scan(prob, (-1.0, 1.0), 2)
+
+    def test_scan_t_past_the_range_raises(self):
+        # t = (E + e_shift) / e_scale overflows at the bracket's ends,
+        # where the exact polynomials in x need it: the package's error.
         prob = AimProblem((0.0, 0.0, 0.0), (-1.0, 0.0, 0.0), e_scale=1e-300)
         with pytest.raises(OverflowRangeError, match="double range"):
             aim_eigen_scan(prob, (-1e10, 1e10), 2)
+        # Within the range, a value where t overflows raises as well.
+        for f in ptbound.aim._delta_polys(prob, -1e-290, 1e-290, 2):
+            with pytest.raises(OverflowRangeError, match="double range"):
+                f(1e10)
 
 
 class TestProblemIdentity:
@@ -892,11 +885,10 @@ class TestProperties:
         lo=st.one_of(st.floats(min_value=-1e14, max_value=0.0), S.NONFINITE),
         width=st.one_of(st.floats(min_value=-1.0, max_value=1e14), S.NONFINITE),
         k=S.aim_depths,
-        grid=st.integers(min_value=-1, max_value=64),
     )
     @settings(max_examples=200)
-    def test_scan(self, problem, lo, width, k, grid):
-        report = S.finite_or_ptbound_error(aim_eigen_scan, problem, (lo, lo + width), k, grid=grid)
+    def test_scan(self, problem, lo, width, k):
+        report = S.finite_or_ptbound_error(aim_eigen_scan, problem, (lo, lo + width), k)
         if report is not None:
             assert all(math.isfinite(v) for v in report.shallow_roots)
             for root in report.roots:

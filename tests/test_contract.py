@@ -49,7 +49,7 @@ CONTRACT = {
     "AimProblem": dict(lambda0=AIM.lambda0, s0=AIM.s0, e_shift=0.0, e_scale=1.0),
     "aim_delta": dict(problem=AIM, e=-5.0, k=3),
     "aim_iterate": dict(problem=AIM, e=-5.0, k=3),
-    "aim_eigen_scan": dict(problem=AIM, bracket=(-30.0, -1.0), k=3, grid=64),
+    "aim_eigen_scan": dict(problem=AIM, bracket=(-30.0, -1.0), k=3),
     "DiracContext": dict(M=20.0, kappa=2, n=0, c_shift=0.0, hbar_c=1.0),
     "nr_limit_energy": dict(mu=1.0, pot=DPOT, n=0, l=0),
     "plain_params": dict(e=3.0, ctx=DCTX, pot=DPOT),

@@ -111,15 +111,14 @@ def _numpy_lines(tree) -> list[int]:
     ]
 
 
-def test_numpy_only_in_the_scan_evaluators_array_branch():
-    """The Taylor products stay off numpy, and with it off BLAS and the
-    platform's long double: jets and schrodinger never name numpy, and
-    aim names it only in the array branch of the scan's evaluator (delta
-    in _delta_polys), whose recurrence runs on Python ints, and names
-    neither longdouble nor convolve.  This holds the platform independence
-    of the aim-verify bytes where the OpenBLAS kernel test skips."""
+def test_aim_jets_and_schrodinger_name_no_numpy():
+    """The Taylor products and the scan's exact polynomials stay off
+    numpy, and with it off BLAS and the platform's long double: aim,
+    jets and schrodinger never import or name numpy.  This holds the
+    platform independence of the aim-verify bytes where the OpenBLAS
+    kernel test skips."""
     package = Path(ptbound.__file__).parent
-    for name in ("jets.py", "schrodinger.py"):
+    for name in ("aim.py", "jets.py", "schrodinger.py"):
         tree = ast.parse((package / name).read_text(encoding="utf-8"))
         imported = [
             alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
@@ -127,19 +126,6 @@ def test_numpy_only_in_the_scan_evaluators_array_branch():
         ] + [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
         assert not any(str(m).split(".")[0] == "numpy" for m in imported), name
         assert _numpy_lines(tree) == [], name
-    text = (package / "aim.py").read_text(encoding="utf-8")
-    assert "longdouble" not in text and "convolve" not in text
-    tree = ast.parse(text)
-    (scan,) = [
-        node for node in tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "_delta_polys"
-    ]
-    (evaluator,) = [
-        node for node in ast.walk(scan) if isinstance(node, ast.FunctionDef) and node.name == "delta"
-    ]
-    branch = next(node for node in evaluator.body if isinstance(node, ast.If))  # float or array
-    array_branch = ast.Module(body=branch.orelse, type_ignores=[])
-    assert _numpy_lines(tree) == _numpy_lines(array_branch) != []
 
 
 SETTABLE_MODULES = (
@@ -194,7 +180,6 @@ def test_settable_surface():
         "dirac.solve_levels": ("bracket", "tol"),
         "dirac.special_case_residual": ("alpha", "a", "b", "eta", "hbar_c"),
         "aim.AimProblem": ("e_shift", "e_scale"),
-        "aim.aim_eigen_scan": ("grid",),
         "oracle.RadialProblem": ("npts", "origin_w0", "origin_w2"),
         "oracle.finite_difference": ("order", "h"),
         "oracle.harmonic_problem": ("omega", "npts"),
@@ -222,7 +207,7 @@ def test_result_fields():
     one-line change here."""
     assert {name: field_names(getattr(ptbound, name)) for name in RESULT_RECORDS} == {
         "AimRoot": ("value", "residual", "stability_gap", "converged"),
-        "AimScanReport": ("roots", "shallow_roots", "warnings", "delta_evals"),
+        "AimScanReport": ("roots", "shallow_roots", "delta_evals"),
         "ShootResult": ("value", "npts", "refinements", "passes", "gaps", "points"),
         "RelativisticRoot": ("E", "residual", "flags"),
         "SymmetryParams": ("a3", "b3", "k3", "gamma2", "beta2"),
