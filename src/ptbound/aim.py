@@ -30,21 +30,22 @@ two fixed coefficient tuples and two numbers, and
 Every lambda_j and s_j coefficient is therefore an exact polynomial in t,
 and s_j is t times one, so delta_k = t q_k(t) with q_k of degree at most
 k (Ciftci, Hall and Saad, J. Phys. A 36, 11807 (2003), treat delta_k as
-a function of E the same way).  ``aim_delta`` runs the recurrence at one
-E on plain lists of Python floats, each Cauchy product summed in one
-fixed order (ascending in lambda0's and s0's index, as in ``jets``), so
-its bits do not depend on the machine's BLAS kernel: it is the public
-evaluator and the reference.  ``aim_eigen_scan`` runs the recurrence
-once per scan, exactly, on coefficients in powers of tau = t - t_c
-about the bracket's midpoint t_c, carrying s_j / t, so that delta_k is
-exactly 0 where s0 vanishes.  Its roots are t's zero and those of the
-integer q_k, isolated exactly by Descartes' rule of signs and bisected
-on Horner's rule over q_k's coefficients, each rounded to a double once,
-on every platform alike.  On 585 levels of the benchmark's aim_scan
-workload (seeds 1-3, 201 and 205, 30 rounds each) the worst root lies
-4.0e-12 from the closed form, against 2.8e-11 with the recurrence in
-doubles; plain powers of t round worse still.  Those Horner values
-differ from aim_delta's by rounding; a root's residual is aim_delta's.
+a function of E the same way).  One recurrence, on Python ints, gives
+every value: the inputs are doubles, so integers over one power of two,
+and it runs on coefficients in powers of tau = t - t_c about a double
+t_c, carrying s_j / t, so that delta_k is exactly 0 where s0 vanishes.
+``aim_iterate`` runs it at tau = 0, t_c the double t of one E, and
+rounds lambda_k, s_k and delta_k to doubles once each (an int / int
+quotient, which CPython rounds correctly), the same on every platform.
+``aim_eigen_scan`` runs it once per scan, about the bracket's midpoint.
+Its roots are t's zero and those of the integer q_k, isolated exactly by
+Descartes' rule of signs and bisected on Horner's rule over q_k's
+coefficients, each rounded to a double once.  On 585 levels of the
+benchmark's aim_scan workload (seeds 1-3, 201 and 205, 30 rounds each)
+the worst root lies 4.0e-12 from the closed form, against 2.8e-11 with
+the recurrence in doubles; plain powers of t round worse still.  A
+root's residual is the exact delta_k at the root, t q_k(tau) on the
+scan's integers rounded once: bit for bit ``aim_delta`` there.
 
 Roots of delta_k that correspond to true terminating solutions stay put
 as the depth changes; spurious roots drift.  ``aim_eigen_scan``
@@ -144,28 +145,45 @@ class AimScanReport:
         return [r.value for r in self.roots if r.converged]
 
 
-def _scalar_recurrence(lam0, s0, k: int) -> tuple[float, float, float, float]:
-    """lambda_(k-1), s_(k-1), lambda_k and s_k at x0 from k recurrence
-    steps on sequences of Python floats holding the k + 1 orders delta_k
-    reads; each step drops the top order, which its derivative leaves
-    inexact, so state j carries orders 0..k - j.
-    Coefficient i of each Cauchy product is summed from 0.0 as
-    acc += lam0[p] * lam[i - p] (s0[p] for s's) for p = 0..i in ascending
-    order, so its bits do not depend on the machine, and the next state's
-    coefficient i is (i + 1) lam[i + 1] + s[i] + acc, and
-    (i + 1) s[i + 1] + acc for s."""
-    lam, s = prev_lam, prev_s = lam0, s0
+def _recurrence(problem: AimProblem, t: float, k: int, powers: bool):
+    """k exact steps of the recurrence with s0(E) = s0 (t + tau), on
+    Python ints: (shift, t_int, heads), heads[j] the order-0 coefficients
+    (the values at x0) of lambda_j and s_j / t, each a list over the
+    power of tau, times 2^(shift (j + 1)).
+
+    The inputs (orders 0..k of lambda0 and s0, and t) are doubles, so
+    integers over 2^shift, the largest of their denominators; t_int is t
+    times 2^shift, and each step multiplies the denominator by 2^shift.
+    With powers false only the tau^0 column is carried: there only
+    column 0 feeds column 0, so heads[j] is lambda_j and s_j / t at t.
+    """
+    ratios = [x.as_integer_ratio() for x in (t, *problem.lambda0[: k + 1], *problem.s0[: k + 1])]
+    shift = max(d.bit_length() for _, d in ratios) - 1
+    t_int, *inputs = (n << shift + 1 - d.bit_length() for n, d in ratios)
+    lam0, s0 = inputs[: k + 1], inputs[k + 1 :]
+    # The states: lists over the power of tau, to degrees ceil(j/2) and
+    # floor(j/2), of Taylor orders.
+    lam, s = [lam0], [s0]
+    heads = [([lam0[0]], [s0[0]])]
     for m in range(k, 0, -1):
+        zero = [0] * (m + 1)
         new_lam, new_s = [], []
-        for i in range(m):
-            acc_lam = acc_s = 0.0
-            for a, b, x in zip(lam0, s0, lam[i::-1]):
-                acc_lam += a * x
-                acc_s += b * x
-            new_lam.append((i + 1) * lam[i + 1] + s[i] + acc_lam)
-            new_s.append((i + 1) * s[i + 1] + acc_s)
-        prev_lam, prev_s, lam, s = lam, s, new_lam, new_s
-    return prev_lam[0], prev_s[0], lam[0], s[0]
+        for x, below, y in zip(lam, [zero, *s], s + [zero]):
+            lam_col, s_col = [], []
+            for i in range(m):
+                tail = x[i::-1]
+                lam_col.append(
+                    ((i + 1) * x[i + 1] + below[i] << shift) + t_int * y[i]
+                    + sum(map(mul, lam0, tail))
+                )
+                s_col.append(((i + 1) * y[i + 1] << shift) + sum(map(mul, s0, tail)))
+            new_lam.append(lam_col)
+            new_s.append(s_col)
+        if powers and len(lam) == len(s):  # j even: tau s_j alone gives the top power
+            new_lam.append([y << shift for y in s[-1][:m]])
+        lam, s = new_lam, new_s
+        heads.append(([x[0] for x in lam], [y[0] for y in s]))
+    return shift, t_int, heads
 
 
 def _check_depth(problem: AimProblem, k: int, minimum: int = 1) -> int:
@@ -182,17 +200,26 @@ def _check_depth(problem: AimProblem, k: int, minimum: int = 1) -> int:
 def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, float]:
     """Run k recurrence steps; return (lambda_k, s_k, delta_k) at x0.
 
-    E must be finite, and a delta_k beyond the double range raises
-    OverflowRangeError rather than coming back as inf or NaN.
+    The recurrence runs exactly on the double t of E, and each value is
+    rounded to a double once.  E must be finite; a t or a value beyond
+    the double range raises OverflowRangeError.
     """
     k = _check_depth(problem, k)
     t = (require_finite(e, "energy") + problem.e_shift) / problem.e_scale
-    s0 = [c * t for c in problem.s0[: k + 1]]
-    prev_lam, prev_s, lam, s = _scalar_recurrence(problem.lambda0[: k + 1], s0, k)
-    delta = lam * prev_s - prev_lam * s
-    if not math.isfinite(delta):
-        raise OverflowRangeError(f"delta_{k} at E={e!r} is {delta!r}")
-    return lam, s, delta
+    if not math.isfinite(t):
+        raise OverflowRangeError(f"t = (E + e_shift) / e_scale at E={e!r} is past the double range")
+    shift, t_int, heads = _recurrence(problem, t, k, powers=False)
+    ((prev_lam,), (prev_s,)), ((lam,), (s,)) = heads[-2:]
+    try:
+        return (
+            lam / (1 << shift * (k + 1)),
+            t_int * s / (1 << shift * (k + 2)),
+            t_int * (lam * prev_s - prev_lam * s) / (1 << shift * (2 * k + 2)),
+        )
+    except OverflowError:
+        raise OverflowRangeError(
+            f"lambda_{k}, s_{k} or delta_{k} at E={e!r} is past the double range"
+        ) from None
 
 
 def aim_delta(problem: AimProblem, e: float, k: int) -> float:
@@ -246,15 +273,14 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
     recurrence run, each as a function of one E that evaluates q by
     Horner's rule on its coefficients rounded to doubles.
 
-    tau = t - t_c, with t_c the t of the bracket's midpoint.  The inputs
-    (orders 0..k of lambda0 and s0, and t_c) are doubles, so integers
-    over 2^shift, the largest of their denominators; each step multiplies
-    the denominator by 2^shift, and q's double coefficients are int / int
-    quotients, which CPython rounds correctly.  A t at the bracket's ends
-    or midpoint, a coefficient or a value beyond the double range raises
-    OverflowRangeError.  Each function counts its calls in ``calls``; its
-    ``roots(xtol)`` gives t's zero, if on [lo, hi], and the real roots of
-    the exact q, isolated on either side of it, then bisected to xtol.
+    tau = t - t_c, with t_c the t of the bracket's midpoint.  q's double
+    coefficients are int / int quotients, which CPython rounds correctly.
+    A t at the bracket's ends or midpoint, a coefficient or a value beyond
+    the double range raises OverflowRangeError.  Each function counts its
+    calls in ``calls``; its ``delta(e)`` gives t q at one E on the exact
+    integers, rounded once; its ``roots(xtol)`` gives t's zero, if on
+    [lo, hi], and the real roots of the exact q, isolated on either side
+    of it, then bisected to xtol.
     """
     e_shift, e_scale = problem.e_shift, problem.e_scale
     t_c = (0.5 * lo + 0.5 * hi + e_shift) / e_scale
@@ -262,32 +288,7 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
     past_range = f"on [{lo!r}, {hi!r}] is past the double range"
     if not all(map(math.isfinite, (t_c, (lo + e_shift) / e_scale, (hi + e_shift) / e_scale))):
         raise OverflowRangeError(f"delta_{k} {past_range}")
-    ratios = [x.as_integer_ratio() for x in (t_c, *problem.lambda0[: k + 1], *problem.s0[: k + 1])]
-    shift = max(d.bit_length() for _, d in ratios) - 1
-    t_c_int, *inputs = (n << shift + 1 - d.bit_length() for n, d in ratios)
-    lam0, s0 = inputs[: k + 1], inputs[k + 1 :]
-    # The states lambda_j and s_j / t times 2^(shift (j + 1)): lists over the
-    # power of tau, to degrees ceil(j/2) and floor(j/2), of Taylor orders.
-    lam, s = [lam0], [s0]
-    heads = [([lam0[0]], [s0[0]])]  # each state's order 0, the value at x0
-    for m in range(k, 0, -1):
-        zero = [0] * (m + 1)
-        new_lam, new_s = [], []
-        for x, below, y in zip(lam, [zero, *s], s + [zero]):
-            lam_col, s_col = [], []
-            for i in range(m):
-                tail = x[i::-1]
-                lam_col.append(
-                    ((i + 1) * x[i + 1] + below[i] << shift) + t_c_int * y[i]
-                    + sum(map(mul, lam0, tail))
-                )
-                s_col.append(((i + 1) * y[i + 1] << shift) + sum(map(mul, s0, tail)))
-            new_lam.append(lam_col)
-            new_s.append(s_col)
-        if len(lam) == len(s):  # j even: tau s_j alone gives the top power
-            new_lam.append([y << shift for y in s[-1][:m]])
-        lam, s = new_lam, new_s
-        heads.append(([x[0] for x in lam], [y[0] for y in s]))
+    shift, t_c_int, heads = _recurrence(problem, t_c, k, powers=True)
 
     def polynomial(j, prev, cur):
         denominator = 1 << shift * (2 * j + 1)  # that of both products
@@ -310,6 +311,21 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
             if not math.isfinite(acc):
                 raise OverflowRangeError(f"delta_{j} {past_range}")
             return acc
+
+        def delta(e):
+            # t q(tau) at E on the exact integers, rounded once, with
+            # tau = tau_n / den and den^n the scale of Horner's terms.
+            t_n, t_d = ((e + e_shift) / e_scale).as_integer_ratio()
+            den = max(t_d, 1 << shift)
+            tau_n = t_n * (den // t_d) - t_c_int * (den >> shift)
+            acc, scale = wide[-1], 1
+            for w in wide[-2::-1]:
+                scale *= den
+                acc = acc * tau_n + w * scale
+            try:
+                return t_n * acc / (t_d * scale * denominator)
+            except OverflowError:
+                raise OverflowRangeError(f"delta_{j} {past_range}") from None
 
         def roots(xtol):
             if not any(wide):
@@ -336,6 +352,7 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
             return sorted(found)
 
         q.calls = 0
+        q.delta = delta
         q.roots = roots
         return q
 
@@ -362,7 +379,7 @@ def aim_eigen_scan(problem: AimProblem, bracket: tuple[float, float], k: int) ->
     graded = []
     for r in deep:
         gap = min((abs(r - s) for s in shallow), default=math.inf)
-        graded.append(AimRoot(value=r, residual=aim_delta(problem, r, k), stability_gap=gap,
+        graded.append(AimRoot(value=r, residual=deep_q.delta(r), stability_gap=gap,
                               converged=gap <= STABILITY_TOL * max(1.0, abs(r))))
     return AimScanReport(
         roots=tuple(graded),

@@ -130,7 +130,7 @@ def partition_sum(ctx: ThermoContext, beta: float, n_max: int) -> float:
         worst = ratio * ratio
     if not worst <= _EXP_MAX:
         raise OverflowRangeError(
-            f"largest term exponent {worst:.1f} exceeds the floating range"
+            f"largest term exponent {worst:.3e} exceeds the floating range"
         )
     try:
         return math.fsum(math.exp(((n - ctx.zeta) / gamma) ** 2) for n in range(n_max + 1))

@@ -528,7 +528,7 @@ class TestGoldenOutput:
         "fig/fig_thermo_vs_beta.csv": "56df553e6100ef415a9198f8490d88d2a8a148eb8aa658036cf484c6122a301e",
         "fig/fig_thermo_vs_zeta.csv": "08574cf29eb3ed53528b8212bca6dbfcc603cbf399b8fe944e58d4bd29bb1b3c",
         "oracle_check.csv": "6edf3c8a9142c63baccd5b357abbe1687f0cf4e498328189e791cdb7dd513476",
-        "aim_verify.csv": "83eb60d2f0a7ce0d53b2b1c5ca8cbb9f202c073ed28cf9871bec1a0ef2c948b0",
+        "aim_verify.csv": "da26a43e6ee67e6873ce2861b7a482c9707a3cbfbde6a6bcaed8e41c3a1c858c",
     }
 
     def test_default_output_digests(self, runner, tmp_path):

@@ -11,6 +11,8 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ptbound import oracle
 from ptbound.errors import ConvergenceError, DomainError, NodeCountError, OverflowRangeError
@@ -59,6 +61,35 @@ class TestQuadrature:
         fine = integrate_adaptive(folded, 0.0, 1.0 - 1e-9, tol=1e-12)
         assert fine == pytest.approx(0.25, rel=1e-10)
         assert abs(coarse - fine) < 1e-7
+
+    def test_gaussian_peak(self):
+        # Five samples of [0, 40] all miss this peak (a single Simpson
+        # panel returned 1.149e-195); the 32 starting panels do not.
+        val = integrate_adaptive(lambda r: math.exp(-50.0 * (r - 3.0) ** 2), 0.0, 40.0, tol=1e-12)
+        assert val == pytest.approx(math.sqrt(math.pi / 50.0), abs=1e-11)
+
+    @given(
+        a=st.floats(-100.0, 100.0),
+        length=st.floats(0.01, 1000.0),
+        panels=st.floats(1.0, 32.0),
+        frac=st.floats(0.0, 1.0),
+        rel_tol=st.floats(1e-12, 1e-4),
+    )
+    @settings(max_examples=200)
+    def test_peak_a_panel_wide_is_resolved(self, a, length, panels, frac, rel_tol):
+        # The docstring's promise: a Gaussian peak at least one of the 32
+        # starting panels wide, centred anywhere in [a, b], integrates to
+        # within 10 tol, or the quadrature raises; it is never missed.
+        b = a + length
+        w = (b - a) / 32.0 * panels
+        c = min(a + frac * (b - a), b)
+        tol = rel_tol * w
+        exact = 0.5 * SQRT_PI * w * (math.erf((b - c) / w) - math.erf((a - c) / w))
+        try:
+            val = integrate_adaptive(lambda x: math.exp(-(((x - c) / w) ** 2)), a, b, tol=tol)
+        except ConvergenceError:
+            return
+        assert abs(val - exact) <= 10.0 * tol
 
     def test_depth_exhaustion_carries_estimate(self):
         with pytest.raises(ConvergenceError) as exc:

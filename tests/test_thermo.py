@@ -92,6 +92,13 @@ class TestPartitionSum:
         with pytest.raises(OverflowRangeError, match="exponent inf"):
             partition_sum(ThermoContext(1e160, 1.0), 1.0, 3)
 
+    def test_overflow_message_prints_the_exponent_in_exponent_form(self):
+        # In fixed point the exponent 1e300 took 303 characters, and the
+        # message 351.
+        with pytest.raises(OverflowRangeError) as exc:
+            partition_sum(ThermoContext(1e300, 1.0), 1e-300, 3)
+        assert str(exc.value) == "largest term exponent 1.000e+300 exceeds the floating range"
+
     def test_integer_valued_ladder_top(self):
         ctx = ThermoContext(zeta=5.0, tau=1.0)
         assert partition_sum(ctx, 0.1, 2.0) == partition_sum(ctx, 0.1, 2)
