@@ -132,12 +132,14 @@ def finite_difference(
     error estimate is the difference between the last two extrapolation
     stages, a usually-pessimistic bound on the truncation error.  An f
     that is not finite at a stencil point raises DomainError naming the
-    point; a value or estimate past the double range raises
-    OverflowRangeError.
+    point; a value or estimate past the double range, or an order-2
+    step whose square is, raises OverflowRangeError.
     """
     require_choice(order, (1, 2), "derivative order")
     require_positive(h, "step h")
     require_finite(x, "x")
+    if order == 2 and h * h == math.inf:
+        raise OverflowRangeError(f"step h={h!r} squared exceeds the double range")
     if math.ldexp(h, 1 - RICHARDSON_LEVELS) ** order == 0.0:
         raise DomainError(f"step h={h!r} underflows to 0 over {RICHARDSON_LEVELS} halving levels")
     within_range(abs(x) + h, "x +- h")
@@ -268,10 +270,10 @@ def _numerov_outward(wvals, h, q, s_exp, r_min, kappa, w0=0.0, w2=0.0):
     return nodes, du + kappa * u_cur
 
 
-# The squeeze stops once the shot record's window is at most this many
-# bisection tolerances wide.
+# Brent's method on the tail mismatch stops once the shot record's window
+# is at most this many bisection tolerances wide.
 _SQUEEZE_XTOLS = 0.25
-# A Newton step from the guess longer than this many bisection
+# A Newton step from the first shot longer than this many bisection
 # tolerances is corrected by a secant through the mesh's own two shots.
 _NEWTON_XTOLS = 4.0
 # The coarser of the two rungs under the first mesh keeps at least this
@@ -376,47 +378,84 @@ def _zeroin(f, a, fa, b, fb, tol):
             d = e = b - a
 
 
+def _replay(lo, hi, xtol, below, above):
+    """Replay the bisection of [lo, hi] down to xtol, taking every
+    midpoint <= below as below the level and every one >= above as above
+    it; return (a, b, mid), the cell reached and the first midpoint left
+    undecided (None once the cell is the final one).
+
+    A mesh's value is the midpoint of the final cell, and the cell ends
+    the bisection can visit are a fixed lattice, so a shot on it answers
+    a midpoint exactly as the bisection would.  With below = above = q
+    the replay reaches the final cell that holds q.
+    """
+    a, b = lo, hi
+    while b - a > xtol:
+        mid = 0.5 * (a + b)
+        if mid == a or mid == b:
+            break
+        if mid <= below:
+            a = mid
+        elif mid >= above:
+            b = mid
+        else:
+            return a, b, mid
+    return a, b, None
+
+
 def _predict(mismatch, guess, slope, lo, hi, xtol):
-    """The level a Newton step from the guess on the mismatch slope
-    predicts, corrected by a secant through both shots where the step is
-    longer than _NEWTON_XTOLS xtol; None where a trial falls outside
-    (lo, hi) or has no mismatch, or the slope is 0.  mismatch(q) shoots
-    q and returns its mismatch."""
+    """The level a Newton step on the mismatch slope predicts from a shot
+    at the lattice point nearest the guess, corrected by a secant through
+    a second shot, at the lattice point nearest the step's end, where
+    the step is longer than _NEWTON_XTOLS xtol; None where the guess or
+    the prediction falls outside (lo, hi), a shot has no mismatch, or
+    the slope is 0.  mismatch(q) shoots q and returns its mismatch."""
+
+    def nearest(q):
+        a, b, _ = _replay(lo, hi, xtol, q, q)
+        return a if q - a <= b - q else b
+
     if not lo < guess < hi:
         return None
-    m0 = mismatch(guess)
+    q0 = nearest(guess)
+    m0 = mismatch(q0)
     if m0 is None or slope == 0.0:
         return None
-    q = guess - m0 / slope
-    if lo < q < hi and abs(q - guess) > _NEWTON_XTOLS * xtol:
-        m1 = mismatch(q)
+    q = q0 - m0 / slope
+    if lo < q < hi and abs(q - q0) > _NEWTON_XTOLS * xtol:
+        q1 = nearest(q)
+        m1 = mismatch(q1)
         if m1 is None or m1 == m0:
             return None
-        q -= m1 * (q - guess) / (m1 - m0)
+        q = q1 - m1 * (q1 - q0) / (m1 - m0)
     return q if lo < q < hi else None
 
 
 def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, tally, guess=None, slope=None):
-    """Bisect the level's predicate over [lo, hi] on the mesh that wvals
-    spans (w at each point, from _mesh_w, or every s-th of them for a
-    coarse rung); return (value, slope).  Each Numerov pass adds 1 to
+    """Bisect the level's predicate over [lo, hi] to xtol on the mesh that
+    wvals spans (w at each point, from _mesh_w, or every s-th of them for
+    a coarse rung); return (value, slope), the value being the midpoint
+    of the bisection's final cell.  Each Numerov pass adds 1 to
     tally["passes"] and its len(wvals) steps to tally["points"].
 
     The slope is dm/dq of the tail mismatch m through the two shots that
     straddle the level at the end, or None when either has no mismatch.
-    Given the value and slope of the mesh before in the level's chain as
-    guess and slope (the slope moves only at O(h^4) between meshes), the
-    guess is shot first and the level _predict takes from it is shot a
-    tenth of xtol to each side.  Every shot goes into one record: the
-    highest q found below the level and the lowest found above it, with
-    their mismatches.  The ends lo and hi are checked against that
-    record, which costs no pass where the shots already straddle the
-    level.  Brent's method on the tail mismatch then shrinks the
-    record's window around the level to a fraction of xtol, so the
-    bisection of [lo, hi] answers nearly every midpoint from the record.
-    For a monotone predicate the record answers each midpoint as a shot
-    would, so the value is the same whatever the guess and slope: they
-    only choose which q are shot.
+    Every shot goes into one record: the highest q found below the level
+    and the lowest found above it, with their mismatches.  Given the
+    guess of the level's chain and the slope of the mesh before (the
+    slope moves only at O(h^4) between meshes), the mesh first shoots
+    the cell end of the bisection's lattice nearest the guess and a
+    Newton step from it (_predict), then those ends of the predicted
+    level's final cell that the record does not decide: where the guess
+    lies in the level's own cell that is 2 passes.  The ends lo and hi
+    are checked against the record, which costs no pass where the shots
+    already straddle the level.  Brent's method on the tail mismatch
+    then shrinks the record's window until it decides every midpoint of
+    the bisection (a midpoint it leaves undecided is shot once the
+    window is _SQUEEZE_XTOLS xtol wide, or while an end has no
+    mismatch).  For a monotone predicate the record answers each
+    midpoint as a shot would, so the value is the same whatever the
+    guess and slope: they only choose which q are shot.
     """
     h = (problem.r_cut - problem.r_min) / (len(wvals) - 1)
     w_end = wvals[-1]
@@ -469,42 +508,48 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, tally, guess=None, slope=Non
             return None
         return mismatch_above if above(q) else mismatch_below
 
+    def undecided():
+        return _replay(lo, hi, xtol, known_below, known_above)[2]
+
+    def squeeze(q):
+        """mismatch(q) while the record leaves a midpoint undecided."""
+        return None if undecided() is None else mismatch(q)
+
     if guess is not None and slope is not None:
         predicted = _predict(mismatch, guess, slope, lo, hi, xtol)
         if predicted is not None:
-            for q in (predicted - 0.1 * xtol, predicted + 0.1 * xtol):
-                if lo < q < hi:
-                    above(q)
+            a, b, _ = _replay(lo, hi, xtol, predicted, predicted)
+            above(a)
+            above(b)
     if above(lo):
         raise NodeCountError(f"lower bracket edge {lo!r} already lies above level n={n}")
     if not above(hi):
         raise NodeCountError(f"upper bracket edge {hi!r} still lies below level n={n}")
-    # Squeeze the window: zeroin on the ends' mismatches, halving while
-    # one of them has none.
     squeezed = _SQUEEZE_XTOLS * xtol
-    while known_above - known_below > squeezed:
+    while (mid := undecided()) is not None:
         if mismatch_below is not None and mismatch_above is not None:
-            _zeroin(mismatch, known_below, mismatch_below, known_above, mismatch_above,
-                     0.5 * squeezed)
-            if known_above - known_below <= squeezed:
+            _zeroin(squeeze, known_below, mismatch_below, known_above, mismatch_above,
+                    0.5 * squeezed)
+            if (mid := undecided()) is None:
                 break
-        mid = 0.5 * (known_below + known_above)
-        if not known_below < mid < known_above:
-            break
         above(mid)
-    a, b = lo, hi
-    while b - a > xtol:
-        mid = 0.5 * (a + b)
-        if mid == a or mid == b:
-            break
-        if above(mid):
-            b = mid
-        else:
-            a = mid
+    a, b, _ = _replay(lo, hi, xtol, known_below, known_above)
     slope = None
     if mismatch_below is not None and mismatch_above is not None:
         slope = (mismatch_above - mismatch_below) / (known_above - known_below)
     return 0.5 * (a + b), slope
+
+
+def _guess(chain, intervals):
+    """The value of a mesh with this many intervals that v(h) = v* + C h^4,
+    h = 1/intervals, predicts through the last two (intervals, value)
+    pairs of the chain; the last value where the chain has one mesh or
+    the prediction is not finite, and None where it has none."""
+    if len(chain) < 2:
+        return chain[-1][1] if chain else None
+    (coarse, v1), (fine, v2) = chain[-2:]
+    guess = v2 + (v1 - v2) * ((fine / intervals) ** 4 - 1.0) / ((fine / coarse) ** 4 - 1.0)
+    return guess if math.isfinite(guess) else v2
 
 
 def shoot_eigenvalue(
@@ -518,32 +563,37 @@ def shoot_eigenvalue(
     """Eigenvalue q of level n (n radial nodes) by outward shooting.
 
     Bisects the node-count/tail-sign predicate on each mesh of one
-    chain, then halves the step until two successive meshes agree to
-    tol (scaled by the eigenvalue magnitude).  The chain runs from two
+    chain, then halves the step until two successive meshes agree to tol
+    (scaled by the eigenvalue magnitude).  The chain runs from two
     coarse rungs through the first mesh to its refinements.  The rungs
     are every 2s-th and every s-th point of the first mesh, with 2s the
     largest power of two that divides its intervals and leaves at least
     _RUNG_INTERVALS of them; with s = 1 there are none.  The coarse rung
-    is solved cold, and every later mesh from the value and tail
-    mismatch slope of the mesh before.  A rung whose bracket misses the
-    level restarts the chain cold at the first mesh.  A warm mesh shoots
-    the guess, a Newton step from it and that step's level a tenth of
-    the bisection tolerance to each side first; a refined mesh's guess
-    lies a few tolerances from its level, so these shots bracket it in
-    about three passes.  On every mesh Brent's method on the tail
-    mismatch then narrows the level down before the bisection of the
-    whole bracket, which takes its midpoints from the shots: a guess or
-    slope changes which q are shot, never the value.  A refined mesh
-    evaluates w only at its new points, and the problem keeps its
-    finest mesh, so every level shot on it reuses the meshes built for
-    the levels before, with the same bits.  The result's gaps lists
-    each refinement's mesh gap.  Its passes count the Numerov passes on
-    the first and refined meshes, its points the Numerov steps on every
-    mesh, the rungs included, a rung that missed the level too.  Raises
-    NodeCountError when the bracket does not straddle the requested
-    level, DomainError when w is not finite at a mesh point,
-    OverflowRangeError when a pass's tail mismatch is NaN and
-    ConvergenceError when mesh refinement stalls.
+    is solved cold, and every later mesh warm, from a guess and the tail
+    mismatch slope of the mesh before.  The guess is the value that
+    v(h) = v* + C h^4, h = 1/intervals, through the chain's last two
+    meshes predicts for the new mesh (the last value alone after one
+    mesh, or where that is not finite).  A rung whose bracket misses the
+    level restarts the chain cold at the first mesh.  A mesh's value is
+    the midpoint of the final cell of the bisection of the bracket to
+    xtol = tol * max(1, |lo|, |hi|) / 100, and every warm shot lands on
+    the lattice of that bisection's cell ends: the end nearest the
+    guess, a Newton step from it, then the ends of the predicted level's
+    cell that the shots do not decide yet.  A refined mesh's guess
+    mostly lies in or next to its level's cell, which then takes 2
+    passes.  On every mesh Brent's method on the tail mismatch then
+    narrows the level down until the shots decide every midpoint of the
+    bisection, which takes them from the shots: a guess or slope changes
+    which q are shot, never the value.  A refined mesh evaluates w only
+    at its new points, and the problem keeps its finest mesh, so every
+    level shot on it reuses the meshes built for the levels before, with
+    the same bits.  The result's gaps lists each refinement's mesh gap.
+    Its passes count the Numerov passes on the first and refined meshes,
+    its points the Numerov steps on every mesh, the rungs included, a
+    rung that missed the level too.  Raises NodeCountError when the
+    bracket does not straddle the requested level, DomainError when w is
+    not finite at a mesh point, OverflowRangeError when a pass's tail
+    mismatch is NaN and ConvergenceError when mesh refinement stalls.
     """
     require_index(n, "level index")
     require_positive(tol, "shooting tolerance")
@@ -555,26 +605,33 @@ def shoot_eigenvalue(
     while intervals % (4 * stride) == 0 and intervals // (4 * stride) >= _RUNG_INTERVALS:
         stride *= 2
     rungs, meshes = Counter(), Counter()
-    value = slope = None
+    chain, slope = [], None  # (intervals, value) of each mesh solved
     try:
         for wvals in (first[:: 2 * stride], first[::stride]) if stride > 1 else ():
-            value, slope = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, rungs, value, slope)
+            intervals = len(wvals) - 1
+            value, slope = _solve_on_mesh(
+                problem, n, lo, hi, wvals, xtol, rungs, _guess(chain, intervals), slope
+            )
+            chain.append((intervals, value))
     except NodeCountError:
-        value = slope = None
+        chain, slope = [], None
     gaps = []
     for refinement in range(max_refinements + 1):
         wvals = _mesh_w(problem, refinement) if refinement else first
-        new_value, slope = _solve_on_mesh(problem, n, lo, hi, wvals, xtol, meshes, value, slope)
+        intervals = len(wvals) - 1
+        value, slope = _solve_on_mesh(
+            problem, n, lo, hi, wvals, xtol, meshes, _guess(chain, intervals), slope
+        )
         if refinement:
-            gap = abs(new_value - value)
+            gap = abs(value - chain[-1][1])
             gaps.append(gap)
-            if gap <= tol * max(1.0, abs(new_value)):
+            if gap <= tol * max(1.0, abs(value)):
                 return ShootResult(
-                    value=new_value, npts=len(wvals), refinements=refinement,
+                    value=value, npts=len(wvals), refinements=refinement,
                     passes=meshes["passes"], gaps=tuple(gaps),
                     points=rungs["points"] + meshes["points"],
                 )
-        value = new_value
+        chain.append((intervals, value))
     raise ConvergenceError(
         f"mesh refinement stalled after {max_refinements} doublings (gap {gap:.3e})",
         estimate=value,

@@ -283,6 +283,8 @@ BAD_CALLS = [
      DomainError, "step h=1e-200 underflows"),
     ("finite_difference", lambda: pb.finite_difference(math.atan, 1e308, h=1e308),
      OverflowRangeError, "x"),
+    ("finite_difference", lambda: pb.finite_difference(math.atan, 0.0, order=2, h=1e160),
+     OverflowRangeError, r"step h=1e\+160 squared exceeds the double range"),
     ("integrate_adaptive", lambda: pb.integrate_adaptive(lambda x: 1.0, -1e308, 1e308, tol=1e300),
      OverflowRangeError, "integral"),
     ("integrate_adaptive", lambda: pb.integrate_adaptive(lambda x: 1e300, -1e300, 1e300),
@@ -439,8 +441,14 @@ def nonfinite_calls():
 
 TINY, HUGE = 5e-324, sys.float_info.max
 # finite_difference's own f, exp, overflows at x = HUGE; atan is finite
-# everywhere, as in its strategy row.
-EXTREME_ROWS = CONTRACT | {"finite_difference": CONTRACT["finite_difference"] | {"f": math.atan}}
+# everywhere, as in its strategy row.  The order-2 stencil squares the
+# step, so it gets rows of its own: (id prefix, export, arguments).
+ATAN_DIFFERENCE = CONTRACT["finite_difference"] | {"f": math.atan}
+EXTREME_ROWS = [
+    *((name, name, kwargs) for name, kwargs in
+      (CONTRACT | {"finite_difference": ATAN_DIFFERENCE}).items()),
+    ("finite_difference-order=2", "finite_difference", ATAN_DIFFERENCE | {"order": 2}),
+]
 # Extreme arguments that still leak: the call's id -> what comes back.
 EXTREME_LEAKS: dict[str, str] = {}
 
@@ -466,15 +474,15 @@ def extreme_calls():
     """Every float argument of every row, and every float field of a record
     argument, set to 5e-324, max, -max and 10**400 in turn; every integer
     argument set to 10**400."""
-    for name, kwargs in EXTREME_ROWS.items():
+    for prefix, name, kwargs in EXTREME_ROWS:
         extremes = (TINY, HUGE, -HUGE, BIG_INT)
         for label, call in chain(
             substitutions(kwargs, _is_float, extremes), record_substitutions(kwargs, extremes),
             substitutions(kwargs, _is_int, (BIG_INT,)),
         ):
-            reason = EXTREME_LEAKS.get(f"{name}-{label}")
+            reason = EXTREME_LEAKS.get(f"{prefix}-{label}")
             marks = [pytest.mark.xfail(strict=True, reason=reason)] if reason else []
-            yield pytest.param(name, call, id=f"{name}-{label}", marks=marks)
+            yield pytest.param(name, call, id=f"{prefix}-{label}", marks=marks)
 
 
 def public_callables():

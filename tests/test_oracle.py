@@ -11,7 +11,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ptbound import oracle
@@ -304,11 +304,13 @@ class TestStall:
 
 
 class TestWarmStart:
-    """Each refined mesh shoots a Newton prediction from the previous
-    mesh's value, every mesh squeezes the window its shots leave around
-    the level with Brent's method on the tail mismatch, and the
-    bisection of the whole bracket takes its midpoints from those shots;
-    the results must be the cold search's, bit for bit, in a fraction of
+    """Each warm mesh shoots the bisection lattice's cell end nearest a
+    guess, h^4-extrapolated through the chain's last two meshes, and a
+    Newton step from it, then the undecided ends of the predicted
+    level's final cell; every mesh squeezes the window its shots leave
+    around the level with Brent's method on the tail mismatch until the
+    shots decide every midpoint of the bisection of the whole bracket.
+    The results must be the cold search's, bit for bit, in a fraction of
     its Numerov passes."""
 
     STRONG_WELL = (-150.0, 3.0, 1.3)  # criterion 2's: two meshes, 38 passes each when cold
@@ -325,21 +327,25 @@ class TestWarmStart:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_oscillator(self, n):
         res = self._check(harmonic_problem(), n, (4 * n + 1, 4 * n + 5))
-        assert res.passes <= 9
-        assert res.points <= 27_000  # 32,013-38,015 with a cold first mesh
+        # 7-8 passes and 22,397-26,272 points before the lattice shots,
+        # 32,013-38,015 points with a cold first mesh
+        assert res.passes <= 6
+        assert res.points <= 19_000
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_strong_well(self, n):
         problem, bracket = _pt_level(*self.STRONG_WELL, n)
         res = self._check(problem, n, bracket)
-        assert res.passes <= 9
-        assert res.points <= 52_000  # 84,017-92,019 with a cold first mesh
+        # 7-8 passes and 43,151-50,902 points before the lattice shots,
+        # 84,017-92,019 points with a cold first mesh
+        assert res.passes <= 7
+        assert res.points <= 44_000
 
     def test_refining_well(self):
         problem, bracket = _pt_level(*self.REFINING_WELL, 0)
         res = self._check(problem, 0, bracket)
         assert res.refinements == 3
-        assert res.passes <= 25
+        assert res.passes <= 15  # 16 before the lattice shots
 
     def test_edge_without_mismatch(self):
         # The upper edge lies above level n = 2, with more nodes than the
@@ -354,11 +360,60 @@ class TestWarmStart:
         assert nodes > 1
         res = self._check(problem, 0, (1.0, 13.0))
         assert res.value == pytest.approx(3.0, rel=1e-8)
-        assert res.passes <= 9
+        assert res.passes <= 4  # 8 before the lattice shots
 
     def test_criterion2_points(self):
-        # 6,443,710 before the Newton shots, 4,816,557 with the two-term seed
-        assert sum(res.points for res in _criterion2_results()) <= 2_000_000
+        # 6,443,710 before the Newton shots, 4,816,557 with the two-term
+        # seed, 1,909,994 with the three-term seed and 1,705,723 with
+        # lattice shots and the h^4 guess
+        assert sum(res.points for res in _criterion2_results()) <= 1_750_000
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_guess_near_the_level_cell_takes_two_passes(self, n):
+        # The Newton step from the cell end nearest the guess puts the level
+        # in that end's cell, so only its other end is shot.  A guess less
+        # than half a cell outside the level's cell is shot at its end too.
+        problem, (lo, hi) = harmonic_problem(), (4 * n + 1, 4 * n + 5)
+        xtol = 1e-9 * max(1.0, abs(lo), abs(hi)) * 1e-2
+        _, slope = oracle._solve_on_mesh(
+            problem, n, lo, hi, oracle._mesh_w(problem, 0), xtol, Counter()
+        )
+        wvals = oracle._mesh_w(problem, 1)
+        cold = _cold_mesh_value(problem, n, lo, hi, len(wvals), xtol)
+        a, b, undecided = oracle._replay(lo, hi, xtol, cold, cold)
+        assert undecided is None and 0.5 * (a + b) == cold
+        for guess in (a - 0.3 * (b - a), a + 0.05 * (b - a), cold, b + 0.3 * (b - a)):
+            tally = Counter()
+            value, _ = oracle._solve_on_mesh(
+                problem, n, lo, hi, wvals, xtol, tally, guess, slope
+            )
+            assert value == cold and tally["passes"] == 2, guess
+
+    def test_oscillator_ground_level_work(self):
+        # The 4,001-point mesh's guess lies 0.4 xtol from its level, and
+        # the mesh takes 2 passes.  With the last value as guess, shot off
+        # the lattice, it took 4 (the guess, two shots 0.1 xtol either
+        # side of the Newton step, a midpoint), and the level 8 passes and
+        # 26,272 steps.
+        res = shoot_eigenvalue(harmonic_problem(), 0, (1.0, 5.0))
+        assert (res.passes, res.points) == (5, 16_269)
+
+    @given(
+        a=st.floats(-150.0, -40.0),
+        alpha=st.floats(0.8, math.sqrt(1.5)),
+        frac=st.floats(0.0, 1.0),
+        n=st.integers(0, 2),
+    )
+    @settings(max_examples=6)
+    def test_strong_core_box(self, a, alpha, frac, n):
+        # Criterion 2's ranges with B / alpha^2 >= 2, where a level
+        # converges on 8k points after one refinement.
+        b = 2.0 * alpha**2 + frac * (3.0 - 2.0 * alpha**2)
+        reg = spectral_params(PTPotential(A=a, B=b, alpha=alpha), NRContext.natural(mu=0.5), 0,
+                              "regular")
+        assume(reg.bound_possible(3))
+        problem, bracket = _pt_level(a, b, alpha, n)
+        self._check(problem, n, bracket)
 
     def test_far_guess_without_slope_gives_cold_value(self):
         problem, (lo, hi) = _pt_level(*self.STRONG_WELL, 1)
@@ -495,10 +550,10 @@ class TestCoarseRungs:
 
     def test_points_count_a_coarse_rung_that_missed(self, monkeypatch):
         # The restart once dropped the missed rung's pass: 24,009 points
-        # for 24,135 steps.
+        # for 24,135 steps (20,134 since the lattice shots).
         steps = self._count_steps(monkeypatch)
         res = shoot_eigenvalue(harmonic_problem(), 0, (2.9999995, 3.5))
-        assert res.points == sum(steps) == 24_135
+        assert res.points == sum(steps) == 20_134
 
     def test_points_count_a_fine_rung_that_missed(self, monkeypatch):
         # Both rungs' passes stay counted when the fine one misses.
@@ -713,8 +768,9 @@ class TestKernelDigest:
         # 302 passes and 6,443,710 points before the Newton shots, 241 and
         # 4,821,075 with them and the warm replay and widening search, 241
         # and 4,816,557 with the bracket checked against the shot record,
-        # 186 and 1,909,994 with the three-term seed.
+        # 186 and 1,909,994 with the three-term seed, 166 and 1,705,723
+        # with lattice shots and the h^4 guess.
         lines = [f"{res.passes} {res.points}" for res in _criterion2_results()]
         assert _digest(lines) == (
-            "9ca4548558f40fb94a9f34fa7577340118ee66347208a32e25600e325ec82371"
+            "25bb8642bf075aab98f3f11f7638473abb4a81e71285e9b5165faf9eb5f399d1"
         )
