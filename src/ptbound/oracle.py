@@ -276,7 +276,7 @@ _SQUEEZE_XTOLS = 0.25
 # A Newton step from the first shot longer than this many bisection
 # tolerances is corrected by a secant through the mesh's own two shots.
 _NEWTON_XTOLS = 4.0
-# The coarser of the two rungs under the first mesh keeps at least this
+# The coarsest of the rungs under the first mesh keeps at least this
 # many of its intervals.
 _RUNG_INTERVALS = 125
 
@@ -322,14 +322,24 @@ def _w_at(problem, npts, indices):
         raise OverflowRangeError(
             f"w overflows on the mesh over [{r_min!r}, {problem.r_cut!r}]"
         ) from None
-    # A sum of finite values can overflow too, so only a non-finite sum
-    # is searched for the point to name.
-    if not math.isfinite(sum(values)):
+    # A sum of finite values can overflow too, so only a sum that is not
+    # a finite real is searched for the point to name.
+    if not _finite_real(values):
         for i, value in zip(indices, values):
-            if not math.isfinite(value):
+            if not _finite_real([value]):
                 r = r_min + i * h
-                raise DomainError(f"w must be finite on the mesh, got {value!r} at r={r!r}")
+                raise DomainError(
+                    f"w must be finite and real on the mesh, got {value!r} at r={r!r}"
+                )
     return values
+
+
+def _finite_real(values):
+    """Whether the sum of values is a finite real number."""
+    try:
+        return math.isfinite(sum(values))
+    except TypeError:  # a complex sum, or a value that does not add
+        return False
 
 
 def _zeroin(f, a, fa, b, fb, tol):
@@ -431,7 +441,8 @@ def _predict(mismatch, guess, slope, lo, hi, xtol):
     return q if lo < q < hi else None
 
 
-def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, tally, guess=None, slope=None):
+def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, tally, guess=None, slope=None, *,
+                   rough=False):
     """Bisect the level's predicate over [lo, hi] to xtol on the mesh that
     wvals spans (w at each point, from _mesh_w, or every s-th of them for
     a coarse rung); return (value, slope), the value being the midpoint
@@ -445,14 +456,17 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, tally, guess=None, slope=Non
     guess of the level's chain and the slope of the mesh before (the
     slope moves only at O(h^4) between meshes), the mesh first shoots
     the cell end of the bisection's lattice nearest the guess and a
-    Newton step from it (_predict), then those ends of the predicted
-    level's final cell that the record does not decide: where the guess
-    lies in the level's own cell that is 2 passes.  The ends lo and hi
-    are checked against the record, which costs no pass where the shots
-    already straddle the level.  Brent's method on the tail mismatch
-    then shrinks the record's window until it decides every midpoint of
-    the bisection (a midpoint it leaves undecided is shot once the
-    window is _SQUEEZE_XTOLS xtol wide, or while an end has no
+    Newton step from it (_predict).  A rough mesh, whose value serves
+    only as a guess, stops there when those shots straddle the level:
+    its value is _predict's level, its slope the secant through the two
+    shots.  Otherwise the mesh goes on to shoot those ends of the
+    predicted level's final cell that the record does not decide: where
+    the guess lies in the level's own cell that is 2 passes.  The ends
+    lo and hi are checked against the record, which costs no pass where
+    the shots already straddle the level.  Brent's method on the tail
+    mismatch then shrinks the record's window until it decides every
+    midpoint of the bisection (a midpoint it leaves undecided is shot
+    once the window is _SQUEEZE_XTOLS xtol wide, or while an end has no
     mismatch).  For a monotone predicate the record answers each
     midpoint as a shot would, so the value is the same whatever the
     guess and slope: they only choose which q are shot.
@@ -515,9 +529,16 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, tally, guess=None, slope=Non
         """mismatch(q) while the record leaves a midpoint undecided."""
         return None if undecided() is None else mismatch(q)
 
+    def straddling_slope():
+        if mismatch_below is None or mismatch_above is None:
+            return None
+        return (mismatch_above - mismatch_below) / (known_above - known_below)
+
     if guess is not None and slope is not None:
         predicted = _predict(mismatch, guess, slope, lo, hi, xtol)
         if predicted is not None:
+            if rough and (rough_slope := straddling_slope()) is not None:
+                return predicted, rough_slope
             a, b, _ = _replay(lo, hi, xtol, predicted, predicted)
             above(a)
             above(b)
@@ -534,22 +555,38 @@ def _solve_on_mesh(problem, n, lo, hi, wvals, xtol, tally, guess=None, slope=Non
                 break
         above(mid)
     a, b, _ = _replay(lo, hi, xtol, known_below, known_above)
-    slope = None
-    if mismatch_below is not None and mismatch_above is not None:
-        slope = (mismatch_above - mismatch_below) / (known_above - known_below)
-    return 0.5 * (a + b), slope
+    return 0.5 * (a + b), straddling_slope()
 
 
-def _guess(chain, intervals):
-    """The value of a mesh with this many intervals that v(h) = v* + C h^4,
-    h = 1/intervals, predicts through the last two (intervals, value)
-    pairs of the chain; the last value where the chain has one mesh or
-    the prediction is not finite, and None where it has none."""
+def _guess(chain, intervals, order=4.0):
+    """The value of a mesh with this many intervals that v(h) = v* + C h^p,
+    p = order and h = 1/intervals, predicts through the last two
+    (intervals, value) pairs of the chain; the last value where the chain
+    has one mesh or the prediction is not finite, and None where it has
+    none."""
     if len(chain) < 2:
         return chain[-1][1] if chain else None
     (coarse, v1), (fine, v2) = chain[-2:]
-    guess = v2 + (v1 - v2) * ((fine / intervals) ** 4 - 1.0) / ((fine / coarse) ** 4 - 1.0)
+    try:
+        guess = v2 + (v1 - v2) * ((fine / intervals) ** order - 1.0) / (
+            (fine / coarse) ** order - 1.0
+        )
+    except OverflowError:
+        return v2
     return guess if math.isfinite(guess) else v2
+
+
+def _order(chain):
+    """The order p of v(h) = v* + C h^p that a chain of three meshes, each
+    with twice the intervals of the one before, shows:
+    p = log2((v1 - v2)/(v2 - v3)).  Numerov's 4 where the chain holds
+    another number of meshes, or where that ratio is not above 1 (the
+    differences change sign, or do not shrink)."""
+    if len(chain) == 3:
+        (_, v1), (_, v2), (_, v3) = chain
+        if v2 != v3 and (ratio := (v1 - v2) / (v2 - v3)) > 1.0:
+            return math.log2(ratio)
+    return 4.0
 
 
 def shoot_eigenvalue(
@@ -564,16 +601,23 @@ def shoot_eigenvalue(
 
     Bisects the node-count/tail-sign predicate on each mesh of one
     chain, then halves the step until two successive meshes agree to tol
-    (scaled by the eigenvalue magnitude).  The chain runs from two
-    coarse rungs through the first mesh to its refinements.  The rungs
-    are every 2s-th and every s-th point of the first mesh, with 2s the
-    largest power of two that divides its intervals and leaves at least
-    _RUNG_INTERVALS of them; with s = 1 there are none.  The coarse rung
-    is solved cold, and every later mesh warm, from a guess and the tail
-    mismatch slope of the mesh before.  The guess is the value that
-    v(h) = v* + C h^4, h = 1/intervals, through the chain's last two
-    meshes predicts for the new mesh (the last value alone after one
-    mesh, or where that is not finite).  A rung whose bracket misses the
+    (scaled by the eigenvalue magnitude).  The chain runs from up to
+    three coarse rungs through the first mesh to its refinements.  The
+    rungs are every 4s-th, 2s-th and s-th point of the first mesh, with
+    4s the largest power of two that divides its intervals and leaves at
+    least _RUNG_INTERVALS of them.  A rung of stride 1 is left out, and
+    where that leaves one rung there are none.  The coarsest rung is
+    solved cold, and every later mesh warm, from a guess and the tail
+    mismatch slope of the mesh before.  The finer rungs serve only as
+    guesses and are solved rough: their value is the level that the
+    Newton and secant shots from their guess predict, where those shots
+    straddle it, and they are solved in full elsewhere.  The guess is
+    the value that v(h) = v* + C h^p, h = 1/intervals, through the
+    chain's last two meshes predicts for the new mesh (the last value
+    alone after one mesh, or where that is not finite).  p is the order
+    that three rungs show, log2((v1 - v2)/(v2 - v3)), fitted once (at
+    125 to 500 intervals it is near 3.9, not 4), and Numerov's 4 with
+    fewer rungs or a ratio not above 1.  A rung whose bracket misses the
     level restarts the chain cold at the first mesh.  A mesh's value is
     the midpoint of the final cell of the bisection of the bracket to
     xtol = tol * max(1, |lo|, |hi|) / 100, and every warm shot lands on
@@ -592,7 +636,7 @@ def shoot_eigenvalue(
     its points the Numerov steps on every mesh, the rungs included, a
     rung that missed the level too.  Raises NodeCountError when the
     bracket does not straddle the requested level, DomainError when w is
-    not finite at a mesh point, OverflowRangeError when a pass's tail
+    not a finite real at a mesh point, OverflowRangeError when a pass's tail
     mismatch is NaN and ConvergenceError when mesh refinement stalls.
     """
     require_index(n, "level index")
@@ -602,25 +646,29 @@ def shoot_eigenvalue(
     xtol = tol * max(1.0, abs(lo), abs(hi)) * 1e-2
     first = _mesh_w(problem, 0)
     intervals, stride = len(first) - 1, 1
-    while intervals % (4 * stride) == 0 and intervals // (4 * stride) >= _RUNG_INTERVALS:
+    while intervals % (2 * stride) == 0 and intervals // (2 * stride) >= _RUNG_INTERVALS:
         stride *= 2
+    strides = [s for s in (stride, stride // 2, stride // 4) if s > 1]
     rungs, meshes = Counter(), Counter()
     chain, slope = [], None  # (intervals, value) of each mesh solved
     try:
-        for wvals in (first[:: 2 * stride], first[::stride]) if stride > 1 else ():
+        for s in strides if len(strides) > 1 else ():
+            wvals = first[::s]
             intervals = len(wvals) - 1
             value, slope = _solve_on_mesh(
-                problem, n, lo, hi, wvals, xtol, rungs, _guess(chain, intervals), slope
+                problem, n, lo, hi, wvals, xtol, rungs, _guess(chain, intervals), slope,
+                rough=True,
             )
             chain.append((intervals, value))
     except NodeCountError:
         chain, slope = [], None
+    order = _order(chain)
     gaps = []
     for refinement in range(max_refinements + 1):
         wvals = _mesh_w(problem, refinement) if refinement else first
         intervals = len(wvals) - 1
         value, slope = _solve_on_mesh(
-            problem, n, lo, hi, wvals, xtol, meshes, _guess(chain, intervals), slope
+            problem, n, lo, hi, wvals, xtol, meshes, _guess(chain, intervals, order), slope
         )
         if refinement:
             gap = abs(value - chain[-1][1])
@@ -645,18 +693,20 @@ def harmonic_problem(omega: float = 1.0, *, npts: int = 2001) -> RadialProblem:
     machinery (unit mass, p-wave-free ell=0 sector, u ~ r at the origin;
     w has no constant term there, so origin_w0 keeps its default 0, and
     origin_w2 is omega^2).
-    The window is (1e-6, 9/sqrt(omega)), so omega must stay below about
-    8.1e13.
+    The window is (1e-6, 9)/sqrt(omega), so in the variable r sqrt(omega)
+    the problem is the same at every omega.  omega^2 must stay within the
+    double range: omega below about 1.34e154.
     """
-    require_positive(omega, "frequency omega")
-    r_cut = 9.0 / math.sqrt(omega)
-    if not r_cut > 1e-6:
-        raise DomainError(f"frequency omega={omega!r} puts r_cut={r_cut!r} at or below r_min=1e-06")
+    omega = require_positive(omega, "frequency omega")
+    origin_w2 = omega * omega
+    if origin_w2 == math.inf:
+        raise DomainError(f"frequency omega={omega!r} squared exceeds the double range")
+    scale = math.sqrt(omega)
     return RadialProblem(
         w=lambda r: (omega * r) ** 2,
-        r_min=1e-6,
-        r_cut=r_cut,
+        r_min=1e-6 / scale,
+        r_cut=9.0 / scale,
         origin_exponent=1.0,
         npts=npts,
-        origin_w2=omega * omega,
+        origin_w2=origin_w2,
     )

@@ -150,11 +150,22 @@ class TestShooting:
         res = shoot_eigenvalue(harmonic_problem(omega=2.0), 1, (10.0, 18.0))
         assert res.value == pytest.approx(14.0, rel=1e-8)
 
-    def test_frequency_past_the_window(self):
-        # r_cut = 9/sqrt(omega) falls below r_min = 1e-6 past omega = 8.1e13;
-        # the error once named that window instead of omega.
-        with pytest.raises(DomainError, match=r"frequency omega=100000000000000\.0"):
-            harmonic_problem(1e14)
+    def test_frequency_past_the_double_range(self):
+        # omega^2 = origin_w2 leaves the double range past about 1.34e154.
+        with pytest.raises(DomainError, match=r"frequency omega=1e\+155 squared"):
+            harmonic_problem(1e155)
+
+    @pytest.mark.parametrize("omega", [1e12, 1e14])
+    def test_frequency_scales_the_window(self, omega):
+        # The window (1e-6, 9)/sqrt(omega) makes the problem the same at
+        # every omega.  With r_min fixed at 1e-6, omega = 1e12 raised
+        # ConvergenceError (gap 3.835e+07) and 1e14 a DomainError.
+        unit = shoot_eigenvalue(harmonic_problem(), 0, (1.0, 5.0))
+        res = shoot_eigenvalue(harmonic_problem(omega), 0, (omega, 5.0 * omega))
+        assert res.value == pytest.approx(3.0 * omega, rel=1e-11)
+        assert (res.npts, res.refinements, res.passes, res.points) == (
+            unit.npts, unit.refinements, unit.passes, unit.points
+        )
 
     def test_mesh_doubles(self):
         coarse = harmonic_problem(npts=501)
@@ -177,10 +188,11 @@ class TestShooting:
         with pytest.raises(OverflowRangeError, match="w overflows"):
             shoot_eigenvalue(problem, 0, (1.0, 5.0))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1j, None])
     def test_non_finite_w_is_a_domain_error(self, bad):
         # One first-mesh point, r = 6.75 up to the mesh's rounding.  NaN
-        # there once gave a level near 3 and +inf a NodeCountError.
+        # there once gave a level near 3 and +inf a NodeCountError; 1j and
+        # None raised a bare TypeError.
         problem = harmonic_problem()
         r_bad = problem.r_min + 1500 * (problem.r_cut - problem.r_min) / (problem.npts - 1)
         problem = replace(problem, w=lambda r: bad if r == r_bad else r * r)
@@ -305,13 +317,14 @@ class TestStall:
 
 class TestWarmStart:
     """Each warm mesh shoots the bisection lattice's cell end nearest a
-    guess, h^4-extrapolated through the chain's last two meshes, and a
-    Newton step from it, then the undecided ends of the predicted
-    level's final cell; every mesh squeezes the window its shots leave
-    around the level with Brent's method on the tail mismatch until the
-    shots decide every midpoint of the bisection of the whole bracket.
-    The results must be the cold search's, bit for bit, in a fraction of
-    its Numerov passes."""
+    guess, extrapolated through the chain's last two meshes at the order
+    that three coarse rungs show (4 without them), and a Newton step
+    from it.  A rough rung stops there; every other mesh shoots the
+    undecided ends of the predicted level's final cell, then squeezes
+    the window its shots leave around the level with Brent's method on
+    the tail mismatch until the shots decide every midpoint of the
+    bisection of the whole bracket.  The results must be the cold
+    search's, bit for bit, in a fraction of its Numerov passes."""
 
     STRONG_WELL = (-150.0, 3.0, 1.3)  # criterion 2's: two meshes, 38 passes each when cold
     REFINING_WELL = (-60.0, 0.5, 1.0)  # n = 0 refines three times, to 32k points
@@ -327,10 +340,11 @@ class TestWarmStart:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_oscillator(self, n):
         res = self._check(harmonic_problem(), n, (4 * n + 1, 4 * n + 5))
-        # 7-8 passes and 22,397-26,272 points before the lattice shots,
-        # 32,013-38,015 points with a cold first mesh
-        assert res.passes <= 6
-        assert res.points <= 19_000
+        # 5-6 passes and 16,269-18,773 points with two rungs solved in
+        # full and the h^4 guess, 7-8 and 22,397-26,272 before the lattice
+        # shots, 32,013-38,015 points with a cold first mesh
+        assert res.passes <= 5
+        assert res.points <= 17_021
 
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_strong_well(self, n):
@@ -394,9 +408,30 @@ class TestWarmStart:
         # the mesh takes 2 passes.  With the last value as guess, shot off
         # the lattice, it took 4 (the guess, two shots 0.1 xtol either
         # side of the Newton step, a midpoint), and the level 8 passes and
-        # 26,272 steps.
+        # 26,272 steps; with two rungs solved in full and the h^4 guess,
+        # 5 passes and 16,269 steps.
         res = shoot_eigenvalue(harmonic_problem(), 0, (1.0, 5.0))
-        assert (res.passes, res.points) == (5, 16_269)
+        assert (res.passes, res.points) == (4, 15_269)
+
+    # (A, alpha, frac) of wells spread over shoot_scan's box, with
+    # B = 2 alpha^2 + frac (3 - 2 alpha^2), as in test_strong_core_box.
+    BOX_WELLS = [
+        (-150.0, 0.8, 0.0), (-95.0, 1.0, 0.5), (-130.0, 1.15, 0.75), (-120.0, 0.85, 0.5),
+        (-100.0, 0.8, 1.0), (-140.0, 1.0, 0.3), (-110.0, 0.95, 0.8), (-150.0, 1.2, 0.5),
+        (-80.0, 0.8, 0.3), (-150.0, 1.0, 1.0),
+    ]
+
+    def test_strong_core_box_points(self):
+        # Levels n = 0..2 of each well: 1,063,252 points with two rungs
+        # solved in full and the h^4 guess, 947,193 with three rungs, the
+        # finer two rough, and the fitted order.
+        points = 0
+        for a, alpha, frac in self.BOX_WELLS:
+            b = 2.0 * alpha**2 + frac * (3.0 - 2.0 * alpha**2)
+            for n in range(3):
+                problem, bracket = _pt_level(a, b, alpha, n)
+                points += shoot_eigenvalue(problem, n, bracket).points
+        assert points <= 960_000
 
     @given(
         a=st.floats(-150.0, -40.0),
@@ -470,20 +505,22 @@ class TestNewtonShots:
 
 
 class TestCoarseRungs:
-    """A level's meshes are one chain: two coarse rungs made of the first
-    mesh's own points, the first mesh, then its refinements, each warm
-    from the mesh before.  Without a pair of rungs, or when a rung's
-    bracket misses the level, the chain starts cold at the first mesh;
-    either way the result is the cold search's."""
+    """A level's meshes are one chain: up to three coarse rungs made of
+    the first mesh's own points, the first mesh, then its refinements,
+    each warm from the mesh before.  The rungs after the coarsest are
+    rough: only their guesses are needed.  Without two rungs, or when a
+    rung's bracket misses the level, the chain starts cold at the first
+    mesh; either way the result is the cold search's."""
 
     @staticmethod
     def _record_meshes(monkeypatch):
         """(mesh size, guess) of each _solve_on_mesh call from here on."""
         solve, calls = oracle._solve_on_mesh, []
 
-        def recording(problem, n, lo, hi, wvals, xtol, tally, guess=None, slope=None):
+        def recording(problem, n, lo, hi, wvals, xtol, tally, guess=None, slope=None,
+                      **kwargs):
             calls.append((len(wvals), guess))
-            return solve(problem, n, lo, hi, wvals, xtol, tally, guess, slope)
+            return solve(problem, n, lo, hi, wvals, xtol, tally, guess, slope, **kwargs)
 
         monkeypatch.setattr(oracle, "_solve_on_mesh", recording)
         return calls
@@ -499,9 +536,69 @@ class TestCoarseRungs:
         meshes = self._record_meshes(monkeypatch)
         res = shoot_eigenvalue(replace(problem, w=w), 0, (1.0, 5.0))
         assert len(calls) == res.npts
-        # 2000 intervals: rungs of 125 and 250, then 2000 and 4000.
-        assert [npts for npts, _ in meshes] == [126, 251, 2001, 4001]
+        # 2000 intervals: rungs of 125, 250 and 500, then 2000 and 4000.
+        assert [npts for npts, _ in meshes] == [126, 251, 501, 2001, 4001]
         assert meshes[0][1] is None and all(guess is not None for _, guess in meshes[1:])
+
+    def test_intervals_halving_twice_keep_two_rungs(self, monkeypatch):
+        # 500 intervals: rungs of 125 and 250, then 500 and its doublings.
+        meshes = self._record_meshes(monkeypatch)
+        TestWarmStart._check(harmonic_problem(npts=501), 0, (1.0, 5.0))
+        assert [npts for npts, _ in meshes[:3]] == [126, 251, 501]
+
+    def test_warm_rung_without_prediction_is_solved_in_full(self, monkeypatch):
+        # With no answer from _predict, each warm rung bisects to its
+        # cold value.
+        problem, (lo, hi) = harmonic_problem(), (1.0, 5.0)
+        xtol = 1e-9 * max(1.0, abs(lo), abs(hi)) * 1e-2
+        solve, values = oracle._solve_on_mesh, {}
+
+        def recording(problem, n, lo, hi, wvals, *args, **kwargs):
+            result = solve(problem, n, lo, hi, wvals, *args, **kwargs)
+            values[len(wvals)] = result[0]
+            return result
+
+        monkeypatch.setattr(oracle, "_predict", lambda *args: None)
+        monkeypatch.setattr(oracle, "_solve_on_mesh", recording)
+        TestWarmStart._check(problem, 0, (lo, hi))
+        for npts in (251, 501):
+            assert values[npts] == _cold_mesh_value(problem, 0, lo, hi, npts, xtol)
+
+    def test_rough_rung(self):
+        # From the coarser rung's value and slope the 501-point rung takes
+        # 2 passes, a Newton and a secant shot, and its value is their
+        # prediction, within a few xtol of its level's cell.  Given its own
+        # cold value as guess, the Newton step is too short for a second
+        # shot, and the rung is solved in full.
+        problem, (lo, hi) = harmonic_problem(), (1.0, 5.0)
+        xtol = 1e-9 * max(1.0, abs(lo), abs(hi)) * 1e-2
+        first = oracle._mesh_w(problem, 0)
+        guess, slope = oracle._solve_on_mesh(problem, 0, lo, hi, first[::8], xtol, Counter())
+        cold = _cold_mesh_value(problem, 0, lo, hi, 501, xtol)
+        tally = Counter()
+        value, rough_slope = oracle._solve_on_mesh(
+            problem, 0, lo, hi, first[::4], xtol, tally, guess, slope, rough=True
+        )
+        assert tally["passes"] == 2 and value != cold and abs(value - cold) < 4.0 * xtol
+        assert rough_slope == pytest.approx(slope, rel=0.1)
+        value, _ = oracle._solve_on_mesh(
+            problem, 0, lo, hi, first[::4], xtol, Counter(), cold, slope, rough=True
+        )
+        assert value == cold
+
+    def test_fitted_order(self):
+        # The order is fitted only through three meshes whose differences
+        # shrink; a guess whose powers leave the double range is the last
+        # value.
+        assert oracle._order([(125, 3.0), (250, 2.0), (500, 1.75)]) == 2.0
+        for chain in (
+            [(125, 3.0), (250, 2.0)],
+            [(125, 3.0), (250, 2.0), (500, 2.5)],
+            [(125, 3.0), (250, 2.9), (500, 2.7)],
+            [(125, 3.0), (250, 2.0), (500, 2.0)],
+        ):
+            assert oracle._order(chain) == 4.0, chain
+        assert oracle._guess([(500, 1.0), (4000, 1.001)], 8000, 2000.0) == 1.001
 
     def test_no_rung_pair_runs_cold(self, monkeypatch):
         # 2002 intervals halve only once
@@ -526,11 +623,11 @@ class TestCoarseRungs:
         problem, bracket = _pt_level(*TestWarmStart.STRONG_WELL, 1)
         solve, failed = oracle._solve_on_mesh, []
 
-        def fine_rung_fails(problem, n, lo, hi, wvals, *args):
+        def fine_rung_fails(problem, n, lo, hi, wvals, *args, **kwargs):
             if len(wvals) == 251:
                 failed.append(args)
                 raise NodeCountError("rung")
-            return solve(problem, n, lo, hi, wvals, *args)
+            return solve(problem, n, lo, hi, wvals, *args, **kwargs)
 
         monkeypatch.setattr(oracle, "_solve_on_mesh", fine_rung_fails)
         TestWarmStart._check(problem, 1, bracket)
@@ -560,8 +657,8 @@ class TestCoarseRungs:
         problem, bracket = _pt_level(*TestWarmStart.STRONG_WELL, 1)
         solve = oracle._solve_on_mesh
 
-        def fine_rung_misses(problem, n, lo, hi, wvals, *args):
-            result = solve(problem, n, lo, hi, wvals, *args)
+        def fine_rung_misses(problem, n, lo, hi, wvals, *args, **kwargs):
+            result = solve(problem, n, lo, hi, wvals, *args, **kwargs)
             if len(wvals) == 251:
                 raise NodeCountError("rung")
             return result
@@ -769,8 +866,9 @@ class TestKernelDigest:
         # 4,821,075 with them and the warm replay and widening search, 241
         # and 4,816,557 with the bracket checked against the shot record,
         # 186 and 1,909,994 with the three-term seed, 166 and 1,705,723
-        # with lattice shots and the h^4 guess.
+        # with lattice shots and the h^4 guess, 155 and 1,706,973 with
+        # three rungs, the finer two rough, and the fitted order.
         lines = [f"{res.passes} {res.points}" for res in _criterion2_results()]
         assert _digest(lines) == (
-            "25bb8642bf075aab98f3f11f7638473abb4a81e71285e9b5165faf9eb5f399d1"
+            "5d057984276477698f2beb03f4cd7303e6e4ce8c57e9de98f14a5194729f9a47"
         )
