@@ -418,7 +418,7 @@ def _grid(lo: float, hi: float, count: int, *, log: bool = False) -> list[float]
         log_lo = math.log(lo)
         ratio = (math.log(hi) - log_lo) / (count - 1)
         return [math.exp(log_lo + i * ratio) for i in range(count)]
-    return uniform_grid(lo, hi, count).tolist()
+    return uniform_grid(lo, hi, count)
 
 
 @click.group()

@@ -244,12 +244,13 @@ def solve_levels(
         bracket = (-ctx.M - span, ctx.M + span)
     lo, hi = require_bracket(bracket, "energy bracket")
     f = lambda x: residual(x, ctx, pot)
-    vals = [f(x) for x in uniform_grid(lo, hi, SCAN_CELLS + 1).tolist()]
+    xs = uniform_grid(lo, hi, SCAN_CELLS + 1)
+    vals = [f(x) for x in xs]
     if all(math.isnan(v) for v in vals):
         raise DomainError("residual is complex on the entire bracket")
     xtol = tol * max(1.0, abs(lo), abs(hi))
     roots: list[RelativisticRoot] = []
-    for a, b, fa, fb in sign_change_brackets(vals, lo, hi, SCAN_CELLS + 1):
+    for a, b, fa, fb in sign_change_brackets(xs, vals):
         hit = bisect(f, a, b, xtol=xtol, fab=(fa, fb))
         if roots and abs(hit - roots[-1].E) <= 4.0 * xtol:
             continue

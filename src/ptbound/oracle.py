@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import weakref
 from collections import Counter
 from dataclasses import dataclass
@@ -335,10 +336,11 @@ def _w_at(problem, npts, indices):
 
 
 def _finite_real(values):
-    """Whether the sum of values is a finite real number."""
+    """Whether the sum of values is a finite real number: not, say, a
+    Decimal sum, whose values need not mix with a Numerov pass's floats."""
     try:
-        return math.isfinite(sum(values))
-    except TypeError:  # a complex sum, or a value that does not add
+        return isinstance(total := sum(values), numbers.Real) and math.isfinite(total)
+    except TypeError:  # a value that does not add
         return False
 
 
@@ -601,7 +603,8 @@ def shoot_eigenvalue(
 
     Bisects the node-count/tail-sign predicate on each mesh of one
     chain, then halves the step until two successive meshes agree to tol
-    (scaled by the eigenvalue magnitude).  The chain runs from up to
+    relative to max(|q|, min(1, max(|lo|, |hi|))): a bracket inside
+    (-1, 1) sets the scale of a level below 1.  The chain runs from up to
     three coarse rungs through the first mesh to its refinements.  The
     rungs are every 4s-th, 2s-th and s-th point of the first mesh, with
     4s the largest power of two that divides its intervals and leaves at
@@ -620,7 +623,7 @@ def shoot_eigenvalue(
     fewer rungs or a ratio not above 1.  A rung whose bracket misses the
     level restarts the chain cold at the first mesh.  A mesh's value is
     the midpoint of the final cell of the bisection of the bracket to
-    xtol = tol * max(1, |lo|, |hi|) / 100, and every warm shot lands on
+    xtol = tol * max(|lo|, |hi|) / 100, and every warm shot lands on
     the lattice of that bisection's cell ends: the end nearest the
     guess, a Newton step from it, then the ends of the predicted level's
     cell that the shots do not decide yet.  A refined mesh's guess
@@ -643,7 +646,8 @@ def shoot_eigenvalue(
     require_positive(tol, "shooting tolerance")
     max_refinements = require_index(max_refinements, "max_refinements", 1)
     lo, hi = require_bracket(bracket, "shooting bracket")
-    xtol = tol * max(1.0, abs(lo), abs(hi)) * 1e-2
+    scale = max(abs(lo), abs(hi))
+    xtol = tol * scale * 1e-2
     first = _mesh_w(problem, 0)
     intervals, stride = len(first) - 1, 1
     while intervals % (2 * stride) == 0 and intervals // (2 * stride) >= _RUNG_INTERVALS:
@@ -673,7 +677,7 @@ def shoot_eigenvalue(
         if refinement:
             gap = abs(value - chain[-1][1])
             gaps.append(gap)
-            if gap <= tol * max(1.0, abs(value)):
+            if gap <= tol * max(min(1.0, scale), abs(value)):
                 return ShootResult(
                     value=value, npts=len(wvals), refinements=refinement,
                     passes=meshes["passes"], gaps=tuple(gaps),

@@ -1,10 +1,8 @@
-"""Bracketing and bisection helpers shared by the solvers."""
+"""Bracketing and bisection helpers shared by the solvers, on plain floats."""
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
 
 from .errors import BracketError
 
@@ -48,7 +46,7 @@ def bisect(f, a: float, b: float, *, xtol: float, fab: tuple[float, float]) -> f
     return 0.5 * a + 0.5 * b
 
 
-def uniform_grid(a: float, b: float, n: int) -> np.ndarray:
+def uniform_grid(a: float, b: float, n: int) -> list[float]:
     """The n nodes a + i (b - a) / (n - 1), i = 0..n-1, of a scan over [a, b].
 
     Where b - a overflows, the nodes are (1 - t) a + t b, t = i / (n - 1),
@@ -58,31 +56,26 @@ def uniform_grid(a: float, b: float, n: int) -> np.ndarray:
         raise BracketError(f"bad scan interval [{a!r}, {b!r}] with {n} points")
     step = (b - a) / (n - 1)
     if math.isinf(step):
-        t = np.arange(n) / (n - 1)
-        return (1.0 - t) * a + t * b
-    return a + np.arange(n) * step
+        return [(1.0 - i / (n - 1)) * a + i / (n - 1) * b for i in range(n)]
+    return [a + i * step for i in range(n)]
 
 
-def sign_change_brackets(fx, a: float, b: float, n: int):
-    """Sub-intervals of the n-point grid ``uniform_grid(a, b, n)`` where the
-    sign of fx, the values of f at its nodes, flips.
+def sign_change_brackets(xs: list[float], fx: list[float]) -> list[tuple]:
+    """Sub-intervals between neighbouring scan nodes xs where the sign of
+    fx, the values of f at those nodes, flips.
 
-    Returns ``(x_left, x_right, f_left, f_right)`` per bracket, in grid
-    order.  Each node where f is exactly zero, the first and last
-    included, gives one degenerate bracket (x, x) whatever its
-    neighbours.  Nodes where f is NaN are skipped, so a NaN region simply
-    contributes no brackets.
+    Returns ``(x_left, x_right, f_left, f_right)`` per bracket, in node
+    order; the two ends carry strictly opposite signs.  Each node where f
+    is exactly zero, the first and last included, gives one degenerate
+    bracket (x, x) whatever its neighbours.  Nodes where f is NaN are
+    skipped, so a NaN region simply contributes no brackets.  Lists of
+    unequal length are a BracketError.
     """
-    xs = uniform_grid(a, b, n)
-    fx = np.asarray(fx, dtype=float)
-    if fx.shape != (n,):
-        raise BracketError(f"{fx.shape} values for a {n}-point scan")
-    sign = np.sign(fx)
-    flips = np.append(sign[:-1] * sign[1:] < 0.0, False)
-    out = []
-    for i in np.flatnonzero((fx == 0.0) | flips).tolist():
-        if fx[i] == 0.0:
-            out.append((float(xs[i]), float(xs[i]), 0.0, 0.0))
-        else:
-            out.append((float(xs[i]), float(xs[i + 1]), float(fx[i]), float(fx[i + 1])))
-    return out
+    if len(xs) != len(fx):
+        raise BracketError(f"{len(fx)} values for a {len(xs)}-point scan")
+    # The last node's neighbour is NaN: only a zero there makes a bracket.
+    return [
+        (x, x, 0.0, 0.0) if fa == 0.0 else (x, y, fa, fb)
+        for x, y, fa, fb in zip(xs, xs[1:] + xs[-1:], fx, fx[1:] + [math.nan])
+        if fa == 0.0 or fa < 0.0 < fb or fb < 0.0 < fa
+    ]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import ptbound.aim
 from ptbound.aim import AimProblem, aim_delta, aim_eigen_scan, aim_iterate
-from ptbound.errors import DomainError, OverflowRangeError
+from ptbound.errors import BracketError, DomainError, OverflowRangeError
 from ptbound.rootfind import sign_change_brackets, uniform_grid
 from ptbound.schrodinger import NRContext, PTPotential, pt_aim_problem, spectral_params
 import strategies as S
@@ -214,7 +214,7 @@ class TestKernelDigest:
                 polys = ptbound.aim._delta_polys(problem, es[0], es[-1], k)
                 values += [
                     (e + problem.e_shift) / problem.e_scale * f(e)  # delta = t q
-                    for f in polys for e in es.tolist()
+                    for f in polys for e in es
                 ]
         return cls._digest(values)
 
@@ -364,13 +364,13 @@ class TestExactScanPolynomials:
                             exact_scan_q(problem, lo, hi, k)):
                 coeffs = [float(c) for c in reversed(q)]
                 expected = []
-                for e in es.tolist():
+                for e in es:
                     t = (e + problem.e_shift) / problem.e_scale
                     acc = 0.0
                     for c in coeffs:
                         acc = acc * (t - t_c) + c
                     expected.append(acc)
-                assert [f(e) for e in es.tolist()] == expected, (pot, k)
+                assert [f(e) for e in es] == expected, (pot, k)
 
 
 def _poly_divmod(p, d):
@@ -859,7 +859,8 @@ class TestProblemIdentity:
 
 class TestZeroOnNode:
     """A value exactly zero on a scan node is one degenerate bracket (x, x),
-    whatever its neighbours, the first node included."""
+    whatever its neighbours, the first node included; a bracket needs
+    strictly opposite signs, and NaN nodes give none."""
 
     @pytest.mark.parametrize(
         "fx, expected",
@@ -869,10 +870,21 @@ class TestZeroOnNode:
             ([1.0, 0.0, -1.0], [(1.0, 1.0, 0.0, 0.0)]),
             ([math.nan, 0.0, 1.0], [(1.0, 1.0, 0.0, 0.0)]),
             ([-1.0, 1.0, 0.0], [(0.0, 1.0, -1.0, 1.0), (2.0, 2.0, 0.0, 0.0)]),
+            ([-0.0, -1.0, -0.0], [(0.0, 0.0, 0.0, 0.0), (2.0, 2.0, 0.0, 0.0)]),
+            ([1.0, -0.0, 1.0], [(1.0, 1.0, 0.0, 0.0)]),
+            ([-math.inf, math.inf, 1.0], [(0.0, 1.0, -math.inf, math.inf)]),
+            ([1.0, -math.inf, -math.inf], [(0.0, 1.0, 1.0, -math.inf)]),
+            ([-1.0, math.nan, math.nan, math.nan, 1.0], []),
+            ([math.nan, math.nan, -1.0, 1.0, math.nan], [(2.0, 3.0, -1.0, 1.0)]),
         ],
     )
     def test_sign_change_brackets(self, fx, expected):
-        assert sign_change_brackets(fx, 0.0, 2.0, 3) == expected
+        xs = [float(i) for i in range(len(fx))]
+        assert sign_change_brackets(xs, fx) == expected
+
+    def test_sign_change_brackets_on_unequal_lists(self):
+        with pytest.raises(BracketError, match="2 values for a 3-point scan"):
+            sign_change_brackets([0.0, 1.0, 2.0], [1.0, -1.0])
 
     def test_scan_keeps_root_on_either_end(self):
         # s0(E) vanishes at E = -e_shift, and with it every delta_k.

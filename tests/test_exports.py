@@ -111,14 +111,15 @@ def _numpy_lines(tree) -> list[int]:
     ]
 
 
-def test_aim_jets_and_schrodinger_name_no_numpy():
+def test_aim_jets_schrodinger_rootfind_and_dirac_name_no_numpy():
     """The Taylor products and the scan's exact polynomials stay off
     numpy, and with it off BLAS and the platform's long double: aim,
     jets and schrodinger never import or name numpy.  This holds the
     platform independence of the aim-verify bytes where the OpenBLAS
-    kernel test skips."""
+    kernel test skips.  The root scans' grids and sign tests run on
+    plain floats too, so rootfind and dirac name no numpy either."""
     package = Path(ptbound.__file__).parent
-    for name in ("aim.py", "jets.py", "schrodinger.py"):
+    for name in ("aim.py", "jets.py", "schrodinger.py", "rootfind.py", "dirac.py"):
         tree = ast.parse((package / name).read_text(encoding="utf-8"))
         imported = [
             alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))

@@ -9,6 +9,7 @@ import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, replace
+from decimal import Decimal
 
 import pytest
 from hypothesis import assume, given, settings
@@ -167,6 +168,17 @@ class TestShooting:
             unit.npts, unit.refinements, unit.passes, unit.points
         )
 
+    def test_level_below_one_is_resolved_relative_to_its_bracket(self):
+        # A bracket inside (-1, 1) scales xtol and the refinement test by
+        # its own magnitude.  Scaled by 1, as every bracket was once, this
+        # one returned 2.5e-12, its midpoint, for the level 3e-12.
+        unit = shoot_eigenvalue(harmonic_problem(), 0, (1.0, 4.0))
+        res = shoot_eigenvalue(harmonic_problem(1e-12), 0, (1e-12, 4e-12))
+        assert res.value == pytest.approx(3e-12, rel=1e-9)
+        assert (res.npts, res.refinements, res.passes, res.points) == (
+            unit.npts, unit.refinements, unit.passes, unit.points
+        )
+
     def test_mesh_doubles(self):
         coarse = harmonic_problem(npts=501)
         res = shoot_eigenvalue(coarse, 0, (1.0, 5.0))
@@ -197,6 +209,14 @@ class TestShooting:
         r_bad = problem.r_min + 1500 * (problem.r_cut - problem.r_min) / (problem.npts - 1)
         problem = replace(problem, w=lambda r: bad if r == r_bad else r * r)
         with pytest.raises(DomainError, match=rf"got {bad!r} at r=6\.75"):
+            shoot_eigenvalue(problem, 0, (1.0, 5.0))
+
+    def test_decimal_w_is_a_domain_error(self):
+        # Decimal values add up among themselves to a finite sum, which
+        # once let them through to the Numerov pass and its bare
+        # TypeError (Decimal minus float).
+        problem = replace(harmonic_problem(), w=lambda r: Decimal(1))
+        with pytest.raises(DomainError, match=r"got Decimal\('1'\) at r=1e-06"):
             shoot_eigenvalue(problem, 0, (1.0, 5.0))
 
     def test_nan_pass_is_a_range_error(self):

@@ -245,7 +245,7 @@ def test_uniform_grid_is_the_stepping_loop(lo, width, n):
     lo + i * step bit for bit."""
     hi = lo + width
     step = (hi - lo) / (n - 1)
-    assert rootfind.uniform_grid(lo, hi, n).tolist() == [lo + i * step for i in range(n)]
+    assert rootfind.uniform_grid(lo, hi, n) == [lo + i * step for i in range(n)]
 
 
 @pytest.mark.parametrize("a, b, n", [
@@ -253,8 +253,8 @@ def test_uniform_grid_is_the_stepping_loop(lo, width, n):
 ])
 def test_uniform_grid_past_the_double_range(a, b, n):
     """Where b - a overflows, the nodes stay finite and run from a to b,
-    with no numpy warning (once [nan, inf, inf, inf, inf] for the first)."""
-    xs = rootfind.uniform_grid(a, b, n).tolist()
+    with no overflow warning (once [nan, inf, inf, inf, inf] for the first)."""
+    xs = rootfind.uniform_grid(a, b, n)
     assert all(map(math.isfinite, xs))
     assert xs[0] == a and xs[-1] == b
     assert xs == sorted(xs)
