@@ -17,35 +17,35 @@ roots of the termination indicator
     delta_k(x0; E) = lambda_k s_{k-1} - lambda_{k-1} s_k
 
 evaluated at the expansion point.  Coefficient functions are carried as
-tuples of their Taylor coefficients there; each iteration differentiates
-once, so delta_k reads orders 0..k of lambda0 and s0 only, and the
-recurrence runs on those, then drops one order a step (step j carries
-orders 0..k - j).
+their Taylor coefficients there; each iteration differentiates once, so
+delta_k reads orders 0..k of lambda0 and s0, and step j carries orders
+0..k - j.
 
-The scan parameter E enters s0 only, as a scalar factor: a problem holds
-two fixed coefficient tuples and two numbers, and
+E enters s0 only, as s0(E) = s0 t with t = (E + e_shift) / e_scale, so
+every coefficient is an exact polynomial in t, s_j is t times one, and
+delta_k = t q_k(t) with q_k of degree at most k (Ciftci, Hall and Saad,
+J. Phys. A 36, 11807 (2003), treat delta_k as a function of E the same
+way).  One recurrence on Python ints gives every value, the inputs being
+doubles, so integers over one power of two.  It carries s_j / t, so that
+delta_k is exactly 0 where s0 vanishes, in powers of tau = t - t_c about
+a double t_c, each Taylor order's polynomial in tau packed into one int
+(``_recurrence``).  ``aim_iterate`` runs it at tau = 0 and rounds
+lambda_k, s_k and delta_k to doubles once each (int / int quotients,
+which CPython rounds correctly), the same on every platform.
 
-    s0(E) = s0 * t,    t = (E + e_shift) / e_scale.
-
-Every lambda_j and s_j coefficient is therefore an exact polynomial in t,
-and s_j is t times one, so delta_k = t q_k(t) with q_k of degree at most
-k (Ciftci, Hall and Saad, J. Phys. A 36, 11807 (2003), treat delta_k as
-a function of E the same way).  One recurrence, on Python ints, gives
-every value: the inputs are doubles, so integers over one power of two,
-and it runs on coefficients in powers of tau = t - t_c about a double
-t_c, carrying s_j / t, so that delta_k is exactly 0 where s0 vanishes.
-``aim_iterate`` runs it at tau = 0, t_c the double t of one E, and
-rounds lambda_k, s_k and delta_k to doubles once each (an int / int
-quotient, which CPython rounds correctly), the same on every platform.
-``aim_eigen_scan`` runs it once per scan, about the bracket's midpoint.
-Its roots are t's zero and those of the integer q_k, isolated exactly by
-Descartes' rule of signs and bisected on Horner's rule over q_k's
-coefficients, each rounded to a double once.  On 585 levels of the
-benchmark's aim_scan workload (seeds 1-3, 201 and 205, 30 rounds each)
-the worst root lies 4.0e-12 from the closed form, against 2.8e-11 with
-the recurrence in doubles; plain powers of t round worse still.  A
-root's residual is the exact delta_k at the root, t q_k(tau) on the
-scan's integers rounded once: bit for bit ``aim_delta`` there.
+``aim_eigen_scan`` runs it once, about the bracket's midpoint.  Its roots
+are t's zero and those of the integer q_k, isolated exactly by Descartes'
+rule of signs.  In each part that holds one, Newton's method on Horner's
+rule over q_k's coefficients, each rounded to a double once, guesses it.
+The bisection to SCAN_TOL then halves toward the guess without a value
+and confirms the final cell by two Horner values at its ends, halving on
+values only where they do not straddle: each root is plain bisection's
+bit for bit under the monotone-sign condition of ``rootfind.bisect``.
+On 2,415 scans of the benchmark's aim_scan workload (seeds 1-13 and
+201-210, 27 rounds each) that took 62,520 Horner values and residuals,
+against 280,797 with a value at every midpoint.  A root's residual is
+the exact delta_k at the root, t q_k(tau) on the scan's integers rounded
+once: bit for bit ``aim_delta`` there.
 
 Roots of delta_k that correspond to true terminating solutions stay put
 as the depth changes; spurious roots drift.  ``aim_eigen_scan``
@@ -138,7 +138,7 @@ class AimRoot:
 class AimScanReport:
     roots: tuple[AimRoot, ...]
     shallow_roots: tuple[float, ...]
-    # Values taken in bisections and residuals: a work count, not compared.
+    # Horner values (Newton steps, bisections) and residuals: a work count, not compared.
     delta_evals: int = field(compare=False)
 
     def converged_roots(self) -> list[float]:
@@ -147,43 +147,60 @@ class AimScanReport:
 
 def _recurrence(problem: AimProblem, t: float, k: int, powers: bool):
     """k exact steps of the recurrence with s0(E) = s0 (t + tau), on
-    Python ints: (shift, t_int, heads), heads[j] the order-0 coefficients
-    (the values at x0) of lambda_j and s_j / t, each a list over the
-    power of tau, times 2^(shift (j + 1)).
+    Python ints: (shift, t_int, heads), heads the last three (fewer for
+    k < 2) of the order-0 coefficients (the values at x0) of lambda_j
+    and s_j / t, j = 0..k, times 2^(shift (j + 1)).  With powers false
+    tau is 0, and a head is the value at t; with powers true it is a
+    list over the power of tau.
 
     The inputs (orders 0..k of lambda0 and s0, and t) are doubles, so
     integers over 2^shift, the largest of their denominators; t_int is t
     times 2^shift, and each step multiplies the denominator by 2^shift.
-    With powers false only the tau^0 column is carried: there only
-    column 0 feeds column 0, so heads[j] is lambda_j and s_j / t at t.
+    A Taylor order's polynomial in tau is one int, its value at tau =
+    2^width (Kronecker substitution), so t + tau is t_int + 2^(shift +
+    width).  That is a ring map, so a head's signed base-2^width digits
+    are exact while each digit d has |d| < 2^(width - 1).  With every
+    input int below 2^top in size, c = max(shift, top), and N_j a bound
+    on the sum of |digit| of any order at step j, order i < k of step j
+    + 1 sums to at most (i + 2) N_j (2^shift + 2^top): N_(j+1) <= (k + 1)
+    2^(c + 1) N_j, and N_0 < 2^top gives N_k < 2^(top + k (c + 1 + b)),
+    b the bit length of k + 1, whence the width.  lambda_j and s_j / t
+    have degree ceil(j/2) and floor(j/2) in tau, so that many digits and
+    one more, which ``_digits`` checks.
     """
     ratios = [x.as_integer_ratio() for x in (t, *problem.lambda0[: k + 1], *problem.s0[: k + 1])]
     shift = max(d.bit_length() for _, d in ratios) - 1
     t_int, *inputs = (n << shift + 1 - d.bit_length() for n, d in ratios)
     lam0, s0 = inputs[: k + 1], inputs[k + 1 :]
-    # The states: lists over the power of tau, to degrees ceil(j/2) and
-    # floor(j/2), of Taylor orders.
-    lam, s = [lam0], [s0]
-    heads = [([lam0[0]], [s0[0]])]
+    top = max(map(int.bit_length, (t_int, *inputs)))
+    width = top + k * (max(shift, top) + 1 + (k + 1).bit_length()) + 1
+    lam, s = lam0, s0
+    t_tau = t_int + (1 << shift + width) if powers else t_int
+    heads = [(lam0[0], s0[0])]
     for m in range(k, 0, -1):
-        zero = [0] * (m + 1)
-        new_lam, new_s = [], []
-        for x, below, y in zip(lam, [zero, *s], s + [zero]):
-            lam_col, s_col = [], []
-            for i in range(m):
-                tail = x[i::-1]
-                lam_col.append(
-                    ((i + 1) * x[i + 1] + below[i] << shift) + t_int * y[i]
-                    + sum(map(mul, lam0, tail))
-                )
-                s_col.append(((i + 1) * y[i + 1] << shift) + sum(map(mul, s0, tail)))
-            new_lam.append(lam_col)
-            new_s.append(s_col)
-        if powers and len(lam) == len(s):  # j even: tau s_j alone gives the top power
-            new_lam.append([y << shift for y in s[-1][:m]])
-        lam, s = new_lam, new_s
-        heads.append(([x[0] for x in lam], [y[0] for y in s]))
+        lam, s = (
+            [((i + 1) * lam[i + 1] << shift) + t_tau * s[i] + sum(map(mul, lam0, lam[i::-1]))
+             for i in range(m)],
+            [((i + 1) * s[i + 1] << shift) + sum(map(mul, s0, lam[i::-1])) for i in range(m)],
+        )
+        heads.append((lam[0], s[0]))
+    heads = heads[-3:]
+    if powers:
+        heads = [(_digits(lam, width, (j + 1) // 2 + 1), _digits(s, width, j // 2 + 1))
+                 for j, (lam, s) in enumerate(heads, k + 1 - len(heads))]
     return shift, t_int, heads
+
+
+def _digits(packed: int, width: int, count: int) -> list[int]:
+    """packed as count signed base-2^width digits, each in [-2^(width -
+    1), 2^(width - 1)), lowest first; ArithmeticError if more are left."""
+    half, digits = 1 << width - 1, []
+    for _ in range(count):
+        digits.append(d := (packed + half & (half << 1) - 1) - half)
+        packed = packed - d >> width
+    if packed:
+        raise ArithmeticError(f"a packed polynomial has more than {count} digits of {width} bits")
+    return digits
 
 
 def _check_depth(problem: AimProblem, k: int, minimum: int = 1) -> int:
@@ -209,7 +226,7 @@ def aim_iterate(problem: AimProblem, e: float, k: int) -> tuple[float, float, fl
     if not math.isfinite(t):
         raise OverflowRangeError(f"t = (E + e_shift) / e_scale at E={e!r} is past the double range")
     shift, t_int, heads = _recurrence(problem, t, k, powers=False)
-    ((prev_lam,), (prev_s,)), ((lam,), (s,)) = heads[-2:]
+    (prev_lam, prev_s), (lam, s) = heads[-2:]
     try:
         return (
             lam / (1 << shift * (k + 1)),
@@ -268,6 +285,25 @@ def _isolate(p: list[int], cap: int) -> list[tuple[float, float, tuple[float, fl
     return found
 
 
+def _newton(f, lo: float, hi: float, sign_lo: float, xtol: float) -> float:
+    """A guess at the one root of f on [lo, hi], where f has sign_lo's
+    sign at lo: Newton's method from the midpoint on f(e) = (value,
+    slope), each step kept inside the bracket the values' signs leave (or
+    else to its midpoint), until a step is below xtol / 4 (at a zero, a
+    step of 0), a value is not finite, or after 64 steps."""
+    e = 0.5 * lo + 0.5 * hi
+    for _ in range(64):
+        value, slope = f(e)
+        if not math.isfinite(value):
+            break
+        lo, hi = (e, hi) if (value < 0.0) == (sign_lo < 0.0) else (lo, e)
+        step = value / slope if slope else math.inf
+        if abs(step) < 0.25 * xtol:
+            return e - step
+        e = e - step if lo < e - step < hi else 0.5 * lo + 0.5 * hi
+    return e
+
+
 def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
     """q_(k-1) and q_k of delta_j = t q_j(tau) over [lo, hi], from one
     recurrence run, each as a function of one E that evaluates q by
@@ -277,10 +313,10 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
     coefficients are int / int quotients, which CPython rounds correctly.
     A t at the bracket's ends or midpoint, a coefficient or a value beyond
     the double range raises OverflowRangeError.  Each function counts its
-    calls in ``calls``; its ``delta(e)`` gives t q at one E on the exact
-    integers, rounded once; its ``roots(xtol)`` gives t's zero, if on
-    [lo, hi], and the real roots of the exact q, isolated on either side
-    of it, then bisected to xtol.
+    Horner values in ``calls``; its ``delta(e)`` gives t q at one E on the
+    exact integers, rounded once; its ``roots(xtol)`` gives t's zero, if
+    on [lo, hi], and the real roots of the exact q, isolated on either
+    side of it, then bisected to xtol from a Newton guess.
     """
     e_shift, e_scale = problem.e_shift, problem.e_scale
     t_c = (0.5 * lo + 0.5 * hi + e_shift) / e_scale
@@ -302,13 +338,18 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
         except OverflowError:
             raise OverflowRangeError(f"delta_{j} {past_range}") from None
 
-        def q(e):
+        def horner(e):
+            # q and dq/dE at one E, by Horner's rule: one value counted.
             q.calls += 1
             tau = (e + e_shift) / e_scale - t_c
-            acc = 0.0
+            acc = slope = 0.0
             for c in coeffs:
+                slope = slope * tau + acc
                 acc = acc * tau + c
-            if not math.isfinite(acc):
+            return acc, slope / e_scale
+
+        def q(e):
+            if not math.isfinite(acc := horner(e)[0]):
                 raise OverflowRangeError(f"delta_{j} {past_range}")
             return acc
 
@@ -348,7 +389,9 @@ def _delta_polys(problem: AimProblem, lo: float, hi: float, k: int):
                 cap = math.frexp((0.5 * b - 0.5 * a) / xtol)[1] + 1
                 for x0, x1, fab in _isolate(p, cap):
                     e0, e1 = (a * (1.0 - x) + b * x for x in (x0, x1))
-                    found.add(e0 if fab is None else bisect(q, e0, e1, xtol=xtol, fab=fab))
+                    found.add(e0 if fab is None else bisect(
+                        q, e0, e1, xtol=xtol, fab=fab, guess=_newton(horner, e0, e1, fab[0], xtol)
+                    ))
             return sorted(found)
 
         q.calls = 0
@@ -365,11 +408,12 @@ def aim_eigen_scan(problem: AimProblem, bracket: tuple[float, float], k: int) ->
 
     One exact recurrence run gives delta_k and delta_(k-1) over the
     bracket, and their real roots there are isolated exactly, then
-    bisected.  A delta_k root's stability gap is the distance to the
-    nearest delta_(k-1) root, and the root is converged when that gap is
-    within STABILITY_TOL relative to its magnitude: exact terminating
-    eigenvalues sit at the same position at both depths, spurious roots
-    do not.  A bracket with no root yields an empty report.
+    bisected from a Newton guess.  A delta_k root's stability gap is the
+    distance to the nearest delta_(k-1) root, and the root is converged
+    when that gap is within STABILITY_TOL relative to its magnitude:
+    exact terminating eigenvalues sit at the same position at both
+    depths, spurious roots do not.  A bracket with no root yields an
+    empty report.
     """
     lo, hi = require_bracket(bracket, "scan bracket")
     k = _check_depth(problem, k, 2)

@@ -328,19 +328,22 @@ def _w_at(problem, npts, indices):
     if not _finite_real(values):
         for i, value in zip(indices, values):
             if not _finite_real([value]):
-                r = r_min + i * h
+                # An int here is past the double range, and repr of one past
+                # 4,300 digits raises.
+                got = "an int past the double range" if isinstance(value, int) else repr(value)
                 raise DomainError(
-                    f"w must be finite and real on the mesh, got {value!r} at r={r!r}"
+                    f"w must be finite and real on the mesh, got {got} at r={r_min + i * h!r}"
                 )
     return values
 
 
 def _finite_real(values):
     """Whether the sum of values is a finite real number: not, say, a
-    Decimal sum, whose values need not mix with a Numerov pass's floats."""
+    Decimal sum, whose values need not mix with a Numerov pass's floats,
+    nor an int past the double range."""
     try:
         return isinstance(total := sum(values), numbers.Real) and math.isfinite(total)
-    except TypeError:  # a value that does not add
+    except (TypeError, OverflowError):  # a value that does not add, or an int with no float
         return False
 
 

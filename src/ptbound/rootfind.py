@@ -9,7 +9,8 @@ from .errors import BracketError
 __all__ = ["bisect", "sign_change_brackets", "uniform_grid"]
 
 
-def bisect(f, a: float, b: float, *, xtol: float, fab: tuple[float, float]) -> float:
+def bisect(f, a: float, b: float, *, xtol: float, fab: tuple[float, float],
+           guess: float | None = None) -> float:
     """Bisection root of f on [a, b]; fab = (f(a), f(b)), the values a
     scan found the bracket with, must straddle a sign change.
 
@@ -18,6 +19,16 @@ def bisect(f, a: float, b: float, *, xtol: float, fab: tuple[float, float]) -> f
     reaches, so it needs no cap on steps; a NaN or infinite end, whose
     midpoints need not, is a bracket failure.  NaN at a midpoint is a
     bracket failure.
+
+    With a guess, the same halving goes toward the guess without f, and
+    f is taken at the ends of the final cell (fab at a or b).  With fa's
+    sign at the left end and the other at the right, the cell's midpoint
+    is returned; otherwise, a zero or NaN included, the halving runs on f.
+    The two agree when f has fa's sign at every midpoint on the halving's
+    path left of the cell and the other sign right of it (the
+    monotone-sign condition): when f's sign changes once on [a, b], or is
+    noise only on an interval that holds the root and is narrower than
+    the cell, since the path's other midpoints lie a cell beyond its ends.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise BracketError(f"bracket ends must be finite, got [{a!r}, {b!r}]")
@@ -28,22 +39,28 @@ def bisect(f, a: float, b: float, *, xtol: float, fab: tuple[float, float]) -> f
         return b
     if math.isnan(fa) or math.isnan(fb) or (fa < 0.0) == (fb < 0.0):
         raise BracketError(f"no sign change on [{a!r}, {b!r}]: f(a)={fa!r}, f(b)={fb!r}")
-    while True:
-        # (a + b)/2 bit for bit where a + b is finite and normal; a + b
-        # itself can overflow on a finite bracket.
-        m = 0.5 * a + 0.5 * b
-        if m == a or m == b or (b - a) <= xtol:
-            break
-        fm = f(m)
-        if fm == 0.0:
+    lo, hi = a, b
+    # (a + b)/2 bit for bit where a + b is finite and normal; a + b itself
+    # can overflow on a finite bracket.
+    while (m := 0.5 * lo + 0.5 * hi) != lo and m != hi and not (hi - lo) <= xtol:
+        if guess is not None:
+            right = m <= guess
+        elif (fm := f(m)) == 0.0:
             return m
-        if math.isnan(fm):
+        elif math.isnan(fm):
             raise BracketError(f"f returned NaN at {m!r} during bisection")
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = m, fm
         else:
-            b = m
-    return 0.5 * a + 0.5 * b
+            right = (fm < 0.0) == (fa < 0.0)  # the root lies right of m
+        if right:
+            lo = m
+        else:
+            hi = m
+    if guess is None:
+        return m
+    f_lo, f_hi = fa if lo == a else f(lo), fb if hi == b else f(hi)
+    if (f_lo < 0.0 < f_hi) if fa < 0.0 else (f_hi < 0.0 < f_lo):
+        return m
+    return bisect(f, a, b, xtol=xtol, fab=fab)
 
 
 def uniform_grid(a: float, b: float, n: int) -> list[float]:

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import ptbound.aim
@@ -298,13 +298,11 @@ def _poly_sum(*ps):
     return out
 
 
-def exact_scan_q(problem, lo, hi, k):
-    """q_(k-1) and q_k of the scan over [lo, hi] in exact rationals, as
-    coefficient lists in powers of tau = t - t_c, lowest first: the
-    recurrence of the module docstring on Taylor coefficients that are
-    polynomials in tau, with s0(E) = s0 (t_c + tau), and delta_j over
-    t = t_c + tau by synthetic division, which must leave no remainder."""
-    t_c = Fraction((0.5 * lo + 0.5 * hi + problem.e_shift) / problem.e_scale)
+def exact_states(problem, t_c, k):
+    """Every step of the recurrence of the module docstring in exact
+    rationals, on Taylor coefficients that are polynomials in tau (lists,
+    lowest power first) with s0(E) = s0 (t_c + tau): (lambda_j, s_j) for
+    j = 0..k, each a list over the Taylor order."""
     lam0 = [[Fraction(c)] for c in problem.lambda0[: k + 1]]
     s0 = [[Fraction(c) * t_c, Fraction(c)] for c in problem.s0[: k + 1]]
     states = [(lam0, s0)]
@@ -323,6 +321,16 @@ def exact_scan_q(problem, lo, hi, k):
             ],
         )
         states.append((lam, s))
+    return states
+
+
+def exact_scan_q(problem, lo, hi, k):
+    """q_(k-1) and q_k of the scan over [lo, hi] in exact rationals, as
+    coefficient lists in powers of tau = t - t_c, lowest first: delta_j
+    of ``exact_states`` about the bracket's midpoint over t = t_c + tau
+    by synthetic division, which must leave no remainder."""
+    t_c = Fraction((0.5 * lo + 0.5 * hi + problem.e_shift) / problem.e_scale)
+    states = exact_states(problem, t_c, k)
     qs = []
     for (prev_lam, prev_s), (lam, s) in zip(states[-3:-1], states[-2:]):
         delta = _poly_sum(_poly_mul(lam[0], prev_s[0]), [-c for c in _poly_mul(prev_lam[0], s[0])])
@@ -371,6 +379,80 @@ class TestExactScanPolynomials:
                         acc = acc * (t - t_c) + c
                     expected.append(acc)
                 assert [f(e) for e in es] == expected, (pot, k)
+
+
+def _trim(p):
+    """p without its zero top coefficients."""
+    p = list(p)
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+# Doubles of every size: about 1e-300 to 1e300, where shift and the slot
+# width of the packed recurrence are largest, and zero.
+wide_floats = st.one_of(
+    st.just(0.0),
+    st.builds(lambda m, e: m * 10.0**e, st.floats(-9.99, 9.99), st.integers(-300, 299)),
+)
+
+
+class TestPackedRecurrence:
+    """The recurrence's heads, unpacked from its Kronecker-packed ints,
+    against an independent exact recurrence (``exact_states``, which
+    carries s_j itself where the module carries s_j / t)."""
+
+    @staticmethod
+    def _check(problem, t_c, k):
+        shift, t_int, heads = ptbound.aim._recurrence(problem, t_c, k, powers=True)
+        assert Fraction(t_int, 2**shift) == Fraction(t_c)
+        _, _, values = ptbound.aim._recurrence(problem, t_c, k, powers=False)
+        states = exact_states(problem, Fraction(t_c), k)
+        assert len(heads) == len(values) == min(3, k + 1)
+        for j, (lam, s), value in zip(range(k + 1 - len(heads), k + 1), heads, values):
+            scale = 2 ** (shift * (j + 1))
+            (exact_lam, *_), (exact_s, *_) = states[j]
+            assert len(lam) == (j + 1) // 2 + 1 and len(s) == j // 2 + 1
+            assert _trim(Fraction(x, scale) for x in lam) == _trim(exact_lam), j
+            s_over_t = [Fraction(x, scale) for x in s]
+            assert _trim(_poly_mul([Fraction(t_c), Fraction(1)], s_over_t)) == _trim(exact_s), j
+            # tau = 0: the scalar recurrence's heads are the constant digits.
+            assert value == (lam[0], s[0])
+
+    @given(
+        a=st.floats(-80.0, -5.0), b=st.floats(0.1, 5.0), alpha=st.floats(0.5, 2.0),
+        t_c=st.floats(-3.0, 3.0), k=st.integers(2, 9),
+    )
+    @settings(max_examples=60)
+    def test_criterion1_wells(self, a, b, alpha, t_c, k):
+        self._check(pt_aim_problem(PTPotential(a, b, alpha), CTX, 0, k), t_c, k)
+
+    @given(
+        coeffs=st.lists(st.tuples(wide_floats, wide_floats), min_size=10, max_size=10),
+        t_c=wide_floats, k=st.integers(2, 9),
+    )
+    @settings(max_examples=60)
+    def test_extreme_magnitudes(self, coeffs, t_c, k):
+        lam0, s0 = zip(*coeffs[: k + 1])
+        self._check(AimProblem(lam0, s0), t_c, k)
+
+    def test_largest_slot_width(self):
+        # Inputs from 1e-300 to 1e300 and t at either end of the range:
+        # shift 1,049, input ints of up to 2,073 bits, and slots of
+        # about 20,500 bits.
+        k = 9
+        lam0 = [(-1.0) ** i * 10.0 ** (300 - 60 * i) for i in range(k + 1)]
+        s0 = [10.0 ** (60 * i - 300) for i in range(k + 1)]
+        self._check(AimProblem(lam0, s0), 3e-300, k)
+        self._check(AimProblem(lam0, s0), -1.7e308, k)
+
+    def test_unpack_checks_for_leftover(self):
+        digits = ptbound.aim._digits
+        assert digits(-3 + (5 << 8) - (128 << 16), 8, 3) == [-3, 5, -128]
+        assert digits(0, 8, 2) == [0, 0]
+        for packed in (1 << 16, 128 << 8, -129 << 8):  # a third digit, or one past the range
+            with pytest.raises(ArithmeticError, match="more than 2 digits"):
+                digits(packed, 8, 2)
 
 
 def _poly_divmod(p, d):
@@ -490,11 +572,20 @@ class TestPolynomialScan:
         k=st.integers(2, 9),
         branch=st.sampled_from(("paper", "regular")),
     )
+    @example(a=-78.0, b=1 / 3, alpha=0.5, frac=0.8515625, k=8, branch="paper")
     @settings(max_examples=300)
     def test_polynomials_are_delta(self, a, b, alpha, frac, k, branch):
-        # Over a level's bracket t times each polynomial is aim_delta up
-        # to rounding: within 1e-12 of the two products delta cancels
-        # (8.9e-14 the worst of 3,000 random draws).
+        # Over a level's bracket, t times each Horner value is the exact
+        # delta, rounded once (q.delta), within the a-priori error bound of
+        # Horner's rule on q's rounded coefficients at the rounded tau.
+        # The term of degree i carries at most 2i + 1 roundings in Horner's
+        # rule (Higham, Accuracy and Stability of Numerical Algorithms,
+        # 5.1), one in its coefficient and i in tau^i; the product with t
+        # and delta's own rounding add one each, so the error is at most
+        # gamma_(3n + 4) |t| sum_i |q_i| |tau|^i, gamma_m = m u / (1 - m u).
+        # In the example draw Horner's sum cancels: the terms add to 4.9e5
+        # times |q_8|, and the error, 2,060 (6.6e-12 relative), is within
+        # its bound of 4.5e5.
         pot = PTPotential(a, b, alpha)
         par = spectral_params(pot, CTX, 0, branch)
         n = (k - 2) // 2
@@ -502,53 +593,82 @@ class TestPolynomialScan:
         problem = pt_aim_problem(pot, CTX, 0, k, branch)
         e = lo + frac * (hi - lo)
         t = (e + problem.e_shift) / problem.e_scale
-        for j, f in zip((k - 1, k), ptbound.aim._delta_polys(problem, lo, hi, k)):
-            if j >= 2:
-                lam_prev, s_prev, _ = aim_iterate(problem, e, j - 1)
-                lam_cur, s_cur, delta = aim_iterate(problem, e, j)
-                scale = abs(lam_cur * s_prev) + abs(lam_prev * s_cur)
-                assert abs(t * f(e) - delta) <= 1e-12 * scale
+        t_c = (0.5 * lo + 0.5 * hi + problem.e_shift) / problem.e_scale
+        tau, u = Fraction(t) - Fraction(t_c), Fraction(2) ** -53
+        for f, q in zip(ptbound.aim._delta_polys(problem, lo, hi, k),
+                        exact_scan_q(problem, lo, hi, k)):
+            m = 3 * (len(q) - 1) + 4
+            bound = m * u / (1 - m * u) * abs(Fraction(t)) * sum(
+                abs(c) * abs(tau) ** i for i, c in enumerate(q)
+            )
+            assert abs(Fraction(t * f(e)) - Fraction(f.delta(e))) <= bound
 
 
 class TestDeltaEvals:
     """AimScanReport.delta_evals counts the values of delta the scan takes
-    at single energies: its bisections' and its residuals."""
+    at single energies: its Horner values (Newton steps, the bisections'
+    confirming ends and any halving) and its residuals."""
 
     def test_counts_every_single_energy_value(self, monkeypatch):
         # One exact recurrence run (_delta_polys) gives the scan
         # polynomials, and the deep one's exact delta at each root its
-        # residual; every other value is a Horner value in a bisection.
-        # The scan calls neither aim_delta nor aim_iterate.
-        runs, residuals, bisected, scalar = [], [], [], []
-        polys, bisect = ptbound.aim._delta_polys, ptbound.aim.bisect
+        # residual; every other value is a Horner value, taken by a Newton
+        # guess or by a bisection, each counted here where the scan hands
+        # the polynomial's evaluator over.  The scan calls neither
+        # aim_delta nor aim_iterate.
+        runs, residuals, guessed, bisected, parts, scalar = [], [], [], [], [], []
+        polys, newton, bisect = ptbound.aim._delta_polys, ptbound.aim._newton, ptbound.aim.bisect
 
-        def counted_delta(exact):
-            return lambda e: residuals.append(e) or exact(e)
+        def counted(f, log):
+            return lambda e: log.append(e) or f(e)
 
         def counted_polys(*args):
-            runs.append(args)
             found = polys(*args)
+            runs.append(found)
             for q in found:
-                q.delta = counted_delta(q.delta)
+                q.delta = counted(q.delta, residuals)
             return found
 
-        def counted_bisect(f, a, b, **kwargs):
-            return bisect(lambda e: bisected.append(e) or f(e), a, b, **kwargs)
+        def counted_bisect(f, *args, **kwargs):
+            parts.append(args)
+            return bisect(counted(f, bisected), *args, **kwargs)
 
         monkeypatch.setattr(ptbound.aim, "_delta_polys", counted_polys)
+        monkeypatch.setattr(ptbound.aim, "_newton", lambda f, *a: newton(counted(f, guessed), *a))
         monkeypatch.setattr(ptbound.aim, "bisect", counted_bisect)
         for name in ("aim_delta", "aim_iterate"):
             monkeypatch.setattr(ptbound.aim, name, lambda *a: scalar.append(a))
         rng = random.Random(11)
         for _ in range(6):
             pot, bracket = criterion1_level(rng, 2)
-            for log in (runs, residuals, bisected):
+            for log in (runs, residuals, guessed, bisected, parts):
                 log.clear()
             rep = aim_eigen_scan(pt_aim_problem(pot, CTX, 0, 6), bracket, 6)
             assert len(runs) == 1
             assert residuals == [r.value for r in rep.roots]
-            assert rep.delta_evals == len(bisected) + len(residuals) > 0
+            assert sum(q.calls for q in runs[0]) == len(guessed) + len(bisected) > 0
+            assert rep.delta_evals == len(guessed) + len(bisected) + len(residuals)
+            # Each guess is confirmed by the two ends of its final cell.
+            assert len(bisected) == 2 * len(parts)
         assert scalar == []
+
+    @pytest.mark.parametrize("root, lo, hi", [
+        (0.3, -2.0, 5.0), (4.9, -2.0, 5.0), (-1.99, -2.0, 5.0), (math.pi, 3.0, 3.2),
+    ])
+    def test_newton_guess(self, root, lo, hi):
+        # atan(50 (e - root)): Newton's step from far off the root leaves
+        # the bracket, where the guard takes the midpoint of the bracket
+        # the signs have left.  The guess lands within xtol / 4 of the root
+        # in a few values.
+        calls = []
+
+        def f(e):
+            calls.append(e)
+            x = 50.0 * (e - root)
+            return math.atan(x), 50.0 / (1.0 + x * x)
+
+        guess = ptbound.aim._newton(f, lo, hi, -1.0, 1e-12)
+        assert abs(guess - root) <= 0.25e-12 and len(calls) <= 12
 
     def test_scan_polynomials_count_their_single_energy_calls(self):
         lo, hi = -30.0, -1.0

@@ -219,6 +219,15 @@ class TestShooting:
         with pytest.raises(DomainError, match=r"got Decimal\('1'\) at r=1e-06"):
             shoot_eigenvalue(problem, 0, (1.0, 5.0))
 
+    @pytest.mark.parametrize("digits", [400, 5000])
+    def test_int_past_the_double_range_is_a_domain_error(self, digits):
+        # An int w value has no float past the double range: the sum's
+        # finiteness check once raised a bare OverflowError, and repr of an
+        # int past 4,300 digits raises ValueError.
+        problem = replace(harmonic_problem(), w=lambda r: 10**digits if r > 5 else r * r)
+        with pytest.raises(DomainError, match=r"got an int past the double range at r=5\.0"):
+            shoot_eigenvalue(problem, 0, (1.0, 5.0))
+
     def test_nan_pass_is_a_range_error(self):
         # From q near 1e65 the first mesh's pass has a NaN tail mismatch,
         # which was once read as a shot below the level: this bracket,

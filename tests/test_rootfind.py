@@ -236,6 +236,151 @@ class TestEvaluations:
             assert calls == midpoints(f, a, b, xtol=1e-10), (root, frac)
 
 
+def final_cell(a, b, xtol, x):
+    """The cell the textbook halving of [a, b] to xtol ends in when every
+    midpoint at or left of x reads as below the root."""
+    while True:
+        m = 0.5 * a + 0.5 * b
+        if m == a or m == b or (b - a) <= xtol:
+            return a, b
+        if x < m:
+            b = m
+        else:
+            a = m
+
+
+GUESSES = ("below", "a", "b", "above", "lattice", "zero", "inside")
+
+
+def draw_guess(where, u, f, a, b, root, xtol):
+    """A guess of one kind: outside the bracket, at an end, on a midpoint
+    of the textbook path, at f's exact zero, or anywhere inside."""
+    path = midpoints(f, a, b, xtol=xtol)
+    return {
+        "below": a - u * (b - a), "a": a, "b": b, "above": b + u * (b - a),
+        "lattice": path[int(u * len(path))] if 0 <= u < 1 and path else a,
+        "zero": root, "inside": a + u * (b - a),
+    }[where]
+
+
+class TestGuess:
+    """bisect(..., guess=g): the halving toward g without f, then f at
+    the two ends of the final cell, gives the textbook value under the
+    monotone-sign condition, and otherwise halves as the textbook does."""
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(sorted(SHAPES)), roots, widths, fractions, xtols, st.booleans(),
+           st.sampled_from(GUESSES), st.floats(0.0, 1.0))
+    def test_smooth_monotone(self, shape, root, width, frac, rel_xtol, flip, where, u):
+        # f's sign is the sign of x - root, so it changes once.
+        sign = -1.0 if flip else 1.0
+        f = lambda x: sign * SHAPES[shape]((x - root) / width)
+        a = root - frac * width
+        b = a + width
+        kwargs = {"xtol": rel_xtol * max(1.0, abs(a), abs(b)), "fab": ends(f, a, b)}
+        guess = draw_guess(where, u, f, a, b, root, kwargs["xtol"])
+        assert bisect(f, a, b, guess=guess, **kwargs) == textbook_bisect(f, a, b, **kwargs)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(sorted(SHAPES)), roots, st.floats(0.1, 0.9),
+           st.sampled_from([1e-13, 1e-11, 1e-10, 1e-8]), st.floats(0.0, 0.49),
+           st.sampled_from(GUESSES), st.floats(0.0, 1.0))
+    def test_noise_band_narrower_than_a_cell(self, shape, root, frac, rel_xtol, band_cells,
+                                             where, u):
+        # Signs scrambled on an interval about the root narrower than the
+        # final cells: the textbook value whatever the guess.
+        width = 0.05
+        a = root - frac * width
+        b = a + width
+        xtol = rel_xtol * max(1.0, abs(a), abs(b))
+        lo, hi = final_cell(a, b, xtol, root)
+        g = lambda x: SHAPES[shape]((x - root) / width)
+        f = noisy(g, root, band_cells * (hi - lo))
+        kwargs = {"xtol": xtol, "fab": ends(f, a, b)}
+        guess = draw_guess(where, u, f, a, b, root, xtol)
+        assert bisect(f, a, b, guess=guess, **kwargs) == textbook_bisect(f, a, b, **kwargs)
+
+    @settings(max_examples=300)
+    @given(st.sampled_from(sorted(SHAPES)), roots, st.floats(0.1, 0.9),
+           st.sampled_from([1e-13, 1e-11, 1e-10, 1e-8]), st.floats(0.0, 64.0),
+           st.sampled_from(GUESSES), st.floats(0.0, 1.0))
+    def test_otherwise_halves(self, shape, root, frac, rel_xtol, band_cells, where, u):
+        # Any band, up to 64 cells wide: f is taken at the ends of the
+        # guess's final cell that are not a or b.  Ends that straddle
+        # with fa's sign on the left give the cell's midpoint; any others
+        # go on to the textbook's midpoints and value.
+        width = 0.05
+        a = root - frac * width
+        b = a + width
+        xtol = rel_xtol * max(1.0, abs(a), abs(b))
+        lo, hi = final_cell(a, b, xtol, root)
+        g = lambda x: SHAPES[shape]((x - root) / width)
+        f = noisy(g, root, band_cells * (hi - lo))
+        fab = ends(f, a, b)
+        guess = draw_guess(where, u, f, a, b, root, xtol)
+        lo, hi = final_cell(a, b, xtol, guess)
+        calls = []
+
+        def traced(x):
+            calls.append(x)
+            return f(x)
+
+        value = bisect(traced, a, b, xtol=xtol, fab=fab, guess=guess)
+        confirming = [x for x, end in ((lo, a), (hi, b)) if x != end]
+        assert calls[: len(confirming)] == confirming
+        f_lo, f_hi = (fab[0] if lo == a else f(lo)), (fab[1] if hi == b else f(hi))
+        if (f_lo < 0.0 < f_hi) if fab[0] < 0.0 else (f_hi < 0.0 < f_lo):
+            assert (value, calls) == (0.5 * lo + 0.5 * hi, confirming)
+        else:
+            assert calls[len(confirming):] == midpoints(f, a, b, xtol=xtol)
+            assert value == textbook_bisect(f, a, b, xtol=xtol, fab=fab)
+
+    @settings(max_examples=200)
+    @given(st.sampled_from(sorted(SHAPES)), roots, st.floats(0.1, 0.9),
+           st.sampled_from([1e-13, 1e-10, 1e-8]), st.floats(0.0, 64.0))
+    def test_without_guess_evaluates_the_textbook_midpoints(self, shape, root, frac, rel_xtol,
+                                                            band_cells):
+        width = 0.05
+        a = root - frac * width
+        b = a + width
+        xtol = rel_xtol * max(1.0, abs(a), abs(b))
+        lo, hi = final_cell(a, b, xtol, root)
+        f = noisy(lambda x: SHAPES[shape]((x - root) / width), root, band_cells * (hi - lo))
+        calls = []
+
+        def traced(x):
+            calls.append(x)
+            return f(x)
+
+        bisect(traced, a, b, xtol=xtol, fab=ends(f, a, b), guess=None)
+        assert calls == midpoints(f, a, b, xtol=xtol)
+
+    def test_cell_ends_at_the_bracket_ends(self):
+        # A guess outside the bracket ends in its first or last cell, one
+        # of whose ends is a or b: fab is used there, and f at the other
+        # end has the sign fab gives that end, so the halving runs.
+        f = lambda x: x - 0.3
+        kwargs = {"xtol": 1e-10, "fab": (-0.3, 0.7)}
+        path = midpoints(f, 0.0, 1.0, xtol=1e-10)
+        for guess, confirming in ((-5.0, 1), (5.0, 1), (0.3, 2)):
+            calls = []
+            value = bisect(lambda x: calls.append(x) or f(x), 0.0, 1.0, guess=guess, **kwargs)
+            assert value == textbook_bisect(f, 0.0, 1.0, **kwargs)
+            assert len(calls) == confirming + (0 if guess == 0.3 else len(path))
+
+    @pytest.mark.parametrize("misbehave", ["nan", "zero"])
+    def test_zero_or_nan_at_a_confirming_end_halves(self, misbehave):
+        # f is 0 or NaN at the guess's cell's left end, where the
+        # textbook loop never looks: the halving runs and gives its value.
+        g = SHAPES["exp"]
+        lo, _ = final_cell(-0.02, 0.03, 1e-10, 0.01)
+        f = lambda x: (math.nan if misbehave == "nan" else 0.0) if x == lo else g(x)
+        kwargs = {"xtol": 1e-10, "fab": ends(g, -0.02, 0.03)}
+        assert lo not in midpoints(g, -0.02, 0.03, xtol=1e-10)
+        value = bisect(f, -0.02, 0.03, guess=0.01, **kwargs)
+        assert value == textbook_bisect(g, -0.02, 0.03, **kwargs)
+
+
 @settings(max_examples=300)
 @given(
     lo=st.floats(-1e6, 1e6), width=st.floats(1e-8, 1e7), n=st.integers(2, 400),
