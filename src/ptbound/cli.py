@@ -21,12 +21,13 @@ from typing import NamedTuple
 import click
 import numpy as np
 
-from . import __version__, oracle
+from . import __version__, oracle, thermo
 from .aim import aim_eigen_scan
 from .dirac import DiracContext, solve_levels
 from .errors import ConvergenceError, DomainError, require_bracket, require_index, require_positive
 from .molecules import (
     AMU_TO_EV,
+    HBARC_CALIBRATED,
     MoleculeParams,
     builtin_molecules,
     load_molecules,
@@ -47,7 +48,7 @@ from .schrodinger import (
 )
 from .specfun import erfi
 from .tableio import ColumnTable, write_csv, write_text
-from .thermo import ThermoContext, thermo_point, thermo_table
+from .thermo import ThermoContext, thermo_table
 
 __all__ = [
     "RunConfig",
@@ -62,6 +63,9 @@ __all__ = [
 ]
 
 FIGURE_MOLECULES = ("N2", "TiH", "NiC", "I2")
+
+# perfbench/tracing.py wraps this name; thermo_table calls thermo's own.
+thermo_point = thermo.thermo_point
 
 
 @dataclass(frozen=True)
@@ -172,7 +176,7 @@ def cli_table2(config: RunConfig, report_path: Path | None = None) -> tuple[Path
         "  1. the l(l+1)/12 offset term is dropped;",
         "  2. the well strength B does not enter the second square root,",
         "     which collapses to (2l+1);",
-        "  3. hbar*c = 1973.0 eV*Angstrom instead of the stated 1973.29.",
+        f"  3. hbar*c = {HBARC_CALIBRATED} eV*Angstrom instead of the stated {HBARC_EV_ANG}.",
         "",
         "The energy_calibrated_ev column applies that convention; its",
         "per-entry deviations are in rel_dev_calibrated.",
@@ -209,27 +213,9 @@ def cli_thermo(
             for beta in betas:
                 yield tctx, beta
 
-    table = _thermo_batch(pairs())
+    table = thermo_table(pairs())
     write_csv(config.out, header, ColumnTable(table, [mol.name for mol in mols for _ in betas]))
     return config.out
-
-
-def _thermo_batch(pairs) -> np.ndarray:
-    """thermo_table of every (context, beta) pair, in one batch.
-
-    Drawing a pair can fail (a context that cannot be built); the pairs
-    drawn before it are then evaluated first, one thermo_point call each,
-    so that the error reported is the one a pair-by-pair loop would meet
-    first.  (perfbench's tracer wraps this module's thermo_point.)
-    """
-    drawn: list[tuple[ThermoContext, float]] = []
-    try:
-        drawn.extend(pairs)
-    except Exception:
-        for ctx, beta in drawn:
-            thermo_point(ctx, beta)
-        raise
-    return thermo_table(drawn)
 
 
 def cli_dirac(
@@ -311,7 +297,7 @@ def cli_figure_data(
             for beta in fixed_betas:
                 yield ThermoContext(zeta=zeta, tau=1.0), beta
 
-    fields = _thermo_batch(pairs())[:, 2:]  # Z, U, C, F, S
+    fields = thermo_table(pairs())[:, 2:]  # Z, U, C, F, S
     split = len(betas) * len(contexts)
     for name, column, grid, blocks, block_fields in (
         ("fig_thermo_vs_beta.csv", "beta", betas, wanted, fields[:split]),

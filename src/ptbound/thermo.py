@@ -16,14 +16,15 @@ analytically; the small-chi region, where 1 - chi/dawson(chi) loses all
 leading digits, switches to series.
 
 thermo_point gives every quantity at one beta, each from its standalone
-function.  thermo_table takes a sequence of (context, beta) pairs and
-evaluates them all in one array pass (the erfi series of every point
-summed together, each element with the scalar operations in the scalar
-order).  It returns a float64 block with one row per pair, the whole
-ThermoPoint (beta, chi, Z, U, C, F, S), bit for bit the fields of
-thermo_point at that pair; a pair the pass cannot cover sends every pair
-through thermo_point, in order, so the first failing pair raises its
-error.  The tables of the CLI are formatted from the block itself.
+function.  thermo_table(pairs) is, by contract, the loop
+[thermo_point(ctx, beta) for ctx, beta in pairs] over any iterable of
+(context, beta) pairs, as a float64 block: one row per pair, the whole
+ThermoPoint (beta, chi, Z, U, C, F, S) bit for bit, and the loop's first
+error, also one the iterable raises after some pairs.  It draws the
+pairs, then evaluates them in one array pass (the erfi series of every
+point summed together, each element with the scalar operations in the
+scalar order), or, where the pass cannot cover a pair, by that loop.
+The tables of the CLI are formatted from the block itself.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -60,9 +61,10 @@ _HALF_SQRT_PI = 0.5 * math.sqrt(math.pi)
 _LN_PI_4 = math.log(math.pi / 4.0)
 _LN2 = math.log(2.0)
 _EXP_MAX = 700.0
-# Below this chi, 1 - chi/dawson(chi) is evaluated by series: the direct
-# form has lost ~chi^-2 leading digits, the three-term series still has
-# ~1e-12 relative truncation error at the cutover.
+# Below this chi, 1 - chi/dawson(chi) (U) and C are evaluated by series.
+# For U the direct form's rounding error grows as ~chi^-2, and the
+# three-term series still has ~1e-12 relative truncation error at the
+# cutover; C is worse on both sides (see _specific_heat).
 _SERIES_CHI = 0.02
 # C = sum_k c_k t^k with t = 1/(2 chi^2), highest order first: the large-chi
 # series of the closed form.  With S = 2 chi dawson(chi) = sum_k (2k-1)!! t^k,
@@ -174,6 +176,11 @@ def _mean_energy(omd, beta):
 
 
 def _specific_heat(x, d):
+    # Good to about eight digits only, against a 60-digit reference on the
+    # same doubles: the two-term series is 5.97e-9 off at chi = 0.0199; the
+    # direct form, which cancels ~chi^-4 ulps, 2.89e-10 at 0.0201, up to
+    # 1.55e-8 on (0.02, 0.03), and 5.30e-12 at 0.1.  ROADMAP direction 22
+    # extends the series.
     x2 = x * x
     return _pick(
         x < _SERIES_CHI,
@@ -302,46 +309,46 @@ def thermo_point(ctx: ThermoContext, beta: float) -> ThermoPoint:
     )))
 
 
-def thermo_table(pairs: Sequence[tuple[ThermoContext, float]]) -> np.ndarray:
-    """The ThermoPoint of each (context, beta) pair, one float64 row per pair.
+def thermo_table(pairs: Iterable[tuple[ThermoContext, float]]) -> np.ndarray:
+    """[thermo_point(ctx, beta) for ctx, beta in pairs] as a float64 block,
+    one row per pair: each row is that pair's ThermoPoint bit for bit, and
+    the first error of that loop is raised, also one the iterable raises
+    after some pairs (the pairs drawn before it are evaluated first).
 
-    Each row equals thermo_point(ctx, beta) bit for bit.  The series of
-    all pairs are summed in one array pass, which runs as long as the
-    slowest pair's.  If that pass does not cover every pair, the pairs go
-    through thermo_point one by one, in order, and the first failing pair
-    raises its error.
+    The drawn pairs go through one array pass, which runs as long as the
+    slowest pair's series.  It covers pairs of a ThermoContext and a float
+    beta with 0 < chi <= ERFI_MAX_ARG and finite results; if it does not
+    cover every pair, the loop itself runs.
     """
-    fields = _point_fields(pairs)
-    if fields is None:
-        points = [thermo_point(ctx, beta) for ctx, beta in pairs]
-        fields = np.array(points, dtype=np.float64).reshape(len(points), len(ThermoPoint._fields))
-    return fields
-
-
-@np.errstate(all="ignore")  # the branch np.where drops may divide by 0
-def _point_fields(pairs) -> np.ndarray | None:
-    """The ThermoPoint of every pair, one row each, as the scalar
-    thermo_point gives it; None unless every pair is a ThermoContext and
-    a float beta with 0 < chi <= ERFI_MAX_ARG and finite results."""
-    if not all(isinstance(c, ThermoContext) and isinstance(b, float) for c, b in pairs):
-        return None
-    tau, beta = np.array([c.tau for c, _ in pairs]), np.array([b for _, b in pairs])
-    sqrt_beta = np.sqrt(beta)
-    x = np.array([c.zeta for c, _ in pairs]) * sqrt_beta / tau
-    if not np.all((0.0 < x) & (x <= ERFI_MAX_ARG)):
-        return None
-    d, erfi_x, ln_erfi_x = _erfi_family_array(x)
-    omd = _one_minus_chi_over_dawson(x, d)
-    # logs from math, as in the scalar form: numpy's differ in the last bit
-    ln_tau = np.array([math.log(c.tau) for c, _ in pairs])
-    ln_beta = np.array([math.log(b) for _, b in pairs])
-    fields = np.stack([
-        beta,
-        x,
-        _partition(erfi_x, tau, sqrt_beta),
-        _mean_energy(omd, beta),
-        _specific_heat(x, d),
-        -_log_partition(ln_erfi_x, ln_tau, ln_beta) / beta,
-        _entropy(omd, ln_erfi_x, ln_tau, ln_beta),
-    ], axis=1)
-    return fields if np.isfinite(fields).all() else None
+    drawn: list[tuple[ThermoContext, float]] = []
+    try:
+        drawn.extend(pairs)
+    except Exception:
+        for ctx, beta in drawn:
+            thermo_point(ctx, beta)
+        raise
+    if all(isinstance(p, tuple) and len(p) == 2 and isinstance(p[0], ThermoContext)
+           and isinstance(p[1], float) for p in drawn):
+        with np.errstate(all="ignore"):  # the branch np.where drops may divide by 0
+            tau, beta = np.array([c.tau for c, _ in drawn]), np.array([b for _, b in drawn])
+            sqrt_beta = np.sqrt(beta)
+            x = np.array([c.zeta for c, _ in drawn]) * sqrt_beta / tau
+            if np.all((0.0 < x) & (x <= ERFI_MAX_ARG)):
+                d, erfi_x, ln_erfi_x = _erfi_family_array(x)
+                omd = _one_minus_chi_over_dawson(x, d)
+                # logs from math, as in the scalar form: numpy's differ in the last bit
+                ln_tau = np.array([math.log(c.tau) for c, _ in drawn])
+                ln_beta = np.array([math.log(b) for _, b in drawn])
+                fields = np.stack([
+                    beta,
+                    x,
+                    _partition(erfi_x, tau, sqrt_beta),
+                    _mean_energy(omd, beta),
+                    _specific_heat(x, d),
+                    -_log_partition(ln_erfi_x, ln_tau, ln_beta) / beta,
+                    _entropy(omd, ln_erfi_x, ln_tau, ln_beta),
+                ], axis=1)
+                if np.isfinite(fields).all():
+                    return fields
+    points = [thermo_point(ctx, beta) for ctx, beta in drawn]
+    return np.array(points, dtype=np.float64).reshape(len(points), len(ThermoPoint._fields))

@@ -8,10 +8,11 @@ unattainable at zeta = 50, where the ladder-sum endpoint correction
 already floors at 1/(zeta+1) = 1.96% and reaches 2.49% at chi = 1) and
 once on the attainable zeta >= 64 envelope, which passes.
 
-Criteria 1 to 4 beat their bounds by orders of magnitude, so each also
+Criteria 1 to 5 beat their bounds by orders of magnitude, so each also
 asserts its worst deviation within 10 times the floor committed in
 floors.json, with the case that gave it (criterion 3 takes the larger of
-its two sweeps' worst, criterion 4 the limit formula's).  A change that
+its two sweeps' worst, criterion 4 the limit formula's, and criterion 5
+has one floor for each link of its consistency chain).  A change that
 moves a floor edits that file.
 """
 
@@ -354,7 +355,13 @@ def classical_points():
 
 class TestCriterion5:
     def test_consistency_chain_and_limits(self):
-        worst_u = worst_c = worst_s = worst_f = 0.0
+        # quantity -> (worst rel dev, the point that gave it)
+        worst = dict.fromkeys(("U-vs-FD", "C-vs-FD", "S identity", "F identity"), (0.0, None))
+
+        def track(quantity, dev, ctx, beta):
+            worst[quantity] = max(worst[quantity], (dev, {"zeta": ctx.zeta, "beta": beta}),
+                                  key=lambda w: w[0])
+
         for zeta in ZETA_GRID:
             ctx = ThermoContext(zeta=zeta, tau=1.0)
             for beta in BETA_GRID:
@@ -363,24 +370,20 @@ class TestCriterion5:
                 du, _ = finite_difference(
                     lambda s: log_partition_closed(ctx, s), beta, order=1, h=beta * 1e-2
                 )
-                worst_u = max(worst_u, abs(u - (-du)) / max(1.0, abs(u)))
+                track("U-vs-FD", abs(u - (-du)) / max(1.0, abs(u)), ctx, beta)
                 c = specific_heat(ctx, beta)
                 dudb, _ = finite_difference(
                     lambda s: mean_energy(ctx, s), beta, order=1, h=beta * 1e-2
                 )
-                worst_c = max(
-                    worst_c, abs(c - (-(beta**2) * dudb)) / max(1.0, abs(c))
-                )
+                track("C-vs-FD", abs(c - (-(beta**2) * dudb)) / max(1.0, abs(c)), ctx, beta)
                 s_val = entropy(ctx, beta)
-                worst_s = max(
-                    worst_s,
-                    abs(s_val - (ln_z + beta * u)) / max(1.0, abs(s_val)),
-                )
+                track("S identity", abs(s_val - (ln_z + beta * u)) / max(1.0, abs(s_val)),
+                      ctx, beta)
                 f_val = free_energy(ctx, beta)
                 t = 1.0 / beta
-                worst_f = max(
-                    worst_f, abs(f_val - (u - t * s_val)) / max(1.0, abs(f_val))
-                )
+                track("F identity", abs(f_val - (u - t * s_val)) / max(1.0, abs(f_val)),
+                      ctx, beta)
+        worst_u, worst_c, worst_s, worst_f = (w for w, _ in worst.values())
 
         limit_ok = True
         for zeta in ZETA_GRID:
@@ -400,6 +403,8 @@ class TestCriterion5:
             f"(1e-5), S identity {worst_s:.1e} (1e-8), F identity {worst_f:.1e} "
             f"(1e-8), beta->0 limits within 1%: {limit_ok}",
         )
+        for quantity, (dev, case) in worst.items():
+            check_floor(f"5 {quantity}", dev, case)
 
     @pytest.mark.xfail(
         strict=True,

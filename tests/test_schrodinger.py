@@ -2,15 +2,24 @@
 wavefunctions, and the shooting cross-check."""
 
 import hashlib
+import itertools
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ptbound.dirac import DiracContext, plain_params, spinor_wavefunction, tilde_params
+from ptbound.dirac import (
+    DiracContext,
+    plain_params,
+    reflectionless_nr_energy,
+    spinor_wavefunction,
+    symmetric_nr_energy,
+    tilde_params,
+)
 from ptbound.errors import DomainError, NodeCountError, OverflowRangeError
 from ptbound.oracle import (
     finite_difference, harmonic_problem, integrate_adaptive, shoot_eigenvalue,
@@ -633,3 +642,145 @@ class TestReferenceWellShape:
 
     def test_paper_formula_still_negative(self):
         assert energy_nr(self.POT_REF, self.CTX_CO, 0, 0, "paper") < 0.0
+
+
+def regular_count(params) -> int:
+    """The number of levels n with bound_possible(n): 0, 1, ..., count - 1."""
+    return next(n for n in itertools.count() if not params.bound_possible(n))
+
+
+class TestVariationalBound:
+    """No level of a potential lies below its minimum.  At mu = 1/2 and
+    l = 0 the radial equation is u'' = (w - k1) u with w = A1/cosh^2(alpha r)
+    + B1/sinh^2(alpha r), A1 = A and B1 = B, so every bound k1 lies in
+    (min w, 0).  The regular ladder keeps that bound; the paper ladder and
+    the printed special-case ladders do not.  Computed from the closed
+    forms alone, with no engine."""
+
+    # Criterion 2's five wells and the reference well (A, B, alpha), with
+    # min w and the paper ladder's k1(0), to the digits printed.
+    WELLS = [
+        ((-60.0, 0.5, 1.0), -49.5455, -62.35),
+        ((-100.0, 2.0, 1.0), -73.7157, -90.49),
+        ((-45.0, 0.1, 0.8), -40.8574, -49.14),
+        ((-150.0, 3.0, 1.3), -110.5736, -137.23),
+        ((-75.0, 1.2, 1.1), -57.2263, -73.14),
+        ((-30.0, 2.3, 1.0), -15.6868, -24.04),
+    ]
+
+    @staticmethod
+    def min_w(a1, b1):
+        """w at its stationary point, tanh^4(alpha r) = B1/|A1|, where
+        1/cosh^2 = 1 - tanh^2 and 1/sinh^2 = 1/tanh^2 - 1."""
+        t2 = math.sqrt(b1 / -a1)
+        return a1 * (1.0 - t2) + b1 * (1.0 / t2 - 1.0)
+
+    @pytest.mark.parametrize("well, min_w", [(well, w) for well, w, _ in WELLS])
+    def test_minimum_of_w(self, well, min_w):
+        a, b, alpha = well
+        x = alpha * 1e-5 * np.arange(1, 300_001)  # r on a 1e-5 grid up to 3
+        grid = float(np.min(a / np.cosh(x) ** 2 + b / np.sinh(x) ** 2))
+        assert abs(grid - min_w) < 5e-5 and abs(self.min_w(a, b) - min_w) < 5e-5
+
+    @pytest.mark.parametrize("well, paper_k1", [(well, k1) for well, _, k1 in WELLS])
+    def test_regular_levels_keep_the_bound(self, well, paper_k1):
+        pot = PTPotential(*well)
+        reg = spectral_params(pot, CTX, 0, "regular")
+        bound = self.min_w(pot.A, pot.B)
+        ladder = [reg.k1(n) for n in range(regular_count(reg))]
+        assert ladder and all(bound < k1 < 0.0 for k1 in ladder)
+        assert all(k1 < above for k1, above in zip(ladder, ladder[1:]))
+        paper = spectral_params(pot, CTX, 0, "paper").k1(0)
+        assert paper < bound and abs(paper - paper_k1) < 5e-3
+
+    def test_special_case_ladders_fall_without_bound(self):
+        # -4 (n + 3/2)^2 and -4 (n + 2/5)^2: below any finite min w from
+        # some n on
+        for energy, printed in (
+            (lambda n: reflectionless_nr_energy(0.5, 1.0, 3.0, n), (-9.0, -25.0, -49.0, -81.0)),
+            (lambda n: symmetric_nr_energy(0.5, 0.3, n), (-0.64, -7.84, -23.04, -46.24)),
+        ):
+            assert [energy(n) for n in range(4)] == pytest.approx(printed, rel=1e-12)
+            ladder = [energy(n) for n in range(0, 1001, 100)]
+            assert all(e > below for e, below in zip(ladder, ladder[1:]))
+            assert ladder[-1] < -4e6
+
+
+def _sech2(x):
+    return 1.0 / math.cosh(x) ** 2
+
+
+def _csch2(x):
+    return 1.0 / math.sinh(x) ** 2
+
+
+class TestHellmannFeynman:
+    """dE/dA = <sech^2(alpha r)> and dE/dB = <csch^2(alpha r)> on every
+    bound level: at mu = 1/2 the strengths enter the radial equation as
+    A/cosh^2 and (B + l(l+1) alpha^2)/sinh^2, and the centrifugal offset
+    does not depend on them.  The closed-form ladder's slopes (Richardson
+    differences of energy_nr) against the expectations over the
+    closed-form amplitude (adaptive quadrature)."""
+
+    WELLS = [(-150.0, 3.0, 1.3), (-30.0, 2.3, 1.0)]
+
+    @staticmethod
+    def slope(pot, field, n, l):
+        """dE/d(field) of the regular ladder; h = 0.1 keeps the rounding
+        of E out of the tenth digit."""
+        def energy(s):
+            return energy_nr(replace(pot, **{field: s}), CTX, n, l, "regular")
+        return finite_difference(energy, getattr(pot, field), h=0.1)[0]
+
+    @staticmethod
+    def expectations(pot, n, l, argument, weights):
+        """<f(alpha r)> over u^2 for each f of weights, on [1e-6/alpha,
+        1/alpha + 40/kappa], where u^2 has decayed by e^-80."""
+        a = pot.alpha
+        kappa = math.sqrt(-spectral_params(pot, CTX, l, "regular").k1(n))
+        lo, hi = 1e-6 / a, 1.0 / a + 40.0 / kappa
+
+        def u(r):
+            return wavefunction_nr(pot, CTX, n, l, r, "regular", argument)
+
+        # scaled to a peak near 1, so that tol is relative to the norm
+        peak = max(abs(u(lo + (hi - lo) * i / 256)) for i in range(257))
+
+        def u2(r):
+            return (u(r) / peak) ** 2
+
+        norm = integrate_adaptive(u2, lo, hi, tol=1e-13)
+        return [
+            integrate_adaptive(lambda r: f(a * r) * u2(r), lo, hi, tol=1e-13) / norm
+            for f in weights
+        ]
+
+    @pytest.mark.parametrize("l", [0, 1])
+    @pytest.mark.parametrize("well", WELLS)
+    def test_slopes_are_expectations(self, well, l):
+        pot = PTPotential(*well)
+        count = regular_count(spectral_params(pot, CTX, l, "regular"))
+        assert count >= 2
+        for n in range(count):
+            sech2, csch2 = self.expectations(pot, n, l, "squared", (_sech2, _csch2))
+            d_a, d_b = self.slope(pot, "A", n, l), self.slope(pot, "B", n, l)
+            assert d_a > 0.0 and d_b > 0.0
+            assert d_a == pytest.approx(sech2, rel=1e-8), n
+            assert d_b == pytest.approx(csch2, rel=1e-8), n
+
+    @pytest.mark.parametrize("l", [0, 1])
+    @pytest.mark.parametrize("well", WELLS)
+    def test_linear_argument_misses(self, well, l):
+        # the published amplitude is not the level's eigenfunction
+        pot = PTPotential(*well)
+        (sech2,) = self.expectations(pot, 1, l, "linear", (_sech2,))
+        assert abs(sech2 - self.slope(pot, "A", 1, l)) > 1e-2 * abs(sech2)
+
+    @pytest.mark.parametrize("l, d_a", [(0, -0.1994), (1, -0.2969)])
+    def test_past_the_count(self, l, d_a):
+        # n = 2 on (-30, 2.3, 1) is past the regular count: the ladder
+        # value there is no level, and its slope has the sign no
+        # expectation of sech^2 can have
+        pot = PTPotential(-30.0, 2.3, 1.0)
+        assert regular_count(spectral_params(pot, CTX, l, "regular")) == 2
+        assert self.slope(pot, "A", 2, l) == pytest.approx(d_a, abs=5e-5)

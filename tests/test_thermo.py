@@ -589,6 +589,16 @@ INVALID_PAIRS = st.one_of(
 )
 
 
+def _point_fails(pair) -> bool:
+    """Whether thermo_point rejects the pair (the int-field pairs above
+    only leave the array pass)."""
+    try:
+        thermo_point(*pair)
+    except PtboundError:
+        return True
+    return False
+
+
 # chi spread over (0, 26): both series run as arrays, then a scalar tail
 SPREAD_PAIRS = [_pair(1e-3 + 25.9 * i / 199, 40.0, 2.0) for i in range(200)]
 
@@ -615,6 +625,7 @@ class TestThermoTable:
     @example(pairs=SPREAD_PAIRS, bad=[(150, (ThermoContext(5.0, 1.0), 0.0))])
     @settings(max_examples=200)
     def test_equals_pointwise_calls(self, pairs, bad):
+        pairs = list(pairs)  # the explicit examples share SPREAD_PAIRS
         for i, pair in bad:
             pairs.insert(i, pair)
         try:
@@ -630,3 +641,60 @@ class TestThermoTable:
 
     def test_empty(self):
         assert thermo_table([]).shape == (0, 7)
+
+    @staticmethod
+    def _assert_as_loop(stream):
+        """thermo_table(stream()) against the pointwise loop over another
+        stream() (a fresh iterable each call): the same rows, bit for bit,
+        or the same first error, type and message."""
+        try:
+            expected = [thermo_point(c, b) for c, b in stream()]
+        except Exception as exc:
+            with pytest.raises(type(exc)) as info:
+                thermo_table(stream())
+            assert (type(info.value), str(info.value)) == (type(exc), str(exc))
+            return exc
+        table = thermo_table(stream())
+        assert table.shape == (len(expected), 7) and table.dtype == np.float64
+        assert _hexes(table.tolist()) == _hexes(expected)
+        return None
+
+    @given(pairs=st.lists(VALID_PAIRS, max_size=80))
+    @example(pairs=SPREAD_PAIRS)
+    @settings(max_examples=50)
+    def test_generator_of_valid_pairs(self, pairs):
+        assert self._assert_as_loop(lambda: (pair for pair in pairs)) is None
+
+    @given(pairs=st.lists(VALID_PAIRS, max_size=80))
+    @example(pairs=[])
+    @example(pairs=SPREAD_PAIRS)
+    @settings(max_examples=50)
+    def test_generator_raising_after_k_pairs(self, pairs):
+        def stream():
+            yield from pairs
+            raise ValueError(f"no pair after {len(pairs)}")
+
+        error = self._assert_as_loop(stream)
+        assert (type(error), str(error)) == (ValueError, f"no pair after {len(pairs)}")
+
+    @given(
+        before=st.lists(VALID_PAIRS, max_size=40),
+        bad=INVALID_PAIRS.filter(_point_fails),
+        after=st.lists(VALID_PAIRS, max_size=40),
+    )
+    @example(before=SPREAD_PAIRS, bad=(ThermoContext(5.0, 1.0), 0.0), after=[])
+    @settings(max_examples=50)
+    def test_generator_raising_after_a_failing_pair(self, before, bad, after):
+        # the failing pair's error comes first, not the stream's
+        def stream():
+            yield from before
+            yield bad
+            yield from after
+            raise ValueError("no more pairs")
+
+        assert isinstance(self._assert_as_loop(stream), PtboundError)
+
+    def test_failing_pair_before_a_non_pair(self):
+        # the loop fails on the pair before it could unpack the non-pair
+        error = self._assert_as_loop(lambda: [(ThermoContext(5.0, 1.0), 0.0), 5])
+        assert isinstance(error, DomainError)
