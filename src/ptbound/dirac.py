@@ -124,40 +124,51 @@ def _reflected(pot: PTPotential) -> PTPotential:
     return PTPotential(A=-pot.A, B=-pot.B, alpha=pot.alpha)
 
 
-def _pspin_residual_raw(e, m, kappa, n, cps, ae2, pot):
-    # kappa enters only through (2k-1)^2 and k(k-1), so the formal value
-    # k = 0 produced by the exchange map is evaluable here even though it
-    # is not a legal quantum number for a context object.
-    t = m - e + cps
-    arg1 = 1.0 + 4.0 * pot.A * t / ae2
-    arg2 = (2.0 * kappa - 1.0) ** 2 - 4.0 * pot.B * t / ae2
-    if arg1 < 0.0 or arg2 < 0.0:
-        return _NAN
-    bracket = n + 0.5 + 0.25 * math.sqrt(arg1) - 0.25 * math.sqrt(arg2)
-    return 4.0 * ae2 * (D0 * kappa * (kappa - 1) - bracket * bracket) + (m + e) * t
+def _pspin_kernel(m, kappa, n, cps, hbar_c, pot):
+    """The pseudospin residual as a function of E, NaN off-domain, with
+    (alpha hbar_c)^2 checked and each term free of E formed once, when it
+    is built.  kappa enters only through (2k-1)^2 and k(k-1), so the
+    exchange map's formal k = 0, which no context may hold, is evaluable."""
+    ae2 = require_normal_square(pot.alpha * hbar_c, "(alpha hbar_c)")
+    four_a, four_b, k2, half = 4.0 * pot.A, 4.0 * pot.B, (2.0 * kappa - 1.0) ** 2, n + 0.5
+    angular, four_ae2 = D0 * kappa * (kappa - 1), 4.0 * ae2
+
+    def residual(e):
+        t = m - e + cps
+        arg1, arg2 = 1.0 + four_a * t / ae2, k2 - four_b * t / ae2
+        if arg1 < 0.0 or arg2 < 0.0:
+            return _NAN
+        bracket = half + 0.25 * math.sqrt(arg1) - 0.25 * math.sqrt(arg2)
+        return four_ae2 * (angular - bracket * bracket) + (m + e) * t
+    return residual
+
+
+def _spin_kernel(m, k, n, cs, hbar_c, pot, shifted=False):
+    """The spin residual as a function of E (of the gap W = E - M when
+    shifted), NaN off-domain; checked and formed as _pspin_kernel."""
+    ae2 = require_normal_square(pot.alpha * hbar_c, "(alpha hbar_c)")
+    four_a, four_b, k2, half = 4.0 * pot.A, 4.0 * pot.B, (2.0 * k + 1.0) ** 2, n + 0.5
+    angular, four_ae2, base = D0 * k * (k + 1), 4.0 * ae2, (2.0 * m if shifted else m)
+
+    def residual(e):
+        # t = M + E - Cs and gap = M - E, as exact as the variable allows
+        t, gap = base + e - cs, (-e if shifted else m - e)
+        arg1, arg2 = 1.0 - four_a * t / ae2, k2 + four_b * t / ae2
+        if arg1 < 0.0 or arg2 < 0.0:
+            return _NAN
+        bracket = half + 0.25 * (math.sqrt(arg1) - math.sqrt(arg2))
+        return four_ae2 * (angular - bracket * bracket) + gap * t
+    return residual
 
 
 def pspin_residual(e: float, ctx: DiracContext, pot: PTPotential) -> float:
     """Left-hand side of the pseudospin energy condition; NaN off-domain."""
-    ae2 = require_normal_square(pot.alpha * ctx.hbar_c, "(alpha hbar_c)")
-    return _pspin_residual_raw(e, ctx.M, ctx.kappa, ctx.n, ctx.c_shift, ae2, pot)
-
-
-def _spin_residual_raw(t, gap, ctx, pot):
-    # t = M + E - Cs and gap = M - E, as exact as the caller's variable allows.
-    ae2 = require_normal_square(pot.alpha * ctx.hbar_c, "(alpha hbar_c)")
-    k = ctx.kappa
-    arg1 = 1.0 - 4.0 * pot.A * t / ae2
-    arg2 = (2.0 * k + 1.0) ** 2 + 4.0 * pot.B * t / ae2
-    if arg1 < 0.0 or arg2 < 0.0:
-        return _NAN
-    bracket = ctx.n + 0.5 + 0.25 * (math.sqrt(arg1) - math.sqrt(arg2))
-    return 4.0 * ae2 * (D0 * k * (k + 1) - bracket * bracket) + gap * t
+    return _pspin_kernel(ctx.M, ctx.kappa, ctx.n, ctx.c_shift, ctx.hbar_c, pot)(e)
 
 
 def spin_residual(e: float, ctx: DiracContext, pot: PTPotential) -> float:
     """Left-hand side of the spin energy condition; NaN off-domain."""
-    return _spin_residual_raw(ctx.M + e - ctx.c_shift, ctx.M - e, ctx, pot)
+    return _spin_kernel(ctx.M, ctx.kappa, ctx.n, ctx.c_shift, ctx.hbar_c, pot)(e)
 
 
 def spin_residual_shifted(w: float, ctx: DiracContext, pot: PTPotential) -> float:
@@ -167,7 +178,8 @@ def spin_residual_shifted(w: float, ctx: DiracContext, pot: PTPotential) -> floa
     carried as -W exactly, so the near-rest-mass regime W << M keeps
     full precision instead of losing it to cancellation.
     """
-    return _spin_residual_raw(2.0 * ctx.M + w - ctx.c_shift, -w, ctx, pot)
+    kernel = _spin_kernel(ctx.M, ctx.kappa, ctx.n, ctx.c_shift, ctx.hbar_c, pot, shifted=True)
+    return kernel(w)
 
 
 def spin_residual_via_map(e: float, ctx: DiracContext, pot: PTPotential) -> float:
@@ -177,14 +189,14 @@ def spin_residual_via_map(e: float, ctx: DiracContext, pot: PTPotential) -> floa
 
     Pointwise equality with spin_residual is a correctness check on the
     transcription of both conditions.  kappa = -1 maps to the formal
-    kappa = 0, which the raw evaluator accepts.
+    kappa = 0, which the pseudospin kernel accepts.
     """
-    ae2 = require_normal_square(pot.alpha * ctx.hbar_c, "(alpha hbar_c)")
-    return _pspin_residual_raw(-e, ctx.M, ctx.kappa + 1, ctx.n, -ctx.c_shift, ae2, _reflected(pot))
+    kernel = _pspin_kernel(ctx.M, ctx.kappa + 1, ctx.n, -ctx.c_shift, ctx.hbar_c, _reflected(pot))
+    return kernel(-e)
 
 
 def _tilde_params_raw(e, m, k, cps, ae2, pot):
-    # Like _pspin_residual_raw, evaluable at the formal k = 0 of the map.
+    # Like _pspin_kernel, evaluable at the formal k = 0 of the map.
     s = e - m - cps
     a3 = s * pot.A / ae2
     b3 = s * pot.B / ae2 + k * (k - 1)
@@ -238,15 +250,15 @@ def solve_levels(
     """
     require_choice(symmetry, _SYMMETRIES, "symmetry")
     require_positive(tol, "tolerance")
-    residual = pspin_residual if symmetry == "pspin" else spin_residual
     if bracket is None:
         span = abs(ctx.M)
         bracket = (-ctx.M - span, ctx.M + span)
     lo, hi = require_bracket(bracket, "energy bracket")
-    f = lambda x: residual(x, ctx, pot)
     xs = uniform_grid(lo, hi, SCAN_CELLS + 1)
+    kernel = _pspin_kernel if symmetry == "pspin" else _spin_kernel
+    f = kernel(ctx.M, ctx.kappa, ctx.n, ctx.c_shift, ctx.hbar_c, pot)
     vals = [f(x) for x in xs]
-    if all(math.isnan(v) for v in vals):
+    if all(map(math.isnan, vals)):
         raise DomainError("residual is complex on the entire bracket")
     xtol = tol * max(1.0, abs(lo), abs(hi))
     roots: list[RelativisticRoot] = []

@@ -1,7 +1,10 @@
 """Relativistic symmetric-limit spectra: energy conditions, exchange map,
 special-case reductions, and the nonrelativistic limit."""
 
+import hashlib
+import itertools
 import math
+import random
 import warnings
 
 import numpy as np
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 
 from ptbound.dirac import (
     FLAG_NEAR_MINUS_M,
+    SCAN_CELLS,
     DiracContext,
     nr_limit_energy,
     plain_params,
@@ -25,7 +29,10 @@ from ptbound.dirac import (
     symmetric_nr_energy,
     tilde_params,
 )
-from ptbound.errors import BracketError, DomainError, OverflowRangeError
+from ptbound.errors import (
+    BracketError, DomainError, OverflowRangeError, PtboundError, require_normal_square,
+)
+from ptbound.rootfind import bisect, sign_change_brackets, uniform_grid
 from ptbound.schrodinger import D0, NRContext, PTPotential, energy_nr
 
 import strategies as S
@@ -201,7 +208,7 @@ class TestSolveLevels:
     def test_zero_on_first_node(self, monkeypatch, sign):
         import ptbound.dirac as dirac
 
-        monkeypatch.setattr(dirac, "pspin_residual", lambda e, ctx, pot: sign * (e - 1.0))
+        monkeypatch.setattr(dirac, "_pspin_kernel", lambda *args: lambda e: sign * (e - 1.0))
         roots = solve_levels(DiracContext(M=20.0, kappa=1, n=0), POT, "pspin", (1.0, 3.0))
         assert [r.E for r in roots] == [1.0]
 
@@ -215,6 +222,100 @@ class TestSolveLevels:
             warnings.simplefilter("error")
             with pytest.raises(DomainError, match="bracket must be finite"):
                 solve_levels(DiracContext(M=20.0, kappa=1, n=0), POT, "pspin", bracket)
+
+    @pytest.mark.parametrize("symmetry", ["pspin", "spin"])
+    def test_checks_the_square_once(self, monkeypatch, symmetry):
+        # (alpha hbar_c)^2 is checked where the solve starts, not at each
+        # of the scan's 1,025 nodes and each bisection step
+        import ptbound.dirac as dirac
+
+        calls = []
+
+        def counting(x, what):
+            calls.append(what)
+            return require_normal_square(x, what)
+
+        monkeypatch.setattr(dirac, "require_normal_square", counting)
+        assert solve_levels(DiracContext(M=20.0, kappa=-1, n=0), POT, symmetry)
+        assert len(calls) == 1
+
+
+def reference_levels(ctx, pot, symmetry, tol=1e-12):
+    """solve_levels' roots on its default bracket, found the plain way:
+    one public residual call per scan node, then bisection of each sign
+    change, the same halving on the same function."""
+    residual = pspin_residual if symmetry == "pspin" else spin_residual
+
+    def f(x):
+        return residual(x, ctx, pot)
+
+    lo, hi = -ctx.M - ctx.M, ctx.M + ctx.M
+    xs = uniform_grid(lo, hi, SCAN_CELLS + 1)
+    xtol = tol * max(1.0, abs(lo), abs(hi))
+    roots = []
+    for a, b, fa, fb in sign_change_brackets(xs, [f(x) for x in xs]):
+        hit = bisect(f, a, b, xtol=xtol, fab=(fa, fb))
+        if not (roots and abs(hit - roots[-1][0]) <= 4.0 * xtol):
+            roots.append((hit, f(hit)))
+    return roots
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestKernelDigest:
+    """sha256 pins of the Dirac residuals' bits: solve_levels' roots,
+    residuals and flags on a seeded sample, and the four public
+    residuals on a grid.  Any change to the order of the arithmetic in
+    either energy condition shows here."""
+
+    WELLS = [(-2.0, 3.0, 1.0), (-30.0, 2.3, 1.0), (-150.0, 3.0, 1.3), (-0.5, 0.0, 0.8),
+             (4.0, -1.5, 2.0)]
+
+    def contexts(self):
+        """Both symmetries, kappa = +-1..+-3, n = 0..2, c_shift zero and
+        not, hbar_c 1 and 0.7; M log-uniform on [0.5, 1e3] and the well
+        drawn by a seeded generator."""
+        rng = random.Random(49)
+        for symmetry, kappa, n, shift, hbar_c in itertools.product(
+            ("pspin", "spin"), (-3, -2, -1, 1, 2, 3), range(3), (0.0, 0.4375), (1.0, 0.7)
+        ):
+            m = 0.5 * 2000.0 ** rng.random()
+            pot = PTPotential(*rng.choice(self.WELLS))
+            yield symmetry, DiracContext(m, kappa, n, c_shift=shift * m, hbar_c=hbar_c), pot
+
+    def test_solve_levels(self):
+        lines = []
+        for symmetry, ctx, pot in self.contexts():
+            # the default bracket, a wider one and one far below -M: every
+            # sampled scan has NaN segments, and some are all NaN
+            for bracket in (None, (-3.0 * ctx.M - 5.0, 3.0 * ctx.M + 5.0),
+                            (-40.0 * ctx.M, -30.0 * ctx.M)):
+                try:
+                    roots = solve_levels(ctx, pot, symmetry, bracket)
+                except PtboundError as exc:
+                    lines.append(type(exc).__name__)
+                    continue
+                lines += [
+                    f"{float.hex(r.E)} {float.hex(r.residual)} {','.join(sorted(r.flags))}"
+                    for r in roots
+                ]
+        assert _digest(lines) == (
+            "4efbb9055d364a31afcf24a6be386d1e148191761d1e04161d70d176d81cf510"
+        )
+
+    def test_residuals(self):
+        lines = []
+        for _, ctx, pot in itertools.islice(self.contexts(), 0, None, 4):
+            for residual in (pspin_residual, spin_residual, spin_residual_shifted,
+                             spin_residual_via_map):
+                lines.append(" ".join(
+                    float.hex(residual(ctx.M * (i / 32.0 - 3.0), ctx, pot)) for i in range(193)
+                ))
+        assert _digest(lines) == (
+            "204666348faa5b8cdfb2894720556f87aa612e6202b239c0dc240061402b2c09"
+        )
 
 
 class TestNonrelativisticLimit:
@@ -449,3 +550,16 @@ class TestProperties:
         for root in roots or ():
             assert -2.0 * ctx.M <= root.E <= 2.0 * ctx.M
             assert math.isfinite(root.residual)
+
+    @given(ctx=S.dirac_contexts, pot=S.potentials, symmetry=st.sampled_from(("spin", "pspin")))
+    @settings(max_examples=60)
+    def test_solve_levels_matches_reference_scan(self, ctx, pot, symmetry):
+        roots = S.finite_or_ptbound_error(solve_levels, ctx, pot, symmetry)
+        reference = S.finite_or_ptbound_error(reference_levels, ctx, pot, symmetry)
+        if roots is not None:
+            assert [(float.hex(r.E), float.hex(r.residual)) for r in roots] == [
+                (float.hex(e), float.hex(v)) for e, v in reference
+            ]
+        else:
+            # no root, an all-NaN scan or a residual past the range
+            assert reference in (None, []) or not all(math.isfinite(v) for _, v in reference)

@@ -44,6 +44,10 @@ import strategies as S
 
 POT = PTPotential(A=-30.0, B=2.3, alpha=1.0)
 CTX = NRContext.natural(mu=0.5)  # 2 mu / hbar^2 = 1
+# criterion 2's wells (tests/test_acceptance.py)
+CRITERION2_WELLS = [
+    (-60.0, 0.5, 1.0), (-100.0, 2.0, 1.0), (-45.0, 0.1, 0.8), (-150.0, 3.0, 1.3), (-75.0, 1.2, 1.1),
+]
 
 
 class TestPotential:
@@ -402,12 +406,8 @@ class TestShootingCrossCheck:
         res = shoot_eigenvalue(prob, n, (0.5 * (closed + reg.k1(n - 1)), 0.5 * closed), tol=1e-9)
         assert res.value == pytest.approx(closed, rel=1e-8)
 
-    # criterion 2's wells (tests/test_acceptance.py), at l = 0 and l = 1
     @pytest.mark.parametrize("l", [0, 1])
-    @pytest.mark.parametrize(
-        "well", [(-60.0, 0.5, 1.0), (-100.0, 2.0, 1.0), (-45.0, 0.1, 0.8), (-150.0, 3.0, 1.3),
-                 (-75.0, 1.2, 1.1)],
-    )
+    @pytest.mark.parametrize("well", CRITERION2_WELLS)
     def test_shooting_finds_exactly_the_regular_levels(self, well, l):
         # The regular pair admits levels n = 0..N (Poschl and Teller's
         # count); the printed count admits none.  Shooting finds each of
@@ -779,8 +779,15 @@ class TestHellmannFeynman:
     @pytest.mark.parametrize("l, d_a", [(0, -0.1994), (1, -0.2969)])
     def test_past_the_count(self, l, d_a):
         # n = 2 on (-30, 2.3, 1) is past the regular count: the ladder
-        # value there is no level, and its slope has the sign no
-        # expectation of sech^2 can have
+        # value there is no level, and its slopes have the sign no
+        # expectation of sech^2 or csch^2 can have
         pot = PTPotential(-30.0, 2.3, 1.0)
         assert regular_count(spectral_params(pot, CTX, l, "regular")) == 2
         assert self.slope(pot, "A", 2, l) == pytest.approx(d_a, abs=5e-5)
+        assert self.slope(pot, "B", 2, l) < 0.0
+        # Likewise the first n past the count on criterion 2's wells, where
+        # dE/dA runs from -0.0134 to -0.167 and dE/dB from -0.097 to -1.94
+        for well in CRITERION2_WELLS:
+            pot = PTPotential(*well)
+            n = regular_count(spectral_params(pot, CTX, l, "regular"))
+            assert self.slope(pot, "A", n, l) < 0.0 and self.slope(pot, "B", n, l) < 0.0, well
