@@ -309,6 +309,12 @@ def thermo_point(ctx: ThermoContext, beta: float) -> ThermoPoint:
     )))
 
 
+def _math_log(a: np.ndarray) -> np.ndarray:
+    # math.log at each element, taken once per distinct value
+    values, inverse = np.unique(a, return_inverse=True)
+    return np.array(list(map(math.log, values.tolist())))[inverse]
+
+
 def thermo_table(pairs: Iterable[tuple[ThermoContext, float]]) -> np.ndarray:
     """[thermo_point(ctx, beta) for ctx, beta in pairs] as a float64 block,
     one row per pair: each row is that pair's ThermoPoint bit for bit, and
@@ -337,8 +343,7 @@ def thermo_table(pairs: Iterable[tuple[ThermoContext, float]]) -> np.ndarray:
                 d, erfi_x, ln_erfi_x = _erfi_family_array(x)
                 omd = _one_minus_chi_over_dawson(x, d)
                 # logs from math, as in the scalar form: numpy's differ in the last bit
-                ln_tau = np.array([math.log(c.tau) for c, _ in drawn])
-                ln_beta = np.array([math.log(b) for _, b in drawn])
+                ln_tau, ln_beta = _math_log(tau), _math_log(beta)
                 fields = np.stack([
                     beta,
                     x,

@@ -14,13 +14,16 @@ from ptbound.errors import DomainError, OverflowRangeError
 from ptbound.molecules import builtin_molecules, thermo_context_for
 from ptbound.oracle import integrate_adaptive
 from ptbound.specfun import (
+    _BLOCK,
     _SCALAR_TAIL,
     _SERIES_CUT,
     ERFI_MAX_ARG,
+    _dawson_asymptotic,
+    _dawson_asymptotic_array,
     _erfi_family_array,
     _integral,
     _integral_array,
-    _retire,
+    _retire_block,
     dawson,
     erfi,
     hyp2f1_terminating,
@@ -161,17 +164,62 @@ def figure_data_chis() -> list[float]:
     ]
 
 
+def _series_stop(x: float) -> int:
+    """The step at which _exp_series stops at x (its own loop, counted)."""
+    x2, power, total, comp, n = x * x, x, x, 0.0, 0
+    while True:
+        n += 1
+        power *= x2 / n
+        term = power / (2 * n + 1)
+        y = term - comp
+        t = total + y
+        comp = (t - total) - y
+        total = t
+        if term <= 1e-17 * total:
+            return n
+
+
+def _dawson_stop(x: float) -> int:
+    """The order at which _dawson_asymptotic stops at x, 64 if it never does."""
+    inv2x2, term = 1.0 / (2.0 * x * x), 0.5 / x
+    total = term
+    for k in range(1, 64):
+        term *= (2 * k - 1) * inv2x2
+        total += term
+        if term <= 1e-18 * total:
+            return k
+    return 64
+
+
+def _first_x_stopping_at(step: int) -> float:
+    """The least x in (0, 7] whose series stops at step or later, by bisection."""
+    lo, hi = 0.0, _SERIES_CUT
+    while math.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (lo, mid) if _series_stop(mid) >= step else (mid, hi)
+    return hi
+
+
+# Block-sized arrays: a working set that stays at least _SCALAR_TAIL long
+# runs in blocks, so every stop below falls inside one.
+_LATE = [_SERIES_CUT] * _SCALAR_TAIL
+
+
+_CHIS = st.one_of(
+    st.floats(0.0, 0.05), st.floats(0.0, _SERIES_CUT), st.floats(6.9, 7.1),
+    st.floats(_SERIES_CUT, ERFI_MAX_ARG),
+)
+
+
 class TestArrayTwin:
     """The array pass behind the batched thermo_table against the scalar
     series, bit for bit, on both sides of the series/asymptotic cut.  Past
-    _SCALAR_TAIL elements a series steps as arrays first."""
+    _SCALAR_TAIL elements a series steps as arrays first, _BLOCK steps at
+    a time."""
 
-    @given(st.lists(
-        st.one_of(
-            st.floats(0.0, 0.05), st.floats(0.0, _SERIES_CUT), st.floats(6.9, 7.1),
-            st.floats(_SERIES_CUT, ERFI_MAX_ARG),
-        ),
-        min_size=1, max_size=200,
+    @given(st.one_of(
+        st.lists(_CHIS, min_size=1, max_size=_SCALAR_TAIL),
+        st.lists(_CHIS, min_size=_SCALAR_TAIL, max_size=20 * _SCALAR_TAIL),
     ))
     @example([0.0, 5e-324, *_NEAR_CUT, ERFI_MAX_ARG])
     @example(POSITIVE_GRID)
@@ -185,18 +233,66 @@ class TestArrayTwin:
         assert len(xs) == 448 and xs.max() > 14.0
         assert (xs <= _SERIES_CUT).sum() > _SCALAR_TAIL
 
-    def test_out_of_order_finish_keeps_its_own_step(self):
-        # Working set [1:] of four: the element at 3 stops ahead of the
-        # prefix and is recorded; later steps record only new stops.
-        out, done = np.full(4, np.nan), np.array([True, False, False, False])
-        lo = _retire(np.array([False, False, True]), np.array([1.0, 2.0, 3.0]), 1, out, done)
-        assert lo == 1 and out[3] == 3.0 and done.tolist() == [True, False, False, True]
-        lo = _retire(np.array([True, False, True]), np.array([4.0, 5.0, 6.0]), 1, out, done)
-        assert lo == 2 and out[1] == 4.0 and math.isnan(out[2]) and out[3] == 3.0
-        lo = _retire(np.array([True, True]), np.array([7.0, 8.0]), 2, out, done)
-        assert lo == 4 and out[1:].tolist() == [4.0, 7.0, 3.0]
+    @pytest.mark.parametrize("step", [1, _BLOCK, _BLOCK + 1, 2 * _BLOCK, 2 * _BLOCK + 1])
+    def test_stop_on_a_block_edge(self, step):
+        # The first and the last step of a block.
+        x = _first_x_stopping_at(step)
+        assert _series_stop(x) == step
+        xs = [x] * 4 + _LATE
+        assert _hexes(_integral_array(np.array(xs))[1].tolist()) == _hexes(
+            [_integral(x)[1] for x in xs]
+        )
 
-    @given(st.lists(st.floats(5e-324, ERFI_MAX_ARG), min_size=1, max_size=200))
+    def test_every_element_stops_in_the_first_block(self):
+        # As in the default thermo table, whose chi all lie below 0.3.
+        xs = np.linspace(1e-3, 0.3, 200).tolist()
+        assert max(map(_series_stop, xs)) <= _BLOCK
+        assert _hexes(_integral_array(np.array(xs))[1].tolist()) == _hexes(
+            [_integral(x)[1] for x in xs]
+        )
+
+    @pytest.mark.parametrize("size", [_SCALAR_TAIL - 1, _SCALAR_TAIL, _SCALAR_TAIL + 1])
+    @pytest.mark.parametrize("span", [(1e-3, _SERIES_CUT), (_SERIES_CUT, ERFI_MAX_ARG)],
+                             ids=["series", "asymptotic"])
+    def test_working_set_about_the_scalar_tail(self, size, span):
+        xs = np.linspace(*span, size + 1)[1:].tolist()
+        p, v = _integral_array(np.array(xs))
+        assert _hexes(p.tolist(), v.tolist()) == _hexes(*zip(*map(_integral, xs)))
+
+    def test_zero_and_the_least_subnormal_in_a_block(self):
+        xs = [0.0, 5e-324, 1e-160, 0.0, 5e-324] + _LATE
+        assert _hexes(_integral_array(np.array(xs))[1].tolist()) == _hexes(
+            [_integral(x)[1] for x in xs]
+        )
+
+    def test_dawson_cap_inside_a_block(self):
+        # Below the cut the asymptotic series never reaches 1e-18: every
+        # element runs to order 63, the last block's last step.
+        xs = np.linspace(3.0, 6.0, 2 * _SCALAR_TAIL).tolist()
+        assert {_dawson_stop(x) for x in xs} == {64}
+        assert _hexes(_dawson_asymptotic_array(np.array(xs)).tolist()) == _hexes(
+            [_dawson_asymptotic(x) for x in xs]
+        )
+
+    def test_out_of_order_finish_keeps_its_own_step(self):
+        # Working set [1:] of four, blocks of two steps: the element at 3
+        # stops ahead of the prefix and keeps its first stopping step, in
+        # this block and when it stops again in a later one.
+        out, done = np.full(4, np.nan), np.array([True, False, False, False])
+        stop = np.array([[False, False, False], [False, False, True]])
+        lo = _retire_block(stop, np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]), 1, out, done)
+        assert lo == 1 and out[3] == 6.0 and done.tolist() == [True, False, False, True]
+        stop = np.array([[True, False, True], [True, False, True]])
+        lo = _retire_block(stop, np.array([[7.0, 8.0, 9.0], [10.0, 11.0, 12.0]]), 1, out, done)
+        assert lo == 2 and out[1] == 7.0 and math.isnan(out[2]) and out[3] == 6.0
+        stop = np.array([[False, True], [True, True]])
+        lo = _retire_block(stop, np.array([[13.0, 14.0], [15.0, 16.0]]), 2, out, done)
+        assert lo == 4 and out[1:].tolist() == [7.0, 15.0, 6.0]
+
+    @given(st.one_of(
+        st.lists(st.floats(5e-324, ERFI_MAX_ARG), min_size=1, max_size=_SCALAR_TAIL),
+        st.lists(st.floats(5e-324, ERFI_MAX_ARG), min_size=_SCALAR_TAIL, max_size=300),
+    ))
     @example([5e-324, 1e-160, *_NEAR_CUT, ERFI_MAX_ARG])
     @example([x for x in POSITIVE_GRID if x <= ERFI_MAX_ARG])
     def test_erfi_family(self, xs):
