@@ -461,6 +461,39 @@ class TestBadInput:
         }
         assert not out.exists()
 
+    @pytest.mark.parametrize("args, message", [
+        (["spectrum", "--A", "5"], "well-depth discriminant negative: -174691.22508374622"),
+        (["spectrum", "--B", "-5"], "core-strength discriminant negative: -174691.22508374622"),
+        (["spectrum", "--molecules", "TINY", "--hbar-c", "1e-10"],
+         "(alpha hbar_c)**2 must be a normal double, got (alpha hbar_c)=1e-160"),
+        (["spectrum", "--n", "0", "--n", "-1"], "level index must be an integer >= 0, got -1"),
+        (["spectrum", "--A", "5", "--n", "-1"],
+         "well-depth discriminant negative: -174691.22508374622"),
+        (["spectrum", "--l", "-1"], "angular momentum must be an integer >= 0, got -1"),
+        (["table2", "--A", "5"], "square-root argument negative: -174691.22508374622"),
+        (["table2", "--B", "-5"], "square-root argument negative: -174691.22508374622"),
+        (["table2", "--molecules", "TINY", "--hbar-c", "1e-10"],
+         "(alpha hbar_c)**2 must be a normal double, got (alpha hbar_c)=1e-160"),
+        (["table2", "--A", "5", "--hbar-c", "1e6"],
+         "well parameter a=5.0 makes a square root complex for I2"),
+        (["figure-data", "--A", "5"], "square-root argument negative: -26805508.975659918"),
+        (["figure-data", "--B", "-5"], "square-root argument negative: -26805508.975659918"),
+        (["figure-data", "--alpha-min", "1e-150", "--hbar-c", "1e-10"],
+         "(alpha hbar_c)**2 must be a normal double, got (alpha hbar_c)=1e-160"),
+    ])
+    def test_closed_form_first_error_record(self, runner, tmp_path, args, message):
+        # a complex square root, a subnormal (alpha hbar_c)**2 (alpha =
+        # 1e-150 at hbar_c = 1e-10) and a bad level index: each command
+        # reports the first error of its row loop
+        tiny = tmp_path / "tiny.csv"
+        tiny.write_text("name,mu_amu,alpha_invA\nX,7.0,1e-150\n", encoding="utf-8")
+        out = tmp_path / "out"
+        args = [str(tiny) if a == "TINY" else a for a in args]
+        res = runner.invoke(main, args + ["--out", str(out)])
+        assert res.exit_code == 1
+        assert res.stderr == json.dumps({"error": "DomainError", "message": message}) + "\n"
+        assert not out.exists()
+
     def test_figure_data_empty_dataset(self, runner, tmp_path):
         data = tmp_path / "none.csv"
         data.write_text("name,mu_amu,alpha_invA\n", encoding="utf-8")

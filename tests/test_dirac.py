@@ -317,6 +317,25 @@ class TestKernelDigest:
             "204666348faa5b8cdfb2894720556f87aa612e6202b239c0dc240061402b2c09"
         )
 
+    def test_spinor_wavefunction(self):
+        # both components at energies across the mass shell and radii into
+        # the log-combined range, with the error wherever one is raised
+        lines = []
+        for _, ctx, pot in itertools.islice(self.contexts(), 0, None, 3):
+            for component, x in itertools.product(("lower", "upper"), (-1.5, -0.5, 0.0, 0.5, 1.5)):
+                cells = []
+                for r in (0.0, 1e-12, 1e-3, 0.4, 2.0, 30.0, 300.0, 800.0):
+                    try:
+                        cells.append(float.hex(spinor_wavefunction(
+                            component, ctx, pot, x * ctx.M, r / abs(pot.alpha)
+                        )))
+                    except Exception as exc:
+                        cells.append(f"{type(exc).__name__}: {exc}")
+                lines.append(" ".join(cells))
+        assert _digest(lines) == (
+            "0197632e1c79deb2d813bdbfb159af58eff8838ac6c228752d54359aa06c2776"
+        )
+
 
 class TestNonrelativisticLimit:
     def test_limit_formula_matches_bound_state_module(self):

@@ -7,6 +7,8 @@ every bundled entry and record how far it sits from the full closed-form
 spectrum, so neither is mistaken for the other.
 """
 
+import hashlib
+import itertools
 import math
 
 import pytest
@@ -217,3 +219,22 @@ class TestReferenceEnergies:
         energy = energy_nr(pot, nr_context_for(i2), 0, 0, branch="paper")
         assert energy == pytest.approx(-0.09433223100371006, rel=1e-12)
         assert abs(energy) < 0.1 * abs(reference_energy(i2, 0, 0))
+
+
+def test_reference_energy_digest():
+    """sha256 pin of reference_energy's bits on every bundled molecule,
+    n = 0..8 and l = 0..10, at the reference well and two others (one
+    makes the square root complex) and three mass conversions, with the
+    error type and message wherever one is raised."""
+    lines = []
+    for mol, a, amu_to_ev in itertools.product(
+        builtin_molecules(), (REFERENCE_WELL_A, -37.5, 0.5, math.nan), (AMU_TO_EV, 1.0, -1.0)
+    ):
+        for n, l in itertools.product((*range(9), -1), (*range(11), 1.5)):
+            try:
+                lines.append(float.hex(reference_energy(mol, n, l, a=a, amu_to_ev=amu_to_ev)))
+            except Exception as exc:
+                lines.append(f"{type(exc).__name__}: {exc}")
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "000331d5c278f61cba4df024fcd3ba50e507dcce120f89a40f9fd0e20bf8308b"
+    )

@@ -191,6 +191,90 @@ class TestCentrifugalSubstitution:
         assert abs(centrifugal_approx_residual(1, 1.0, 2.0)) > 0.05
 
 
+def _outcome(f, *args):
+    """float.hex of f(*args), or the error it raises, type and message."""
+    try:
+        return float.hex(f(*args))
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _digest(lines):
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+class TestClosedFormDigest:
+    """sha256 pins of the closed forms' bits on a seeded sample, with the
+    error type and message wherever one is raised: energy_nr on both
+    branches, level_count, and wavefunction_nr on both branches and both
+    arguments, past the double range where the factors are combined in
+    logs.  Any change to the order of the arithmetic, or to which check
+    fails first, shows here."""
+
+    # natural units, a second mass, a molecule-scale context, and one whose
+    # (alpha hbar_c)**2 is subnormal at alpha = 1e-150
+    CONTEXTS = [CTX, NRContext(7.3, 1.0), NRContext(6.5e9, 1973.29), NRContext(0.5, 1e-10)]
+    # bound wells, a free one, a positive A and negative B (negative
+    # discriminants), an (alpha hbar_c)**2 near the range's edge, and
+    # gamma = -20, beta = 19.5, whose cosh^gamma underflows
+    WELLS = [(-30.0, 2.3, 1.0), (-150.0, 3.0, 1.3), (0.0, 0.0, 1.0), (5000.0, 1.0, 1.0),
+             (-10.0, -1.0, 1.0), (-2.0, -40.0, 0.5), (-1e-3, 1e-3, 1e-150),
+             (-420.0, 360.75, 1.0)]
+
+    def wells(self):
+        rng = random.Random(51)
+        drawn = [(-(10.0 ** rng.uniform(-1.0, 3.0)), rng.uniform(-1.0, 8.0),
+                  10.0 ** rng.uniform(-0.5, 0.5)) for _ in range(8)]
+        return [PTPotential(*well) for well in self.WELLS + drawn]
+
+    def test_energy_nr(self):
+        lines = []
+        for pot, ctx in itertools.product(self.wells(), self.CONTEXTS):
+            for branch, n, l in itertools.product(("paper", "regular"), range(9), range(11)):
+                lines.append(_outcome(energy_nr, pot, ctx, n, l, branch))
+            # the order of the argument checks
+            for n, l, branch in ((-1, -1, "other"), (-1, -1, "paper"), (1.5, -1, "regular"),
+                                 (0, -1, "paper"), (0, 2.5, "regular")):
+                lines.append(_outcome(energy_nr, pot, ctx, n, l, branch))
+        assert _digest(lines) == (
+            "6a3fe33ef4586145dd6105aa40da41a5a5d5945c4fba4a4d5f2143bb5524ced4"
+        )
+
+    def test_level_count(self):
+        lines = []
+        for pot, ctx in itertools.product(self.wells(), self.CONTEXTS):
+            for l in (*range(11), -1, 0.5):
+                try:
+                    zeta, n_max = level_count(pot, ctx, l)
+                    lines.append(f"{float.hex(zeta)} {n_max}")
+                except Exception as exc:
+                    lines.append(f"{type(exc).__name__}: {exc}")
+        assert _digest(lines) == (
+            "044292ddc4aa503d7b82f83130ae52ce19e581436ce0ae30cb6117b5f96a9f5c"
+        )
+
+    RADII = (0.0, 1e-12, 1e-6, 0.05, 0.7, 3.0, 50.0, 130.0, 340.0, 800.0)
+
+    def test_wavefunction_nr(self):
+        lines = []
+        for pot, ctx in itertools.product(self.wells(), self.CONTEXTS[:2]):
+            for branch, argument, n in itertools.product(
+                ("paper", "regular"), ("linear", "squared"), range(5)
+            ):
+                lines.append(" ".join(
+                    _outcome(wavefunction_nr, pot, ctx, n, 0, r / abs(pot.alpha), branch, argument)
+                    for r in self.RADII
+                ))
+            lines += [
+                _outcome(wavefunction_nr, pot, ctx, *args)
+                for args in ((1100, 0, 0.01), (-1, 0, 0.5), (0, 1, -1.0), (2, 3, 0.5, "regular"),
+                             (1, 0, 0.5, "regular", "other"), (1, 0, 0.5, "other", "squared"))
+            ]
+        assert _digest(lines) == (
+            "d0491d0a5a11589ff8682eac48994a1a598497c343d6ef17cf63ccbf852063a5"
+        )
+
+
 class TestWavefunction:
     def test_node_counts_regular_squared(self):
         # level n has n interior sign changes on the regular pair
