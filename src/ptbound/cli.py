@@ -21,7 +21,7 @@ from typing import NamedTuple
 import click
 import numpy as np
 
-from . import __version__, oracle, thermo
+from . import __version__, oracle, schrodinger, thermo
 from .aim import aim_eigen_scan
 from .dirac import DiracContext, solve_levels
 from .errors import ConvergenceError, DomainError, require_bracket, require_index, require_positive
@@ -29,10 +29,10 @@ from .molecules import (
     AMU_TO_EV,
     HBARC_CALIBRATED,
     MoleculeParams,
+    _calibrated_ladder,
     builtin_molecules,
     load_molecules,
     nr_context_for,
-    reference_energy,
     thermo_context_for,
 )
 from .refdata import REFERENCE_ENERGY_STRINGS, REFERENCE_GRID, REFERENCE_WELL_A, REFERENCE_WELL_B
@@ -41,7 +41,7 @@ from .schrodinger import (
     HBARC_EV_ANG,
     NRContext,
     PTPotential,
-    energy_nr,
+    _energy_ladder,
     level_count,
     pt_aim_problem,
     spectral_params,
@@ -64,8 +64,10 @@ __all__ = [
 
 FIGURE_MOLECULES = ("N2", "TiH", "NiC", "I2")
 
-# perfbench/tracing.py wraps this name; thermo_table calls thermo's own.
+# perfbench/tracing.py wraps these names; thermo_table calls thermo's own
+# thermo_point, and the commands take their levels from energy ladders.
 thermo_point = thermo.thermo_point
+energy_nr = schrodinger.energy_nr
 
 
 @dataclass(frozen=True)
@@ -113,8 +115,13 @@ def cli_spectrum(config: RunConfig) -> Path:
         pot = config.potential(mol.alpha_invA)
         for l in config.l:
             zeta, n_max = level_count(pot, ctx, l)
+            ladder = None
             for n in config.n:
-                rows.append([mol.name, n, l, zeta, n_max, energy_nr(pot, ctx, n, l), n >= n_max])
+                # the index first and the ladder at the first level, as energy_nr checks them
+                require_index(n, "level index")
+                if ladder is None:
+                    ladder = _energy_ladder(pot, ctx, l)
+                rows.append([mol.name, n, l, zeta, n_max, ladder(n), n >= n_max])
     write_csv(config.out, header, rows)
     return config.out
 
@@ -137,10 +144,20 @@ def cli_table2(config: RunConfig, report_path: Path | None = None) -> tuple[Path
     for mol in config.molecules():
         ctx = config.context(mol)
         pot = config.potential(mol.alpha_invA)
+        # Each part free of n is built at the first row that needs it, in
+        # the order energy_nr, level_count and reference_energy ran, so the
+        # first error is theirs.
+        ladders, n_maxes, calibrated_ladder = {}, {}, None
         for n, l in REFERENCE_GRID:
-            energy = energy_nr(pot, ctx, n, l)
-            n_max = level_count(pot, ctx, l).n_max
-            calibrated = reference_energy(mol, n, l, a=config.a, amu_to_ev=config.amu_to_ev)
+            if l not in ladders:
+                ladders[l] = _energy_ladder(pot, ctx, l)
+            energy = ladders[l](n)
+            if l not in n_maxes:
+                n_maxes[l] = level_count(pot, ctx, l).n_max
+            n_max = n_maxes[l]
+            if calibrated_ladder is None:
+                calibrated_ladder = _calibrated_ladder(mol, a=config.a, amu_to_ev=config.amu_to_ev)
+            calibrated = calibrated_ladder(n, l)
             ref_text = REFERENCE_ENERGY_STRINGS.get((mol.name, n, l))
             if ref_text is None:
                 ref_text, ref = "", math.nan
@@ -280,8 +297,8 @@ def cli_figure_data(
     ctx = config.context(mols.get("N2") or next(iter(mols.values())))
     rows = []
     for alpha in alphas:
-        pot = config.potential(alpha)
-        rows.append([alpha] + [energy_nr(pot, ctx, n, 0) for n in ns])
+        ladder = _energy_ladder(config.potential(alpha), ctx, 0)
+        rows.append([alpha] + [ladder(n) for n in ns])
     tables.append(("fig_energy_vs_alpha.csv", header, ColumnTable(rows)))
 
     # Z, U, C, F, S at tau = 1: over beta, one column block per molecule,

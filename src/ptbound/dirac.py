@@ -43,7 +43,7 @@ from .errors import (
     require_finite, require_index, require_normal_square, require_positive, within_range,
 )
 from .rootfind import bisect, sign_change_brackets, uniform_grid
-from .schrodinger import D0, PTPotential, _discriminant_root, _hyperbolic_amplitude
+from .schrodinger import D0, PTPotential, _amplitude_kernel, _discriminant_root
 from .specfun import pochhammer
 
 __all__ = [
@@ -425,13 +425,13 @@ def spinor_wavefunction(
 
     with the Gamma-function ratio expressed as a rising factorial and
     the exponents taken from the matching parameter set.  Errors follow
-    schrodinger._hyperbolic_amplitude.
+    schrodinger._amplitude_kernel.
     """
     require_choice(component, _COMPONENTS, "component")
     params = tilde_params(e, ctx, pot) if component == "lower" else plain_params(e, ctx, pot)
     c = 2.0 * params.beta2 + 0.5
-    return _hyperbolic_amplitude(
-        pot.alpha, r, ctx.n, 2.0 * params.beta2, 2.0 * params.gamma2,
+    return _amplitude_kernel(
+        pot.alpha, ctx.n, 2.0 * params.beta2, 2.0 * params.gamma2,
         2.0 * (params.beta2 + params.gamma2) + ctx.n, c, lambda sh: sh * sh,
         pochhammer(c, ctx.n),
-    )
+    )(r)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .errors import (
     DomainError, TableFormatError, require_finite, require_index, require_normal_square,
@@ -170,6 +171,15 @@ def reference_energy(
     """
     require_index(n, "level index")
     require_index(l, "angular momentum")
+    return _calibrated_ladder(mol, a=a, amu_to_ev=amu_to_ev)(n, l)
+
+
+def _calibrated_ladder(
+    mol: MoleculeParams, *, a: float, amu_to_ev: float
+) -> Callable[[int, int], float]:
+    """(n, l) -> reference_energy(mol, n, l, a=a, amu_to_ev=amu_to_ev) for
+    checked indices: the molecule's part, with its checks, formed once,
+    and each level in reference_energy's order of operations."""
     require_finite(a, "well parameter a")
     mu = mol.mu_amu * require_positive(amu_to_ev, "amu_to_ev")
     alpha = mol.alpha_invA
@@ -177,5 +187,11 @@ def reference_energy(
     x = 8.0 * mu / (alpha * alpha * hbarc2)
     if 1.0 - a * x < 0.0:
         raise DomainError(f"well parameter a={a!r} makes a square root complex for {mol.name}")
-    bracket = n + 0.5 + 0.25 * math.sqrt(1.0 - a * x) - 0.25 * (2 * l + 1)
-    return within_range(-2.0 * alpha * alpha * hbarc2 / mu * bracket * bracket, "reference energy")
+    well = 0.25 * math.sqrt(1.0 - a * x)
+    scale = -2.0 * alpha * alpha * hbarc2 / mu
+
+    def energy(n: int, l: int) -> float:
+        bracket = n + 0.5 + well - 0.25 * (2 * l + 1)
+        return within_range(scale * bracket * bracket, "reference energy")
+
+    return energy

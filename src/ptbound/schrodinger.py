@@ -31,16 +31,16 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .aim import AimProblem
 from .errors import (
-    DomainError, OverflowRangeError, require_choice, require_finite, require_index,
-    require_normal_square, require_positive, within_range,
+    DomainError, OverflowRangeError, PtboundError, require_choice, require_finite,
+    require_index, require_normal_square, require_positive, within_range,
 )
 from .jets import jet_mul, jet_reciprocal
 from .oracle import RadialProblem
-from .specfun import hyp2f1_terminating, pochhammer
+from .specfun import _hyp2f1_ratios, _hyp2f1_sum, hyp2f1_terminating, pochhammer
 
 __all__ = [
     "D0",
@@ -65,6 +65,7 @@ D0 = 1.0 / 12.0
 HBARC_EV_ANG = 1973.29
 
 _BRANCHES = ("paper", "regular")
+_FLOAT_MIN = sys.float_info.min
 
 # Points on the first shooting mesh of pt_radial_problem.
 _SHOOT_NPTS = 4001
@@ -145,6 +146,26 @@ class SpectralParams:
     def bound_possible(self, n: int) -> bool:
         """Decay at infinity needs gamma + beta + 2n < 0 (regular pair)."""
         return self.gamma + self.beta + 2.0 * n < 0.0
+
+    def amplitude(self, n: int, argument: str = "linear") -> Callable[[float], float]:
+        """r -> wavefunction_nr's amplitude u(r) of level n on this
+        exponent pair, with the lead 2^n (-1)^n (c)_n and the 2F1 term
+        ratios formed once; the bits and errors are wavefunction_nr's."""
+        require_choice(argument, _ARGUMENTS, "argument")
+        require_index(n, "level index")
+        if argument == "linear":
+            c, z_of = self.beta + 1.0, lambda sh: -sh
+        else:
+            c, z_of = self.beta + 0.5, lambda sh: -sh * sh
+        try:
+            lead = 2.0**n * (-1.0) ** n * pochhammer(c, n)
+        except OverflowError:
+            raise OverflowRangeError(
+                f"amplitude lead at n={n!r} exceeds the double range"
+            ) from None
+        return _amplitude_kernel(
+            self.alpha, n, self.gamma, self.beta, self.beta + self.gamma + n, c, z_of, lead
+        )
 
 
 class LevelCount(NamedTuple):
@@ -280,6 +301,18 @@ def energy_nr(
     """
     require_choice(branch, _BRANCHES, "branch")
     require_index(n, "level index")
+    return _energy_ladder(pot, ctx, l, branch)(n)
+
+
+def _energy_ladder(
+    pot: PTPotential, ctx: NRContext, l: int, branch: str = "paper"
+) -> Callable[[int], float]:
+    """n -> energy_nr(pot, ctx, n, l, branch) for a checked level index n.
+
+    The part of the bracket expression free of n, with its checks, is
+    formed once, here; each level then costs one square, with the
+    operations of energy_nr in its order, so the bits are the same.
+    """
     require_index(l, "angular momentum")
     ah = require_normal_square(pot.alpha * ctx.hbar_c, "(alpha hbar_c)")
     disc_a = 1.0 - 8.0 * ctx.mu * pot.A / ah
@@ -288,9 +321,15 @@ def energy_nr(
         if disc < 0.0:
             raise DomainError(f"square-root argument negative: {disc!r}")
     sign = 1.0 if branch == "paper" else -1.0
-    bracket = n + 0.5 + sign * 0.25 * (math.sqrt(disc_a) - math.sqrt(disc_b))
+    shift = sign * 0.25 * (math.sqrt(disc_a) - math.sqrt(disc_b))
     scale = 2.0 * pot.alpha**2 * ctx.hbar_c**2 / ctx.mu
-    return within_range(scale * (l * (l + 1) * D0 - bracket * bracket), "energy")
+    offset = l * (l + 1) * D0
+
+    def energy(n: int) -> float:
+        bracket = n + 0.5 + shift
+        return within_range(scale * (offset - bracket * bracket), "energy")
+
+    return energy
 
 
 def level_count(pot: PTPotential, ctx: NRContext, l: int) -> LevelCount:
@@ -342,71 +381,73 @@ def wavefunction_nr(
     argument): see the residual diagnostics in the test suite.  The
     branch switch selects the exponent pair as in spectral_params; node
     counts and square-integrability hold on the regular pair.  Errors
-    follow _hyperbolic_amplitude.
+    follow _amplitude_kernel.
     """
     require_choice(argument, _ARGUMENTS, "argument")
     require_index(n, "level index")
-    params = spectral_params(pot, ctx, l, branch)
-    if argument == "linear":
-        c, z_of = params.beta + 1.0, lambda sh: -sh
-    else:
-        c, z_of = params.beta + 0.5, lambda sh: -sh * sh
-    try:
-        lead = 2.0**n * (-1.0) ** n * pochhammer(c, n)
-    except OverflowError:
-        raise OverflowRangeError(f"amplitude lead at n={n!r} exceeds the double range") from None
-    return _hyperbolic_amplitude(
-        pot.alpha, r, n, params.gamma, params.beta, params.beta + params.gamma + n, c, z_of, lead
-    )
+    return spectral_params(pot, ctx, l, branch).amplitude(n, argument)(r)
 
 
-def _hyperbolic_amplitude(alpha, r, n, cosh_pow, sinh_pow, b, c, z_of, lead):
-    """lead cosh^cosh_pow(x) sinh^sinh_pow(x) 2F1(-n, b; c; z_of(sinh x)), x = |alpha| r.
+def _amplitude_kernel(alpha, n, cosh_pow, sinh_pow, b, c, z_of, lead):
+    """r -> lead cosh^cosh_pow(x) sinh^sinh_pow(x) 2F1(-n, b; c; z_of(sinh x)), x = |alpha| r.
 
     Every closed-form bound state, Schrodinger and Dirac, is this
-    product.  It is formed directly, in that order, when both powers and
-    both partial products before the 2F1 value are normal doubles;
-    otherwise the four factors are combined in logs with the sign
-    carried, so an amplitude that is only tiny comes back as its value
-    or 0.0.  A radius that is not positive and finite, or a negative sinh
-    exponent inside the origin cutoff r < 1e-8/|alpha|, raises
-    DomainError; the 2F1 argument (formed only for n >= 1: 2F1(0, b; c; z)
-    is 1) or the amplitude past the double range raises
-    OverflowRangeError.
+    product, and the 2F1 term ratios, free of r, are formed here once.
+    It is formed directly, in that order, when both powers and both
+    partial products before the 2F1 value are normal doubles; otherwise
+    the four factors are combined in logs with the sign carried, so an
+    amplitude that is only tiny comes back as its value or 0.0.  At each
+    r, in this order: a radius that is not positive and finite, or a
+    negative sinh exponent inside the origin cutoff r < 1e-8/|alpha|,
+    raises DomainError; the 2F1 argument (formed only for n >= 1:
+    2F1(0, b; c; z) is 1) past the double range raises
+    OverflowRangeError; then come hyp2f1_terminating's errors (a lower
+    parameter c on a pole among them), and OverflowRangeError for the
+    amplitude past the double range.
     """
-    require_positive(r, "radius")
-    if sinh_pow < 0.0 and r < 1e-8 / abs(alpha):
-        raise DomainError("divergent-exponent branch evaluated inside the origin cutoff")
-    x = abs(alpha) * r
+    a = abs(alpha)
     try:
-        sh, ch = math.sinh(x), math.cosh(x)
-    except OverflowError:
-        sh = ch = math.inf
-    z = z_of(sh) if n else 0.0
-    if math.isinf(z):
-        raise OverflowRangeError(f"2F1 argument at r={r!r} exceeds the double range")
-    f = hyp2f1_terminating(n, b, c, z)
-    try:
-        powers = (ch**cosh_pow, sh**sinh_pow)
-    except OverflowError:
-        powers = (math.inf, math.inf)
-    head = lead * powers[0]
-    body = head * powers[1]
-    u = body * f
-    normal = all(sys.float_info.min <= abs(v) < math.inf for v in (*powers, head, body))
-    if not (normal and math.isfinite(u)):
-        # log cosh x = log sinh x = x - log 2 where both are past the range
-        logs = [_log_abs(lead), _log_abs(f)]
-        for p, base in ((cosh_pow, ch), (sinh_pow, sh)):
-            if p:
-                logs.append(p * (x - math.log(2.0) if base == math.inf else _log_abs(base)))
+        ratios = list(_hyp2f1_ratios(n, b, c))
+    except PtboundError:
+        ratios = None  # hyp2f1_terminating raises it again, after the radius checks
+
+    def amplitude(r: float) -> float:
+        require_positive(r, "radius")
+        if sinh_pow < 0.0 and r < 1e-8 / a:
+            raise DomainError("divergent-exponent branch evaluated inside the origin cutoff")
+        x = a * r
         try:
-            u = math.copysign(math.exp(sum(logs)), lead * f)
+            sh, ch = math.sinh(x), math.cosh(x)
         except OverflowError:
-            u = math.inf
-    if not math.isfinite(u):
-        raise OverflowRangeError(f"amplitude at r={r!r} exceeds the double range")
-    return u
+            sh = ch = math.inf
+        z = z_of(sh) if n else 0.0
+        if math.isinf(z):
+            raise OverflowRangeError(f"2F1 argument at r={r!r} exceeds the double range")
+        f = hyp2f1_terminating(n, b, c, z) if ratios is None else _hyp2f1_sum(ratios, len(ratios), z)
+        try:
+            p, q = ch**cosh_pow, sh**sinh_pow
+        except OverflowError:
+            p = q = math.inf
+        head = lead * p
+        body = head * q
+        u = body * f
+        if not (_FLOAT_MIN <= abs(p) < math.inf and _FLOAT_MIN <= abs(q) < math.inf
+                and _FLOAT_MIN <= abs(head) < math.inf and _FLOAT_MIN <= abs(body) < math.inf
+                and math.isfinite(u)):
+            # log cosh x = log sinh x = x - log 2 where both are past the range
+            logs = [_log_abs(lead), _log_abs(f)]
+            for power, base in ((cosh_pow, ch), (sinh_pow, sh)):
+                if power:
+                    logs.append(power * (x - math.log(2.0) if base == math.inf else _log_abs(base)))
+            try:
+                u = math.copysign(math.exp(sum(logs)), lead * f)
+            except OverflowError:
+                u = math.inf
+        if not math.isfinite(u):
+            raise OverflowRangeError(f"amplitude at r={r!r} exceeds the double range")
+        return u
+
+    return amplitude
 
 
 def _log_abs(v: float) -> float:

@@ -25,6 +25,7 @@ quadrature and high-precision references in the test suite).
 from __future__ import annotations
 
 import math
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -294,19 +295,34 @@ def hyp2f1_terminating(n: int, b: float, c: float, z: float) -> float:
     leave the double range.
     """
     n = require_index(n, "series order")
+    require_finite(b, "b")
+    require_finite(c, "c")
+    z = require_finite(z, "z")  # before the test of c for poles
+    return _hyp2f1_sum(_hyp2f1_ratios(n, b, c), n, z)
+
+
+def _hyp2f1_ratios(n: int, b: float, c: float) -> Iterator[float]:
+    """The n term ratios of 2F1(-n, b; c; z) over z, one at a time, after
+    hyp2f1_terminating's checks of n, b and c."""
+    n = require_index(n, "series order")
     b = require_finite(b, "b")
     c = require_finite(c, "c")
-    z = require_finite(z, "z")
     if c == math.floor(c) and -(n - 1) <= c <= 0.0:
         raise DomainError(
             f"lower parameter c={c!r} hits a nonpositive integer inside the "
             f"terminating range of length {n}"
         )
+    return ((k - n) * (b + k) / ((c + k) * (k + 1)) for k in range(n))
+
+
+def _hyp2f1_sum(ratios: Iterable[float], n: int, z: float) -> float:
+    """1 + the running products of the n ratios times z, summed with
+    compensation: hyp2f1_terminating's value at a finite z."""
     total = 1.0
     comp = 0.0
     term = 1.0
-    for k in range(n):
-        term *= (k - n) * (b + k) / ((c + k) * (k + 1)) * z
+    for ratio in ratios:
+        term *= ratio * z
         y = term - comp
         t = total + y
         comp = (t - total) - y
